@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-fixtures fmtcheck test test-short bench benchall fmt examples clean ci smoke race-shard chaos perfgate profile
+.PHONY: all build vet lint lint-fixtures fmtcheck test test-short bench benchall fmt examples clean ci smoke race-shard chaos perfgate profile selffuzz loc
 
 all: build vet lint test
 
@@ -17,6 +17,7 @@ ci:
 	$(MAKE) race-shard
 	$(MAKE) smoke
 	$(MAKE) chaos
+	$(MAKE) selffuzz
 	$(MAKE) perfgate
 
 # The sharded executor's schedule-independence gate, named so its failure is
@@ -65,6 +66,17 @@ chaos:
 		-epoch-stmts 500 -chaos-rate 0.05 -chaos-seed 7 -checkpoint "$$tmp/b.ckpt" && \
 	cmp "$$tmp/a.ckpt" "$$tmp/b.ckpt" && \
 	echo "chaos: double-run checkpoints byte-identical"
+
+# Self-fuzz of minidb's coverage-equivalence contract: random scripts must
+# give the same results, errors and coverage on the compiled and the
+# interpreter paths. Plain `go test` runs only the seeds; this searches.
+selffuzz:
+	$(GO) test -run '^$$' -fuzz FuzzCompiledMatchesInterpreter -fuzztime 15s ./internal/minidb
+
+# Non-test Go lines: the whole module (campaignbench/ and testdata excluded)
+# and internal/minidb, tracked so that growth has to pay for itself.
+loc:
+	@echo "non-test Go LoC: repo $$(find . -name '*.go' ! -name '*_test.go' ! -path './campaignbench/*' ! -path '*/testdata/*' | xargs cat | wc -l), internal/minidb $$(find internal/minidb -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 
 build:
 	$(GO) build ./...

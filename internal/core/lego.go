@@ -60,11 +60,11 @@ type Options struct {
 	// and must be contained by the harness instead of killing the
 	// campaign. Zero disables injection.
 	FaultRate float64
-	// DisablePlanCache turns off the engine's compiled-plan execution
-	// layer, running every expression through the tree-walking interpreter.
-	// Campaigns are byte-identical either way (the compiled path is
-	// coverage-equivalent by contract); this exists for baseline
-	// comparison.
+	// DisablePlanCache runs every expression through the tree-walking
+	// interpreter instead of the engine's compiled plans. Campaigns are
+	// byte-identical either way (the compiled path is coverage-equivalent
+	// by contract); the flag selects the reference side of the tests that
+	// check that contract.
 	DisablePlanCache bool
 
 	// RandomSequences is an ablation: instead of affinity-gated synthesis

@@ -28,7 +28,8 @@ import (
 // unqualified and qualified binding keys per slot, plus the duplicate-name
 // resolution direction of the scope map it mirrors (scopeRowInto builds its
 // map right-to-left so the leftmost duplicate wins; rowScope and sortRows'
-// output map build forward so the last duplicate wins).
+// output map build forward so the last duplicate wins). Rows shorter than a
+// frame never reach a program: rowEval.bind sends them to the interpreter.
 type frame struct {
 	keys     []string // unqualified key per slot (always present)
 	qkeys    []string // qualified key per slot ("" = none); nil = no quals
@@ -211,17 +212,12 @@ func litValue(v *sqlast.Literal) Value {
 	}
 }
 
-// bindRow points frame 0 at row and invalidates the fallback scope. It also
-// replicates scopeRowInto's full-width access pattern: the interpreter binds
-// every column of the relation, so a row shorter than the frame panics there
-// with an index error — the compiled path must fail identically rather than
-// silently succeed on a low slot.
+// bindRow points frame 0 at row and invalidates the fallback scope. Only
+// rows as wide as the frame reach it: rowEval.bind sends short rows to the
+// interpreter.
 //
 //lego:hotpath
 func (m *machine) bindRow(row []Value) {
-	if n := len(m.lay.frames[0].keys); n > 0 {
-		_ = row[n-1]
-	}
 	m.rowA = row
 	m.fbValid = false
 }
@@ -685,7 +681,7 @@ func (c *compiler) compileBinary(v *sqlast.Binary) prog {
 			if lv.IsNull() || rv.IsNull() {
 				return Null(), nil
 			}
-			return Text(lv.String() + rv.String()), nil
+			return concatValues(lv, rv)
 		}
 
 	case "+", "-", "*", "/", "%":

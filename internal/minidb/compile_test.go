@@ -3,6 +3,7 @@ package minidb
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -13,12 +14,15 @@ import (
 )
 
 // renderOutcome flattens an outcome into a comparable string: result shape,
-// row values, messages, and error texts in statement order. RunTestCase
-// reuses its result buffers across calls, so outcomes must be rendered
-// before the next run.
+// row values, messages, and error texts in statement order, then the crash
+// report's ID. RunTestCase reuses its result buffers across calls, so
+// outcomes must be rendered before the next run.
 func renderOutcome(out Outcome) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "executed=%d errors=%d\n", out.Executed, out.Errors)
+	if out.Crash != nil {
+		fmt.Fprintf(&sb, "crash=%s\n", out.Crash.ID)
+	}
 	for i := range out.Results {
 		if r := out.Results[i]; r != nil {
 			fmt.Fprintf(&sb, "%d: cols=%v affected=%d msg=%q rows=", i, r.Cols, r.Affected, r.Msg)
@@ -122,19 +126,77 @@ INSERT INTO u VALUES (1, 2), (3, 4);
 SELECT a FROM u UNION SELECT b FROM u ORDER BY a DESC;
 SELECT SUM(a), COUNT(b) FROM u;
 SELECT a FROM u GROUP BY a HAVING SUM(b) > 2 ORDER BY a;`,
+
+	reshapeScript,
+
+	// Duplicate and qualified names: scopeRowInto lets the leftmost of two
+	// join columns named v win, rowScope binds "table.col" keys, and the
+	// compiled layouts must resolve both the same way.
+	`CREATE TABLE da (id INT, v INT);
+CREATE TABLE db (id INT, v INT);
+INSERT INTO da VALUES (1, 10), (2, 20);
+INSERT INTO db VALUES (1, 200), (2, 100);
+SELECT v, da.v, db.v FROM da JOIN db ON da.id = db.id AND v < 150 WHERE v > 5 ORDER BY v DESC;
+SELECT id, SUM(v) OVER (PARTITION BY v ORDER BY id) FROM da JOIN db ON da.id = db.id;
+UPDATE da SET v = da.v + 1 WHERE da.id = 1 ORDER BY da.v;
+DELETE FROM db WHERE db.v > 150;
+SELECT * FROM da;`,
 }
+
+// reshapeScript has a BEFORE trigger reshape its table mid-statement: the
+// failed ALTER leaves every row one column short, so the later UPDATE's and
+// DELETE's WHERE, ORDER BY, and SET expressions take the interpreter row by
+// row (SET would compile: no UPDATE trigger is registered).
+const reshapeScript = `CREATE TABLE r (a INT, b INT);
+INSERT INTO r VALUES (1, 10), (2, 20), (3, 30);
+CREATE TRIGGER rt BEFORE DELETE ON r FOR EACH ROW ALTER TABLE r ADD COLUMN c INT NOT NULL;
+DELETE FROM r WHERE a = 3;
+UPDATE r SET b = c + a WHERE a > 1 ORDER BY b DESC, a;
+DROP TRIGGER rt;
+DELETE FROM r WHERE b > 15 ORDER BY a DESC LIMIT 1;
+DELETE FROM r WHERE c IS NULL;`
+
+// concatTriggerScript doubles a column on every trigger fire: without the
+// || result cap it grows until the process runs out of memory.
+const concatTriggerScript = `CREATE TABLE t (c0 TEXT);
+INSERT INTO t VALUES ('ab'), ('cd'), ('ef');
+CREATE TRIGGER tg AFTER UPDATE ON t FOR EACH ROW UPDATE t SET c0 = (c0 || c0);
+UPDATE t SET c0 = (c0 || c0);`
 
 // runEquiv executes one script on an engine and returns the rendered
 // outcome plus the coverage it produced.
 func runEquiv(e *Engine, script string) (string, []coverage.EdgeState) {
-	tc := sqlparse.MustParseScript(script)
+	return runEquivCase(e, sqlparse.MustParseScript(script), false)
+}
+
+// runEquivCase is runEquiv on a parsed test case. With crashOK an engine
+// panic, which RunTestCase re-raises, is recovered and rendered as the ID
+// of the organic bug report a campaign would record for it; without, it
+// fails the calling test.
+func runEquivCase(e *Engine, tc sqlast.TestCase, crashOK bool) (string, []coverage.EdgeState) {
 	tr := e.Tracer()
 	tr.Reset()
-	out := e.RunTestCase(tc)
-	rendered := renderOutcome(out)
+	var rendered string
+	if crashOK {
+		rendered = renderRun(e, tc)
+	} else {
+		rendered = renderOutcome(e.RunTestCase(tc))
+	}
 	m := coverage.NewMap()
 	m.Accumulate(tr)
 	return rendered, m.Export()
+}
+
+// renderRun runs tc and renders its outcome or its engine panic.
+func renderRun(e *Engine, tc sqlast.TestCase) (rendered string) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			buf := make([]byte, 64<<10)
+			buf = buf[:runtime.Stack(buf, false)]
+			rendered = fmt.Sprintf("executed=%d panic=%s\n", e.StmtProgress(), OrganicReport(rec, e.Dialect(), nil, buf).ID)
+		}
+	}()
+	return renderOutcome(e.RunTestCase(tc))
 }
 
 // TestCompiledMatchesInterpreter is the coverage-equivalence contract: for
@@ -160,6 +222,53 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 	}
 	if st := interp.PlanStats(); st.Compiles != 0 || st.Hits != 0 || st.Misses != 0 {
 		t.Fatalf("DisablePlanCache engine touched the plan cache: %+v", st)
+	}
+}
+
+// TestSetOpArityUnderOrderBy: sorting a set operation whose sides differ in
+// arity. The grammar attaches ORDER BY to the last query of a set operation,
+// so the shape only arises from mutated ASTs; the test hoists it onto the
+// first query. In the first statement the one-column rows are shorter than
+// the output columns and their sort keys take the interpreter; in the second
+// the two-column rows are wider and stay compiled.
+func TestSetOpArityUnderOrderBy(t *testing.T) {
+	tc := sqlparse.MustParseScript(`CREATE TABLE ua (a INT, b INT);
+INSERT INTO ua VALUES (1, 2), (3, 4);
+SELECT a, b FROM ua UNION ALL SELECT a FROM ua ORDER BY b DESC, a;
+SELECT a FROM ua UNION ALL SELECT a, b FROM ua ORDER BY a + 1, 2;`)
+	for _, st := range tc[2:] {
+		q := st.(*sqlast.SelectStmt)
+		q.OrderBy, q.Right.OrderBy = q.Right.OrderBy, nil
+	}
+	outC, covC := runEquivCase(New(Config{Dialect: sqlt.DialectMySQL}), tc, false)
+	outI, covI := runEquivCase(New(Config{Dialect: sqlt.DialectMySQL, DisablePlanCache: true}), tc, false)
+	if outC != outI {
+		t.Fatalf("outcomes diverged\ncompiled:\n%s\ninterpreter:\n%s", outC, outI)
+	}
+	if !reflect.DeepEqual(covC, covI) {
+		t.Fatalf("coverage diverged: %d vs %d edges", len(covC), len(covI))
+	}
+	if !strings.Contains(outC, "rows=[3,4,][1,2,][1,][3,]") {
+		t.Fatalf("short rows did not sort last under b DESC:\n%s", outC)
+	}
+}
+
+// TestShortRowPanicMatches: scanning rows a trigger left one column short
+// panics in scopeRowInto's full-width read. Both paths must panic at the
+// same frames, so a campaign records the same organic bug with the plan
+// cache on or off.
+func TestShortRowPanicMatches(t *testing.T) {
+	tc := sqlparse.MustParseScript(reshapeScript + "\nSELECT a FROM r WHERE b > 0;")
+	outC, covC := runEquivCase(New(Config{Dialect: sqlt.DialectMySQL}), tc, true)
+	outI, covI := runEquivCase(New(Config{Dialect: sqlt.DialectMySQL, DisablePlanCache: true}), tc, true)
+	if outC != outI {
+		t.Fatalf("outcomes diverged\ncompiled:\n%s\ninterpreter:\n%s", outC, outI)
+	}
+	if !reflect.DeepEqual(covC, covI) {
+		t.Fatalf("coverage diverged: %d vs %d edges", len(covC), len(covI))
+	}
+	if !strings.Contains(outC, "panic=ORGANIC-") {
+		t.Fatalf("short-row scan did not panic:\n%s", outC)
 	}
 }
 
@@ -286,4 +395,65 @@ func TestCompiledEvalZeroAllocPerRow(t *testing.T) {
 	if got > 0 {
 		t.Fatalf("compiled per-row eval allocates: %.1f allocs/op, want 0", got)
 	}
+}
+
+// concatScripts are concatTriggerScript, whose SET stays on the interpreter
+// (the table has an UPDATE trigger), and a trigger-free doubling that
+// reaches the cap through a compiled SET.
+func concatScripts() []string {
+	var sb strings.Builder
+	sb.WriteString("CREATE TABLE d (c0 TEXT);\nINSERT INTO d VALUES ('ab'), ('cd');\n")
+	for i := 0; i < 20; i++ {
+		sb.WriteString("UPDATE d SET c0 = c0 || c0;\n")
+	}
+	sb.WriteString("SELECT LENGTH(c0) FROM d;")
+	return []string{concatTriggerScript, sb.String()}
+}
+
+// TestConcatCap: a self-doubling || stops at maxConcatBytes with the same
+// error, results, and coverage on the compiled and interpreter paths.
+func TestConcatCap(t *testing.T) {
+	for i, script := range concatScripts() {
+		compiled := New(Config{Dialect: sqlt.DialectPostgres})
+		interp := New(Config{Dialect: sqlt.DialectPostgres, DisablePlanCache: true})
+		outC, covC := runEquiv(compiled, script)
+		outI, covI := runEquiv(interp, script)
+		if outC != outI {
+			t.Errorf("script %d: outcomes diverged\ncompiled:\n%s\ninterpreter:\n%s", i, outC, outI)
+		}
+		if !reflect.DeepEqual(covC, covI) {
+			t.Errorf("script %d: coverage diverged: %d vs %d edges", i, len(covC), len(covI))
+		}
+		if want := fmt.Sprintf("string concatenation exceeds %d bytes", maxConcatBytes); !strings.Contains(outC, want) {
+			t.Errorf("script %d: no %q error:\n%s", i, want, outC)
+		}
+	}
+}
+
+// FuzzCompiledMatchesInterpreter turns the coverage-equivalence contract
+// into an open-ended search: any script that parses must produce the same
+// results, errors, and coverage on fresh compiled and DisablePlanCache
+// engines. An engine panic is an outcome too: both engines must panic at
+// the same frames. Plain go test runs the seeds.
+func FuzzCompiledMatchesInterpreter(f *testing.F) {
+	for _, s := range equivalenceScripts {
+		f.Add(s)
+	}
+	f.Add(reshapeScript + "\nSELECT a FROM r WHERE b > 0;")
+	for _, s := range concatScripts() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, script string) {
+		if _, err := sqlparse.ParseScript(script); err != nil {
+			t.Skip()
+		}
+		outC, covC := runEquivCase(New(Config{Dialect: sqlt.DialectMySQL}), sqlparse.MustParseScript(script), true)
+		outI, covI := runEquivCase(New(Config{Dialect: sqlt.DialectMySQL, DisablePlanCache: true}), sqlparse.MustParseScript(script), true)
+		if outC != outI {
+			t.Fatalf("outcomes diverged\ncompiled:\n%s\ninterpreter:\n%s", outC, outI)
+		}
+		if !reflect.DeepEqual(covC, covI) {
+			t.Fatalf("coverage diverged: %d vs %d edges", len(covC), len(covI))
+		}
+	})
 }

@@ -55,11 +55,12 @@ type Config struct {
 	// FaultSeed seeds the injector's private RNG (default 1), keeping
 	// fault schedules reproducible per campaign.
 	FaultSeed int64
-	// DisablePlanCache turns off the compiled-plan execution layer: every
-	// expression position runs the tree-walking interpreter directly, with
-	// no compilation at all. The compiled path is coverage- and
-	// result-equivalent by contract (compile.go), so this exists for
-	// baseline comparison and as an escape hatch, not for correctness.
+	// DisablePlanCache sends every row at every evaluation site through
+	// the tree-walking interpreter, with no compilation at all (rowEval in
+	// plan_cache.go reads it). The compiled path is coverage- and
+	// result-equivalent by contract (compile.go); this is the reference
+	// interpreter TestCompiledMatchesInterpreter and
+	// TestFacadePlanCacheTransparent compare it against.
 	DisablePlanCache bool
 }
 

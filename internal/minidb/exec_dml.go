@@ -326,33 +326,17 @@ func (e *Engine) fireTriggers(table string, tm sqlast.TriggerTime, ev sqlast.Tri
 // matchingRowIdxs returns indexes of rows satisfying where, in ORDER BY
 // order, truncated by limit (MySQL-style UPDATE/DELETE ... ORDER BY LIMIT).
 func (e *Engine) matchingRowIdxs(t *Table, where sqlast.Expr, orderBy []sqlast.OrderItem, limit sqlast.Expr) ([]int, error) {
-	// This runs before any trigger can fire for the statement, so the table
-	// layout computed here cannot go stale mid-scan. Rows shorter than the
-	// column list (table reshaped by an earlier statement's trigger) take the
-	// interpreter per row: rowScope truncates its bindings where a slot read
-	// would misresolve.
-	compiled := !e.cfg.DisablePlanCache
-	var lay layout
-	if compiled && (where != nil || len(orderBy) > 0) {
-		lay = e.tableLayout(t)
-	}
+	// This runs before any trigger can fire for the statement, so a layout
+	// computed here cannot go stale mid-scan.
 	var idxs []int
-	var wProg *program
-	var wMach *machine
-	if compiled && where != nil {
-		wProg, wMach = e.preparedEval(where, lay, nil)
+	var wEv rowEval
+	if where != nil {
+		wEv = e.tableEval([]sqlast.Expr{where}, t, false)
 	}
 	for ri, row := range t.Rows {
 		if where != nil {
-			var v Value
-			var err error
-			if wProg != nil && len(row) >= len(t.Cols) {
-				wMach.bindRow(row)
-				v, err = wProg.code(wMach, 0)
-			} else {
-				sc := e.rowScope(t, row)
-				v, err = e.eval(where, sc, 0)
-			}
+			wEv.bind(row, nil, nil)
+			v, err := wEv.eval(0, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -363,32 +347,12 @@ func (e *Engine) matchingRowIdxs(t *Table, where sqlast.Expr, orderBy []sqlast.O
 		idxs = append(idxs, ri)
 	}
 	if len(orderBy) > 0 {
-		var obProgs []*program
-		var obMachs []*machine
-		if compiled {
-			obProgs = make([]*program, len(orderBy))
-			obMachs = make([]*machine, len(orderBy))
-			for k, ob := range orderBy {
-				obProgs[k], obMachs[k] = e.preparedEval(ob.X, lay, nil)
-			}
-		}
+		ev := e.tableEval(orderExprs(orderBy), t, false)
 		keys := make(map[int][]Value, len(idxs))
 		for _, ri := range idxs {
-			row := t.Rows[ri]
-			if compiled && len(row) >= len(t.Cols) {
-				for k := range obProgs {
-					obMachs[k].bindRow(row)
-					v, err := obProgs[k].code(obMachs[k], 0)
-					if err != nil {
-						return nil, err
-					}
-					keys[ri] = append(keys[ri], v)
-				}
-				continue
-			}
-			sc := e.rowScope(t, row)
-			for _, ob := range orderBy {
-				v, err := e.eval(ob.X, sc, 0)
+			ev.bind(t.Rows[ri], nil, nil)
+			for k := range orderBy {
+				v, err := ev.eval(k, 0)
 				if err != nil {
 					return nil, err
 				}
@@ -455,23 +419,13 @@ func (e *Engine) execUpdate(st *sqlast.UpdateStmt) (*Result, error) {
 		}
 		setIdx[i] = ci
 	}
-	// SET expressions compile only when no UPDATE trigger is registered:
-	// trigger bodies interleave with the per-row SET evaluation and may
-	// reshape the table, which would leave a pre-computed layout stale.
-	// Coercion stays exec-side (below), so no column type is baked in.
-	canCompileSets := !e.cfg.DisablePlanCache &&
-		len(e.cat.triggersFor(t.Name, sqlast.TriggerBefore, sqlast.TriggerUpdate)) == 0 &&
-		len(e.cat.triggersFor(t.Name, sqlast.TriggerAfter, sqlast.TriggerUpdate)) == 0
-	var setProgs []*program
-	var setMachs []*machine
-	if canCompileSets {
-		lay := e.tableLayout(t)
-		setProgs = make([]*program, len(st.Sets))
-		setMachs = make([]*machine, len(st.Sets))
-		for i, a := range st.Sets {
-			setProgs[i], setMachs[i] = e.preparedEval(a.Value, lay, nil)
-		}
+	// Coercion stays exec-side (below), so no column type is baked into a
+	// compiled SET expression.
+	xs := make([]sqlast.Expr, len(st.Sets))
+	for i, a := range st.Sets {
+		xs[i] = a.Value
 	}
+	ev := e.tableEval(xs, t, true)
 	touched := 0
 	for _, ri := range idxs {
 		if err := e.fireTriggers(t.Name, sqlast.TriggerBefore, sqlast.TriggerUpdate); err != nil {
@@ -482,19 +436,9 @@ func (e *Engine) execUpdate(st *sqlast.UpdateStmt) (*Result, error) {
 			continue
 		}
 		newRow := append([]Value(nil), t.Rows[ri]...)
-		var sc *scope
-		if !canCompileSets || len(t.Rows[ri]) < len(t.Cols) {
-			sc = e.rowScope(t, t.Rows[ri])
-		}
-		for i, a := range st.Sets {
-			var v Value
-			var err error
-			if sc != nil {
-				v, err = e.eval(a.Value, sc, 0)
-			} else {
-				setMachs[i].bindRow(t.Rows[ri])
-				v, err = setProgs[i].code(setMachs[i], 0)
-			}
+		ev.bind(t.Rows[ri], nil, nil)
+		for i := range st.Sets {
+			v, err := ev.eval(i, 0)
 			if err != nil {
 				return nil, err
 			}

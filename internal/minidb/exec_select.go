@@ -47,25 +47,26 @@ func (r *relation) scopeRow(i int, parent *scope) *scope {
 	return &scope{row: m, parent: parent}
 }
 
-// scopeRowInto binds row i into the caller-owned scratch scope, reusing its
-// map across calls so a per-row loop allocates one map per query instead of
-// one per row. Every row of a relation binds exactly the same key set, so
-// overwriting without clearing is correct. Only loops that do NOT retain
+// scopeRowInto binds row, a row of r's shape, into the caller-owned scratch
+// scope, reusing its map across calls so a per-row loop allocates one map
+// per query instead of one per row. Every row of a relation binds exactly
+// the same key set, so overwriting without clearing is correct; a row
+// shorter than r's columns panics on its first missing slot. Only loops that do NOT retain
 // the scope (or its row map) past the enclosing eval call may use this;
 // retaining sites (group buckets, window partitions' group rows) must stay
 // on scopeRow.
 //
 //lego:hotpath
-func (r *relation) scopeRowInto(i int, parent *scope, sc *scope) *scope {
+func (r *relation) scopeRowInto(row []Value, parent *scope, sc *scope) *scope {
 	qk := r.keyCache()
 	if sc.row == nil {
 		sc.row = make(map[string]Value, 2*len(r.cols))
 	}
 	for c := len(r.cols) - 1; c >= 0; c-- {
 		// iterate right-to-left so the leftmost duplicate wins
-		sc.row[r.cols[c]] = r.rows[i][c]
+		sc.row[r.cols[c]] = row[c]
 		if qk[c] != "" {
-			sc.row[qk[c]] = r.rows[i][c]
+			sc.row[qk[c]] = row[c]
 		}
 	}
 	sc.parent = parent
@@ -146,35 +147,18 @@ func (e *Engine) execSelect(q *sqlast.SelectStmt, outer *scope, depth int) ([][]
 	if q.Where != nil {
 		e.planFilterPath(q, rel)
 		var filtered [][]Value
-		if e.cfg.DisablePlanCache {
-			var rsc scope
-			for i := range rel.rows {
-				if err := e.chargeStep(); err != nil {
-					return nil, nil, err
-				}
-				sc := rel.scopeRowInto(i, outer, &rsc)
-				v, err := e.eval(q.Where, sc, depth+1)
-				if err != nil {
-					return nil, nil, err
-				}
-				if v.Truthy() {
-					filtered = append(filtered, rel.rows[i])
-				}
+		ev := e.relEval([]sqlast.Expr{q.Where}, rel, outer)
+		for _, row := range rel.rows {
+			if err := e.chargeStep(); err != nil {
+				return nil, nil, err
 			}
-		} else {
-			p, m := e.preparedEval(q.Where, relLayout(rel), outer)
-			for i := range rel.rows {
-				if err := e.chargeStep(); err != nil {
-					return nil, nil, err
-				}
-				m.bindRow(rel.rows[i])
-				v, err := p.code(m, depth+1)
-				if err != nil {
-					return nil, nil, err
-				}
-				if v.Truthy() {
-					filtered = append(filtered, rel.rows[i])
-				}
+			ev.bind(row, nil, nil)
+			v, err := ev.eval(0, depth+1)
+			if err != nil {
+				return nil, nil, err
+			}
+			if v.Truthy() {
+				filtered = append(filtered, row)
 			}
 		}
 		rel = &relation{cols: rel.cols, qual: rel.qual, rows: filtered}
@@ -372,59 +356,35 @@ func (e *Engine) execProjection(q *sqlast.SelectStmt, rel *relation, outer *scop
 	}
 
 	out := make([][]Value, 0, len(rel.rows))
-	if e.cfg.DisablePlanCache {
-		var rsc scope
-		for i := range rel.rows {
-			if err := e.chargeStep(); err != nil {
-				return nil, nil, err
-			}
-			sc := rel.scopeRowInto(i, outer, &rsc)
-			if winVals != nil {
-				sc.winVals = winVals[i]
-			}
-			row, err := e.projectRow(q.Items, rel, i, sc, depth)
-			if err != nil {
-				return nil, nil, err
-			}
-			out = append(out, row)
-			if len(out) > e.limits.MaxResultRows {
-				break
-			}
-		}
-	} else if len(rel.rows) > 0 {
-		// One program + machine per item: items bind independent literal and
-		// fallback slots. Star items stay exec-side (projectRow copies them
-		// without evaluating, so there is nothing to compile).
-		lay := relLayout(rel)
-		progs := make([]*program, len(q.Items))
-		machs := make([]*machine, len(q.Items))
+	if len(rel.rows) > 0 {
+		// Star items are copied here, not evaluated, so they get no program.
+		xs := make([]sqlast.Expr, len(q.Items))
 		for k, it := range q.Items {
-			if _, ok := it.X.(*sqlast.Star); ok {
-				continue
+			if _, ok := it.X.(*sqlast.Star); !ok {
+				xs[k] = it.X
 			}
-			progs[k], machs[k] = e.preparedEval(it.X, lay, outer)
 		}
-		for i := range rel.rows {
+		ev := e.relEval(xs, rel, outer)
+		for i, src := range rel.rows {
 			if err := e.chargeStep(); err != nil {
 				return nil, nil, err
 			}
+			var win map[*sqlast.FuncCall]Value
+			if winVals != nil {
+				win = winVals[i]
+			}
+			ev.bind(src, nil, win)
 			row := make([]Value, 0, len(q.Items))
 			for k, it := range q.Items {
 				if st, ok := it.X.(*sqlast.Star); ok {
 					for c := range rel.cols {
-						if st.Table != "" && rel.qual[c] != st.Table {
-							continue
+						if st.Table == "" || rel.qual[c] == st.Table {
+							row = append(row, src[c])
 						}
-						row = append(row, rel.rows[i][c])
 					}
 					continue
 				}
-				mk := machs[k]
-				mk.bindRow(rel.rows[i])
-				if winVals != nil {
-					mk.winVals = winVals[i]
-				}
-				v, err := progs[k].code(mk, depth+1)
+				v, err := ev.eval(k, depth+1)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -436,42 +396,23 @@ func (e *Engine) execProjection(q *sqlast.SelectStmt, rel *relation, outer *scop
 			}
 		}
 	}
-	// SELECT with no FROM still yields one row.
+	// SELECT with no FROM still yields one row; a star expands to nothing.
 	if len(rel.rows) == 0 && len(q.From) == 0 {
 		sc := &scope{row: map[string]Value{}, parent: outer}
-		row, err := e.projectRow(q.Items, rel, -1, sc, depth)
-		if err != nil {
-			return nil, nil, err
+		row := make([]Value, 0, len(q.Items))
+		for _, it := range q.Items {
+			if _, ok := it.X.(*sqlast.Star); ok {
+				continue
+			}
+			v, err := e.eval(it.X, sc, depth+1)
+			if err != nil {
+				return nil, nil, err
+			}
+			row = append(row, v)
 		}
 		out = append(out, row)
 	}
 	return out, cols, nil
-}
-
-// projectRow evaluates the SELECT items for one row.
-//
-//lego:hotpath
-func (e *Engine) projectRow(items []sqlast.SelectItem, rel *relation, rowIdx int, sc *scope, depth int) ([]Value, error) {
-	row := make([]Value, 0, len(items))
-	for _, it := range items {
-		if st, ok := it.X.(*sqlast.Star); ok {
-			for c := range rel.cols {
-				if st.Table != "" && rel.qual[c] != st.Table {
-					continue
-				}
-				if rowIdx >= 0 {
-					row = append(row, rel.rows[rowIdx][c])
-				}
-			}
-			continue
-		}
-		v, err := e.eval(it.X, sc, depth+1)
-		if err != nil {
-			return nil, err
-		}
-		row = append(row, v)
-	}
-	return row, nil
 }
 
 // outputColumns derives result column names.
@@ -603,63 +544,25 @@ func (e *Engine) computeWindows(items []sqlast.SelectItem, rel *relation, outer 
 }
 
 func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []map[*sqlast.FuncCall]Value, outer *scope, depth int) error {
-	compiled := !e.cfg.DisablePlanCache
 	// Partition- and order-key expressions run once per row (order keys
-	// twice: the post-sort recompute reuses the same programs).
-	var partProgs, obProgs []*program
-	var partMachs, obMachs []*machine
-	if compiled {
-		lay := relLayout(rel)
-		if n := len(fc.Over.PartitionBy); n > 0 {
-			partProgs = make([]*program, n)
-			partMachs = make([]*machine, n)
-			for k, pe := range fc.Over.PartitionBy {
-				partProgs[k], partMachs[k] = e.preparedEval(pe, lay, outer)
-			}
-		}
-		if n := len(fc.Over.OrderBy); n > 0 {
-			obProgs = make([]*program, n)
-			obMachs = make([]*machine, n)
-			for k, ob := range fc.Over.OrderBy {
-				obProgs[k], obMachs[k] = e.preparedEval(ob.X, lay, outer)
-			}
-		}
-	}
+	// twice: the post-sort recompute reuses the same evaluator).
+	partEv := e.relEval(fc.Over.PartitionBy, rel, outer)
+	obEv := e.relEval(orderExprs(fc.Over.OrderBy), rel, outer)
 
 	// Partition rows.
 	parts := map[string][]int{}
 	var partOrder []string
-	var rsc scope
-	for i := range rel.rows {
-		var sc *scope
-		if compiled {
-			// Replicate scopeRowInto's full-width access pattern.
-			if n := len(rel.cols); n > 0 {
-				_ = rel.rows[i][n-1]
-			}
-		} else {
-			sc = rel.scopeRowInto(i, outer, &rsc)
-		}
+	for i, row := range rel.rows {
+		partEv.bind(row, nil, nil)
 		key := ""
 		if len(fc.Over.PartitionBy) > 0 {
 			var keys []Value
-			if compiled {
-				for k := range partProgs {
-					partMachs[k].bindRow(rel.rows[i])
-					v, err := partProgs[k].code(partMachs[k], depth+1)
-					if err != nil {
-						return err
-					}
-					keys = append(keys, v)
+			for k := range fc.Over.PartitionBy {
+				v, err := partEv.eval(k, depth+1)
+				if err != nil {
+					return err
 				}
-			} else {
-				for _, pe := range fc.Over.PartitionBy {
-					v, err := e.eval(pe, sc, depth+1)
-					if err != nil {
-						return err
-					}
-					keys = append(keys, v)
-				}
+				keys = append(keys, v)
 			}
 			key = RowKey(keys)
 		}
@@ -669,25 +572,11 @@ func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []map[
 		parts[key] = append(parts[key], i)
 	}
 
-	// orderKeysFor fills keys[n] for row i, on whichever path is active.
+	// orderKeysFor appends row i's order keys to dst.
 	orderKeysFor := func(dst []Value, i int) ([]Value, error) {
-		if compiled {
-			if n := len(rel.cols); n > 0 {
-				_ = rel.rows[i][n-1]
-			}
-			for k := range obProgs {
-				obMachs[k].bindRow(rel.rows[i])
-				v, err := obProgs[k].code(obMachs[k], depth+1)
-				if err != nil {
-					return dst, err
-				}
-				dst = append(dst, v)
-			}
-			return dst, nil
-		}
-		sc := rel.scopeRowInto(i, outer, &rsc)
-		for _, ob := range fc.Over.OrderBy {
-			v, err := e.eval(ob.X, sc, depth+1)
+		obEv.bind(rel.rows[i], nil, nil)
+		for k := range fc.Over.OrderBy {
+			v, err := obEv.eval(k, depth+1)
 			if err != nil {
 				return dst, err
 			}
@@ -695,7 +584,7 @@ func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []map[
 		}
 		return dst, nil
 	}
-
+	var rsc scope // LEAD/LAG's argument scope, reused across partitions
 	name := strings.ToUpper(fc.Name)
 	for _, key := range partOrder {
 		idxs := parts[key]
@@ -781,7 +670,7 @@ func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []map[
 					out[i][fc] = Null()
 					continue
 				}
-				sc := rel.scopeRowInto(idxs[src], outer, &rsc)
+				sc := rel.scopeRowInto(rel.rows[idxs[src]], outer, &rsc)
 				v, err := e.eval(fc.Args[0], sc, depth+1)
 				if err != nil {
 					return err
@@ -833,116 +722,25 @@ func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []map[
 // 1:1 to source rows) — source columns that were projected away.
 func (e *Engine) sortRows(q *sqlast.SelectStmt, rows [][]Value, cols []string, srcRel *relation, outer *scope, depth int) error {
 	keys := make([][]Value, len(rows))
-	if e.cfg.DisablePlanCache {
-		// One output-column map and one source scope serve the whole loop:
-		// rows of one result set share a length and column set, so
-		// overwriting is safe; a length change (set-op arity mismatch) forces
-		// a fresh map so no stale key from a longer row survives.
-		var m map[string]Value
-		var psc, ssc scope
-		lastLen := -1
+	if len(rows) > 0 {
+		ev := e.outputEval(orderExprs(q.OrderBy), cols, srcRel, outer)
 		for i, row := range rows {
-			if m == nil || len(row) != lastLen {
-				m = make(map[string]Value, len(cols))
-				lastLen = len(row)
-			}
-			for c, name := range cols {
-				if c < len(row) {
-					m[name] = row[c]
-				}
-			}
-			parent := outer
+			var src []Value
 			if srcRel != nil {
-				parent = srcRel.scopeRowInto(i, outer, &psc)
+				src = srcRel.rows[i]
 			}
-			ssc.row = m
-			ssc.parent = parent
-			sc := &ssc
-			for _, ob := range q.OrderBy {
-				ox := ob.X
-				if lit, ok := ox.(*sqlast.Literal); ok && lit.Kind == sqlast.LitInt &&
+			ev.bind(row, src, nil)
+			for k, ob := range q.OrderBy {
+				if lit, ok := ob.X.(*sqlast.Literal); ok && lit.Kind == sqlast.LitInt &&
 					lit.Int >= 1 && int(lit.Int) <= len(row) {
 					keys[i] = append(keys[i], row[lit.Int-1])
 					continue
 				}
-				v, err := e.eval(ox, sc, depth+1)
+				v, err := ev.eval(k, depth+1)
 				if err != nil {
 					// fall back to NULL key: ORDER BY on a source column that
 					// was projected away sorts as NULL, a common lenient
 					// behaviour
-					v = Null()
-				}
-				keys[i] = append(keys[i], v)
-			}
-		}
-	} else if len(rows) > 0 {
-		// Compiled path: frame 0 is the output row (names bound forward, so
-		// last duplicate wins, matching the map above), frame 1 the source
-		// relation when order expressions may reach projected-away columns.
-		lay := layout{frames: []frame{{keys: cols, lastWins: true}}}
-		if srcRel != nil {
-			lay.frames = append(lay.frames, frame{keys: srcRel.cols, qkeys: srcRel.keyCache()})
-		}
-		progs := make([]*program, len(q.OrderBy))
-		machs := make([]*machine, len(q.OrderBy))
-		for k, ob := range q.OrderBy {
-			progs[k], machs[k] = e.preparedEval(ob.X, lay, outer)
-		}
-		// Rows shorter than the column list (set-op arity mismatch) bind
-		// fewer names than the layout promises, so they take the interpreter
-		// map path per row — observationally identical, since the map never
-		// carries stale keys across rows of one length.
-		var m map[string]Value
-		var psc, ssc scope
-		lastLen := -1
-		for i, row := range rows {
-			short := len(row) < len(cols)
-			var sc *scope
-			if short {
-				if m == nil || len(row) != lastLen {
-					m = make(map[string]Value, len(cols))
-					lastLen = len(row)
-				}
-				for c, name := range cols {
-					if c < len(row) {
-						m[name] = row[c]
-					}
-				}
-				parent := outer
-				if srcRel != nil {
-					parent = srcRel.scopeRowInto(i, outer, &psc)
-				}
-				ssc.row = m
-				ssc.parent = parent
-				sc = &ssc
-			} else if srcRel != nil {
-				// Replicate scopeRowInto's full-width access on the source
-				// row before any key evaluation.
-				if n := len(srcRel.cols); n > 0 {
-					_ = srcRel.rows[i][n-1]
-				}
-			}
-			for k, ob := range q.OrderBy {
-				ox := ob.X
-				if lit, ok := ox.(*sqlast.Literal); ok && lit.Kind == sqlast.LitInt &&
-					lit.Int >= 1 && int(lit.Int) <= len(row) {
-					keys[i] = append(keys[i], row[lit.Int-1])
-					continue
-				}
-				var v Value
-				var err error
-				if short {
-					v, err = e.eval(ox, sc, depth+1)
-				} else {
-					mk := machs[k]
-					mk.bindRow(row)
-					if srcRel != nil {
-						mk.rowB = srcRel.rows[i]
-					}
-					v, err = progs[k].code(mk, depth+1)
-				}
-				if err != nil {
-					// fall back to NULL key, as above
 					v = Null()
 				}
 				keys[i] = append(keys[i], v)
@@ -1173,31 +971,17 @@ func (e *Engine) joinRelations(j *sqlast.JoinRef, left, right *relation, outer *
 	// cannot stall fuzzing (paper challenge C3). Real servers spend the
 	// time; a fuzzing harness must not.
 	pairBudget := 20000
-	// The pair row, probe relation, and scope map are allocated once and
-	// rebound per pair: only matched pairs materialize a fresh row into
+	// The pair row and the evaluator are set up once and rebound per
+	// pair: only matched pairs materialize a fresh row into
 	// out.rows, so the ON evaluation runs allocation-free across the up to
 	// 20000 probed pairs.
 	pairRow := make([]Value, 0, len(out.cols))
-	probe := &relation{cols: out.cols, qual: out.qual, rows: [][]Value{nil}}
-	var onProg *program
-	var onMach *machine
-	if !e.cfg.DisablePlanCache {
-		onProg, onMach = e.preparedEval(j.On, relLayout(probe), outer)
-	}
-	var psc scope
+	ev := e.relEval([]sqlast.Expr{j.On}, out, outer)
 	matchRow := func(lrow, rrow []Value) (bool, error) {
 		pairBudget--
 		pairRow = append(append(pairRow[:0], lrow...), rrow...)
-		probe.rows[0] = pairRow
-		var v Value
-		var err error
-		if onProg != nil {
-			onMach.bindRow(pairRow)
-			v, err = onProg.code(onMach, depth+1)
-		} else {
-			sc := probe.scopeRowInto(0, outer, &psc)
-			v, err = e.eval(j.On, sc, depth+1)
-		}
+		ev.bind(pairRow, nil, nil)
+		v, err := ev.eval(0, depth+1)
 		if err != nil {
 			return false, err
 		}

@@ -42,6 +42,21 @@ func (s *scope) lookup(name string) (Value, bool) {
 
 const maxEvalDepth = 24
 
+// maxConcatBytes caps a || result. A trigger that doubles a column on every
+// fire (SET c = c || c) otherwise grows it exponentially until the process
+// runs out of memory, which no recover can contain.
+const maxConcatBytes = 1 << 20
+
+// concatValues is || on two non-NULL operands, shared by eval and compiled
+// programs so both fail with the same error.
+func concatValues(l, r Value) (Value, error) {
+	ls, rs := l.String(), r.String()
+	if len(ls)+len(rs) > maxConcatBytes {
+		return Null(), errValue("string concatenation exceeds %d bytes", maxConcatBytes)
+	}
+	return Text(ls + rs), nil
+}
+
 // eval evaluates e in scope sc.
 func (e *Engine) eval(x sqlast.Expr, sc *scope, depth int) (Value, error) {
 	if depth > maxEvalDepth {
@@ -325,7 +340,7 @@ func (e *Engine) evalBinary(v *sqlast.Binary, sc *scope, depth int) (Value, erro
 		if l.IsNull() || r.IsNull() {
 			return Null(), nil
 		}
-		return Text(l.String() + r.String()), nil
+		return concatValues(l, r)
 
 	case "+", "-", "*", "/", "%":
 		if l.IsNull() || r.IsNull() {

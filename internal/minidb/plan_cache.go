@@ -292,8 +292,8 @@ func (e *Engine) schemaFingerprint() uint64 {
 
 // preparedEval compiles (or fetches) x against lay and returns the program
 // with a machine bound for this statement execution: literal and fallback
-// slots filled, dynamic outer chain attached. Callers bind rows per row via
-// machine.bindRow and run p.code.
+// slots filled, dynamic outer chain attached. rowEval binds each row via
+// machine.bindRow and runs p.code.
 func (e *Engine) preparedEval(x sqlast.Expr, lay layout, outer *scope) (*program, *machine) {
 	p := e.compiledFor(x, lay)
 	m := &machine{e: e, outer: outer, lay: &p.lay}
@@ -305,4 +305,202 @@ func (e *Engine) preparedEval(x sqlast.Expr, lay layout, outer *scope) (*program
 	}
 	m.bind(x)
 	return p, m
+}
+
+// rowEval evaluates one site's expression list row by row: the SELECT
+// WHERE, projection items, window partition and order keys, sort keys, join
+// ON, DML WHERE and ORDER BY, and UPDATE SET. It is prepared once per
+// statement, with a program per expression over one layout and the
+// interpreter's own scope builder for the rows that layout mirrors
+// (relEval: scopeRowInto; tableEval: rowScope; outputEval: sortRows'
+// output-column map over scopeRowInto's source scope). It makes both
+// decisions between the compiled programs and the interpreter, so the
+// coverage-equivalence contract is kept here and not at each site:
+//
+//   - per statement, Config.DisablePlanCache sends every row to the
+//     interpreter (the reference TestCompiledMatchesInterpreter and
+//     TestFacadePlanCacheTransparent compare against), as does an UPDATE
+//     trigger on the table under UPDATE SET (see tableEval);
+//   - per row, a row shorter than its layout frame takes the interpreter:
+//     rowScope and the output-column map bind its prefix, and
+//     scopeRowInto's full-width read panics, on both paths alike.
+//
+// Per row a site calls bind, then eval for each expression it needs. The
+// compiled per-row path allocates nothing.
+type rowEval struct {
+	e        *Engine
+	exprs    []rowExpr
+	outer    *scope
+	compiled bool // false: every row takes the interpreter
+
+	// The interpreter scope builder: rowScope(tbl, row) when tbl is
+	// non-nil; else sortRows' output-column map over cols when out is set,
+	// whose parent binds src as rel.scopeRowInto does (rel nil: no source);
+	// else rel.scopeRowInto(row).
+	tbl  *Table
+	rel  *relation
+	out  bool
+	cols []string
+
+	row, src []Value // the bound frame 0 and frame 1 rows
+	winVals  map[*sqlast.FuncCall]Value
+	interp   bool         // the bound row takes the interpreter
+	sc       *scope       // the bound row's interpreter scope (interp only)
+	scratch  *evalScratch // made on the first interpreter row
+}
+
+// evalScratch is what the interpreter's scope builders reuse across rows.
+// It lives apart from rowEval so that the evaluator holds no pointer into
+// itself and stays on its site's stack.
+type evalScratch struct {
+	rsc, osc scope            // scopeRowInto's scope; the output-map scope
+	om       map[string]Value // sortRows' output-column map
+	omLen    int              // the row length om was made for
+}
+
+// rowExpr is one expression with its program and statement-bound machine.
+type rowExpr struct {
+	x sqlast.Expr
+	p *program // nil unless the evaluator is compiled
+	m *machine
+}
+
+// newRowEval prepares xs over lay for one statement execution. compile
+// false, or the plan cache disabled, sends every row to the interpreter. Nil
+// entries of xs (projection stars, which the site copies itself) are never
+// evaluated and get no program.
+func (e *Engine) newRowEval(xs []sqlast.Expr, lay layout, outer *scope, compile bool) rowEval {
+	ev := rowEval{e: e, exprs: make([]rowExpr, len(xs)), outer: outer,
+		compiled: compile && !e.cfg.DisablePlanCache}
+	for k, x := range xs {
+		ev.exprs[k].x = x
+		if ev.compiled && x != nil {
+			ev.exprs[k].p, ev.exprs[k].m = e.preparedEval(x, lay, outer)
+		}
+	}
+	return ev
+}
+
+// relEval prepares xs over rows of rel's shape, scoped by rel.scopeRowInto
+// under outer.
+func (e *Engine) relEval(xs []sqlast.Expr, rel *relation, outer *scope) rowEval {
+	ev := e.newRowEval(xs, relLayout(rel), outer, true)
+	ev.rel = rel
+	return ev
+}
+
+// outputEval prepares sortRows' keys: frame 0 binds the output columns
+// forward, as sortRows' output-column map does, and frame 1 (when srcRel is
+// non-nil) the source row, as srcRel.scopeRowInto does.
+func (e *Engine) outputEval(xs []sqlast.Expr, cols []string, srcRel *relation, outer *scope) rowEval {
+	frames := make([]frame, 1, 2)
+	frames[0] = frame{keys: cols, lastWins: true}
+	if srcRel != nil {
+		frames = append(frames, frame{keys: srcRel.cols, qkeys: srcRel.keyCache()})
+	}
+	ev := e.newRowEval(xs, layout{frames: frames}, outer, true)
+	ev.rel, ev.out, ev.cols = srcRel, true, cols
+	return ev
+}
+
+// tableEval prepares xs over t's rows, scoped by Engine.rowScope.
+// betweenTriggers marks UPDATE SET expressions, which run between a row's
+// BEFORE and AFTER UPDATE triggers: a trigger body may reshape t and leave a
+// precomputed layout stale, so they compile only when t has no UPDATE
+// trigger.
+func (e *Engine) tableEval(xs []sqlast.Expr, t *Table, betweenTriggers bool) rowEval {
+	compile := !e.cfg.DisablePlanCache && !(betweenTriggers &&
+		(len(e.cat.triggersFor(t.Name, sqlast.TriggerBefore, sqlast.TriggerUpdate)) > 0 ||
+			len(e.cat.triggersFor(t.Name, sqlast.TriggerAfter, sqlast.TriggerUpdate)) > 0))
+	var lay layout
+	if compile {
+		lay = e.tableLayout(t)
+	}
+	ev := e.newRowEval(xs, lay, nil, compile)
+	ev.tbl = t
+	return ev
+}
+
+// bind points the evaluator at the next row (src is frame 1's row, nil
+// when the layout has one frame) and decides which path evaluates it. An
+// interpreter row gets its scope here, as the interpreter's loops built it
+// before evaluating anything, so a short scopeRowInto row panics in bind.
+//
+//lego:hotpath
+func (ev *rowEval) bind(row, src []Value, winVals map[*sqlast.FuncCall]Value) {
+	ev.row, ev.src, ev.winVals = row, src, winVals
+	switch {
+	case !ev.compiled:
+		ev.interp = true
+	case ev.tbl != nil:
+		// rowScope binds the prefix of a row its table outgrew (a
+		// trigger added a column), reading the table's columns as they
+		// are now.
+		ev.interp = len(row) < len(ev.tbl.Cols)
+	case ev.out:
+		ev.interp = len(row) < len(ev.cols) || ev.rel != nil && len(src) < len(ev.rel.cols)
+	default:
+		ev.interp = len(row) < len(ev.rel.cols)
+	}
+	if ev.interp {
+		ev.sc = ev.interpScope()
+	}
+}
+
+// eval evaluates expression k against the bound row.
+//
+//lego:hotpath
+func (ev *rowEval) eval(k, depth int) (Value, error) {
+	ex := &ev.exprs[k]
+	if ev.interp {
+		return ev.e.eval(ex.x, ev.sc, depth)
+	}
+	ex.m.bindRow(ev.row)
+	ex.m.rowB = ev.src
+	ex.m.winVals = ev.winVals
+	return ex.p.code(ex.m, depth)
+}
+
+// interpScope builds the bound row's scope with the interpreter's builder.
+func (ev *rowEval) interpScope() *scope {
+	if ev.tbl != nil {
+		return ev.e.rowScope(ev.tbl, ev.row)
+	}
+	if ev.scratch == nil {
+		ev.scratch = &evalScratch{}
+	}
+	x := ev.scratch
+	if !ev.out {
+		sc := ev.rel.scopeRowInto(ev.row, ev.outer, &x.rsc)
+		sc.winVals = ev.winVals
+		return sc
+	}
+	// One output-column map serves every row of a length: rows of one
+	// result set share a length and column set, so overwriting is safe; a
+	// length change (set-op arity mismatch) forces a fresh map so no stale
+	// key from a longer row survives.
+	if x.om == nil || len(ev.row) != x.omLen {
+		x.om = make(map[string]Value, len(ev.cols))
+		x.omLen = len(ev.row)
+	}
+	for c, name := range ev.cols {
+		if c < len(ev.row) {
+			x.om[name] = ev.row[c]
+		}
+	}
+	parent := ev.outer
+	if ev.rel != nil {
+		parent = ev.rel.scopeRowInto(ev.src, ev.outer, &x.rsc)
+	}
+	x.osc.row, x.osc.parent = x.om, parent
+	return &x.osc
+}
+
+// orderExprs lists the expressions of an ORDER BY clause.
+func orderExprs(obs []sqlast.OrderItem) []sqlast.Expr {
+	xs := make([]sqlast.Expr, len(obs))
+	for k := range obs {
+		xs[k] = obs[k].X
+	}
+	return xs
 }

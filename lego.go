@@ -117,11 +117,12 @@ type Config struct {
 	// MaxEpochRetries is the cumulative per-shard retry budget in epoch
 	// re-runs (default 3; negative means quarantine on first failure).
 	MaxEpochRetries int
-	// DisablePlanCache turns off the engine's compiled-plan execution layer
-	// and runs every expression through the tree-walking interpreter.
-	// Campaign reports and checkpoints are byte-identical either way (the
-	// compiled path fires identical coverage by contract); the flag exists
-	// for throughput baselining and as an escape hatch.
+	// DisablePlanCache runs every expression through the tree-walking
+	// interpreter instead of the engine's compiled plans. Campaign reports
+	// and checkpoints are byte-identical either way (the compiled path fires
+	// identical coverage by contract); the flag selects the reference side
+	// of the tests that check that contract, TestFacadePlanCacheTransparent
+	// and minidb's TestCompiledMatchesInterpreter.
 	DisablePlanCache bool
 }
 
