@@ -67,11 +67,14 @@ chaos:
 	cmp "$$tmp/a.ckpt" "$$tmp/b.ckpt" && \
 	echo "chaos: double-run checkpoints byte-identical"
 
-# Self-fuzz of minidb's coverage-equivalence contract: random scripts must
-# give the same results, errors and coverage on the compiled and the
-# interpreter paths. Plain `go test` runs only the seeds; this searches.
+# Self-fuzz, 15 s per target. FuzzCompiledMatchesInterpreter: random
+# scripts must give the same results, errors and coverage on minidb's
+# compiled and interpreter paths. FuzzCheckpointLoad: arbitrary file bytes
+# must make checkpoint.Load return an error or a state, never panic. Plain
+# `go test` runs only the seeds; this searches.
 selffuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCompiledMatchesInterpreter -fuzztime 15s ./internal/minidb
+	$(GO) test -run '^$$' -fuzz FuzzCheckpointLoad -fuzztime 15s ./internal/checkpoint
 
 # Non-test Go lines: the whole module (campaignbench/ and testdata excluded)
 # and internal/minidb, tracked so that growth has to pay for itself.

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/seqfuzz/lego/internal/core"
 	"github.com/seqfuzz/lego/internal/coverage"
 	"github.com/seqfuzz/lego/internal/minidb"
 	"github.com/seqfuzz/lego/internal/sqlast"
@@ -127,5 +128,15 @@ SELECT v1 FROM t1 WHERE (v2 = 2);
 	}
 	check("ExecStmt-compiled", 40, func() {
 		_, _ = eng.ExecStmt(sel)
+	})
+
+	// Campaign snapshot after a fixed 3000-statement MariaDB campaign (136
+	// pool seeds, 250 edges, 322 synthesized sequences, 16 library types):
+	// one rendered script per pool seed, one slice per section and per
+	// library type, one shared backing array for all synthesized sequences.
+	f := core.New(core.Options{Dialect: sqlt.DialectMariaDB, Seed: 1})
+	f.Run(3000)
+	check("Snapshot", 400, func() {
+		_ = f.Snapshot()
 	})
 }

@@ -11,11 +11,16 @@ package lego_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"github.com/seqfuzz/lego/internal/checkpoint"
+	"github.com/seqfuzz/lego/internal/core"
 	"github.com/seqfuzz/lego/internal/coverage"
 	"github.com/seqfuzz/lego/internal/experiment"
 	"github.com/seqfuzz/lego/internal/minidb"
+	"github.com/seqfuzz/lego/internal/shard"
 	"github.com/seqfuzz/lego/internal/sqlast"
 	"github.com/seqfuzz/lego/internal/sqlparse"
 	"github.com/seqfuzz/lego/internal/sqlt"
@@ -207,6 +212,32 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(tc)), "stmts/exec")
+}
+
+// BenchmarkCheckpointSave measures one checkpoint save of a two-shard
+// MariaDB campaign at 75k statements, the mid-point of a campaignbench
+// `sharded` campaign: Executor.Snapshot plus checkpoint.Save (marshal,
+// envelope, write, fsync, rotation, rename, directory sync) per op.
+func BenchmarkCheckpointSave(b *testing.B) {
+	ex := shard.New(shard.Options{
+		Core:    core.Options{Dialect: sqlt.DialectMariaDB, Seed: 1, Hazards: true},
+		Workers: 2,
+	})
+	if _, err := ex.Run(75000, shard.RunOptions{}); err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "bench.ckpt")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := checkpoint.Save(path, ex.Snapshot()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if fi, err := os.Stat(path); err == nil {
+		b.ReportMetric(float64(fi.Size())/1024, "KiB")
+	}
 }
 
 // --- hot-path microbenchmarks -------------------------------------------

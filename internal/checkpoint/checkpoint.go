@@ -198,11 +198,18 @@ func versionFor(st *State) int {
 
 // envelope wraps the state with an integrity checksum so a torn or
 // corrupted file is detected at load time instead of resuming a campaign
-// from garbage.
+// from garbage. Save writes it compact, as json.Marshal would, but builds
+// the bytes by hand (see SaveFS); Load decodes it through this type.
 type envelope struct {
 	Checksum string          `json:"checksum"`
 	State    json.RawMessage `json:"state"`
 }
+
+// The fixed text around the checksum and the payload of a saved envelope.
+const (
+	envPrefix = `{"checksum":"`
+	envMiddle = `","state":`
+)
 
 func sum(b []byte) string {
 	h := sha256.Sum256(b)
@@ -230,10 +237,17 @@ func SaveFS(fsys FS, path string, st *State) error {
 	if err != nil {
 		return fmt.Errorf("checkpoint: marshal: %w", err)
 	}
-	data, err := json.MarshalIndent(envelope{Checksum: sum(payload), State: payload}, "", " ")
-	if err != nil {
-		return fmt.Errorf("checkpoint: marshal envelope: %w", err)
-	}
+	// The envelope is {"checksum":"sha256:…","state":<payload>}: exactly
+	// what json.Marshal(envelope{…}) produces, assembled around the payload
+	// in one pre-sized buffer instead of re-encoding (and re-validating) the
+	// already-marshalled state.
+	checksum := sum(payload)
+	data := make([]byte, 0, len(envPrefix)+len(checksum)+len(envMiddle)+len(payload)+1)
+	data = append(data, envPrefix...)
+	data = append(data, checksum...)
+	data = append(data, envMiddle...)
+	data = append(data, payload...)
+	data = append(data, '}')
 	dir := filepath.Dir(path)
 	tmp, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -285,9 +299,10 @@ func Load(path string) (*State, error) {
 	if err := json.Unmarshal(data, &env); err != nil {
 		return nil, fmt.Errorf("checkpoint: %s is not a checkpoint file: %w", path, err)
 	}
-	// The envelope is written indented, which re-indents the embedded state;
-	// compacting first makes the checksum whitespace-insensitive, so it
-	// covers exactly the bytes that Save hashed.
+	// Save hashes the compact payload and embeds it verbatim, but files
+	// from earlier builds embed it indented; compacting first makes the
+	// checksum whitespace-insensitive, so both layouts verify against
+	// exactly the bytes Save hashed.
 	var compact bytes.Buffer
 	if err := json.Compact(&compact, env.State); err != nil {
 		return nil, fmt.Errorf("checkpoint: decode state: %w", err)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -97,11 +98,15 @@ func TestLoadDetectsCorruption(t *testing.T) {
 	}
 	data, _ := os.ReadFile(path)
 	// Flip a digit inside the state payload without breaking JSON syntax.
-	mut := strings.Replace(string(data), `"execs": 1234`, `"execs": 1235`, 1)
-	if mut == string(data) {
-		t.Fatal("mutation did not apply; field layout changed?")
+	// The pattern allows any whitespace after the colon, so the mutation
+	// lands whether the envelope is compact or indented.
+	loc := regexp.MustCompile(`"execs":\s*1234`).FindIndex(data)
+	if loc == nil {
+		t.Fatal("mutation did not apply; execs field missing?")
 	}
-	if err := os.WriteFile(path, []byte(mut), 0o644); err != nil {
+	mut := append([]byte(nil), data...)
+	mut[loc[1]-1] = '5'
+	if err := os.WriteFile(path, mut, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "corrupt") {
@@ -325,5 +330,65 @@ func TestLoadWithFallback(t *testing.T) {
 	// Missing everything.
 	if _, _, err := LoadWithFallback(filepath.Join(dir, "nope.ckpt")); err == nil {
 		t.Fatal("missing checkpoint must error")
+	}
+}
+
+// TestSaveWritesCompactEnvelope pins the file layout byte for byte, and so
+// its size: the checksum and the json.Marshal payload, embedded verbatim,
+// with no whitespace added.
+func TestSaveWritesCompactEnvelope(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "camp.ckpt")
+	st := sample()
+	if err := Save(path, st); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(st) // Save stamped st.Version
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"checksum":"` + sum(payload) + `","state":` + string(payload) + `}`
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Fatalf("file layout changed:\ngot  %s\nwant %s", got, want)
+	}
+}
+
+// TestLoadAcceptsIndentedLayout: files written by earlier builds embed the
+// state indented inside an indented envelope. They must still load to the
+// same state, and re-saving that state must give exactly the file this
+// build writes, so a campaign resumed from an old file continues from the
+// same state.
+func TestLoadAcceptsIndentedLayout(t *testing.T) {
+	dir := t.TempDir()
+	compact := filepath.Join(dir, "compact.ckpt")
+	want := sample()
+	if err := Save(compact, want); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := filepath.Join(dir, "legacy.ckpt")
+	writeEnvelope(t, legacy, payload, "")
+	got, err := Load(legacy)
+	if err != nil {
+		t.Fatalf("indented checkpoint must load, got %v", err)
+	}
+	b, _ := json.Marshal(got)
+	if !bytes.Equal(payload, b) {
+		t.Fatalf("indented load changed state:\nsaved  %s\nloaded %s", payload, b)
+	}
+	resaved := filepath.Join(dir, "resaved.ckpt")
+	if err := Save(resaved, got); err != nil {
+		t.Fatal(err)
+	}
+	x, _ := os.ReadFile(compact)
+	y, _ := os.ReadFile(resaved)
+	if !bytes.Equal(x, y) {
+		t.Fatal("re-saving an indented checkpoint does not give this build's file")
 	}
 }

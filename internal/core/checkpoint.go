@@ -23,7 +23,10 @@ import (
 // stream position — is captured, so a Resume'd campaign replays the exact
 // schedule the uninterrupted campaign would have run.
 
-// Snapshot serializes the fuzzer's complete campaign state.
+// Snapshot serializes the fuzzer's complete campaign state. It builds the
+// wire form in one pass: every slice is sized up front, and synthesized
+// sequences are converted straight from the synthesizer's own vector into
+// one shared []uint16 backing array.
 func (f *Fuzzer) Snapshot() *checkpoint.State {
 	st := &checkpoint.State{
 		Dialect:      uint8(f.opts.Dialect),
@@ -36,34 +39,50 @@ func (f *Fuzzer) Snapshot() *checkpoint.State {
 		FaultState:   f.runner.Eng.FaultState(),
 	}
 
-	for _, s := range f.pool.All() {
-		st.Pool = append(st.Pool, checkpoint.PoolSeed{
-			SQL: s.TC.SQL(), NewEdges: s.NewEdges, Picked: s.Picked,
-		})
+	seeds := f.pool.All()
+	st.Pool = makeN[checkpoint.PoolSeed](len(seeds))
+	for i, s := range seeds {
+		st.Pool[i] = checkpoint.PoolSeed{SQL: s.TC.SQL(), NewEdges: s.NewEdges, Picked: s.Picked}
 	}
 	st.Affinity = exportPairs(f.aff)
 	st.GenAffinity = exportPairs(f.runner.GenAff)
-	for _, e := range f.runner.Cov.Export() {
-		st.Coverage = append(st.Coverage, checkpoint.Edge{Idx: e.Idx, Mask: e.Mask})
+	edges := f.runner.Cov.Export()
+	st.Coverage = makeN[checkpoint.Edge](len(edges))
+	for i, e := range edges {
+		st.Coverage[i] = checkpoint.Edge{Idx: e.Idx, Mask: e.Mask}
 	}
 	st.Crashes = ExportCrashes(f.runner.Oracle)
 	st.Curve = ExportCurve(f.runner.Curve)
 
-	st.Library = map[uint16][]string{}
-	for t, sqls := range f.lib.Export() {
+	lib := f.lib.Export()
+	st.Library = make(map[uint16][]string, len(lib))
+	for t, sqls := range lib {
 		st.Library[uint16(t)] = sqls
 	}
 
 	synth := f.synth.Export()
+	n := 0
 	for _, seq := range synth.Seqs {
-		st.SynthSeqs = append(st.SynthSeqs, exportSeq(seq))
+		n += len(seq)
 	}
-	for _, t := range synth.Starts {
-		st.SynthStarts = append(st.SynthStarts, uint16(t))
+	flat := make([]uint16, n)
+	st.SynthSeqs = makeN[[]uint16](len(synth.Seqs))
+	for i, seq := range synth.Seqs {
+		out := flat[:len(seq):len(seq)]
+		flat = flat[len(seq):]
+		for j, t := range seq {
+			out[j] = uint16(t)
+		}
+		st.SynthSeqs[i] = out
+	}
+	st.SynthStarts = makeN[uint16](len(synth.Starts))
+	for i, t := range synth.Starts {
+		st.SynthStarts[i] = uint16(t)
 	}
 	st.SynthRot = synth.Rot
-	for _, p := range f.pending {
-		st.Pending = append(st.Pending, [2]uint16{uint16(p.From), uint16(p.To)})
+	st.Pending = makeN[[2]uint16](len(f.pending))
+	for i, p := range f.pending {
+		st.Pending[i] = [2]uint16{uint16(p.From), uint16(p.To)}
 	}
 	return st
 }
@@ -226,9 +245,10 @@ func (f *Fuzzer) Triage(cfg triage.Config) triage.Summary {
 // form, in discovery order. Shared by single-shard snapshots and the sharded
 // executor's global-oracle export.
 func ExportCrashes(o *oracle.Oracle) []checkpoint.Crash {
-	var out []checkpoint.Crash
-	for _, c := range o.Crashes() {
-		out = append(out, checkpoint.Crash{
+	crashes := o.Crashes()
+	out := makeN[checkpoint.Crash](len(crashes))
+	for i, c := range crashes {
+		out[i] = checkpoint.Crash{
 			ID:          c.Report.ID,
 			Component:   c.Report.Component,
 			Kind:        c.Report.Kind,
@@ -242,7 +262,7 @@ func ExportCrashes(o *oracle.Oracle) []checkpoint.Crash {
 			OriginalLen:  c.OriginalLen,
 			MinimizedLen: c.MinimizedLen,
 			Replays:      c.Replays,
-		})
+		}
 	}
 	return out
 }
@@ -314,9 +334,9 @@ func ImportIncidents(incidents []checkpoint.Incident) []harness.Incident {
 // ExportCurve and ImportCurve convert the coverage-over-time curve between
 // its live and checkpoint forms.
 func ExportCurve(curve []harness.CurvePoint) []checkpoint.CurvePoint {
-	var out []checkpoint.CurvePoint
-	for _, p := range curve {
-		out = append(out, checkpoint.CurvePoint{Execs: p.Execs, Edges: p.Edges})
+	out := makeN[checkpoint.CurvePoint](len(curve))
+	for i, p := range curve {
+		out[i] = checkpoint.CurvePoint{Execs: p.Execs, Edges: p.Edges}
 	}
 	return out
 }
@@ -331,9 +351,10 @@ func ImportCurve(curve []checkpoint.CurvePoint) []harness.CurvePoint {
 }
 
 func exportPairs(m *affinity.Map) [][2]uint16 {
-	var out [][2]uint16
-	for _, p := range m.Pairs() {
-		out = append(out, [2]uint16{uint16(p.From), uint16(p.To)})
+	pairs := m.Pairs()
+	out := makeN[[2]uint16](len(pairs))
+	for i, p := range pairs {
+		out[i] = [2]uint16{uint16(p.From), uint16(p.To)}
 	}
 	return out
 }
@@ -345,11 +366,21 @@ func importPairs(m *affinity.Map, pairs [][2]uint16) {
 }
 
 func exportSeq(seq sqlt.Sequence) []uint16 {
-	var out []uint16
-	for _, t := range seq {
-		out = append(out, uint16(t))
+	out := makeN[uint16](len(seq))
+	for i, t := range seq {
+		out[i] = uint16(t)
 	}
 	return out
+}
+
+// makeN returns a length-n slice for the export helpers to fill, or nil
+// when n is 0: an empty section encodes as JSON null, the form checkpoints
+// have always carried, so the state payload keeps its bytes.
+func makeN[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, n)
 }
 
 func importSeq(raw []uint16) sqlt.Sequence {

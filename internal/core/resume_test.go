@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 
@@ -68,6 +70,42 @@ func TestDeterministicResume(t *testing.T) {
 	a, b := snapshotJSON(t, ref), snapshotJSON(t, resumed)
 	if string(a) != string(b) {
 		t.Fatalf("final snapshots differ\nref:     %.400s\nresumed: %.400s", a, b)
+	}
+}
+
+// TestResumeFromIndentedCheckpoint: earlier builds wrote the checkpoint
+// file with json.MarshalIndent, which is this build's compact file passed
+// through json.Indent. Such a file must resume into the campaign state it
+// was saved from.
+func TestResumeFromIndentedCheckpoint(t *testing.T) {
+	opts := Options{Dialect: sqlt.DialectMariaDB, Seed: 11, Hazards: true, FaultRate: 0.002}
+	f := New(opts)
+	f.Run(8000)
+	path := t.TempDir() + "/camp.ckpt"
+	if err := checkpoint.Save(path, f.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	compact, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var legacy bytes.Buffer
+	if err := json.Indent(&legacy, compact, "", " "); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, legacy.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := checkpoint.Load(path)
+	if err != nil {
+		t.Fatalf("indented checkpoint must load: %v", err)
+	}
+	resumed, err := Resume(opts, loaded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, got := snapshotJSON(t, f), snapshotJSON(t, resumed); !bytes.Equal(got, want) {
+		t.Fatalf("resumed state differs\nsaved:   %.400s\nresumed: %.400s", want, got)
 	}
 }
 

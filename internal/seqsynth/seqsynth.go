@@ -75,13 +75,18 @@ type State struct {
 	Rot    int
 }
 
-// Export snapshots the synthesizer for checkpointing. Starts are sorted so
-// identical campaigns produce byte-identical snapshots (the set's order
-// never influences synthesis, only its serialization).
+// Export snapshots the synthesizer for checkpointing. Seqs shares the
+// generated sequences with the synthesizer instead of cloning them: record
+// stores private copies that are never modified afterwards, so the view
+// stays valid as synthesis continues, but callers must not write through
+// it. Starts are sorted so identical campaigns produce byte-identical
+// snapshots (the set's order never influences synthesis, only its
+// serialization).
 func (sy *Synthesizer) Export() State {
-	st := State{Rot: sy.rot}
-	for _, s := range sy.s {
-		st.Seqs = append(st.Seqs, s.Clone())
+	st := State{
+		Seqs:   sy.s[:len(sy.s):len(sy.s)],
+		Starts: make([]sqlt.Type, 0, len(sy.starts)),
+		Rot:    sy.rot,
 	}
 	for t := range sy.starts {
 		st.Starts = append(st.Starts, t)

@@ -11,12 +11,22 @@ import (
 // statements").
 type TestCase []Statement
 
-// SQL renders the test case as a semicolon-terminated script.
+// SQL renders the test case as a semicolon-terminated script. Each
+// statement is rendered once and the builder is sized exactly; the renders
+// are held in a stack array for test cases of up to eight statements.
 func (tc TestCase) SQL() string {
-	var sb strings.Builder
-	sb.Grow(64 * len(tc))
+	var buf [8]string
+	parts := buf[:0]
+	n := 0
 	for _, s := range tc {
-		sb.WriteString(s.SQL())
+		r := s.SQL()
+		parts = append(parts, r)
+		n += len(r) + len(";\n")
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	for _, r := range parts {
+		sb.WriteString(r)
 		sb.WriteString(";\n")
 	}
 	return sb.String()
