@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-fixtures fmtcheck test test-short bench benchall fmt examples clean ci smoke race-shard chaos perfgate profile selffuzz loc
+.PHONY: all build vet lint lint-fixtures fmtcheck test test-short bench benchall fmt examples clean ci smoke race-shard chaos perfgate profile selffuzz benchcheck loc
 
 all: build vet lint test
 
@@ -19,6 +19,7 @@ ci:
 	$(MAKE) chaos
 	$(MAKE) selffuzz
 	$(MAKE) perfgate
+	$(MAKE) benchcheck
 
 # The sharded executor's schedule-independence gate, named so its failure is
 # unambiguous: the determinism claims of internal/shard are only credible
@@ -70,11 +71,20 @@ chaos:
 # Self-fuzz, 15 s per target. FuzzCompiledMatchesInterpreter: random
 # scripts must give the same results, errors and coverage on minidb's
 # compiled and interpreter paths. FuzzCheckpointLoad: arbitrary file bytes
-# must make checkpoint.Load return an error or a state, never panic. Plain
-# `go test` runs only the seeds; this searches.
+# must make checkpoint.Load return an error or a state, never panic, and a
+# loaded state must resume or fail cleanly. FuzzRenderFixpoint:
+# parse→render→parse must be a fixpoint, and arbitrary bytes must never
+# panic the parser. Plain `go test` runs only the seeds; this searches.
 selffuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCompiledMatchesInterpreter -fuzztime 15s ./internal/minidb
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointLoad -fuzztime 15s ./internal/checkpoint
+	$(GO) test -run '^$$' -fuzz FuzzRenderFixpoint -fuzztime 15s ./internal/sqlparse
+
+# The campaign benchmark is a module of its own, so the root module's
+# `go test ./...` never builds it; this vets it and runs its tests, which
+# check that its traced loop and checkpoints match the program's.
+benchcheck:
+	cd campaignbench && $(GO) vet ./... && $(GO) test ./...
 
 # Non-test Go lines: the whole module (campaignbench/ and testdata excluded)
 # and internal/minidb, tracked so that growth has to pay for itself.

@@ -1,25 +1,28 @@
-// Package chaos is the deterministic fault plane for supervised campaigns:
-// a schedule of harness-level failures — worker panics mid-epoch, epoch
-// stalls, checkpoint I/O faults — that is a pure function of (Rate, Seed).
-// Where internal/minidb's faultInjector proves the harness survives its
-// *target*, this package proves the campaign survives its *harness*: the
-// sharded executor's supervision (retry from the last barrier snapshot,
-// quarantine on budget exhaustion, graceful degradation) is only credible
-// if the failures driving it can be replayed bit-for-bit.
+// Package chaos is the campaign's deterministic fault plane: every injected
+// failure is a pure function of (Rate, Seed) and the coordinates of the
+// decision. It schedules two families of faults:
+//
+//   - engine faults, the organic panics minidb raises when its FaultRate is
+//     armed, keyed by (harness exec index, statement index, site). They
+//     prove the harness survives its *target*: crash containment, oracle
+//     deduplication of contained panics, triage of flaky crashes.
+//   - supervision faults for sharded campaigns: worker panics mid-epoch and
+//     epoch stalls keyed by (epoch, shard, attempt), and checkpoint I/O
+//     faults keyed by save ordinal. They prove the campaign survives its
+//     *harness*: retry from the last barrier snapshot, quarantine on budget
+//     exhaustion, graceful degradation.
 //
 // # Determinism
 //
-// minidb's faultInjector draws from one sequential stream whose position
-// must travel in checkpoints. The chaos plane instead keys every decision
-// by its campaign coordinates — (kind, epoch, shard, attempt) for worker
-// faults, (kind, save ordinal) for I/O faults — each mixed into a private
-// splitmix64 stream seeded by Seed. A keyed schedule has no cursor to
-// persist or replay: a campaign resumed at epoch E re-derives exactly the
-// faults the uninterrupted campaign would have seen from E on, which is
-// what makes interrupt+resume under chaos byte-equivalent to the
-// uninterrupted chaotic run. Keying by attempt also lets a retried epoch
-// re-roll: attempt 0 may panic where attempt 1 runs clean, without any
-// state recording that history.
+// Each decision mixes its kind and coordinates into a private splitmix64
+// stream seeded by Seed. A keyed schedule has no cursor to persist or
+// replay: a campaign resumed at execution N, or at epoch E, re-derives
+// exactly the faults the uninterrupted campaign would have seen from there
+// on, and an engine rebuilt after a contained panic needs nothing carried
+// over. Keying by attempt also lets a retried epoch re-roll: attempt 0 may
+// panic where attempt 1 runs clean, without any state recording that
+// history; keying engine faults by exec index does the same for triage
+// replays of an injected crash.
 package chaos
 
 import (
@@ -33,6 +36,7 @@ const (
 	kindWorkerPanic uint64 = iota + 1
 	kindEpochStall
 	kindSaveFault
+	kindEngineFault
 )
 
 // golden is the splitmix64 increment, reused as the key-absorption stride.
@@ -67,12 +71,12 @@ func mix(x uint64) uint64 {
 // absorbing the kind and coordinates into the seed.
 type stream struct{ state uint64 }
 
-func (in *Injector) stream(kind uint64, keys ...int) *stream {
+func (in *Injector) stream(kind uint64, keys ...int) stream {
 	st := mix(uint64(in.Seed) + golden*kind)
 	for _, k := range keys {
 		st = mix(st + golden*uint64(int64(k)+1))
 	}
-	return &stream{state: st}
+	return stream{state: st}
 }
 
 // next draws a uniform float in [0, 1).
@@ -95,6 +99,13 @@ func (in *Injector) WorkerPanic(epoch, shard, attempt int) (fire bool, frac floa
 func (in *Injector) EpochStall(epoch, shard, attempt int) (fire bool, frac float64) {
 	s := in.stream(kindEpochStall, epoch, shard, attempt)
 	return s.next() < in.Rate, s.next()
+}
+
+// EngineFault reports whether the engine panics at site (0 before dispatch,
+// 1 after) of statement stmt in the harness's exec-th test case.
+func (in *Injector) EngineFault(exec, stmt, site int) bool {
+	s := in.stream(kindEngineFault, exec, stmt, site)
+	return s.next() < in.Rate
 }
 
 // FSFault names one injected checkpoint I/O failure mode.

@@ -63,6 +63,9 @@ func TestRateExtremes(t *testing.T) {
 		if never.SaveFault(i) != FaultNone {
 			t.Fatal("rate-0 injector drew a save fault")
 		}
+		if !always.EngineFault(i, 0, 0) || never.EngineFault(i, 0, 1) {
+			t.Fatal("engine faults ignore the rate extremes")
+		}
 	}
 }
 
@@ -83,8 +86,29 @@ func TestKindsDrawIndependentSchedules(t *testing.T) {
 	}
 }
 
+// TestEngineFaultsKeyedByCoordinates: engine-fault decisions agree between
+// equal injectors, and each coordinate — exec, statement, site — moves the
+// schedule, so a replay at a new exec index re-rolls its faults.
+func TestEngineFaultsKeyedByCoordinates(t *testing.T) {
+	a, b := New(0.5, 9), New(0.5, 9)
+	moved := [3]bool{}
+	for i := 0; i < 64; i++ {
+		f := a.EngineFault(i, 2, 0)
+		if f != b.EngineFault(i, 2, 0) {
+			t.Fatalf("equal injectors diverged at exec %d", i)
+		}
+		moved[0] = moved[0] || f != a.EngineFault(i+64, 2, 0)
+		moved[1] = moved[1] || f != a.EngineFault(i, 3, 0)
+		moved[2] = moved[2] || f != a.EngineFault(i, 2, 1)
+	}
+	if moved != [3]bool{true, true, true} {
+		t.Fatalf("a coordinate never moved the schedule (exec, stmt, site): %v", moved)
+	}
+}
+
 func testState() *checkpoint.State {
-	return &checkpoint.State{Dialect: 2, Seed: 1, MaxLen: 5, Execs: 10, RNG: 42}
+	return &checkpoint.State{Dialect: 2, Seed: 1, MaxLen: 5, Workers: 1, Execs: 10,
+		Shards: []checkpoint.Shard{{Execs: 10, RNG: 42}}}
 }
 
 // TestFSInjectsEachFaultKind: driving checkpoint.SaveFS through an
@@ -157,7 +181,7 @@ func TestFSPassesThroughWhenQuiet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Execs != 10 || st.RNG != 42 {
+	if st.Execs != 10 || st.Shards[0].RNG != 42 {
 		t.Fatalf("round trip corrupted state: %+v", st)
 	}
 	if cfs.Faults() != 0 {

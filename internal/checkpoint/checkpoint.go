@@ -3,7 +3,8 @@
 // accumulated coverage edges, the oracle's deduplicated crashes, execution
 // counters, and the RNG stream position. A campaign restored from a
 // checkpoint continues exactly where the original left off — same schedule,
-// same discoveries — because every input to the fuzzing loop is captured.
+// same discoveries — because every input to the fuzzing loop is captured,
+// or rebuilt from what is: the structure library is a function of the pool.
 //
 // The package is deliberately passive: it defines the wire format and the
 // file protocol (atomic temp-file+rename writes, checksummed reads) and
@@ -12,7 +13,6 @@
 package checkpoint
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -21,43 +21,32 @@ import (
 	"path/filepath"
 )
 
-// Version is the current checkpoint format version. Load rejects files
-// written by an unknown version rather than guessing at field semantics.
+// Version is the checkpoint format version. Load reads this version only:
+// a file from any other build fails with an error naming both versions,
+// rather than being half understood.
 //
-// History:
+// History, one line per version:
 //
-//	v1 — initial format (PR 1).
-//	v2 — crashes carry triage results (status, original/minimized length,
-//	     replay tally) so a resumed campaign keeps its verified, minimized
-//	     reproducers.
-//	v3 — sharded campaigns: the top level gains the shard topology
-//	     (workers, epoch_stmts, epoch) and a shards array holding one
-//	     complete per-worker state (RNG, pool, coverage, synthesis, …)
-//	     each; the top-level curve and crashes become the merged global
-//	     view. v2 files (single-shard) still load: v3 only adds fields,
-//	     and an absent shards array means "one worker, state at top level".
-//	v4 — chaos plane and shard supervision: the top level gains the chaos
-//	     identity (chaos_rate, chaos_seed, max_epoch_retries) and the
-//	     incident journal; each shard entry gains its quarantine flag and
-//	     retry tally. Purely additive: v3 files still load, and Save
-//	     stamps v3 whenever a state uses no v4 feature, so campaigns that
-//	     never engage the supervision plane emit byte-identical files.
-const Version = 4
-
-// minReadVersion is the oldest format Load still accepts. v2 single-shard
-// checkpoints are a strict subset of v3, so campaigns saved before sharding
-// resume cleanly.
-const minReadVersion = 2
+//	v1 — initial format.
+//	v2 — crashes carry their triage results.
+//	v3 — sharded campaigns: topology and one nested state per worker.
+//	v4 — chaos identity, incident journal, per-shard supervision fields.
+//	v5 — one layout for every campaign, primary state only: no structure
+//	     library and no fault-injector cursor.
+const Version = 5
 
 // BackupSuffix is appended to the checkpoint path for the rotated last-good
 // copy that Save leaves behind and LoadWithFallback falls back to.
 const BackupSuffix = ".bak"
 
-// PoolSeed is one retained corpus entry.
+// PoolSeed is one retained corpus entry. Split marks a half that seed
+// splitting added next to its long parent; every other entry's statements
+// were harvested into the structure library when it joined the pool.
 type PoolSeed struct {
 	SQL      string `json:"sql"`
 	NewEdges int    `json:"new_edges"`
 	Picked   int    `json:"picked"`
+	Split    bool   `json:"split,omitempty"`
 }
 
 // Edge is one accumulated coverage-map slot (index + seen-bucket mask).
@@ -77,7 +66,7 @@ type Crash struct {
 	FoundAtExec int      `json:"found_at_exec"`
 	Hits        int      `json:"hits"`
 
-	// Triage results (v2): empty/zero when the crash was never triaged.
+	// Triage results: empty/zero when the crash was never triaged.
 	Status       string `json:"status,omitempty"`
 	OriginalLen  int    `json:"original_len,omitempty"`
 	MinimizedLen int    `json:"minimized_len,omitempty"`
@@ -90,7 +79,7 @@ type CurvePoint struct {
 	Edges int `json:"edges"`
 }
 
-// Incident is one entry of a supervised campaign's incident journal (v4): a
+// Incident is one entry of a supervised campaign's incident journal: a
 // worker failure and how the supervisor resolved it. The journal is part of
 // the campaign's deterministic output — same seed, same incidents.
 type Incident struct {
@@ -110,35 +99,70 @@ type Incident struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// State is the complete serializable campaign state. Statement types and
-// dialects travel as their raw integer codes to keep this package free of
-// fuzzer dependencies.
+// State is the complete serializable campaign state: the campaign-wide view
+// at the top level and one Shard entry per worker. A campaign run on the
+// single-threaded path is saved as one worker with EpochStmts 0, since it
+// has no barriers. Statement types and dialects travel as their raw integer
+// codes to keep this package free of fuzzer dependencies.
 type State struct {
 	Version int `json:"version"`
 
 	// Campaign identity: a resume under different options would silently
-	// diverge, so Load-side validation compares these.
+	// diverge, so Resume compares these. Worker i runs the RNG stream
+	// Seed+i.
 	Dialect uint8 `json:"dialect"`
 	Seed    int64 `json:"seed"`
 	MaxLen  int   `json:"max_len"`
 
+	// Topology. Workers and EpochStmts identify the campaign like Seed
+	// does: resuming under a different topology would move every epoch
+	// barrier. Epoch counts the merge barriers passed.
+	Workers    int `json:"workers"`
+	EpochStmts int `json:"epoch_stmts,omitempty"`
+	Epoch      int `json:"epoch,omitempty"`
+
+	// Totals across workers.
+	Execs        int `json:"execs"`
+	Stmts        int `json:"stmts"`
+	EnginePanics int `json:"engine_panics"`
+
+	// Curve is the campaign's coverage curve: the runner's samples for one
+	// worker, one sample per barrier for a sharded campaign. Crashes is
+	// the merged oracle; in a sharded campaign it is the only copy that
+	// carries triage results.
+	Curve   []CurvePoint `json:"curve"`
+	Crashes []Crash      `json:"crashes"`
+
+	// Chaos plane and supervision. ChaosRate/ChaosSeed identify the
+	// injected fault schedule the way Seed identifies the fuzzing schedule,
+	// and MaxEpochRetries is the per-shard retry budget; Resume insists on
+	// all three. Incidents is the journal of worker failures.
+	ChaosRate       float64    `json:"chaos_rate,omitempty"`
+	ChaosSeed       int64      `json:"chaos_seed,omitempty"`
+	MaxEpochRetries int        `json:"max_epoch_retries,omitempty"`
+	Incidents       []Incident `json:"incidents,omitempty"`
+
+	// Shards holds one entry per worker, in shard-index order.
+	Shards []Shard `json:"shards"`
+}
+
+// Shard is one worker's state. The structure library is not stored: it is
+// a function of the pool, rebuilt on resume by harvesting every entry not
+// marked Split, in pool order.
+type Shard struct {
 	// Counters.
 	Execs        int `json:"execs"`
 	Stmts        int `json:"stmts"`
 	EnginePanics int `json:"engine_panics"`
 
-	// RNG stream position (xrand.Source state) and the fault injector's
-	// private stream, when fault injection is armed.
-	RNG        uint64 `json:"rng"`
-	FaultState uint64 `json:"fault_state,omitempty"`
+	// RNG stream position (xrand.Source state).
+	RNG uint64 `json:"rng"`
 
-	Pool        []PoolSeed          `json:"pool"`
-	Affinity    [][2]uint16         `json:"affinity"`
-	GenAffinity [][2]uint16         `json:"gen_affinity"`
-	Coverage    []Edge              `json:"coverage"`
-	Crashes     []Crash             `json:"crashes"`
-	Curve       []CurvePoint        `json:"curve"`
-	Library     map[uint16][]string `json:"library"`
+	Pool        []PoolSeed  `json:"pool"`
+	Affinity    [][2]uint16 `json:"affinity"`
+	GenAffinity [][2]uint16 `json:"gen_affinity"`
+	Coverage    []Edge      `json:"coverage"`
+	Crashes     []Crash     `json:"crashes"`
 
 	// Sequence-synthesis state: the generated-sequence vector (the Prefix
 	// Sequence index is rebuilt from it), start types, rotation counter,
@@ -148,52 +172,11 @@ type State struct {
 	SynthRot    int         `json:"synth_rot"`
 	Pending     [][2]uint16 `json:"pending"`
 
-	// Sharded-campaign topology (v3). Workers and EpochStmts identify the
-	// campaign like Seed does — resuming under a different topology would
-	// change every epoch boundary — and Epoch counts the merge barriers
-	// passed. Shards holds one complete per-worker state in shard-index
-	// order; when it is empty the checkpoint is a single-shard campaign and
-	// the worker's state lives at the top level. In a sharded checkpoint the
-	// top-level Execs/Stmts/EnginePanics are totals across shards, Curve is
-	// the global (barrier-sampled) curve, and Crashes is the merged global
-	// oracle including triage results; the remaining top-level campaign
-	// fields are unused.
-	Workers    int      `json:"workers,omitempty"`
-	EpochStmts int      `json:"epoch_stmts,omitempty"`
-	Epoch      int      `json:"epoch,omitempty"`
-	Shards     []*State `json:"shards,omitempty"`
-
-	// Chaos plane and supervision (v4). ChaosRate/ChaosSeed identify the
-	// injected fault schedule the way Seed identifies the fuzzing schedule,
-	// and MaxEpochRetries is the per-shard retry budget — all three are
-	// campaign identity: resuming under different values would diverge
-	// silently, so Resume validates them. Incidents is the global journal
-	// of worker failures. On a shard entry, Quarantined marks a worker
-	// whose retry budget is exhausted (it holds its last-good state and no
-	// longer runs epochs) and Retries is its cumulative retry tally.
-	ChaosRate       float64    `json:"chaos_rate,omitempty"`
-	ChaosSeed       int64      `json:"chaos_seed,omitempty"`
-	MaxEpochRetries int        `json:"max_epoch_retries,omitempty"`
-	Incidents       []Incident `json:"incidents,omitempty"`
-	Quarantined     bool       `json:"quarantined,omitempty"`
-	Retries         int        `json:"retries,omitempty"`
-}
-
-// versionFor stamps the oldest format version whose readers understand
-// every feature st uses: states that never engaged the chaos/supervision
-// plane keep writing v3, so a supervised-but-uneventful campaign's files
-// stay byte-identical to pre-supervision builds.
-func versionFor(st *State) int {
-	if st.ChaosRate != 0 || st.ChaosSeed != 0 || st.MaxEpochRetries != 0 ||
-		len(st.Incidents) > 0 || st.Quarantined || st.Retries > 0 {
-		return Version
-	}
-	for _, sh := range st.Shards {
-		if sh.Quarantined || sh.Retries > 0 {
-			return Version
-		}
-	}
-	return 3
+	// Quarantined marks a worker whose retry budget is exhausted: it holds
+	// its last-good state and no longer runs epochs. Retries is its
+	// cumulative retry tally.
+	Quarantined bool `json:"quarantined,omitempty"`
+	Retries     int  `json:"retries,omitempty"`
 }
 
 // envelope wraps the state with an integrity checksum so a torn or
@@ -232,7 +215,7 @@ func Save(path string, st *State) error {
 // corrupted on disk. fsys lets callers route the writes through a
 // fault-injecting filesystem (internal/chaos).
 func SaveFS(fsys FS, path string, st *State) error {
-	st.Version = versionFor(st)
+	st.Version = Version
 	payload, err := json.Marshal(st)
 	if err != nil {
 		return fmt.Errorf("checkpoint: marshal: %w", err)
@@ -287,9 +270,10 @@ func SaveFS(fsys FS, path string, st *State) error {
 	return nil
 }
 
-// Load reads and verifies a checkpoint. It fails loudly on a checksum
-// mismatch (torn write, manual edit, disk corruption) or a format-version
-// mismatch.
+// Load reads and verifies a checkpoint. It reads the format version first,
+// so a file from another build fails with its version named, then fails
+// loudly on a checksum mismatch (torn write, manual edit, disk corruption)
+// or on a shard list that disagrees with the worker count.
 func Load(path string) (*State, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -299,23 +283,24 @@ func Load(path string) (*State, error) {
 	if err := json.Unmarshal(data, &env); err != nil {
 		return nil, fmt.Errorf("checkpoint: %s is not a checkpoint file: %w", path, err)
 	}
-	// Save hashes the compact payload and embeds it verbatim, but files
-	// from earlier builds embed it indented; compacting first makes the
-	// checksum whitespace-insensitive, so both layouts verify against
-	// exactly the bytes Save hashed.
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, env.State); err != nil {
+	var head struct {
+		Version int `json:"version"`
+	}
+	if err := json.Unmarshal(env.State, &head); err != nil {
 		return nil, fmt.Errorf("checkpoint: decode state: %w", err)
 	}
-	if got := sum(compact.Bytes()); got != env.Checksum {
+	if head.Version != Version {
+		return nil, fmt.Errorf("checkpoint: %s has format version %d, this build reads only version %d", path, head.Version, Version)
+	}
+	if got := sum(env.State); got != env.Checksum {
 		return nil, fmt.Errorf("checkpoint: %s is corrupt: checksum %s, want %s", path, got, env.Checksum)
 	}
 	var st State
 	if err := json.Unmarshal(env.State, &st); err != nil {
 		return nil, fmt.Errorf("checkpoint: decode state: %w", err)
 	}
-	if st.Version < minReadVersion || st.Version > Version {
-		return nil, fmt.Errorf("checkpoint: %s has format version %d, this build reads %d–%d", path, st.Version, minReadVersion, Version)
+	if st.Workers < 1 || len(st.Shards) != st.Workers {
+		return nil, fmt.Errorf("checkpoint: %s is malformed: %d workers, %d shard entries", path, st.Workers, len(st.Shards))
 	}
 	return &st, nil
 }

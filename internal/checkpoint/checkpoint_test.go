@@ -10,35 +10,50 @@ import (
 	"testing"
 )
 
+// sampleShard is one worker's state; sample wraps it as a one-worker
+// campaign, the layout the single-threaded path saves.
+func sampleShard() Shard {
+	return Shard{
+		Execs:        1234,
+		Stmts:        5678,
+		EnginePanics: 3,
+		RNG:          0xdeadbeefcafef00d,
+		Pool: []PoolSeed{
+			{SQL: "CREATE TABLE t (a INT);", NewEdges: 9, Picked: 2},
+			{SQL: "SELECT 1;", NewEdges: 1, Picked: 0, Split: true},
+		},
+		Affinity:    [][2]uint16{{1, 2}, {2, 3}},
+		GenAffinity: [][2]uint16{{1, 2}},
+		Coverage:    []Edge{{Idx: 10, Mask: 3}, {Idx: 99, Mask: 128}},
+		Crashes:     sampleCrashes(),
+		SynthSeqs:   [][]uint16{{1, 4, 6}},
+		SynthStarts: []uint16{1},
+		SynthRot:    5,
+		Pending:     [][2]uint16{{4, 6}},
+	}
+}
+
+func sampleCrashes() []Crash {
+	return []Crash{{
+		ID: "ORGANIC-0badf00d", Component: "Engine", Kind: "PANIC",
+		Stack: []string{"minidb.(*Engine).dispatch"}, Window: []uint16{1, 4},
+		Reproducer: "SELECT 1;", FoundAtExec: 77, Hits: 4,
+		Status: "STABLE", OriginalLen: 9, MinimizedLen: 1, Replays: 3,
+	}}
+}
+
 func sample() *State {
 	return &State{
 		Dialect:      2,
 		Seed:         7,
 		MaxLen:       5,
+		Workers:      1,
 		Execs:        1234,
 		Stmts:        5678,
 		EnginePanics: 3,
-		RNG:          0xdeadbeefcafef00d,
-		FaultState:   42,
-		Pool: []PoolSeed{
-			{SQL: "CREATE TABLE t (a INT);", NewEdges: 9, Picked: 2},
-			{SQL: "SELECT 1;", NewEdges: 1, Picked: 0},
-		},
-		Affinity:    [][2]uint16{{1, 2}, {2, 3}},
-		GenAffinity: [][2]uint16{{1, 2}},
-		Coverage:    []Edge{{Idx: 10, Mask: 3}, {Idx: 99, Mask: 128}},
-		Crashes: []Crash{{
-			ID: "ORGANIC-0badf00d", Component: "Engine", Kind: "PANIC",
-			Stack: []string{"minidb.(*Engine).dispatch"}, Window: []uint16{1, 4},
-			Reproducer: "SELECT 1;", FoundAtExec: 77, Hits: 4,
-			Status: "STABLE", OriginalLen: 9, MinimizedLen: 1, Replays: 3,
-		}},
-		Curve:       []CurvePoint{{Execs: 50, Edges: 120}},
-		Library:     map[uint16][]string{1: {"CREATE TABLE t (a INT);"}},
-		SynthSeqs:   [][]uint16{{1, 4, 6}},
-		SynthStarts: []uint16{1},
-		SynthRot:    5,
-		Pending:     [][2]uint16{{4, 6}},
+		Curve:        []CurvePoint{{Execs: 50, Edges: 120}},
+		Crashes:      sampleCrashes(),
+		Shards:       []Shard{sampleShard()},
 	}
 }
 
@@ -57,10 +72,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("round trip changed state:\nsaved  %s\nloaded %s", a, b)
 	}
-	// A state using no v4 feature is stamped with the oldest version that
-	// carries it, keeping pre-supervision campaigns byte-identical.
-	if got.Version != 3 {
-		t.Fatalf("version = %d, want 3 for a clean state", got.Version)
+	if got.Version != Version {
+		t.Fatalf("version = %d, want %d", got.Version, Version)
 	}
 }
 
@@ -169,8 +182,8 @@ func TestLoadRejectsV1(t *testing.T) {
 	}
 }
 
-// TestTriageFieldsRoundTrip pins the v2 crash fields through a full file
-// round trip, including their omission when empty (untriaged crash).
+// TestTriageFieldsRoundTrip pins the crash triage fields through a full
+// file round trip, including their omission when empty (untriaged crash).
 func TestTriageFieldsRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "camp.ckpt")
 	want := sample()
@@ -185,9 +198,6 @@ func TestTriageFieldsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Version != 3 {
-		t.Fatalf("version = %d, want 3 for a clean state", got.Version)
-	}
 	c := got.Crashes[0]
 	if c.Status != "STABLE" || c.OriginalLen != 9 || c.MinimizedLen != 1 || c.Replays != 3 {
 		t.Fatalf("triage fields lost: %+v", c)
@@ -197,39 +207,20 @@ func TestTriageFieldsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadAcceptsV2 pins single-shard backward compatibility: a checkpoint
-// written by the pre-sharding v2 format must load cleanly, with the sharded
-// topology fields at their "one worker, state at top level" zero values.
-func TestLoadAcceptsV2(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "old.ckpt")
-	writeVersion(t, path, "2")
-	got, err := Load(path)
-	if err != nil {
-		t.Fatalf("v2 checkpoint must load, got %v", err)
-	}
-	if got.Workers != 0 || got.Epoch != 0 || len(got.Shards) != 0 {
-		t.Fatalf("v2 load grew shard topology: workers=%d epoch=%d shards=%d",
-			got.Workers, got.Epoch, len(got.Shards))
-	}
-	if got.Execs != 1234 || len(got.Pool) != 2 {
-		t.Fatalf("v2 campaign state lost: %+v", got)
-	}
-}
-
-// TestShardedRoundTrip pins the v3 layout: topology fields and the nested
-// per-shard states survive a full file round trip byte-exactly.
+// TestShardedRoundTrip pins the layout of a sharded campaign: topology
+// fields and the worker entries survive a full file round trip
+// byte-exactly.
 func TestShardedRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "camp.ckpt")
-	s0, s1 := sample(), sample()
-	s1.Seed = 8 // shard 1 runs the base seed + 1 stream
+	s0, s1 := sampleShard(), sampleShard()
 	s1.RNG = 0x1111
 	want := &State{
 		Dialect: 2, Seed: 7, MaxLen: 5,
 		Execs: s0.Execs + s1.Execs, Stmts: s0.Stmts + s1.Stmts,
 		Workers: 2, EpochStmts: 500, Epoch: 12,
-		Shards:  []*State{s0, s1},
+		Shards:  []Shard{s0, s1},
 		Curve:   []CurvePoint{{Execs: 100, Edges: 240}},
-		Crashes: sample().Crashes,
+		Crashes: sampleCrashes(),
 	}
 	if err := Save(path, want); err != nil {
 		t.Fatal(err)
@@ -241,8 +232,8 @@ func TestShardedRoundTrip(t *testing.T) {
 	if got.Workers != 2 || got.EpochStmts != 500 || got.Epoch != 12 {
 		t.Fatalf("topology lost: %+v", got)
 	}
-	if len(got.Shards) != 2 || got.Shards[1].Seed != 8 || got.Shards[1].RNG != 0x1111 {
-		t.Fatalf("nested shard states lost: %+v", got.Shards)
+	if len(got.Shards) != 2 || got.Shards[1].RNG != 0x1111 || !got.Shards[0].Pool[1].Split {
+		t.Fatalf("worker entries lost: %+v", got.Shards)
 	}
 	a, _ := json.Marshal(want)
 	b, _ := json.Marshal(got)
@@ -353,42 +344,5 @@ func TestSaveWritesCompactEnvelope(t *testing.T) {
 	}
 	if string(got) != want {
 		t.Fatalf("file layout changed:\ngot  %s\nwant %s", got, want)
-	}
-}
-
-// TestLoadAcceptsIndentedLayout: files written by earlier builds embed the
-// state indented inside an indented envelope. They must still load to the
-// same state, and re-saving that state must give exactly the file this
-// build writes, so a campaign resumed from an old file continues from the
-// same state.
-func TestLoadAcceptsIndentedLayout(t *testing.T) {
-	dir := t.TempDir()
-	compact := filepath.Join(dir, "compact.ckpt")
-	want := sample()
-	if err := Save(compact, want); err != nil {
-		t.Fatal(err)
-	}
-	payload, err := json.Marshal(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := filepath.Join(dir, "legacy.ckpt")
-	writeEnvelope(t, legacy, payload, "")
-	got, err := Load(legacy)
-	if err != nil {
-		t.Fatalf("indented checkpoint must load, got %v", err)
-	}
-	b, _ := json.Marshal(got)
-	if !bytes.Equal(payload, b) {
-		t.Fatalf("indented load changed state:\nsaved  %s\nloaded %s", payload, b)
-	}
-	resaved := filepath.Join(dir, "resaved.ckpt")
-	if err := Save(resaved, got); err != nil {
-		t.Fatal(err)
-	}
-	x, _ := os.ReadFile(compact)
-	y, _ := os.ReadFile(resaved)
-	if !bytes.Equal(x, y) {
-		t.Fatal("re-saving an indented checkpoint does not give this build's file")
 	}
 }

@@ -11,15 +11,15 @@ import (
 )
 
 // writeEnvelope writes a hand-built envelope: the state payload, checksummed
-// by sumFor unless a checksum override is given — the knob each corruption
-// case below turns.
+// unless a checksum override is given — the knob each corruption case below
+// turns.
 func writeEnvelope(t *testing.T, path string, payload []byte, checksum string) {
 	t.Helper()
 	if checksum == "" {
 		h := sha256.Sum256(payload)
 		checksum = "sha256:" + hex.EncodeToString(h[:])
 	}
-	data, err := json.MarshalIndent(envelope{Checksum: checksum, State: payload}, "", " ")
+	data, err := json.Marshal(envelope{Checksum: checksum, State: payload})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,20 +31,22 @@ func writeEnvelope(t *testing.T, path string, payload []byte, checksum string) {
 // TestLoadCorruptionMatrix drives Load through the on-disk failure modes a
 // long campaign can meet — torn files, flipped bits, future formats — and
 // asserts each error message names its failure, so an operator looking at a
-// dead resume knows whether to reach for the backup, a newer binary, or a
+// dead resume knows whether to reach for the backup, another binary, or a
 // shrug.
 func TestLoadCorruptionMatrix(t *testing.T) {
 	dir := t.TempDir()
 
-	validPayload := func(version int) []byte {
+	payload := func(version int, mut func(*State)) []byte {
 		st := sample()
 		st.Version = version
+		mut(st)
 		b, err := json.Marshal(st)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b
 	}
+	validPayload := func(version int) []byte { return payload(version, func(*State) {}) }
 
 	cases := []struct {
 		name    string
@@ -74,7 +76,7 @@ func TestLoadCorruptionMatrix(t *testing.T) {
 			// matches its checksum.
 			name: "bit-flipped payload",
 			write: func(t *testing.T, path string) {
-				good := validPayload(3)
+				good := validPayload(Version)
 				bad := []byte(strings.Replace(string(good), `"execs":1234`, `"execs":1235`, 1))
 				if string(bad) == string(good) {
 					t.Fatal("corruption did not land; fixture drifted")
@@ -99,6 +101,54 @@ func TestLoadCorruptionMatrix(t *testing.T) {
 				writeEnvelope(t, path, validPayload(1), "")
 			},
 			wantErr: "format version 1",
+		},
+		{
+			// Files from earlier builds: the version is read before the
+			// checksum, so the error names it rather than calling the file
+			// corrupt.
+			name: "checksum-valid but v2 version",
+			write: func(t *testing.T, path string) {
+				writeEnvelope(t, path, validPayload(2), "")
+			},
+			wantErr: "format version 2, this build reads only version 5",
+		},
+		{
+			name: "checksum-valid but v3 version",
+			write: func(t *testing.T, path string) {
+				writeEnvelope(t, path, validPayload(3), "")
+			},
+			wantErr: "format version 3, this build reads only version 5",
+		},
+		{
+			// Earlier builds indented the envelope and hashed the compacted
+			// payload; this build hashes the bytes it embeds.
+			name: "legacy indented v4 file",
+			write: func(t *testing.T, path string) {
+				p := validPayload(4)
+				h := sha256.Sum256(p)
+				data, err := json.MarshalIndent(envelope{Checksum: "sha256:" + hex.EncodeToString(h[:]), State: p}, "", " ")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			},
+			wantErr: "format version 4, this build reads only version 5",
+		},
+		{
+			name: "shard list shorter than the worker count",
+			write: func(t *testing.T, path string) {
+				writeEnvelope(t, path, payload(Version, func(st *State) { st.Workers = 2 }), "")
+			},
+			wantErr: "malformed: 2 workers, 1 shard entries",
+		},
+		{
+			name: "no workers",
+			write: func(t *testing.T, path string) {
+				writeEnvelope(t, path, payload(Version, func(st *State) { st.Workers, st.Shards = 0, nil }), "")
+			},
+			wantErr: "malformed: 0 workers",
 		},
 	}
 
@@ -174,28 +224,26 @@ func TestLoadWithFallbackRecoversEachCorruption(t *testing.T) {
 	}
 }
 
-// TestVersionStamping pins versionFor: v4 features promote the stamp,
-// their absence keeps the compatible v3.
+// TestVersionStamping pins the single format version: whatever features a
+// state uses — chaos identity, retry budget, incident journal, supervision
+// fields — Save stamps Version, the one version Load reads.
 func TestVersionStamping(t *testing.T) {
 	cases := []struct {
 		name string
 		mut  func(*State)
-		want int
 	}{
-		{"clean state", func(*State) {}, 3},
-		{"chaos identity", func(st *State) { st.ChaosRate = 0.1; st.ChaosSeed = 7 }, 4},
-		{"retry budget", func(st *State) { st.MaxEpochRetries = 3 }, 4},
+		{"clean state", func(*State) {}},
+		{"chaos identity", func(st *State) { st.ChaosRate = 0.1; st.ChaosSeed = 7 }},
+		{"retry budget", func(st *State) { st.MaxEpochRetries = 3 }},
 		{"incident journal", func(st *State) {
 			st.Incidents = []Incident{{Epoch: 1, Shard: 0, Kind: "WORKER_PANIC", Retries: 1, Outcome: "RETRIED"}}
-		}, 4},
+		}},
 		{"quarantined shard entry", func(st *State) {
-			st.Shards = []*State{sample(), sample()}
+			st.Workers = 2
+			st.Shards = []Shard{sampleShard(), sampleShard()}
 			st.Shards[1].Quarantined = true
-		}, 4},
-		{"shard retry tally", func(st *State) {
-			st.Shards = []*State{sample()}
-			st.Shards[0].Retries = 2
-		}, 4},
+		}},
+		{"shard retry tally", func(st *State) { st.Shards[0].Retries = 2 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -209,14 +257,15 @@ func TestVersionStamping(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Version != tc.want {
-				t.Fatalf("version = %d, want %d", got.Version, tc.want)
+			if got.Version != Version {
+				t.Fatalf("version = %d, want %d", got.Version, Version)
 			}
 		})
 	}
 }
 
-// TestV4RoundTrip: the supervision fields survive a save/load cycle.
+// TestV4RoundTrip: the supervision fields, added in format v4, survive a
+// save/load cycle.
 func TestV4RoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "c.ckpt")
 	st := sample()
@@ -227,10 +276,10 @@ func TestV4RoundTrip(t *testing.T) {
 		{Epoch: 2, Shard: 1, Kind: "WORKER_PANIC", Retries: 1, Outcome: "RETRIED", Detail: "chaos: injected worker panic (epoch 2, shard 1, attempt 0)"},
 		{Epoch: 5, Shard: 1, Kind: "EPOCH_STALL", Retries: 3, Outcome: "QUARANTINED"},
 	}
-	sh := sample()
+	sh := sampleShard()
 	sh.Quarantined = true
 	sh.Retries = 3
-	st.Shards = []*State{sample(), sh}
+	st.Shards = []Shard{sampleShard(), sh}
 	st.Workers = 2
 
 	if err := Save(path, st); err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/seqfuzz/lego/internal/affinity"
 	"github.com/seqfuzz/lego/internal/checkpoint"
@@ -19,30 +20,45 @@ import (
 // This file converts live campaign state to and from checkpoint.State.
 // Snapshot must be taken at a Step boundary (Run and RunWithCheckpoint only
 // checkpoint between iterations): everything the fuzzing loop reads — pool,
-// library, affinities, synthesizer, coverage, oracle, counters, and the RNG
-// stream position — is captured, so a Resume'd campaign replays the exact
-// schedule the uninterrupted campaign would have run.
+// affinities, synthesizer, coverage, oracle, counters, and the RNG stream
+// position — is captured, and the structure library is rebuilt from the
+// pool, so a Resume'd campaign replays the exact schedule the uninterrupted
+// campaign would have run.
 
-// Snapshot serializes the fuzzer's complete campaign state. It builds the
-// wire form in one pass: every slice is sized up front, and synthesized
-// sequences are converted straight from the synthesizer's own vector into
-// one shared []uint16 backing array.
+// Snapshot serializes a campaign run on this fuzzer alone: one worker and,
+// since the single-threaded path has no barriers, EpochStmts 0.
 func (f *Fuzzer) Snapshot() *checkpoint.State {
-	st := &checkpoint.State{
+	w := f.SnapshotShard()
+	return &checkpoint.State{
 		Dialect:      uint8(f.opts.Dialect),
 		Seed:         f.opts.Seed,
 		MaxLen:       f.opts.MaxLen,
+		Workers:      1,
+		Execs:        w.Execs,
+		Stmts:        w.Stmts,
+		EnginePanics: w.EnginePanics,
+		Curve:        slices.Clone(f.runner.Curve),
+		Crashes:      w.Crashes,
+		Shards:       []checkpoint.Shard{w},
+	}
+}
+
+// SnapshotShard serializes the fuzzer's worker state. It builds the wire
+// form in one pass: every slice is sized up front, and synthesized
+// sequences are converted straight from the synthesizer's own vector into
+// one shared []uint16 backing array.
+func (f *Fuzzer) SnapshotShard() checkpoint.Shard {
+	st := checkpoint.Shard{
 		Execs:        f.runner.Execs,
 		Stmts:        f.runner.Stmts,
 		EnginePanics: f.runner.EnginePanics,
 		RNG:          f.src.State(),
-		FaultState:   f.runner.Eng.FaultState(),
 	}
 
 	seeds := f.pool.All()
 	st.Pool = makeN[checkpoint.PoolSeed](len(seeds))
 	for i, s := range seeds {
-		st.Pool[i] = checkpoint.PoolSeed{SQL: s.TC.SQL(), NewEdges: s.NewEdges, Picked: s.Picked}
+		st.Pool[i] = checkpoint.PoolSeed{SQL: s.TC.SQL(), NewEdges: s.NewEdges, Picked: s.Picked, Split: s.Split}
 	}
 	st.Affinity = exportPairs(f.aff)
 	st.GenAffinity = exportPairs(f.runner.GenAff)
@@ -52,13 +68,6 @@ func (f *Fuzzer) Snapshot() *checkpoint.State {
 		st.Coverage[i] = checkpoint.Edge{Idx: e.Idx, Mask: e.Mask}
 	}
 	st.Crashes = ExportCrashes(f.runner.Oracle)
-	st.Curve = ExportCurve(f.runner.Curve)
-
-	lib := f.lib.Export()
-	st.Library = make(map[uint16][]string, len(lib))
-	for t, sqls := range lib {
-		st.Library[uint16(t)] = sqls
-	}
 
 	synth := f.synth.Export()
 	n := 0
@@ -87,74 +96,92 @@ func (f *Fuzzer) Snapshot() *checkpoint.State {
 	return st
 }
 
-// Resume rebuilds a fuzzer from a checkpoint. opts must describe the same
-// campaign the checkpoint was taken from (dialect, seed, MaxLen); a
-// mismatch is an error, since the restored schedule would silently diverge
-// from the original.
+// Resume rebuilds a single-threaded campaign from its checkpoint. opts must
+// describe the same campaign (see CheckIdentity), and the checkpoint must
+// hold one worker and no barriers: a sharded campaign resumes only through
+// the sharded executor.
 func Resume(opts Options, st *checkpoint.State) (*Fuzzer, error) {
+	if st.Workers != 1 || len(st.Shards) != 1 || st.EpochStmts != 0 {
+		return nil, fmt.Errorf("resume: checkpoint was saved by the sharded executor (%d workers, %d-statement epochs), options select the single-threaded path",
+			st.Workers, st.EpochStmts)
+	}
+	if err := CheckIdentity(opts, st); err != nil {
+		return nil, err
+	}
+	f, err := ResumeShard(opts, &st.Shards[0])
+	if err != nil {
+		return nil, err
+	}
+	f.runner.Curve = slices.Clone(st.Curve)
+	return f, nil
+}
+
+// CheckIdentity reports whether opts describe the campaign the checkpoint
+// was taken from (dialect, seed, MaxLen); a mismatch is an error, since the
+// restored schedule would silently diverge from the original.
+func CheckIdentity(opts Options, st *checkpoint.State) error {
 	opts.fill()
 	if sqlt.Dialect(st.Dialect) != opts.Dialect {
-		return nil, fmt.Errorf("resume: checkpoint is for dialect %s, options say %s",
+		return fmt.Errorf("resume: checkpoint is for dialect %s, options say %s",
 			sqlt.Dialect(st.Dialect), opts.Dialect)
 	}
 	if st.Seed != opts.Seed || st.MaxLen != opts.MaxLen {
-		return nil, fmt.Errorf("resume: checkpoint campaign (seed %d, len %d) does not match options (seed %d, len %d)",
+		return fmt.Errorf("resume: checkpoint campaign (seed %d, len %d) does not match options (seed %d, len %d)",
 			st.Seed, st.MaxLen, opts.Seed, opts.MaxLen)
 	}
+	return nil
+}
 
+// ResumeShard rebuilds one worker from its checkpoint entry; opts carry the
+// worker's own seed. The structure library is rebuilt by harvesting the
+// pool in pool order, skipping split halves, which replays exactly the
+// Harvest calls that built it.
+func ResumeShard(opts Options, sh *checkpoint.Shard) (*Fuzzer, error) {
 	f := newFuzzer(opts)
-	f.src.SetState(st.RNG)
-	f.runner.Eng.SetFaultState(st.FaultState)
-	f.runner.Execs = st.Execs
-	f.runner.Stmts = st.Stmts
-	f.runner.EnginePanics = st.EnginePanics
+	f.src.SetState(sh.RNG)
+	f.runner.Execs = sh.Execs
+	f.runner.Stmts = sh.Stmts
+	f.runner.EnginePanics = sh.EnginePanics
 
-	var seeds []*corpus.Seed
-	for i, ps := range st.Pool {
+	seeds := make([]*corpus.Seed, len(sh.Pool))
+	for i, ps := range sh.Pool {
 		tc, err := sqlparse.ParseScript(ps.SQL)
 		if err != nil {
 			return nil, fmt.Errorf("resume: pool seed %d: %w", i, err)
 		}
-		seeds = append(seeds, &corpus.Seed{TC: tc, NewEdges: ps.NewEdges, Picked: ps.Picked})
+		seeds[i] = &corpus.Seed{TC: tc, NewEdges: ps.NewEdges, Picked: ps.Picked, Split: ps.Split}
+		if !ps.Split {
+			f.lib.Harvest(tc)
+		}
 	}
 	f.pool.Import(seeds)
 
-	importPairs(f.aff, st.Affinity)
-	importPairs(f.runner.GenAff, st.GenAffinity)
+	importPairs(f.aff, sh.Affinity)
+	importPairs(f.runner.GenAff, sh.GenAffinity)
 
 	var edges []coverage.EdgeState
-	for _, e := range st.Coverage {
+	for _, e := range sh.Coverage {
 		edges = append(edges, coverage.EdgeState{Idx: e.Idx, Mask: e.Mask})
 	}
 	f.runner.Cov.Import(edges)
 
-	crashes, err := ImportCrashes(opts.Dialect, st.Crashes)
+	crashes, err := ImportCrashes(opts.Dialect, sh.Crashes)
 	if err != nil {
 		return nil, fmt.Errorf("resume: %w", err)
 	}
 	f.runner.Oracle.Import(crashes)
 
-	f.runner.Curve = ImportCurve(st.Curve)
-
-	lib := map[sqlt.Type][]string{}
-	for t, sqls := range st.Library {
-		lib[sqlt.Type(t)] = sqls
-	}
-	if err := f.lib.Import(lib); err != nil {
-		return nil, fmt.Errorf("resume: library: %w", err)
-	}
-
 	var synth seqsynth.State
-	for _, seq := range st.SynthSeqs {
+	for _, seq := range sh.SynthSeqs {
 		synth.Seqs = append(synth.Seqs, importSeq(seq))
 	}
-	for _, t := range st.SynthStarts {
+	for _, t := range sh.SynthStarts {
 		synth.Starts = append(synth.Starts, sqlt.Type(t))
 	}
-	synth.Rot = st.SynthRot
+	synth.Rot = sh.SynthRot
 	f.synth.Import(synth)
 
-	for _, p := range st.Pending {
+	for _, p := range sh.Pending {
 		f.pending = append(f.pending, affinity.Pair{From: sqlt.Type(p[0]), To: sqlt.Type(p[1])})
 	}
 	return f, nil
@@ -242,7 +269,7 @@ func (f *Fuzzer) Triage(cfg triage.Config) triage.Summary {
 }
 
 // ExportCrashes converts an oracle's deduplicated crashes to checkpoint
-// form, in discovery order. Shared by single-shard snapshots and the sharded
+// form, in discovery order. Shared by worker snapshots and the sharded
 // executor's global-oracle export.
 func ExportCrashes(o *oracle.Oracle) []checkpoint.Crash {
 	crashes := o.Crashes()
@@ -296,58 +323,6 @@ func ImportCrashes(d sqlt.Dialect, crashes []checkpoint.Crash) ([]*oracle.Crash,
 		})
 	}
 	return out, nil
-}
-
-// ExportIncidents and ImportIncidents convert a supervised campaign's
-// incident journal between its live and checkpoint forms.
-func ExportIncidents(incidents []harness.Incident) []checkpoint.Incident {
-	var out []checkpoint.Incident
-	for _, in := range incidents {
-		out = append(out, checkpoint.Incident{
-			Epoch:   in.Epoch,
-			Shard:   in.Shard,
-			Kind:    in.Kind,
-			Retries: in.Retries,
-			Outcome: in.Outcome,
-			Detail:  in.Detail,
-		})
-	}
-	return out
-}
-
-// ImportIncidents is ExportIncidents's inverse.
-func ImportIncidents(incidents []checkpoint.Incident) []harness.Incident {
-	var out []harness.Incident
-	for _, in := range incidents {
-		out = append(out, harness.Incident{
-			Epoch:   in.Epoch,
-			Shard:   in.Shard,
-			Kind:    in.Kind,
-			Retries: in.Retries,
-			Outcome: in.Outcome,
-			Detail:  in.Detail,
-		})
-	}
-	return out
-}
-
-// ExportCurve and ImportCurve convert the coverage-over-time curve between
-// its live and checkpoint forms.
-func ExportCurve(curve []harness.CurvePoint) []checkpoint.CurvePoint {
-	out := makeN[checkpoint.CurvePoint](len(curve))
-	for i, p := range curve {
-		out[i] = checkpoint.CurvePoint{Execs: p.Execs, Edges: p.Edges}
-	}
-	return out
-}
-
-// ImportCurve is ExportCurve's inverse.
-func ImportCurve(curve []checkpoint.CurvePoint) []harness.CurvePoint {
-	var out []harness.CurvePoint
-	for _, p := range curve {
-		out = append(out, harness.CurvePoint{Execs: p.Execs, Edges: p.Edges})
-	}
-	return out
 }
 
 func exportPairs(m *affinity.Map) [][2]uint16 {

@@ -56,9 +56,10 @@ type Options struct {
 	// Hazards arms the seeded bug corpus on the target engine.
 	Hazards bool
 	// FaultRate arms the engine's deterministic fault injector: organic
-	// (non-BugReport) panics are raised at this per-statement probability
-	// and must be contained by the harness instead of killing the
-	// campaign. Zero disables injection.
+	// (non-BugReport) panics are raised at this per-statement, per-site
+	// probability and must be contained by the harness instead of killing
+	// the campaign. The engine's FaultSeed is Seed, so each shard of a
+	// sharded campaign draws its own schedule. Zero disables injection.
 	FaultRate float64
 	// DisablePlanCache runs every expression through the tree-walking
 	// interpreter instead of the engine's compiled plans. Campaigns are
@@ -173,6 +174,9 @@ func (f *Fuzzer) Name() string {
 	return "LEGO"
 }
 
+// Options returns the fuzzer's options, defaults filled in.
+func (f *Fuzzer) Options() Options { return f.opts }
+
 // Runner implements harness.Fuzzer.
 func (f *Fuzzer) Runner() *harness.Runner { return f.runner }
 
@@ -191,7 +195,8 @@ func (f *Fuzzer) Library() *instantiate.Library { return f.lib }
 // ingest retains a test case that contributed coverage: it joins the seed
 // pool, its AST structures enter the library, its first statement's type
 // becomes a synthesis start, and its type sequence is analyzed for new
-// affinities (Algorithm 2), which are queued for synthesis.
+// affinities (Algorithm 2), which are queued for synthesis. Split halves
+// join the pool only, marked so that Resume's library rebuild skips them.
 func (f *Fuzzer) ingest(tc sqlast.TestCase, newEdges int) {
 	f.pool.Add(tc, newEdges)
 	f.lib.Harvest(tc)
@@ -203,7 +208,7 @@ func (f *Fuzzer) ingest(tc sqlast.TestCase, newEdges int) {
 			if len(half) == 0 {
 				continue
 			}
-			f.pool.Add(half, newEdges/2)
+			f.pool.Add(half, newEdges/2).Split = true
 		}
 	}
 	if !f.opts.DisableSequenceAlgorithms {

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
-	"os"
 	"strings"
 	"testing"
 
@@ -24,8 +22,8 @@ func snapshotJSON(t *testing.T, f *Fuzzer) []byte {
 // TestDeterministicResume is the acceptance test for checkpoint/resume:
 // a campaign checkpointed mid-flight and resumed in a brand-new fuzzer must
 // reach the *identical* final state — schedule, coverage, affinities, bugs,
-// RNG position — as the campaign that kept running. Fault injection is armed
-// so the injector stream is part of what must survive the round trip.
+// RNG position — as the campaign that kept running. Fault injection is armed,
+// so the keyed fault schedule must also continue across the round trip.
 func TestDeterministicResume(t *testing.T) {
 	opts := Options{Dialect: sqlt.DialectMariaDB, Seed: 11, Hazards: true, FaultRate: 0.002}
 
@@ -73,39 +71,47 @@ func TestDeterministicResume(t *testing.T) {
 	}
 }
 
-// TestResumeFromIndentedCheckpoint: earlier builds wrote the checkpoint
-// file with json.MarshalIndent, which is this build's compact file passed
-// through json.Indent. Such a file must resume into the campaign state it
-// was saved from.
-func TestResumeFromIndentedCheckpoint(t *testing.T) {
-	opts := Options{Dialect: sqlt.DialectMariaDB, Seed: 11, Hazards: true, FaultRate: 0.002}
-	f := New(opts)
-	f.Run(8000)
+// TestDeterministicResumeWithSplitSeeds: the structure library is not
+// saved but rebuilt from the pool, skipping the halves seed splitting adds.
+// A snapshot holding split halves must resume to the byte-identical final
+// state of the campaign that kept running; a library rebuilt with one
+// entry too many or too few would change the instantiator's picks.
+func TestDeterministicResumeWithSplitSeeds(t *testing.T) {
+	opts := Options{Dialect: sqlt.DialectMariaDB, Seed: 4, Hazards: true, MaxLen: 3, SplitLongSeeds: true}
+	ref := New(opts)
+	ref.Run(8000)
+	mid := ref.Snapshot()
+	libSize, libTypes := ref.lib.Size(), ref.lib.TypesCovered()
+	ref.Run(20000)
+
+	splits := 0
+	for _, ps := range mid.Shards[0].Pool {
+		if ps.Split {
+			splits++
+		}
+	}
+	if splits == 0 {
+		t.Fatal("mid-campaign snapshot holds no split halves; the test exercises nothing")
+	}
 	path := t.TempDir() + "/camp.ckpt"
-	if err := checkpoint.Save(path, f.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	compact, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var legacy bytes.Buffer
-	if err := json.Indent(&legacy, compact, "", " "); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, legacy.Bytes(), 0o644); err != nil {
+	if err := checkpoint.Save(path, mid); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := checkpoint.Load(path)
 	if err != nil {
-		t.Fatalf("indented checkpoint must load: %v", err)
+		t.Fatal(err)
 	}
 	resumed, err := Resume(opts, loaded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want, got := snapshotJSON(t, f), snapshotJSON(t, resumed); !bytes.Equal(got, want) {
-		t.Fatalf("resumed state differs\nsaved:   %.400s\nresumed: %.400s", want, got)
+	if resumed.lib.Size() != libSize || resumed.lib.TypesCovered() != libTypes {
+		t.Fatalf("rebuilt library holds %d structures of %d types, the live one %d of %d",
+			resumed.lib.Size(), resumed.lib.TypesCovered(), libSize, libTypes)
+	}
+	resumed.Run(20000)
+	if a, b := snapshotJSON(t, ref), snapshotJSON(t, resumed); string(a) != string(b) {
+		t.Fatalf("final snapshots differ\nref:     %.400s\nresumed: %.400s", a, b)
 	}
 }
 

@@ -14,8 +14,9 @@ import (
 type Seed struct {
 	ID       int
 	TC       sqlast.TestCase
-	NewEdges int // edges this seed contributed when added
-	Picked   int // times scheduled
+	NewEdges int  // edges this seed contributed when added
+	Picked   int  // times scheduled
+	Split    bool // a half cut from a long seed, not harvested into the library
 }
 
 // Types returns the seed's SQL Type Sequence.

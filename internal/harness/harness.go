@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"github.com/seqfuzz/lego/internal/affinity"
+	"github.com/seqfuzz/lego/internal/checkpoint"
 	"github.com/seqfuzz/lego/internal/coverage"
 	"github.com/seqfuzz/lego/internal/minidb"
 	"github.com/seqfuzz/lego/internal/oracle"
@@ -17,11 +18,9 @@ import (
 	"github.com/seqfuzz/lego/internal/sqlt"
 )
 
-// CurvePoint is one sample of the branch-coverage curve (Figure 9).
-type CurvePoint struct {
-	Execs int
-	Edges int
-}
+// CurvePoint is one sample of the branch-coverage curve (Figure 9), in the
+// form checkpoints carry it.
+type CurvePoint = checkpoint.CurvePoint
 
 // Runner executes test cases and accumulates campaign state.
 type Runner struct {
@@ -46,8 +45,7 @@ type Runner struct {
 	Curve        []CurvePoint
 	curveEvery   int
 
-	// cfg rebuilds the engine after a contained panic (quarantine) and is
-	// recorded in checkpoints.
+	// cfg rebuilds the engine after a contained panic (quarantine).
 	cfg minidb.Config
 
 	// retiredPlanStats accumulates plan-cache counters from engines retired
@@ -125,18 +123,15 @@ func (r *Runner) runContained(tc sqlast.TestCase) (out minidb.Outcome) {
 		out.Crash = minidb.OrganicReport(rec, r.Eng.Dialect(), r.Eng.TypeWindow(), buf)
 		r.quarantine()
 	}()
-	return r.Eng.RunTestCase(tc)
+	return r.Eng.RunTestCaseAt(tc, r.Execs)
 }
 
 // quarantine discards the possibly-corrupt engine after an organic panic
-// and rebuilds a fresh one from the campaign configuration, carrying over
-// the fault injector's stream so contained faults do not restart the fault
-// schedule.
+// and rebuilds a fresh one from the campaign configuration. Fault decisions
+// are keyed by exec index, so the fresh engine continues the schedule.
 func (r *Runner) quarantine() {
-	faultState := r.Eng.FaultState()
 	r.retiredPlanStats.Add(r.Eng.PlanStats())
 	r.Eng = minidb.New(r.cfg)
-	r.Eng.SetFaultState(faultState)
 }
 
 // PlanStats reports the campaign's plan-cache counters, including engines

@@ -1,6 +1,9 @@
 package harness
 
-import "github.com/seqfuzz/lego/internal/minidb"
+import (
+	"github.com/seqfuzz/lego/internal/checkpoint"
+	"github.com/seqfuzz/lego/internal/minidb"
+)
 
 // Incident kinds: what felled the worker.
 const (
@@ -29,22 +32,8 @@ const (
 // worker failure and the supervisor's resolution. Incidents are part of the
 // campaign's deterministic output — same seed and chaos schedule, same
 // journal — which is what makes the supervision machinery testable at all.
-type Incident struct {
-	// Epoch is the barrier-to-barrier interval the failure struck in.
-	Epoch int
-	// Shard is the failed worker's index.
-	Shard int
-	// Kind classifies the failure (the Incident* kind constants).
-	Kind string
-	// Retries is the shard's cumulative retry tally after this incident.
-	Retries int
-	// Outcome records the supervisor's decision (the Incident* outcome
-	// constants).
-	Outcome string
-	// Detail carries deterministic context: an injected fault's coordinates,
-	// or an organic panic's normalized stack.
-	Detail string
-}
+// The live journal is the checkpointed one.
+type Incident = checkpoint.Incident
 
 // NormalizeStack reduces a runtime.Stack capture to deterministic bare frame
 // names — no addresses, offsets, or line numbers — so panics recovered at

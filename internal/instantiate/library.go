@@ -61,43 +61,6 @@ func (l *Library) Pick(rng *rand.Rand, t sqlt.Type) sqlast.Statement {
 	return sqlparse.CloneStatement(bucket[rng.Intn(len(bucket))])
 }
 
-// Export returns the stored structures' SQL per type, in storage order, for
-// checkpointing.
-func (l *Library) Export() map[sqlt.Type][]string {
-	out := make(map[sqlt.Type][]string, len(l.byType))
-	for t, bucket := range l.byType {
-		if len(bucket) == 0 {
-			continue
-		}
-		sqls := make([]string, len(bucket))
-		for i, s := range bucket {
-			sqls[i] = s.SQL()
-		}
-		out[t] = sqls
-	}
-	return out
-}
-
-// Import replaces the library's contents with parsed statements. A
-// statement that no longer parses is reported, since silently dropping it
-// would desynchronize a resumed campaign.
-func (l *Library) Import(m map[sqlt.Type][]string) error {
-	byType := make(map[sqlt.Type][]sqlast.Statement, len(m))
-	for t, sqls := range m {
-		bucket := make([]sqlast.Statement, 0, len(sqls))
-		for _, sql := range sqls {
-			s, err := sqlparse.Parse(sql)
-			if err != nil {
-				return err
-			}
-			bucket = append(bucket, s)
-		}
-		byType[t] = bucket
-	}
-	l.byType = byType
-	return nil
-}
-
 // Size returns the total number of stored structures.
 func (l *Library) Size() int {
 	n := 0

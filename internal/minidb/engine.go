@@ -1,6 +1,7 @@
 package minidb
 
 import (
+	"github.com/seqfuzz/lego/internal/chaos"
 	"github.com/seqfuzz/lego/internal/coverage"
 	"github.com/seqfuzz/lego/internal/sqlast"
 	"github.com/seqfuzz/lego/internal/sqlt"
@@ -46,14 +47,17 @@ type Config struct {
 	// EnableHazards arms the seeded bug corpus (bugs.go). Disarmed engines
 	// are used by tests that exercise pure SQL semantics.
 	EnableHazards bool
-	// FaultRate arms the deterministic fault injector: each top-level
-	// statement panics with a non-BugReport value with this probability
-	// (fault.go). It models *organic* engine defects — the panics the
-	// harness must contain without dying — and exists to prove crash
-	// containment, not to find bugs. Zero disables injection.
+	// FaultRate arms the deterministic fault injector: before and after
+	// dispatch, each top-level statement panics with a non-BugReport value
+	// with this probability (fault.go). It models *organic* engine defects
+	// — the panics the harness must contain without dying — and exists to
+	// prove crash containment, not to find bugs. Zero or negative disables
+	// injection.
 	FaultRate float64
-	// FaultSeed seeds the injector's private RNG (default 1), keeping
-	// fault schedules reproducible per campaign.
+	// FaultSeed selects the fault schedule (default 1): each decision is
+	// drawn by internal/chaos from (FaultSeed, exec index, statement index,
+	// site), so equal seeds see equal faults. A sharded campaign gives
+	// shard i the seed Seed+i.
 	FaultSeed int64
 	// DisablePlanCache sends every row at every evaluation site through
 	// the tree-walking interpreter, with no compilation at all (rowEval in
@@ -164,7 +168,7 @@ func New(cfg Config) *Engine {
 		e.hazards = bugsFor(cfg.Dialect)
 	}
 	if cfg.FaultRate > 0 {
-		e.faults = newFaultInjector(cfg.FaultRate, cfg.FaultSeed)
+		e.faults = &faultInjector{plane: chaos.New(cfg.FaultRate, cfg.FaultSeed)}
 	}
 	e.reset()
 	return e
@@ -247,10 +251,21 @@ type Outcome struct {
 	Errs []error
 }
 
+// RunTestCaseAt is RunTestCase for the exec-th test case of a campaign: the
+// index keys the armed fault injector's decisions, so each execution draws
+// its own faults. The harness passes its execution count.
+func (e *Engine) RunTestCaseAt(tc sqlast.TestCase, exec int) Outcome {
+	if e.faults != nil {
+		e.faults.exec = exec
+	}
+	return e.RunTestCase(tc)
+}
+
 // RunTestCase executes the test case against a fresh database, recording
 // coverage into the engine's tracer (which the caller is expected to have
 // Reset). Seeded-bug panics are captured into the outcome; any other panic
-// is re-raised, since it would be a genuine engine defect.
+// is re-raised, since it would be a genuine engine defect. Armed faults are
+// keyed by the exec index of the last RunTestCaseAt (0 on a new engine).
 func (e *Engine) RunTestCase(tc sqlast.TestCase) (out Outcome) {
 	e.reset()
 	if cap(e.resBuf) < len(tc) {
@@ -315,11 +330,11 @@ func (e *Engine) ExecStmt(s sqlast.Statement) (*Result, error) {
 	e.triggerFires = 0
 	e.stepsUsed = 0
 	if e.faults != nil {
-		e.faults.beforeDispatch()
+		e.faults.beforeDispatch(e.stmtIndex)
 	}
 	res, err := e.dispatch(s)
 	if e.faults != nil {
-		e.faults.afterDispatch()
+		e.faults.afterDispatch(e.stmtIndex)
 	}
 
 	// The type window records *attempted* statements: real DBMS crashes
@@ -514,24 +529,6 @@ func (e *Engine) chargeStep() error {
 // harness uses it to account statements faithfully when containing an
 // organic engine panic.
 func (e *Engine) StmtProgress() int { return e.stmtIndex + 1 }
-
-// FaultState exports the fault injector's RNG state (zero when injection is
-// disabled) so containment rebuilds and checkpoints preserve the fault
-// schedule instead of replaying it from the seed.
-func (e *Engine) FaultState() uint64 {
-	if e.faults == nil {
-		return 0
-	}
-	return e.faults.state
-}
-
-// SetFaultState restores injector state exported by FaultState. It is a
-// no-op when injection is disabled or state is zero.
-func (e *Engine) SetFaultState(s uint64) {
-	if e.faults != nil && s != 0 {
-		e.faults.state = s
-	}
-}
 
 // lookTable resolves a table name, returning a SQL error when missing.
 func (e *Engine) lookTable(name string) (*Table, error) {

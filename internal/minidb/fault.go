@@ -1,38 +1,26 @@
 package minidb
 
-import "fmt"
+import (
+	"fmt"
 
-// faultInjector deterministically raises non-BugReport panics at statement
-// dispatch, simulating the organic engine defects (nil derefs, slice
-// overruns, logic bombs) a real in-process substrate accumulates over time.
-// AFL++ survives those because the DBMS runs in a forked child; our harness
-// must survive them via crash containment (harness.Runner), and the injector
-// exists so tests can prove that containment under load.
+	"github.com/seqfuzz/lego/internal/chaos"
+)
+
+// faultInjector raises non-BugReport panics at statement dispatch,
+// simulating the organic engine defects (nil derefs, slice overruns, logic
+// bombs) a real in-process substrate accumulates over time. AFL++ survives
+// those because the DBMS runs in a forked child; our harness must survive
+// them via crash containment (harness.Runner), and the injector exists so
+// tests can prove that containment under load.
 //
-// The injector owns a private splitmix64 stream so fault schedules are a
-// pure function of (FaultRate, FaultSeed) — independent of the fuzzer's RNG
-// and reproducible across runs.
+// Each decision comes from the chaos plane, keyed by (exec, statement,
+// site) under FaultSeed, so the schedule is a pure function of (FaultRate,
+// FaultSeed) with no cursor: an engine rebuilt after a contained panic, or
+// restored from a checkpoint, draws exactly the faults the original would
+// have.
 type faultInjector struct {
-	rate  float64
-	state uint64
-	n     int // faults raised so far
-}
-
-func newFaultInjector(rate float64, seed int64) *faultInjector {
-	if seed == 0 {
-		seed = 1
-	}
-	return &faultInjector{rate: rate, state: uint64(seed)}
-}
-
-// next draws a uniform float in [0, 1) from the private stream.
-func (f *faultInjector) next() float64 {
-	f.state += 0x9e3779b97f4a7c15
-	z := f.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return float64(z>>11) / (1 << 53)
+	plane *chaos.Injector
+	exec  int // the harness's index of the running test case
 }
 
 // beforeDispatch and afterDispatch are two distinct injection sites: the
@@ -43,19 +31,17 @@ func (f *faultInjector) next() float64 {
 // beforeDispatch raises a pre-dispatch organic fault.
 //
 //lego:injector
-func (f *faultInjector) beforeDispatch() {
-	if f.next() < f.rate {
-		f.n++
-		panic(fmt.Errorf("injected engine fault #%d (pre-dispatch)", f.n))
+func (f *faultInjector) beforeDispatch(stmt int) {
+	if f.plane.EngineFault(f.exec, stmt, 0) {
+		panic(fmt.Errorf("injected engine fault at exec %d, statement %d (pre-dispatch)", f.exec, stmt))
 	}
 }
 
 // afterDispatch raises a post-dispatch organic fault.
 //
 //lego:injector
-func (f *faultInjector) afterDispatch() {
-	if f.next() < f.rate {
-		f.n++
-		panic(fmt.Errorf("injected engine fault #%d (post-dispatch)", f.n))
+func (f *faultInjector) afterDispatch(stmt int) {
+	if f.plane.EngineFault(f.exec, stmt, 1) {
+		panic(fmt.Errorf("injected engine fault at exec %d, statement %d (post-dispatch)", f.exec, stmt))
 	}
 }

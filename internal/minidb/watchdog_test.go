@@ -1,6 +1,7 @@
 package minidb
 
 import (
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -84,16 +85,24 @@ func TestWatchdogDefaultNeverTripsOnSeeds(t *testing.T) {
 	}
 }
 
+// TestFaultInjectorDeterministicSchedule: the fault schedule is a pure
+// function of (FaultRate, FaultSeed, exec index). Two engines agree, and an
+// engine rebuilt before every execution — as containment rebuilds one after
+// each contained panic — draws the same faults with no state carried over.
 func TestFaultInjectorDeterministicSchedule(t *testing.T) {
-	run := func() []int {
-		e := New(Config{Dialect: sqlt.DialectPostgres, FaultRate: 0.3, FaultSeed: 42})
-		tc := sqlparse.MustParseScript(
-			"CREATE TABLE t (a INT); INSERT INTO t VALUES (1); SELECT * FROM t;")
+	cfg := Config{Dialect: sqlt.DialectPostgres, FaultRate: 0.3, FaultSeed: 42}
+	tc := sqlparse.MustParseScript(
+		"CREATE TABLE t (a INT); INSERT INTO t VALUES (1); SELECT * FROM t;")
+	run := func(rebuild bool) []int {
+		e := New(cfg)
 		var panicsAt []int
 		for i := 0; i < 50; i++ {
+			if rebuild {
+				e = New(cfg)
+			}
 			out := func() (out Outcome) {
 				defer func() { recover() }()
-				return e.RunTestCase(tc)
+				return e.RunTestCaseAt(tc, i)
 			}()
 			if out.Executed == 0 { // zeroed Outcome: the run panicked
 				panicsAt = append(panicsAt, i)
@@ -101,45 +110,16 @@ func TestFaultInjectorDeterministicSchedule(t *testing.T) {
 		}
 		return panicsAt
 	}
-	a, b := run(), run()
+	a, b, c := run(false), run(false), run(true)
 	if len(a) == 0 {
 		t.Fatal("rate 0.3 over 150 statements must inject at least one fault")
 	}
-	if len(a) != len(b) {
-		t.Fatalf("schedules differ: %v vs %v", a, b)
+	if len(a) == 50 {
+		t.Fatal("rate 0.3 faulted every execution: the exec index does not key the schedule")
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("schedules differ at %d: %v vs %v", i, a, b)
-		}
+	if !reflect.DeepEqual(a, b) || !reflect.DeepEqual(a, c) {
+		t.Fatalf("schedules differ:\n%v\n%v\nrebuilt %v", a, b, c)
 	}
-}
-
-func TestFaultStateExportRestore(t *testing.T) {
-	e1 := New(Config{Dialect: sqlt.DialectPostgres, FaultRate: 0.5, FaultSeed: 7})
-	// advance the stream
-	for i := 0; i < 10; i++ {
-		e1.faults.next()
-	}
-	st := e1.FaultState()
-	if st == 0 {
-		t.Fatal("armed injector must export non-zero state")
-	}
-
-	e2 := New(Config{Dialect: sqlt.DialectPostgres, FaultRate: 0.5, FaultSeed: 7})
-	e2.SetFaultState(st)
-	for i := 0; i < 20; i++ {
-		if a, b := e1.faults.next(), e2.faults.next(); a != b {
-			t.Fatalf("restored stream diverges at draw %d: %v vs %v", i, a, b)
-		}
-	}
-
-	// Disarmed engines export zero and ignore restores.
-	d := New(Config{Dialect: sqlt.DialectPostgres})
-	if d.FaultState() != 0 {
-		t.Fatal("disarmed engine must export zero fault state")
-	}
-	d.SetFaultState(123) // must not panic
 }
 
 func TestOrganicReportNormalizesAndDeduplicates(t *testing.T) {

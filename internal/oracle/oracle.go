@@ -21,8 +21,8 @@ type Crash struct {
 	Hits        int // total times the same stack was observed
 
 	// Triage results, filled by internal/triage at campaign end and
-	// persisted in checkpoints (format v2). Zero values mean the crash has
-	// not been triaged.
+	// persisted in checkpoints. Zero values mean the crash has not been
+	// triaged.
 	Status       string // triage.Stable / Flaky / Lost, "" before triage
 	OriginalLen  int    // statements in the reproducer before minimization
 	MinimizedLen int    // statements after minimization

@@ -2,36 +2,38 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/seqfuzz/lego/internal/checkpoint"
 	"github.com/seqfuzz/lego/internal/core"
 )
 
 // Snapshot captures the whole sharded campaign as a checkpoint state: one
-// complete per-worker state per shard (in shard-index order) plus the
-// merged global view at the top level. Snapshots are only taken at epoch
-// barriers, so the nested shard states are exactly the states an
-// uninterrupted campaign passes through.
+// worker entry per shard (in shard-index order) plus the merged global view
+// at the top level. Snapshots are only taken at epoch barriers, so the
+// worker entries are exactly the states an uninterrupted campaign passes
+// through.
 //
-// The supervision fields are written only when used — chaos identity only
-// when the chaos plane is armed, the retry budget only when it matters for
-// resume identity — so an unsupervised campaign's snapshot stays a clean v3
-// state, byte-identical to pre-supervision builds (checkpoint.Save stamps
-// the matching version).
+// The chaos identity is written only when the chaos plane is armed, and the
+// retry budget only once it can shape the schedule, so Resume can insist on
+// exactly the values that matter.
 func (e *Executor) Snapshot() *checkpoint.State {
-	shards := make([]*checkpoint.State, len(e.shards))
+	shards := make([]checkpoint.Shard, len(e.shards))
 	for i, sh := range e.shards {
-		ss := sh.Snapshot()
-		ss.Quarantined = e.quarantined[i]
-		ss.Retries = e.retries[i]
-		shards[i] = ss
+		shards[i] = sh.SnapshotShard()
+		shards[i].Quarantined = e.quarantined[i]
+		shards[i].Retries = e.retries[i]
 	}
+	// Campaign identity comes from shard 0, which runs the base seed.
+	co := e.shards[0].Options()
 	st := &checkpoint.State{
-		// Campaign identity comes from shard 0 (all shards agree on
-		// everything but the RNG stream, which each nested state carries).
-		Dialect: shards[0].Dialect,
-		Seed:    shards[0].Seed,
-		MaxLen:  shards[0].MaxLen,
+		Dialect: uint8(co.Dialect),
+		Seed:    co.Seed,
+		MaxLen:  co.MaxLen,
+
+		Workers:    len(e.shards),
+		EpochStmts: e.opts.EpochStmts,
+		Epoch:      e.epoch,
 
 		// Global aggregates: counters are totals, the curve is the
 		// barrier-sampled global curve, and the crashes are the merged
@@ -39,15 +41,11 @@ func (e *Executor) Snapshot() *checkpoint.State {
 		Execs:        e.Execs(),
 		Stmts:        e.Stmts(),
 		EnginePanics: e.EnginePanics(),
-		Curve:        core.ExportCurve(e.curve),
+		Curve:        slices.Clone(e.curve),
 		Crashes:      core.ExportCrashes(e.oracle),
 
-		Workers:    len(e.shards),
-		EpochStmts: e.opts.EpochStmts,
-		Epoch:      e.epoch,
-		Shards:     shards,
-
-		Incidents: core.ExportIncidents(e.incidents),
+		Incidents: slices.Clone(e.incidents),
+		Shards:    shards,
 	}
 	if e.opts.ChaosRate != 0 {
 		st.ChaosRate = e.opts.ChaosRate
@@ -64,20 +62,19 @@ func (e *Executor) Snapshot() *checkpoint.State {
 // Resume rebuilds a sharded campaign from a checkpoint. The topology
 // (Workers, EpochStmts) is part of the campaign's identity — resuming under
 // a different one would move every epoch barrier — so mismatches fail
-// loudly, like core.Resume does for seed and dialect.
-//
-// A v2 (or otherwise single-shard) checkpoint resumes as a one-worker
-// campaign: the top-level state is the worker.
+// loudly, like core.CheckIdentity does for seed and dialect.
 func Resume(opts Options, st *checkpoint.State) (*Executor, error) {
 	opts.fill()
-	stWorkers := st.Workers
-	if stWorkers == 0 {
-		stWorkers = 1 // pre-v3 and single-shard checkpoints omit the field
+	if err := core.CheckIdentity(opts.Core, st); err != nil {
+		return nil, err
 	}
-	if stWorkers != opts.Workers {
-		return nil, fmt.Errorf("shard: resume: checkpoint has %d workers, options request %d", stWorkers, opts.Workers)
+	if st.Workers != opts.Workers || len(st.Shards) != opts.Workers {
+		return nil, fmt.Errorf("shard: resume: checkpoint has %d workers (%d shard entries), options request %d", st.Workers, len(st.Shards), opts.Workers)
 	}
-	if st.Workers != 0 && st.EpochStmts != opts.EpochStmts {
+	if st.EpochStmts < 1 {
+		return nil, fmt.Errorf("shard: resume: checkpoint has no epoch budget (%d statements): it was saved on the single-threaded path", st.EpochStmts)
+	}
+	if st.EpochStmts != opts.EpochStmts {
 		return nil, fmt.Errorf("shard: resume: checkpoint epoch budget is %d statements, options request %d", st.EpochStmts, opts.EpochStmts)
 	}
 	// The chaos identity is campaign identity: the fault schedule shapes the
@@ -97,31 +94,16 @@ func Resume(opts Options, st *checkpoint.State) (*Executor, error) {
 	e.epoch = st.Epoch
 	e.retries = make([]int, opts.Workers)
 	e.quarantined = make([]bool, opts.Workers)
-	e.incidents = core.ImportIncidents(st.Incidents)
-	if len(st.Shards) == 0 {
-		// Single-shard: the worker state lives at the top level. Fast-forward
-		// the epoch counter past the statements already executed so the
-		// first new epoch is not a ladder of empty barriers.
-		f, err := core.Resume(opts.Core, st)
+	e.incidents = slices.Clone(st.Incidents)
+	for i := range st.Shards {
+		ss := &st.Shards[i]
+		f, err := core.ResumeShard(e.coreOpts(i), ss)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("shard: resume shard %d: %w", i, err)
 		}
-		e.shards = []*core.Fuzzer{f}
-		if st.Workers == 0 {
-			e.epoch = st.Stmts / opts.EpochStmts
-		}
-		e.quarantined[0] = st.Quarantined
-		e.retries[0] = st.Retries
-	} else {
-		for i, ss := range st.Shards {
-			f, err := core.Resume(e.coreOpts(i), ss)
-			if err != nil {
-				return nil, fmt.Errorf("shard: resume shard %d: %w", i, err)
-			}
-			e.shards = append(e.shards, f)
-			e.quarantined[i] = ss.Quarantined
-			e.retries[i] = ss.Retries
-		}
+		e.shards = append(e.shards, f)
+		e.quarantined[i] = ss.Quarantined
+		e.retries[i] = ss.Retries
 	}
 
 	// Snapshots are taken post-barrier, so every shard's pool deltas have
@@ -134,20 +116,13 @@ func Resume(opts Options, st *checkpoint.State) (*Executor, error) {
 	}
 
 	// The top-level crash list is the merged global oracle and the only
-	// copy carrying triage results; prefer it over re-merging the shards,
-	// which would resurrect pre-triage fields.
-	if len(st.Crashes) > 0 {
-		crashes, err := core.ImportCrashes(opts.Core.Dialect, st.Crashes)
-		if err != nil {
-			return nil, fmt.Errorf("shard: resume: %w", err)
-		}
-		e.oracle.Import(crashes)
-	} else {
-		for _, sh := range e.shards {
-			e.oracle.Merge(sh.Runner().Oracle)
-		}
+	// copy carrying triage results.
+	crashes, err := core.ImportCrashes(opts.Core.Dialect, st.Crashes)
+	if err != nil {
+		return nil, fmt.Errorf("shard: resume: %w", err)
 	}
-	e.curve = core.ImportCurve(st.Curve)
+	e.oracle.Import(crashes)
+	e.curve = slices.Clone(st.Curve)
 	// The restored states are barrier states; if supervision is armed, the
 	// first runEpoch re-snapshots them lazily before any worker runs.
 	return e, nil

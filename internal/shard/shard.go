@@ -141,7 +141,7 @@ type Executor struct {
 	// epochs. incidents is the campaign's failure journal, and chaos/fs the
 	// injected-fault schedule and the (possibly fault-injecting) filesystem
 	// checkpoint saves should route through.
-	snaps       []*checkpoint.State
+	snaps       []*checkpoint.Shard
 	snapEpoch   int
 	retries     []int
 	quarantined []bool

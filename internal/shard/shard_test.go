@@ -185,33 +185,6 @@ func TestResumeRejectsMismatchedTopology(t *testing.T) {
 	}
 }
 
-// TestSingleShardCheckpointResumes: a checkpoint written by the plain
-// single-threaded path (no topology fields — the v2 layout) resumes as a
-// one-worker sharded campaign, and refuses to fan out into more workers.
-func TestSingleShardCheckpointResumes(t *testing.T) {
-	opts := testOptions(1)
-	f := core.New(opts.Core)
-	f.Run(3000)
-	st := f.Snapshot()
-
-	e, err := Resume(opts, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Workers() != 1 || e.Execs() != f.Runner().Execs {
-		t.Fatalf("single-shard resume: workers=%d execs=%d, want 1 worker at execs=%d",
-			e.Workers(), e.Execs(), f.Runner().Execs)
-	}
-	// The epoch counter fast-forwards past the executed statements so the
-	// next epoch is not a ladder of empty barriers.
-	if want := f.Runner().Stmts / opts.EpochStmts; e.Epoch() != want {
-		t.Fatalf("fast-forwarded epoch = %d, want %d", e.Epoch(), want)
-	}
-	if _, err := Resume(testOptions(4), st); err == nil {
-		t.Fatal("resuming a single-shard checkpoint as 4 workers must fail")
-	}
-}
-
 // TestCurveIsBarrierSampled: the global curve carries one point per
 // progressing barrier, with strictly increasing exec counts and a final
 // point matching the campaign totals.

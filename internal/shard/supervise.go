@@ -15,8 +15,8 @@ import (
 // This file is the executor's supervision plane: workers run under recover,
 // and a worker that fails mid-epoch — an injected chaos fault, or a real
 // panic escaping the harness — never takes the campaign down. The epoch is
-// the unit of recovery: every merge barrier snapshots every shard (plain
-// checkpoint states, the same machinery that serializes campaigns to disk),
+// the unit of recovery: every merge barrier snapshots every shard (the
+// checkpoint.Shard entries a campaign saved to disk holds),
 // so a failed shard discards its partial epoch, restores the snapshot, and
 // re-runs the epoch deterministically. Re-runs draw against a cumulative
 // per-shard retry budget; exhausting it quarantines the shard — it keeps its
@@ -214,7 +214,7 @@ func (e *Executor) restore(i int) {
 	if e.snaps == nil || e.snaps[i] == nil {
 		panic(fmt.Sprintf("shard: restore shard %d: no barrier snapshot (supervision not armed at epoch start?)", i))
 	}
-	f, err := core.Resume(e.coreOpts(i), e.snaps[i])
+	f, err := core.ResumeShard(e.coreOpts(i), e.snaps[i])
 	if err != nil {
 		panic(fmt.Sprintf("shard: restore shard %d from barrier snapshot: %v", i, err))
 	}
@@ -227,11 +227,12 @@ func (e *Executor) restore(i int) {
 // not moved since.
 func (e *Executor) refreshSnaps() {
 	if e.snaps == nil {
-		e.snaps = make([]*checkpoint.State, len(e.shards))
+		e.snaps = make([]*checkpoint.Shard, len(e.shards))
 	}
 	for i, sh := range e.shards {
 		if !e.quarantined[i] || e.snaps[i] == nil {
-			e.snaps[i] = sh.Snapshot()
+			snap := sh.SnapshotShard()
+			e.snaps[i] = &snap
 		}
 	}
 }

@@ -56,6 +56,20 @@ func isIdentCont(c byte) bool {
 	return isIdentStart(c) || (c >= '0' && c <= '9') || c == '$'
 }
 
+// PlainIdent reports whether s lexes as one unquoted identifier, so that it
+// can be written without quotes.
+func PlainIdent(s string) bool {
+	if s == "" || !isIdentStart(s[0]) {
+		return false
+	}
+	for i := 1; i < len(s); i++ {
+		if !isIdentCont(s[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 // Next returns the next token, or an EOF token at end of input.

@@ -32,7 +32,7 @@ type parser struct {
 // Parse parses a single SQL statement (an optional trailing semicolon is
 // allowed).
 func Parse(sql string) (sqlast.Statement, error) {
-	toks, err := sqllex.Tokenize(sql)
+	toks, err := tokenize(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -48,9 +48,26 @@ func Parse(sql string) (sqlast.Statement, error) {
 	return s, nil
 }
 
+// tokenize lexes sql for the parser. The renderer writes names unquoted, so
+// a quoted identifier is accepted only when it is a plain name: then it
+// lexes to the same token unquoted, and every parsed script renders to SQL
+// that parses back to it.
+func tokenize(sql string) ([]sqllex.Token, error) {
+	toks, err := sqllex.Tokenize(sql)
+	if err != nil {
+		return nil, err
+	}
+	for _, t := range toks {
+		if t.Kind == sqllex.Ident && !sqllex.PlainIdent(t.Text) {
+			return nil, &Error{Pos: t.Pos, Msg: fmt.Sprintf("identifier %q is not a plain name", t.Text)}
+		}
+	}
+	return toks, nil
+}
+
 // ParseScript parses a semicolon-separated script into a test case.
 func ParseScript(sql string) (sqlast.TestCase, error) {
-	toks, err := sqllex.Tokenize(sql)
+	toks, err := tokenize(sql)
 	if err != nil {
 		return nil, err
 	}

@@ -966,6 +966,11 @@ func (p *parser) setStmt() (sqlast.Statement, error) {
 			} else {
 				name = strings.TrimPrefix(name, "@@")
 			}
+			// The name renders bare after the scope keyword, so it must be
+			// a plain name without the sigil to parse back to itself.
+			if !sqllex.PlainIdent(name) || strings.HasPrefix(name, "@@") {
+				return nil, p.errf("bad variable name %q", name)
+			}
 		}
 		var val sqlast.Expr
 		if p.acceptOp("=") || p.accept("TO") {

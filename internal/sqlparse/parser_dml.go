@@ -482,6 +482,9 @@ func (p *parser) selectItem() (*sqlast.SelectItem, error) {
 		return nil, err
 	}
 	item := &sqlast.SelectItem{X: e}
+	if _, star := e.(*sqlast.Star); star {
+		return item, nil // `(*)` renders as `*`, which takes no alias
+	}
 	if p.accept("AS") {
 		a, err := p.ident()
 		if err != nil {

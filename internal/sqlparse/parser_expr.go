@@ -346,7 +346,12 @@ func (p *parser) primary() (sqlast.Expr, error) {
 			}
 			return &sqlast.ExistsExpr{Query: q}, nil
 		}
-		// identifier: column ref, qualified ref, or function call
+		// identifier: column ref, qualified ref, or function call. A query
+		// keyword is none of these: after "(" it would reparse as a
+		// subquery.
+		if isSelectStart(t) {
+			return nil, p.errf("unexpected %q in expression", t.Text)
+		}
 		p.i++
 		name := t.Text
 		if p.peek().Text == "(" && p.peek().Kind == sqllex.Op {

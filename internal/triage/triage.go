@@ -21,7 +21,7 @@
 //     different bug. A hard per-crash step budget bounds the work.
 //  3. Re-record — the crash entry is updated in place: the shortest known
 //     reproducer, the classification, and the replay tally, all of which
-//     round-trip through checkpoints (format v2).
+//     round-trip through checkpoints.
 //
 // Replays execute through a private harness.Runner, so organic panics during
 // triage are contained and quarantined exactly as during the campaign, and

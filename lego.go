@@ -67,11 +67,13 @@ type Config struct {
 	// SplitLongSeeds enables the paper's §VI future-work extension: long
 	// retained seeds are additionally split into overlapping short seeds.
 	SplitLongSeeds bool
-	// FaultRate arms the engine's deterministic fault injector: each
-	// statement panics with a non-seeded (organic) fault at this
-	// probability, exercising the harness's crash containment. Contained
-	// panics surface as Report.EnginePanics and as deduplicated PANIC
-	// bugs. Zero disables injection.
+	// FaultRate arms the engine's deterministic fault injector: before and
+	// after dispatch, each statement panics with a non-seeded (organic)
+	// fault at this probability, exercising the harness's crash
+	// containment. Each decision is keyed by (Seed, execution, statement,
+	// site), so the schedule needs no state of its own and survives resume.
+	// Contained panics surface as Report.EnginePanics and as deduplicated
+	// PANIC bugs. Zero disables injection.
 	FaultRate float64
 	// Triage runs the crash triage pipeline when a Fuzz call ends: every
 	// unique crash is re-verified on a fresh quarantined engine and
@@ -251,11 +253,15 @@ func (cfg Config) shardOptions() shard.Options {
 	}
 }
 
+// sharded reports whether the session runs on the supervised sharded
+// executor: parallel campaigns, and chaotic ones of any worker count.
+func (cfg Config) sharded() bool { return cfg.Workers > 1 || cfg.ChaosRate > 0 }
+
 // NewFuzzer builds a fuzzing session. Parallel campaigns (Workers > 1) and
 // chaotic ones (ChaosRate > 0, any worker count) run on the supervised
 // sharded executor; everything else uses the single-threaded path.
 func NewFuzzer(cfg Config) *Fuzzer {
-	if cfg.Workers > 1 || cfg.ChaosRate > 0 {
+	if cfg.sharded() {
 		return &Fuzzer{sharded: shard.New(cfg.shardOptions()), cfg: cfg}
 	}
 	return &Fuzzer{inner: core.New(cfg.options()), cfg: cfg}
@@ -273,12 +279,9 @@ func ResumeFuzzer(cfg Config, path string) (*Fuzzer, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A sharded checkpoint (or a sharded config) routes through the
-	// executor, which validates that the topology matches; a chaotic
-	// checkpoint (or config) does too, whatever its worker count, since only
-	// the supervised executor can replay its fault schedule. A single-shard
-	// checkpoint under Workers <= 1 stays on the single-threaded path.
-	if cfg.Workers > 1 || st.Workers > 1 || cfg.ChaosRate > 0 || st.ChaosRate != 0 {
+	// The config picks the path, as in NewFuzzer; each path's Resume
+	// rejects a checkpoint saved by the other.
+	if cfg.sharded() {
 		ex, err := shard.Resume(cfg.shardOptions(), st)
 		if err != nil {
 			return nil, err

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/seqfuzz/lego"
+	"github.com/seqfuzz/lego/internal/checkpoint"
 )
 
 // TestFacadeCheckpointResume drives the public durability API end to end:
@@ -299,5 +300,57 @@ func TestFacadeResumeErrors(t *testing.T) {
 	}
 	if _, err := lego.ResumeFuzzer(lego.Config{Target: lego.Comdb2, Seed: 3}, path); err == nil {
 		t.Fatal("dialect mismatch must error")
+	}
+}
+
+// TestFacadeResumeRejectsMalformedTopology: a checkpoint whose topology
+// disagrees with itself or with the Config must fail to resume with an
+// error that names the problem, never run on a topology nobody asked for.
+// The files are re-saved after each edit, so their checksums are valid.
+func TestFacadeResumeRejectsMalformedTopology(t *testing.T) {
+	dir := t.TempDir()
+	save := func(name string, cfg lego.Config) string {
+		path := filepath.Join(dir, name)
+		if _, err := lego.NewFuzzer(cfg).FuzzWithCheckpoint(3000, path, 1000); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	oneCfg := lego.Config{Target: lego.MariaDB, Seed: 3}
+	twoCfg := lego.Config{Target: lego.MariaDB, Seed: 3, Workers: 2}
+	one, two := save("one.ckpt", oneCfg), save("two.ckpt", twoCfg)
+
+	cases := []struct {
+		name string
+		from string
+		edit func(*checkpoint.State)
+		cfg  lego.Config
+		want string
+	}{
+		{"shard list cut to one entry", two, func(st *checkpoint.State) { st.Shards = st.Shards[:1] }, twoCfg, "1 shard entries"},
+		{"no workers", two, func(st *checkpoint.State) { st.Workers = 0 }, twoCfg, "0 workers"},
+		{"no epoch budget", two, func(st *checkpoint.State) { st.EpochStmts = 0 }, twoCfg, "no epoch budget"},
+		{"single-threaded checkpoint as two workers", one, func(*checkpoint.State) {}, twoCfg, "1 workers"},
+		{"two-worker checkpoint as one", two, func(*checkpoint.State) {}, oneCfg, "sharded executor"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := checkpoint.Load(tc.from)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(st)
+			path := filepath.Join(t.TempDir(), "edited.ckpt")
+			if err := checkpoint.Save(path, st); err != nil {
+				t.Fatal(err)
+			}
+			f, err := lego.ResumeFuzzer(tc.cfg, path)
+			if err == nil {
+				t.Fatalf("resumed a malformed checkpoint: %+v", f.Fuzz(st.Stmts))
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error does not name the problem:\n  got  %v\n  want substring %q", err, tc.want)
+			}
+		})
 	}
 }
