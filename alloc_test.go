@@ -11,12 +11,15 @@ package lego_test
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"github.com/seqfuzz/lego/internal/core"
 	"github.com/seqfuzz/lego/internal/coverage"
+	"github.com/seqfuzz/lego/internal/instantiate"
 	"github.com/seqfuzz/lego/internal/minidb"
+	"github.com/seqfuzz/lego/internal/mutate"
 	"github.com/seqfuzz/lego/internal/sqlast"
 	"github.com/seqfuzz/lego/internal/sqlparse"
 	"github.com/seqfuzz/lego/internal/sqlt"
@@ -128,6 +131,31 @@ SELECT v1 FROM t1 WHERE (v2 = 2);
 	}
 	check("ExecStmt-compiled", 40, func() {
 		_, _ = eng.ExecStmt(sel)
+	})
+
+	// A whole test case on a warm engine: the per-case reset clears the
+	// catalog and session maps in place, so the cost is the statements'
+	// own work. Rebuilding those maps for every case cost 26 more.
+	warm := minidb.New(minidb.Config{Dialect: sqlt.DialectMariaDB})
+	small := sqlparse.MustParseScript(`
+CREATE TABLE t0 (c0 INT, c1 TEXT);
+INSERT INTO t0 VALUES (1, 'a'), (2, 'b');
+SELECT c0 FROM t0 WHERE c0 > 1;
+`)
+	warm.RunTestCase(small)
+	check("RunTestCase", 45, func() {
+		_ = warm.RunTestCase(small)
+	})
+
+	// Sequence mutations clone only the statements the mutant keeps: the
+	// deleted or replaced statement is never copied (cloning it cost 5).
+	rng := rand.New(rand.NewSource(1))
+	mut := mutate.New(rng, instantiate.New(rng, instantiate.NewLibrary(), sqlt.DialectMariaDB), sqlt.DialectMariaDB)
+	check("DeleteAt", 18, func() {
+		_ = mut.DeleteAt(tc, 1)
+	})
+	check("SubstituteType", 22, func() {
+		_ = mut.SubstituteType(tc, 1)
 	})
 
 	// Campaign snapshot after a fixed 3000-statement MariaDB campaign (136

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"github.com/seqfuzz/lego/internal/sqlast"
+	"github.com/seqfuzz/lego/internal/sqlparse"
 	"github.com/seqfuzz/lego/internal/sqlt"
 )
 
@@ -30,10 +31,11 @@ func New(rng *rand.Rand, lib *Library, dialect sqlt.Dialect) *Instantiator {
 
 // Statement produces one statement of the requested type: a library
 // structure when available (biased toward reuse, as the paper's library
-// does), else a generated one.
+// does), else a generated one. A library structure is cloned only once the
+// draw keeps it.
 func (in *Instantiator) Statement(t sqlt.Type) sqlast.Statement {
-	if s := in.Lib.Pick(in.Rng, t); s != nil && in.Rng.Intn(4) != 0 {
-		return s
+	if s := in.Lib.pick(in.Rng, t); s != nil && in.Rng.Intn(4) != 0 {
+		return sqlparse.CloneStatement(s)
 	}
 	return in.Gen.Gen(t)
 }

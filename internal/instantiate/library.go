@@ -26,7 +26,8 @@ func NewLibrary() *Library {
 // Harvest stores every statement of the test case, keyed by type. Stored
 // statements are canonical aliases of the harvested case, not copies: the
 // fuzz loop never mutates a statement in place (mutation always operates on
-// fresh clones), so the library only has to clone on the way out (Pick).
+// fresh clones), so the library only clones a structure when it hands one
+// out to be kept (Pick, Instantiator.Statement).
 func (l *Library) Harvest(tc sqlast.TestCase) {
 	for _, s := range tc {
 		t := s.Type()
@@ -54,11 +55,20 @@ func (l *Library) Harvest(tc sqlast.TestCase) {
 // Pick returns a fresh clone of a random stored structure of type t, or nil
 // when the library has none.
 func (l *Library) Pick(rng *rand.Rand, t sqlt.Type) sqlast.Statement {
+	if s := l.pick(rng, t); s != nil {
+		return sqlparse.CloneStatement(s)
+	}
+	return nil
+}
+
+// pick is Pick without the clone: it returns the stored structure itself,
+// which the caller must clone before keeping or changing it.
+func (l *Library) pick(rng *rand.Rand, t sqlt.Type) sqlast.Statement {
 	bucket := l.byType[t]
 	if len(bucket) == 0 {
 		return nil
 	}
-	return sqlparse.CloneStatement(bucket[rng.Intn(len(bucket))])
+	return bucket[rng.Intn(len(bucket))]
 }
 
 // Size returns the total number of stored structures.

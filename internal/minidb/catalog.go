@@ -180,6 +180,30 @@ func NewCatalog() *Catalog {
 	}
 }
 
+// reset empties the catalog in place, leaving it equal to NewCatalog()'s
+// result while its maps keep their storage for the next test case. Nothing
+// outside the engine holds these maps, and the engine drops its
+// transaction snapshots before a reset (Engine.reset).
+func (c *Catalog) reset() {
+	clear(c.Tables)
+	clear(c.Views)
+	clear(c.Indexes)
+	clear(c.Triggers)
+	clear(c.Rules)
+	clear(c.Sequences)
+	clear(c.Functions)
+	clear(c.Procedures)
+	clear(c.Domains)
+	clear(c.Enums)
+	clear(c.Roles)
+	clear(c.Schemas)
+	clear(c.Extensions)
+	clear(c.Databases)
+	clear(c.Comments)
+	c.Schemas["public"] = true
+	c.Databases["main"] = true
+}
+
 // tableNames returns table names in sorted order for deterministic
 // iteration.
 func (c *Catalog) tableNames() []string {

@@ -457,3 +457,54 @@ func FuzzCompiledMatchesInterpreter(f *testing.F) {
 		}
 	})
 }
+
+// FuzzEngineReuseMatchesFresh checks the engine's reset: running script a
+// and then script b on one engine must give b the same results, errors and
+// coverage as running b on a new engine. That is what a campaign relies on
+// when it reuses one engine for every test case. Seeded bugs are armed, so a
+// crash inside a leaves its half-done state to the reset as well. An
+// organic panic in a is skipped: a campaign discards that engine
+// (harness quarantine) instead of reusing it.
+func FuzzEngineReuseMatchesFresh(f *testing.F) {
+	for i, a := range equivalenceScripts {
+		f.Add(a, equivalenceScripts[(i+1)%len(equivalenceScripts)])
+	}
+	// a leaves an open transaction, a sequence, a database, USE and a
+	// variable behind; b fails or answers differently on each if it leaks.
+	f.Add(`CREATE TABLE t (a INT);
+CREATE SEQUENCE s START WITH 5;
+CREATE DATABASE db;
+USE db;
+SET v1 = 7;
+BEGIN;
+INSERT INTO t VALUES (1);`, `BEGIN;
+CREATE DATABASE db;
+DROP DATABASE db;
+SHOW v1;
+CREATE TABLE t (a INT);
+CREATE SEQUENCE s START WITH 1;
+SHOW DATABASES;
+SELECT * FROM t;
+SELECT NEXTVAL('s');
+COMMIT;`)
+	cfg := Config{Dialect: sqlt.DialectMySQL, EnableHazards: true}
+	f.Fuzz(func(t *testing.T, a, b string) {
+		tcA, errA := sqlparse.ParseScript(a)
+		tcB, errB := sqlparse.ParseScript(b)
+		if errA != nil || errB != nil {
+			t.Skip()
+		}
+		reused := New(cfg)
+		if first, _, _ := strings.Cut(renderRun(reused, tcA), "\n"); strings.Contains(first, " panic=") {
+			t.Skip()
+		}
+		outR, covR := runEquivCase(reused, tcB, true)
+		outF, covF := runEquivCase(New(cfg), sqlparse.MustParseScript(b), true)
+		if outR != outF {
+			t.Fatalf("outcomes diverged\nreused:\n%s\nfresh:\n%s", outR, outF)
+		}
+		if !reflect.DeepEqual(covR, covF) {
+			t.Fatalf("coverage diverged: %d vs %d edges", len(covR), len(covF))
+		}
+	})
+}

@@ -99,7 +99,21 @@ func newSession() *session {
 	}
 }
 
-// Engine executes SQL test cases against a fresh in-memory database.
+// reset empties the session in place, leaving it equal to newSession()'s
+// result while its maps keep their storage.
+func (s *session) reset() {
+	clear(s.vars)
+	clear(s.globals)
+	clear(s.listening)
+	clear(s.cursors)
+	clear(s.prepared)
+	s.role = ""
+	s.notices = nil
+	s.isolation = "READ COMMITTED"
+	s.curDB = "main"
+}
+
+// Engine executes SQL test cases, each against an empty in-memory database.
 // An Engine is not safe for concurrent use; each fuzzing worker owns one.
 type Engine struct {
 	cfg     Config
@@ -160,6 +174,8 @@ func New(cfg Config) *Engine {
 	}
 	e := &Engine{
 		cfg:      cfg,
+		cat:      NewCatalog(),
+		sess:     newSession(),
 		limits:   cfg.Limits,
 		tracer:   coverage.NewTracer(),
 		covBatch: coverage.NewBatch(covBatchCap), //lego:allow bufretain — the engine owns this batch for its lifetime; only Flush borrows its Sites
@@ -170,7 +186,6 @@ func New(cfg Config) *Engine {
 	if cfg.FaultRate > 0 {
 		e.faults = &faultInjector{plane: chaos.New(cfg.FaultRate, cfg.FaultSeed)}
 	}
-	e.reset()
 	return e
 }
 
@@ -180,10 +195,15 @@ func (e *Engine) Dialect() sqlt.Dialect { return e.cfg.Dialect }
 // Tracer exposes the engine's coverage tracer for feedback harvesting.
 func (e *Engine) Tracer() *coverage.Tracer { return e.tracer }
 
-// reset re-creates all database state for the next test case.
+// reset empties all database and session state for the next test case.
+// The catalog and session are cleared in place rather than rebuilt: after
+// ROLLBACK the current catalog is a former transaction snapshot, and the
+// snapshots still on the stack are dropped here, so no other reference to
+// the cleared maps survives. TestResetMatchesNewEngine pins the result to
+// a new engine's state.
 func (e *Engine) reset() {
-	e.cat = NewCatalog()
-	e.sess = newSession()
+	e.cat.reset()
+	e.sess.reset()
 	e.txnStack = nil
 	e.spNames = nil
 	e.typeWindow = e.typeWindow[:0]

@@ -27,7 +27,7 @@ func (e *Engine) execCreateTable(st *sqlast.CreateTableStmt) (*Result, error) {
 	if st.Temp {
 		e.hit(pCreateTableTemp)
 	}
-	t := &Table{Name: st.Name, Temp: st.Temp}
+	t := &Table{Name: st.Name, Temp: st.Temp, Cols: make([]Column, 0, len(st.Cols))}
 	seen := map[string]bool{}
 	for _, cd := range st.Cols {
 		if seen[cd.Name] {

@@ -377,9 +377,9 @@ func (e *Engine) execDiscard(st *sqlast.DiscardStmt) (*Result, error) {
 	e.hit(pDiscard)
 	switch st.What {
 	case "ALL":
-		e.sess.vars = map[string]Value{}
-		e.sess.prepared = map[string]sqlast.Statement{}
-		e.sess.cursors = map[string]*cursor{}
+		clear(e.sess.vars)
+		clear(e.sess.prepared)
+		clear(e.sess.cursors)
 		for n, t := range e.cat.Tables {
 			if t.Temp {
 				delete(e.cat.Tables, n)
@@ -497,7 +497,7 @@ func (e *Engine) execNotify(st *sqlast.NotifyStmt) (*Result, error) {
 func (e *Engine) execUnlisten(st *sqlast.UnlistenStmt) (*Result, error) {
 	e.hit(pUnlisten)
 	if st.Channel == "*" {
-		e.sess.listening = map[string]bool{}
+		clear(e.sess.listening)
 	} else {
 		delete(e.sess.listening, st.Channel)
 	}

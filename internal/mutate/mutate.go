@@ -17,8 +17,9 @@ import (
 	"github.com/seqfuzz/lego/internal/sqlt"
 )
 
-// Mutator produces mutated test cases. All operations clone the input; the
-// seed is never modified.
+// Mutator produces mutated test cases. The seed is never modified: every
+// operation builds its output from fresh clones of the statements it keeps,
+// and never clones one it replaces or drops.
 type Mutator struct {
 	Rng  *rand.Rand
 	Inst *instantiate.Instantiator
@@ -52,9 +53,10 @@ func (m *Mutator) SubstituteType(tc sqlast.TestCase, i int) sqlast.TestCase {
 	if i < 0 || i >= len(tc) {
 		return nil
 	}
-	out := sqlparse.CloneTestCase(tc)
-	newType := m.randomOtherType(out[i].Type())
-	out[i] = m.Inst.Statement(newType)
+	newType := m.randomOtherType(tc[i].Type())
+	out := appendClones(make(sqlast.TestCase, 0, len(tc)), tc[:i])
+	out = append(out, m.Inst.Statement(newType))
+	out = appendClones(out, tc[i+1:])
 	m.Inst.Fixer.Fix(out)
 	return out
 }
@@ -65,9 +67,10 @@ func (m *Mutator) InsertAfter(tc sqlast.TestCase, i int) sqlast.TestCase {
 	if i < 0 || i >= len(tc) || len(tc) >= m.MaxStatements {
 		return nil
 	}
-	out := sqlparse.CloneTestCase(tc)
-	stmt := m.Inst.Statement(m.randomOtherType(out[i].Type()))
-	out = append(out[:i+1], append(sqlast.TestCase{stmt}, out[i+1:]...)...)
+	stmt := m.Inst.Statement(m.randomOtherType(tc[i].Type()))
+	out := appendClones(make(sqlast.TestCase, 0, len(tc)+1), tc[:i+1])
+	out = append(out, stmt)
+	out = appendClones(out, tc[i+1:])
 	m.Inst.Fixer.Fix(out)
 	return out
 }
@@ -78,9 +81,17 @@ func (m *Mutator) DeleteAt(tc sqlast.TestCase, i int) sqlast.TestCase {
 	if i < 0 || i >= len(tc) || len(tc) <= 1 {
 		return nil
 	}
-	out := sqlparse.CloneTestCase(tc)
-	out = append(out[:i], out[i+1:]...)
+	out := appendClones(make(sqlast.TestCase, 0, len(tc)-1), tc[:i])
+	out = appendClones(out, tc[i+1:])
 	m.Inst.Fixer.Fix(out)
+	return out
+}
+
+// appendClones appends a deep copy of each statement of ss to out.
+func appendClones(out, ss sqlast.TestCase) sqlast.TestCase {
+	for _, s := range ss {
+		out = append(out, s.Clone())
+	}
 	return out
 }
 
