@@ -18,8 +18,10 @@ import (
 //
 // The save ordinal is process-local state, not campaign state: faults
 // change what lands on disk, never what the campaign computes, so the
-// ordinal needs no checkpointing. FS is not safe for concurrent use; saves
-// happen on the campaign's coordinator goroutine.
+// ordinal needs no checkpointing. FS is not safe for concurrent use. A
+// sharded campaign saves on a background goroutine, but one save at a
+// time: the coordinator collects each save before it starts the next, so
+// the ordinal still counts saves in snapshot order.
 type FS struct {
 	inj   *Injector
 	inner checkpoint.FS

@@ -58,7 +58,7 @@ func (f *Fuzzer) SnapshotShard() checkpoint.Shard {
 	seeds := f.pool.All()
 	st.Pool = makeN[checkpoint.PoolSeed](len(seeds))
 	for i, s := range seeds {
-		st.Pool[i] = checkpoint.PoolSeed{SQL: s.TC.SQL(), NewEdges: s.NewEdges, Picked: s.Picked, Split: s.Split}
+		st.Pool[i] = checkpoint.PoolSeed{SQL: s.SQL(), NewEdges: s.NewEdges, Picked: s.Picked, Split: s.Split}
 	}
 	st.Affinity = exportPairs(f.aff)
 	st.GenAffinity = exportPairs(f.runner.GenAff)

@@ -17,10 +17,22 @@ type Seed struct {
 	NewEdges int  // edges this seed contributed when added
 	Picked   int  // times scheduled
 	Split    bool // a half cut from a long seed, not harvested into the library
+
+	sql string // TC rendered by SQL, "" until first use
 }
 
 // Types returns the seed's SQL Type Sequence.
 func (s *Seed) Types() sqlt.Sequence { return s.TC.Types() }
+
+// SQL returns the seed's script text, rendering TC on first use. Retained
+// seeds are never mutated (mutants clone what they change), so the text is
+// rendered once per seed rather than once per checkpoint snapshot.
+func (s *Seed) SQL() string {
+	if s.sql == "" {
+		s.sql = s.TC.SQL()
+	}
+	return s.sql
+}
 
 // Pool is the seed pool. Selection is weighted toward seeds that brought
 // more new edges and against seeds already scheduled many times, a

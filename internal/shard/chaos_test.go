@@ -63,7 +63,9 @@ func TestChaosStopResumeEquivalence(t *testing.T) {
 	wasStopped, err := interrupted.Run(budget, RunOptions{
 		EveryExecs: 1,
 		Save: func(st *checkpoint.State) error {
-			if !closed && interrupted.Epoch() >= 2 {
+			// Save runs in the background while the next epoch does: read
+			// the epoch from the state it is handed, not from the executor.
+			if !closed && st.Epoch >= 2 {
 				closed = true
 				close(stop)
 			}

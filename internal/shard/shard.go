@@ -29,9 +29,14 @@
 // Because shards are deterministic between barriers and every merge walks
 // shards in index order on the coordinator goroutine, the merged report and
 // checkpoint depend only on (core.Options, Workers, EpochStmts) — never on
-// goroutine scheduling or GOMAXPROCS. Synchronization is confined to the
-// barrier (a WaitGroup); sync/atomic must not appear between barriers,
-// where workers are required to be plain sequential code.
+// goroutine scheduling or GOMAXPROCS. Synchronization is confined to two
+// points: the barrier (a WaitGroup), and the checkpoint hand-off, where the
+// coordinator passes a barrier snapshot to one background save goroutine
+// and collects its result over a channel before the next snapshot. The
+// snapshot is taken while the shards are parked and shares nothing with
+// them, so the save overlapping the next epoch cannot change what it holds.
+// sync/atomic must not appear between barriers, where workers are required
+// to be plain sequential code.
 package shard
 
 import (
@@ -208,7 +213,13 @@ type RunOptions struct {
 	// only taken at epoch barriers, the states a resumed campaign can
 	// deterministically continue from.
 	EveryExecs int
-	// Save persists a snapshot; a non-nil error aborts the leg.
+	// Save persists a snapshot; a non-nil error aborts the leg. It runs
+	// off the coordinator goroutine, on a background goroutine that
+	// overlaps the next epoch, but one call at a time and in snapshot
+	// order, and the last call returns before Run does. The state it is
+	// handed is its own (freshly allocated, sharing nothing mutable with
+	// the campaign); Save must not touch the Executor, whose shards are
+	// running while it does.
 	Save func(*checkpoint.State) error
 	// Stop requests graceful shutdown. It is polled only at epoch barriers:
 	// a barrier is a state every uninterrupted campaign also passes
@@ -222,6 +233,13 @@ type RunOptions struct {
 // Run drives all shards until every one has consumed its slice of
 // budgetStmts (total statements, split as evenly as the worker count
 // allows) or Stop is closed at a barrier. interrupted reports the latter.
+//
+// A checkpoint is snapshotted at the barrier, on the coordinator, and saved
+// in the background while the shards run the next epoch. At most one save
+// is in flight: the coordinator collects it before the next snapshot and
+// before Run returns, so saves land in snapshot order and Run never returns
+// with one still running. A real save error aborts the leg at the first
+// collection point after the failed save.
 func (e *Executor) Run(budgetStmts int, opts RunOptions) (interrupted bool, err error) {
 	targets := e.targets(budgetStmts)
 	stopped := func() bool {
@@ -235,13 +253,33 @@ func (e *Executor) Run(budgetStmts int, opts RunOptions) (interrupted bool, err 
 			return false
 		}
 	}
+	var inflight chan error // the save in flight, nil when none is
+	collect := func() error {
+		if inflight == nil {
+			return nil
+		}
+		err := e.AbsorbSaveFault(<-inflight)
+		inflight = nil
+		return err
+	}
+	save := func() error {
+		if err := collect(); err != nil {
+			return err
+		}
+		st := e.Snapshot()
+		done := make(chan error, 1)
+		go func() { done <- opts.Save(st) }()
+		inflight = done
+		return nil
+	}
+
 	lastSaved := e.Execs()
 	for !e.done(targets) && !stopped() {
 		e.runEpoch(targets)
 		e.epoch++
 		e.mergeBarrier()
 		if opts.Save != nil && opts.EveryExecs > 0 && e.Execs()-lastSaved >= opts.EveryExecs {
-			if err := e.save(opts.Save); err != nil {
+			if err := save(); err != nil {
 				return false, err
 			}
 			lastSaved = e.Execs()
@@ -249,28 +287,27 @@ func (e *Executor) Run(budgetStmts int, opts RunOptions) (interrupted bool, err 
 	}
 	interrupted = !e.done(targets) && stopped()
 	if opts.Save != nil {
-		if err := e.save(opts.Save); err != nil {
+		if err := save(); err != nil {
 			return interrupted, err
 		}
 	}
-	return interrupted, nil
+	return interrupted, collect()
 }
 
-// save runs one checkpoint save, absorbing chaos-injected I/O faults: a
-// scheduled fault means the disk ate this generation (the previous one is
-// still on disk for LoadWithFallback), not that the campaign is broken, so
-// the campaign continues and only the fault tally grows. A chaotic
-// filesystem changes what lands on disk, never what the campaign computes.
-// Real save errors still abort the leg.
-func (e *Executor) save(save func(*checkpoint.State) error) error {
-	if err := save(e.Snapshot()); err != nil {
-		if errors.Is(err, chaos.ErrInjected) {
-			e.saveFaults++
-			return nil
-		}
-		return err
+// AbsorbSaveFault settles one checkpoint save's result. A chaos-injected
+// I/O fault means the disk ate this generation (the previous one is still
+// on disk for LoadWithFallback), not that the campaign is broken: it is
+// counted in SaveFaults and absorbed, so a chaotic filesystem changes what
+// lands on disk, never what the campaign computes. Any other error is
+// returned unchanged, to abort the caller. Run settles its own saves;
+// callers that save outside a leg settle theirs here so the tally stays
+// complete.
+func (e *Executor) AbsorbSaveFault(err error) error {
+	if errors.Is(err, chaos.ErrInjected) {
+		e.saveFaults++
+		return nil
 	}
-	return nil
+	return err
 }
 
 // targets splits the total statement budget into per-shard absolute
@@ -532,7 +569,8 @@ func (e *Executor) ActiveWorkers() int {
 }
 
 // SaveFaults returns how many checkpoint saves were eaten by injected I/O
-// faults (and skipped) during Run legs.
+// faults (and skipped): those of Run legs, and those settled through
+// AbsorbSaveFault.
 func (e *Executor) SaveFaults() int { return e.saveFaults }
 
 // FS returns the filesystem checkpoint saves should be routed through: the

@@ -1,8 +1,11 @@
 package shard
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/seqfuzz/lego/internal/checkpoint"
@@ -123,7 +126,9 @@ func TestShardedStopResumeEquivalence(t *testing.T) {
 	wasStopped, err := interrupted.Run(budget, RunOptions{
 		EveryExecs: 1, // checkpoint at every barrier
 		Save: func(st *checkpoint.State) error {
-			if !closed && interrupted.Epoch() >= 2 {
+			// Save runs in the background while the next epoch does: read
+			// the epoch from the state it is handed, not from the executor.
+			if !closed && st.Epoch >= 2 {
 				closed = true
 				close(stop)
 			}
@@ -161,6 +166,137 @@ func TestShardedStopResumeEquivalence(t *testing.T) {
 	a, b := snapshotJSON(t, ref), snapshotJSON(t, resumed)
 	if string(a) != string(b) {
 		t.Fatalf("resumed sharded campaign diverged from uninterrupted run\nref:     %.400s\nresumed: %.400s", a, b)
+	}
+}
+
+// TestShardedBackgroundSavesMatchEpochSnapshots: with a save due at every
+// barrier, the states Save receives in the background are, in order, the
+// snapshots of a twin campaign driven one epoch at a time, plus the leg's
+// closing save of the last barrier. Every state, the background ones and
+// the twin's, must still marshal to the same bytes after the campaign has
+// run on: a snapshot shares nothing with the live shards.
+func TestShardedBackgroundSavesMatchEpochSnapshots(t *testing.T) {
+	const budget = 4000
+	marshal := func(st *checkpoint.State) []byte {
+		b, err := json.Marshal(st)
+		if err != nil {
+			t.Error(err)
+		}
+		return b
+	}
+
+	var got []*checkpoint.State
+	var gotJSON [][]byte
+	bg := New(testOptions(2))
+	if _, err := bg.Run(budget, RunOptions{
+		EveryExecs: 1,
+		Save: func(st *checkpoint.State) error {
+			got = append(got, st)
+			gotJSON = append(gotJSON, marshal(st))
+			return nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	var want []*checkpoint.State
+	var wantJSON [][]byte
+	ref := New(testOptions(2))
+	for {
+		epoch := ref.Epoch()
+		leg := min(budget, (epoch+1)*ref.opts.EpochStmts*ref.Workers())
+		if _, err := ref.Run(leg, RunOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if ref.Epoch() == epoch {
+			break
+		}
+		st := ref.Snapshot()
+		want = append(want, st)
+		wantJSON = append(wantJSON, marshal(st))
+	}
+	if len(want) < 3 {
+		t.Fatalf("budget crossed only %d barriers; the test needs several", len(want))
+	}
+	want = append(want, want[len(want)-1])
+	wantJSON = append(wantJSON, wantJSON[len(wantJSON)-1])
+
+	if len(gotJSON) != len(wantJSON) {
+		t.Fatalf("Save ran %d times, want %d (one per barrier plus the closing save)", len(gotJSON), len(wantJSON))
+	}
+	for i := range wantJSON {
+		if !bytes.Equal(gotJSON[i], wantJSON[i]) {
+			t.Fatalf("save %d differs from the epoch-by-epoch snapshot\ngot:  %.300s\nwant: %.300s", i, gotJSON[i], wantJSON[i])
+		}
+		if !bytes.Equal(marshal(got[i]), gotJSON[i]) {
+			t.Fatalf("background state %d changed after it was saved: it aliases live campaign state", i)
+		}
+		if !bytes.Equal(marshal(want[i]), wantJSON[i]) {
+			t.Fatalf("snapshot %d changed when the next epoch ran: it aliases live campaign state", i)
+		}
+	}
+}
+
+// TestShardedRunWaitsForLastSave: Run must not return while a background
+// save is still running. With a save due at every barrier, every one of
+// them and the leg's closing save must have returned by the time Run does.
+func TestShardedRunWaitsForLastSave(t *testing.T) {
+	var finished atomic.Int32
+	e := New(testOptions(2))
+	if _, err := e.Run(4000, RunOptions{
+		EveryExecs: 1,
+		Save: func(st *checkpoint.State) error {
+			defer finished.Add(1)
+			_, err := json.Marshal(st)
+			return err
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := int(finished.Load()), e.Epoch()+1; got != want {
+		t.Fatalf("Run returned with %d of its %d saves finished", got, want)
+	}
+}
+
+// TestShardedSaveErrorAbortsRun: a real (not chaos-injected) error from
+// save k is returned by Run, at the next save point or at the end of the
+// leg, and no save starts after the failed one.
+func TestShardedSaveErrorAbortsRun(t *testing.T) {
+	boom := errors.New("disk on fire")
+	for _, tc := range []struct {
+		name          string
+		every, failAt int32
+	}{
+		{"periodic", 1, 2}, // later barriers are save points too
+		{"closing", 0, 1},  // the leg's only save
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var calls, running atomic.Int32
+			e := New(testOptions(2))
+			_, err := e.Run(4000, RunOptions{
+				EveryExecs: int(tc.every),
+				Save: func(*checkpoint.State) error {
+					running.Add(1)
+					defer running.Add(-1)
+					if calls.Add(1) == tc.failAt {
+						return boom
+					}
+					return nil
+				},
+			})
+			if !errors.Is(err, boom) {
+				t.Fatalf("Run returned %v, want the save error", err)
+			}
+			if n := calls.Load(); n != tc.failAt {
+				t.Fatalf("Save ran %d times, want %d: no save may start after a failed one", n, tc.failAt)
+			}
+			if n := running.Load(); n != 0 {
+				t.Fatalf("Run returned with %d saves still running", n)
+			}
+			if e.SaveFaults() != 0 {
+				t.Fatalf("a real save error was counted as an injected fault")
+			}
+		})
 	}
 }
 

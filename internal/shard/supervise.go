@@ -68,8 +68,10 @@ type workerFailure struct {
 // runEpoch drives every unfinished shard to the next epoch boundary under
 // supervision, retrying failed shards from their barrier snapshots until
 // each one has either finished the epoch or been quarantined. This is the
-// only place the executor spawns goroutines; the WaitGroup barrier in each
-// round is the campaign's entire synchronization surface.
+// only place the executor spawns shard goroutines. The WaitGroup barrier in
+// each round synchronizes them with the coordinator; the only other
+// synchronization is Run's hand-off to its background save, which touches
+// nothing the shards do.
 func (e *Executor) runEpoch(targets []int) {
 	// Barrier snapshots exist to re-run failed epochs, and epochs can only
 	// fail under supervision (the chaos plane or the test fault hook). Take

@@ -23,10 +23,8 @@
 package lego
 
 import (
-	"errors"
 	"fmt"
 
-	"github.com/seqfuzz/lego/internal/chaos"
 	"github.com/seqfuzz/lego/internal/checkpoint"
 	"github.com/seqfuzz/lego/internal/core"
 	"github.com/seqfuzz/lego/internal/harness"
@@ -345,11 +343,13 @@ func (f *Fuzzer) FuzzWithOptions(budgetStmts int, opts FuzzOptions) (Report, err
 		// Sharded saves route through the executor's filesystem, so an armed
 		// chaos plane can inject checkpoint I/O faults; the executor skips
 		// eaten saves (the previous generation stays on disk) and real disk
-		// errors still abort.
+		// errors still abort. Save runs in the background while the shards
+		// run, so it holds the filesystem rather than the executor.
 		var save func(*checkpoint.State) error
 		if opts.CheckpointPath != "" {
+			fs := f.sharded.FS()
 			save = func(st *checkpoint.State) error {
-				return checkpoint.SaveFS(f.sharded.FS(), opts.CheckpointPath, st)
+				return checkpoint.SaveFS(fs, opts.CheckpointPath, st)
 			}
 		}
 		interrupted, err := f.sharded.Run(budgetStmts, shard.RunOptions{
@@ -360,9 +360,7 @@ func (f *Fuzzer) FuzzWithOptions(budgetStmts int, opts FuzzOptions) (Report, err
 		if err == nil && f.cfg.Triage {
 			f.sharded.Triage(triage.Config{Replays: f.cfg.TriageReplays, Budget: f.cfg.TriageBudget})
 			if save != nil {
-				if serr := save(f.sharded.Snapshot()); serr != nil && !errors.Is(serr, chaos.ErrInjected) {
-					err = serr
-				}
+				err = f.sharded.AbsorbSaveFault(save(f.sharded.Snapshot()))
 			}
 		}
 		rep := f.shardedReport()

@@ -268,6 +268,32 @@ func TestFacadeChaosQuarantineDegrades(t *testing.T) {
 	}
 }
 
+// TestFacadeShardedTriageSaveFaultCounted: under a rate-1 schedule every
+// checkpoint save is eaten, so SaveFaults must count every save attempted —
+// the one closing the fuzzing leg and the post-triage re-flush — and no
+// generation may reach the disk.
+func TestFacadeShardedTriageSaveFaultCounted(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "c.ckpt")
+	rep, err := lego.NewFuzzer(lego.Config{
+		Target:     lego.MariaDB,
+		Seed:       5,
+		Workers:    2,
+		EpochStmts: 400,
+		ChaosRate:  1,
+		ChaosSeed:  3,
+		Triage:     true,
+	}).FuzzWithOptions(4000, lego.FuzzOptions{CheckpointPath: path})
+	if err != nil {
+		t.Fatalf("eaten saves must not fail the campaign, got %v", err)
+	}
+	if rep.SaveFaults != 2 {
+		t.Fatalf("SaveFaults = %d, want 2 (the leg's closing save and the post-triage re-flush)", rep.SaveFaults)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("a rate-1 fault schedule let a checkpoint reach the disk (stat: %v)", err)
+	}
+}
+
 // TestFacadeChaosSingleWorkerSupervised: ChaosRate > 0 with Workers == 1 must
 // route through the supervised executor — a single-worker campaign gets the
 // same recovery machinery, not a silent fall-through to the bare fuzzer.
