@@ -31,7 +31,7 @@ race-shard:
 # legolint statically enforces the campaign-determinism invariants (map
 # iteration order, global math/rand, wall-clock reads, minidb panic
 # discipline) and the cross-package contracts (sqlast switch exhaustiveness,
-# memo invalidation, hotpath allocation, borrowed-buffer retention).
+# hotpath allocation, borrowed-buffer retention).
 # Suppress one finding with `//lego:allow <analyzer> — <reason>`; machine
 # output: $(GO) vet -json -vettool=... ./...
 lint:
@@ -77,12 +77,16 @@ chaos:
 # must make checkpoint.Load return an error or a state, never panic, and a
 # loaded state must resume or fail cleanly. FuzzRenderFixpoint:
 # parse→render→parse must be a fixpoint, and arbitrary bytes must never
-# panic the parser. Plain `go test` runs only the seeds; this searches.
+# panic the parser. FuzzCloneMatchesReparse: every parsed statement's
+# Clone must render like the original and its render+reparse copy, and
+# share no memory with the original. Plain `go test` runs only the seeds;
+# this searches.
 selffuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCompiledMatchesInterpreter -fuzztime 15s ./internal/minidb
 	$(GO) test -run '^$$' -fuzz FuzzEngineReuseMatchesFresh -fuzztime 15s ./internal/minidb
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointLoad -fuzztime 15s ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz FuzzRenderFixpoint -fuzztime 15s ./internal/sqlparse
+	$(GO) test -run '^$$' -fuzz FuzzCloneMatchesReparse -fuzztime 15s ./internal/sqlparse
 
 # The campaign benchmark is a module of its own, so the root module's
 # `go test ./...` never builds it; this vets it and runs its tests, which

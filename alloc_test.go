@@ -20,7 +20,6 @@ import (
 	"github.com/seqfuzz/lego/internal/instantiate"
 	"github.com/seqfuzz/lego/internal/minidb"
 	"github.com/seqfuzz/lego/internal/mutate"
-	"github.com/seqfuzz/lego/internal/sqlast"
 	"github.com/seqfuzz/lego/internal/sqlparse"
 	"github.com/seqfuzz/lego/internal/sqlt"
 )
@@ -48,26 +47,18 @@ SELECT v1 FROM t1 WHERE (v2 = 2);
 
 	// Structural clone of the join query: one allocation per node plus one
 	// per non-empty slice. The reparse path this replaced cost hundreds.
-	check("CloneStatement", 25, func() {
-		_ = sqlparse.CloneStatement(stmt)
+	check("Statement.Clone", 25, func() {
+		_ = stmt.Clone()
 	})
 
-	// Cold render of the join query: builder growth plus child renders.
-	cold := stmt.(*sqlast.SelectStmt)
-	check("render-cold", 20, func() {
-		sqlast.InvalidateSQL(cold)
-		_ = cold.SQL()
-	})
-
-	// Memoized render: zero — SQL() must return the cached string.
-	_ = stmt.SQL()
-	check("render-memoized", 0, func() {
+	// Render of the join query: builder growth plus child renders.
+	check("render", 20, func() {
 		_ = stmt.SQL()
 	})
 
 	// Test-case clone: clone of every statement plus the slice header.
-	check("CloneTestCase", 25, func() {
-		_ = sqlparse.CloneTestCase(tc)
+	check("TestCase.Clone", 25, func() {
+		_ = tc.Clone()
 	})
 
 	// Coverage tracer hit and map accumulate: steady-state zero. The

@@ -251,7 +251,7 @@ func BenchmarkCheckpointSave(b *testing.B) {
 const benchCloneStmtSQL = `SELECT t1.v1, t2.v2 FROM t1 JOIN t2 ON (t1.v1 = t2.v1) WHERE (t1.v2 > 3) ORDER BY t1.v1 DESC LIMIT 10;`
 
 // BenchmarkCloneStructural measures the structural statement clone that
-// backs sqlparse.CloneStatement on the hot path.
+// backs every mutation on the hot path.
 func BenchmarkCloneStructural(b *testing.B) {
 	s := sqlparse.MustParseScript(benchCloneStmtSQL)[0]
 	b.ReportAllocs()
@@ -270,20 +270,9 @@ func BenchmarkCloneByReparse(b *testing.B) {
 	}
 }
 
-// BenchmarkRenderCold measures a full SQL render with a cold memo.
-func BenchmarkRenderCold(b *testing.B) {
+// BenchmarkRender measures a full SQL render of the join query.
+func BenchmarkRender(b *testing.B) {
 	s := sqlparse.MustParseScript(benchCloneStmtSQL)[0]
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sqlast.InvalidateSQL(s)
-		_ = s.SQL()
-	}
-}
-
-// BenchmarkRenderMemoized measures the cached SQL() path.
-func BenchmarkRenderMemoized(b *testing.B) {
-	s := sqlparse.MustParseScript(benchCloneStmtSQL)[0]
-	_ = s.SQL()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = s.SQL()

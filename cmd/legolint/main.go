@@ -9,11 +9,10 @@
 //
 //	go vet -json -vettool=$(pwd)/bin/legolint ./...
 //
-// It ships eight analyzers. Four guard determinism — detrange, globalrand,
-// walltime, panicdiscipline — and four guard the PR 6 AST/throughput
+// It ships seven analyzers. Four guard determinism — detrange, globalrand,
+// walltime, panicdiscipline — and three guard the AST and throughput
 // contracts with cross-package facts: nodeexhaustive (annotated type
-// switches cover every sqlast node), memoinvalidate (in-place node mutation
-// has InvalidateSQL on a call path), hotalloc (//lego:hotpath functions do
+// switches cover every sqlast node), hotalloc (//lego:hotpath functions do
 // not allocate in loops), and bufretain (//lego:borrowed engine buffers are
 // not retained by callers). Each finding is suppressible with
 // `//lego:allow <analyzer> — <reason>`; bare or unused allows are
@@ -26,7 +25,6 @@ import (
 	"github.com/seqfuzz/lego/internal/analysis/detrange"
 	"github.com/seqfuzz/lego/internal/analysis/globalrand"
 	"github.com/seqfuzz/lego/internal/analysis/hotalloc"
-	"github.com/seqfuzz/lego/internal/analysis/memoinvalidate"
 	"github.com/seqfuzz/lego/internal/analysis/nodeexhaustive"
 	"github.com/seqfuzz/lego/internal/analysis/panicdiscipline"
 	"github.com/seqfuzz/lego/internal/analysis/unitchecker"
@@ -40,7 +38,6 @@ func main() {
 		walltime.Analyzer,
 		panicdiscipline.Analyzer,
 		nodeexhaustive.Analyzer,
-		memoinvalidate.Analyzer,
 		hotalloc.Analyzer,
 		bufretain.Analyzer,
 	)

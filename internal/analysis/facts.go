@@ -3,14 +3,13 @@ package analysis
 // Cross-package facts.
 //
 // PR 6's throughput work rests on contracts that span compilation units: the
-// set of AST node types (and which of them memoize their render) lives in
-// sqlast, but the code that must respect those properties lives in mutate,
-// instantiate, and minidb; the engine-owned Outcome buffers live in minidb,
-// but the retention hazard lives in every caller. A single-package analyzer
-// cannot see across that boundary, so the framework grows the same mechanism
-// x/tools calls "facts": an analyzer running on a package may attach findings
-// to that package's objects, and an analyzer running on a *downstream*
-// package may query the facts of anything it imports.
+// set of AST node types lives in sqlast, but the switches that must cover it
+// live in minidb and elsewhere; the engine-owned Outcome buffers live in
+// minidb, but the retention hazard lives in every caller. A single-package
+// analyzer cannot see across that boundary, so the framework grows the same
+// mechanism x/tools calls "facts": an analyzer running on a package may
+// attach findings to that package's objects, and an analyzer running on a
+// *downstream* package may query the facts of anything it imports.
 //
 // Facts flow in dependency order. In-process drivers (analysistest, the
 // facts unit tests) analyze fixture dependencies before dependents and share

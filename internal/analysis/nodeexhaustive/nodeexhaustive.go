@@ -2,12 +2,12 @@
 // over sqlast node interfaces stay exhaustive as the grammar grows.
 //
 // PR 6 replaced render+reparse cloning with hand-written structural walkers
-// (Clone, InvalidateSQL, StatementTables, RewriteExpr, the minidb dispatch).
-// Clone and SQL are interface methods, so a new node type without them fails
-// to compile — but the type *switches* fail silently: a statement kind the
-// invalidation walker doesn't descend serves stale memoized SQL, and a kind
-// the table extractor skips breaks dependency fixing. This analyzer turns a
-// missing case into a vet-time diagnostic.
+// (Clone, StatementTables, RewriteExpr, the minidb dispatch). Clone and SQL
+// are interface methods, so a new node type without them fails to compile —
+// but the type *switches* fail silently: a statement kind the table
+// extractor skips breaks dependency fixing, and one the minidb dispatch
+// misses is never executed. This analyzer turns a missing case into a
+// vet-time diagnostic.
 //
 // Usage: the comment directly above a type switch declares the contract:
 //
@@ -114,7 +114,7 @@ func run(pass *analysis.Pass) error {
 
 // checkForeignImplementors reports package-level types that implement an
 // sqlast node interface outside sqlast: the exhaustiveness inventory (and
-// the Clone/memo machinery) assume all nodes live in one package.
+// the Clone machinery) assume all nodes live in one package.
 func checkForeignImplementors(pass *analysis.Pass, astPkg *types.Package) {
 	ifaces := lookupIfaces(astPkg)
 	scope := pass.Pkg.Scope()
@@ -135,7 +135,7 @@ func checkForeignImplementors(pass *analysis.Pass, astPkg *types.Package) {
 				continue
 			}
 			if implementsNode(tn.Type(), iface) {
-				pass.Reportf(tn.Pos(), "type %s implements sqlast.%s outside package sqlast; node types must live in sqlast so Clone/InvalidateSQL/exhaustiveness stay complete", name, ifname)
+				pass.Reportf(tn.Pos(), "type %s implements sqlast.%s outside package sqlast; node types must live in sqlast so Clone/exhaustiveness stay complete", name, ifname)
 				break
 			}
 		}

@@ -94,9 +94,6 @@ func (f *Fixer) Fix(tc sqlast.TestCase) {
 	sch := newSimSchema()
 	for _, stmt := range tc {
 		f.fixStmt(stmt, sch)
-		// fixStmt rewrites names and expressions in place; drop any render
-		// cached before the repair.
-		sqlast.InvalidateSQL(stmt)
 	}
 }
 

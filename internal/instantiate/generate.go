@@ -359,8 +359,8 @@ func (g *Generator) Gen(t sqlt.Type) sqlast.Statement {
 		return g.insertStmt()
 	case sqlt.Replace:
 		st := g.insertStmt()
-		st.IsReplace = true //lego:allow memoinvalidate — insertStmt returns a fresh node whose memo is still cold
-		st.Ignore = false   //lego:allow memoinvalidate — fresh node, never rendered before this write
+		st.IsReplace = true
+		st.Ignore = false
 		return st
 	case sqlt.Update:
 		return &sqlast.UpdateStmt{
@@ -399,7 +399,7 @@ func (g *Generator) Gen(t sqlt.Type) sqlast.Statement {
 		return g.selectStmt(2)
 	case sqlt.SelectInto:
 		q := g.selectStmt(1)
-		q.Into = "t" + strconv.Itoa(5+g.Rng.Intn(3)) //lego:allow memoinvalidate — selectStmt returns a fresh node whose memo is still cold
+		q.Into = "t" + strconv.Itoa(5+g.Rng.Intn(3))
 		return q
 	case sqlt.TableStmt:
 		return &sqlast.TableStmtNode{Name: g.table()}

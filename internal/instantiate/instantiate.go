@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"github.com/seqfuzz/lego/internal/sqlast"
-	"github.com/seqfuzz/lego/internal/sqlparse"
 	"github.com/seqfuzz/lego/internal/sqlt"
 )
 
@@ -35,7 +34,7 @@ func New(rng *rand.Rand, lib *Library, dialect sqlt.Dialect) *Instantiator {
 // draw keeps it.
 func (in *Instantiator) Statement(t sqlt.Type) sqlast.Statement {
 	if s := in.Lib.pick(in.Rng, t); s != nil && in.Rng.Intn(4) != 0 {
-		return sqlparse.CloneStatement(s)
+		return s.Clone()
 	}
 	return in.Gen.Gen(t)
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"github.com/seqfuzz/lego/internal/sqlast"
-	"github.com/seqfuzz/lego/internal/sqlparse"
 	"github.com/seqfuzz/lego/internal/sqlt"
 )
 
@@ -13,21 +12,29 @@ import (
 // saves them into the global library. In instantiation, for each entry in
 // the SQL Type Sequence, LEGO randomly selects a type-matched structure."
 type Library struct {
-	byType map[sqlt.Type][]sqlast.Statement
+	byType map[sqlt.Type][]entry
 	// MaxPerType bounds memory; older structures are evicted FIFO.
 	MaxPerType int
 }
 
+// entry is a stored structure and the SQL it rendered to when harvested,
+// kept so the duplicate check compares text without re-rendering.
+type entry struct {
+	stmt sqlast.Statement
+	sql  string
+}
+
 // NewLibrary returns an empty structure library.
 func NewLibrary() *Library {
-	return &Library{byType: map[sqlt.Type][]sqlast.Statement{}, MaxPerType: 64}
+	return &Library{byType: map[sqlt.Type][]entry{}, MaxPerType: 64}
 }
 
 // Harvest stores every statement of the test case, keyed by type. Stored
 // statements are canonical aliases of the harvested case, not copies: the
 // fuzz loop never mutates a statement in place (mutation always operates on
 // fresh clones), so the library only clones a structure when it hands one
-// out to be kept (Pick, Instantiator.Statement).
+// out to be kept (Pick, Instantiator.Statement), and an entry's text stays
+// its statement's rendering.
 func (l *Library) Harvest(tc sqlast.TestCase) {
 	for _, s := range tc {
 		t := s.Type()
@@ -36,7 +43,7 @@ func (l *Library) Harvest(tc sqlast.TestCase) {
 		sql := s.SQL()
 		dup := false
 		for i := len(bucket) - 1; i >= 0 && i >= len(bucket)-4; i-- {
-			if bucket[i].SQL() == sql {
+			if bucket[i].sql == sql {
 				dup = true
 				break
 			}
@@ -44,7 +51,7 @@ func (l *Library) Harvest(tc sqlast.TestCase) {
 		if dup {
 			continue
 		}
-		bucket = append(bucket, s)
+		bucket = append(bucket, entry{s, sql})
 		if len(bucket) > l.MaxPerType {
 			bucket = bucket[len(bucket)-l.MaxPerType:]
 		}
@@ -56,7 +63,7 @@ func (l *Library) Harvest(tc sqlast.TestCase) {
 // when the library has none.
 func (l *Library) Pick(rng *rand.Rand, t sqlt.Type) sqlast.Statement {
 	if s := l.pick(rng, t); s != nil {
-		return sqlparse.CloneStatement(s)
+		return s.Clone()
 	}
 	return nil
 }
@@ -68,7 +75,7 @@ func (l *Library) pick(rng *rand.Rand, t sqlt.Type) sqlast.Statement {
 	if len(bucket) == 0 {
 		return nil
 	}
-	return bucket[rng.Intn(len(bucket))]
+	return bucket[rng.Intn(len(bucket))].stmt
 }
 
 // Size returns the total number of stored structures.

@@ -13,7 +13,6 @@ import (
 
 	"github.com/seqfuzz/lego/internal/instantiate"
 	"github.com/seqfuzz/lego/internal/sqlast"
-	"github.com/seqfuzz/lego/internal/sqlparse"
 	"github.com/seqfuzz/lego/internal/sqlt"
 )
 
@@ -102,14 +101,12 @@ func (m *Mutator) MutateValues(tc sqlast.TestCase) sqlast.TestCase {
 	if len(tc) == 0 {
 		return nil
 	}
-	out := sqlparse.CloneTestCase(tc)
+	out := tc.Clone()
 	i := m.Rng.Intn(len(out))
 	m.mutateStatement(out[i])
-	sqlast.InvalidateSQL(out[i])
 	if m.Rng.Intn(2) == 0 { // occasionally touch a second statement
 		j := m.Rng.Intn(len(out))
 		m.mutateStatement(out[j])
-		sqlast.InvalidateSQL(out[j])
 	}
 	if m.Rng.Intn(3) != 0 { // semantics-guided refill, SQUIRREL-style
 		m.Inst.Fixer.Fix(out)

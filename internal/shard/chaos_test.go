@@ -223,6 +223,36 @@ func TestOrganicPanicRetriedAndJournaled(t *testing.T) {
 	}
 }
 
+// TestShardedPlanStatsSurviveRestore: a restore replaces the failed
+// shard's fuzzer, and PlanStats must still count the plan lookups and
+// compiles the replaced one made.
+func TestShardedPlanStatsSurviveRestore(t *testing.T) {
+	o := testOptions(2)
+	o.Core.Seed = 3
+	e := New(o)
+	if _, err := e.Run(3000, RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	before := e.PlanStats()
+	next, fired := e.Epoch(), false
+	e.testFault = func(epoch, shard, attempt int) {
+		if epoch == next && shard == 0 && attempt == 0 {
+			fired = true
+			panic("synthetic harness bug: restore test")
+		}
+	}
+	if _, err := e.Run(4000, RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if !fired {
+		t.Fatal("test fault never fired; coordinates drifted")
+	}
+	after := e.PlanStats()
+	if after.Hits+after.Misses < before.Hits+before.Misses || after.Compiles < before.Compiles {
+		t.Fatalf("plan stats shrank across a restore: before %+v, after %+v", before, after)
+	}
+}
+
 // TestChaosOffIsByteIdenticalToUnsupervised: with the chaos plane disarmed
 // and no failures, the supervision machinery must leave no trace — the
 // checkpoint carries no supervision field, exactly what pre-supervision

@@ -51,7 +51,6 @@ import (
 	"github.com/seqfuzz/lego/internal/harness"
 	"github.com/seqfuzz/lego/internal/minidb"
 	"github.com/seqfuzz/lego/internal/oracle"
-	"github.com/seqfuzz/lego/internal/sqlparse"
 	"github.com/seqfuzz/lego/internal/triage"
 )
 
@@ -154,6 +153,9 @@ type Executor struct {
 	chaos       *chaos.Injector
 	fs          checkpoint.FS
 	saveFaults  int
+	// retiredPlans holds the plan-cache counters of fuzzers that restore
+	// replaced, so PlanStats still counts the lookups they made.
+	retiredPlans minidb.PlanStats
 	// testFault, when set, runs on the worker goroutine at the start of each
 	// (epoch, shard, attempt) — a test hook for raising organic panics at a
 	// chosen coordinate.
@@ -386,7 +388,7 @@ func (e *Executor) mergeBarrier() {
 				continue
 			}
 			for _, s := range deltas[donor] {
-				e.shards[recv].AdoptSeed(sqlparse.CloneTestCase(s.TC), s.NewEdges)
+				e.shards[recv].AdoptSeed(s.TC.Clone(), s.NewEdges)
 			}
 		}
 	}
@@ -490,9 +492,10 @@ func (e *Executor) EnginePanics() int {
 }
 
 // PlanStats returns the plan-cache counters summed across shards,
-// including engines retired by quarantine within each shard.
+// including engines retired by quarantine within each shard and fuzzers
+// replaced by a restore.
 func (e *Executor) PlanStats() minidb.PlanStats {
-	var s minidb.PlanStats
+	s := e.retiredPlans
 	for _, sh := range e.shards {
 		s.Add(sh.Runner().PlanStats())
 	}

@@ -220,6 +220,7 @@ func (e *Executor) restore(i int) {
 	if err != nil {
 		panic(fmt.Sprintf("shard: restore shard %d from barrier snapshot: %v", i, err))
 	}
+	e.retiredPlans.Add(e.shards[i].Runner().PlanStats())
 	e.shards[i] = f
 	e.poolMark[i] = f.Pool().Len()
 }

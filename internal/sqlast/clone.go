@@ -2,19 +2,18 @@ package sqlast
 
 // Structural deep-clone for every AST node.
 //
-// Clone replaces the render+reparse round trip that used to back
-// sqlparse.CloneStatement: cloning is the single hottest operation of the
-// fuzz loop (every mutation operator, every library fetch, seed splitting,
-// and cross-shard seed adoption clone whole test cases), and re-lexing SQL
-// text costs two orders of magnitude more than copying the structs.
+// Clone replaces a render+reparse round trip: cloning is the single hottest
+// operation of the fuzz loop (every mutation operator, every library fetch,
+// seed splitting, and cross-shard seed adoption clone whole test cases), and
+// re-lexing SQL text costs two orders of magnitude more than copying the
+// structs. Nodes cache nothing, so a clone is the whole copy contract.
 //
-// Invariants, enforced by property tests in sqlparse:
+// Invariants, enforced by property tests and FuzzCloneMatchesReparse in
+// sqlparse:
 //   - clone renders byte-identical SQL: s.Clone().SQL() == s.SQL()
 //   - clones are deeply aliasing-free: no slice, map, or node pointer is
 //     shared between a statement and its clone, so mutating either side
 //     never changes the other
-//   - clones start with a cold render memo (see memo.go), so a
-//     clone-then-mutate sequence can never observe a stale cached render
 //
 // Every node's Clone is hand-written; the Statement/Expr/TableRef
 // interfaces require it, so adding a node without a Clone is a compile

@@ -101,7 +101,6 @@ func (t *TableConstraint) SQL() string {
 
 // CreateTableStmt is CREATE [TEMPORARY] TABLE [IF NOT EXISTS] name (...).
 type CreateTableStmt struct {
-	sqlMemo
 	Name        string
 	Temp        bool
 	IfNotExists bool
@@ -112,7 +111,8 @@ type CreateTableStmt struct {
 // Type implements Statement.
 func (*CreateTableStmt) Type() sqlt.Type { return sqlt.CreateTable }
 
-func (s *CreateTableStmt) render() string {
+// SQL implements Statement.
+func (s *CreateTableStmt) SQL() string {
 	var sb strings.Builder
 	sb.Grow(64)
 	sb.WriteString("CREATE ")
@@ -141,7 +141,6 @@ func (s *CreateTableStmt) render() string {
 
 // CreateViewStmt is CREATE [OR REPLACE] [MATERIALIZED] VIEW name AS query.
 type CreateViewStmt struct {
-	sqlMemo
 	Name         string
 	OrReplace    bool
 	Materialized bool
@@ -157,7 +156,8 @@ func (s *CreateViewStmt) Type() sqlt.Type {
 	return sqlt.CreateView
 }
 
-func (s *CreateViewStmt) render() string {
+// SQL implements Statement.
+func (s *CreateViewStmt) SQL() string {
 	var sb strings.Builder
 	sb.WriteString("CREATE ")
 	if s.OrReplace {
@@ -178,7 +178,6 @@ func (s *CreateViewStmt) render() string {
 
 // CreateIndexStmt is CREATE [UNIQUE] INDEX name ON table (cols).
 type CreateIndexStmt struct {
-	sqlMemo
 	Name   string
 	Unique bool
 	Table  string
@@ -188,7 +187,8 @@ type CreateIndexStmt struct {
 // Type implements Statement.
 func (*CreateIndexStmt) Type() sqlt.Type { return sqlt.CreateIndex }
 
-func (s *CreateIndexStmt) render() string {
+// SQL implements Statement.
+func (s *CreateIndexStmt) SQL() string {
 	u := ""
 	if s.Unique {
 		u = "UNIQUE "

@@ -12,7 +12,6 @@ import (
 // InsertStmt is INSERT [IGNORE] INTO table [(cols)] VALUES (...) | query,
 // and its REPLACE variant.
 type InsertStmt struct {
-	sqlMemo
 	Table               string
 	Cols                []string
 	Rows                [][]Expr    // one of Rows / Query
@@ -31,7 +30,8 @@ func (s *InsertStmt) Type() sqlt.Type {
 	return sqlt.Insert
 }
 
-func (s *InsertStmt) render() string {
+// SQL implements Statement.
+func (s *InsertStmt) SQL() string {
 	var sb strings.Builder
 	sb.Grow(64)
 	if s.IsReplace {
@@ -92,7 +92,6 @@ func (a Assignment) SQL() string { return a.Col + " = " + a.Value.SQL() }
 
 // UpdateStmt is UPDATE table SET ... [WHERE ...] [ORDER BY ...] [LIMIT n].
 type UpdateStmt struct {
-	sqlMemo
 	Table   string
 	Sets    []Assignment
 	Where   Expr
@@ -103,7 +102,8 @@ type UpdateStmt struct {
 // Type implements Statement.
 func (*UpdateStmt) Type() sqlt.Type { return sqlt.Update }
 
-func (s *UpdateStmt) render() string {
+// SQL implements Statement.
+func (s *UpdateStmt) SQL() string {
 	var sb strings.Builder
 	sb.Grow(48)
 	sb.WriteString("UPDATE " + s.Table + " SET ")
@@ -122,7 +122,6 @@ func (s *UpdateStmt) render() string {
 
 // DeleteStmt is DELETE FROM table [WHERE ...] [ORDER BY ...] [LIMIT n].
 type DeleteStmt struct {
-	sqlMemo
 	Table     string
 	Where     Expr
 	OrderBy   []OrderItem
@@ -133,7 +132,8 @@ type DeleteStmt struct {
 // Type implements Statement.
 func (*DeleteStmt) Type() sqlt.Type { return sqlt.Delete }
 
-func (s *DeleteStmt) render() string {
+// SQL implements Statement.
+func (s *DeleteStmt) SQL() string {
 	var sb strings.Builder
 	sb.Grow(48)
 	sb.WriteString("DELETE FROM " + s.Table)
@@ -156,7 +156,6 @@ func (s *DeleteStmt) render() string {
 // MergeStmt is a simplified MERGE INTO target USING source ON cond
 // WHEN MATCHED THEN UPDATE SET ... WHEN NOT MATCHED THEN INSERT VALUES (...).
 type MergeStmt struct {
-	sqlMemo
 	Target         string
 	Source         string
 	On             Expr
@@ -167,7 +166,8 @@ type MergeStmt struct {
 // Type implements Statement.
 func (*MergeStmt) Type() sqlt.Type { return sqlt.Merge }
 
-func (s *MergeStmt) render() string {
+// SQL implements Statement.
+func (s *MergeStmt) SQL() string {
 	var sb strings.Builder
 	sb.WriteString("MERGE INTO " + s.Target + " USING " + s.Source + " ON " + s.On.SQL())
 	if len(s.MatchedSet) > 0 {
@@ -420,7 +420,6 @@ func (s SetOp) String() string {
 // SelectStmt is the full query form, including optional trailing set
 // operation and SELECT INTO.
 type SelectStmt struct {
-	sqlMemo
 	Distinct bool
 	Items    []SelectItem
 	Into     string // SELECT ... INTO newtable
@@ -443,8 +442,10 @@ func (s *SelectStmt) Type() sqlt.Type {
 	return sqlt.Select
 }
 
+// SQL implements Statement.
+//
 //lego:hotpath
-func (s *SelectStmt) render() string {
+func (s *SelectStmt) SQL() string {
 	var sb strings.Builder
 	sb.Grow(64)
 	sb.WriteString("SELECT ")
@@ -546,7 +547,6 @@ func (c CTE) SQL() string {
 // body and all CTEs are queries, and WithDML when any part manipulates data
 // (the writable-CTE form at the centre of the paper's case study).
 type WithStmt struct {
-	sqlMemo
 	CTEs []CTE
 	Body Statement
 }
@@ -572,7 +572,8 @@ func isDML(s Statement) bool {
 	return false
 }
 
-func (s *WithStmt) render() string {
+// SQL implements Statement.
+func (s *WithStmt) SQL() string {
 	var sb strings.Builder
 	sb.Grow(64)
 	sb.WriteString("WITH ")
@@ -589,7 +590,6 @@ func (s *WithStmt) render() string {
 
 // ExplainStmt is EXPLAIN [ANALYZE] stmt.
 type ExplainStmt struct {
-	sqlMemo
 	Analyze bool
 	Stmt    Statement
 }
@@ -597,7 +597,8 @@ type ExplainStmt struct {
 // Type implements Statement.
 func (*ExplainStmt) Type() sqlt.Type { return sqlt.Explain }
 
-func (s *ExplainStmt) render() string {
+// SQL implements Statement.
+func (s *ExplainStmt) SQL() string {
 	if s.Analyze {
 		return "EXPLAIN ANALYZE " + s.Stmt.SQL()
 	}

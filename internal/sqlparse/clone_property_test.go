@@ -8,13 +8,11 @@ package sqlparse_test
 import (
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"github.com/seqfuzz/lego/internal/harness"
 	"github.com/seqfuzz/lego/internal/instantiate"
 	"github.com/seqfuzz/lego/internal/mutate"
-	"github.com/seqfuzz/lego/internal/sqlast"
 	"github.com/seqfuzz/lego/internal/sqlparse"
 	"github.com/seqfuzz/lego/internal/sqlt"
 )
@@ -148,44 +146,5 @@ func TestMutatedCloneLeavesOriginalIntact(t *testing.T) {
 		if after := tc.SQL(); after != before {
 			t.Fatalf("mutation %d changed the original test case:\n  before: %s\n  after:  %s", i%4, before, after)
 		}
-	}
-}
-
-// TestMemoInvalidation exercises the render memo directly: a cached render
-// must be dropped by InvalidateSQL and recomputed from the mutated AST.
-func TestMemoInvalidation(t *testing.T) {
-	s := sqlparse.MustParseScript(`SELECT a FROM t WHERE a = 1;`)[0].(*sqlast.SelectStmt)
-	first := s.SQL() // primes the memo
-	s.Items[0].X = &sqlast.ColRef{Name: "b"}
-	if got := s.SQL(); got != first {
-		t.Fatalf("memo should still serve the cached render before invalidation, got %q", got)
-	}
-	sqlast.InvalidateSQL(s)
-	if got := s.SQL(); got == first {
-		t.Fatalf("InvalidateSQL did not drop the cached render: %q", got)
-	} else if !strings.Contains(got, "SELECT b") {
-		t.Fatalf("unexpected re-render: %q", got)
-	}
-
-	// Nested statements: invalidating the outer must reach the subquery.
-	w := sqlparse.MustParseScript(`SELECT a FROM t WHERE a IN (SELECT b FROM u);`)[0].(*sqlast.SelectStmt)
-	_ = w.SQL()
-	in := w.Where.(*sqlast.InExpr)
-	in.Query.Items[0].X = &sqlast.ColRef{Name: "c"}
-	sqlast.InvalidateSQL(w)
-	if got := w.SQL(); !strings.Contains(got, "SELECT c FROM u") {
-		t.Fatalf("nested memo not invalidated: %q", got)
-	}
-
-	// Clones start cold: mutating a clone immediately re-renders.
-	v := sqlparse.MustParseScript(`SELECT a FROM t;`)[0]
-	_ = v.SQL()
-	cl := v.Clone().(*sqlast.SelectStmt)
-	cl.Items[0].X = &sqlast.ColRef{Name: "z"}
-	if got := cl.SQL(); got != "SELECT z FROM t" {
-		t.Fatalf("clone memo not cold: %q", got)
-	}
-	if got := v.SQL(); got != "SELECT a FROM t" {
-		t.Fatalf("original disturbed by clone mutation: %q", got)
 	}
 }

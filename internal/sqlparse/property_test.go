@@ -44,7 +44,7 @@ func TestCloneIndependence(t *testing.T) {
 	g := instantiate.NewGenerator(rng, sqlt.DialectPostgres)
 	for i := 0; i < 200; i++ {
 		s := g.Gen(g.RandomType())
-		c := sqlparse.CloneStatement(s)
+		c := s.Clone()
 		if c.SQL() != s.SQL() {
 			t.Fatalf("clone differs:\n  orig:  %s\n  clone: %s", s.SQL(), c.SQL())
 		}
@@ -56,7 +56,7 @@ func TestCloneTestCase(t *testing.T) {
 CREATE TABLE t (a INT);
 INSERT INTO t VALUES (1);
 `)
-	c := sqlparse.CloneTestCase(tc)
+	c := tc.Clone()
 	if c.SQL() != tc.SQL() {
 		t.Fatal("test-case clone differs")
 	}
