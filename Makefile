@@ -50,7 +50,7 @@ fmtcheck:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # End-to-end triage gate: a short campaign whose every bug must verify
-# STABLE with a minimized reproducer — once single-threaded, once sharded.
+# STABLE with a minimized reproducer — once with one worker, once with four.
 smoke:
 	$(GO) run ./cmd/legofuzz -target comdb2 -budget 20000 -triage -triage-assert
 	$(GO) run ./cmd/legofuzz -target mariadb -budget 20000 -workers 4 -triage -triage-assert
@@ -58,15 +58,19 @@ smoke:
 # Chaos determinism gate: run the same supervised chaotic campaign twice and
 # demand byte-identical checkpoints — injected worker panics, epoch retries,
 # quarantine, and the incident journal must all be pure functions of
-# (chaos-rate, chaos-seed).
+# (chaos-rate, chaos-seed). It runs once with four workers and once with
+# one, whose soft epochs and background saves must be just as reproducible.
 chaos:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/legofuzz -target mariadb -budget 30000 -workers 4 \
-		-epoch-stmts 500 -chaos-rate 0.05 -chaos-seed 7 -checkpoint "$$tmp/a.ckpt" && \
-	$(GO) run ./cmd/legofuzz -target mariadb -budget 30000 -workers 4 \
-		-epoch-stmts 500 -chaos-rate 0.05 -chaos-seed 7 -checkpoint "$$tmp/b.ckpt" && \
-	cmp "$$tmp/a.ckpt" "$$tmp/b.ckpt" && \
-	echo "chaos: double-run checkpoints byte-identical"
+	for w in 4 1; do \
+		for run in a b; do \
+			$(GO) run ./cmd/legofuzz -target mariadb -budget 30000 -workers $$w \
+				-epoch-stmts 500 -chaos-rate 0.05 -chaos-seed 7 -checkpoint-every 300 \
+				-checkpoint "$$tmp/w$$w-$$run.ckpt" >/dev/null || exit 1; \
+		done; \
+		cmp "$$tmp/w$$w-a.ckpt" "$$tmp/w$$w-b.ckpt" || exit 1; \
+		echo "chaos: $$w-worker double-run checkpoints byte-identical"; \
+	done
 
 # Self-fuzz, 15 s per target. FuzzCompiledMatchesInterpreter: random
 # scripts must give the same results, errors and coverage on minidb's

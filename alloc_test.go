@@ -20,6 +20,7 @@ import (
 	"github.com/seqfuzz/lego/internal/instantiate"
 	"github.com/seqfuzz/lego/internal/minidb"
 	"github.com/seqfuzz/lego/internal/mutate"
+	"github.com/seqfuzz/lego/internal/shard"
 	"github.com/seqfuzz/lego/internal/sqlparse"
 	"github.com/seqfuzz/lego/internal/sqlt"
 )
@@ -149,16 +150,19 @@ SELECT c0 FROM t0 WHERE c0 > 1;
 		_ = mut.SubstituteType(tc, 1)
 	})
 
-	// Campaign snapshot after a fixed 3000-statement MariaDB campaign (136
-	// pool seeds, 250 edges, 322 synthesized sequences): one slice per
-	// section, one shared backing array for all synthesized sequences, and
-	// the crash list. Pool scripts are rendered once per seed, on its first
+	// Campaign snapshot of a one-worker executor after a fixed
+	// 3000-statement MariaDB campaign (136 pool seeds, 250 edges, 322
+	// synthesized sequences): one slice per section, one shared backing
+	// array for all synthesized sequences, the worker's crash list and the
+	// merged one. Pool scripts are rendered once per seed, on its first
 	// snapshot, not once per snapshot, so the measured runs reuse them. The
 	// structure library is rebuilt from the pool on resume, so it costs the
 	// snapshot nothing.
-	f := core.New(core.Options{Dialect: sqlt.DialectMariaDB, Seed: 1})
-	f.Run(3000)
-	check("Snapshot", 115, func() {
-		_ = f.Snapshot()
+	ex := shard.New(shard.Options{Core: core.Options{Dialect: sqlt.DialectMariaDB, Seed: 1}, Workers: 1})
+	if _, err := ex.Run(3000, shard.RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	check("Snapshot", 104, func() {
+		_ = ex.Snapshot()
 	})
 }

@@ -112,10 +112,10 @@ func TestFacadeShardedDoubleRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestFacadeWorkersOneIsSingleThreaded: Workers <= 1 must not change
-// anything — it takes the exact single-threaded code path, so its report
-// and checkpoint are identical to a Config that never mentions Workers.
-func TestFacadeWorkersOneIsSingleThreaded(t *testing.T) {
+// TestFacadeWorkersZeroAndOneAreOneShard: Workers 0 (the default) and
+// Workers 1 are the same campaign — one shard on the campaign executor — so
+// their reports and checkpoints are identical.
+func TestFacadeWorkersZeroAndOneAreOneShard(t *testing.T) {
 	run := func(workers int) (lego.Report, []byte) {
 		path := filepath.Join(t.TempDir(), "camp.ckpt")
 		f := lego.NewFuzzer(lego.Config{Target: lego.PostgreSQL, Seed: 9, Workers: workers})

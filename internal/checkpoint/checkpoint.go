@@ -8,8 +8,8 @@
 //
 // The package is deliberately passive: it defines the wire format and the
 // file protocol (atomic temp-file+rename writes, checksummed reads) and
-// knows nothing about the fuzzer. Package core converts live campaign state
-// to and from this form.
+// knows nothing about the fuzzer. Packages core (one worker) and shard (the
+// campaign) convert live state to and from this form.
 package checkpoint
 
 import (
@@ -100,10 +100,11 @@ type Incident struct {
 }
 
 // State is the complete serializable campaign state: the campaign-wide view
-// at the top level and one Shard entry per worker. A campaign run on the
-// single-threaded path is saved as one worker with EpochStmts 0, since it
-// has no barriers. Statement types and dialects travel as their raw integer
-// codes to keep this package free of fuzzer dependencies.
+// at the top level and one Shard entry per worker. Every campaign, one
+// worker included, runs on the epoch-barrier executor, so EpochStmts is at
+// least 1; resume rejects a state without one. Statement types and dialects
+// travel as their raw integer codes to keep this package free of fuzzer
+// dependencies.
 type State struct {
 	Version int `json:"version"`
 
@@ -126,10 +127,8 @@ type State struct {
 	Stmts        int `json:"stmts"`
 	EnginePanics int `json:"engine_panics"`
 
-	// Curve is the campaign's coverage curve: the runner's samples for one
-	// worker, one sample per barrier for a sharded campaign. Crashes is
-	// the merged oracle; in a sharded campaign it is the only copy that
-	// carries triage results.
+	// Curve is the campaign's coverage curve, one sample per barrier.
+	// Crashes is the merged oracle.
 	Curve   []CurvePoint `json:"curve"`
 	Crashes []Crash      `json:"crashes"`
 

@@ -11,7 +11,7 @@ import (
 )
 
 // sampleShard is one worker's state; sample wraps it as a one-worker
-// campaign, the layout the single-threaded path saves.
+// campaign.
 func sampleShard() Shard {
 	return Shard{
 		Execs:        1234,
@@ -48,6 +48,8 @@ func sample() *State {
 		Seed:         7,
 		MaxLen:       5,
 		Workers:      1,
+		EpochStmts:   2000,
+		Epoch:        3,
 		Execs:        1234,
 		Stmts:        5678,
 		EnginePanics: 3,

@@ -2,46 +2,25 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/seqfuzz/lego/internal/affinity"
 	"github.com/seqfuzz/lego/internal/checkpoint"
 	"github.com/seqfuzz/lego/internal/corpus"
 	"github.com/seqfuzz/lego/internal/coverage"
-	"github.com/seqfuzz/lego/internal/harness"
 	"github.com/seqfuzz/lego/internal/minidb"
 	"github.com/seqfuzz/lego/internal/oracle"
 	"github.com/seqfuzz/lego/internal/seqsynth"
 	"github.com/seqfuzz/lego/internal/sqlparse"
 	"github.com/seqfuzz/lego/internal/sqlt"
-	"github.com/seqfuzz/lego/internal/triage"
 )
 
-// This file converts live campaign state to and from checkpoint.State.
-// Snapshot must be taken at a Step boundary (Run and RunWithCheckpoint only
-// checkpoint between iterations): everything the fuzzing loop reads — pool,
-// affinities, synthesizer, coverage, oracle, counters, and the RNG stream
-// position — is captured, and the structure library is rebuilt from the
-// pool, so a Resume'd campaign replays the exact schedule the uninterrupted
-// campaign would have run.
-
-// Snapshot serializes a campaign run on this fuzzer alone: one worker and,
-// since the single-threaded path has no barriers, EpochStmts 0.
-func (f *Fuzzer) Snapshot() *checkpoint.State {
-	w := f.SnapshotShard()
-	return &checkpoint.State{
-		Dialect:      uint8(f.opts.Dialect),
-		Seed:         f.opts.Seed,
-		MaxLen:       f.opts.MaxLen,
-		Workers:      1,
-		Execs:        w.Execs,
-		Stmts:        w.Stmts,
-		EnginePanics: w.EnginePanics,
-		Curve:        slices.Clone(f.runner.Curve),
-		Crashes:      w.Crashes,
-		Shards:       []checkpoint.Shard{w},
-	}
-}
+// This file converts a worker's live state to and from checkpoint form.
+// SnapshotShard must be taken at a Step boundary (the campaign executor
+// snapshots only at epoch barriers): everything the fuzzing loop reads —
+// pool, affinities, synthesizer, coverage, oracle, counters, and the RNG
+// stream position — is captured, and the structure library is rebuilt from
+// the pool, so a resumed worker replays the exact schedule the
+// uninterrupted one would have run.
 
 // SnapshotShard serializes the fuzzer's worker state. It builds the wire
 // form in one pass: every slice is sized up front, and synthesized
@@ -94,26 +73,6 @@ func (f *Fuzzer) SnapshotShard() checkpoint.Shard {
 		st.Pending[i] = [2]uint16{uint16(p.From), uint16(p.To)}
 	}
 	return st
-}
-
-// Resume rebuilds a single-threaded campaign from its checkpoint. opts must
-// describe the same campaign (see CheckIdentity), and the checkpoint must
-// hold one worker and no barriers: a sharded campaign resumes only through
-// the sharded executor.
-func Resume(opts Options, st *checkpoint.State) (*Fuzzer, error) {
-	if st.Workers != 1 || len(st.Shards) != 1 || st.EpochStmts != 0 {
-		return nil, fmt.Errorf("resume: checkpoint was saved by the sharded executor (%d workers, %d-statement epochs), options select the single-threaded path",
-			st.Workers, st.EpochStmts)
-	}
-	if err := CheckIdentity(opts, st); err != nil {
-		return nil, err
-	}
-	f, err := ResumeShard(opts, &st.Shards[0])
-	if err != nil {
-		return nil, err
-	}
-	f.runner.Curve = slices.Clone(st.Curve)
-	return f, nil
 }
 
 // CheckIdentity reports whether opts describe the campaign the checkpoint
@@ -187,90 +146,9 @@ func ResumeShard(opts Options, sh *checkpoint.Shard) (*Fuzzer, error) {
 	return f, nil
 }
 
-// RunOptions configures one RunWithOptions campaign leg.
-type RunOptions struct {
-	// EveryExecs is the checkpoint cadence in test-case executions; Save is
-	// additionally called once when the leg ends. Zero (with a nil Save)
-	// disables checkpointing.
-	EveryExecs int
-	// Save persists a snapshot; a non-nil error aborts the leg.
-	Save func(*checkpoint.State) error
-	// Stop requests a graceful shutdown: once the channel is closed, the
-	// leg finishes the fuzzing iteration in flight, stops at the iteration
-	// boundary, takes its final snapshot, and returns with interrupted =
-	// true. The boundary matters: mid-iteration state (a partially drained
-	// synthesis queue, RNG draws already spent on an unfinished mutation
-	// round) is a state an uninterrupted campaign never pauses in, so
-	// stopping there would make the resumed schedule diverge from the
-	// uninterrupted one. Iteration boundaries are exactly the states an
-	// uninterrupted campaign also passes through. A nil channel never
-	// stops.
-	Stop <-chan struct{}
-}
-
-// RunWithCheckpoint drives the fuzzer like Run, additionally saving a
-// snapshot via save every everyExecs executions (and once at the end).
-// Snapshots are taken only at iteration boundaries, where campaign state is
-// fully consistent.
-func (f *Fuzzer) RunWithCheckpoint(budgetStmts, everyExecs int, save func(*checkpoint.State) error) (*harness.Runner, error) {
-	runner, _, err := f.RunWithOptions(budgetStmts, RunOptions{EveryExecs: everyExecs, Save: save})
-	return runner, err
-}
-
-// RunWithOptions is the full-featured campaign loop behind Run and
-// RunWithCheckpoint: it drives the fuzzer until the statement budget is
-// consumed or opts.Stop is closed, checkpointing on the configured cadence
-// and once at the end. interrupted reports that the leg ended on the stop
-// channel with budget left — the caller can tell a completed campaign from
-// a gracefully shut-down one.
-func (f *Fuzzer) RunWithOptions(budgetStmts int, opts RunOptions) (runner *harness.Runner, interrupted bool, err error) {
-	stopped := func() bool {
-		if opts.Stop == nil {
-			return false
-		}
-		select {
-		case <-opts.Stop:
-			return true
-		default:
-			return false
-		}
-	}
-	// Step receives only the budget predicate: the budget may run out
-	// mid-iteration (that is where the campaign ends, so any state is
-	// final), but the stop channel is polled strictly between iterations —
-	// see RunOptions.Stop for why.
-	exhausted := func() bool { return f.runner.Stmts >= budgetStmts }
-	lastSaved := f.runner.Execs
-	for !exhausted() && !stopped() {
-		f.Step(exhausted)
-		if opts.Save != nil && opts.EveryExecs > 0 && f.runner.Execs-lastSaved >= opts.EveryExecs {
-			if err := opts.Save(f.Snapshot()); err != nil {
-				return f.runner, false, err
-			}
-			lastSaved = f.runner.Execs
-		}
-	}
-	interrupted = f.runner.Stmts < budgetStmts && stopped()
-	if opts.Save != nil {
-		if err := opts.Save(f.Snapshot()); err != nil {
-			return f.runner, interrupted, err
-		}
-	}
-	return f.runner, interrupted, nil
-}
-
-// Triage runs the crash triage pipeline over the campaign oracle: every
-// unique crash is re-verified and minimized on a fresh quarantined engine
-// built from the campaign's own configuration (see internal/triage). Crash
-// entries are updated in place, so a Snapshot taken afterwards persists the
-// triage results.
-func (f *Fuzzer) Triage(cfg triage.Config) triage.Summary {
-	return triage.New(f.runner.Config(), cfg).Run(f.runner.Oracle)
-}
-
 // ExportCrashes converts an oracle's deduplicated crashes to checkpoint
-// form, in discovery order. Shared by worker snapshots and the sharded
-// executor's global-oracle export.
+// form, in discovery order. Shared by worker snapshots and the campaign
+// executor's export of its merged oracle.
 func ExportCrashes(o *oracle.Oracle) []checkpoint.Crash {
 	crashes := o.Crashes()
 	out := makeN[checkpoint.Crash](len(crashes))

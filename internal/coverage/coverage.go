@@ -264,8 +264,9 @@ func (m *Map) Import(edges []EdgeState) {
 }
 
 // Merge OR-folds other's virgin buckets into m, the epoch-barrier merge of
-// the sharded executor: after merging every shard into a global map and the
-// global map back into every shard, all workers share one virgin state.
+// the campaign executor: after merging every shard into the first active
+// shard's map and that map back into the others, all workers share one
+// virgin state.
 // Merge is commutative and idempotent in its effect on the final mask set.
 func (m *Map) Merge(other *Map) {
 	for idx, mask := range other.virgin {

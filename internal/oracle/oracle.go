@@ -138,6 +138,25 @@ func (o *Oracle) Adopt(c *Crash) bool {
 	return true
 }
 
+// AdoptTriage copies the triage results of c, an entry of a merged crash
+// view, onto this oracle's entry for the same stack: Status, OriginalLen,
+// MinimizedLen and Replays, and the reproducer when c's is shorter. A
+// stack this oracle never saw is ignored. Copying the results back into
+// every shard lets the next barrier's rebuild of the merged view keep them.
+func (o *Oracle) AdoptTriage(c *Crash) {
+	prev, ok := o.seen[c.Report.StackKey()]
+	if !ok {
+		return
+	}
+	prev.Status = c.Status
+	prev.OriginalLen = c.OriginalLen
+	prev.MinimizedLen = c.MinimizedLen
+	prev.Replays = c.Replays
+	if len(c.Reproducer) < len(prev.Reproducer) {
+		prev.Reproducer = c.Reproducer
+	}
+}
+
 // Count returns the number of unique bugs found.
 func (o *Oracle) Count() int { return len(o.seen) }
 

@@ -8,9 +8,9 @@ import (
 	"github.com/seqfuzz/lego/internal/core"
 )
 
-// Snapshot captures the whole sharded campaign as a checkpoint state: one
-// worker entry per shard (in shard-index order) plus the merged global view
-// at the top level. Snapshots are only taken at epoch barriers, so the
+// Snapshot captures the whole campaign as a checkpoint state: one worker
+// entry per shard (in shard-index order) plus the merged view at the top
+// level. Snapshots are only taken at epoch barriers, so the
 // worker entries are exactly the states an uninterrupted campaign passes
 // through.
 //
@@ -35,9 +35,8 @@ func (e *Executor) Snapshot() *checkpoint.State {
 		EpochStmts: e.opts.EpochStmts,
 		Epoch:      e.epoch,
 
-		// Global aggregates: counters are totals, the curve is the
-		// barrier-sampled global curve, and the crashes are the merged
-		// oracle — the only copy that carries triage results.
+		// Campaign aggregates: counters are totals, the curve is sampled
+		// once per barrier, and the crashes are the merged oracle.
 		Execs:        e.Execs(),
 		Stmts:        e.Stmts(),
 		EnginePanics: e.EnginePanics(),
@@ -59,7 +58,7 @@ func (e *Executor) Snapshot() *checkpoint.State {
 	return st
 }
 
-// Resume rebuilds a sharded campaign from a checkpoint. The topology
+// Resume rebuilds a campaign from a checkpoint. The topology
 // (Workers, EpochStmts) is part of the campaign's identity — resuming under
 // a different one would move every epoch barrier — so mismatches fail
 // loudly, like core.CheckIdentity does for seed and dialect.
@@ -72,7 +71,7 @@ func Resume(opts Options, st *checkpoint.State) (*Executor, error) {
 		return nil, fmt.Errorf("shard: resume: checkpoint has %d workers (%d shard entries), options request %d", st.Workers, len(st.Shards), opts.Workers)
 	}
 	if st.EpochStmts < 1 {
-		return nil, fmt.Errorf("shard: resume: checkpoint has no epoch budget (%d statements): it was saved on the single-threaded path", st.EpochStmts)
+		return nil, fmt.Errorf("shard: resume: checkpoint has no epoch budget (%d statements): an older build wrote it for a one-worker campaign", st.EpochStmts)
 	}
 	if st.EpochStmts != opts.EpochStmts {
 		return nil, fmt.Errorf("shard: resume: checkpoint epoch budget is %d statements, options request %d", st.EpochStmts, opts.EpochStmts)
@@ -107,16 +106,13 @@ func Resume(opts Options, st *checkpoint.State) (*Executor, error) {
 	}
 
 	// Snapshots are taken post-barrier, so every shard's pool deltas have
-	// already been donated and every shard's coverage equals the global
-	// OR-fold; rebuilding the global map by merging the shards is exact.
+	// already been donated.
 	e.poolMark = make([]int, len(e.shards))
 	for i, sh := range e.shards {
 		e.poolMark[i] = sh.Pool().Len()
-		e.global.Merge(sh.Runner().Cov)
 	}
 
-	// The top-level crash list is the merged global oracle and the only
-	// copy carrying triage results.
+	// The top-level crash list is the merged oracle.
 	crashes, err := core.ImportCrashes(opts.Core.Dialect, st.Crashes)
 	if err != nil {
 		return nil, fmt.Errorf("shard: resume: %w", err)

@@ -1,8 +1,10 @@
-// Package shard runs a LEGO campaign as N parallel workers with
+// Package shard runs every LEGO campaign of the facade: N workers with
 // deterministic epoch-barrier merges — the reproduction's answer to the
 // paper's parallel AFL++ instances per target (§IV), made bit-for-bit
 // replayable by the determinism substrate (exportable RNG state, byte-exact
-// checkpoints, legolint's static gates).
+// checkpoints, legolint's static gates). A one-worker campaign runs the same
+// executor with one shard, as AFL++ runs one instance through the same loop
+// as N.
 //
 // # Model
 //
@@ -13,18 +15,26 @@
 // goroutine scheduler can interleave them arbitrarily without affecting any
 // shard's schedule.
 //
-// Every EpochStmts statements of per-shard budget, all shards stop at an
-// epoch barrier and the coordinator merges them in fixed shard-index order:
+// With two or more shards, every EpochStmts statements of per-shard budget
+// all shards stop at an epoch barrier, a hard statement count, and the
+// coordinator merges them in fixed shard-index order:
 //
-//   - coverage maps OR-fold into a global virgin map, which then folds back
-//     into every shard, so no worker re-explores territory a sibling owns;
+//   - coverage maps OR-fold into the first active shard's map, which then
+//     folds back into every other active shard, so no worker re-explores
+//     territory a sibling owns;
 //   - seeds retained during the epoch cross-pollinate into every peer's
 //     pool (as independent clones, analyzed for affinities new to the peer);
 //   - affinity maps union, and pairs new to a shard are queued for its
 //     progressive synthesis;
-//   - crashes are adopted by peers for deduplication, and the global crash
+//   - crashes are adopted by peers for deduplication, and the merged crash
 //     view is rebuilt under the oracle's shortest-reproducer invariant;
-//   - one global coverage-curve point is sampled.
+//   - one campaign coverage-curve point is sampled.
+//
+// A lone shard has nothing to merge, so its epoch end is soft: it runs
+// whole fuzzing iterations until it has executed EpochStmts more
+// statements, and only the campaign budget cuts an iteration short. Its
+// barriers only mark save and stop points, and its schedule is exactly the
+// uninterrupted core.Fuzzer loop.
 //
 // Because shards are deterministic between barriers and every merge walks
 // shards in index order on the coordinator goroutine, the merged report and
@@ -47,7 +57,6 @@ import (
 	"github.com/seqfuzz/lego/internal/checkpoint"
 	"github.com/seqfuzz/lego/internal/core"
 	"github.com/seqfuzz/lego/internal/corpus"
-	"github.com/seqfuzz/lego/internal/coverage"
 	"github.com/seqfuzz/lego/internal/harness"
 	"github.com/seqfuzz/lego/internal/minidb"
 	"github.com/seqfuzz/lego/internal/oracle"
@@ -120,14 +129,15 @@ type Executor struct {
 	opts   Options
 	shards []*core.Fuzzer
 
-	// global is the merged virgin coverage map; oracle is the merged crash
-	// view; curve samples (total execs, global edges) once per barrier.
-	global *coverage.Map
+	// oracle is the merged crash view; curve samples (total execs,
+	// Branches) once per barrier.
 	oracle *oracle.Oracle
 	curve  []harness.CurvePoint
 
-	// epoch counts the barriers passed; shard i's next barrier sits at
-	// min(target_i, (epoch+1)*EpochStmts) statements.
+	// epoch counts the barriers passed. With several shards, shard i's
+	// next barrier sits at min(target_i, (epoch+1)*EpochStmts) statements;
+	// a lone shard's sits at the first iteration boundary EpochStmts
+	// statements past the last one (see legs).
 	epoch int
 	// poolMark[i] is shard i's pool size at the last barrier; everything
 	// after it is the delta donated to peers at the next one.
@@ -162,10 +172,9 @@ type Executor struct {
 	testFault func(epoch, shard, attempt int)
 }
 
-// New builds a sharded campaign executor. Every shard ingests the initial
-// seed corpus independently (they are identical streams until the first
-// divergent RNG draw), and an initial barrier folds that shared baseline
-// into the global coverage map.
+// New builds a campaign executor. Every shard ingests the initial seed
+// corpus independently (they are identical streams until the first
+// divergent RNG draw), and an initial barrier merges that shared baseline.
 func New(opts Options) *Executor {
 	opts.fill()
 	e := newExecutor(opts)
@@ -187,7 +196,6 @@ func New(opts Options) *Executor {
 func newExecutor(opts Options) *Executor {
 	e := &Executor{
 		opts:      opts,
-		global:    coverage.NewMap(),
 		oracle:    oracle.New(),
 		fs:        checkpoint.OS,
 		snapEpoch: -1,
@@ -207,8 +215,7 @@ func (e *Executor) coreOpts(i int) core.Options {
 	return co
 }
 
-// RunOptions configures one Run leg, mirroring core.RunOptions at epoch
-// granularity.
+// RunOptions configures one Run leg.
 type RunOptions struct {
 	// EveryExecs is the checkpoint cadence in total (cross-shard) test-case
 	// executions; Save also runs once when the leg ends. Checkpoints are
@@ -227,8 +234,8 @@ type RunOptions struct {
 	// a barrier is a state every uninterrupted campaign also passes
 	// through, so resuming a stopped campaign and finishing the budget
 	// reproduces the uninterrupted campaign exactly. Mid-epoch stops would
-	// park shards at statement counts no uninterrupted campaign pauses at.
-	// A nil channel never stops.
+	// park shards at statement counts, or a lone shard mid-iteration, where
+	// no uninterrupted campaign pauses. A nil channel never stops.
 	Stop <-chan struct{}
 }
 
@@ -351,24 +358,30 @@ func (e *Executor) done(targets []int) bool {
 // goroutines were scheduled.
 //
 // Quarantined shards participate read-only: their last-good coverage and
-// crashes stay folded into the global view (they were earned), but they
+// crashes stay folded into the merged view (they were earned), but they
 // neither donate new material — they have none, their state is frozen at a
 // barrier whose deltas were already distributed — nor receive any, so their
-// frozen state stays exactly the snapshot a resumed campaign restores.
+// frozen state stays the snapshot a resumed campaign restores (apart from
+// the triage results Triage copies into every shard).
 func (e *Executor) mergeBarrier() {
 	n := len(e.shards)
 	active := func(i int) bool { return !e.quarantined[i] }
 
-	// Coverage: fold every shard into the global virgin map, then the
-	// global map back into every active shard, leaving all running workers
-	// with identical coverage state — the OR-fold of everything any worker
-	// has seen.
-	for _, sh := range e.shards {
-		e.global.Merge(sh.Runner().Cov)
-	}
-	for i, sh := range e.shards {
-		if active(i) {
-			sh.Runner().Cov.Merge(e.global)
+	// Coverage: fold every shard into the first active shard's map, then
+	// that map back into every other active shard, leaving all running
+	// workers with identical coverage state — the OR-fold of everything
+	// any worker has seen. A lone shard has nothing to fold.
+	if first := e.firstActive(); first >= 0 {
+		union := e.shards[first].Runner().Cov
+		for i, sh := range e.shards {
+			if i != first {
+				union.Merge(sh.Runner().Cov)
+			}
+		}
+		for i, sh := range e.shards {
+			if i != first && active(i) {
+				sh.Runner().Cov.Merge(union)
+			}
 		}
 	}
 
@@ -411,8 +424,8 @@ func (e *Executor) mergeBarrier() {
 	}
 
 	// Crashes: peers adopt each other's crashes (hits stay with the
-	// observer, so the global sum below counts every sighting once), then
-	// the global view is rebuilt under the shortest-reproducer invariant.
+	// observer, so the merged sum below counts every sighting once), then
+	// the merged view is rebuilt under the shortest-reproducer invariant.
 	crashes := make([][]*oracle.Crash, n)
 	for i, sh := range e.shards {
 		crashes[i] = sh.Runner().Oracle.Crashes()
@@ -436,9 +449,9 @@ func (e *Executor) mergeBarrier() {
 	}
 	e.oracle = g
 
-	// One global curve point per barrier that made progress.
+	// One curve point per barrier that made progress.
 	if ex := e.Execs(); len(e.curve) == 0 || e.curve[len(e.curve)-1].Execs != ex {
-		e.curve = append(e.curve, harness.CurvePoint{Execs: ex, Edges: e.global.EdgeCount()})
+		e.curve = append(e.curve, harness.CurvePoint{Execs: ex, Edges: e.Branches()})
 	}
 
 	// The post-merge states are what a failed next epoch re-runs from, but
@@ -447,11 +460,19 @@ func (e *Executor) mergeBarrier() {
 	// Snapshot dominated barrier cost when taken unconditionally.
 }
 
-// Triage runs the crash triage pipeline over the merged global oracle on a
+// Triage runs the crash triage pipeline over the merged crash view on a
 // fresh quarantined engine built from shard 0's configuration (all shards
-// share it up to the RNG seed, which triage reseeds per crash anyway).
+// share it up to the RNG seed, which triage reseeds per crash anyway), then
+// copies the results into every shard's oracle: the next barrier rebuilds
+// the merged view from the shards, and must not lose them.
 func (e *Executor) Triage(cfg triage.Config) triage.Summary {
-	return triage.New(e.shards[0].Runner().Config(), cfg).Run(e.oracle)
+	sum := triage.New(e.shards[0].Runner().Config(), cfg).Run(e.oracle)
+	for _, c := range e.oracle.Crashes() {
+		for _, sh := range e.shards {
+			sh.Runner().Oracle.AdoptTriage(c)
+		}
+	}
+	return sum
 }
 
 // Workers returns the shard count.
@@ -502,13 +523,21 @@ func (e *Executor) PlanStats() minidb.PlanStats {
 	return s
 }
 
-// Branches returns the global branch-coverage metric.
-func (e *Executor) Branches() int { return e.global.EdgeCount() }
+// Branches returns the campaign's branch-coverage metric: the largest
+// shard map. After a barrier the first active shard holds the OR-fold of
+// every shard, and no shard holds more than that union.
+func (e *Executor) Branches() int {
+	n := 0
+	for _, sh := range e.shards {
+		n = max(n, sh.Runner().Cov.EdgeCount())
+	}
+	return n
+}
 
-// Oracle returns the merged global crash view (rebuilt at every barrier).
+// Oracle returns the merged crash view (rebuilt at every barrier).
 func (e *Executor) Oracle() *oracle.Oracle { return e.oracle }
 
-// Curve returns the global coverage curve, one sample per barrier.
+// Curve returns the campaign's coverage curve, one sample per barrier.
 func (e *Executor) Curve() []harness.CurvePoint { return e.curve }
 
 // Affinities returns the number of distinct type-affinities discovered by
@@ -537,12 +566,18 @@ func (e *Executor) GenAffinities() int {
 // first active shard speaks for the campaign; a quarantined shard's pool is
 // frozen at its last-good barrier and may lag.
 func (e *Executor) PoolLen() int {
-	for i, sh := range e.shards {
-		if !e.quarantined[i] {
-			return sh.Pool().Len()
+	return e.shards[max(e.firstActive(), 0)].Pool().Len()
+}
+
+// firstActive returns the index of the first shard not quarantined, or -1
+// when every shard is.
+func (e *Executor) firstActive() int {
+	for i, q := range e.quarantined {
+		if !q {
+			return i
 		}
 	}
-	return e.shards[0].Pool().Len()
+	return -1
 }
 
 // Incidents returns the campaign's failure journal in occurrence order.

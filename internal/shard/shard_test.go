@@ -169,6 +169,79 @@ func TestShardedStopResumeEquivalence(t *testing.T) {
 	}
 }
 
+// TestShardedOneWorkerMatchesUninterruptedLoop: a one-shard campaign is the
+// uninterrupted core loop. Its epochs end softly, at iteration boundaries,
+// so periodic background saves, a stop at a barrier and a resume from the
+// flushed checkpoint leave the worker in exactly the state core.New + Run
+// reaches on the same seed: byte-identical worker snapshot, equal counters.
+func TestShardedOneWorkerMatchesUninterruptedLoop(t *testing.T) {
+	// Single iterations run up to a few thousand statements, so a soft
+	// epoch is often several EpochStmts long; this budget still crosses
+	// about a dozen barriers.
+	const budget = 30000
+	opts := testOptions(1)
+	ref := core.New(opts.Core)
+	ref.Run(budget)
+
+	e := New(opts)
+	stop := make(chan struct{})
+	closed := false
+	saves := 0
+	save := func(st *checkpoint.State) error {
+		saves++
+		if !closed && st.Epoch >= 3 {
+			closed = true
+			close(stop)
+		}
+		return nil
+	}
+	wasStopped, err := e.Run(budget, RunOptions{EveryExecs: 50, Save: save, Stop: stop})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !wasStopped {
+		t.Fatal("campaign ran to completion before the stop request landed")
+	}
+	path := t.TempDir() + "/one.ckpt"
+	if err := checkpoint.Save(path, e.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := checkpoint.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := Resume(opts, loaded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := resumed.Run(budget, RunOptions{EveryExecs: 50, Save: save}); err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Epoch() < 6 || saves < resumed.Epoch() {
+		t.Fatalf("campaign crossed %d barriers with %d saves; the test needs a save at every one of several", resumed.Epoch(), saves)
+	}
+
+	got, want := resumed.Shards()[0], ref
+	a, err := json.Marshal(got.SnapshotShard())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(want.SnapshotShard())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("one-shard campaign diverged from the uninterrupted loop\nshard: %.400s\ncore:  %.400s", a, b)
+	}
+	g, w := got.Runner(), want.Runner()
+	if g.Execs != w.Execs || g.Stmts != w.Stmts || g.EnginePanics != w.EnginePanics ||
+		g.Branches() != w.Branches() || g.Oracle.Count() != w.Oracle.Count() {
+		t.Fatalf("counters diverged: shard execs=%d stmts=%d panics=%d branches=%d bugs=%d, core %d %d %d %d %d",
+			g.Execs, g.Stmts, g.EnginePanics, g.Branches(), g.Oracle.Count(),
+			w.Execs, w.Stmts, w.EnginePanics, w.Branches(), w.Oracle.Count())
+	}
+}
+
 // TestShardedBackgroundSavesMatchEpochSnapshots: with a save due at every
 // barrier, the states Save receives in the background are, in order, the
 // snapshots of a twin campaign driven one epoch at a time, plus the leg's

@@ -81,30 +81,24 @@ func (e *Executor) runEpoch(targets []int) {
 		e.refreshSnaps()
 		e.snapEpoch = e.epoch
 	}
-	end := (e.epoch + 1) * e.opts.EpochStmts
+	legs := e.legs(targets)
 	attempts := make([]int, len(e.shards))
 	for {
 		// Collect this round's runnable shards: not quarantined, epoch
-		// budget unfinished. A shard that failed last round was restored to
-		// its barrier snapshot, so its statement count is back below the
+		// unfinished. A shard that failed last round was restored to its
+		// barrier snapshot, so its statement count is back below the
 		// boundary and it re-enters here with a bumped attempt.
 		type job struct {
-			shard, budget int
-			p             plan
+			shard int
+			leg   leg
+			p     plan
 		}
 		var jobs []job
 		for i, sh := range e.shards {
-			if e.quarantined[i] {
+			if e.quarantined[i] || sh.Runner().Stmts >= legs[i].stop() {
 				continue
 			}
-			budget := targets[i]
-			if end < budget {
-				budget = end
-			}
-			if sh.Runner().Stmts >= budget {
-				continue
-			}
-			jobs = append(jobs, job{i, budget, e.plan(e.epoch, i, attempts[i])})
+			jobs = append(jobs, job{i, legs[i], e.plan(e.epoch, i, attempts[i])})
 		}
 		if len(jobs) == 0 {
 			return
@@ -119,7 +113,7 @@ func (e *Executor) runEpoch(targets []int) {
 			wg.Add(1)
 			go func(j job) {
 				defer wg.Done()
-				failures[j.shard] = e.runWorker(j.shard, j.budget, j.p)
+				failures[j.shard] = e.runWorker(j.shard, j.leg, j.p)
 			}(j)
 		}
 		wg.Wait()
@@ -148,17 +142,46 @@ func (e *Executor) runEpoch(targets []int) {
 	}
 }
 
-// runWorker runs shard i to its epoch budget on the worker goroutine,
+// leg is one shard's run to the next barrier: core.Fuzzer.RunTo's hard
+// target and soft end.
+type leg struct{ target, end int }
+
+// stop is the statement count the leg reaches at the latest.
+func (l leg) stop() int { return min(l.target, l.end) }
+
+// legs sets each shard's run to the next barrier. With several shards the
+// end is hard: every shard stops at (epoch+1)*EpochStmts statements or at
+// its budget target, whichever comes first, so epochs are equally long and
+// no long iteration keeps the other shards waiting at the barrier. A lone
+// shard waits for nobody and has nothing to merge, so its end is soft: it
+// runs whole iterations until it has executed EpochStmts more statements,
+// and only its budget target cuts an iteration short. Its barriers then fall
+// on iteration boundaries of the uninterrupted core loop and leave its
+// schedule unchanged.
+func (e *Executor) legs(targets []int) []leg {
+	out := make([]leg, len(e.shards))
+	for i, sh := range e.shards {
+		if len(e.shards) == 1 {
+			out[i] = leg{targets[i], sh.Runner().Stmts + e.opts.EpochStmts}
+			continue
+		}
+		hard := min(targets[i], (e.epoch+1)*e.opts.EpochStmts)
+		out[i] = leg{hard, hard}
+	}
+	return out
+}
+
+// runWorker runs shard i through its leg on the worker goroutine,
 // executing the chaos plan and containing every panic — injected or organic
 // — as a structured failure instead of a dead process.
 //
 // Injected failures are deterministic prefixes: a scheduled panic runs the
-// worker to panicFrac of its remaining epoch budget and then panics with
+// worker to panicFrac of its remaining leg and then panics with
 // the fault's coordinates; a scheduled stall likewise parks the worker at
 // stallFrac, modeling a worker that stops making progress, and reports the
 // stall the supervisor's step watchdog would raise at the barrier. Both
 // leave the shard mid-epoch — exactly the partial state a restore discards.
-func (e *Executor) runWorker(i, budget int, p plan) (fail *workerFailure) {
+func (e *Executor) runWorker(i int, l leg, p plan) (fail *workerFailure) {
 	sh := e.shards[i]
 	defer func() {
 		rec := recover()
@@ -186,24 +209,22 @@ func (e *Executor) runWorker(i, budget int, p plan) (fail *workerFailure) {
 	}
 
 	start := sh.Runner().Stmts
-	span := budget - start
+	span := l.stop() - start
 	switch {
 	case p.panicFire:
 		at := start + int(p.panicFrac*float64(span))
-		_, _, _ = sh.RunWithOptions(at, core.RunOptions{})
+		sh.RunTo(at, at)
 		panic(chaos.InjectedPanic{Epoch: e.epoch, Shard: i, Attempt: p.attempt})
 	case p.stallFire:
 		at := start + int(p.stallFrac*float64(span))
-		_, _, _ = sh.RunWithOptions(at, core.RunOptions{})
+		sh.RunTo(at, at)
 		return &workerFailure{
 			kind: harness.IncidentEpochStall,
 			detail: fmt.Sprintf("chaos: injected epoch stall (epoch %d, shard %d, attempt %d)",
 				e.epoch, i, p.attempt),
 		}
 	default:
-		// No save, no stop: checkpointing and shutdown are barrier-level
-		// concerns. RunWithOptions can only fail through Save.
-		_, _, _ = sh.RunWithOptions(budget, core.RunOptions{})
+		sh.RunTo(l.target, l.end)
 	}
 	return nil
 }

@@ -27,7 +27,6 @@ import (
 
 	"github.com/seqfuzz/lego/internal/checkpoint"
 	"github.com/seqfuzz/lego/internal/core"
-	"github.com/seqfuzz/lego/internal/harness"
 	"github.com/seqfuzz/lego/internal/minidb"
 	"github.com/seqfuzz/lego/internal/oracle"
 	"github.com/seqfuzz/lego/internal/shard"
@@ -92,23 +91,24 @@ type Config struct {
 	// epoch barriers: coverage OR-folds, seeds and affinities and crashes
 	// cross-pollinate, all in fixed shard order. The report and checkpoint
 	// depend only on (Config, Workers, EpochStmts), never on goroutine
-	// scheduling. Workers <= 1 (the default) uses the single-threaded path
-	// unchanged.
+	// scheduling. Workers <= 1 (the default) runs one shard: there is
+	// nothing to merge, its epochs end at iteration boundaries, and the
+	// campaign is the uninterrupted fuzzing loop, with barriers marking
+	// where it can save and stop.
 	Workers int
-	// EpochStmts is the per-shard statement budget between merge barriers
-	// (default 2000). Like Seed, it is part of a sharded campaign's
-	// identity: a checkpoint only resumes under the same value. Ignored
-	// when Workers <= 1.
+	// EpochStmts is the per-shard statement budget between barriers
+	// (default 2000). With several workers every epoch ends at exactly this
+	// many statements; one worker ends its epoch at the first iteration
+	// boundary past it. Like Seed, it is part of the campaign's identity: a
+	// checkpoint only resumes under the same value.
 	EpochStmts int
-	// ChaosRate arms the deterministic chaos plane on the supervised
-	// (sharded) path: worker panics, epoch stalls, and checkpoint I/O
-	// faults are injected with this per-decision probability, on a schedule
-	// that is a pure function of (ChaosRate, ChaosSeed). Failed epochs are
-	// retried from the last barrier snapshot; shards that exhaust
-	// MaxEpochRetries are quarantined and the campaign degrades gracefully.
-	// Setting ChaosRate forces the supervised executor even with one
-	// worker. Zero (the default) injects nothing and leaves reports and
-	// checkpoints byte-identical to an unsupervised session.
+	// ChaosRate arms the deterministic chaos plane: worker panics, epoch
+	// stalls, and checkpoint I/O faults are injected with this per-decision
+	// probability, on a schedule that is a pure function of (ChaosRate,
+	// ChaosSeed). Failed epochs are retried from the last barrier snapshot;
+	// shards that exhaust MaxEpochRetries are quarantined and the campaign
+	// degrades gracefully. Zero (the default) injects nothing and leaves
+	// reports and checkpoints byte-identical to an unsupervised session.
 	ChaosRate float64
 	// ChaosSeed selects the fault schedule (default: Seed). Like Seed it is
 	// campaign identity: a chaotic checkpoint only resumes under the same
@@ -178,8 +178,8 @@ type Report struct {
 	// Bugs lists the unique crashes found, in discovery order.
 	Bugs []Bug
 
-	// Workers is the campaign's starting worker topology (1 on the
-	// single-threaded path).
+	// Workers is the campaign's starting worker topology (1 when
+	// Config.Workers <= 1).
 	Workers int
 	// Quarantined lists the shards whose retry budget was exhausted; the
 	// campaign finished degraded to Workers-len(Quarantined) workers.
@@ -212,37 +212,28 @@ type Incident struct {
 	Detail string
 }
 
-// Fuzzer is a LEGO fuzzing session against one target. Exactly one of
-// inner (single-threaded) and sharded (Workers > 1) is set.
+// Fuzzer is a LEGO fuzzing session against one target. Every session runs
+// on the campaign executor, a one-worker session as one shard.
 type Fuzzer struct {
-	inner   *core.Fuzzer
-	sharded *shard.Executor
-	cfg     Config
+	ex  *shard.Executor
+	cfg Config
 	// resumeWarning is set when ResumeFuzzer had to fall back to the
 	// rotated .bak checkpoint generation.
 	resumeWarning string
 }
 
-func (cfg Config) options() core.Options {
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	return core.Options{
-		Dialect:                   cfg.Target,
-		Seed:                      seed,
-		MaxLen:                    cfg.MaxSequenceLength,
-		DisableSequenceAlgorithms: cfg.DisableSequenceAlgorithms,
-		Hazards:                   !cfg.DisableHazards,
-		SplitLongSeeds:            cfg.SplitLongSeeds,
-		FaultRate:                 cfg.FaultRate,
-		DisablePlanCache:          cfg.DisablePlanCache,
-	}
-}
-
-func (cfg Config) shardOptions() shard.Options {
+func (cfg Config) options() shard.Options {
 	return shard.Options{
-		Core:            cfg.options(),
+		Core: core.Options{
+			Dialect:                   cfg.Target,
+			Seed:                      cfg.Seed,
+			MaxLen:                    cfg.MaxSequenceLength,
+			DisableSequenceAlgorithms: cfg.DisableSequenceAlgorithms,
+			Hazards:                   !cfg.DisableHazards,
+			SplitLongSeeds:            cfg.SplitLongSeeds,
+			FaultRate:                 cfg.FaultRate,
+			DisablePlanCache:          cfg.DisablePlanCache,
+		},
 		Workers:         cfg.Workers,
 		EpochStmts:      cfg.EpochStmts,
 		ChaosRate:       cfg.ChaosRate,
@@ -251,46 +242,28 @@ func (cfg Config) shardOptions() shard.Options {
 	}
 }
 
-// sharded reports whether the session runs on the supervised sharded
-// executor: parallel campaigns, and chaotic ones of any worker count.
-func (cfg Config) sharded() bool { return cfg.Workers > 1 || cfg.ChaosRate > 0 }
-
-// NewFuzzer builds a fuzzing session. Parallel campaigns (Workers > 1) and
-// chaotic ones (ChaosRate > 0, any worker count) run on the supervised
-// sharded executor; everything else uses the single-threaded path.
+// NewFuzzer builds a fuzzing session.
 func NewFuzzer(cfg Config) *Fuzzer {
-	if cfg.sharded() {
-		return &Fuzzer{sharded: shard.New(cfg.shardOptions()), cfg: cfg}
-	}
-	return &Fuzzer{inner: core.New(cfg.options()), cfg: cfg}
+	return &Fuzzer{ex: shard.New(cfg.options()), cfg: cfg}
 }
 
 // ResumeFuzzer rebuilds a fuzzing session from a checkpoint file written by
 // FuzzWithCheckpoint. cfg must describe the same campaign (target, seed,
-// sequence length); the restored session continues exactly where the
-// checkpoint left off, with the same schedule and discoveries as an
-// uninterrupted run. When the primary checkpoint is corrupt or truncated,
-// the rotated last-good <path>.bak generation is used instead and
-// ResumeWarning reports the substitution.
+// sequence length, topology, chaos schedule); the restored session
+// continues exactly where the checkpoint left off, with the same schedule
+// and discoveries as an uninterrupted run. When the primary checkpoint is
+// corrupt or truncated, the rotated last-good <path>.bak generation is used
+// instead and ResumeWarning reports the substitution.
 func ResumeFuzzer(cfg Config, path string) (*Fuzzer, error) {
 	st, warning, err := checkpoint.LoadWithFallback(path)
 	if err != nil {
 		return nil, err
 	}
-	// The config picks the path, as in NewFuzzer; each path's Resume
-	// rejects a checkpoint saved by the other.
-	if cfg.sharded() {
-		ex, err := shard.Resume(cfg.shardOptions(), st)
-		if err != nil {
-			return nil, err
-		}
-		return &Fuzzer{sharded: ex, cfg: cfg, resumeWarning: warning}, nil
-	}
-	inner, err := core.Resume(cfg.options(), st)
+	ex, err := shard.Resume(cfg.options(), st)
 	if err != nil {
 		return nil, err
 	}
-	return &Fuzzer{inner: inner, cfg: cfg, resumeWarning: warning}, nil
+	return &Fuzzer{ex: ex, cfg: cfg, resumeWarning: warning}, nil
 }
 
 // ResumeWarning is non-empty when ResumeFuzzer could not read the primary
@@ -301,20 +274,20 @@ func (f *Fuzzer) ResumeWarning() string { return f.resumeWarning }
 // FuzzOptions configures one FuzzWithOptions call.
 type FuzzOptions struct {
 	// CheckpointPath, when non-empty, persists campaign state there
-	// (atomically, checksummed, with a .bak rotation) every
-	// CheckpointEvery test-case executions and once when the run ends —
-	// including a run ended by Stop, so an interrupted campaign loses no
-	// work.
+	// (atomically, checksummed, with a .bak rotation) at the first epoch
+	// barrier after every CheckpointEvery test-case executions and once
+	// when the run ends — including a run ended by Stop, so an interrupted
+	// campaign loses no work. Periodic saves are written in the background
+	// while the next epoch runs.
 	CheckpointPath  string
 	CheckpointEvery int
 	// Stop requests graceful shutdown: when the channel is closed the
-	// campaign finishes the fuzzing iteration in flight, stops, flushes
-	// its final checkpoint, still runs triage (when Config.Triage is set),
-	// and returns a partial report with Interrupted set. Because the stop
-	// lands on an iteration boundary — a state an uninterrupted campaign
-	// also passes through — resuming the flushed checkpoint and finishing
-	// the budget reproduces the uninterrupted campaign exactly. A nil
-	// channel never stops.
+	// campaign runs on to the next epoch barrier, stops, flushes its final
+	// checkpoint, still runs triage (when Config.Triage is set), and
+	// returns a partial report with Interrupted set. Because the stop lands
+	// on a barrier — a state an uninterrupted campaign also passes through
+	// — resuming the flushed checkpoint and finishing the budget reproduces
+	// the uninterrupted campaign exactly. A nil channel never stops.
 	Stop <-chan struct{}
 }
 
@@ -326,9 +299,10 @@ func (f *Fuzzer) Fuzz(budgetStmts int) Report {
 }
 
 // FuzzWithCheckpoint runs like Fuzz but additionally writes the campaign
-// state to path every everyExecs test-case executions (atomically, with a
-// checksum) and once more when the budget is exhausted, so the campaign can
-// be resumed with ResumeFuzzer after a crash or shutdown.
+// state to path at the first epoch barrier after every everyExecs test-case
+// executions (atomically, with a checksum) and once more when the budget is
+// exhausted, so the campaign can be resumed with ResumeFuzzer after a crash
+// or shutdown.
 func (f *Fuzzer) FuzzWithCheckpoint(budgetStmts int, path string, everyExecs int) (Report, error) {
 	return f.FuzzWithOptions(budgetStmts, FuzzOptions{CheckpointPath: path, CheckpointEvery: everyExecs})
 }
@@ -339,75 +313,40 @@ func (f *Fuzzer) FuzzWithCheckpoint(budgetStmts int, path string, everyExecs int
 // after the loop ends (completed or interrupted) and the checkpoint is
 // re-flushed so the triage results persist.
 func (f *Fuzzer) FuzzWithOptions(budgetStmts int, opts FuzzOptions) (Report, error) {
-	if f.sharded != nil {
-		// Sharded saves route through the executor's filesystem, so an armed
-		// chaos plane can inject checkpoint I/O faults; the executor skips
-		// eaten saves (the previous generation stays on disk) and real disk
-		// errors still abort. Save runs in the background while the shards
-		// run, so it holds the filesystem rather than the executor.
-		var save func(*checkpoint.State) error
-		if opts.CheckpointPath != "" {
-			fs := f.sharded.FS()
-			save = func(st *checkpoint.State) error {
-				return checkpoint.SaveFS(fs, opts.CheckpointPath, st)
-			}
-		}
-		interrupted, err := f.sharded.Run(budgetStmts, shard.RunOptions{
-			EveryExecs: opts.CheckpointEvery,
-			Save:       save,
-			Stop:       opts.Stop,
-		})
-		if err == nil && f.cfg.Triage {
-			f.sharded.Triage(triage.Config{Replays: f.cfg.TriageReplays, Budget: f.cfg.TriageBudget})
-			if save != nil {
-				err = f.sharded.AbsorbSaveFault(save(f.sharded.Snapshot()))
-			}
-		}
-		rep := f.shardedReport()
-		rep.Interrupted = interrupted
-		return rep, err
-	}
+	// Saves route through the executor's filesystem, so an armed chaos
+	// plane can inject checkpoint I/O faults; the executor skips eaten
+	// saves (the previous generation stays on disk) and real disk errors
+	// still abort. Save runs in the background while the shards run, so it
+	// holds the filesystem rather than the executor.
 	var save func(*checkpoint.State) error
 	if opts.CheckpointPath != "" {
+		fs := f.ex.FS()
 		save = func(st *checkpoint.State) error {
-			return checkpoint.Save(opts.CheckpointPath, st)
+			return checkpoint.SaveFS(fs, opts.CheckpointPath, st)
 		}
 	}
-	runner, interrupted, err := f.inner.RunWithOptions(budgetStmts, core.RunOptions{
+	interrupted, err := f.ex.Run(budgetStmts, shard.RunOptions{
 		EveryExecs: opts.CheckpointEvery,
 		Save:       save,
 		Stop:       opts.Stop,
 	})
 	if err == nil && f.cfg.Triage {
-		f.inner.Triage(triage.Config{Replays: f.cfg.TriageReplays, Budget: f.cfg.TriageBudget})
+		f.ex.Triage(triage.Config{Replays: f.cfg.TriageReplays, Budget: f.cfg.TriageBudget})
 		if save != nil {
-			err = save(f.inner.Snapshot())
+			err = f.ex.AbsorbSaveFault(save(f.ex.Snapshot()))
 		}
 	}
-	rep := f.report(runner)
+	rep := f.report()
 	rep.Interrupted = interrupted
 	return rep, err
 }
 
-func (f *Fuzzer) report(runner *harness.Runner) Report {
-	return Report{
-		Executions:   runner.Execs,
-		Statements:   runner.Stmts,
-		Branches:     runner.Branches(),
-		Affinities:   f.inner.Affinities(),
-		SeedPool:     f.inner.Pool().Len(),
-		EnginePanics: runner.EnginePanics,
-		Bugs:         bugsFrom(runner.Oracle.Crashes()),
-		Workers:      1,
-	}
-}
-
-// shardedReport summarizes a sharded campaign from its merged global view:
-// totals across shards, the OR-folded coverage, the global oracle, and the
-// supervision plane's journal and degradation record.
-func (f *Fuzzer) shardedReport() Report {
+// report summarizes the campaign from its merged view: totals across
+// shards, the OR-folded coverage, the merged oracle, and the supervision
+// plane's journal and degradation record.
+func (f *Fuzzer) report() Report {
 	var incidents []Incident
-	for _, in := range f.sharded.Incidents() {
+	for _, in := range f.ex.Incidents() {
 		incidents = append(incidents, Incident{
 			Epoch:   in.Epoch,
 			Shard:   in.Shard,
@@ -418,17 +357,17 @@ func (f *Fuzzer) shardedReport() Report {
 		})
 	}
 	return Report{
-		Executions:   f.sharded.Execs(),
-		Statements:   f.sharded.Stmts(),
-		Branches:     f.sharded.Branches(),
-		Affinities:   f.sharded.Affinities(),
-		SeedPool:     f.sharded.PoolLen(),
-		EnginePanics: f.sharded.EnginePanics(),
-		Bugs:         bugsFrom(f.sharded.Oracle().Crashes()),
-		Workers:      f.sharded.Workers(),
-		Quarantined:  f.sharded.QuarantinedShards(),
+		Executions:   f.ex.Execs(),
+		Statements:   f.ex.Stmts(),
+		Branches:     f.ex.Branches(),
+		Affinities:   f.ex.Affinities(),
+		SeedPool:     f.ex.PoolLen(),
+		EnginePanics: f.ex.EnginePanics(),
+		Bugs:         bugsFrom(f.ex.Oracle().Crashes()),
+		Workers:      f.ex.Workers(),
+		Quarantined:  f.ex.QuarantinedShards(),
 		Incidents:    incidents,
-		SaveFaults:   f.sharded.SaveFaults(),
+		SaveFaults:   f.ex.SaveFaults(),
 	}
 }
 

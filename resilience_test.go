@@ -294,22 +294,53 @@ func TestFacadeShardedTriageSaveFaultCounted(t *testing.T) {
 	}
 }
 
-// TestFacadeChaosSingleWorkerSupervised: ChaosRate > 0 with Workers == 1 must
-// route through the supervised executor — a single-worker campaign gets the
-// same recovery machinery, not a silent fall-through to the bare fuzzer.
+// TestFacadeShardedTriageSurvivesNextLeg: triage results of one Fuzz call
+// must survive the next call's barriers. A crash minimized in the first leg
+// enters the second leg's triage with its minimized reproducer (and so
+// cannot have a longer original), instead of being rebuilt from shard
+// oracles that never saw triage and minimized again from scratch.
+func TestFacadeShardedTriageSurvivesNextLeg(t *testing.T) {
+	f := lego.NewFuzzer(lego.Config{Target: lego.MariaDB, Seed: 13, Workers: 2, Triage: true})
+	first := map[string]lego.Bug{}
+	shrunk := 0
+	for _, b := range f.Fuzz(20000).Bugs {
+		first[b.ID] = b
+		if b.MinimizedLen < b.OriginalLen {
+			shrunk++
+		}
+	}
+	if shrunk == 0 {
+		t.Fatal("first leg minimized no reproducer; the test exercises nothing")
+	}
+	for _, b := range f.Fuzz(45000).Bugs {
+		prev, ok := first[b.ID]
+		if !ok {
+			continue
+		}
+		if b.OriginalLen > prev.MinimizedLen {
+			t.Errorf("%s: second leg triaged a %d-statement reproducer; the first leg had minimized it to %d (%d->%d)",
+				b.ID, b.OriginalLen, prev.MinimizedLen, prev.OriginalLen, prev.MinimizedLen)
+		}
+	}
+}
+
+// TestFacadeChaosSingleWorkerSupervised: ChaosRate > 0 with Workers == 1
+// arms the supervision plane of the one-shard executor — a single-worker
+// campaign gets the same recovery machinery as a parallel one. Rate 1 makes
+// every epoch attempt fail, so the campaign must record incidents.
 func TestFacadeChaosSingleWorkerSupervised(t *testing.T) {
 	rep := lego.NewFuzzer(lego.Config{
 		Target:     lego.MySQL,
 		Seed:       9,
 		EpochStmts: 300,
-		ChaosRate:  0.2,
+		ChaosRate:  1,
 		ChaosSeed:  4,
 	}).Fuzz(6000)
 	if rep.Workers != 1 {
 		t.Fatalf("single-worker chaos campaign reports %d workers", rep.Workers)
 	}
 	if len(rep.Incidents) == 0 {
-		t.Fatal("rate-0.2 chaos over 20 epochs injected nothing on the single-worker path")
+		t.Fatal("rate-1 chaos injected nothing on the single-worker path")
 	}
 }
 
@@ -332,7 +363,9 @@ func TestFacadeResumeErrors(t *testing.T) {
 // TestFacadeResumeRejectsMalformedTopology: a checkpoint whose topology
 // disagrees with itself or with the Config must fail to resume with an
 // error that names the problem, never run on a topology nobody asked for.
-// The files are re-saved after each edit, so their checksums are valid.
+// A one-worker file with no epoch budget is the layout builds wrote before
+// one-worker campaigns ran on the executor. The files are re-saved after
+// each edit, so their checksums are valid.
 func TestFacadeResumeRejectsMalformedTopology(t *testing.T) {
 	dir := t.TempDir()
 	save := func(name string, cfg lego.Config) string {
@@ -356,8 +389,9 @@ func TestFacadeResumeRejectsMalformedTopology(t *testing.T) {
 		{"shard list cut to one entry", two, func(st *checkpoint.State) { st.Shards = st.Shards[:1] }, twoCfg, "1 shard entries"},
 		{"no workers", two, func(st *checkpoint.State) { st.Workers = 0 }, twoCfg, "0 workers"},
 		{"no epoch budget", two, func(st *checkpoint.State) { st.EpochStmts = 0 }, twoCfg, "no epoch budget"},
+		{"one-worker checkpoint with no epoch budget", one, func(st *checkpoint.State) { st.EpochStmts = 0 }, oneCfg, "no epoch budget"},
 		{"single-threaded checkpoint as two workers", one, func(*checkpoint.State) {}, twoCfg, "1 workers"},
-		{"two-worker checkpoint as one", two, func(*checkpoint.State) {}, oneCfg, "sharded executor"},
+		{"two-worker checkpoint as one", two, func(*checkpoint.State) {}, oneCfg, "2 workers"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
