@@ -139,15 +139,34 @@ SELECT c0 FROM t0 WHERE c0 > 1;
 		_ = warm.RunTestCase(small)
 	})
 
-	// Sequence mutations clone only the statements the mutant keeps: the
-	// deleted or replaced statement is never copied (cloning it cost 5).
+	// Mutants share the seed's statements: sequence mutations copy only the
+	// slice, and the fixer clones only a statement it repairs, into the
+	// fixer's reused simulated schema. Cloning every kept statement and a
+	// new schema per fix cost 13 more each.
 	rng := rand.New(rand.NewSource(1))
 	mut := mutate.New(rng, instantiate.New(rng, instantiate.NewLibrary(), sqlt.DialectMariaDB), sqlt.DialectMariaDB)
-	check("DeleteAt", 18, func() {
+	check("DeleteAt", 3, func() {
 		_ = mut.DeleteAt(tc, 1)
 	})
-	check("SubstituteType", 22, func() {
+	check("SubstituteType", 7, func() {
 		_ = mut.SubstituteType(tc, 1)
+	})
+
+	// Value mutation clones only the one or two statements it perturbs
+	// (cloning the whole seed cost 10 more).
+	check("MutateValues", 9, func() {
+		_ = mut.MutateValues(tc)
+	})
+
+	// Instantiation shares the library structures it picks; the fixer
+	// clones only those it repairs (cloning every pick cost 13 more).
+	lib := instantiate.NewLibrary()
+	lib.Harvest(tc)
+	irng := rand.New(rand.NewSource(1))
+	inst := instantiate.New(irng, lib, sqlt.DialectMariaDB)
+	seq := tc.Types()
+	check("Instantiator.TestCase", 11, func() {
+		_ = inst.TestCase(seq)
 	})
 
 	// Campaign snapshot of a one-worker executor after a fixed

@@ -19,6 +19,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 
 	"github.com/seqfuzz/lego/internal/affinity"
 	"github.com/seqfuzz/lego/internal/corpus"
@@ -216,7 +217,8 @@ func (f *Fuzzer) ingest(tc sqlast.TestCase, newEdges int) {
 
 // splitSeed cuts a long test case into two overlapping halves and
 // re-validates each, so later mutation works on short, fast seeds that
-// still carry the long seed's local orderings.
+// still carry the long seed's local orderings. The halves are new slices
+// sharing tc's statements; the fixer clones those it repairs.
 func (f *Fuzzer) splitSeed(tc sqlast.TestCase) []sqlast.TestCase {
 	mid := len(tc) / 2
 	overlap := f.opts.MaxLen / 2
@@ -224,8 +226,8 @@ func (f *Fuzzer) splitSeed(tc sqlast.TestCase) []sqlast.TestCase {
 	if lo < 1 {
 		lo = 1
 	}
-	first := tc[:mid+overlap].Clone()
-	second := tc[lo:].Clone()
+	first := slices.Clone(tc[:mid+overlap])
+	second := slices.Clone(tc[lo:])
 	f.inst.Fixer.Fix(first)
 	f.inst.Fixer.Fix(second)
 	return []sqlast.TestCase{first, second}

@@ -17,8 +17,8 @@ import (
 // like a locally discovered seed, and its type sequence is analyzed for
 // affinities new to this shard. Unlike ingest it never splits long seeds —
 // the donor already split them, and those halves arrive as their own pool
-// deltas. The caller passes an independent clone so shards never share
-// mutable ASTs.
+// deltas. tc may be the donor's own test case: pool statements are frozen,
+// so shards share them, and nothing writes tc's slots either.
 func (f *Fuzzer) AdoptSeed(tc sqlast.TestCase, newEdges int) {
 	if len(tc) == 0 {
 		return

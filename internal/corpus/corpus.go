@@ -24,9 +24,10 @@ type Seed struct {
 // Types returns the seed's SQL Type Sequence.
 func (s *Seed) Types() sqlt.Sequence { return s.TC.Types() }
 
-// SQL returns the seed's script text, rendering TC on first use. Retained
-// seeds are never mutated (mutants clone what they change), so the text is
-// rendered once per seed rather than once per checkpoint snapshot.
+// SQL returns the seed's script text, rendering TC on first use. A retained
+// seed's statements are frozen (mutants share them and clone only what they
+// change), so the text is rendered once per seed rather than once per
+// checkpoint snapshot.
 func (s *Seed) SQL() string {
 	if s.sql == "" {
 		s.sql = s.TC.SQL()

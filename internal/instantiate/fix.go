@@ -2,6 +2,7 @@ package instantiate
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -20,8 +21,18 @@ import (
 // The fix is best-effort by design: a fraction of semantic errors is useful
 // to fuzzing (error-handling paths are code too), so unresolvable
 // references are left in place rather than deleted.
+//
+// Fix never writes a statement its caller does not own. Every repair calls
+// own before it draws from Rng, takes a fresh name or writes a field; on a
+// shared statement own abandons the pass, and Fix repeats it on a clone.
+// The abandoned pass drew nothing and recorded nothing in the simulated
+// schema, so the repeat makes exactly the draws and repairs the first pass
+// would have made.
 type Fixer struct {
 	Rng *rand.Rand
+
+	sch    simSchema // reset by every Fix
+	shared bool      // the statement being fixed is not the caller's to write
 }
 
 // NewFixer returns a fixer.
@@ -30,6 +41,7 @@ func NewFixer(rng *rand.Rand) *Fixer { return &Fixer{Rng: rng} }
 // simSchema is the simulated catalog built while walking the test case.
 type simSchema struct {
 	tables  map[string][]string // table -> columns
+	names   []string            // the keys of tables, sorted: pickTable's draw order
 	views   []string
 	indexes []string
 	trigs   []string
@@ -44,31 +56,55 @@ type simSchema struct {
 	fresh   int
 }
 
-func newSimSchema() *simSchema {
-	return &simSchema{tables: map[string][]string{}}
-}
-
-func (s *simSchema) tableNames() []string {
-	out := make([]string, 0, len(s.tables))
-	for n := range s.tables {
-		out = append(out, n)
+// reset empties the schema in place, keeping its storage.
+func (s *simSchema) reset() {
+	if s.tables == nil {
+		s.tables = map[string][]string{}
 	}
-	// deterministic order for a given rng seed
-	sort.Strings(out)
-	return out
+	clear(s.tables)
+	s.names = s.names[:0]
+	s.views = s.views[:0]
+	s.indexes = s.indexes[:0]
+	s.trigs = s.trigs[:0]
+	s.seqs = s.seqs[:0]
+	s.funcs = s.funcs[:0]
+	s.procs = s.procs[:0]
+	s.rules = s.rules[:0]
+	s.roles = s.roles[:0]
+	s.preps = s.preps[:0]
+	s.cursors = s.cursors[:0]
+	s.saves = s.saves[:0]
+	s.fresh = 0
 }
 
-func (s *simSchema) freshName(prefix string) string {
-	s.fresh++
-	return prefix + "_" + strconv.Itoa(s.fresh)
-}
-
-func pickStr(rng *rand.Rand, ss []string) string {
-	if len(ss) == 0 {
-		return ""
+// setTable records a table's columns, adding its name to names when new.
+func (s *simSchema) setTable(name string, cols []string) {
+	if _, exists := s.tables[name]; !exists {
+		i := sort.SearchStrings(s.names, name)
+		s.names = slices.Insert(s.names, i, name)
 	}
-	return ss[rng.Intn(len(ss))]
+	s.tables[name] = cols
 }
+
+// dropTable forgets a table, if it exists.
+func (s *simSchema) dropTable(name string) {
+	if _, exists := s.tables[name]; exists {
+		delete(s.tables, name)
+		i := sort.SearchStrings(s.names, name)
+		s.names = slices.Delete(s.names, i, i+1)
+	}
+}
+
+// renameTable moves a table's columns to a new name, if it exists.
+func (s *simSchema) renameTable(from, to string) {
+	if c, exists := s.tables[from]; exists {
+		s.dropTable(from)
+		s.setTable(to, c)
+	}
+}
+
+// colsOf returns the simulated columns of a table ("" yields nil).
+func (s *simSchema) colsOf(name string) []string { return s.tables[name] }
 
 func hasStr(ss []string, v string) bool {
 	for _, s := range ss {
@@ -89,49 +125,91 @@ func dropStr(ss []string, v string) []string {
 	return out
 }
 
-// Fix repairs the test case in place.
-func (f *Fixer) Fix(tc sqlast.TestCase) {
-	sch := newSimSchema()
-	for _, stmt := range tc {
-		f.fixStmt(stmt, sch)
+// Fix repairs the test case. owned lists the indexes of the statements the
+// caller owns, which Fix repairs in place. Every other statement is shared
+// (a pool seed's or a library entry's) and frozen: when one needs a repair,
+// Fix puts a clone in its slot of tc and repairs the clone.
+func (f *Fixer) Fix(tc sqlast.TestCase, owned ...int) {
+	f.sch.reset()
+	for i, s := range tc {
+		if slices.Contains(owned, i) {
+			f.shared = false
+			f.fixStmt(s)
+		} else if !f.fixShared(s) {
+			tc[i] = s.Clone()
+			f.shared = false
+			f.fixStmt(tc[i])
+		}
 	}
+}
+
+// abandon is the panic value by which own stops a pass over a shared
+// statement; fixShared recovers it.
+type abandon struct{}
+
+// own must precede every RNG draw, fresh name and field write of a repair.
+// On a shared statement it abandons the pass before any of them happens.
+func (f *Fixer) own() {
+	if f.shared {
+		panic(abandon{})
+	}
+}
+
+// fixShared runs the pass over a shared statement and reports whether it
+// finished, which it does only when the statement needs no repair.
+func (f *Fixer) fixShared(s sqlast.Statement) (finished bool) {
+	f.shared = true
+	defer func() {
+		if !finished {
+			if r := recover(); r != (abandon{}) {
+				panic(r)
+			}
+		}
+	}()
+	f.fixStmt(s)
+	return true
+}
+
+// pick draws one of ss, or returns "" without drawing when ss is empty.
+func (f *Fixer) pick(ss []string) string {
+	if len(ss) == 0 {
+		return ""
+	}
+	f.own()
+	return ss[f.Rng.Intn(len(ss))]
+}
+
+// freshName returns a name no earlier fresh name has.
+func (f *Fixer) freshName(prefix string) string {
+	f.own()
+	f.sch.fresh++
+	return prefix + "_" + strconv.Itoa(f.sch.fresh)
 }
 
 // pickTable returns an existing table (preferring tables, falling back to
 // views), or "" when none exist.
-func (f *Fixer) pickTable(sch *simSchema) string {
-	names := sch.tableNames()
-	if len(names) > 0 {
-		return names[f.Rng.Intn(len(names))]
+func (f *Fixer) pickTable() string {
+	if len(f.sch.names) > 0 {
+		return f.pick(f.sch.names)
 	}
-	return pickStr(f.Rng, sch.views)
+	return f.pick(f.sch.views)
 }
 
-// fixTableRefName repairs one table name reference; empty result means no
-// table exists to repair to.
-func (f *Fixer) fixTableRefName(name string, sch *simSchema, extra []string) string {
-	if _, ok := sch.tables[name]; ok {
-		return name
+// fixTableRef repairs a table name reference that names no table, view or
+// extra (CTE) name, leaving it when no table exists to repair to.
+func (f *Fixer) fixTableRef(name *string, extra []string) {
+	if _, ok := f.sch.tables[*name]; ok || hasStr(f.sch.views, *name) || hasStr(extra, *name) {
+		return
 	}
-	if hasStr(sch.views, name) || hasStr(extra, name) {
-		return name
+	if t := f.pickTable(); t != "" {
+		*name = t
 	}
-	if t := f.pickTable(sch); t != "" {
-		return t
-	}
-	return name
 }
 
-// colsOf returns the simulated columns of a table ("" yields nil).
-func (sch *simSchema) colsOf(name string) []string { return sch.tables[name] }
-
-// fixExprCols rewrites column references not in allowed to random allowed
-// columns, recursing into scalar subqueries.
-func (f *Fixer) fixExprCols(x sqlast.Expr, allowed []string, sch *simSchema, ctes []string) sqlast.Expr {
-	if x == nil {
-		return nil
-	}
-	return sqlast.RewriteExpr(x, func(n sqlast.Expr) sqlast.Expr {
+// fixCols rewrites column references in *x that are not in allowed to
+// random allowed columns, recursing into scalar subqueries.
+func (f *Fixer) fixCols(x *sqlast.Expr, allowed, ctes []string) {
+	n := sqlast.RewriteExpr(*x, func(n sqlast.Expr) sqlast.Expr {
 		switch v := n.(type) {
 		case *sqlast.ColRef:
 			if v.Name == "VALUE" { // domain pseudo-column
@@ -141,46 +219,48 @@ func (f *Fixer) fixExprCols(x sqlast.Expr, allowed []string, sch *simSchema, cte
 				return v
 			}
 			if len(allowed) > 0 {
-				return &sqlast.ColRef{Name: allowed[f.Rng.Intn(len(allowed))]}
+				return &sqlast.ColRef{Name: f.pick(allowed)}
 			}
 			return v
 		case *sqlast.Subquery:
-			f.fixSelect(v.Query, sch, ctes)
+			f.fixSelect(v.Query, ctes)
 		case *sqlast.ExistsExpr:
-			f.fixSelect(v.Query, sch, ctes)
+			f.fixSelect(v.Query, ctes)
 		case *sqlast.InExpr:
 			if v.Query != nil {
-				f.fixSelect(v.Query, sch, ctes)
+				f.fixSelect(v.Query, ctes)
 			}
 		}
 		return n
 	})
+	if n != *x { // a new root passed own
+		*x = n
+	}
 }
 
-// fixSelect repairs a query in place: FROM references first, then column
-// references against the union of referenced tables' columns.
-func (f *Fixer) fixSelect(q *sqlast.SelectStmt, sch *simSchema, ctes []string) []string {
+// fixSelect repairs a query: FROM references first, then column references
+// against the union of referenced tables' columns.
+func (f *Fixer) fixSelect(q *sqlast.SelectStmt, ctes []string) []string {
 	if q == nil {
 		return nil
 	}
 	var allowed []string
-	var fixRef func(r sqlast.TableRef) sqlast.TableRef
-	fixRef = func(r sqlast.TableRef) sqlast.TableRef {
+	var fixRef func(r sqlast.TableRef)
+	fixRef = func(r sqlast.TableRef) {
 		switch v := r.(type) {
 		case *sqlast.BaseTable:
-			v.Name = f.fixTableRefName(v.Name, sch, ctes)
-			allowed = append(allowed, sch.colsOf(v.Name)...)
+			f.fixTableRef(&v.Name, ctes)
+			allowed = append(allowed, f.sch.colsOf(v.Name)...)
 		case *sqlast.JoinRef:
-			v.L = fixRef(v.L)
-			v.R = fixRef(v.R)
+			fixRef(v.L)
+			fixRef(v.R)
 		case *sqlast.SubqueryRef:
-			inner := f.fixSelect(v.Query, sch, ctes)
+			inner := f.fixSelect(v.Query, ctes)
 			allowed = append(allowed, inner...)
 		}
-		return r
 	}
-	for i := range q.From {
-		q.From[i] = fixRef(q.From[i])
+	for _, r := range q.From {
+		fixRef(r)
 	}
 	// join ON conditions may reference alias-qualified columns; fix after
 	// collecting allowed columns
@@ -190,7 +270,7 @@ func (f *Fixer) fixSelect(q *sqlast.SelectStmt, sch *simSchema, ctes []string) [
 			fixOn(j.L)
 			fixOn(j.R)
 			if j.On != nil {
-				j.On = f.fixQualifiedCols(j.On, allowed, sch, ctes)
+				f.fixQualifiedCols(&j.On, allowed)
 			}
 		}
 	}
@@ -202,109 +282,115 @@ func (f *Fixer) fixSelect(q *sqlast.SelectStmt, sch *simSchema, ctes []string) [
 		if _, isStar := q.Items[i].X.(*sqlast.Star); isStar {
 			continue
 		}
-		q.Items[i].X = f.fixExprCols(q.Items[i].X, allowed, sch, ctes)
+		f.fixCols(&q.Items[i].X, allowed, ctes)
 	}
-	q.Where = f.fixExprCols(q.Where, allowed, sch, ctes)
+	f.fixCols(&q.Where, allowed, ctes)
 	for i := range q.GroupBy {
-		q.GroupBy[i] = f.fixExprCols(q.GroupBy[i], allowed, sch, ctes)
+		f.fixCols(&q.GroupBy[i], allowed, ctes)
 	}
-	q.Having = f.fixExprCols(q.Having, allowed, sch, ctes)
+	f.fixCols(&q.Having, allowed, ctes)
 	for i := range q.OrderBy {
-		q.OrderBy[i].X = f.fixExprCols(q.OrderBy[i].X, allowed, sch, ctes)
+		f.fixCols(&q.OrderBy[i].X, allowed, ctes)
 	}
 	if q.Right != nil {
-		f.fixSelect(q.Right, sch, ctes)
+		f.fixSelect(q.Right, ctes)
 	}
 	// result columns: projection names (approximate: allowed columns)
 	return allowed
 }
 
-// fixQualifiedCols keeps valid alias-qualified refs and repairs the rest.
-func (f *Fixer) fixQualifiedCols(x sqlast.Expr, allowed []string, sch *simSchema, ctes []string) sqlast.Expr {
-	return sqlast.RewriteExpr(x, func(n sqlast.Expr) sqlast.Expr {
+// fixQualifiedCols keeps valid alias-qualified refs in *x and repairs the
+// rest.
+func (f *Fixer) fixQualifiedCols(x *sqlast.Expr, allowed []string) {
+	n := sqlast.RewriteExpr(*x, func(n sqlast.Expr) sqlast.Expr {
 		if v, ok := n.(*sqlast.ColRef); ok {
 			if hasStr(allowed, v.Name) {
 				return v
 			}
 			if len(allowed) > 0 {
-				return &sqlast.ColRef{Table: v.Table, Name: allowed[f.Rng.Intn(len(allowed))]}
+				return &sqlast.ColRef{Table: v.Table, Name: f.pick(allowed)}
 			}
 		}
 		return n
 	})
+	if n != *x { // a new root passed own
+		*x = n
+	}
 }
 
-func (f *Fixer) fixStmt(stmt sqlast.Statement, sch *simSchema) {
+// fixStmt repairs one statement against the schema the statements before
+// it built, then records what the statement creates, drops or renames.
+// Within a pass, nothing is recorded before a step that may still call own
+// (WITH owns up front when a CTE body may record).
+func (f *Fixer) fixStmt(stmt sqlast.Statement) {
+	sch := &f.sch
 	switch st := stmt.(type) {
 	case *sqlast.CreateTableStmt:
-		if _, exists := sch.tables[st.Name]; exists && !st.IfNotExists {
-			st.Name = sch.freshName("t")
+		if hasForeignKey(st) {
+			f.own() // every REFERENCES and FOREIGN KEY is rewritten
 		}
-		var cols []string
+		if _, exists := sch.tables[st.Name]; exists && !st.IfNotExists {
+			st.Name = f.freshName("t")
+		}
+		cols := make([]string, 0, len(st.Cols))
 		for i := range st.Cols {
-			cols = append(cols, st.Cols[i].Name)
-			if st.Cols[i].References != nil {
-				ref := f.pickTable(sch)
-				if ref == "" {
-					st.Cols[i].References = nil
+			c := &st.Cols[i]
+			cols = append(cols, c.Name)
+			if c.References != nil {
+				if ref := f.pickTable(); ref == "" {
+					c.References = nil
 				} else {
-					st.Cols[i].References.Table = ref
-					refCols := sch.colsOf(ref)
-					if len(refCols) > 0 {
-						st.Cols[i].References.Column = refCols[0]
-					} else {
-						st.Cols[i].References.Column = ""
+					c.References.Table = ref
+					c.References.Column = ""
+					if refCols := sch.colsOf(ref); len(refCols) > 0 {
+						c.References.Column = refCols[0]
 					}
 				}
 			}
-			if st.Cols[i].Check != nil {
-				st.Cols[i].Check = f.fixExprCols(st.Cols[i].Check, cols, sch, nil)
+			if c.Check != nil {
+				f.fixCols(&c.Check, cols, nil)
 			}
 		}
 		for i := range st.Constraints {
 			c := &st.Constraints[i]
-			for j := range c.Columns {
-				if !hasStr(cols, c.Columns[j]) {
-					c.Columns[j] = cols[f.Rng.Intn(len(cols))]
+			if len(cols) > 0 { // a table without columns leaves them be
+				for j := range c.Columns {
+					if !hasStr(cols, c.Columns[j]) {
+						c.Columns[j] = f.pick(cols)
+					}
 				}
 			}
 			if c.Check != nil {
-				c.Check = f.fixExprCols(c.Check, cols, sch, nil)
+				f.fixCols(&c.Check, cols, nil)
 			}
 			if c.Kind == "FOREIGN KEY" {
-				if ref := f.pickTable(sch); ref != "" {
+				c.RefTab = st.Name
+				if ref := f.pickTable(); ref != "" {
 					c.RefTab = ref
-					c.RefCols = nil
-				} else {
-					c.RefTab = st.Name
-					c.RefCols = nil
 				}
+				c.RefCols = nil
 			}
 		}
-		sch.tables[st.Name] = cols
+		sch.setTable(st.Name, cols)
 
 	case *sqlast.CreateViewStmt:
 		if hasStr(sch.views, st.Name) && !st.OrReplace {
-			st.Name = sch.freshName("w")
+			st.Name = f.freshName("w")
 		}
-		cols := f.fixSelect(st.Query, sch, nil)
+		f.fixSelect(st.Query, nil)
 		if !hasStr(sch.views, st.Name) {
 			sch.views = append(sch.views, st.Name)
 		}
-		_ = cols
 
 	case *sqlast.CreateIndexStmt:
 		if hasStr(sch.indexes, st.Name) {
-			st.Name = sch.freshName("i")
+			st.Name = f.freshName("i")
 		}
-		if tbl := f.fixTableRefName(st.Table, sch, nil); tbl != "" {
-			st.Table = tbl
-		}
-		cols := sch.colsOf(st.Table)
-		if len(cols) > 0 {
+		f.fixTableRef(&st.Table, nil)
+		if cols := sch.colsOf(st.Table); len(cols) > 0 {
 			for i := range st.Cols {
 				if !hasStr(cols, st.Cols[i]) {
-					st.Cols[i] = cols[f.Rng.Intn(len(cols))]
+					st.Cols[i] = f.pick(cols)
 				}
 			}
 		}
@@ -312,39 +398,39 @@ func (f *Fixer) fixStmt(stmt sqlast.Statement, sch *simSchema) {
 
 	case *sqlast.CreateTriggerStmt:
 		if hasStr(sch.trigs, st.Name) {
-			st.Name = sch.freshName("tg")
+			st.Name = f.freshName("tg")
 		}
-		st.Table = f.fixTableRefName(st.Table, sch, nil)
-		f.fixStmt(st.Body, sch)
+		f.fixTableRef(&st.Table, nil)
+		f.fixStmt(st.Body)
 		sch.trigs = append(sch.trigs, st.Name)
 
 	case *sqlast.CreateSequenceStmt:
 		if hasStr(sch.seqs, st.Name) {
-			st.Name = sch.freshName("s")
+			st.Name = f.freshName("s")
 		}
 		sch.seqs = append(sch.seqs, st.Name)
 
 	case *sqlast.CreateFunctionStmt:
 		if hasStr(sch.funcs, st.Name) {
-			st.Name = sch.freshName("f")
+			st.Name = f.freshName("f")
 		}
-		st.Body = f.fixExprCols(st.Body, st.Params, sch, nil)
+		f.fixCols(&st.Body, st.Params, nil)
 		sch.funcs = append(sch.funcs, st.Name)
 
 	case *sqlast.CreateProcedureStmt:
 		if hasStr(sch.procs, st.Name) {
-			st.Name = sch.freshName("pr")
+			st.Name = f.freshName("pr")
 		}
-		f.fixStmt(st.Body, sch)
+		f.fixStmt(st.Body)
 		sch.procs = append(sch.procs, st.Name)
 
 	case *sqlast.CreateRuleStmt:
 		if hasStr(sch.rules, st.Name) && !st.OrReplace {
-			st.Name = sch.freshName("r")
+			st.Name = f.freshName("r")
 		}
-		st.Table = f.fixTableRefName(st.Table, sch, nil)
+		f.fixTableRef(&st.Table, nil)
 		if st.Action != nil {
-			f.fixStmt(st.Action, sch)
+			f.fixStmt(st.Action)
 		}
 		if !hasStr(sch.rules, st.Name) {
 			sch.rules = append(sch.rules, st.Name)
@@ -352,36 +438,39 @@ func (f *Fixer) fixStmt(stmt sqlast.Statement, sch *simSchema) {
 
 	case *sqlast.CreateRoleStmt:
 		if hasStr(sch.roles, st.Name) {
-			st.Name = sch.freshName("u")
+			st.Name = f.freshName("u")
 		}
 		sch.roles = append(sch.roles, st.Name)
 
 	case *sqlast.AlterTableStmt:
-		st.Table = f.fixTableRefName(st.Table, sch, nil)
+		f.fixTableRef(&st.Table, nil)
 		cols := sch.colsOf(st.Table)
 		switch st.Action {
 		case sqlast.AlterAddColumn:
 			if hasStr(cols, st.Col.Name) {
-				st.Col.Name = sch.freshName("c")
+				st.Col.Name = f.freshName("c")
 			}
-			st.Col.NotNull = false // avoid guaranteed failure on non-empty tables
+			if st.Col.NotNull { // avoid guaranteed failure on non-empty tables
+				f.own()
+				st.Col.NotNull = false
+			}
 			if _, exists := sch.tables[st.Table]; exists {
 				sch.tables[st.Table] = append(cols, st.Col.Name)
 			}
 		case sqlast.AlterDropColumn:
 			if len(cols) > 1 {
 				if !hasStr(cols, st.OldName) {
-					st.OldName = cols[f.Rng.Intn(len(cols))]
+					st.OldName = f.pick(cols)
 				}
 				sch.tables[st.Table] = dropStr(append([]string{}, cols...), st.OldName)
 			}
 		case sqlast.AlterRenameColumn:
 			if len(cols) > 0 {
 				if !hasStr(cols, st.OldName) {
-					st.OldName = cols[f.Rng.Intn(len(cols))]
+					st.OldName = f.pick(cols)
 				}
 				if hasStr(cols, st.NewName) {
-					st.NewName = sch.freshName("c")
+					st.NewName = f.freshName("c")
 				}
 				nc := append([]string{}, cols...)
 				for i := range nc {
@@ -393,40 +482,37 @@ func (f *Fixer) fixStmt(stmt sqlast.Statement, sch *simSchema) {
 			}
 		case sqlast.AlterRenameTable:
 			if _, exists := sch.tables[st.NewName]; exists {
-				st.NewName = sch.freshName("t")
+				st.NewName = f.freshName("t")
 			}
-			if c, exists := sch.tables[st.Table]; exists {
-				delete(sch.tables, st.Table)
-				sch.tables[st.NewName] = c
-			}
+			sch.renameTable(st.Table, st.NewName)
 		case sqlast.AlterColumnType, sqlast.AlterColumnDefault:
 			if len(cols) > 0 && !hasStr(cols, st.Col.Name) {
-				st.Col.Name = cols[f.Rng.Intn(len(cols))]
+				st.Col.Name = f.pick(cols)
 			}
 		}
 
 	case *sqlast.AlterSimpleStmt:
 		switch st.What {
 		case sqlt.AlterView:
-			if n := pickStr(f.Rng, sch.views); n != "" {
+			if n := f.pick(sch.views); n != "" {
 				st.Name = n
 			}
 			if hasStr(sch.views, st.NewName) {
-				st.NewName = sch.freshName("w")
+				st.NewName = f.freshName("w")
 			}
 		case sqlt.AlterIndex:
-			if n := pickStr(f.Rng, sch.indexes); n != "" {
+			if n := f.pick(sch.indexes); n != "" {
 				st.Name = n
 			}
 			if hasStr(sch.indexes, st.NewName) {
-				st.NewName = sch.freshName("i")
+				st.NewName = f.freshName("i")
 			}
 		case sqlt.AlterSequence:
-			if n := pickStr(f.Rng, sch.seqs); n != "" {
+			if n := f.pick(sch.seqs); n != "" {
 				st.Name = n
 			}
 		case sqlt.AlterRole:
-			if n := pickStr(f.Rng, sch.roles); n != "" {
+			if n := f.pick(sch.roles); n != "" {
 				st.Name = n
 			}
 		}
@@ -434,151 +520,135 @@ func (f *Fixer) fixStmt(stmt sqlast.Statement, sch *simSchema) {
 	case *sqlast.DropStmt:
 		switch st.What {
 		case sqlt.DropTable:
-			names := sch.tableNames()
-			if len(names) > 0 {
+			if len(sch.names) > 0 {
 				if _, exists := sch.tables[st.Name]; !exists {
-					st.Name = names[f.Rng.Intn(len(names))]
+					st.Name = f.pick(sch.names)
 				}
-				delete(sch.tables, st.Name)
+				sch.dropTable(st.Name)
 			}
 		case sqlt.DropView, sqlt.DropMaterializedView:
-			if n := pickStr(f.Rng, sch.views); n != "" && !hasStr(sch.views, st.Name) {
-				st.Name = n
-			}
+			f.fixDropName(&st.Name, sch.views)
 			sch.views = dropStr(sch.views, st.Name)
 		case sqlt.DropIndex:
-			if n := pickStr(f.Rng, sch.indexes); n != "" && !hasStr(sch.indexes, st.Name) {
-				st.Name = n
-			}
+			f.fixDropName(&st.Name, sch.indexes)
 			sch.indexes = dropStr(sch.indexes, st.Name)
 		case sqlt.DropTrigger:
-			if n := pickStr(f.Rng, sch.trigs); n != "" && !hasStr(sch.trigs, st.Name) {
-				st.Name = n
-			}
+			f.fixDropName(&st.Name, sch.trigs)
 			sch.trigs = dropStr(sch.trigs, st.Name)
 		case sqlt.DropSequence:
-			if n := pickStr(f.Rng, sch.seqs); n != "" && !hasStr(sch.seqs, st.Name) {
-				st.Name = n
-			}
+			f.fixDropName(&st.Name, sch.seqs)
 			sch.seqs = dropStr(sch.seqs, st.Name)
 		case sqlt.DropFunction:
-			if n := pickStr(f.Rng, sch.funcs); n != "" && !hasStr(sch.funcs, st.Name) {
-				st.Name = n
-			}
+			f.fixDropName(&st.Name, sch.funcs)
 			sch.funcs = dropStr(sch.funcs, st.Name)
 		case sqlt.DropProcedure:
-			if n := pickStr(f.Rng, sch.procs); n != "" && !hasStr(sch.procs, st.Name) {
-				st.Name = n
-			}
+			f.fixDropName(&st.Name, sch.procs)
 			sch.procs = dropStr(sch.procs, st.Name)
 		case sqlt.DropRule:
-			if n := pickStr(f.Rng, sch.rules); n != "" && !hasStr(sch.rules, st.Name) {
-				st.Name = n
-			}
+			f.fixDropName(&st.Name, sch.rules)
 			sch.rules = dropStr(sch.rules, st.Name)
 		case sqlt.DropRole, sqlt.DropUser:
-			if n := pickStr(f.Rng, sch.roles); n != "" && !hasStr(sch.roles, st.Name) {
-				st.Name = n
-			}
+			f.fixDropName(&st.Name, sch.roles)
 			sch.roles = dropStr(sch.roles, st.Name)
 		}
 
 	case *sqlast.RenameTableStmt:
-		st.From = f.fixTableRefName(st.From, sch, nil)
+		f.fixTableRef(&st.From, nil)
 		if _, exists := sch.tables[st.To]; exists {
-			st.To = sch.freshName("t")
+			st.To = f.freshName("t")
 		}
-		if c, exists := sch.tables[st.From]; exists {
-			delete(sch.tables, st.From)
-			sch.tables[st.To] = c
-		}
+		sch.renameTable(st.From, st.To)
 
 	case *sqlast.TruncateStmt:
-		st.Table = f.fixTableRefName(st.Table, sch, nil)
+		f.fixTableRef(&st.Table, nil)
 
 	case *sqlast.CommentOnStmt:
 		if st.ObjectKind == "TABLE" {
-			st.Name = f.fixTableRefName(st.Name, sch, nil)
+			f.fixTableRef(&st.Name, nil)
 		}
 
 	case *sqlast.ReindexStmt:
 		if st.Kind == "INDEX" {
-			if n := pickStr(f.Rng, sch.indexes); n != "" {
+			if n := f.pick(sch.indexes); n != "" {
 				st.Name = n
 			}
 		} else {
-			st.Name = f.fixTableRefName(st.Name, sch, nil)
+			f.fixTableRef(&st.Name, nil)
 		}
 
 	case *sqlast.RefreshMatViewStmt:
-		if n := pickStr(f.Rng, sch.views); n != "" {
+		if n := f.pick(sch.views); n != "" {
 			st.Name = n
 		}
 
 	case *sqlast.InsertStmt:
-		st.Table = f.fixTableRefName(st.Table, sch, nil)
+		f.fixTableRef(&st.Table, nil)
 		cols := sch.colsOf(st.Table)
 		if len(cols) > 0 {
 			// drop the explicit column list and repair row arity
-			st.Cols = nil
-			for i := range st.Rows {
-				row := st.Rows[i]
+			if st.Cols != nil {
+				f.own()
+				st.Cols = nil
+			}
+			for i, row := range st.Rows {
+				if len(row) == len(cols) {
+					continue
+				}
+				f.own()
 				for len(row) < len(cols) {
 					row = append(row, sqlast.NullLit())
 				}
-				if len(row) > len(cols) {
-					row = row[:len(cols)]
-				}
-				st.Rows[i] = row
+				st.Rows[i] = row[:len(cols)]
 			}
 		}
 		if st.Query != nil {
-			f.fixSelect(st.Query, sch, nil)
+			f.fixSelect(st.Query, nil)
 		}
 		for i := range st.Returning {
-			st.Returning[i] = f.fixExprCols(st.Returning[i], cols, sch, nil)
+			f.fixCols(&st.Returning[i], cols, nil)
 		}
 
 	case *sqlast.UpdateStmt:
-		st.Table = f.fixTableRefName(st.Table, sch, nil)
+		f.fixTableRef(&st.Table, nil)
 		cols := sch.colsOf(st.Table)
 		if len(cols) > 0 {
 			for i := range st.Sets {
 				if !hasStr(cols, st.Sets[i].Col) {
-					st.Sets[i].Col = cols[f.Rng.Intn(len(cols))]
+					st.Sets[i].Col = f.pick(cols)
 				}
-				st.Sets[i].Value = f.fixExprCols(st.Sets[i].Value, cols, sch, nil)
+				f.fixCols(&st.Sets[i].Value, cols, nil)
 			}
 		}
-		st.Where = f.fixExprCols(st.Where, cols, sch, nil)
+		f.fixCols(&st.Where, cols, nil)
 		for i := range st.OrderBy {
-			st.OrderBy[i].X = f.fixExprCols(st.OrderBy[i].X, cols, sch, nil)
+			f.fixCols(&st.OrderBy[i].X, cols, nil)
 		}
 
 	case *sqlast.DeleteStmt:
-		st.Table = f.fixTableRefName(st.Table, sch, nil)
+		f.fixTableRef(&st.Table, nil)
 		cols := sch.colsOf(st.Table)
-		st.Where = f.fixExprCols(st.Where, cols, sch, nil)
+		f.fixCols(&st.Where, cols, nil)
 		for i := range st.OrderBy {
-			st.OrderBy[i].X = f.fixExprCols(st.OrderBy[i].X, cols, sch, nil)
+			f.fixCols(&st.OrderBy[i].X, cols, nil)
 		}
 		for i := range st.Returning {
-			st.Returning[i] = f.fixExprCols(st.Returning[i], cols, sch, nil)
+			f.fixCols(&st.Returning[i], cols, nil)
 		}
 
 	case *sqlast.MergeStmt:
-		st.Target = f.fixTableRefName(st.Target, sch, nil)
-		st.Source = f.fixTableRefName(st.Source, sch, nil)
-		allowed := append(append([]string{}, sch.colsOf(st.Target)...), sch.colsOf(st.Source)...)
-		st.On = f.fixExprCols(st.On, allowed, sch, nil)
+		f.fixTableRef(&st.Target, nil)
+		f.fixTableRef(&st.Source, nil)
 		tcols := sch.colsOf(st.Target)
+		allowed := append(append([]string{}, tcols...), sch.colsOf(st.Source)...)
+		f.fixCols(&st.On, allowed, nil)
 		for i := range st.MatchedSet {
 			if len(tcols) > 0 && !hasStr(tcols, st.MatchedSet[i].Col) {
-				st.MatchedSet[i].Col = tcols[f.Rng.Intn(len(tcols))]
+				st.MatchedSet[i].Col = f.pick(tcols)
 			}
-			st.MatchedSet[i].Value = f.fixExprCols(st.MatchedSet[i].Value, allowed, sch, nil)
+			f.fixCols(&st.MatchedSet[i].Value, allowed, nil)
 		}
-		if st.NotMatchedVals != nil && len(tcols) > 0 {
+		if st.NotMatchedVals != nil && len(tcols) > 0 && len(st.NotMatchedVals) != len(tcols) {
+			f.own()
 			for len(st.NotMatchedVals) < len(tcols) {
 				st.NotMatchedVals = append(st.NotMatchedVals, sqlast.NullLit())
 			}
@@ -587,65 +657,71 @@ func (f *Fixer) fixStmt(stmt sqlast.Statement, sch *simSchema) {
 
 	case *sqlast.CopyStmt:
 		if st.Query != nil {
-			f.fixSelect(st.Query, sch, nil)
+			f.fixSelect(st.Query, nil)
 		} else {
-			st.Table = f.fixTableRefName(st.Table, sch, nil)
+			f.fixTableRef(&st.Table, nil)
 		}
 
 	case *sqlast.LoadDataStmt:
-		st.Table = f.fixTableRefName(st.Table, sch, nil)
+		f.fixTableRef(&st.Table, nil)
 
 	case *sqlast.CallStmt:
-		if n := pickStr(f.Rng, sch.procs); n != "" {
+		if n := f.pick(sch.procs); n != "" {
 			st.Name = n
 		}
 
 	case *sqlast.SelectStmt:
-		f.fixSelect(st, sch, nil)
+		f.fixSelect(st, nil)
 		if st.Into != "" {
 			if _, exists := sch.tables[st.Into]; exists {
-				st.Into = sch.freshName("t")
+				st.Into = f.freshName("t")
 			}
-			sch.tables[st.Into] = nil
+			sch.setTable(st.Into, nil)
 		}
 
 	case *sqlast.TableStmtNode:
-		st.Name = f.fixTableRefName(st.Name, sch, nil)
+		f.fixTableRef(&st.Name, nil)
 
 	case *sqlast.WithStmt:
 		var ctes []string
 		for i := range st.CTEs {
+			if _, isSel := st.CTEs[i].Body.(*sqlast.SelectStmt); !isSel {
+				f.own() // a writable CTE's fix may record before a later repair
+				break
+			}
+		}
+		for i := range st.CTEs {
 			if sel, isSel := st.CTEs[i].Body.(*sqlast.SelectStmt); isSel {
-				f.fixSelect(sel, sch, ctes)
+				f.fixSelect(sel, ctes)
 			} else {
-				f.fixStmt(st.CTEs[i].Body, sch)
+				f.fixStmt(st.CTEs[i].Body)
 			}
 			ctes = append(ctes, st.CTEs[i].Name)
 		}
 		if sel, isSel := st.Body.(*sqlast.SelectStmt); isSel {
-			f.fixSelect(sel, sch, ctes)
+			f.fixSelect(sel, ctes)
 		} else {
-			f.fixStmt(st.Body, sch)
+			f.fixStmt(st.Body)
 		}
 
 	case *sqlast.ExplainStmt:
-		f.fixStmt(st.Stmt, sch)
+		f.fixStmt(st.Stmt)
 
 	case *sqlast.DescribeStmt:
-		st.Table = f.fixTableRefName(st.Table, sch, nil)
+		f.fixTableRef(&st.Table, nil)
 
 	case *sqlast.GrantStmt:
-		st.Table = f.fixTableRefName(st.Table, sch, nil)
-		if n := pickStr(f.Rng, sch.roles); n != "" {
+		f.fixTableRef(&st.Table, nil)
+		if n := f.pick(sch.roles); n != "" {
 			st.Role = n
 		}
 
 	case *sqlast.SetRoleStmt:
 		if st.Role != "NONE" {
-			if n := pickStr(f.Rng, sch.roles); n != "" {
+			f.own() // the role is always rewritten
+			st.Role = "NONE"
+			if n := f.pick(sch.roles); n != "" {
 				st.Role = n
-			} else {
-				st.Role = "NONE"
 			}
 		}
 
@@ -654,69 +730,95 @@ func (f *Fixer) fixStmt(stmt sqlast.Statement, sch *simSchema) {
 		case sqlt.Savepoint:
 			sch.saves = append(sch.saves, st.Name)
 		case sqlt.ReleaseSavepoint, sqlt.RollbackToSavepoint:
-			if n := pickStr(f.Rng, sch.saves); n != "" {
+			if n := f.pick(sch.saves); n != "" {
 				st.Name = n
 			}
 		}
 
 	case *sqlast.LockTableStmt:
-		st.Table = f.fixTableRefName(st.Table, sch, nil)
+		f.fixTableRef(&st.Table, nil)
 
 	case *sqlast.AnalyzeStmt:
 		if st.Table != "" {
-			st.Table = f.fixTableRefName(st.Table, sch, nil)
+			f.fixTableRef(&st.Table, nil)
 		}
 
 	case *sqlast.VacuumStmt:
 		if st.Table != "" {
-			st.Table = f.fixTableRefName(st.Table, sch, nil)
+			f.fixTableRef(&st.Table, nil)
 		}
 
 	case *sqlast.MaintenanceStmt:
-		st.Table = f.fixTableRefName(st.Table, sch, nil)
+		f.fixTableRef(&st.Table, nil)
 
 	case *sqlast.PrepareStmt:
 		if hasStr(sch.preps, st.Name) {
-			st.Name = sch.freshName("q")
+			st.Name = f.freshName("q")
 		}
-		f.fixStmt(st.Stmt, sch)
+		f.fixStmt(st.Stmt)
 		sch.preps = append(sch.preps, st.Name)
 
 	case *sqlast.ExecuteStmt:
-		if n := pickStr(f.Rng, sch.preps); n != "" {
+		if n := f.pick(sch.preps); n != "" {
 			st.Name = n
 		}
 
 	case *sqlast.DeallocateStmt:
-		if n := pickStr(f.Rng, sch.preps); n != "" {
+		if n := f.pick(sch.preps); n != "" {
 			st.Name = n
 		}
 		sch.preps = dropStr(sch.preps, st.Name)
 
 	case *sqlast.DeclareCursorStmt:
 		if hasStr(sch.cursors, st.Name) {
-			st.Name = sch.freshName("cur")
+			st.Name = f.freshName("cur")
 		}
-		f.fixSelect(st.Query, sch, nil)
+		f.fixSelect(st.Query, nil)
 		sch.cursors = append(sch.cursors, st.Name)
 
 	case *sqlast.FetchStmt:
-		if n := pickStr(f.Rng, sch.cursors); n != "" {
+		if n := f.pick(sch.cursors); n != "" {
 			st.Cursor = n
 		}
 
 	case *sqlast.CloseCursorStmt:
-		if n := pickStr(f.Rng, sch.cursors); n != "" {
+		if n := f.pick(sch.cursors); n != "" {
 			st.Name = n
 		}
 		sch.cursors = dropStr(sch.cursors, st.Name)
 
 	case *sqlast.ClusterStmt:
-		st.Table = f.fixTableRefName(st.Table, sch, nil)
-		if n := pickStr(f.Rng, sch.indexes); n != "" {
+		f.fixTableRef(&st.Table, nil)
+		if n := f.pick(sch.indexes); n != "" {
 			st.Index = n
-		} else {
+		} else if st.Index != "" {
+			f.own()
 			st.Index = ""
 		}
+	}
+}
+
+// hasForeignKey reports whether a CREATE TABLE names another table, by a
+// column's REFERENCES or a FOREIGN KEY constraint.
+func hasForeignKey(st *sqlast.CreateTableStmt) bool {
+	for i := range st.Cols {
+		if st.Cols[i].References != nil {
+			return true
+		}
+	}
+	for i := range st.Constraints {
+		if st.Constraints[i].Kind == "FOREIGN KEY" {
+			return true
+		}
+	}
+	return false
+}
+
+// fixDropName repairs the name a DROP names: the draw from live always
+// happens when live has names, and the name changes only when it names
+// none of them.
+func (f *Fixer) fixDropName(name *string, live []string) {
+	if n := f.pick(live); n != "" && !hasStr(live, *name) {
+		*name = n
 	}
 }

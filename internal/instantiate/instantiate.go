@@ -30,24 +30,33 @@ func New(rng *rand.Rand, lib *Library, dialect sqlt.Dialect) *Instantiator {
 
 // Statement produces one statement of the requested type: a library
 // structure when available (biased toward reuse, as the paper's library
-// does), else a generated one. A library structure is cloned only once the
-// draw keeps it.
-func (in *Instantiator) Statement(t sqlt.Type) sqlast.Statement {
+// does), else a generated one. A library structure is returned itself, not
+// a copy: it is shared with the library and frozen, and only a clone of it
+// may be changed. fresh reports a generated statement, which is the
+// caller's own.
+func (in *Instantiator) Statement(t sqlt.Type) (s sqlast.Statement, fresh bool) {
 	if s := in.Lib.pick(in.Rng, t); s != nil && in.Rng.Intn(4) != 0 {
-		return s.Clone()
+		return s, false
 	}
-	return in.Gen.Gen(t)
+	return in.Gen.Gen(t), true
 }
 
 // TestCase instantiates a SQL Type Sequence into an executable test case.
 // Because structure selection is random, calling it repeatedly on the same
 // sequence yields diverse test cases (the paper instantiates each sequence
-// multiple times).
+// multiple times). The case shares the library structures it uses; the
+// fixer clones those it repairs.
 func (in *Instantiator) TestCase(seq sqlt.Sequence) sqlast.TestCase {
 	tc := make(sqlast.TestCase, 0, len(seq))
-	for _, t := range seq {
-		tc = append(tc, in.Statement(t))
+	var buf [8]int
+	generated := buf[:0]
+	for i, t := range seq {
+		s, fresh := in.Statement(t)
+		if fresh {
+			generated = append(generated, i)
+		}
+		tc = append(tc, s)
 	}
-	in.Fixer.Fix(tc)
+	in.Fixer.Fix(tc, generated...)
 	return tc
 }

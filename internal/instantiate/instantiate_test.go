@@ -140,6 +140,21 @@ SELECT zz FROM nowhere;
 	}
 }
 
+// TestFixerTableWithoutColumns: a table constraint may name a column of a
+// table that has none. The fixer must leave the name be and draw nothing,
+// where it used to panic drawing from an empty column list.
+func TestFixerTableWithoutColumns(t *testing.T) {
+	tc := sqlparse.MustParseScript(`CREATE TABLE t (PRIMARY KEY (a));`)
+	rng := rand.New(rand.NewSource(1))
+	NewFixer(rng).Fix(tc)
+	if got := tc[0].(*sqlast.CreateTableStmt).Constraints[0].Columns[0]; got != "a" {
+		t.Fatalf("constraint column = %q, want a", got)
+	}
+	if got, want := rng.Int63(), rand.New(rand.NewSource(1)).Int63(); got != want {
+		t.Fatal("the fixer drew from the RNG")
+	}
+}
+
 func TestFixerRenamesDuplicateCreates(t *testing.T) {
 	tc := sqlparse.MustParseScript(`
 CREATE TABLE t0 (a INT);

@@ -30,11 +30,11 @@ func NewLibrary() *Library {
 }
 
 // Harvest stores every statement of the test case, keyed by type. Stored
-// statements are canonical aliases of the harvested case, not copies: the
-// fuzz loop never mutates a statement in place (mutation always operates on
-// fresh clones), so the library only clones a structure when it hands one
-// out to be kept (Pick, Instantiator.Statement), and an entry's text stays
-// its statement's rendering.
+// statements are the harvested case's own, not copies, and are frozen from
+// then on: nothing writes a pool seed's or library entry's statement (the
+// mutator and the fixer clone a statement before they change it), so an
+// entry's text stays its statement's rendering, and the entries can be
+// handed out as they are (Instantiator.Statement).
 func (l *Library) Harvest(tc sqlast.TestCase) {
 	for _, s := range tc {
 		t := s.Type()
@@ -69,7 +69,8 @@ func (l *Library) Pick(rng *rand.Rand, t sqlt.Type) sqlast.Statement {
 }
 
 // pick is Pick without the clone: it returns the stored structure itself,
-// which the caller must clone before keeping or changing it.
+// which may be kept but is frozen: the caller must clone it before
+// changing it.
 func (l *Library) pick(rng *rand.Rand, t sqlt.Type) sqlast.Statement {
 	bucket := l.byType[t]
 	if len(bucket) == 0 {

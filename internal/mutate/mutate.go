@@ -16,9 +16,10 @@ import (
 	"github.com/seqfuzz/lego/internal/sqlt"
 )
 
-// Mutator produces mutated test cases. The seed is never modified: every
-// operation builds its output from fresh clones of the statements it keeps,
-// and never clones one it replaces or drops.
+// Mutator produces mutated test cases. A mutant shares the seed's
+// statements it keeps unchanged and the library structures it picks, all of
+// which are frozen: the mutator clones only the statements it perturbs, and
+// the fixer clones only those it repairs. The seed is never modified.
 type Mutator struct {
 	Rng  *rand.Rand
 	Inst *instantiate.Instantiator
@@ -53,10 +54,11 @@ func (m *Mutator) SubstituteType(tc sqlast.TestCase, i int) sqlast.TestCase {
 		return nil
 	}
 	newType := m.randomOtherType(tc[i].Type())
-	out := appendClones(make(sqlast.TestCase, 0, len(tc)), tc[:i])
-	out = append(out, m.Inst.Statement(newType))
-	out = appendClones(out, tc[i+1:])
-	m.Inst.Fixer.Fix(out)
+	stmt, fresh := m.Inst.Statement(newType)
+	out := append(make(sqlast.TestCase, 0, len(tc)), tc[:i]...)
+	out = append(out, stmt)
+	out = append(out, tc[i+1:]...)
+	m.fix(out, i, fresh)
 	return out
 }
 
@@ -66,11 +68,11 @@ func (m *Mutator) InsertAfter(tc sqlast.TestCase, i int) sqlast.TestCase {
 	if i < 0 || i >= len(tc) || len(tc) >= m.MaxStatements {
 		return nil
 	}
-	stmt := m.Inst.Statement(m.randomOtherType(tc[i].Type()))
-	out := appendClones(make(sqlast.TestCase, 0, len(tc)+1), tc[:i+1])
+	stmt, fresh := m.Inst.Statement(m.randomOtherType(tc[i].Type()))
+	out := append(make(sqlast.TestCase, 0, len(tc)+1), tc[:i+1]...)
 	out = append(out, stmt)
-	out = appendClones(out, tc[i+1:])
-	m.Inst.Fixer.Fix(out)
+	out = append(out, tc[i+1:]...)
+	m.fix(out, i+1, fresh)
 	return out
 }
 
@@ -80,36 +82,44 @@ func (m *Mutator) DeleteAt(tc sqlast.TestCase, i int) sqlast.TestCase {
 	if i < 0 || i >= len(tc) || len(tc) <= 1 {
 		return nil
 	}
-	out := appendClones(make(sqlast.TestCase, 0, len(tc)-1), tc[:i])
-	out = appendClones(out, tc[i+1:])
+	out := append(make(sqlast.TestCase, 0, len(tc)-1), tc[:i]...)
+	out = append(out, tc[i+1:]...)
 	m.Inst.Fixer.Fix(out)
 	return out
 }
 
-// appendClones appends a deep copy of each statement of ss to out.
-func appendClones(out, ss sqlast.TestCase) sqlast.TestCase {
-	for _, s := range ss {
-		out = append(out, s.Clone())
+// fix refills a sequence mutant's dependencies; the mutant owns its new
+// statement at index i only when the instantiator generated it.
+func (m *Mutator) fix(out sqlast.TestCase, i int, fresh bool) {
+	if fresh {
+		m.Inst.Fixer.Fix(out, i)
+	} else {
+		m.Inst.Fixer.Fix(out)
 	}
-	return out
 }
 
-// MutateValues is the conventional, sequence-preserving mutation: it clones
-// the test case and perturbs literals and clause structure inside one random
-// statement. The SQL Type Sequence of the result equals the input's.
+// MutateValues is the conventional, sequence-preserving mutation: it
+// perturbs literals and clause structure inside one random statement, and
+// sometimes a second, each a clone of the seed's. The SQL Type Sequence of
+// the result equals the input's.
 func (m *Mutator) MutateValues(tc sqlast.TestCase) sqlast.TestCase {
 	if len(tc) == 0 {
 		return nil
 	}
-	out := tc.Clone()
+	out := append(make(sqlast.TestCase, 0, len(tc)), tc...)
 	i := m.Rng.Intn(len(out))
+	out[i] = out[i].Clone()
 	m.mutateStatement(out[i])
+	j := i
 	if m.Rng.Intn(2) == 0 { // occasionally touch a second statement
-		j := m.Rng.Intn(len(out))
+		j = m.Rng.Intn(len(out))
+		if j != i {
+			out[j] = out[j].Clone()
+		}
 		m.mutateStatement(out[j])
 	}
 	if m.Rng.Intn(3) != 0 { // semantics-guided refill, SQUIRREL-style
-		m.Inst.Fixer.Fix(out)
+		m.Inst.Fixer.Fix(out, i, j)
 	}
 	return out
 }

@@ -387,7 +387,8 @@ func (e *Executor) mergeBarrier() {
 
 	// Seeds: capture every shard's epoch delta before any adoption, so a
 	// donated seed is not re-donated by its receiver within the same
-	// barrier. Clones keep shards from sharing mutable ASTs.
+	// barrier. Receivers share the donor's statements: pool statements are
+	// frozen, so shards only ever read them.
 	deltas := make([][]*corpus.Seed, n)
 	for i, sh := range e.shards {
 		deltas[i] = sh.Pool().Since(e.poolMark[i])
@@ -401,7 +402,7 @@ func (e *Executor) mergeBarrier() {
 				continue
 			}
 			for _, s := range deltas[donor] {
-				e.shards[recv].AdoptSeed(s.TC.Clone(), s.NewEdges)
+				e.shards[recv].AdoptSeed(s.TC, s.NewEdges)
 			}
 		}
 	}

@@ -388,7 +388,9 @@ func maybeParen(e Expr) string {
 
 // RewriteExpr applies f bottom-up over e, replacing each node with f's
 // result. It is the workhorse of dependency fixing during instantiation.
-// A nil input yields nil.
+// A nil input yields nil. A child pointer is written only when f changed
+// the child, so a rewrite that changes nothing only reads the tree: shared,
+// frozen statements can be walked by several goroutines at once.
 func RewriteExpr(e Expr, f func(Expr) Expr) Expr {
 	if e == nil {
 		return nil
@@ -398,51 +400,58 @@ func RewriteExpr(e Expr, f func(Expr) Expr) Expr {
 	case *Literal, *ColRef, *Star:
 		// leaves
 	case *Unary:
-		x.X = RewriteExpr(x.X, f)
+		rewriteChild(&x.X, f)
 	case *Binary:
-		x.L = RewriteExpr(x.L, f)
-		x.R = RewriteExpr(x.R, f)
+		rewriteChild(&x.L, f)
+		rewriteChild(&x.R, f)
 	case *FuncCall:
 		for i := range x.Args {
-			x.Args[i] = RewriteExpr(x.Args[i], f)
+			rewriteChild(&x.Args[i], f)
 		}
 		if x.Over != nil {
 			for i := range x.Over.PartitionBy {
-				x.Over.PartitionBy[i] = RewriteExpr(x.Over.PartitionBy[i], f)
+				rewriteChild(&x.Over.PartitionBy[i], f)
 			}
 			for i := range x.Over.OrderBy {
-				x.Over.OrderBy[i].X = RewriteExpr(x.Over.OrderBy[i].X, f)
+				rewriteChild(&x.Over.OrderBy[i].X, f)
 			}
 		}
 	case *CaseExpr:
-		x.Operand = RewriteExpr(x.Operand, f)
+		rewriteChild(&x.Operand, f)
 		for i := range x.Whens {
-			x.Whens[i].Cond = RewriteExpr(x.Whens[i].Cond, f)
-			x.Whens[i].Result = RewriteExpr(x.Whens[i].Result, f)
+			rewriteChild(&x.Whens[i].Cond, f)
+			rewriteChild(&x.Whens[i].Result, f)
 		}
-		x.Else = RewriteExpr(x.Else, f)
+		rewriteChild(&x.Else, f)
 	case *InExpr:
-		x.X = RewriteExpr(x.X, f)
+		rewriteChild(&x.X, f)
 		for i := range x.List {
-			x.List[i] = RewriteExpr(x.List[i], f)
+			rewriteChild(&x.List[i], f)
 		}
 	case *BetweenExpr:
-		x.X = RewriteExpr(x.X, f)
-		x.Lo = RewriteExpr(x.Lo, f)
-		x.Hi = RewriteExpr(x.Hi, f)
+		rewriteChild(&x.X, f)
+		rewriteChild(&x.Lo, f)
+		rewriteChild(&x.Hi, f)
 	case *LikeExpr:
-		x.X = RewriteExpr(x.X, f)
-		x.Pattern = RewriteExpr(x.Pattern, f)
+		rewriteChild(&x.X, f)
+		rewriteChild(&x.Pattern, f)
 	case *IsNullExpr:
-		x.X = RewriteExpr(x.X, f)
+		rewriteChild(&x.X, f)
 	case *CastExpr:
-		x.X = RewriteExpr(x.X, f)
+		rewriteChild(&x.X, f)
 	case *ExistsExpr, *Subquery:
 		// subquery internals are handled by statement-level walkers
 	default:
 		panic(fmt.Sprintf("sqlast: RewriteExpr: unknown node %T", e))
 	}
 	return f(e)
+}
+
+// rewriteChild replaces *p with its rewrite when that differs.
+func rewriteChild(p *Expr, f func(Expr) Expr) {
+	if n := RewriteExpr(*p, f); n != *p {
+		*p = n
+	}
 }
 
 // WalkExpr calls f on every node of e in depth-first order, descending into

@@ -3,6 +3,7 @@ package sqlparse_test
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/seqfuzz/lego/internal/harness"
@@ -70,16 +71,71 @@ func FuzzCloneMatchesReparse(f *testing.F) {
 	})
 }
 
+// FuzzFixCopyOnWriteMatchesClone checks the fixer's copy-on-write
+// contract, which lets mutants share seed and library statements. For any
+// script that parses, an ownership mask and an RNG seed: Fix over the parsed
+// statements, owning a clone of each statement whose mask bit is set and
+// sharing the rest, must render the same SQL as Fix over a full clone that
+// owns every statement, and leave the RNG in the same state. Every parsed
+// statement must stay reflect.DeepEqual to a clone taken before the fix.
+// It is seeded like FuzzRenderFixpoint, with two masks.
+//
+// Plain `go test` runs the seeds; `make selffuzz` searches for 15 s.
+func FuzzFixCopyOnWriteMatchesClone(f *testing.F) {
+	addScriptSeeds(f, uint64(0), int64(1))
+	addScriptSeeds(f, uint64(0x5555555555555555), int64(2))
+	f.Fuzz(func(t *testing.T, sql string, mask uint64, seed int64) {
+		tc, err := sqlparse.ParseScript(sql)
+		if err != nil {
+			return
+		}
+		before := tc.Clone()
+
+		full := tc.Clone()
+		all := make([]int, len(full))
+		for i := range all {
+			all[i] = i
+		}
+		wantRng := rand.New(rand.NewSource(seed))
+		instantiate.NewFixer(wantRng).Fix(full, all...)
+
+		cow := slices.Clone(tc)
+		var owned []int
+		for i := range cow {
+			if i < 64 && mask&(1<<i) != 0 {
+				cow[i] = cow[i].Clone()
+				owned = append(owned, i)
+			}
+		}
+		gotRng := rand.New(rand.NewSource(seed))
+		instantiate.NewFixer(gotRng).Fix(cow, owned...)
+
+		if got, want := cow.SQL(), full.SQL(); got != want {
+			t.Fatalf("copy-on-write fix differs from fixing a clone\ninput: %q\nowned: %v\ncow:   %q\nclone: %q", sql, owned, got, want)
+		}
+		if gotRng.Int63() != wantRng.Int63() {
+			t.Fatalf("copy-on-write fix drew differently from fixing a clone\ninput: %q\nowned: %v", sql, owned)
+		}
+		for i, s := range tc {
+			if !reflect.DeepEqual(s, before[i]) {
+				t.Fatalf("fix wrote statement %d, which it was given shared\ninput: %q\nwas: %q\nnow: %q", i, sql, before[i].SQL(), s.SQL())
+			}
+		}
+	})
+}
+
 // addScriptSeeds adds every dialect's initial seed corpus and 16 statements
-// from every dialect's generator.
-func addScriptSeeds(f *testing.F) {
+// from every dialect's generator, each script followed by extra as the
+// target's further arguments.
+func addScriptSeeds(f *testing.F, extra ...any) {
+	add := func(sql string) { f.Add(append([]any{sql}, extra...)...) }
 	for _, d := range sqlt.Dialects() {
 		for _, tc := range harness.InitialSeeds(d) {
-			f.Add(tc.SQL())
+			add(tc.SQL())
 		}
 		g := instantiate.NewGenerator(rand.New(rand.NewSource(int64(d)+1)), d)
 		for i := 0; i < 16; i++ {
-			f.Add(g.Gen(g.RandomType()).SQL())
+			add(g.Gen(g.RandomType()).SQL())
 		}
 	}
 }
