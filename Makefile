@@ -72,14 +72,12 @@ chaos:
 		echo "chaos: $$w-worker double-run checkpoints byte-identical"; \
 	done
 
-# Self-fuzz, 15 s per target. FuzzCompiledMatchesInterpreter: random
-# scripts must give the same results, errors and coverage on minidb's
-# compiled and interpreter paths. FuzzEngineReuseMatchesFresh: a script run
-# after another on one engine must match the same script on a new engine,
-# so the per-test-case reset leaves nothing behind. FuzzCheckpointLoad:
-# arbitrary file bytes
-# must make checkpoint.Load return an error or a state, never panic, and a
-# loaded state must resume or fail cleanly. FuzzRenderFixpoint:
+# Self-fuzz, 15 s per target. FuzzEngineReuseMatchesFresh: a script run
+# after another on one minidb engine must match the same script on a new
+# engine, so the per-test-case reset leaves nothing behind.
+# FuzzCheckpointLoad: arbitrary file bytes must make checkpoint.Load return
+# an error or a state, never panic, and a loaded state must resume or fail
+# cleanly. FuzzRenderFixpoint:
 # parse→render→parse must be a fixpoint, and arbitrary bytes must never
 # panic the parser. FuzzCloneMatchesReparse: every parsed statement's
 # Clone must render like the original and its render+reparse copy, and
@@ -88,7 +86,6 @@ chaos:
 # the fixer over a full clone, and never write a shared statement. Plain
 # `go test` runs only the seeds; this searches.
 selffuzz:
-	$(GO) test -run '^$$' -fuzz FuzzCompiledMatchesInterpreter -fuzztime 15s ./internal/minidb
 	$(GO) test -run '^$$' -fuzz FuzzEngineReuseMatchesFresh -fuzztime 15s ./internal/minidb
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointLoad -fuzztime 15s ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz FuzzRenderFixpoint -fuzztime 15s ./internal/sqlparse

@@ -144,15 +144,8 @@ type perfRow struct {
 	Bugs        int     `json:"bugs"`
 	Incidents   int     `json:"incidents"`
 	Quarantined int     `json:"quarantined"`
-	// Plan-cache counters: how much of the statement stream ran compiled.
-	// hit_rate = hits / (hits + misses); compiles counts cache fills, which
-	// can exceed misses only after a capacity clear.
-	PlanHits     uint64  `json:"plan_hits"`
-	PlanMisses   uint64  `json:"plan_misses"`
-	PlanCompiles uint64  `json:"plan_compiles"`
-	PlanHitRate  float64 `json:"plan_hit_rate"`
-	Seconds      float64 `json:"seconds"`
-	StmtsPerSec  float64 `json:"stmts_per_sec"`
+	Seconds     float64 `json:"seconds"`
+	StmtsPerSec float64 `json:"stmts_per_sec"`
 }
 
 // perfSnapshot measures end-to-end campaign throughput (statements/sec) at
@@ -185,22 +178,16 @@ func perfSnapshot(b experiment.Budgets, floor int) (string, bool) {
 			sqlt.DialectMariaDB, b.DayStmts, b.Seed, 5, c.workers, epochStmts, c.chaosRate, b.Seed)
 		dur := time.Since(start).Seconds()
 		row := perfRow{
-			Name:         c.name,
-			Workers:      c.workers,
-			ChaosRate:    c.chaosRate,
-			Statements:   cs.Stmts,
-			Executions:   res.Execs,
-			Branches:     res.Branches,
-			Bugs:         res.Bugs(),
-			Incidents:    cs.Incidents,
-			Quarantined:  cs.Quarantined,
-			PlanHits:     cs.PlanStats.Hits,
-			PlanMisses:   cs.PlanStats.Misses,
-			PlanCompiles: cs.PlanStats.Compiles,
-			Seconds:      dur,
-		}
-		if lookups := cs.PlanStats.Hits + cs.PlanStats.Misses; lookups > 0 {
-			row.PlanHitRate = float64(cs.PlanStats.Hits) / float64(lookups)
+			Name:        c.name,
+			Workers:     c.workers,
+			ChaosRate:   c.chaosRate,
+			Statements:  cs.Stmts,
+			Executions:  res.Execs,
+			Branches:    res.Branches,
+			Bugs:        res.Bugs(),
+			Incidents:   cs.Incidents,
+			Quarantined: cs.Quarantined,
+			Seconds:     dur,
 		}
 		if dur > 0 {
 			row.StmtsPerSec = float64(cs.Stmts) / dur
@@ -233,12 +220,12 @@ func perfSnapshot(b experiment.Budgets, floor int) (string, bool) {
 	}
 
 	sb.WriteString("Campaign throughput — supervision and chaos overhead (MariaDB)\n")
-	sb.WriteString(fmt.Sprintf("%-22s  %10s  %9s  %9s  %5s  %8s  %8s  %8s  %8s\n",
-		"config", "statements", "incidents", "quarant.", "bugs", "hit-rate", "compiles", "seconds", "stmts/s"))
+	sb.WriteString(fmt.Sprintf("%-22s  %10s  %9s  %9s  %5s  %8s  %8s\n",
+		"config", "statements", "incidents", "quarant.", "bugs", "seconds", "stmts/s"))
 	for _, r := range rows {
-		sb.WriteString(fmt.Sprintf("%-22s  %10d  %9d  %9d  %5d  %7.1f%%  %8d  %8.2f  %8.0f\n",
+		sb.WriteString(fmt.Sprintf("%-22s  %10d  %9d  %9d  %5d  %8.2f  %8.0f\n",
 			r.Name, r.Statements, r.Incidents, r.Quarantined, r.Bugs,
-			100*r.PlanHitRate, r.PlanCompiles, r.Seconds, r.StmtsPerSec))
+			r.Seconds, r.StmtsPerSec))
 	}
 
 	ok := true

@@ -66,6 +66,15 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile at campaign end to this file")
 	flag.Parse()
 
+	if *resume && *ckptPath == "" {
+		fmt.Fprintln(os.Stderr, "-resume requires -checkpoint")
+		os.Exit(2)
+	}
+	if *triageAssert && !*triageOn {
+		fmt.Fprintln(os.Stderr, "-triage-assert requires -triage")
+		os.Exit(2)
+	}
+
 	d, ok := targets[strings.ToLower(*target)]
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown target %q (want postgres, mysql, mariadb, or comdb2)\n", *target)
@@ -98,10 +107,6 @@ func main() {
 
 	var f *lego.Fuzzer
 	if *resume {
-		if *ckptPath == "" {
-			fmt.Fprintln(os.Stderr, "-resume requires -checkpoint")
-			os.Exit(2)
-		}
 		var err error
 		f, err = lego.ResumeFuzzer(cfg, *ckptPath)
 		if err != nil {
@@ -199,10 +204,6 @@ func main() {
 	}
 
 	if *triageAssert {
-		if !*triageOn {
-			fmt.Fprintln(os.Stderr, "-triage-assert requires -triage")
-			os.Exit(2)
-		}
 		for _, b := range rep.Bugs {
 			if b.Status != "STABLE" || b.MinimizedLen > b.OriginalLen {
 				fmt.Fprintf(os.Stderr, "triage assertion failed: %s status=%s len %d->%d\n",

@@ -139,53 +139,6 @@ func TestFacadeWorkersZeroAndOneAreOneShard(t *testing.T) {
 	}
 }
 
-// TestFacadePlanCacheTransparent is the plan cache's acceptance test: a
-// campaign run with the compiled plan cache (the default) is byte-identical
-// — report and checkpoint file — to the same campaign run on the pure
-// interpreter (DisablePlanCache). The cache is a throughput optimization
-// with zero observable footprint: same results, same errors, same coverage
-// sites in the same order, same RNG consumption.
-func TestFacadePlanCacheTransparent(t *testing.T) {
-	run := func(disable bool) (lego.Report, []byte) {
-		path := filepath.Join(t.TempDir(), "camp.ckpt")
-		f := lego.NewFuzzer(lego.Config{
-			Target:           lego.MariaDB,
-			Seed:             33,
-			FaultRate:        0.001,
-			Triage:           true,
-			DisablePlanCache: disable,
-		})
-		rep, err := f.FuzzWithOptions(15000, lego.FuzzOptions{
-			CheckpointPath:  path,
-			CheckpointEvery: 100,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep, data
-	}
-
-	repOn, ckptOn := run(false)
-	repOff, ckptOff := run(true)
-
-	if !reflect.DeepEqual(repOn, repOff) {
-		t.Fatalf("plan cache changed the report:\ncache-on:  %+v\ncache-off: %+v", repOn, repOff)
-	}
-	if sa, sb := fmt.Sprintf("%#v", repOn), fmt.Sprintf("%#v", repOff); sa != sb {
-		t.Fatalf("plan cache changed the rendered report:\ncache-on:  %s\ncache-off: %s", sa, sb)
-	}
-	if !bytes.Equal(ckptOn, ckptOff) {
-		t.Fatalf("plan cache changed the checkpoint bytes: %d vs %d", len(ckptOn), len(ckptOff))
-	}
-	if repOn.Statements < 15000 || len(repOn.Bugs) == 0 {
-		t.Fatalf("campaign too shallow to witness equivalence: %+v", repOn)
-	}
-}
-
 // TestFacadeDoubleRunDeterminismNoSeqAlgorithms covers the ablation
 // configuration, whose schedule flows through different code paths
 // (mutation only, no affinity/synthesis) and must be just as reproducible.

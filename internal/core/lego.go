@@ -65,12 +65,6 @@ type Options struct {
 	// the campaign. The engine's FaultSeed is Seed, so each shard of a
 	// sharded campaign draws its own schedule. Zero disables injection.
 	FaultRate float64
-	// DisablePlanCache runs every expression through the tree-walking
-	// interpreter instead of the engine's compiled plans. Campaigns are
-	// byte-identical either way (the compiled path is coverage-equivalent
-	// by contract); the flag selects the reference side of the tests that
-	// check that contract.
-	DisablePlanCache bool
 
 	// RandomSequences is an ablation: instead of affinity-gated synthesis
 	// (Algorithm 3), step 2 instantiates uniformly random type sequences of
@@ -134,11 +128,10 @@ func newFuzzer(opts Options) *Fuzzer {
 		src:  src,
 		rng:  rng,
 		runner: harness.NewRunnerWithConfig(minidb.Config{
-			Dialect:          opts.Dialect,
-			EnableHazards:    opts.Hazards,
-			FaultRate:        opts.FaultRate,
-			FaultSeed:        opts.Seed,
-			DisablePlanCache: opts.DisablePlanCache,
+			Dialect:       opts.Dialect,
+			EnableHazards: opts.Hazards,
+			FaultRate:     opts.FaultRate,
+			FaultSeed:     opts.Seed,
 		}),
 		pool:  corpus.NewPool(rng),
 		lib:   lib,

@@ -13,7 +13,6 @@ import (
 	"github.com/seqfuzz/lego/internal/baselines"
 	"github.com/seqfuzz/lego/internal/core"
 	"github.com/seqfuzz/lego/internal/harness"
-	"github.com/seqfuzz/lego/internal/minidb"
 	"github.com/seqfuzz/lego/internal/oracle"
 	"github.com/seqfuzz/lego/internal/shard"
 	"github.com/seqfuzz/lego/internal/sqlt"
@@ -188,14 +187,11 @@ func RunShardedCampaign(d sqlt.Dialect, stmts int, seed int64, maxLen, workers, 
 
 // ChaosStats summarizes how a supervised campaign's failure handling went:
 // the statements it actually executed (a quarantined shard forfeits its
-// residual budget), the incident journal size, and the degraded topology —
-// plus the plan-cache counters, so throughput snapshots can report how much
-// of the statement stream ran compiled.
+// residual budget), the incident journal size, and the degraded topology.
 type ChaosStats struct {
 	Stmts       int
 	Incidents   int
 	Quarantined int
-	PlanStats   minidb.PlanStats
 }
 
 // RunChaoticCampaign is RunShardedCampaign with the chaos plane armed:
@@ -230,7 +226,6 @@ func RunChaoticCampaign(d sqlt.Dialect, stmts int, seed int64, maxLen, workers, 
 		Stmts:       e.Stmts(),
 		Incidents:   len(e.Incidents()),
 		Quarantined: len(e.QuarantinedShards()),
-		PlanStats:   e.PlanStats(),
 	}
 }
 

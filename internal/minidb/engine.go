@@ -59,13 +59,6 @@ type Config struct {
 	// site), so equal seeds see equal faults. A sharded campaign gives
 	// shard i the seed Seed+i.
 	FaultSeed int64
-	// DisablePlanCache sends every row at every evaluation site through
-	// the tree-walking interpreter, with no compilation at all (rowEval in
-	// plan_cache.go reads it). The compiled path is coverage- and
-	// result-equivalent by contract (compile.go); this is the reference
-	// interpreter TestCompiledMatchesInterpreter and
-	// TestFacadePlanCacheTransparent compare it against.
-	DisablePlanCache bool
 }
 
 // session holds connection-scoped state.
@@ -152,15 +145,6 @@ type Engine struct {
 	resBuf []*Result
 	errBuf []error
 
-	// compiled-plan state (plan_cache.go). The cache survives reset():
-	// fuzzing replays near-identical statements across test cases, and
-	// cross-case reuse is the point. schemaFP/fpValid memoize the catalog
-	// structure fingerprint; any dispatch that can change structure marks
-	// it dirty.
-	plans    *planCache
-	schemaFP uint64
-	fpValid  bool
-
 	// covBatch accumulates probe hits per statement and flushes them to
 	// the tracer at statement end (or when full), replacing per-probe
 	// tracer calls on the hot path.
@@ -215,7 +199,6 @@ func (e *Engine) reset() {
 	e.wcteNotifyRewrite = false
 	e.rowsInserted = 0
 	e.lastInsertTab = ""
-	e.fpValid = false
 }
 
 // covBatchCap sizes the per-engine hit batch; a batch that reaches it is
@@ -373,15 +356,6 @@ func (e *Engine) ExecStmt(s sqlast.Statement) (*Result, error) {
 }
 
 func (e *Engine) dispatch(s sqlast.Statement) (*Result, error) {
-	// Any DDL or TCL dispatch — including trigger- and procedure-nested ones,
-	// which re-enter here — may change catalog structure, so the schema
-	// fingerprint goes stale before execution. Marking by category is
-	// deliberately coarse: recomputation is lazy and content-based, so a
-	// no-op COMMIT costs one fingerprint walk, not a cache clear.
-	switch s.Type().Category() {
-	case sqlt.CatDDL, sqlt.CatTCL:
-		e.fpValid = false
-	}
 	//lego:exhaustive Statement
 	switch st := s.(type) {
 	// DDL
@@ -583,3 +557,19 @@ func (e *Engine) inTxn() bool { return len(e.txnStack) > 0 }
 // TypeWindow exposes the recent statement-type window (used by tests and by
 // the hazard engine).
 func (e *Engine) TypeWindow() []sqlt.Type { return e.typeWindow }
+
+// PlanStats held the counters of the compiled plan cache, which is gone:
+// the interpreter is the only evaluator, so every PlanStats value is zero.
+// It remains only for the campaign benchmark's plan_hit_rate and
+// plan_compiles_per_kstmt metrics, and the benchmark change that retires
+// those metrics deletes it.
+type PlanStats struct {
+	Hits, Misses, Compiles uint64
+}
+
+// Add accumulates o into s; both are always zero.
+func (s *PlanStats) Add(o PlanStats) {
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Compiles += o.Compiles
+}

@@ -326,12 +326,10 @@ func (e *Engine) fireTriggers(table string, tm sqlast.TriggerTime, ev sqlast.Tri
 // matchingRowIdxs returns indexes of rows satisfying where, in ORDER BY
 // order, truncated by limit (MySQL-style UPDATE/DELETE ... ORDER BY LIMIT).
 func (e *Engine) matchingRowIdxs(t *Table, where sqlast.Expr, orderBy []sqlast.OrderItem, limit sqlast.Expr) ([]int, error) {
-	// This runs before any trigger can fire for the statement, so a layout
-	// computed here cannot go stale mid-scan.
 	var idxs []int
 	var wEv rowEval
 	if where != nil {
-		wEv = e.tableEval([]sqlast.Expr{where}, t, false)
+		wEv = e.tableEval([]sqlast.Expr{where}, t)
 	}
 	for ri, row := range t.Rows {
 		if where != nil {
@@ -347,7 +345,7 @@ func (e *Engine) matchingRowIdxs(t *Table, where sqlast.Expr, orderBy []sqlast.O
 		idxs = append(idxs, ri)
 	}
 	if len(orderBy) > 0 {
-		ev := e.tableEval(orderExprs(orderBy), t, false)
+		ev := e.tableEval(orderExprs(orderBy), t)
 		keys := make(map[int][]Value, len(idxs))
 		for _, ri := range idxs {
 			ev.bind(t.Rows[ri], nil, nil)
@@ -419,13 +417,11 @@ func (e *Engine) execUpdate(st *sqlast.UpdateStmt) (*Result, error) {
 		}
 		setIdx[i] = ci
 	}
-	// Coercion stays exec-side (below), so no column type is baked into a
-	// compiled SET expression.
 	xs := make([]sqlast.Expr, len(st.Sets))
 	for i, a := range st.Sets {
 		xs[i] = a.Value
 	}
-	ev := e.tableEval(xs, t, true)
+	ev := e.tableEval(xs, t)
 	touched := 0
 	for _, ri := range idxs {
 		if err := e.fireTriggers(t.Name, sqlast.TriggerBefore, sqlast.TriggerUpdate); err != nil {

@@ -107,9 +107,6 @@ func (e *Engine) materializeInto(name string, cols []string, rows [][]Value) (*R
 	}
 	t.Rows = rows
 	e.cat.Tables[name] = t
-	// SELECT INTO is DQL-category but creates a table, so the schema
-	// fingerprint goes stale here rather than in dispatch.
-	e.fpValid = false
 	return &Result{Affected: len(rows), Msg: "SELECT INTO"}, nil
 }
 

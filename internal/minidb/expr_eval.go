@@ -47,16 +47,6 @@ const maxEvalDepth = 24
 // runs out of memory, which no recover can contain.
 const maxConcatBytes = 1 << 20
 
-// concatValues is || on two non-NULL operands, shared by eval and compiled
-// programs so both fail with the same error.
-func concatValues(l, r Value) (Value, error) {
-	ls, rs := l.String(), r.String()
-	if len(ls)+len(rs) > maxConcatBytes {
-		return Null(), errValue("string concatenation exceeds %d bytes", maxConcatBytes)
-	}
-	return Text(ls + rs), nil
-}
-
 // eval evaluates e in scope sc.
 func (e *Engine) eval(x sqlast.Expr, sc *scope, depth int) (Value, error) {
 	if depth > maxEvalDepth {
@@ -340,7 +330,11 @@ func (e *Engine) evalBinary(v *sqlast.Binary, sc *scope, depth int) (Value, erro
 		if l.IsNull() || r.IsNull() {
 			return Null(), nil
 		}
-		return concatValues(l, r)
+		ls, rs := l.String(), r.String()
+		if len(ls)+len(rs) > maxConcatBytes {
+			return Null(), errValue("string concatenation exceeds %d bytes", maxConcatBytes)
+		}
+		return Text(ls + rs), nil
 
 	case "+", "-", "*", "/", "%":
 		if l.IsNull() || r.IsNull() {

@@ -163,9 +163,6 @@ type Executor struct {
 	chaos       *chaos.Injector
 	fs          checkpoint.FS
 	saveFaults  int
-	// retiredPlans holds the plan-cache counters of fuzzers that restore
-	// replaced, so PlanStats still counts the lookups they made.
-	retiredPlans minidb.PlanStats
 	// testFault, when set, runs on the worker goroutine at the start of each
 	// (epoch, shard, attempt) — a test hook for raising organic panics at a
 	// chosen coordinate.
@@ -513,16 +510,11 @@ func (e *Executor) EnginePanics() int {
 	return total
 }
 
-// PlanStats returns the plan-cache counters summed across shards,
-// including engines retired by quarantine within each shard and fuzzers
-// replaced by a restore.
-func (e *Executor) PlanStats() minidb.PlanStats {
-	s := e.retiredPlans
-	for _, sh := range e.shards {
-		s.Add(sh.Runner().PlanStats())
-	}
-	return s
-}
+// PlanStats is always zero: the compiled plan cache it counted is gone.
+// It remains only for the campaign benchmark's plan_hit_rate and
+// plan_compiles_per_kstmt metrics, and the benchmark change that retires
+// those metrics deletes it.
+func (e *Executor) PlanStats() minidb.PlanStats { return minidb.PlanStats{} }
 
 // Branches returns the campaign's branch-coverage metric: the largest
 // shard map. After a barrier the first active shard holds the OR-fold of

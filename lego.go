@@ -117,13 +117,6 @@ type Config struct {
 	// MaxEpochRetries is the cumulative per-shard retry budget in epoch
 	// re-runs (default 3; negative means quarantine on first failure).
 	MaxEpochRetries int
-	// DisablePlanCache runs every expression through the tree-walking
-	// interpreter instead of the engine's compiled plans. Campaign reports
-	// and checkpoints are byte-identical either way (the compiled path fires
-	// identical coverage by contract); the flag selects the reference side
-	// of the tests that check that contract, TestFacadePlanCacheTransparent
-	// and minidb's TestCompiledMatchesInterpreter.
-	DisablePlanCache bool
 }
 
 // Bug describes one deduplicated crash.
@@ -232,7 +225,6 @@ func (cfg Config) options() shard.Options {
 			Hazards:                   !cfg.DisableHazards,
 			SplitLongSeeds:            cfg.SplitLongSeeds,
 			FaultRate:                 cfg.FaultRate,
-			DisablePlanCache:          cfg.DisablePlanCache,
 		},
 		Workers:         cfg.Workers,
 		EpochStmts:      cfg.EpochStmts,
