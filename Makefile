@@ -60,11 +60,14 @@ smoke:
 # quarantine, and the incident journal must all be pure functions of
 # (chaos-rate, chaos-seed). It runs once with four workers and once with
 # one, whose soft epochs and background saves must be just as reproducible.
+# The four-worker runs also triage, so the post-triage save, the only place
+# triage results persist, is compared too.
 chaos:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	for w in 4 1; do \
+		triage=; [ $$w = 4 ] && triage=-triage; \
 		for run in a b; do \
-			$(GO) run ./cmd/legofuzz -target mariadb -budget 30000 -workers $$w \
+			$(GO) run ./cmd/legofuzz -target mariadb -budget 30000 -workers $$w $$triage \
 				-epoch-stmts 500 -chaos-rate 0.05 -chaos-seed 7 -checkpoint-every 300 \
 				-checkpoint "$$tmp/w$$w-$$run.ckpt" >/dev/null || exit 1; \
 		done; \

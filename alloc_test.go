@@ -186,17 +186,29 @@ SELECT c0 FROM t0 WHERE c0 > 1;
 
 	// Campaign snapshot of a one-worker executor after a fixed
 	// 3000-statement MariaDB campaign (136 pool seeds, 250 edges, 322
-	// synthesized sequences): one slice per section, one shared backing
-	// array for all synthesized sequences, the worker's crash list and the
-	// merged one. Pool scripts are rendered once per seed, on its first
-	// snapshot, not once per snapshot, so the measured runs reuse them. The
-	// structure library is rebuilt from the pool on resume, so it costs the
-	// snapshot nothing.
+	// synthesized sequences): one slice per section and one shared backing
+	// array for all synthesized sequences. Hazards are off, so there are no
+	// crashes to export. Pool scripts are rendered once per seed, on its
+	// first snapshot, not once per snapshot, so the measured runs reuse
+	// them. The structure library is rebuilt from the pool on resume, so it
+	// costs the snapshot nothing.
 	ex := shard.New(shard.Options{Core: core.Options{Dialect: sqlt.DialectMariaDB, Seed: 1}, Workers: 1})
 	if _, err := ex.Run(3000, shard.RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	check("Snapshot", 104, func() {
 		_ = ex.Snapshot()
+	})
+
+	// The same campaign with hazards armed, as every benchmark workload
+	// runs: the snapshot also exports the campaign oracle's crashes, once,
+	// at the top level (stack, window and rendered reproducer per crash);
+	// the worker entry carries none.
+	hz := shard.New(shard.Options{Core: core.Options{Dialect: sqlt.DialectMariaDB, Seed: 1, Hazards: true}, Workers: 1})
+	if _, err := hz.Run(3000, shard.RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	check("Snapshot-hazards", 207, func() {
+		_ = hz.Snapshot()
 	})
 }

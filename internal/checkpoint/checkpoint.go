@@ -33,7 +33,8 @@ import (
 //	v4 — chaos identity, incident journal, per-shard supervision fields.
 //	v5 — one layout for every campaign, primary state only: no structure
 //	     library and no fault-injector cursor.
-const Version = 5
+//	v6 — crashes stored once, at the top level: worker entries carry none.
+const Version = 6
 
 // BackupSuffix is appended to the checkpoint path for the rotated last-good
 // copy that Save leaves behind and LoadWithFallback falls back to.
@@ -128,7 +129,9 @@ type State struct {
 	EnginePanics int `json:"engine_panics"`
 
 	// Curve is the campaign's coverage curve, one sample per barrier.
-	// Crashes is the merged oracle.
+	// Crashes is the campaign's crash oracle, the only copy of the crashes:
+	// worker entries carry none, since a barrier drains every worker's
+	// sightings into it.
 	Curve   []CurvePoint `json:"curve"`
 	Crashes []Crash      `json:"crashes"`
 
@@ -147,7 +150,8 @@ type State struct {
 
 // Shard is one worker's state. The structure library is not stored: it is
 // a function of the pool, rebuilt on resume by harvesting every entry not
-// marked Split, in pool order.
+// marked Split, in pool order. Nor are crashes: a worker's sightings are
+// drained into State.Crashes at every barrier.
 type Shard struct {
 	// Counters.
 	Execs        int `json:"execs"`
@@ -161,7 +165,6 @@ type Shard struct {
 	Affinity    [][2]uint16 `json:"affinity"`
 	GenAffinity [][2]uint16 `json:"gen_affinity"`
 	Coverage    []Edge      `json:"coverage"`
-	Crashes     []Crash     `json:"crashes"`
 
 	// Sequence-synthesis state: the generated-sequence vector (the Prefix
 	// Sequence index is rebuilt from it), start types, rotation counter,

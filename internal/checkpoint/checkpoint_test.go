@@ -25,7 +25,6 @@ func sampleShard() Shard {
 		Affinity:    [][2]uint16{{1, 2}, {2, 3}},
 		GenAffinity: [][2]uint16{{1, 2}},
 		Coverage:    []Edge{{Idx: 10, Mask: 3}, {Idx: 99, Mask: 128}},
-		Crashes:     sampleCrashes(),
 		SynthSeqs:   [][]uint16{{1, 4, 6}},
 		SynthStarts: []uint16{1},
 		SynthRot:    5,

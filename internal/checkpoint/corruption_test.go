@@ -110,14 +110,14 @@ func TestLoadCorruptionMatrix(t *testing.T) {
 			write: func(t *testing.T, path string) {
 				writeEnvelope(t, path, validPayload(2), "")
 			},
-			wantErr: "format version 2, this build reads only version 5",
+			wantErr: "format version 2, this build reads only version 6",
 		},
 		{
 			name: "checksum-valid but v3 version",
 			write: func(t *testing.T, path string) {
 				writeEnvelope(t, path, validPayload(3), "")
 			},
-			wantErr: "format version 3, this build reads only version 5",
+			wantErr: "format version 3, this build reads only version 6",
 		},
 		{
 			// Earlier builds indented the envelope and hashed the compacted
@@ -134,7 +134,15 @@ func TestLoadCorruptionMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 			},
-			wantErr: "format version 4, this build reads only version 5",
+			wantErr: "format version 4, this build reads only version 6",
+		},
+		{
+			// v5 stored every crash once per worker as well as at the top.
+			name: "checksum-valid but v5 version",
+			write: func(t *testing.T, path string) {
+				writeEnvelope(t, path, validPayload(5), "")
+			},
+			wantErr: "format version 5, this build reads only version 6",
 		},
 		{
 			name: "shard list shorter than the worker count",

@@ -13,7 +13,6 @@ import (
 
 	"github.com/seqfuzz/lego/internal/checkpoint"
 	"github.com/seqfuzz/lego/internal/core"
-	"github.com/seqfuzz/lego/internal/oracle"
 	"github.com/seqfuzz/lego/internal/shard"
 	"github.com/seqfuzz/lego/internal/sqlt"
 	"github.com/seqfuzz/lego/internal/triage"
@@ -244,10 +243,9 @@ func TestStopBeforeStart(t *testing.T) {
 	}
 }
 
-// TestTriageStateRoundTrips: triage results written into the oracle must
-// survive a checkpoint round trip — the bug table of a resumed campaign
-// still shows verified, minimized reproducers, and so does the worker's
-// own oracle, which the next barrier rebuilds the merged view from.
+// TestTriageStateRoundTrips: triage results written into the campaign
+// oracle must survive a checkpoint round trip — the bug table of a resumed
+// campaign still shows verified, minimized reproducers.
 func TestTriageStateRoundTrips(t *testing.T) {
 	opts := oneShard(core.Options{Dialect: sqlt.DialectMariaDB, Seed: 3, Hazards: true})
 	e := shard.New(opts)
@@ -261,29 +259,20 @@ func TestTriageStateRoundTrips(t *testing.T) {
 	}
 	resumed := roundTrip(t, opts, e.Snapshot())
 
-	want := e.Oracle().Crashes()
-	for _, view := range []struct {
-		name    string
-		crashes []*oracle.Crash
-	}{
-		{"merged", resumed.Oracle().Crashes()},
-		{"worker", resumed.Shards()[0].Runner().Oracle.Crashes()},
-	} {
-		name, crashes := view.name, view.crashes
-		if len(crashes) != len(want) {
-			t.Fatalf("%s crash count changed: %d -> %d", name, len(want), len(crashes))
+	want, crashes := e.Oracle().Crashes(), resumed.Oracle().Crashes()
+	if len(crashes) != len(want) {
+		t.Fatalf("crash count changed: %d -> %d", len(want), len(crashes))
+	}
+	for i := range want {
+		w, g := want[i], crashes[i]
+		if g.Status != w.Status || g.OriginalLen != w.OriginalLen ||
+			g.MinimizedLen != w.MinimizedLen || g.Replays != w.Replays {
+			t.Fatalf("crash %d triage fields lost: want %s %d->%d %d, got %s %d->%d %d",
+				i, w.Status, w.OriginalLen, w.MinimizedLen, w.Replays,
+				g.Status, g.OriginalLen, g.MinimizedLen, g.Replays)
 		}
-		for i := range want {
-			w, g := want[i], crashes[i]
-			if g.Status != w.Status || g.OriginalLen != w.OriginalLen ||
-				g.MinimizedLen != w.MinimizedLen || g.Replays != w.Replays {
-				t.Fatalf("%s crash %d triage fields lost: want %s %d->%d %d, got %s %d->%d %d",
-					name, i, w.Status, w.OriginalLen, w.MinimizedLen, w.Replays,
-					g.Status, g.OriginalLen, g.MinimizedLen, g.Replays)
-			}
-			if g.Reproducer.SQL() != w.Reproducer.SQL() {
-				t.Fatalf("%s crash %d minimized reproducer changed across resume", name, i)
-			}
+		if g.Reproducer.SQL() != w.Reproducer.SQL() {
+			t.Fatalf("crash %d minimized reproducer changed across resume", i)
 		}
 	}
 }

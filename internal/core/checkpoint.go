@@ -7,8 +7,6 @@ import (
 	"github.com/seqfuzz/lego/internal/checkpoint"
 	"github.com/seqfuzz/lego/internal/corpus"
 	"github.com/seqfuzz/lego/internal/coverage"
-	"github.com/seqfuzz/lego/internal/minidb"
-	"github.com/seqfuzz/lego/internal/oracle"
 	"github.com/seqfuzz/lego/internal/seqsynth"
 	"github.com/seqfuzz/lego/internal/sqlparse"
 	"github.com/seqfuzz/lego/internal/sqlt"
@@ -17,10 +15,12 @@ import (
 // This file converts a worker's live state to and from checkpoint form.
 // SnapshotShard must be taken at a Step boundary (the campaign executor
 // snapshots only at epoch barriers): everything the fuzzing loop reads —
-// pool, affinities, synthesizer, coverage, oracle, counters, and the RNG
-// stream position — is captured, and the structure library is rebuilt from
-// the pool, so a resumed worker replays the exact schedule the
-// uninterrupted one would have run.
+// pool, affinities, synthesizer, coverage, counters, and the RNG stream
+// position — is captured, and the structure library is rebuilt from the
+// pool, so a resumed worker replays the exact schedule the uninterrupted
+// one would have run. The worker's crash oracle is not captured: the
+// executor drains it into the campaign oracle at every barrier, so it is
+// empty at every snapshot, and a resumed worker starts with an empty one.
 
 // SnapshotShard serializes the fuzzer's worker state. It builds the wire
 // form in one pass: every slice is sized up front, and synthesized
@@ -46,7 +46,6 @@ func (f *Fuzzer) SnapshotShard() checkpoint.Shard {
 	for i, e := range edges {
 		st.Coverage[i] = checkpoint.Edge{Idx: e.Idx, Mask: e.Mask}
 	}
-	st.Crashes = ExportCrashes(f.runner.Oracle)
 
 	synth := f.synth.Export()
 	n := 0
@@ -124,12 +123,6 @@ func ResumeShard(opts Options, sh *checkpoint.Shard) (*Fuzzer, error) {
 	}
 	f.runner.Cov.Import(edges)
 
-	crashes, err := ImportCrashes(opts.Dialect, sh.Crashes)
-	if err != nil {
-		return nil, fmt.Errorf("resume: %w", err)
-	}
-	f.runner.Oracle.Import(crashes)
-
 	var synth seqsynth.State
 	for _, seq := range sh.SynthSeqs {
 		synth.Seqs = append(synth.Seqs, importSeq(seq))
@@ -146,63 +139,6 @@ func ResumeShard(opts Options, sh *checkpoint.Shard) (*Fuzzer, error) {
 	return f, nil
 }
 
-// ExportCrashes converts an oracle's deduplicated crashes to checkpoint
-// form, in discovery order. Shared by worker snapshots and the campaign
-// executor's export of its merged oracle.
-func ExportCrashes(o *oracle.Oracle) []checkpoint.Crash {
-	crashes := o.Crashes()
-	out := makeN[checkpoint.Crash](len(crashes))
-	for i, c := range crashes {
-		out[i] = checkpoint.Crash{
-			ID:          c.Report.ID,
-			Component:   c.Report.Component,
-			Kind:        c.Report.Kind,
-			Stack:       append([]string(nil), c.Report.Stack...),
-			Window:      exportSeq(c.Report.Window),
-			Reproducer:  c.Reproducer.SQL(),
-			FoundAtExec: c.FoundAtExec,
-			Hits:        c.Hits,
-
-			Status:       c.Status,
-			OriginalLen:  c.OriginalLen,
-			MinimizedLen: c.MinimizedLen,
-			Replays:      c.Replays,
-		}
-	}
-	return out
-}
-
-// ImportCrashes is ExportCrashes's inverse: it re-parses the reproducers and
-// rebuilds oracle entries in checkpoint order.
-func ImportCrashes(d sqlt.Dialect, crashes []checkpoint.Crash) ([]*oracle.Crash, error) {
-	var out []*oracle.Crash
-	for i, c := range crashes {
-		tc, err := sqlparse.ParseScript(c.Reproducer)
-		if err != nil {
-			return nil, fmt.Errorf("crash %d reproducer: %w", i, err)
-		}
-		out = append(out, &oracle.Crash{
-			Report: &minidb.BugReport{
-				ID:        c.ID,
-				Dialect:   d,
-				Component: c.Component,
-				Kind:      c.Kind,
-				Stack:     append([]string(nil), c.Stack...),
-				Window:    importSeq(c.Window),
-			},
-			Reproducer:  tc,
-			FoundAtExec: c.FoundAtExec,
-			Hits:        c.Hits,
-
-			Status:       c.Status,
-			OriginalLen:  c.OriginalLen,
-			MinimizedLen: c.MinimizedLen,
-			Replays:      c.Replays,
-		})
-	}
-	return out, nil
-}
-
 func exportPairs(m *affinity.Map) [][2]uint16 {
 	pairs := m.Pairs()
 	out := makeN[[2]uint16](len(pairs))
@@ -216,14 +152,6 @@ func importPairs(m *affinity.Map, pairs [][2]uint16) {
 	for _, p := range pairs {
 		m.Add(sqlt.Type(p[0]), sqlt.Type(p[1]))
 	}
-}
-
-func exportSeq(seq sqlt.Sequence) []uint16 {
-	out := makeN[uint16](len(seq))
-	for i, t := range seq {
-		out[i] = uint16(t)
-	}
-	return out
 }
 
 // makeN returns a length-n slice for the export helpers to fill, or nil

@@ -180,14 +180,11 @@ func (f *Fuzzer) Pool() *corpus.Pool { return f.pool }
 // Library exposes the AST structure library.
 func (f *Fuzzer) Library() *instantiate.Library { return f.lib }
 
-// ingest retains a test case that contributed coverage: it joins the seed
-// pool, its AST structures enter the library, its first statement's type
-// becomes a synthesis start, and its type sequence is analyzed for new
-// affinities (Algorithm 2), which are queued for synthesis. Split halves
-// join the pool only, marked so that ResumeShard's library rebuild skips them.
+// ingest retains a test case that contributed coverage (AdoptSeed) and,
+// with SplitLongSeeds, adds its split halves after it. The halves join the
+// pool only, marked so that ResumeShard's library rebuild skips them.
 func (f *Fuzzer) ingest(tc sqlast.TestCase, newEdges int) {
-	f.pool.Add(tc, newEdges)
-	f.lib.Harvest(tc)
+	f.AdoptSeed(tc, newEdges)
 	if f.opts.SplitLongSeeds && len(tc) > 2*f.opts.MaxLen {
 		for _, half := range f.splitSeed(tc) {
 			// A degenerate MaxLen/2 overlap can produce an empty half; an
@@ -198,13 +195,6 @@ func (f *Fuzzer) ingest(tc sqlast.TestCase, newEdges int) {
 			}
 			f.pool.Add(half, newEdges/2).Split = true
 		}
-	}
-	if !f.opts.DisableSequenceAlgorithms {
-		if len(tc) > 0 {
-			f.synth.AddStart(tc[0].Type())
-		}
-		fresh := f.aff.Analyze(tc.Types())
-		f.pending = append(f.pending, fresh...)
 	}
 }
 

@@ -12,13 +12,15 @@ import (
 // mutate only this fuzzer's state, so calling them in a fixed shard order
 // keeps the whole campaign schedule-independent.
 
-// AdoptSeed ingests a test case that covered new branches in a sibling
-// shard: it joins this shard's pool, library, and synthesis starts exactly
-// like a locally discovered seed, and its type sequence is analyzed for
-// affinities new to this shard. Unlike ingest it never splits long seeds —
-// the donor already split them, and those halves arrive as their own pool
-// deltas. tc may be the donor's own test case: pool statements are frozen,
-// so shards share them, and nothing writes tc's slots either.
+// AdoptSeed retains a test case that covered new branches, in this shard or
+// in a sibling: it joins the pool, its AST structures enter the library,
+// its first statement's type becomes a synthesis start, and its type
+// sequence is analyzed for new affinities (Algorithm 2), which are queued
+// for synthesis. ingest is AdoptSeed plus seed splitting; a sibling's seed
+// is never split here — the donor already split it, and those halves
+// arrive as their own pool deltas. tc may be the donor's own test case:
+// pool statements are frozen, so shards share them, and nothing writes
+// tc's slots either. An empty test case is ignored.
 func (f *Fuzzer) AdoptSeed(tc sqlast.TestCase, newEdges int) {
 	if len(tc) == 0 {
 		return

@@ -163,26 +163,8 @@ func RunCampaign(f FuzzerName, d sqlt.Dialect, execs int, seed int64, maxLen int
 // (Figure 9 at N workers) are reproducible run to run. epochStmts <= 0 uses
 // the executor's default.
 func RunShardedCampaign(d sqlt.Dialect, stmts int, seed int64, maxLen, workers, epochStmts int) CampaignResult {
-	s := campaignSeed(seed, FuzzerLEGO, d)
-	e := shard.New(shard.Options{
-		Core:       core.Options{Dialect: d, Seed: s, Hazards: true, MaxLen: maxLen},
-		Workers:    workers,
-		EpochStmts: epochStmts,
-	})
-	if _, err := e.Run(stmts, shard.RunOptions{}); err != nil {
-		// Run can only fail through a Save hook, and none is installed.
-		panic(err)
-	}
-	return CampaignResult{
-		Fuzzer:               FuzzerLEGO,
-		Dialect:              d,
-		Execs:                e.Execs(),
-		Branches:             e.Branches(),
-		GenAffinities:        e.GenAffinities(),
-		DiscoveredAffinities: e.Affinities(),
-		Crashes:              e.Oracle().Crashes(),
-		Curve:                e.Curve(),
-	}
+	res, _ := RunChaoticCampaign(d, stmts, seed, maxLen, workers, epochStmts, 0, 0)
+	return res
 }
 
 // ChaosStats summarizes how a supervised campaign's failure handling went:
@@ -198,7 +180,8 @@ type ChaosStats struct {
 // injected worker panics and epoch stalls exercise the supervisor's
 // retry-from-barrier-snapshot path while the campaign runs. Like its
 // fault-free sibling, the result — incident journal included — is a pure
-// function of the arguments.
+// function of the arguments. A zero chaosRate disarms the plane, which is
+// how RunShardedCampaign runs.
 func RunChaoticCampaign(d sqlt.Dialect, stmts int, seed int64, maxLen, workers, epochStmts int, chaosRate float64, chaosSeed int64) (CampaignResult, ChaosStats) {
 	s := campaignSeed(seed, FuzzerLEGO, d)
 	e := shard.New(shard.Options{

@@ -729,20 +729,18 @@ func (e *Engine) execLoadData(st *sqlast.LoadDataStmt) (*Result, error) {
 
 func (e *Engine) execCall(st *sqlast.CallStmt) (*Result, error) {
 	e.hit(pCall)
-	p, ok := e.cat.Procedures[st.Name]
-	if !ok {
+	p, found := e.cat.Procedures[st.Name]
+	if !found {
 		return nil, errValue("procedure %q does not exist", st.Name)
 	}
 	if e.triggerDepth >= e.limits.MaxTriggerDepth {
 		e.hit(pTriggerDepthCap)
-		return ok2("CALL (depth cap)")
+		return ok("CALL (depth cap)")
 	}
 	e.triggerDepth++
 	defer func() { e.triggerDepth-- }()
 	return e.dispatch(p.Body)
 }
-
-func ok2(msg string) (*Result, error) { return &Result{Msg: msg}, nil }
 
 func (e *Engine) execDo(st *sqlast.DoStmt) (*Result, error) {
 	e.hit(pDo)

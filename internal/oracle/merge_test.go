@@ -3,6 +3,7 @@ package oracle
 import (
 	"testing"
 
+	"github.com/seqfuzz/lego/internal/minidb"
 	"github.com/seqfuzz/lego/internal/sqlparse"
 )
 
@@ -53,64 +54,68 @@ func TestMergeCopiesEntries(t *testing.T) {
 	}
 }
 
-func TestMergePreservesTriageOfExisting(t *testing.T) {
-	tc := sqlparse.MustParseScript("SELECT 1;")
-	a := New()
-	a.Record(report("BUG-1", "Optimizer", "SEGV", "f"), tc, 5)
-	a.Crashes()[0].Status = "STABLE"
-	a.Crashes()[0].Replays = 3
+// TestMergeDrainsBarriers drives Merge the way the campaign executor does:
+// once per barrier, over every shard's oracle of that epoch in shard order,
+// emptying the shards after. Hits sum, the strictly shorter reproducer wins
+// (the earlier barrier or lower shard on a tie), new keys append in shard
+// order, and FoundAtExec is fixed at the barrier that first merges a key.
+func TestMergeDrainsBarriers(t *testing.T) {
+	k1 := func() *minidb.BugReport { return report("BUG-1", "Optimizer", "SEGV", "f") }
+	k2 := func() *minidb.BugReport { return report("BUG-2", "Parser", "UAF", "p") }
+	k3 := func() *minidb.BugReport { return report("BUG-3", "Storage", "BOF", "s") }
+	k4 := func() *minidb.BugReport { return report("BUG-4", "Item", "AF", "i") }
+	tc := sqlparse.MustParseScript
 
-	b := New()
-	b.Record(report("BUG-1", "Optimizer", "SEGV", "f"), tc, 9)
-	a.Merge(b)
-	if c := a.Crashes()[0]; c.Status != "STABLE" || c.Replays != 3 {
-		t.Fatalf("merge clobbered triage results: %+v", c)
+	campaign := New()
+	s0, s1 := New(), New()
+	drain := func() {
+		campaign.Merge(s0, s1)
+		s0.Reset()
+		s1.Reset()
 	}
 
-	// And an untriaged entry adopts the incoming triage verdict.
-	c := New()
-	c.Record(report("BUG-1", "Optimizer", "SEGV", "f"), tc, 9)
-	triaged := New()
-	triaged.Record(report("BUG-1", "Optimizer", "SEGV", "f"), tc, 2)
-	triaged.Crashes()[0].Status = "FLAKY"
-	triaged.Crashes()[0].Replays = 1
-	c.Merge(triaged)
-	if got := c.Crashes()[0]; got.Status != "FLAKY" || got.Replays != 1 {
-		t.Fatalf("untriaged entry must adopt incoming triage: %+v", got)
-	}
-}
-
-func TestAdoptDeduplicatesWithoutCounting(t *testing.T) {
-	long := sqlparse.MustParseScript("SELECT 1; SELECT 2;")
-	short := sqlparse.MustParseScript("SELECT 1;")
-
-	donor := New()
-	donor.Record(report("BUG-1", "Optimizer", "SEGV", "f"), long, 10)
-
-	o := New()
-	if !o.Adopt(donor.Crashes()[0]) {
-		t.Fatal("adopting an unknown stack must report it as new")
-	}
-	if got := o.Crashes()[0]; got.Hits != 0 {
-		t.Fatalf("adopted hits = %d, want 0 (sighting counts in the donor)", got.Hits)
+	// Epoch 1.
+	s0.Record(k1(), tc("SELECT 1; SELECT 2; SELECT 3;"), 50)
+	s0.Record(k2(), tc("SELECT 4; SELECT 5;"), 60)
+	s1.Record(k3(), tc("SELECT 6;"), 20)
+	s1.Record(k1(), tc("SELECT 7; SELECT 8;"), 40)
+	s1.Record(k1(), tc("SELECT 9; SELECT 10;"), 45)
+	drain()
+	if s0.Count() != 0 || s1.Count() != 0 || len(s0.Crashes()) != 0 {
+		t.Fatal("Reset left sightings in a shard oracle")
 	}
 
-	// A local sighting of the adopted stack is a duplicate, not a new bug.
-	if o.Record(report("BUG-1", "Optimizer", "SEGV", "f"), long, 99) {
-		t.Fatal("locally hitting an adopted stack must deduplicate")
-	}
-	if got := o.Crashes()[0]; got.Hits != 1 {
-		t.Fatalf("hits after local sighting = %d, want 1", got.Hits)
-	}
+	// Epoch 2: shard 0 sees BUG-3 at a smaller local exec count than shard
+	// 1's epoch-1 sighting, with a reproducer of equal length; both shards
+	// find BUG-4; shard 0 finds a strictly shorter BUG-1.
+	s1.Record(k4(), tc("SELECT 11; SELECT 12;"), 100)
+	s0.Record(k3(), tc("SELECT 13;"), 5)
+	s0.Record(k4(), tc("SELECT 14; SELECT 15;"), 90)
+	s0.Record(k1(), tc("SELECT 16;"), 7)
+	drain()
 
-	// Re-adopting with a shorter reproducer shortens, nothing else.
-	d2 := New()
-	d2.Record(report("BUG-1", "Optimizer", "SEGV", "f"), short, 3)
-	if o.Adopt(d2.Crashes()[0]) {
-		t.Fatal("known stack must not be adopted as new")
+	type want struct {
+		id      string
+		found   int
+		hits    int
+		repro   string
+		comment string
 	}
-	got := o.Crashes()[0]
-	if len(got.Reproducer) != 1 || got.Hits != 1 {
-		t.Fatalf("re-adoption: reproducer %d stmts, hits %d; want 1, 1", len(got.Reproducer), got.Hits)
+	wants := []want{
+		{"BUG-1", 40, 4, "SELECT 16;\n", "shorter reproducer replaces; found-at fixed at barrier 1"},
+		{"BUG-2", 60, 1, "SELECT 4;\nSELECT 5;\n", "one sighting"},
+		{"BUG-3", 20, 2, "SELECT 6;\n", "a later smaller exec count and an equal-length reproducer move nothing"},
+		{"BUG-4", 90, 2, "SELECT 14;\nSELECT 15;\n", "new at barrier 2: smallest exec count, shard 0 wins the tie"},
+	}
+	got := campaign.Crashes()
+	if len(got) != len(wants) {
+		t.Fatalf("campaign oracle holds %d crashes, want %d", len(got), len(wants))
+	}
+	for i, w := range wants {
+		g := got[i]
+		if g.Report.ID != w.id || g.FoundAtExec != w.found || g.Hits != w.hits || g.Reproducer.SQL() != w.repro {
+			t.Errorf("crash %d = %s found-at %d hits %d repro %q; want %s %d %d %q (%s)",
+				i, g.Report.ID, g.FoundAtExec, g.Hits, g.Reproducer.SQL(), w.id, w.found, w.hits, w.repro, w.comment)
+		}
 	}
 }

@@ -4,6 +4,7 @@
 package oracle
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/seqfuzz/lego/internal/minidb"
@@ -84,77 +85,45 @@ func (o *Oracle) Import(crashes []*Crash) {
 	}
 }
 
-// Merge folds every crash of other into o under Record's invariants, the
-// epoch-barrier primitive that builds the sharded executor's global crash
-// view. For a stack key o already holds: hits accumulate, the shortest
-// reproducer wins, the earliest FoundAtExec wins, and triage results are
-// adopted when o's entry has none. New keys are appended in other's
-// discovery order as independent copies, so later mutation of o's entries
-// (triage, shorter reproducers) never writes into other.
-func (o *Oracle) Merge(other *Oracle) {
-	for _, c := range other.Crashes() {
-		key := c.Report.StackKey()
-		prev, ok := o.seen[key]
-		if !ok {
-			cp := *c
-			o.seen[key] = &cp
-			o.order = append(o.order, key)
-			continue
-		}
-		prev.Hits += c.Hits
-		if len(c.Reproducer) < len(prev.Reproducer) {
-			prev.Reproducer = c.Reproducer
-		}
-		if c.FoundAtExec < prev.FoundAtExec {
-			prev.FoundAtExec = c.FoundAtExec
-		}
-		if prev.Status == "" && c.Status != "" {
-			prev.Status = c.Status
-			prev.OriginalLen = c.OriginalLen
-			prev.MinimizedLen = c.MinimizedLen
-			prev.Replays = c.Replays
+// Merge folds the crashes of others, in order, into o under Record's
+// invariants: the epoch-barrier primitive that drains the shards' sightings
+// into the campaign oracle. Hits accumulate, and a strictly shorter
+// reproducer replaces the stored one, so on a tie the earlier merge or the
+// earlier oracle in others wins. Keys new to o are appended in the order
+// others hold them, as independent copies, so later mutation of o's entries
+// (triage, shorter reproducers) never writes into others. FoundAtExec is
+// fixed by the call that first merges a key — the smallest value among the
+// others that hold it — and later calls never move it: sightings in later
+// epochs count from each shard's own exec counter, not the campaign's.
+func (o *Oracle) Merge(others ...*Oracle) {
+	mark := len(o.order)
+	for _, other := range others {
+		for _, key := range other.order {
+			c := other.seen[key]
+			prev, ok := o.seen[key]
+			if !ok {
+				cp := *c
+				o.seen[key] = &cp
+				o.order = append(o.order, key)
+				continue
+			}
+			prev.Hits += c.Hits
+			if len(c.Reproducer) < len(prev.Reproducer) {
+				prev.Reproducer = c.Reproducer
+			}
+			// Only keys this call appended (past mark) are still open.
+			if c.FoundAtExec < prev.FoundAtExec && slices.Contains(o.order[mark:], key) {
+				prev.FoundAtExec = c.FoundAtExec
+			}
 		}
 	}
 }
 
-// Adopt registers a crash discovered by a sibling campaign shard so this
-// oracle can deduplicate future local sightings against it. The adopted copy
-// keeps Hits at zero — the sighting already counts in the sibling's oracle,
-// and a later global Merge sums hits across shards, so seeding them here
-// would double-count. A known stack key only adopts a shorter reproducer.
-// It returns whether the stack key was new to this oracle.
-func (o *Oracle) Adopt(c *Crash) bool {
-	key := c.Report.StackKey()
-	if prev, ok := o.seen[key]; ok {
-		if len(c.Reproducer) < len(prev.Reproducer) {
-			prev.Reproducer = c.Reproducer
-		}
-		return false
-	}
-	cp := *c
-	cp.Hits = 0
-	o.seen[key] = &cp
-	o.order = append(o.order, key)
-	return true
-}
-
-// AdoptTriage copies the triage results of c, an entry of a merged crash
-// view, onto this oracle's entry for the same stack: Status, OriginalLen,
-// MinimizedLen and Replays, and the reproducer when c's is shorter. A
-// stack this oracle never saw is ignored. Copying the results back into
-// every shard lets the next barrier's rebuild of the merged view keep them.
-func (o *Oracle) AdoptTriage(c *Crash) {
-	prev, ok := o.seen[c.Report.StackKey()]
-	if !ok {
-		return
-	}
-	prev.Status = c.Status
-	prev.OriginalLen = c.OriginalLen
-	prev.MinimizedLen = c.MinimizedLen
-	prev.Replays = c.Replays
-	if len(c.Reproducer) < len(prev.Reproducer) {
-		prev.Reproducer = c.Reproducer
-	}
+// Reset empties the oracle, keeping its storage for the next epoch's
+// sightings.
+func (o *Oracle) Reset() {
+	clear(o.seen)
+	o.order = o.order[:0]
 }
 
 // Count returns the number of unique bugs found.

@@ -6,13 +6,17 @@ import (
 
 	"github.com/seqfuzz/lego/internal/checkpoint"
 	"github.com/seqfuzz/lego/internal/core"
+	"github.com/seqfuzz/lego/internal/minidb"
+	"github.com/seqfuzz/lego/internal/oracle"
+	"github.com/seqfuzz/lego/internal/sqlparse"
+	"github.com/seqfuzz/lego/internal/sqlt"
 )
 
 // Snapshot captures the whole campaign as a checkpoint state: one worker
 // entry per shard (in shard-index order) plus the merged view at the top
-// level. Snapshots are only taken at epoch barriers, so the
-// worker entries are exactly the states an uninterrupted campaign passes
-// through.
+// level, which holds the campaign's only copy of the crashes. Snapshots are
+// only taken at epoch barriers, so the worker entries are exactly the
+// states an uninterrupted campaign passes through.
 //
 // The chaos identity is written only when the chaos plane is armed, and the
 // retry budget only once it can shape the schedule, so Resume can insist on
@@ -36,12 +40,12 @@ func (e *Executor) Snapshot() *checkpoint.State {
 		Epoch:      e.epoch,
 
 		// Campaign aggregates: counters are totals, the curve is sampled
-		// once per barrier, and the crashes are the merged oracle.
+		// once per barrier, and the crashes are the campaign oracle.
 		Execs:        e.Execs(),
 		Stmts:        e.Stmts(),
 		EnginePanics: e.EnginePanics(),
 		Curve:        slices.Clone(e.curve),
-		Crashes:      core.ExportCrashes(e.oracle),
+		Crashes:      exportCrashes(e.oracle),
 
 		Incidents: slices.Clone(e.incidents),
 		Shards:    shards,
@@ -112,8 +116,9 @@ func Resume(opts Options, st *checkpoint.State) (*Executor, error) {
 		e.poolMark[i] = sh.Pool().Len()
 	}
 
-	// The top-level crash list is the merged oracle.
-	crashes, err := core.ImportCrashes(opts.Core.Dialect, st.Crashes)
+	// The top-level crash list is the campaign oracle; the shards' oracles
+	// start empty, as they are after every barrier.
+	crashes, err := importCrashes(opts.Core.Dialect, st.Crashes)
 	if err != nil {
 		return nil, fmt.Errorf("shard: resume: %w", err)
 	}
@@ -122,4 +127,72 @@ func Resume(opts Options, st *checkpoint.State) (*Executor, error) {
 	// The restored states are barrier states; if supervision is armed, the
 	// first runEpoch re-snapshots them lazily before any worker runs.
 	return e, nil
+}
+
+// exportCrashes converts the campaign oracle's crashes to checkpoint form,
+// in discovery order. No crashes encode as JSON null, the form checkpoints
+// have always carried.
+func exportCrashes(o *oracle.Oracle) []checkpoint.Crash {
+	crashes := o.Crashes()
+	if len(crashes) == 0 {
+		return nil
+	}
+	out := make([]checkpoint.Crash, len(crashes))
+	for i, c := range crashes {
+		window := make([]uint16, len(c.Report.Window))
+		for j, t := range c.Report.Window {
+			window[j] = uint16(t)
+		}
+		out[i] = checkpoint.Crash{
+			ID:          c.Report.ID,
+			Component:   c.Report.Component,
+			Kind:        c.Report.Kind,
+			Stack:       append([]string(nil), c.Report.Stack...),
+			Window:      window,
+			Reproducer:  c.Reproducer.SQL(),
+			FoundAtExec: c.FoundAtExec,
+			Hits:        c.Hits,
+
+			Status:       c.Status,
+			OriginalLen:  c.OriginalLen,
+			MinimizedLen: c.MinimizedLen,
+			Replays:      c.Replays,
+		}
+	}
+	return out
+}
+
+// importCrashes is exportCrashes's inverse: it re-parses the reproducers and
+// rebuilds oracle entries in checkpoint order.
+func importCrashes(d sqlt.Dialect, crashes []checkpoint.Crash) ([]*oracle.Crash, error) {
+	var out []*oracle.Crash
+	for i, c := range crashes {
+		tc, err := sqlparse.ParseScript(c.Reproducer)
+		if err != nil {
+			return nil, fmt.Errorf("crash %d reproducer: %w", i, err)
+		}
+		var window sqlt.Sequence
+		for _, t := range c.Window {
+			window = append(window, sqlt.Type(t))
+		}
+		out = append(out, &oracle.Crash{
+			Report: &minidb.BugReport{
+				ID:        c.ID,
+				Dialect:   d,
+				Component: c.Component,
+				Kind:      c.Kind,
+				Stack:     append([]string(nil), c.Stack...),
+				Window:    window,
+			},
+			Reproducer:  tc,
+			FoundAtExec: c.FoundAtExec,
+			Hits:        c.Hits,
+
+			Status:       c.Status,
+			OriginalLen:  c.OriginalLen,
+			MinimizedLen: c.MinimizedLen,
+			Replays:      c.Replays,
+		})
+	}
+	return out, nil
 }

@@ -26,8 +26,9 @@
 //     pool (as independent clones, analyzed for affinities new to the peer);
 //   - affinity maps union, and pairs new to a shard are queued for its
 //     progressive synthesis;
-//   - crashes are adopted by peers for deduplication, and the merged crash
-//     view is rebuilt under the oracle's shortest-reproducer invariant;
+//   - every shard's crash sightings of the epoch drain into the campaign's
+//     one crash oracle, under its shortest-reproducer invariant, and the
+//     shard oracles start the next epoch empty;
 //   - one campaign coverage-curve point is sampled.
 //
 // A lone shard has nothing to merge, so its epoch end is soft: it runs
@@ -129,8 +130,9 @@ type Executor struct {
 	opts   Options
 	shards []*core.Fuzzer
 
-	// oracle is the merged crash view; curve samples (total execs,
-	// Branches) once per barrier.
+	// oracle is the campaign's crash oracle, which every barrier drains the
+	// shards' epoch sightings into; curve samples (total execs, Branches)
+	// once per barrier.
 	oracle *oracle.Oracle
 	curve  []harness.CurvePoint
 
@@ -354,12 +356,12 @@ func (e *Executor) done(targets []int) bool {
 // pure function of the shards' states, independent of how the epoch's
 // goroutines were scheduled.
 //
-// Quarantined shards participate read-only: their last-good coverage and
-// crashes stay folded into the merged view (they were earned), but they
-// neither donate new material — they have none, their state is frozen at a
-// barrier whose deltas were already distributed — nor receive any, so their
-// frozen state stays the snapshot a resumed campaign restores (apart from
-// the triage results Triage copies into every shard).
+// Quarantined shards participate read-only: their last-good coverage stays
+// folded into the merged view (it was earned), and their crashes were
+// drained at an earlier barrier, but they neither donate new material —
+// they have none, their state is frozen at a barrier whose deltas were
+// already distributed — nor receive any, so their frozen state stays the
+// snapshot a resumed campaign restores.
 func (e *Executor) mergeBarrier() {
 	n := len(e.shards)
 	active := func(i int) bool { return !e.quarantined[i] }
@@ -421,31 +423,16 @@ func (e *Executor) mergeBarrier() {
 		}
 	}
 
-	// Crashes: peers adopt each other's crashes (hits stay with the
-	// observer, so the merged sum below counts every sighting once), then
-	// the merged view is rebuilt under the shortest-reproducer invariant.
-	crashes := make([][]*oracle.Crash, n)
+	// Crashes: drain every shard's epoch sightings, in shard-index order,
+	// into the campaign oracle, the only one that outlives an epoch.
+	oracles := make([]*oracle.Oracle, n)
 	for i, sh := range e.shards {
-		crashes[i] = sh.Runner().Oracle.Crashes()
+		oracles[i] = sh.Runner().Oracle
 	}
-	for recv := 0; recv < n; recv++ {
-		if !active(recv) {
-			continue
-		}
-		for donor := 0; donor < n; donor++ {
-			if donor == recv {
-				continue
-			}
-			for _, c := range crashes[donor] {
-				e.shards[recv].Runner().Oracle.Adopt(c)
-			}
-		}
+	e.oracle.Merge(oracles...)
+	for _, o := range oracles {
+		o.Reset()
 	}
-	g := oracle.New()
-	for _, sh := range e.shards {
-		g.Merge(sh.Runner().Oracle)
-	}
-	e.oracle = g
 
 	// One curve point per barrier that made progress.
 	if ex := e.Execs(); len(e.curve) == 0 || e.curve[len(e.curve)-1].Execs != ex {
@@ -458,19 +445,12 @@ func (e *Executor) mergeBarrier() {
 	// Snapshot dominated barrier cost when taken unconditionally.
 }
 
-// Triage runs the crash triage pipeline over the merged crash view on a
+// Triage runs the crash triage pipeline over the campaign oracle on a
 // fresh quarantined engine built from shard 0's configuration (all shards
-// share it up to the RNG seed, which triage reseeds per crash anyway), then
-// copies the results into every shard's oracle: the next barrier rebuilds
-// the merged view from the shards, and must not lose them.
+// share it up to the RNG seed, which triage reseeds per crash anyway). The
+// results stay in that oracle: later barriers only add sightings to it.
 func (e *Executor) Triage(cfg triage.Config) triage.Summary {
-	sum := triage.New(e.shards[0].Runner().Config(), cfg).Run(e.oracle)
-	for _, c := range e.oracle.Crashes() {
-		for _, sh := range e.shards {
-			sh.Runner().Oracle.AdoptTriage(c)
-		}
-	}
-	return sum
+	return triage.New(e.shards[0].Runner().Config(), cfg).Run(e.oracle)
 }
 
 // Workers returns the shard count.
@@ -527,7 +507,8 @@ func (e *Executor) Branches() int {
 	return n
 }
 
-// Oracle returns the merged crash view (rebuilt at every barrier).
+// Oracle returns the campaign's crash oracle: every crash sighted up to the
+// last barrier.
 func (e *Executor) Oracle() *oracle.Oracle { return e.oracle }
 
 // Curve returns the campaign's coverage curve, one sample per barrier.

@@ -67,45 +67,61 @@ func TestShardedDoubleRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestBarrierInvariants: after a barrier every shard holds the global
-// OR-fold of coverage, the same seed set, the same affinity union, and the
-// same deduplicated crash keys — the post-barrier symmetry the executor's
-// determinism argument rests on.
+// TestBarrierInvariants: after every barrier each shard holds the global
+// OR-fold of coverage, the same seed set and the same affinity union — the
+// post-barrier symmetry the executor's determinism argument rests on — and
+// every crash sighting has drained into the campaign oracle: the shards'
+// oracles are empty, and the campaign's hits count each sighting once.
 func TestBarrierInvariants(t *testing.T) {
 	e := New(testOptions(3))
-	if _, err := e.Run(6000, RunOptions{}); err != nil {
-		t.Fatal(err)
+	// New's initial barrier drained the seed corpus's crashes; a fresh
+	// shard sights them again.
+	sightings := 0
+	for i := range e.shards {
+		for _, c := range core.New(e.coreOpts(i)).Runner().Oracle.Crashes() {
+			sightings += c.Hits
+		}
 	}
-	for i, sh := range e.Shards() {
-		if got := sh.Runner().Branches(); got != e.Branches() {
-			t.Errorf("shard %d coverage %d edges != global %d", i, got, e.Branches())
+	// Run's loop without saves, counting each epoch's sightings just before
+	// the barrier drains them.
+	targets := e.targets(6000)
+	for !e.done(targets) {
+		e.runEpoch(targets)
+		for _, sh := range e.shards {
+			for _, c := range sh.Runner().Oracle.Crashes() {
+				sightings += c.Hits
+			}
 		}
-		if got := sh.Pool().Len(); got != e.Shards()[0].Pool().Len() {
-			t.Errorf("shard %d pool size %d != shard 0's %d", i, got, e.Shards()[0].Pool().Len())
+		e.epoch++
+		e.mergeBarrier()
+
+		for i, sh := range e.shards {
+			if got := sh.Runner().Branches(); got != e.Branches() {
+				t.Errorf("epoch %d: shard %d coverage %d edges != global %d", e.epoch, i, got, e.Branches())
+			}
+			if got := sh.Pool().Len(); got != e.shards[0].Pool().Len() {
+				t.Errorf("epoch %d: shard %d pool size %d != shard 0's %d", e.epoch, i, got, e.shards[0].Pool().Len())
+			}
+			if got := sh.Affinities(); got != e.Affinities() {
+				t.Errorf("epoch %d: shard %d affinities %d != global %d", e.epoch, i, got, e.Affinities())
+			}
+			if got := sh.Runner().Oracle.Count(); got != 0 {
+				t.Errorf("epoch %d: shard %d oracle holds %d crashes after the barrier, want 0", e.epoch, i, got)
+			}
 		}
-		if got := sh.Affinities(); got != e.Affinities() {
-			t.Errorf("shard %d affinities %d != global %d", i, got, e.Affinities())
+		hits := 0
+		for _, c := range e.Oracle().Crashes() {
+			hits += c.Hits
 		}
-		if got := sh.Runner().Oracle.Count(); got != e.Oracle().Count() {
-			t.Errorf("shard %d distinct crashes %d != global %d", i, got, e.Oracle().Count())
+		if hits != sightings {
+			t.Errorf("epoch %d: campaign hit tally %d != %d sightings", e.epoch, hits, sightings)
 		}
+	}
+	if e.Epoch() < 3 {
+		t.Fatalf("budget crossed only %d barriers; the test needs several", e.Epoch())
 	}
 	if e.Oracle().Count() == 0 {
-		t.Fatal("hazard campaign found no crashes; pollination untested")
-	}
-	// Adopted crashes carry zero hits, so the global per-crash hit tally
-	// equals the sum of real observations — no double counting.
-	var shardHits, globalHits int
-	for _, sh := range e.Shards() {
-		for _, c := range sh.Runner().Oracle.Crashes() {
-			shardHits += c.Hits
-		}
-	}
-	for _, c := range e.Oracle().Crashes() {
-		globalHits += c.Hits
-	}
-	if shardHits != globalHits {
-		t.Errorf("global hit tally %d != sum of shard observations %d", globalHits, shardHits)
+		t.Fatal("hazard campaign found no crashes; the drain is untested")
 	}
 }
 
@@ -173,7 +189,8 @@ func TestShardedStopResumeEquivalence(t *testing.T) {
 // uninterrupted core loop. Its epochs end softly, at iteration boundaries,
 // so periodic background saves, a stop at a barrier and a resume from the
 // flushed checkpoint leave the worker in exactly the state core.New + Run
-// reaches on the same seed: byte-identical worker snapshot, equal counters.
+// reaches on the same seed: byte-identical worker snapshot, equal counters,
+// and a campaign oracle equal to the loop's own, crash for crash.
 func TestShardedOneWorkerMatchesUninterruptedLoop(t *testing.T) {
 	// Single iterations run up to a few thousand statements, so a soft
 	// epoch is often several EpochStmts long; this budget still crosses
@@ -234,11 +251,24 @@ func TestShardedOneWorkerMatchesUninterruptedLoop(t *testing.T) {
 		t.Fatalf("one-shard campaign diverged from the uninterrupted loop\nshard: %.400s\ncore:  %.400s", a, b)
 	}
 	g, w := got.Runner(), want.Runner()
-	if g.Execs != w.Execs || g.Stmts != w.Stmts || g.EnginePanics != w.EnginePanics ||
-		g.Branches() != w.Branches() || g.Oracle.Count() != w.Oracle.Count() {
-		t.Fatalf("counters diverged: shard execs=%d stmts=%d panics=%d branches=%d bugs=%d, core %d %d %d %d %d",
-			g.Execs, g.Stmts, g.EnginePanics, g.Branches(), g.Oracle.Count(),
-			w.Execs, w.Stmts, w.EnginePanics, w.Branches(), w.Oracle.Count())
+	if g.Execs != w.Execs || g.Stmts != w.Stmts || g.EnginePanics != w.EnginePanics || g.Branches() != w.Branches() {
+		t.Fatalf("counters diverged: shard execs=%d stmts=%d panics=%d branches=%d, core %d %d %d %d",
+			g.Execs, g.Stmts, g.EnginePanics, g.Branches(),
+			w.Execs, w.Stmts, w.EnginePanics, w.Branches())
+	}
+	// The campaign oracle, drained at every barrier, must hold what the
+	// uninterrupted loop's one oracle recorded, crash for crash.
+	gc, wc := resumed.Oracle().Crashes(), w.Oracle.Crashes()
+	if len(gc) != len(wc) || len(wc) == 0 {
+		t.Fatalf("campaign oracle holds %d crashes, the uninterrupted loop %d (want equal, nonzero)", len(gc), len(wc))
+	}
+	for i := range wc {
+		a, b := gc[i], wc[i]
+		if a.Report.ID != b.Report.ID || a.FoundAtExec != b.FoundAtExec || a.Hits != b.Hits || a.Reproducer.SQL() != b.Reproducer.SQL() {
+			t.Errorf("crash %d: campaign %s found-at %d hits %d repro %q; loop %s %d %d %q",
+				i, a.Report.ID, a.FoundAtExec, a.Hits, a.Reproducer.SQL(),
+				b.Report.ID, b.FoundAtExec, b.Hits, b.Reproducer.SQL())
+		}
 	}
 }
 
