@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-fixtures fmtcheck test test-short bench benchall fmt examples clean ci smoke race-shard chaos perfgate profile selffuzz benchcheck loc
+.PHONY: all build vet lint lint-fixtures fmtcheck test test-short bench benchall fmt examples clean ci smoke race-shard chaos resume perfgate profile selffuzz benchcheck loc
 
 all: build vet lint test
 
@@ -17,6 +17,7 @@ ci:
 	$(MAKE) race-shard
 	$(MAKE) smoke
 	$(MAKE) chaos
+	$(MAKE) resume
 	$(MAKE) selffuzz
 	$(MAKE) perfgate
 	$(MAKE) benchcheck
@@ -74,6 +75,22 @@ chaos:
 		cmp "$$tmp/w$$w-a.ckpt" "$$tmp/w$$w-b.ckpt" || exit 1; \
 		echo "chaos: $$w-worker double-run checkpoints byte-identical"; \
 	done
+
+# Cross-process resume gate: a two-worker campaign that stops at half its
+# budget and is resumed by a second process must end with the checkpoint,
+# byte for byte, and the report of one uninterrupted process (apart from
+# the resume notice and the timing).
+resume:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/legofuzz" ./cmd/legofuzz || exit 1; \
+	run() { "$$tmp/legofuzz" -target mariadb -workers 2 -epoch-stmts 500 -seed 5 "$$@"; }; \
+	norm() { sed -e '/^resumed campaign from /d' -e 's/ in [0-9.]*s ([0-9]* stmts\/s)//'; }; \
+	run -checkpoint "$$tmp/A" -budget 40000 | norm >"$$tmp/a.txt" && \
+	run -checkpoint "$$tmp/B" -budget 20000 >/dev/null && \
+	run -checkpoint "$$tmp/B" -budget 40000 -resume | norm >"$$tmp/b.txt" || exit 1; \
+	cmp "$$tmp/A" "$$tmp/B" || exit 1; \
+	diff "$$tmp/a.txt" "$$tmp/b.txt" || exit 1; \
+	echo "resume: resumed checkpoint and report match the uninterrupted run"
 
 # Self-fuzz, 15 s per target. FuzzEngineReuseMatchesFresh: a script run
 # after another on one minidb engine must match the same script on a new

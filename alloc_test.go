@@ -186,17 +186,19 @@ SELECT c0 FROM t0 WHERE c0 > 1;
 
 	// Campaign snapshot of a one-worker executor after a fixed
 	// 3000-statement MariaDB campaign (136 pool seeds, 250 edges, 322
-	// synthesized sequences): one slice per section and one shared backing
-	// array for all synthesized sequences. Hazards are off, so there are no
+	// synthesized sequences): one slice per section, one shared backing
+	// array for all synthesized sequences, and the seed store's
+	// deduplication map. Each affinity map is exported through one slice
+	// of packed pairs sorted once. Hazards are off, so there are no
 	// crashes to export. Pool scripts are rendered once per seed, on its
 	// first snapshot, not once per snapshot, so the measured runs reuse
-	// them. The structure library is rebuilt from the pool on resume, so it
-	// costs the snapshot nothing.
+	// them. The structure library is rebuilt from the
+	// pool on resume, so it costs the snapshot nothing.
 	ex := shard.New(shard.Options{Core: core.Options{Dialect: sqlt.DialectMariaDB, Seed: 1}, Workers: 1})
 	if _, err := ex.Run(3000, shard.RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	check("Snapshot", 104, func() {
+	check("Snapshot", 23, func() {
 		_ = ex.Snapshot()
 	})
 
@@ -208,7 +210,7 @@ SELECT c0 FROM t0 WHERE c0 > 1;
 	if _, err := hz.Run(3000, shard.RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	check("Snapshot-hazards", 207, func() {
+	check("Snapshot-hazards", 126, func() {
 		_ = hz.Snapshot()
 	})
 }

@@ -7,7 +7,7 @@
 package affinity
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/seqfuzz/lego/internal/sqlt"
 )
@@ -67,7 +67,7 @@ func sortedKeys[V any](m map[sqlt.Type]V) []sqlt.Type {
 	for t := range m {
 		out = append(out, t)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -80,15 +80,24 @@ func (m *Map) Successors(t sqlt.Type) []sqlt.Type {
 	return sortedKeys(set)
 }
 
-// Pairs returns every recorded affinity in sorted order. The order is
-// canonical by construction: both key walks iterate sorted keys, so no
-// final sort is needed.
+// Pairs returns every recorded affinity in canonical order: by From, then
+// by To. Each pair is packed into one integer, From in the high half, so a
+// single sort of plain integers orders them, faster than sorting the pairs
+// through a comparison function.
 func (m *Map) Pairs() []Pair {
-	var out []Pair
-	for _, t1 := range sortedKeys(m.m) {
-		for _, t2 := range sortedKeys(m.m[t1]) {
-			out = append(out, Pair{From: t1, To: t2})
+	if m.count == 0 {
+		return nil
+	}
+	keys := make([]uint32, 0, m.count)
+	for t1, set := range m.m {
+		for t2 := range set {
+			keys = append(keys, uint32(t1)<<16|uint32(t2))
 		}
+	}
+	slices.Sort(keys)
+	out := make([]Pair, len(keys))
+	for i, k := range keys {
+		out[i] = Pair{From: sqlt.Type(k >> 16), To: sqlt.Type(k)}
 	}
 	return out
 }
@@ -96,8 +105,8 @@ func (m *Map) Pairs() []Pair {
 // Merge folds every affinity of other into m, returning the pairs that were
 // new to m in canonical (sorted) order — the cross-pollination primitive of
 // the sharded executor's epoch barrier. Merging is commutative in the final
-// pair set; the returned fresh list is deterministic because Pairs walks
-// sorted keys.
+// pair set; the returned fresh list is deterministic because Pairs returns
+// sorted pairs.
 func (m *Map) Merge(other *Map) []Pair {
 	var fresh []Pair
 	for _, p := range other.Pairs() {

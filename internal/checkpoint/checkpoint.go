@@ -1,7 +1,7 @@
 // Package checkpoint serializes the durable state of a fuzzing campaign so
-// long runs survive process death: the seed pool, the affinity map, the
+// long runs survive process death: the seed pools, the affinity maps, the
 // accumulated coverage edges, the oracle's deduplicated crashes, execution
-// counters, and the RNG stream position. A campaign restored from a
+// counters, and the RNG stream positions. A campaign restored from a
 // checkpoint continues exactly where the original left off — same schedule,
 // same discoveries — because every input to the fuzzing loop is captured,
 // or rebuilt from what is: the structure library is a function of the pool.
@@ -34,19 +34,20 @@ import (
 //	v5 — one layout for every campaign, primary state only: no structure
 //	     library and no fault-injector cursor.
 //	v6 — crashes stored once, at the top level: worker entries carry none.
-const Version = 6
+//	v7 — seeds and coverage stored once, at the top level: worker pools are
+//	     store indexes plus pick counts.
+const Version = 7
 
 // BackupSuffix is appended to the checkpoint path for the rotated last-good
 // copy that Save leaves behind and LoadWithFallback falls back to.
 const BackupSuffix = ".bak"
 
-// PoolSeed is one retained corpus entry. Split marks a half that seed
+// Seed is one retained corpus entry. Split marks a half that seed
 // splitting added next to its long parent; every other entry's statements
-// were harvested into the structure library when it joined the pool.
-type PoolSeed struct {
+// were harvested into the structure library when it joined a pool.
+type Seed struct {
 	SQL      string `json:"sql"`
 	NewEdges int    `json:"new_edges"`
-	Picked   int    `json:"picked"`
 	Split    bool   `json:"split,omitempty"`
 }
 
@@ -135,6 +136,11 @@ type State struct {
 	Curve   []CurvePoint `json:"curve"`
 	Crashes []Crash      `json:"crashes"`
 
+	// Seeds holds every worker's seeds once, in first-appearance order
+	// walking workers by index; Coverage is the OR of the workers' maps.
+	Seeds    []Seed `json:"seeds"`
+	Coverage []Edge `json:"coverage"`
+
 	// Chaos plane and supervision. ChaosRate/ChaosSeed identify the
 	// injected fault schedule the way Seed identifies the fuzzing schedule,
 	// and MaxEpochRetries is the per-shard retry budget; Resume insists on
@@ -148,10 +154,10 @@ type State struct {
 	Shards []Shard `json:"shards"`
 }
 
-// Shard is one worker's state. The structure library is not stored: it is
-// a function of the pool, rebuilt on resume by harvesting every entry not
-// marked Split, in pool order. Nor are crashes: a worker's sightings are
-// drained into State.Crashes at every barrier.
+// Shard is one worker's state; Pool indexes State.Seeds. The structure
+// library is not stored: it is a function of the pool, rebuilt on resume by
+// harvesting every entry not marked Split, in pool order. Nor are crashes:
+// a worker's sightings are drained into State.Crashes at every barrier.
 type Shard struct {
 	// Counters.
 	Execs        int `json:"execs"`
@@ -161,10 +167,10 @@ type Shard struct {
 	// RNG stream position (xrand.Source state).
 	RNG uint64 `json:"rng"`
 
-	Pool        []PoolSeed  `json:"pool"`
+	Pool        []int       `json:"pool"`
+	Picked      []int       `json:"picked"`
 	Affinity    [][2]uint16 `json:"affinity"`
 	GenAffinity [][2]uint16 `json:"gen_affinity"`
-	Coverage    []Edge      `json:"coverage"`
 
 	// Sequence-synthesis state: the generated-sequence vector (the Prefix
 	// Sequence index is rebuilt from it), start types, rotation counter,
@@ -275,7 +281,7 @@ func SaveFS(fsys FS, path string, st *State) error {
 // Load reads and verifies a checkpoint. It reads the format version first,
 // so a file from another build fails with its version named, then fails
 // loudly on a checksum mismatch (torn write, manual edit, disk corruption)
-// or on a shard list that disagrees with the worker count.
+// or on a shard list or pool that disagrees with the rest of the state.
 func Load(path string) (*State, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -303,6 +309,16 @@ func Load(path string) (*State, error) {
 	}
 	if st.Workers < 1 || len(st.Shards) != st.Workers {
 		return nil, fmt.Errorf("checkpoint: %s is malformed: %d workers, %d shard entries", path, st.Workers, len(st.Shards))
+	}
+	for i, sh := range st.Shards {
+		if len(sh.Picked) != len(sh.Pool) {
+			return nil, fmt.Errorf("checkpoint: %s is malformed: shard %d has %d pick counts for %d pool entries", path, i, len(sh.Picked), len(sh.Pool))
+		}
+		for j, k := range sh.Pool {
+			if k < 0 || k >= len(st.Seeds) {
+				return nil, fmt.Errorf("checkpoint: %s is malformed: shard %d pool entry %d is seed %d of a %d-seed store", path, i, j, k, len(st.Seeds))
+			}
+		}
 	}
 	return &st, nil
 }

@@ -10,25 +10,29 @@ import (
 	"testing"
 )
 
-// sampleShard is one worker's state; sample wraps it as a one-worker
-// campaign.
+// sampleShard is one worker's state over sampleSeeds; sample wraps it as a
+// one-worker campaign.
 func sampleShard() Shard {
 	return Shard{
 		Execs:        1234,
 		Stmts:        5678,
 		EnginePanics: 3,
 		RNG:          0xdeadbeefcafef00d,
-		Pool: []PoolSeed{
-			{SQL: "CREATE TABLE t (a INT);", NewEdges: 9, Picked: 2},
-			{SQL: "SELECT 1;", NewEdges: 1, Picked: 0, Split: true},
-		},
-		Affinity:    [][2]uint16{{1, 2}, {2, 3}},
-		GenAffinity: [][2]uint16{{1, 2}},
-		Coverage:    []Edge{{Idx: 10, Mask: 3}, {Idx: 99, Mask: 128}},
-		SynthSeqs:   [][]uint16{{1, 4, 6}},
-		SynthStarts: []uint16{1},
-		SynthRot:    5,
-		Pending:     [][2]uint16{{4, 6}},
+		Pool:         []int{0, 1},
+		Picked:       []int{2, 0},
+		Affinity:     [][2]uint16{{1, 2}, {2, 3}},
+		GenAffinity:  [][2]uint16{{1, 2}},
+		SynthSeqs:    [][]uint16{{1, 4, 6}},
+		SynthStarts:  []uint16{1},
+		SynthRot:     5,
+		Pending:      [][2]uint16{{4, 6}},
+	}
+}
+
+func sampleSeeds() []Seed {
+	return []Seed{
+		{SQL: "CREATE TABLE t (a INT);", NewEdges: 9},
+		{SQL: "SELECT 1;", NewEdges: 1, Split: true},
 	}
 }
 
@@ -54,6 +58,8 @@ func sample() *State {
 		EnginePanics: 3,
 		Curve:        []CurvePoint{{Execs: 50, Edges: 120}},
 		Crashes:      sampleCrashes(),
+		Seeds:        sampleSeeds(),
+		Coverage:     []Edge{{Idx: 10, Mask: 3}, {Idx: 99, Mask: 128}},
 		Shards:       []Shard{sampleShard()},
 	}
 }
@@ -222,6 +228,7 @@ func TestShardedRoundTrip(t *testing.T) {
 		Shards:  []Shard{s0, s1},
 		Curve:   []CurvePoint{{Execs: 100, Edges: 240}},
 		Crashes: sampleCrashes(),
+		Seeds:   sampleSeeds(),
 	}
 	if err := Save(path, want); err != nil {
 		t.Fatal(err)
@@ -233,7 +240,7 @@ func TestShardedRoundTrip(t *testing.T) {
 	if got.Workers != 2 || got.EpochStmts != 500 || got.Epoch != 12 {
 		t.Fatalf("topology lost: %+v", got)
 	}
-	if len(got.Shards) != 2 || got.Shards[1].RNG != 0x1111 || !got.Shards[0].Pool[1].Split {
+	if len(got.Shards) != 2 || got.Shards[1].RNG != 0x1111 || !got.Seeds[got.Shards[0].Pool[1]].Split {
 		t.Fatalf("worker entries lost: %+v", got.Shards)
 	}
 	a, _ := json.Marshal(want)

@@ -110,14 +110,14 @@ func TestLoadCorruptionMatrix(t *testing.T) {
 			write: func(t *testing.T, path string) {
 				writeEnvelope(t, path, validPayload(2), "")
 			},
-			wantErr: "format version 2, this build reads only version 6",
+			wantErr: "format version 2, this build reads only version 7",
 		},
 		{
 			name: "checksum-valid but v3 version",
 			write: func(t *testing.T, path string) {
 				writeEnvelope(t, path, validPayload(3), "")
 			},
-			wantErr: "format version 3, this build reads only version 6",
+			wantErr: "format version 3, this build reads only version 7",
 		},
 		{
 			// Earlier builds indented the envelope and hashed the compacted
@@ -134,7 +134,7 @@ func TestLoadCorruptionMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 			},
-			wantErr: "format version 4, this build reads only version 6",
+			wantErr: "format version 4, this build reads only version 7",
 		},
 		{
 			// v5 stored every crash once per worker as well as at the top.
@@ -142,7 +142,40 @@ func TestLoadCorruptionMatrix(t *testing.T) {
 			write: func(t *testing.T, path string) {
 				writeEnvelope(t, path, validPayload(5), "")
 			},
-			wantErr: "format version 5, this build reads only version 6",
+			wantErr: "format version 5, this build reads only version 7",
+		},
+		{
+			// v6 stored every seed and the coverage once per worker.
+			name: "checksum-valid but v6 version",
+			write: func(t *testing.T, path string) {
+				writeEnvelope(t, path, validPayload(6), "")
+			},
+			wantErr: "format version 6, this build reads only version 7",
+		},
+		{
+			name: "negative store index",
+			write: func(t *testing.T, path string) {
+				writeEnvelope(t, path, payload(Version, func(st *State) { st.Shards[0].Pool[1] = -1 }), "")
+			},
+			wantErr: "shard 0 pool entry 1 is seed -1 of a 2-seed store",
+		},
+		{
+			name: "store index past the store",
+			write: func(t *testing.T, path string) {
+				writeEnvelope(t, path, payload(Version, func(st *State) {
+					st.Workers = 2
+					st.Shards = []Shard{sampleShard(), sampleShard()}
+					st.Shards[1].Pool[0] = 2
+				}), "")
+			},
+			wantErr: "shard 1 pool entry 0 is seed 2 of a 2-seed store",
+		},
+		{
+			name: "pick counts shorter than the pool",
+			write: func(t *testing.T, path string) {
+				writeEnvelope(t, path, payload(Version, func(st *State) { st.Shards[0].Picked = st.Shards[0].Picked[:1] }), "")
+			},
+			wantErr: "shard 0 has 1 pick counts for 2 pool entries",
 		},
 		{
 			name: "shard list shorter than the worker count",

@@ -115,8 +115,8 @@ func TestDeterministicResumeWithSplitSeeds(t *testing.T) {
 	run(t, ref, 20000)
 
 	splits := 0
-	for _, ps := range mid.Shards[0].Pool {
-		if ps.Split {
+	for _, k := range mid.Shards[0].Pool {
+		if mid.Seeds[k].Split {
 			splits++
 		}
 	}

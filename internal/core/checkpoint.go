@@ -6,26 +6,25 @@ import (
 	"github.com/seqfuzz/lego/internal/affinity"
 	"github.com/seqfuzz/lego/internal/checkpoint"
 	"github.com/seqfuzz/lego/internal/corpus"
-	"github.com/seqfuzz/lego/internal/coverage"
 	"github.com/seqfuzz/lego/internal/seqsynth"
-	"github.com/seqfuzz/lego/internal/sqlparse"
 	"github.com/seqfuzz/lego/internal/sqlt"
 )
 
 // This file converts a worker's live state to and from checkpoint form.
 // SnapshotShard must be taken at a Step boundary (the campaign executor
 // snapshots only at epoch barriers): everything the fuzzing loop reads —
-// pool, affinities, synthesizer, coverage, counters, and the RNG stream
-// position — is captured, and the structure library is rebuilt from the
-// pool, so a resumed worker replays the exact schedule the uninterrupted
-// one would have run. The worker's crash oracle is not captured: the
+// affinities, synthesizer, counters, and the RNG stream position — is
+// captured, and the structure library is rebuilt from the pool, so a
+// resumed worker replays the exact schedule the uninterrupted one would
+// have run. The campaign (package shard) stores the pool and coverage,
+// which workers share. The worker's crash oracle is not captured: the
 // executor drains it into the campaign oracle at every barrier, so it is
 // empty at every snapshot, and a resumed worker starts with an empty one.
 
-// SnapshotShard serializes the fuzzer's worker state. It builds the wire
-// form in one pass: every slice is sized up front, and synthesized
-// sequences are converted straight from the synthesizer's own vector into
-// one shared []uint16 backing array.
+// SnapshotShard serializes the fuzzer's worker state but its pool. It
+// builds the wire form in one pass: every slice is sized up front, and
+// synthesized sequences are converted straight from the synthesizer's own
+// vector into one shared []uint16 backing array.
 func (f *Fuzzer) SnapshotShard() checkpoint.Shard {
 	st := checkpoint.Shard{
 		Execs:        f.runner.Execs,
@@ -33,19 +32,8 @@ func (f *Fuzzer) SnapshotShard() checkpoint.Shard {
 		EnginePanics: f.runner.EnginePanics,
 		RNG:          f.src.State(),
 	}
-
-	seeds := f.pool.All()
-	st.Pool = makeN[checkpoint.PoolSeed](len(seeds))
-	for i, s := range seeds {
-		st.Pool[i] = checkpoint.PoolSeed{SQL: s.SQL(), NewEdges: s.NewEdges, Picked: s.Picked, Split: s.Split}
-	}
 	st.Affinity = exportPairs(f.aff)
 	st.GenAffinity = exportPairs(f.runner.GenAff)
-	edges := f.runner.Cov.Export()
-	st.Coverage = makeN[checkpoint.Edge](len(edges))
-	for i, e := range edges {
-		st.Coverage[i] = checkpoint.Edge{Idx: e.Idx, Mask: e.Mask}
-	}
 
 	synth := f.synth.Export()
 	n := 0
@@ -91,52 +79,38 @@ func CheckIdentity(opts Options, st *checkpoint.State) error {
 }
 
 // ResumeShard rebuilds one worker from its checkpoint entry; opts carry the
-// worker's own seed. The structure library is rebuilt by harvesting the
-// pool in pool order, skipping split halves, which replays exactly the
-// Harvest calls that built it.
-func ResumeShard(opts Options, sh *checkpoint.Shard) (*Fuzzer, error) {
+// worker's own seed, and pool the seeds sh.Pool indexes. The structure
+// library is rebuilt by harvesting the pool in pool order, skipping split
+// halves, which replays exactly the Harvest calls that built it.
+func ResumeShard(opts Options, sh *checkpoint.Shard, pool []*corpus.Seed) *Fuzzer {
 	f := newFuzzer(opts)
 	f.src.SetState(sh.RNG)
 	f.runner.Execs = sh.Execs
 	f.runner.Stmts = sh.Stmts
 	f.runner.EnginePanics = sh.EnginePanics
 
-	seeds := make([]*corpus.Seed, len(sh.Pool))
-	for i, ps := range sh.Pool {
-		tc, err := sqlparse.ParseScript(ps.SQL)
-		if err != nil {
-			return nil, fmt.Errorf("resume: pool seed %d: %w", i, err)
-		}
-		seeds[i] = &corpus.Seed{TC: tc, NewEdges: ps.NewEdges, Picked: ps.Picked, Split: ps.Split}
-		if !ps.Split {
-			f.lib.Harvest(tc)
+	for j, s := range pool {
+		f.pool.Adopt(s, sh.Picked[j])
+		if !s.Split {
+			f.lib.Harvest(s.TC)
 		}
 	}
-	f.pool.Import(seeds)
 
 	importPairs(f.aff, sh.Affinity)
 	importPairs(f.runner.GenAff, sh.GenAffinity)
-
-	var edges []coverage.EdgeState
-	for _, e := range sh.Coverage {
-		edges = append(edges, coverage.EdgeState{Idx: e.Idx, Mask: e.Mask})
-	}
-	f.runner.Cov.Import(edges)
 
 	var synth seqsynth.State
 	for _, seq := range sh.SynthSeqs {
 		synth.Seqs = append(synth.Seqs, importSeq(seq))
 	}
-	for _, t := range sh.SynthStarts {
-		synth.Starts = append(synth.Starts, sqlt.Type(t))
-	}
+	synth.Starts = importSeq(sh.SynthStarts)
 	synth.Rot = sh.SynthRot
 	f.synth.Import(synth)
 
 	for _, p := range sh.Pending {
 		f.pending = append(f.pending, affinity.Pair{From: sqlt.Type(p[0]), To: sqlt.Type(p[1])})
 	}
-	return f, nil
+	return f
 }
 
 func exportPairs(m *affinity.Map) [][2]uint16 {

@@ -181,19 +181,14 @@ func (f *Fuzzer) Pool() *corpus.Pool { return f.pool }
 func (f *Fuzzer) Library() *instantiate.Library { return f.lib }
 
 // ingest retains a test case that contributed coverage (AdoptSeed) and,
-// with SplitLongSeeds, adds its split halves after it. The halves join the
-// pool only, marked so that ResumeShard's library rebuild skips them.
+// with SplitLongSeeds, adds its split halves after it, which join pools
+// only.
 func (f *Fuzzer) ingest(tc sqlast.TestCase, newEdges int) {
-	f.AdoptSeed(tc, newEdges)
+	f.AdoptSeed(&corpus.Seed{TC: tc, NewEdges: newEdges})
 	if f.opts.SplitLongSeeds && len(tc) > 2*f.opts.MaxLen {
+		// AdoptSeed drops the empty half a degenerate overlap can produce.
 		for _, half := range f.splitSeed(tc) {
-			// A degenerate MaxLen/2 overlap can produce an empty half; an
-			// empty seed would be selected, mutated into nothing, and skipped
-			// by tryExec forever — dead weight in the schedule.
-			if len(half) == 0 {
-				continue
-			}
-			f.pool.Add(half, newEdges/2).Split = true
+			f.AdoptSeed(&corpus.Seed{TC: half, NewEdges: newEdges / 2, Split: true})
 		}
 	}
 }

@@ -29,8 +29,8 @@ func TestAffinityPipeline(t *testing.T) {
 	}
 	// pool sequences must include ones absent from the initial corpus
 	grown := false
-	for _, s := range f.Pool().Sequences() {
-		if len(s) > 0 && s[0] != sqlt.CreateTable && s[0] != sqlt.SetVar {
+	for _, seed := range f.Pool().All() {
+		if s := seed.Types(); len(s) > 0 && s[0] != sqlt.CreateTable && s[0] != sqlt.SetVar {
 			grown = true
 			break
 		}

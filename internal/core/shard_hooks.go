@@ -2,7 +2,7 @@ package core
 
 import (
 	"github.com/seqfuzz/lego/internal/affinity"
-	"github.com/seqfuzz/lego/internal/sqlast"
+	"github.com/seqfuzz/lego/internal/corpus"
 )
 
 // This file is the narrow surface the sharded campaign executor
@@ -12,24 +12,25 @@ import (
 // mutate only this fuzzer's state, so calling them in a fixed shard order
 // keeps the whole campaign schedule-independent.
 
-// AdoptSeed retains a test case that covered new branches, in this shard or
-// in a sibling: it joins the pool, its AST structures enter the library,
-// its first statement's type becomes a synthesis start, and its type
-// sequence is analyzed for new affinities (Algorithm 2), which are queued
-// for synthesis. ingest is AdoptSeed plus seed splitting; a sibling's seed
-// is never split here — the donor already split it, and those halves
-// arrive as their own pool deltas. tc may be the donor's own test case:
-// pool statements are frozen, so shards share them, and nothing writes
-// tc's slots either. An empty test case is ignored.
-func (f *Fuzzer) AdoptSeed(tc sqlast.TestCase, newEdges int) {
-	if len(tc) == 0 {
+// AdoptSeed retains a seed that covered new branches, in this shard or in
+// a sibling (whose seed object it shares): it joins the pool and, unless it
+// is a split half, its AST structures enter the library, its first
+// statement's type becomes a synthesis start, and its type sequence is
+// analyzed for new affinities (Algorithm 2), which are queued for
+// synthesis. Only ingest splits seeds; a sibling's halves arrive as their
+// own pool deltas. An empty test case is ignored.
+func (f *Fuzzer) AdoptSeed(s *corpus.Seed) {
+	if len(s.TC) == 0 {
 		return
 	}
-	f.pool.Add(tc, newEdges)
-	f.lib.Harvest(tc)
+	f.pool.Adopt(s, 0)
+	if s.Split {
+		return
+	}
+	f.lib.Harvest(s.TC)
 	if !f.opts.DisableSequenceAlgorithms {
-		f.synth.AddStart(tc[0].Type())
-		f.pending = append(f.pending, f.aff.Analyze(tc.Types())...)
+		f.synth.AddStart(s.TC[0].Type())
+		f.pending = append(f.pending, f.aff.Analyze(s.Types())...)
 	}
 }
 

@@ -10,12 +10,12 @@ import (
 	"github.com/seqfuzz/lego/internal/sqlt"
 )
 
-// Seed is one retained test case.
+// Seed is one retained test case. It is immutable: its fields are set when
+// it is built, and its statements are frozen, so every shard of a campaign
+// shares one Seed object. Scheduling counts live in each Pool.
 type Seed struct {
-	ID       int
 	TC       sqlast.TestCase
 	NewEdges int  // edges this seed contributed when added
-	Picked   int  // times scheduled
 	Split    bool // a half cut from a long seed, not harvested into the library
 
 	sql string // TC rendered by SQL, "" until first use
@@ -24,10 +24,9 @@ type Seed struct {
 // Types returns the seed's SQL Type Sequence.
 func (s *Seed) Types() sqlt.Sequence { return s.TC.Types() }
 
-// SQL returns the seed's script text, rendering TC on first use. A retained
-// seed's statements are frozen (mutants share them and clone only what they
-// change), so the text is rendered once per seed rather than once per
-// checkpoint snapshot.
+// SQL returns the seed's script text, rendering TC on first use, so the
+// text is rendered once per seed rather than once per checkpoint snapshot.
+// A campaign calls it only while its shards are parked.
 func (s *Seed) SQL() string {
 	if s.sql == "" {
 		s.sql = s.TC.SQL()
@@ -39,8 +38,9 @@ func (s *Seed) SQL() string {
 // more new edges and against seeds already scheduled many times, a
 // lightweight version of AFL++'s favored-seed scheduling.
 type Pool struct {
-	rng   *rand.Rand
-	seeds []*Seed
+	rng    *rand.Rand
+	seeds  []*Seed
+	picked []int // picked[i]: times seeds[i] was scheduled from this pool
 }
 
 // NewPool returns an empty pool.
@@ -48,23 +48,19 @@ func NewPool(rng *rand.Rand) *Pool { return &Pool{rng: rng} }
 
 // Add retains a test case, recording how many new edges it contributed.
 func (p *Pool) Add(tc sqlast.TestCase, newEdges int) *Seed {
-	s := &Seed{ID: len(p.seeds), TC: tc, NewEdges: newEdges}
-	p.seeds = append(p.seeds, s)
+	s := &Seed{TC: tc, NewEdges: newEdges}
+	p.Adopt(s, 0)
 	return s
+}
+
+// Adopt appends a seed, shared with any other pool, scheduled picked times.
+func (p *Pool) Adopt(s *Seed, picked int) {
+	p.seeds = append(p.seeds, s)
+	p.picked = append(p.picked, picked)
 }
 
 // Len returns the pool size.
 func (p *Pool) Len() int { return len(p.seeds) }
-
-// Import replaces the pool's contents with restored seeds, reassigning IDs
-// by position so restored pools schedule identically to the originals.
-func (p *Pool) Import(seeds []*Seed) {
-	p.seeds = make([]*Seed, len(seeds))
-	for i, s := range seeds {
-		s.ID = i
-		p.seeds[i] = s
-	}
-}
 
 // Select schedules one seed; it returns nil when the pool is empty.
 func (p *Pool) Select() *Seed {
@@ -72,21 +68,23 @@ func (p *Pool) Select() *Seed {
 		return nil
 	}
 	// Tournament of 3: pick the candidate with the best score.
-	best := p.seeds[p.rng.Intn(len(p.seeds))]
+	best := p.rng.Intn(len(p.seeds))
 	for i := 0; i < 2; i++ {
-		c := p.seeds[p.rng.Intn(len(p.seeds))]
-		if c.score() > best.score() {
+		if c := p.rng.Intn(len(p.seeds)); p.score(c) > p.score(best) {
 			best = c
 		}
 	}
-	best.Picked++
-	return best
+	p.picked[best]++
+	return p.seeds[best]
 }
 
-func (s *Seed) score() int { return 1 + s.NewEdges - 2*s.Picked }
+func (p *Pool) score(i int) int { return 1 + p.seeds[i].NewEdges - 2*p.picked[i] }
 
 // All returns every retained seed in insertion order.
 func (p *Pool) All() []*Seed { return p.seeds }
+
+// Picks returns how often each seed of All was scheduled (read-only).
+func (p *Pool) Picks() []int { return p.picked }
 
 // Since returns the seeds added after the pool held mark entries — the
 // per-epoch delta a sharded campaign donates to its sibling shards at a
@@ -96,13 +94,4 @@ func (p *Pool) Since(mark int) []*Seed {
 		return nil
 	}
 	return p.seeds[mark:]
-}
-
-// Sequences returns the type sequences of all retained seeds.
-func (p *Pool) Sequences() []sqlt.Sequence {
-	out := make([]sqlt.Sequence, len(p.seeds))
-	for i, s := range p.seeds {
-		out[i] = s.Types()
-	}
-	return out
 }

@@ -22,15 +22,15 @@ func TestAddAndSelect(t *testing.T) {
 	p := NewPool(rand.New(rand.NewSource(1)))
 	tc := sqlparse.MustParseScript("SELECT 1;")
 	s := p.Add(tc, 5)
-	if s.ID != 0 || s.NewEdges != 5 {
+	if s.NewEdges != 5 || len(p.All()) != 1 || p.All()[0] != s {
 		t.Fatalf("seed = %+v", s)
 	}
 	got := p.Select()
 	if got != s {
 		t.Fatal("single-seed pool selects it")
 	}
-	if got.Picked != 1 {
-		t.Fatal("Picked must increment")
+	if p.Picks()[0] != 1 {
+		t.Fatal("the pick count must increment")
 	}
 }
 
@@ -55,11 +55,11 @@ func TestPickedPenaltyRotatesSchedule(t *testing.T) {
 	p := NewPool(rand.New(rand.NewSource(3)))
 	a := p.Add(sqlparse.MustParseScript("SELECT 1;"), 10)
 	b := p.Add(sqlparse.MustParseScript("SELECT 2;"), 10)
-	seen := map[int]int{}
+	seen := map[*Seed]int{}
 	for i := 0; i < 100; i++ {
-		seen[p.Select().ID]++
+		seen[p.Select()]++
 	}
-	if seen[a.ID] == 0 || seen[b.ID] == 0 {
+	if seen[a] == 0 || seen[b] == 0 {
 		t.Fatalf("schedule starved a seed: %v", seen)
 	}
 }
@@ -68,14 +68,26 @@ func TestSequences(t *testing.T) {
 	p := NewPool(rand.New(rand.NewSource(4)))
 	p.Add(sqlparse.MustParseScript("CREATE TABLE t (a INT); INSERT INTO t VALUES (1);"), 1)
 	p.Add(sqlparse.MustParseScript("SELECT 1;"), 1)
-	seqs := p.Sequences()
-	if len(seqs) != 2 {
-		t.Fatalf("sequences = %v", seqs)
-	}
-	if !seqs[0].Equal(sqlt.Sequence{sqlt.CreateTable, sqlt.Insert}) {
-		t.Fatalf("seq0 = %v", seqs[0])
-	}
-	if len(p.All()) != 2 {
+	seeds := p.All()
+	if len(seeds) != 2 {
 		t.Fatal("All must list both")
+	}
+	if got := seeds[0].Types(); !got.Equal(sqlt.Sequence{sqlt.CreateTable, sqlt.Insert}) {
+		t.Fatalf("seq0 = %v", got)
+	}
+}
+
+// TestAdoptSharesSeeds: two pools adopting one seed hold the same object,
+// each with its own pick count.
+func TestAdoptSharesSeeds(t *testing.T) {
+	a := NewPool(rand.New(rand.NewSource(4)))
+	b := NewPool(rand.New(rand.NewSource(4)))
+	s := a.Add(sqlparse.MustParseScript("CREATE TABLE t (a INT); INSERT INTO t VALUES (1);"), 1)
+	b.Adopt(s, 3)
+	if a.Select() != s || b.Select() != s || b.All()[0] != s {
+		t.Fatal("both pools must schedule the shared seed")
+	}
+	if a.Picks()[0] != 1 || b.Picks()[0] != 4 {
+		t.Fatalf("picks = %v and %v, want [1] and [4]", a.Picks(), b.Picks())
 	}
 }

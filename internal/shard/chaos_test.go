@@ -117,9 +117,8 @@ func TestQuarantineDegradesGracefully(t *testing.T) {
 	if interrupted {
 		t.Fatal("nothing requested a stop")
 	}
-	if e.ActiveWorkers() != 0 || len(e.QuarantinedShards()) != 3 {
-		t.Fatalf("want all 3 shards quarantined, got active=%d quarantined=%v",
-			e.ActiveWorkers(), e.QuarantinedShards())
+	if len(e.QuarantinedShards()) != 3 {
+		t.Fatalf("want all 3 shards quarantined, got quarantined=%v", e.QuarantinedShards())
 	}
 	// Each shard: MaxEpochRetries retried incidents, then one quarantine.
 	perShard := map[int][]string{}
@@ -156,9 +155,9 @@ func TestQuarantineDegradesGracefully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resumed.ActiveWorkers() != 0 || len(resumed.Incidents()) != len(e.Incidents()) {
-		t.Fatalf("resumed degraded campaign lost supervision state: active=%d incidents=%d",
-			resumed.ActiveWorkers(), len(resumed.Incidents()))
+	if len(resumed.QuarantinedShards()) != 3 || len(resumed.Incidents()) != len(e.Incidents()) {
+		t.Fatalf("resumed degraded campaign lost supervision state: quarantined=%v incidents=%d",
+			resumed.QuarantinedShards(), len(resumed.Incidents()))
 	}
 	// Resuming a fully quarantined campaign completes immediately.
 	if _, err := resumed.Run(6000, RunOptions{}); err != nil {
@@ -204,8 +203,8 @@ func TestOrganicPanicRetriedAndJournaled(t *testing.T) {
 	if !strings.Contains(in.Detail, "shard.") {
 		t.Fatalf("incident detail should carry the normalized panic stack, got %q", in.Detail)
 	}
-	if faulty.ActiveWorkers() != 2 {
-		t.Fatalf("one contained panic must not degrade the topology: active=%d", faulty.ActiveWorkers())
+	if q := faulty.QuarantinedShards(); len(q) != 0 {
+		t.Fatalf("one contained panic must not degrade the topology: quarantined=%v", q)
 	}
 
 	// Modulo the supervision bookkeeping, the retried campaign computed

@@ -6,6 +6,8 @@ import (
 
 	"github.com/seqfuzz/lego/internal/checkpoint"
 	"github.com/seqfuzz/lego/internal/core"
+	"github.com/seqfuzz/lego/internal/corpus"
+	"github.com/seqfuzz/lego/internal/coverage"
 	"github.com/seqfuzz/lego/internal/minidb"
 	"github.com/seqfuzz/lego/internal/oracle"
 	"github.com/seqfuzz/lego/internal/sqlparse"
@@ -14,22 +16,19 @@ import (
 
 // Snapshot captures the whole campaign as a checkpoint state: one worker
 // entry per shard (in shard-index order) plus the merged view at the top
-// level, which holds the campaign's only copy of the crashes. Snapshots are
-// only taken at epoch barriers, so the worker entries are exactly the
-// states an uninterrupted campaign passes through.
+// level, which holds the campaign's only copy of the crashes, the seeds and
+// the coverage. Snapshots are only taken at epoch barriers, so the worker
+// entries are exactly the states an uninterrupted campaign passes through.
+// Seeds are stored by content, not object: each shard ingests its own copy
+// of the initial corpus, while a resumed campaign shares one.
 //
 // The chaos identity is written only when the chaos plane is armed, and the
 // retry budget only once it can shape the schedule, so Resume can insist on
 // exactly the values that matter.
 func (e *Executor) Snapshot() *checkpoint.State {
-	shards := make([]checkpoint.Shard, len(e.shards))
-	for i, sh := range e.shards {
-		shards[i] = sh.SnapshotShard()
-		shards[i].Quarantined = e.quarantined[i]
-		shards[i].Retries = e.retries[i]
-	}
 	// Campaign identity comes from shard 0, which runs the base seed.
 	co := e.shards[0].Options()
+	n := e.shards[0].Pool().Len()
 	st := &checkpoint.State{
 		Dialect: uint8(co.Dialect),
 		Seed:    co.Seed,
@@ -46,9 +45,35 @@ func (e *Executor) Snapshot() *checkpoint.State {
 		EnginePanics: e.EnginePanics(),
 		Curve:        slices.Clone(e.curve),
 		Crashes:      exportCrashes(e.oracle),
+		Seeds:        make([]checkpoint.Seed, 0, n),
 
 		Incidents: slices.Clone(e.incidents),
-		Shards:    shards,
+		Shards:    make([]checkpoint.Shard, len(e.shards)),
+	}
+	index := make(map[checkpoint.Seed]int, n)
+	for i, sh := range e.shards {
+		w := sh.SnapshotShard()
+		seeds := sh.Pool().All()
+		w.Pool = make([]int, len(seeds))
+		for j, s := range seeds {
+			key := checkpoint.Seed{SQL: s.SQL(), NewEdges: s.NewEdges, Split: s.Split}
+			k, ok := index[key]
+			if !ok {
+				k = len(st.Seeds)
+				index[key] = k
+				st.Seeds = append(st.Seeds, key)
+			}
+			w.Pool[j] = k
+		}
+		w.Picked = slices.Clone(sh.Pool().Picks())
+		w.Quarantined = e.quarantined[i]
+		w.Retries = e.retries[i]
+		st.Shards[i] = w
+	}
+	edges := e.campaignCov().Export()
+	st.Coverage = make([]checkpoint.Edge, len(edges))
+	for i, e := range edges {
+		st.Coverage[i] = checkpoint.Edge{Idx: e.Idx, Mask: e.Mask}
 	}
 	if e.opts.ChaosRate != 0 {
 		st.ChaosRate = e.opts.ChaosRate
@@ -93,27 +118,30 @@ func Resume(opts Options, st *checkpoint.State) (*Executor, error) {
 		return nil, fmt.Errorf("shard: resume: checkpoint retry budget is %d epochs, options request %d", st.MaxEpochRetries, opts.MaxEpochRetries)
 	}
 
+	// Each stored seed is parsed once, and shards share the objects.
+	store := make([]*corpus.Seed, len(st.Seeds))
+	for k, s := range st.Seeds {
+		tc, err := sqlparse.ParseScript(s.SQL)
+		if err != nil {
+			return nil, fmt.Errorf("shard: resume: seed %d: %w", k, err)
+		}
+		store[k] = &corpus.Seed{TC: tc, NewEdges: s.NewEdges, Split: s.Split}
+	}
 	e := newExecutor(opts)
 	e.epoch = st.Epoch
+	e.shards = make([]*core.Fuzzer, opts.Workers)
+	e.poolMark = make([]int, opts.Workers)
 	e.retries = make([]int, opts.Workers)
 	e.quarantined = make([]bool, opts.Workers)
 	e.incidents = slices.Clone(st.Incidents)
-	for i := range st.Shards {
-		ss := &st.Shards[i]
-		f, err := core.ResumeShard(e.coreOpts(i), ss)
-		if err != nil {
-			return nil, fmt.Errorf("shard: resume shard %d: %w", i, err)
+	for i, ss := range st.Shards {
+		pool := make([]*corpus.Seed, len(ss.Pool))
+		for j, k := range ss.Pool {
+			pool[j] = store[k]
 		}
-		e.shards = append(e.shards, f)
+		e.resumeShard(i, st, pool)
 		e.quarantined[i] = ss.Quarantined
 		e.retries[i] = ss.Retries
-	}
-
-	// Snapshots are taken post-barrier, so every shard's pool deltas have
-	// already been donated.
-	e.poolMark = make([]int, len(e.shards))
-	for i, sh := range e.shards {
-		e.poolMark[i] = sh.Pool().Len()
 	}
 
 	// The top-level crash list is the campaign oracle; the shards' oracles
@@ -127,6 +155,19 @@ func Resume(opts Options, st *checkpoint.State) (*Executor, error) {
 	// The restored states are barrier states; if supervision is armed, the
 	// first runEpoch re-snapshots them lazily before any worker runs.
 	return e, nil
+}
+
+// resumeShard rebuilds shard i from its entry in st over its pool's seeds,
+// with the campaign's coverage, for Resume and the supervisor's restore.
+func (e *Executor) resumeShard(i int, st *checkpoint.State, pool []*corpus.Seed) {
+	f := core.ResumeShard(e.coreOpts(i), &st.Shards[i], pool)
+	edges := make([]coverage.EdgeState, len(st.Coverage))
+	for j, c := range st.Coverage {
+		edges[j] = coverage.EdgeState{Idx: c.Idx, Mask: c.Mask}
+	}
+	f.Runner().Cov.Import(edges)
+	e.shards[i] = f
+	e.poolMark[i] = f.Pool().Len()
 }
 
 // exportCrashes converts the campaign oracle's crashes to checkpoint form,

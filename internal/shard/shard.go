@@ -23,7 +23,8 @@
 //     folds back into every other active shard, so no worker re-explores
 //     territory a sibling owns;
 //   - seeds retained during the epoch cross-pollinate into every peer's
-//     pool (as independent clones, analyzed for affinities new to the peer);
+//     pool (the same immutable seed object, analyzed for affinities new to
+//     the peer unless it is a split half);
 //   - affinity maps union, and pairs new to a shard are queued for its
 //     progressive synthesis;
 //   - every shard's crash sightings of the epoch drain into the campaign's
@@ -58,6 +59,7 @@ import (
 	"github.com/seqfuzz/lego/internal/checkpoint"
 	"github.com/seqfuzz/lego/internal/core"
 	"github.com/seqfuzz/lego/internal/corpus"
+	"github.com/seqfuzz/lego/internal/coverage"
 	"github.com/seqfuzz/lego/internal/harness"
 	"github.com/seqfuzz/lego/internal/minidb"
 	"github.com/seqfuzz/lego/internal/oracle"
@@ -145,20 +147,17 @@ type Executor struct {
 	// after it is the delta donated to peers at the next one.
 	poolMark []int
 
-	// Supervision plane (see supervise.go). snaps[i] is shard i's state at
-	// the last merge barrier — the point a failed epoch re-runs from.
-	// Snapshots are taken lazily at epoch start and only while supervision
-	// is armed (chaos plane or test fault hook): an unsupervised campaign
-	// never pays the per-barrier Snapshot cost. snapEpoch is the epoch the
-	// current snapshots were taken for (-1: none taken yet).
+	// Supervision plane (see supervise.go). snap is the campaign's state at
+	// the last barrier, the point a failed epoch re-runs from: the barrier's
+	// checkpoint save, or else taken lazily at epoch start, and only under
+	// supervision (chaos plane or test fault hook), never unsupervised.
 	// retries[i] counts epoch re-runs spent against MaxEpochRetries, and
 	// quarantined[i] marks a shard whose budget is exhausted: it holds its
 	// last-good state (already merged at a prior barrier) and no longer runs
 	// epochs. incidents is the campaign's failure journal, and chaos/fs the
 	// injected-fault schedule and the (possibly fault-injecting) filesystem
 	// checkpoint saves should route through.
-	snaps       []*checkpoint.Shard
-	snapEpoch   int
+	snap        *checkpoint.State
 	retries     []int
 	quarantined []bool
 	incidents   []harness.Incident
@@ -194,10 +193,9 @@ func New(opts Options) *Executor {
 // opts must already be filled.
 func newExecutor(opts Options) *Executor {
 	e := &Executor{
-		opts:      opts,
-		oracle:    oracle.New(),
-		fs:        checkpoint.OS,
-		snapEpoch: -1,
+		opts:   opts,
+		oracle: oracle.New(),
+		fs:     checkpoint.OS,
 	}
 	if opts.ChaosRate != 0 {
 		e.chaos = chaos.New(opts.ChaosRate, opts.ChaosSeed)
@@ -275,6 +273,9 @@ func (e *Executor) Run(budgetStmts int, opts RunOptions) (interrupted bool, err 
 			return err
 		}
 		st := e.Snapshot()
+		if e.supervised() {
+			e.snap = st // read-only from here on: the next epoch's restore point
+		}
 		done := make(chan error, 1)
 		go func() { done <- opts.Save(st) }()
 		inflight = done
@@ -386,8 +387,7 @@ func (e *Executor) mergeBarrier() {
 
 	// Seeds: capture every shard's epoch delta before any adoption, so a
 	// donated seed is not re-donated by its receiver within the same
-	// barrier. Receivers share the donor's statements: pool statements are
-	// frozen, so shards only ever read them.
+	// barrier. Receivers share the donor's immutable seed object.
 	deltas := make([][]*corpus.Seed, n)
 	for i, sh := range e.shards {
 		deltas[i] = sh.Pool().Since(e.poolMark[i])
@@ -401,7 +401,7 @@ func (e *Executor) mergeBarrier() {
 				continue
 			}
 			for _, s := range deltas[donor] {
-				e.shards[recv].AdoptSeed(s.TC, s.NewEdges)
+				e.shards[recv].AdoptSeed(s)
 			}
 		}
 	}
@@ -496,16 +496,8 @@ func (e *Executor) EnginePanics() int {
 // those metrics deletes it.
 func (e *Executor) PlanStats() minidb.PlanStats { return minidb.PlanStats{} }
 
-// Branches returns the campaign's branch-coverage metric: the largest
-// shard map. After a barrier the first active shard holds the OR-fold of
-// every shard, and no shard holds more than that union.
-func (e *Executor) Branches() int {
-	n := 0
-	for _, sh := range e.shards {
-		n = max(n, sh.Runner().Cov.EdgeCount())
-	}
-	return n
-}
+// Branches returns the campaign's branch-coverage metric.
+func (e *Executor) Branches() int { return e.campaignCov().EdgeCount() }
 
 // Oracle returns the campaign's crash oracle: every crash sighted up to the
 // last barrier.
@@ -543,6 +535,20 @@ func (e *Executor) PoolLen() int {
 	return e.shards[max(e.firstActive(), 0)].Pool().Len()
 }
 
+// campaignCov returns the OR of every shard's map. Between epochs the first
+// active shard holds it (a quarantined shard's frozen map may lack buckets);
+// with every shard quarantined no barrier folds them, so it is built here.
+func (e *Executor) campaignCov() *coverage.Map {
+	if first := e.firstActive(); first >= 0 {
+		return e.shards[first].Runner().Cov
+	}
+	m := coverage.NewMap()
+	for _, sh := range e.shards {
+		m.Merge(sh.Runner().Cov)
+	}
+	return m
+}
+
 // firstActive returns the index of the first shard not quarantined, or -1
 // when every shard is.
 func (e *Executor) firstActive() int {
@@ -566,18 +572,6 @@ func (e *Executor) QuarantinedShards() []int {
 		}
 	}
 	return out
-}
-
-// ActiveWorkers returns how many shards are still running epochs — the
-// campaign's degraded topology after quarantines.
-func (e *Executor) ActiveWorkers() int {
-	n := 0
-	for _, q := range e.quarantined {
-		if !q {
-			n++
-		}
-	}
-	return n
 }
 
 // SaveFaults returns how many checkpoint saves were eaten by injected I/O

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"maps"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"github.com/seqfuzz/lego/internal/checkpoint"
 	"github.com/seqfuzz/lego/internal/core"
+	"github.com/seqfuzz/lego/internal/corpus"
+	"github.com/seqfuzz/lego/internal/coverage"
 	"github.com/seqfuzz/lego/internal/sqlt"
 )
 
@@ -69,9 +73,11 @@ func TestShardedDoubleRunDeterminism(t *testing.T) {
 
 // TestBarrierInvariants: after every barrier each shard holds the global
 // OR-fold of coverage, the same seed set and the same affinity union — the
-// post-barrier symmetry the executor's determinism argument rests on — and
-// every crash sighting has drained into the campaign oracle: the shards'
-// oracles are empty, and the campaign's hits count each sighting once.
+// post-barrier symmetry the executor's determinism argument rests on —
+// every seed donated at the barrier is the donor's own object in every
+// shard, and every crash sighting has drained into the campaign oracle: the
+// shards' oracles are empty, and the campaign's hits count each sighting
+// once. The final checkpoint stores each seed once.
 func TestBarrierInvariants(t *testing.T) {
 	e := New(testOptions(3))
 	// New's initial barrier drained the seed corpus's crashes; a fresh
@@ -92,10 +98,23 @@ func TestBarrierInvariants(t *testing.T) {
 				sightings += c.Hits
 			}
 		}
+		var donated []*corpus.Seed
+		for i, sh := range e.shards {
+			donated = append(donated, sh.Pool().Since(e.poolMark[i])...)
+		}
 		e.epoch++
 		e.mergeBarrier()
 
 		for i, sh := range e.shards {
+			held := map[*corpus.Seed]bool{}
+			for _, s := range sh.Pool().All() {
+				held[s] = true
+			}
+			for _, s := range donated {
+				if !held[s] {
+					t.Fatalf("epoch %d: shard %d does not hold the donated seed object %q", e.epoch, i, s.SQL())
+				}
+			}
 			if got := sh.Runner().Branches(); got != e.Branches() {
 				t.Errorf("epoch %d: shard %d coverage %d edges != global %d", e.epoch, i, got, e.Branches())
 			}
@@ -122,6 +141,109 @@ func TestBarrierInvariants(t *testing.T) {
 	}
 	if e.Oracle().Count() == 0 {
 		t.Fatal("hazard campaign found no crashes; the drain is untested")
+	}
+	// The checkpoint stores each seed once, although every shard ingested
+	// its own copy of the initial corpus.
+	seen := map[checkpoint.Seed]bool{}
+	for _, s := range e.Snapshot().Seeds {
+		if seen[s] {
+			t.Fatalf("seed store holds %q twice", s.SQL)
+		}
+		seen[s] = true
+	}
+}
+
+// TestSnapshotCoverageIsTheUnion: the checkpoint stores the campaign's
+// coverage, the first active shard's map, even when a quarantined shard
+// frozen at an older barrier ties it on edges but lacks a hit-count bucket
+// the union gained since. Resume hands that map to every shard and
+// re-snapshots to the same bytes. With every shard quarantined, the stored
+// map is the OR of all of them.
+func TestSnapshotCoverageIsTheUnion(t *testing.T) {
+	e := New(testOptions(2))
+	if _, err := e.Run(2000, RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	e.quarantined[0] = true
+	cov := e.shards[1].Runner().Cov
+	edges := cov.Export()
+	grown := false
+	for i := range edges {
+		if edges[i].Mask != 0xff {
+			edges[i].Mask, grown = 0xff, true
+			break
+		}
+	}
+	if !grown {
+		t.Fatal("every edge has every bucket; no bucket bit left to gain")
+	}
+	before := cov.EdgeCount()
+	cov.Import(edges)
+	if cov.EdgeCount() != before || e.shards[0].Runner().Cov.EdgeCount() != before {
+		t.Fatalf("edge counts %d and %d, want both %d: the bucket gain must tie the shards on edges",
+			cov.EdgeCount(), e.shards[0].Runner().Cov.EdgeCount(), before)
+	}
+
+	wantCov := func(st *checkpoint.State, want []coverage.EdgeState) {
+		t.Helper()
+		if len(st.Coverage) != len(want) {
+			t.Fatalf("snapshot stores %d edges, want %d", len(st.Coverage), len(want))
+		}
+		for i, c := range st.Coverage {
+			if c.Idx != want[i].Idx || c.Mask != want[i].Mask {
+				t.Fatalf("snapshot edge %d is %+v, want %+v", i, c, want[i])
+			}
+		}
+	}
+	st := e.Snapshot()
+	wantCov(st, cov.Export())
+	r, err := Resume(testOptions(2), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sh := range r.shards {
+		if got := sh.Runner().Cov.Export(); !slices.Equal(got, edges) {
+			t.Errorf("resumed shard %d holds %d edges unlike the stored coverage", i, len(got))
+		}
+	}
+	if a, b := snapshotJSON(t, e), snapshotJSON(t, r); !bytes.Equal(a, b) {
+		t.Errorf("resumed snapshot differs from the original\noriginal: %.300s\nresumed:  %.300s", a, b)
+	}
+
+	e.quarantined[1] = true
+	or := coverage.NewMap()
+	or.Merge(e.shards[0].Runner().Cov)
+	or.Merge(cov)
+	wantCov(e.Snapshot(), or.Export())
+}
+
+// TestShardedSplitHalvesStayPoolOnly: a split half is split in every shard
+// that holds it, not only in the shard that cut it, so every shard marks
+// the same seeds split, and no receiver harvests a donated half into its
+// library or analyzes it for affinities.
+func TestShardedSplitHalvesStayPoolOnly(t *testing.T) {
+	e := New(Options{
+		Core:       core.Options{Dialect: sqlt.DialectMariaDB, Seed: 3, MaxLen: 3, SplitLongSeeds: true},
+		Workers:    2,
+		EpochStmts: 1000,
+	})
+	if _, err := e.Run(60000, RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	split := make([]map[string]int, len(e.shards))
+	for i, sh := range e.shards {
+		split[i] = map[string]int{}
+		for _, s := range sh.Pool().All() {
+			if s.Split {
+				split[i][s.SQL()]++
+			}
+		}
+	}
+	if len(split[0]) == 0 {
+		t.Fatal("campaign split no seeds; the test exercises nothing")
+	}
+	if !maps.Equal(split[0], split[1]) {
+		t.Fatalf("shards mark different seeds split: shard 0 has %d split seeds, shard 1 %d", len(split[0]), len(split[1]))
 	}
 }
 
@@ -188,9 +310,10 @@ func TestShardedStopResumeEquivalence(t *testing.T) {
 // TestShardedOneWorkerMatchesUninterruptedLoop: a one-shard campaign is the
 // uninterrupted core loop. Its epochs end softly, at iteration boundaries,
 // so periodic background saves, a stop at a barrier and a resume from the
-// flushed checkpoint leave the worker in exactly the state core.New + Run
-// reaches on the same seed: byte-identical worker snapshot, equal counters,
-// and a campaign oracle equal to the loop's own, crash for crash.
+// flushed checkpoint leave the campaign in exactly the state core.New + Run
+// reaches on the same seed: the two snapshot to the same bytes — worker
+// entry, seeds, coverage, counters, and a campaign oracle equal to the
+// loop's own, crash for crash — apart from the barrier count and curve.
 func TestShardedOneWorkerMatchesUninterruptedLoop(t *testing.T) {
 	// Single iterations run up to a few thousand statements, so a soft
 	// epoch is often several EpochStmts long; this budget still crosses
@@ -238,37 +361,26 @@ func TestShardedOneWorkerMatchesUninterruptedLoop(t *testing.T) {
 		t.Fatalf("campaign crossed %d barriers with %d saves; the test needs a save at every one of several", resumed.Epoch(), saves)
 	}
 
-	got, want := resumed.Shards()[0], ref
-	a, err := json.Marshal(got.SnapshotShard())
+	// The uninterrupted loop as a one-shard campaign holds it, with its
+	// own oracle as the campaign's: every worker entry, seed, edge, counter
+	// and crash must match. Only the barrier bookkeeping differs.
+	loop := &Executor{opts: e.opts, shards: []*core.Fuzzer{ref}, oracle: ref.Runner().Oracle,
+		quarantined: []bool{false}, retries: []int{0}}
+	got, want := resumed.Snapshot(), loop.Snapshot()
+	got.Epoch, got.Curve = 0, nil
+	if len(want.Crashes) == 0 {
+		t.Fatal("the uninterrupted loop found no crashes; the campaign oracle is untested")
+	}
+	a, err := json.Marshal(got)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(want.SnapshotShard())
+	b, err := json.Marshal(want)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
-		t.Fatalf("one-shard campaign diverged from the uninterrupted loop\nshard: %.400s\ncore:  %.400s", a, b)
-	}
-	g, w := got.Runner(), want.Runner()
-	if g.Execs != w.Execs || g.Stmts != w.Stmts || g.EnginePanics != w.EnginePanics || g.Branches() != w.Branches() {
-		t.Fatalf("counters diverged: shard execs=%d stmts=%d panics=%d branches=%d, core %d %d %d %d",
-			g.Execs, g.Stmts, g.EnginePanics, g.Branches(),
-			w.Execs, w.Stmts, w.EnginePanics, w.Branches())
-	}
-	// The campaign oracle, drained at every barrier, must hold what the
-	// uninterrupted loop's one oracle recorded, crash for crash.
-	gc, wc := resumed.Oracle().Crashes(), w.Oracle.Crashes()
-	if len(gc) != len(wc) || len(wc) == 0 {
-		t.Fatalf("campaign oracle holds %d crashes, the uninterrupted loop %d (want equal, nonzero)", len(gc), len(wc))
-	}
-	for i := range wc {
-		a, b := gc[i], wc[i]
-		if a.Report.ID != b.Report.ID || a.FoundAtExec != b.FoundAtExec || a.Hits != b.Hits || a.Reproducer.SQL() != b.Reproducer.SQL() {
-			t.Errorf("crash %d: campaign %s found-at %d hits %d repro %q; loop %s %d %d %q",
-				i, a.Report.ID, a.FoundAtExec, a.Hits, a.Reproducer.SQL(),
-				b.Report.ID, b.FoundAtExec, b.Hits, b.Reproducer.SQL())
-		}
+		t.Fatalf("one-shard campaign diverged from the uninterrupted loop\nshard: %.400s\nloop:  %.400s", a, b)
 	}
 }
 

@@ -7,18 +7,16 @@ import (
 	"sync"
 
 	"github.com/seqfuzz/lego/internal/chaos"
-	"github.com/seqfuzz/lego/internal/checkpoint"
-	"github.com/seqfuzz/lego/internal/core"
 	"github.com/seqfuzz/lego/internal/harness"
 )
 
 // This file is the executor's supervision plane: workers run under recover,
 // and a worker that fails mid-epoch — an injected chaos fault, or a real
 // panic escaping the harness — never takes the campaign down. The epoch is
-// the unit of recovery: every merge barrier snapshots every shard (the
-// checkpoint.Shard entries a campaign saved to disk holds),
-// so a failed shard discards its partial epoch, restores the snapshot, and
-// re-runs the epoch deterministically. Re-runs draw against a cumulative
+// the unit of recovery: every epoch starts from a snapshot of the campaign
+// (the checkpoint.State a campaign saves to disk), so a failed shard
+// discards its partial epoch, restores its entry, and re-runs the epoch
+// deterministically. Re-runs draw against a cumulative
 // per-shard retry budget; exhausting it quarantines the shard — it keeps its
 // last-good state, already merged at a prior barrier, and the campaign
 // degrades to fewer workers instead of dying.
@@ -77,9 +75,8 @@ func (e *Executor) runEpoch(targets []int) {
 	// fail under supervision (the chaos plane or the test fault hook). Take
 	// them lazily here — the shards are exactly in their post-barrier states
 	// — so an unsupervised campaign skips the Snapshot cost entirely.
-	if e.supervised() && e.snapEpoch != e.epoch {
-		e.refreshSnaps()
-		e.snapEpoch = e.epoch
+	if e.supervised() && (e.snap == nil || e.snap.Epoch != e.epoch) {
+		e.snap = e.Snapshot()
 	}
 	legs := e.legs(targets)
 	attempts := make([]int, len(e.shards))
@@ -229,33 +226,12 @@ func (e *Executor) runWorker(i int, l leg, p plan) (fail *workerFailure) {
 	return nil
 }
 
-// restore discards shard i's partial epoch and rebuilds it from its state
-// at the last merge barrier. The snapshot came from this executor's own
-// Snapshot machinery under the same options, so a restore failure is a
-// programming error, not an operational condition.
+// restore discards shard i's partial epoch and rebuilds it, as Resume
+// does, from the last barrier snapshot, keeping the seed objects its pool
+// held then (pools only grow). A missing snapshot is a programming error.
 func (e *Executor) restore(i int) {
-	if e.snaps == nil || e.snaps[i] == nil {
+	if e.snap == nil {
 		panic(fmt.Sprintf("shard: restore shard %d: no barrier snapshot (supervision not armed at epoch start?)", i))
 	}
-	f, err := core.ResumeShard(e.coreOpts(i), e.snaps[i])
-	if err != nil {
-		panic(fmt.Sprintf("shard: restore shard %d from barrier snapshot: %v", i, err))
-	}
-	e.shards[i] = f
-	e.poolMark[i] = f.Pool().Len()
-}
-
-// refreshSnaps re-snapshots every active shard. Quarantined shards keep
-// their last-good snapshot: their live state was restored from it and has
-// not moved since.
-func (e *Executor) refreshSnaps() {
-	if e.snaps == nil {
-		e.snaps = make([]*checkpoint.Shard, len(e.shards))
-	}
-	for i, sh := range e.shards {
-		if !e.quarantined[i] || e.snaps[i] == nil {
-			snap := sh.SnapshotShard()
-			e.snaps[i] = &snap
-		}
-	}
+	e.resumeShard(i, e.snap, e.shards[i].Pool().All()[:len(e.snap.Shards[i].Pool)])
 }
