@@ -103,14 +103,17 @@ resume:
 # Clone must render like the original and its render+reparse copy, and
 # share no memory with the original. FuzzFixCopyOnWriteMatchesClone: the
 # fixer over shared statements must repair, draw and render exactly like
-# the fixer over a full clone, and never write a shared statement. Plain
-# `go test` runs only the seeds; this searches.
+# the fixer over a full clone, and never write a shared statement.
+# FuzzFrameLookupMatchesMapScope: every evaluation site's frame must resolve
+# every bare and qualified name as the scope map that site used to build.
+# Plain `go test` runs only the seeds; this searches.
 selffuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEngineReuseMatchesFresh -fuzztime 15s ./internal/minidb
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointLoad -fuzztime 15s ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz FuzzRenderFixpoint -fuzztime 15s ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz FuzzCloneMatchesReparse -fuzztime 15s ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz FuzzFixCopyOnWriteMatchesClone -fuzztime 15s ./internal/sqlparse
+	$(GO) test -run '^$$' -fuzz FuzzFrameLookupMatchesMapScope -fuzztime 15s ./internal/minidb
 
 # The campaign benchmark is a module of its own, so the root module's
 # `go test ./...` never builds it; this vets it and runs its tests, which

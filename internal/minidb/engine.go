@@ -145,6 +145,9 @@ type Engine struct {
 	resBuf []*Result
 	errBuf []error
 
+	// scratch holds the evaluation sites' free scratch scopes (rowEval).
+	scratch []*evalScratch
+
 	// covBatch accumulates probe hits per statement and flushes them to
 	// the tracer at statement end (or when full), replacing per-probe
 	// tracer calls on the hot path.

@@ -1,6 +1,7 @@
 package minidb
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -74,6 +75,8 @@ func (e *Engine) execInsert(st *sqlast.InsertStmt) (*Result, error) {
 
 	inserted := 0
 	var retRows [][]Value
+	rx := e.takeScratch() // RETURNING's scope
+	defer e.putScratch(rx)
 	for _, src := range srcRows {
 		if src != nil && len(src) != len(targets) {
 			return nil, errValue("INSERT has %d values but %d target columns", len(src), len(targets))
@@ -127,10 +130,10 @@ func (e *Engine) execInsert(st *sqlast.InsertStmt) (*Result, error) {
 		}
 		if len(st.Returning) > 0 {
 			e.hit(pInsertReturning)
-			sc := e.rowScope(t, full)
+			sc := rx.tableScope(t, full)
 			var ret []Value
-			for _, rx := range st.Returning {
-				v, err := e.eval(rx, sc, 0)
+			for _, x := range st.Returning {
+				v, err := e.eval(x, sc, 0)
 				if err != nil {
 					return nil, err
 				}
@@ -224,15 +227,15 @@ func (e *Engine) findUniqueConflict(t *Table, row []Value, skip int) int {
 
 // checkRowConstraints enforces NOT NULL, CHECK, and FK constraints.
 func (e *Engine) checkRowConstraints(t *Table, row []Value) error {
+	x := e.takeScratch() // CHECK scopes
+	defer e.putScratch(x)
 	for ci, col := range t.Cols {
 		if col.NotNull && row[ci].IsNull() {
 			e.hit(pInsertNotNull)
 			return errValue("null value in column %q violates not-null constraint", col.Name)
 		}
 		if col.Check != nil {
-			sc := e.rowScope(t, row)
-			sc.row["VALUE"] = row[ci]
-			v, err := e.eval(col.Check, sc, 0)
+			v, err := e.eval(col.Check, x.checkScope(t, row, row[ci]), 0)
 			if err != nil {
 				return err
 			}
@@ -266,8 +269,7 @@ func (e *Engine) checkRowConstraints(t *Table, row []Value) error {
 	}
 	for _, tc := range t.Constraints {
 		if tc.Kind == "CHECK" && tc.Check != nil {
-			sc := e.rowScope(t, row)
-			v, err := e.eval(tc.Check, sc, 0)
+			v, err := e.eval(tc.Check, x.tableScope(t, row), 0)
 			if err != nil {
 				return err
 			}
@@ -278,19 +280,6 @@ func (e *Engine) checkRowConstraints(t *Table, row []Value) error {
 		}
 	}
 	return nil
-}
-
-// rowScope builds an evaluation scope for one row of a table.
-func (e *Engine) rowScope(t *Table, row []Value) *scope {
-	m := make(map[string]Value, 2*len(t.Cols))
-	for ci := range t.Cols {
-		if ci >= len(row) { // table reshaped mid-statement by a trigger
-			break
-		}
-		m[t.Cols[ci].Name] = row[ci]
-		m[t.Name+"."+t.Cols[ci].Name] = row[ci]
-	}
-	return &scope{row: m}
 }
 
 // fireTriggers runs the trigger bodies registered for (table, time, event).
@@ -330,6 +319,7 @@ func (e *Engine) matchingRowIdxs(t *Table, where sqlast.Expr, orderBy []sqlast.O
 	var wEv rowEval
 	if where != nil {
 		wEv = e.tableEval([]sqlast.Expr{where}, t)
+		defer e.putScratch(wEv.x)
 	}
 	for ri, row := range t.Rows {
 		if where != nil {
@@ -346,7 +336,8 @@ func (e *Engine) matchingRowIdxs(t *Table, where sqlast.Expr, orderBy []sqlast.O
 	}
 	if len(orderBy) > 0 {
 		ev := e.tableEval(orderExprs(orderBy), t)
-		keys := make(map[int][]Value, len(idxs))
+		defer e.putScratch(ev.x)
+		s := keyedSort{idxs: idxs, keys: make([]Value, 0, len(idxs)*len(orderBy)), order: orderBy}
 		for _, ri := range idxs {
 			ev.bind(t.Rows[ri], nil, nil)
 			for k := range orderBy {
@@ -354,22 +345,10 @@ func (e *Engine) matchingRowIdxs(t *Table, where sqlast.Expr, orderBy []sqlast.O
 				if err != nil {
 					return nil, err
 				}
-				keys[ri] = append(keys[ri], v)
+				s.keys = append(s.keys, v)
 			}
 		}
-		sort.SliceStable(idxs, func(a, b int) bool {
-			ka, kb := keys[idxs[a]], keys[idxs[b]]
-			for k, ob := range orderBy {
-				c := Compare(ka[k], kb[k])
-				if c != 0 {
-					if ob.Desc {
-						return c > 0
-					}
-					return c < 0
-				}
-			}
-			return false
-		})
+		sort.Stable(s)
 	}
 	if limit != nil {
 		n, err := e.evalInt(limit, nil, 0)
@@ -381,6 +360,28 @@ func (e *Engine) matchingRowIdxs(t *Table, where sqlast.Expr, orderBy []sqlast.O
 		}
 	}
 	return idxs, nil
+}
+
+// keyedSort sorts row indexes stably by their ORDER BY keys, which sit
+// flat in keys (idxs[n]'s at keys[n*len(order):]) and move with them.
+type keyedSort struct {
+	idxs  []int
+	keys  []Value
+	order []sqlast.OrderItem
+}
+
+func (s keyedSort) Len() int { return len(s.idxs) }
+
+func (s keyedSort) Less(a, b int) bool {
+	w := len(s.order)
+	return orderLess(s.order, s.keys[a*w:], s.keys[b*w:])
+}
+
+func (s keyedSort) Swap(a, b int) {
+	s.idxs[a], s.idxs[b] = s.idxs[b], s.idxs[a]
+	for w, k := len(s.order), 0; k < w; k++ {
+		s.keys[a*w+k], s.keys[b*w+k] = s.keys[b*w+k], s.keys[a*w+k]
+	}
 }
 
 func (e *Engine) execUpdate(st *sqlast.UpdateStmt) (*Result, error) {
@@ -422,6 +423,7 @@ func (e *Engine) execUpdate(st *sqlast.UpdateStmt) (*Result, error) {
 		xs[i] = a.Value
 	}
 	ev := e.tableEval(xs, t)
+	defer e.putScratch(ev.x)
 	touched := 0
 	for _, ri := range idxs {
 		if err := e.fireTriggers(t.Name, sqlast.TriggerBefore, sqlast.TriggerUpdate); err != nil {
@@ -486,7 +488,10 @@ func (e *Engine) execDelete(st *sqlast.DeleteStmt) (*Result, error) {
 		return &Result{Affected: 0, Msg: "DELETE"}, nil
 	}
 	var retRows [][]Value
-	del := make(map[int]bool, len(idxs))
+	rx := e.takeScratch() // RETURNING's scope
+	defer e.putScratch(rx)
+	// del marks deleted rows; rows a trigger appends are past its end
+	del, deleted := make([]bool, len(t.Rows)), 0
 	for _, ri := range idxs {
 		if err := e.fireTriggers(t.Name, sqlast.TriggerBefore, sqlast.TriggerDelete); err != nil {
 			return nil, err
@@ -495,10 +500,10 @@ func (e *Engine) execDelete(st *sqlast.DeleteStmt) (*Result, error) {
 			continue
 		}
 		if len(st.Returning) > 0 {
-			sc := e.rowScope(t, t.Rows[ri])
+			sc := rx.tableScope(t, t.Rows[ri])
 			var ret []Value
-			for _, rx := range st.Returning {
-				v, err := e.eval(rx, sc, 0)
+			for _, x := range st.Returning {
+				v, err := e.eval(x, sc, 0)
 				if err != nil {
 					return nil, err
 				}
@@ -506,20 +511,17 @@ func (e *Engine) execDelete(st *sqlast.DeleteStmt) (*Result, error) {
 			}
 			retRows = append(retRows, ret)
 		}
-		del[ri] = true
+		if !del[ri] {
+			del[ri] = true
+			deleted++
+		}
 		if err := e.fireTriggers(t.Name, sqlast.TriggerAfter, sqlast.TriggerDelete); err != nil {
 			return nil, err
 		}
 	}
-	var kept [][]Value
-	for ri, row := range t.Rows {
-		if !del[ri] {
-			kept = append(kept, row)
-		}
-	}
-	t.Rows = kept
+	t.Rows = keepUnmarked(t.Rows, del)
 	t.analyzed = false
-	return &Result{Affected: len(del), Rows: retRows, Msg: "DELETE"}, nil
+	return &Result{Affected: deleted, Rows: retRows, Msg: "DELETE"}, nil
 }
 
 func (e *Engine) execMerge(st *sqlast.MergeStmt) (*Result, error) {
@@ -536,17 +538,18 @@ func (e *Engine) execMerge(st *sqlast.MergeStmt) (*Result, error) {
 	}
 	affected := 0
 	var toDelete []int
+	// One scope binds every pair (target row, then source row, copied into
+	// buf) and every unmatched source row.
+	nt, ns := len(target.Cols), len(source.Cols)
+	onKeys, insKeys := mergeKeys(st.Target, target.Cols, st.Source, source.Cols)
+	buf := make([]Value, 0, nt+ns)
+	sc := &scope{}
 	for _, srow := range source.Rows {
 		matchedAny := false
 		for ri, trow := range target.Rows {
-			sc := &scope{row: map[string]Value{}}
-			for ci := range target.Cols {
-				sc.row[target.Cols[ci].Name] = trow[ci]
-				sc.row[st.Target+"."+target.Cols[ci].Name] = trow[ci]
-			}
-			for ci := range source.Cols {
-				sc.row[st.Source+"."+source.Cols[ci].Name] = srow[ci]
-			}
+			// clipped, a row shorter than its table panics here
+			buf = append(append(buf[:0], slices.Clip(trow)[:nt]...), slices.Clip(srow)[:ns]...)
+			sc.frame = frame{onKeys, buf}
 			v, err := e.eval(st.On, sc, 0)
 			if err != nil {
 				return nil, err
@@ -581,11 +584,8 @@ func (e *Engine) execMerge(st *sqlast.MergeStmt) (*Result, error) {
 				return nil, errValue("MERGE insert arity mismatch")
 			}
 			row := make([]Value, len(target.Cols))
-			sc := &scope{row: map[string]Value{}}
-			for ci := range source.Cols {
-				sc.row[source.Cols[ci].Name] = srow[ci]
-				sc.row[st.Source+"."+source.Cols[ci].Name] = srow[ci]
-			}
+			buf = append(buf[:0], slices.Clip(srow)[:ns]...)
+			sc.frame = frame{insKeys, buf}
 			for i, x := range st.NotMatchedVals {
 				v, err := e.eval(x, sc, 0)
 				if err != nil {
@@ -602,20 +602,45 @@ func (e *Engine) execMerge(st *sqlast.MergeStmt) (*Result, error) {
 		}
 	}
 	if len(toDelete) > 0 {
-		del := map[int]bool{}
+		del := make([]bool, len(target.Rows))
 		for _, ri := range toDelete {
 			del[ri] = true
 		}
-		var kept [][]Value
-		for ri, row := range target.Rows {
-			if !del[ri] {
-				kept = append(kept, row)
-			}
-		}
-		target.Rows = kept
+		target.Rows = keepUnmarked(target.Rows, del)
 	}
 	target.analyzed = false
 	return &Result{Affected: affected, Msg: "MERGE"}, nil
+}
+
+// mergeKeys builds MERGE's keys, last column first: on binds the source's
+// columns (slots after the target's) under "source.name" only, then the
+// target's under "target.name" and the name; ins binds the source's
+// columns alone, under "source.name" and the name.
+func mergeKeys(target string, tcols []Column, source string, scols []Column) (on, ins []binding) {
+	nt, ns := len(tcols), len(scols)
+	on = make([]binding, 0, 2*nt+ns)
+	ins = make([]binding, 0, 2*ns)
+	for ci := ns - 1; ci >= 0; ci-- {
+		qk := source + "." + scols[ci].Name
+		on = append(on, binding{qk, nt + ci})
+		ins = append(ins, binding{qk, ci}, binding{scols[ci].Name, ci})
+	}
+	for ci := nt - 1; ci >= 0; ci-- {
+		on = append(on, binding{target + "." + tcols[ci].Name, ci}, binding{tcols[ci].Name, ci})
+	}
+	return on, ins
+}
+
+// keepUnmarked returns the rows whose index del does not mark; rows past
+// the end of del are kept.
+func keepUnmarked(rows [][]Value, del []bool) [][]Value {
+	var kept [][]Value
+	for ri, row := range rows {
+		if ri >= len(del) || !del[ri] {
+			kept = append(kept, row)
+		}
+	}
+	return kept
 }
 
 func (e *Engine) execCopy(st *sqlast.CopyStmt) (*Result, error) {

@@ -14,62 +14,50 @@ type relation struct {
 	qual []string // qualifier per column ("" if none)
 	rows [][]Value
 
-	// qkeys caches the "qualifier.column" binding keys; rebuilding them per
-	// row dominates scan cost otherwise.
-	qkeys []string
+	// binds caches the frame keys every row of the relation binds under;
+	// building them per row dominates scan cost otherwise.
+	binds []binding
 }
 
-// keyCache returns the qualified column keys, built once per relation.
-//
-//lego:hotpath
-func (r *relation) keyCache() []string {
-	if r.qkeys == nil {
-		r.qkeys = make([]string, len(r.cols))
+// keys returns the relation's frame keys, built once per relation: each
+// column under "qualifier.column" (unless unqualified) and then its bare
+// name, leftmost column first, so the leftmost duplicate wins.
+func (r *relation) keys() []binding {
+	if r.binds == nil {
+		r.binds = make([]binding, 0, 2*len(r.cols))
 		for c := range r.cols {
 			if r.qual[c] != "" {
-				r.qkeys[c] = r.qual[c] + "." + r.cols[c] //lego:allow hotalloc — builds the memoized r.qkeys exactly once per relation
+				r.binds = append(r.binds, binding{r.qual[c] + "." + r.cols[c], c})
 			}
+			r.binds = append(r.binds, binding{r.cols[c], c})
 		}
 	}
-	return r.qkeys
+	return r.binds
 }
 
-func (r *relation) scopeRow(i int, parent *scope) *scope {
-	qk := r.keyCache()
-	m := make(map[string]Value, 2*len(r.cols))
-	for c := len(r.cols) - 1; c >= 0; c-- {
-		// iterate right-to-left so the leftmost duplicate wins
-		m[r.cols[c]] = r.rows[i][c]
-		if qk[c] != "" {
-			m[qk[c]] = r.rows[i][c]
-		}
+// scopeRow returns row i for binding under r's keys. A row shorter than
+// r's columns panics here, as scopeRowInto's does.
+//
+//lego:hotpath
+func (r *relation) scopeRow(i int) []Value {
+	row := r.rows[i]
+	if n := len(r.cols); n > 0 {
+		_ = row[n-1]
 	}
-	return &scope{row: m, parent: parent}
+	return row
 }
 
-// scopeRowInto binds row, a row of r's shape, into the caller-owned scratch
-// scope, reusing its map across calls so a per-row loop allocates one map
-// per query instead of one per row. Every row of a relation binds exactly
-// the same key set, so overwriting without clearing is correct; a row
-// shorter than r's columns panics on its first missing slot. Only loops that do NOT retain
-// the scope (or its row map) past the enclosing eval call may use this;
-// retaining sites (group buckets, window partitions' group rows) must stay
-// on scopeRow.
+// scopeRowInto binds row, a row of r's shape, into the caller-owned
+// scope under r's keys. The frame reads row in place, so the caller must
+// not write it while the scope is in use. A row shorter than r's columns
+// panics here, at bind time.
 //
 //lego:hotpath
 func (r *relation) scopeRowInto(row []Value, parent *scope, sc *scope) *scope {
-	qk := r.keyCache()
-	if sc.row == nil {
-		sc.row = make(map[string]Value, 2*len(r.cols))
+	if n := len(r.cols); n > 0 {
+		_ = row[n-1]
 	}
-	for c := len(r.cols) - 1; c >= 0; c-- {
-		// iterate right-to-left so the leftmost duplicate wins
-		sc.row[r.cols[c]] = row[c]
-		if qk[c] != "" {
-			sc.row[qk[c]] = row[c]
-		}
-	}
-	sc.parent = parent
+	*sc = scope{frame: frame{r.keys(), row}, parent: parent}
 	return sc
 }
 
@@ -145,6 +133,7 @@ func (e *Engine) execSelect(q *sqlast.SelectStmt, outer *scope, depth int) ([][]
 		e.planFilterPath(q, rel)
 		var filtered [][]Value
 		ev := e.relEval([]sqlast.Expr{q.Where}, rel, outer)
+		defer e.putScratch(ev.x)
 		for _, row := range rel.rows {
 			if err := e.chargeStep(); err != nil {
 				return nil, nil, err
@@ -158,7 +147,7 @@ func (e *Engine) execSelect(q *sqlast.SelectStmt, outer *scope, depth int) ([][]
 				filtered = append(filtered, row)
 			}
 		}
-		rel = &relation{cols: rel.cols, qual: rel.qual, rows: filtered}
+		rel = &relation{cols: rel.cols, qual: rel.qual, rows: filtered, binds: rel.binds}
 	}
 
 	// Grouping / aggregation
@@ -334,8 +323,10 @@ func eqPredicateColumn(w sqlast.Expr) (string, bool) {
 func (e *Engine) execProjection(q *sqlast.SelectStmt, rel *relation, outer *scope, depth int) ([][]Value, []string, error) {
 	cols := e.outputColumns(q.Items, rel)
 
-	// Pre-compute window values if any item needs them.
-	var winVals []map[*sqlast.FuncCall]Value
+	// Pre-compute window values if any item needs them: row i's value of
+	// winCalls[k] is winVals[i*len(winCalls)+k].
+	var winCalls []*sqlast.FuncCall
+	var winVals []Value
 	hasWin := false
 	for _, it := range q.Items {
 		if exprHasWindow(it.X) {
@@ -345,11 +336,11 @@ func (e *Engine) execProjection(q *sqlast.SelectStmt, rel *relation, outer *scop
 	}
 	if hasWin {
 		e.hit(pPlanWindow)
-		wv, err := e.computeWindows(q.Items, rel, outer, depth)
+		calls, wv, err := e.computeWindows(q.Items, rel, outer, depth)
 		if err != nil {
 			return nil, nil, err
 		}
-		winVals = wv
+		winCalls, winVals = calls, wv
 	}
 
 	out := make([][]Value, 0, len(rel.rows))
@@ -362,15 +353,14 @@ func (e *Engine) execProjection(q *sqlast.SelectStmt, rel *relation, outer *scop
 			}
 		}
 		ev := e.relEval(xs, rel, outer)
+		ev.winCalls = winCalls
+		defer e.putScratch(ev.x)
 		for i, src := range rel.rows {
 			if err := e.chargeStep(); err != nil {
 				return nil, nil, err
 			}
-			var win map[*sqlast.FuncCall]Value
-			if winVals != nil {
-				win = winVals[i]
-			}
-			ev.bind(src, nil, win)
+			w := len(winCalls)
+			ev.bind(src, nil, winVals[i*w:i*w+w])
 			row := make([]Value, 0, len(q.Items))
 			for k, it := range q.Items {
 				if st, ok := it.X.(*sqlast.Star); ok {
@@ -395,7 +385,7 @@ func (e *Engine) execProjection(q *sqlast.SelectStmt, rel *relation, outer *scop
 	}
 	// SELECT with no FROM still yields one row; a star expands to nothing.
 	if len(rel.rows) == 0 && len(q.From) == 0 {
-		sc := &scope{row: map[string]Value{}, parent: outer}
+		sc := &scope{parent: outer}
 		row := make([]Value, 0, len(q.Items))
 		for _, it := range q.Items {
 			if _, ok := it.X.(*sqlast.Star); ok {
@@ -446,14 +436,16 @@ func (e *Engine) execGrouped(q *sqlast.SelectStmt, rel *relation, outer *scope, 
 	cols := e.outputColumns(q.Items, rel)
 
 	type groupBucket struct {
-		firstRow map[string]Value
-		rows     []map[string]Value
+		firstRow []Value
+		rows     [][]Value
 	}
 	var order []string
 	buckets := map[string]*groupBucket{}
 
+	rkeys := rel.keys()
+	sc := &scope{frame: frame{binds: rkeys}, parent: outer}
 	for i := range rel.rows {
-		sc := rel.scopeRow(i, outer)
+		sc.vals = rel.scopeRow(i)
 		key := ""
 		if len(q.GroupBy) > 0 {
 			var keys []Value
@@ -474,24 +466,27 @@ func (e *Engine) execGrouped(q *sqlast.SelectStmt, rel *relation, outer *scope, 
 		}
 		b, ok := buckets[key]
 		if !ok {
-			b = &groupBucket{firstRow: sc.row}
+			b = &groupBucket{firstRow: sc.vals}
 			buckets[key] = b
 			order = append(order, key)
 		}
-		b.rows = append(b.rows, sc.row)
+		b.rows = append(b.rows, sc.vals)
 	}
-	// An aggregate over zero rows with no GROUP BY still yields one row;
-	// rows must be non-nil so aggregates see an empty group rather than
-	// the absence of a grouping context.
+	// An aggregate over zero rows with no GROUP BY still yields one row
+	// that binds no column; rows must be non-nil so aggregates see an
+	// empty group rather than the absence of a grouping context.
 	if len(buckets) == 0 && len(q.GroupBy) == 0 {
-		buckets[""] = &groupBucket{firstRow: map[string]Value{}, rows: []map[string]Value{}}
+		buckets[""] = &groupBucket{rows: [][]Value{}}
 		order = append(order, "")
 	}
 
 	var out [][]Value
 	for _, key := range order {
 		b := buckets[key]
-		gsc := &scope{row: b.firstRow, group: b.rows, parent: outer}
+		gsc := &scope{group: b.rows, groupKeys: rkeys, parent: outer}
+		if len(b.rows) > 0 {
+			gsc.frame = frame{rkeys, b.firstRow}
+		}
 		if q.Having != nil {
 			e.hit(pPlanHaving)
 			hv, err := e.eval(q.Having, gsc, depth+1)
@@ -518,13 +513,9 @@ func (e *Engine) execGrouped(q *sqlast.SelectStmt, rel *relation, outer *scope, 
 	return out, cols, nil
 }
 
-// computeWindows evaluates every windowed function call per input row.
-func (e *Engine) computeWindows(items []sqlast.SelectItem, rel *relation, outer *scope, depth int) ([]map[*sqlast.FuncCall]Value, error) {
-	out := make([]map[*sqlast.FuncCall]Value, len(rel.rows))
-	for i := range out {
-		out[i] = map[*sqlast.FuncCall]Value{}
-	}
-	var calls []*sqlast.FuncCall
+// computeWindows evaluates every windowed function call per input row:
+// row i's value of calls[k] is vals[i*len(calls)+k].
+func (e *Engine) computeWindows(items []sqlast.SelectItem, rel *relation, outer *scope, depth int) (calls []*sqlast.FuncCall, vals []Value, err error) {
 	for _, it := range items {
 		sqlast.WalkExpr(it.X, func(n sqlast.Expr) {
 			if fc, ok := n.(*sqlast.FuncCall); ok && fc.Over != nil {
@@ -532,19 +523,23 @@ func (e *Engine) computeWindows(items []sqlast.SelectItem, rel *relation, outer 
 			}
 		})
 	}
-	for _, fc := range calls {
-		if err := e.computeOneWindow(fc, rel, out, outer, depth); err != nil {
-			return nil, err
+	vals = make([]Value, len(rel.rows)*len(calls))
+	for k, fc := range calls {
+		if err := e.computeOneWindow(fc, rel, vals[k:], len(calls), outer, depth); err != nil {
+			return nil, nil, err
 		}
 	}
-	return out, nil
+	return calls, vals, nil
 }
 
-func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []map[*sqlast.FuncCall]Value, outer *scope, depth int) error {
+// computeOneWindow stores row i's value of fc in out[i*stride].
+func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []Value, stride int, outer *scope, depth int) error {
 	// Partition- and order-key expressions run once per row (order keys
 	// twice: the post-sort recompute reuses the same evaluator).
 	partEv := e.relEval(fc.Over.PartitionBy, rel, outer)
+	defer e.putScratch(partEv.x)
 	obEv := e.relEval(orderExprs(fc.Over.OrderBy), rel, outer)
+	defer e.putScratch(obEv.x)
 
 	// Partition rows.
 	parts := map[string][]int{}
@@ -595,18 +590,7 @@ func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []map[
 				}
 				keys[n] = ks
 			}
-			sort.SliceStable(idxs, func(a, b int) bool {
-				for k, ob := range fc.Over.OrderBy {
-					c := Compare(keys[a][k], keys[b][k])
-					if c != 0 {
-						if ob.Desc {
-							return c > 0
-						}
-						return c < 0
-					}
-				}
-				return false
-			})
+			sort.SliceStable(idxs, func(a, b int) bool { return orderLess(fc.Over.OrderBy, keys[a], keys[b]) })
 			// keys moved with idxs only when we re-fetch; recompute keys
 			// after the sort for rank ties.
 			for n, i := range idxs {
@@ -634,9 +618,9 @@ func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []map[
 						}
 					}
 					if name == "RANK" {
-						out[i][fc] = Int(int64(rank))
+						out[i*stride] = Int(int64(rank))
 					} else {
-						out[i][fc] = Int(int64(dense))
+						out[i*stride] = Int(int64(dense))
 					}
 				}
 				continue
@@ -646,12 +630,12 @@ func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []map[
 		switch name {
 		case "ROW_NUMBER":
 			for n, i := range idxs {
-				out[i][fc] = Int(int64(n + 1))
+				out[i*stride] = Int(int64(n + 1))
 			}
 		case "RANK", "DENSE_RANK":
 			// without ORDER BY every row ties at rank 1
 			for _, i := range idxs {
-				out[i][fc] = Int(1)
+				out[i*stride] = Int(1)
 			}
 		case "LEAD", "LAG":
 			if len(fc.Args) < 1 {
@@ -664,7 +648,7 @@ func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []map[
 					src = n - off
 				}
 				if src < 0 || src >= len(idxs) {
-					out[i][fc] = Null()
+					out[i*stride] = Null()
 					continue
 				}
 				sc := rel.scopeRowInto(rel.rows[idxs[src]], outer, &rsc)
@@ -672,13 +656,13 @@ func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []map[
 				if err != nil {
 					return err
 				}
-				out[i][fc] = v
+				out[i*stride] = v
 			}
 		case "NTILE":
 			n := len(idxs)
 			buckets := 4
 			if len(fc.Args) == 1 {
-				sc := rel.scopeRow(idxs[0], outer)
+				sc := &scope{frame: frame{rel.keys(), rel.scopeRow(idxs[0])}, parent: outer}
 				bv, err := e.eval(fc.Args[0], sc, depth+1)
 				if err != nil {
 					return err
@@ -688,18 +672,18 @@ func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []map[
 				}
 			}
 			for pos, i := range idxs {
-				out[i][fc] = Int(int64(pos*buckets/n) + 1)
+				out[i*stride] = Int(int64(pos*buckets/n) + 1)
 			}
 		default:
 			// aggregate OVER partition: whole-partition value
 			if !IsAggregate(name) {
 				return errValue("unsupported window function %s", name)
 			}
-			var group []map[string]Value
+			var group [][]Value
 			for _, i := range idxs {
-				group = append(group, rel.scopeRow(i, outer).row)
+				group = append(group, rel.scopeRow(i))
 			}
-			gsc := &scope{row: map[string]Value{}, group: group, parent: outer}
+			gsc := &scope{group: group, groupKeys: rel.keys(), parent: outer}
 			plain := *fc
 			plain.Over = nil
 			v, err := e.evalAggregate(&plain, gsc, depth+1)
@@ -707,7 +691,7 @@ func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []map[
 				return err
 			}
 			for _, i := range idxs {
-				out[i][fc] = v
+				out[i*stride] = v
 			}
 		}
 	}
@@ -721,6 +705,7 @@ func (e *Engine) sortRows(q *sqlast.SelectStmt, rows [][]Value, cols []string, s
 	keys := make([][]Value, len(rows))
 	if len(rows) > 0 {
 		ev := e.outputEval(orderExprs(q.OrderBy), cols, srcRel, outer)
+		defer e.putScratch(ev.x)
 		for i, row := range rows {
 			var src []Value
 			if srcRel != nil {
@@ -748,18 +733,7 @@ func (e *Engine) sortRows(q *sqlast.SelectStmt, rows [][]Value, cols []string, s
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		for k, ob := range q.OrderBy {
-			c := Compare(keys[idx[a]][k], keys[idx[b]][k])
-			if c != 0 {
-				if ob.Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-		}
-		return false
-	})
+	sort.SliceStable(idx, func(a, b int) bool { return orderLess(q.OrderBy, keys[idx[a]], keys[idx[b]]) })
 	sorted := make([][]Value, len(rows))
 	for n, i := range idx {
 		sorted[n] = rows[i]
@@ -768,8 +742,21 @@ func (e *Engine) sortRows(q *sqlast.SelectStmt, rows [][]Value, cols []string, s
 	return nil
 }
 
+// orderLess reports whether sort keys ka order before kb.
+func orderLess(order []sqlast.OrderItem, ka, kb []Value) bool {
+	for k, ob := range order {
+		if c := Compare(ka[k], kb[k]); c != 0 {
+			if ob.Desc {
+				return c > 0
+			}
+			return c < 0
+		}
+	}
+	return false
+}
+
 func (e *Engine) evalInt(x sqlast.Expr, outer *scope, depth int) (int64, error) {
-	v, err := e.eval(x, &scope{row: map[string]Value{}, parent: outer}, depth+1)
+	v, err := e.eval(x, &scope{parent: outer}, depth+1)
 	if err != nil {
 		return 0, err
 	}
@@ -974,6 +961,7 @@ func (e *Engine) joinRelations(j *sqlast.JoinRef, left, right *relation, outer *
 	// 20000 probed pairs.
 	pairRow := make([]Value, 0, len(out.cols))
 	ev := e.relEval([]sqlast.Expr{j.On}, out, outer)
+	defer e.putScratch(ev.x)
 	matchRow := func(lrow, rrow []Value) (bool, error) {
 		pairBudget--
 		pairRow = append(append(pairRow[:0], lrow...), rrow...)

@@ -7,14 +7,46 @@ import (
 	"github.com/seqfuzz/lego/internal/sqlast"
 )
 
-// scope is the name-resolution scope for expression evaluation. Scopes chain
-// through parent for correlated subqueries.
+// binding names slot of a frame's row under key: a bare column name, or
+// "qualifier.column".
+type binding struct {
+	key  string
+	slot int
+}
+
+// frame binds a row to names. binds is built once per row layout and lists
+// the keys in precedence order, so the first match wins; vals is the row
+// its slots index. Binding the next row of a layout only swaps vals.
+type frame struct {
+	binds []binding
+	vals  []Value
+}
+
+// get returns the value bound under name, or under table.name when table
+// is non-empty. It compares the qualified key piecewise, so resolving a
+// qualified column builds no string.
+//
+//lego:hotpath
+func (f *frame) get(table, name string) (Value, bool) {
+	for _, b := range f.binds {
+		if k := b.key; table == "" && k == name || table != "" && len(k) == len(table)+1+len(name) &&
+			k[len(table)] == '.' && k[:len(table)] == table && k[len(table)+1:] == name {
+			return f.vals[b.slot], true
+		}
+	}
+	return Value{}, false
+}
+
+// scope is the name-resolution scope for expression evaluation: the bound
+// row's frame, chained through parent for correlated subqueries and
+// user-function parameters.
 type scope struct {
-	row     map[string]Value
-	group   []map[string]Value // rows of the current group for aggregates
-	winVals map[*sqlast.FuncCall]Value
-	fnArgs  map[string]Value // user-function parameters
-	parent  *scope
+	frame
+	group     [][]Value          // rows of the current group for aggregates
+	groupKeys []binding          // the keys group rows bind under
+	winCalls  []*sqlast.FuncCall // the windowed calls of the bound row,
+	winVals   []Value            // and their values
+	parent    *scope
 }
 
 // emptyScope is the shared binding-free scope for evaluating expressions
@@ -22,19 +54,16 @@ type scope struct {
 // It is read-only by contract: eval never writes a scope, and every site
 // that binds values constructs its own scope. Sharing one instance keeps
 // those call sites allocation-free.
-var emptyScope = &scope{row: map[string]Value{}}
+var emptyScope = &scope{}
 
-func (s *scope) lookup(name string) (Value, bool) {
+// lookup resolves name (table.name when table is non-empty) through the
+// scope chain, innermost first.
+//
+//lego:hotpath
+func (s *scope) lookup(table, name string) (Value, bool) {
 	for sc := s; sc != nil; sc = sc.parent {
-		if sc.fnArgs != nil {
-			if v, ok := sc.fnArgs[name]; ok {
-				return v, true
-			}
-		}
-		if sc.row != nil {
-			if v, ok := sc.row[name]; ok {
-				return v, true
-			}
+		if v, ok := sc.get(table, name); ok {
+			return v, true
 		}
 	}
 	return Value{}, false
@@ -72,20 +101,19 @@ func (e *Engine) eval(x sqlast.Expr, sc *scope, depth int) (Value, error) {
 
 	case *sqlast.ColRef:
 		e.hit(pEvalColRef)
-		key := v.Name
-		if v.Table != "" {
-			key = v.Table + "." + v.Name
-		}
-		if val, ok := sc.lookup(key); ok {
+		if val, ok := sc.lookup(v.Table, v.Name); ok {
 			return val, nil
 		}
 		// domain CHECK uses the pseudo-column VALUE
 		if strings.EqualFold(v.Name, "VALUE") {
-			if val, ok := sc.lookup("VALUE"); ok {
+			if val, ok := sc.lookup("", "VALUE"); ok {
 				return val, nil
 			}
 		}
-		return Null(), errValue("column %q does not exist", key)
+		if v.Table != "" {
+			return Null(), errValue("column %q does not exist", v.Table+"."+v.Name)
+		}
+		return Null(), errValue("column %q does not exist", v.Name)
 
 	case *sqlast.Star:
 		return Null(), errValue("* is not valid in this context")

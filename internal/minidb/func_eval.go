@@ -50,10 +50,10 @@ func (e *Engine) evalFunc(fc *sqlast.FuncCall, sc *scope, depth int) (Value, err
 	// Windowed calls are pre-computed by the select executor and stashed in
 	// the scope; a windowed call in any other context is a SQL error.
 	if fc.Over != nil {
-		if sc.winVals != nil {
-			if v, ok := sc.winVals[fc]; ok {
+		for k, c := range sc.winCalls {
+			if c == fc {
 				e.hit(pEvalWindowFunc)
-				return v, nil
+				return sc.winVals[k], nil
 			}
 		}
 		return Null(), errValue("window function %s requires a query context", name)
@@ -274,32 +274,21 @@ func (e *Engine) evalFunc(fc *sqlast.FuncCall, sc *scope, depth int) (Value, err
 		return foldCompare(args, func(c int) bool { return c < 0 })
 	}
 
-	// user-defined scalar function
-	if fn, ok := e.cat.Functions[fc.Name]; ok {
-		e.hit(pEvalFuncUser)
-		if len(args) != len(fn.Params) {
-			return Null(), errValue("function %s expects %d argument(s)", fn.Name, len(fn.Params))
-		}
-		fsc := &scope{fnArgs: map[string]Value{}, parent: sc}
-		for i, p := range fn.Params {
-			fsc.fnArgs[p] = args[i]
-		}
-		v, err := e.eval(fn.Body, fsc, depth+1)
-		if err != nil {
-			return Null(), err
-		}
-		return CoerceToColumn(fn.Returns, v), nil
+	// user-defined scalar function, its parameters bound last duplicate first
+	fn, ok := e.cat.Functions[fc.Name]
+	if !ok {
+		fn, ok = e.cat.Functions[strings.ToLower(fc.Name)]
 	}
-	if fn, ok := e.cat.Functions[strings.ToLower(fc.Name)]; ok {
+	if ok {
 		e.hit(pEvalFuncUser)
 		if len(args) != len(fn.Params) {
 			return Null(), errValue("function %s expects %d argument(s)", fn.Name, len(fn.Params))
 		}
-		fsc := &scope{fnArgs: map[string]Value{}, parent: sc}
+		keys := make([]binding, len(args))
 		for i, p := range fn.Params {
-			fsc.fnArgs[p] = args[i]
+			keys[len(args)-1-i] = binding{p, i}
 		}
-		v, err := e.eval(fn.Body, fsc, depth+1)
+		v, err := e.eval(fn.Body, &scope{frame: frame{keys, args}, parent: sc}, depth+1)
 		if err != nil {
 			return Null(), err
 		}
@@ -349,8 +338,9 @@ func (e *Engine) evalAggregate(fc *sqlast.FuncCall, sc *scope, depth int) (Value
 
 	var vals []Value
 	seen := map[string]bool{}
+	rsc := &scope{frame: frame{binds: sc.groupKeys}, parent: sc.parent}
 	for _, row := range group {
-		rsc := &scope{row: row, parent: sc.parent}
+		rsc.vals = row
 		v, err := e.eval(fc.Args[0], rsc, depth+1)
 		if err != nil {
 			return Null(), err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -156,51 +155,20 @@ func TestConcatCap(t *testing.T) {
 	}
 }
 
-// TestTableScopeMatchesRowScope: the table scope a DML evaluator reuses
-// across rows binds exactly what rowScope binds into a new map, row after
-// row, while a trigger renames the table or its columns, adds a column, or
-// leaves a row shorter than the table.
-func TestTableScopeMatchesRowScope(t *testing.T) {
-	e := New(Config{Dialect: sqlt.DialectMySQL})
-	tbl := &Table{Name: "t", Cols: []Column{{Name: "a"}, {Name: "b"}, {Name: "a"}}}
-	row := []Value{Int(1), Int(2), Int(3)}
-	steps := []struct {
-		reshape func()
-		row     []Value
-	}{
-		{nil, row},
-		{nil, row[:2]},
-		{nil, row},
-		{func() { tbl.Cols[1].Name = "c" }, row},
-		{func() { tbl.Name = "u" }, row},
-		{func() { tbl.Cols = append(tbl.Cols, Column{Name: "d"}) }, row},
-		{nil, []Value{Int(4), Int(5), Int(6), Int(7)}},
-		{func() { tbl.Cols = tbl.Cols[:1] }, row},
-	}
-	var x evalScratch
-	for i, st := range steps {
-		if st.reshape != nil {
-			st.reshape()
-		}
-		if got, want := x.tableScope(tbl, st.row).row, e.rowScope(tbl, st.row).row; !reflect.DeepEqual(got, want) {
-			t.Errorf("step %d: table scope %v, rowScope %v", i, got, want)
-		}
-	}
-}
-
 // TestInterpreterAllocsFlatPerRow pins the evaluation sites' per-row
-// allocation contract: each site reuses its scope map across rows, so a
-// filtering SELECT and a DELETE whose WHERE matches no row allocate the
-// same on a 1-row and a 128-row table.
+// allocation contract: each site binds every row into one reused frame, so
+// a filtering SELECT, a DELETE whose WHERE matches no row (with a bare and
+// with a qualified column), an UPDATE that matches none, and a MERGE whose
+// ON matches no pair allocate the same on a 1-row and a 128-row table.
 func TestInterpreterAllocsFlatPerRow(t *testing.T) {
 	allocs := func(rows int, sql string) float64 {
-		e := New(Config{Dialect: sqlt.DialectMySQL})
+		e := New(Config{Dialect: sqlt.DialectPostgres}) // MySQL has no MERGE
 		var sb strings.Builder
 		sb.WriteString("CREATE TABLE big (a INT, b INT);\nINSERT INTO big VALUES (0, 0)")
 		for i := 1; i < rows; i++ {
 			fmt.Fprintf(&sb, ", (%d, %d)", i, i*3)
 		}
-		sb.WriteString(";")
+		sb.WriteString(";\nCREATE TABLE small (a INT, b INT);\nINSERT INTO small VALUES (1, 2), (3, 4);")
 		run(t, e, sb.String())
 		st := sqlparse.MustParseScript(sql)[0]
 		if _, err := e.ExecStmt(st); err != nil { // warm the tracer's counters
@@ -215,6 +183,9 @@ func TestInterpreterAllocsFlatPerRow(t *testing.T) {
 	for _, sql := range []string{
 		"SELECT a, b FROM big WHERE a < 0 AND b >= 0;",
 		"DELETE FROM big WHERE a < 0;",
+		"DELETE FROM big WHERE big.a < 0;",
+		"UPDATE big SET b = 0 WHERE a < 0;",
+		"MERGE INTO big USING small ON big.a = small.a - 1000 WHEN MATCHED THEN UPDATE SET b = 0;",
 	} {
 		if one, many := allocs(1, sql), allocs(128, sql); one != many {
 			t.Errorf("%s: %.1f allocs on 1 row, %.1f on 128", sql, one, many)
