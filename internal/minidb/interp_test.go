@@ -38,31 +38,45 @@ SELECT a FROM ua UNION ALL SELECT a, b FROM ua ORDER BY a + 1, 2;`)
 // panics in scopeRowInto's full-width read.
 const shortRowScanScript = reshapeScript + "\nSELECT a FROM r WHERE b > 0;"
 
-// goldenCase is one pinned script and the dialect it runs under.
+// caseStudyScript is the paper's §V-B PostgreSQL sequence (CREATE RULE ->
+// NOTIFY -> COPY -> WITH); with hazards armed its last statement raises
+// BUG #17152 from inside the rewriter, mid-statement.
+const caseStudyScript = `CREATE TABLE v0 (v4 INT, v3 INT UNIQUE, v2 INT, v1 INT UNIQUE);
+CREATE OR REPLACE RULE v1 AS ON INSERT TO v0 DO INSTEAD NOTIFY compression;
+COPY (SELECT 32 EXCEPT SELECT v3 + 16 FROM v0) TO STDOUT CSV HEADER;
+WITH v2 AS (INSERT INTO v0 VALUES (0)) DELETE FROM v0 WHERE v3 = 48;`
+
+// goldenCase is one pinned script and the engine configuration it runs
+// under.
 type goldenCase struct {
 	name string
-	d    sqlt.Dialect
+	cfg  Config
 	tc   func() sqlast.TestCase
 }
 
 // goldenCases lists the pinned scripts: every equivalence script, the
 // concat cases, the reshape script alone and followed by its short-row
-// scan, and the set-op arity case.
+// scan, the set-op arity case, and two crashes that end a script
+// mid-statement: a seeded hazard and an injected fault (FaultSeed 4 at
+// rate 0.1 first fires after statement 3's dispatch, exec 0).
 func goldenCases() []goldenCase {
 	parsed := func(s string) func() sqlast.TestCase {
 		return func() sqlast.TestCase { return sqlparse.MustParseScript(s) }
 	}
+	mysql := Config{Dialect: sqlt.DialectMySQL}
 	var cs []goldenCase
 	for i, s := range equivalenceScripts {
-		cs = append(cs, goldenCase{fmt.Sprintf("equivalence/%d", i), sqlt.DialectMySQL, parsed(s)})
+		cs = append(cs, goldenCase{fmt.Sprintf("equivalence/%d", i), mysql, parsed(s)})
 	}
 	for i, s := range concatScripts() {
-		cs = append(cs, goldenCase{fmt.Sprintf("concat/%d", i), sqlt.DialectPostgres, parsed(s)})
+		cs = append(cs, goldenCase{fmt.Sprintf("concat/%d", i), Config{Dialect: sqlt.DialectPostgres}, parsed(s)})
 	}
 	return append(cs,
-		goldenCase{"reshape", sqlt.DialectMySQL, parsed(reshapeScript)},
-		goldenCase{"reshape-scan", sqlt.DialectMySQL, parsed(shortRowScanScript)},
-		goldenCase{"setop-arity", sqlt.DialectMySQL, setOpArityCase})
+		goldenCase{"reshape", mysql, parsed(reshapeScript)},
+		goldenCase{"reshape-scan", mysql, parsed(shortRowScanScript)},
+		goldenCase{"setop-arity", mysql, setOpArityCase},
+		goldenCase{"hazard-crash", Config{Dialect: sqlt.DialectPostgres, EnableHazards: true}, parsed(caseStudyScript)},
+		goldenCase{"injected-fault", Config{Dialect: sqlt.DialectMySQL, FaultRate: 0.1, FaultSeed: 4}, parsed(reshapeScript)})
 }
 
 // coverageDigest condenses exported coverage (edges in ascending slot order,
@@ -81,7 +95,7 @@ func coverageDigest(cov []coverage.EdgeState) string {
 func renderGolden() map[string]string {
 	out := make(map[string]string)
 	for _, c := range goldenCases() {
-		rendered, cov := runEquivCase(New(Config{Dialect: c.d}), c.tc(), true)
+		rendered, cov := runEquivCase(New(c.cfg), c.tc(), true)
 		out[c.name] = rendered + coverageDigest(cov) + "\n"
 	}
 	return out
