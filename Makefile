@@ -21,6 +21,7 @@ ci:
 	$(MAKE) selffuzz
 	$(MAKE) perfgate
 	$(MAKE) benchcheck
+	$(MAKE) loc
 
 # The sharded executor's schedule-independence gate, named so its failure is
 # unambiguous: the determinism claims of internal/shard are only credible

@@ -10,8 +10,9 @@
 package coverage
 
 import (
-	"fmt"
-	"sync"
+	"sync/atomic"
+
+	"github.com/seqfuzz/lego/internal/checkpoint"
 )
 
 // MapSize is the number of edge slots, matching AFL's default 2^16.
@@ -27,33 +28,20 @@ type Site struct {
 // Name returns the site's registration name (for debugging and reports).
 func (s Site) Name() string { return s.name }
 
-var (
-	registryMu sync.Mutex
-	registry   []string
-	nextSeq    uint32
-)
+// nextSeq is the registration counter: the n-th registered site gets
+// sequence number n.
+var nextSeq atomic.Uint32
 
 // NewSite registers a probe point and returns its site handle. Names should
 // be unique ("minidb/exec.insert.empty"); duplicates are allowed but make
 // reports ambiguous. Safe for concurrent use, though typical use is package
 // init.
 func NewSite(name string) Site {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	seq := nextSeq
-	nextSeq++
-	registry = append(registry, name)
+	seq := nextSeq.Add(1) - 1
 	// Spread sequential ids over the 16-bit space (Knuth multiplicative
 	// hash) so edge hashes decorrelate, as AFL does with random block ids.
 	id := uint16((seq * 2654435761) >> 16)
 	return Site{id: id, name: name}
-}
-
-// NumSites returns how many probe sites have been registered process-wide.
-func NumSites() int {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	return len(registry)
 }
 
 // Tracer records the edges of one execution. It is not safe for concurrent
@@ -79,6 +67,8 @@ func NewTracer() *Tracer {
 }
 
 // Hit reports that execution reached site s.
+//
+//lego:hotpath
 func (t *Tracer) Hit(s Site) {
 	idx := uint32(t.prev ^ s.id)
 	if t.counts[idx] == 0 {
@@ -88,63 +78,6 @@ func (t *Tracer) Hit(s Site) {
 		t.counts[idx]++
 	}
 	t.prev = s.id >> 1
-}
-
-// Batch is a reusable buffer of probe sites hit during one statement.
-// Engine code appends sites locally (no tracer pointer chasing per probe)
-// and replays them into a Tracer at statement end with Flush; because the
-// tracer's edge hash depends only on the site sequence, a flushed batch
-// produces byte-identical coverage to calling Hit site by site.
-type Batch struct {
-	// Sites is the pending hit list in execution order. The slice is owned
-	// by the batch and recycled across statements.
-	//
-	//lego:borrowed valid until the next Flush or Reset on the same batch
-	Sites []Site
-}
-
-// NewBatch returns a batch pre-sized to hold n sites before its first grow.
-func NewBatch(n int) *Batch {
-	return &Batch{Sites: make([]Site, 0, n)}
-}
-
-// Add appends one site hit to the batch.
-//
-//lego:hotpath
-func (b *Batch) Add(s Site) { b.Sites = append(b.Sites, s) }
-
-// Len returns the number of pending hits.
-func (b *Batch) Len() int { return len(b.Sites) }
-
-// Reset discards pending hits without replaying them.
-func (b *Batch) Reset() { b.Sites = b.Sites[:0] }
-
-// HitBatch replays every site in b against the tracer, in order, exactly as
-// if Hit had been called per site.
-//
-//lego:hotpath
-func (t *Tracer) HitBatch(b *Batch) {
-	prev := t.prev
-	counts := t.counts
-	for _, s := range b.Sites {
-		idx := uint32(prev ^ s.id)
-		if counts[idx] == 0 {
-			t.touched = append(t.touched, idx) //lego:allow hotalloc — touched is pre-sized to touchedCap at construction and recycled by Reset
-		}
-		if counts[idx] < ^uint16(0) {
-			counts[idx]++
-		}
-		prev = s.id >> 1
-	}
-	t.prev = prev
-}
-
-// Flush replays b into the tracer and truncates it for reuse.
-//
-//lego:hotpath
-func (t *Tracer) Flush(b *Batch) {
-	t.HitBatch(b)
-	b.Sites = b.Sites[:0]
 }
 
 // Reset clears the tracer for the next execution in O(edges touched).
@@ -212,27 +145,13 @@ func (m *Map) Accumulate(t *Tracer) (novel bool, newEdges int) {
 	return novel, newEdges
 }
 
-// WouldBeNovel reports whether folding t would contribute novelty, without
-// mutating the map.
-func (m *Map) WouldBeNovel(t *Tracer) bool {
-	for _, idx := range t.touched {
-		if m.virgin[idx]&bucket(t.counts[idx]) == 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // EdgeCount returns the number of distinct edges accumulated so far — the
 // "branches covered" metric of Figure 9 and Table IV.
 func (m *Map) EdgeCount() int { return m.edges }
 
-// EdgeState is one accumulated edge (slot index + seen-bucket mask), the
-// serializable unit of campaign coverage state.
-type EdgeState struct {
-	Idx  uint32 `json:"i"`
-	Mask uint8  `json:"m"`
-}
+// EdgeState is one accumulated edge (slot index + seen-bucket mask), in the
+// form checkpoints carry it.
+type EdgeState = checkpoint.Edge
 
 // Export returns the map's non-virgin edges in ascending slot order, for
 // checkpointing.
@@ -278,29 +197,4 @@ func (m *Map) Merge(other *Map) {
 		}
 		m.virgin[idx] |= mask
 	}
-}
-
-// Diff returns the edge buckets present in m but absent from other — what m
-// would contribute if merged into other. Each EdgeState's Mask holds only
-// the missing buckets.
-func (m *Map) Diff(other *Map) []EdgeState {
-	var out []EdgeState
-	for idx, mask := range m.virgin {
-		if d := mask &^ other.virgin[idx]; d != 0 {
-			out = append(out, EdgeState{Idx: uint32(idx), Mask: d})
-		}
-	}
-	return out
-}
-
-// Clone returns an independent copy of the map.
-func (m *Map) Clone() *Map {
-	c := &Map{virgin: make([]uint8, MapSize), edges: m.edges}
-	copy(c.virgin, m.virgin)
-	return c
-}
-
-// String summarizes the map for logs.
-func (m *Map) String() string {
-	return fmt.Sprintf("coverage.Map{edges: %d}", m.edges)
 }

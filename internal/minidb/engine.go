@@ -147,11 +147,6 @@ type Engine struct {
 
 	// scratch holds the evaluation sites' free scratch scopes (rowEval).
 	scratch []*evalScratch
-
-	// covBatch accumulates probe hits per statement and flushes them to
-	// the tracer at statement end (or when full), replacing per-probe
-	// tracer calls on the hot path.
-	covBatch *coverage.Batch
 }
 
 // New creates an engine for the given configuration.
@@ -160,12 +155,11 @@ func New(cfg Config) *Engine {
 		cfg.Limits = DefaultLimits()
 	}
 	e := &Engine{
-		cfg:      cfg,
-		cat:      NewCatalog(),
-		sess:     newSession(),
-		limits:   cfg.Limits,
-		tracer:   coverage.NewTracer(),
-		covBatch: coverage.NewBatch(covBatchCap), //lego:allow bufretain — the engine owns this batch for its lifetime; only Flush borrows its Sites
+		cfg:    cfg,
+		cat:    NewCatalog(),
+		sess:   newSession(),
+		limits: cfg.Limits,
+		tracer: coverage.NewTracer(),
 	}
 	if cfg.EnableHazards {
 		e.hazards = bugsFor(cfg.Dialect)
@@ -204,28 +198,10 @@ func (e *Engine) reset() {
 	e.lastInsertTab = ""
 }
 
-// covBatchCap sizes the per-engine hit batch; a batch that reaches it is
-// flushed early so the buffer never grows past its pre-sizing.
-const covBatchCap = 4096
-
-// hit reports a probe site into the statement-local batch.
+// hit reports that execution reached probe site s.
 //
 //lego:hotpath
-func (e *Engine) hit(s coverage.Site) {
-	e.covBatch.Add(s)
-	if e.covBatch.Len() >= covBatchCap {
-		e.tracer.Flush(e.covBatch)
-	}
-}
-
-// flushCov drains pending probe hits into the tracer. ExecStmt defers it so
-// the tracer is complete at statement end even when a hazard or injected
-// fault panics mid-statement.
-func (e *Engine) flushCov() {
-	if e.covBatch.Len() > 0 {
-		e.tracer.Flush(e.covBatch)
-	}
-}
+func (e *Engine) hit(s coverage.Site) { e.tracer.Hit(s) }
 
 // Result is the output of one statement.
 type Result struct {
@@ -311,7 +287,6 @@ func (e *Engine) RunTestCase(tc sqlast.TestCase) (out Outcome) {
 // Statement-level SQL errors are returned; seeded-bug crashes panic with a
 // *BugReport (RunTestCase catches them).
 func (e *Engine) ExecStmt(s sqlast.Statement) (*Result, error) {
-	defer e.flushCov()
 	e.hit(pDispatch)
 	t := s.Type()
 	if !e.cfg.Dialect.Supports(t) {

@@ -149,16 +149,14 @@ func (e *Engine) execInsert(st *sqlast.InsertStmt) (*Result, error) {
 // defaults and coercion.
 func (e *Engine) buildRow(t *Table, targets []int, src []Value) ([]Value, error) {
 	full := make([]Value, len(t.Cols))
-	filled := make([]bool, len(t.Cols))
 	for n, ci := range targets {
 		if src == nil {
 			break
 		}
 		full[ci] = CoerceToColumn(t.Cols[ci].TypeName, src[n])
-		filled[ci] = true
 	}
 	for ci := range t.Cols {
-		if filled[ci] {
+		if src != nil && slices.Contains(targets, ci) {
 			continue
 		}
 		if t.Cols[ci].Default != nil {
@@ -360,28 +358,6 @@ func (e *Engine) matchingRowIdxs(t *Table, where sqlast.Expr, orderBy []sqlast.O
 		}
 	}
 	return idxs, nil
-}
-
-// keyedSort sorts row indexes stably by their ORDER BY keys, which sit
-// flat in keys (idxs[n]'s at keys[n*len(order):]) and move with them.
-type keyedSort struct {
-	idxs  []int
-	keys  []Value
-	order []sqlast.OrderItem
-}
-
-func (s keyedSort) Len() int { return len(s.idxs) }
-
-func (s keyedSort) Less(a, b int) bool {
-	w := len(s.order)
-	return orderLess(s.order, s.keys[a*w:], s.keys[b*w:])
-}
-
-func (s keyedSort) Swap(a, b int) {
-	s.idxs[a], s.idxs[b] = s.idxs[b], s.idxs[a]
-	for w, k := len(s.order), 0; k < w; k++ {
-		s.keys[a*w+k], s.keys[b*w+k] = s.keys[b*w+k], s.keys[a*w+k]
-	}
 }
 
 func (e *Engine) execUpdate(st *sqlast.UpdateStmt) (*Result, error) {

@@ -534,8 +534,7 @@ func (e *Engine) computeWindows(items []sqlast.SelectItem, rel *relation, outer 
 
 // computeOneWindow stores row i's value of fc in out[i*stride].
 func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []Value, stride int, outer *scope, depth int) error {
-	// Partition- and order-key expressions run once per row (order keys
-	// twice: the post-sort recompute reuses the same evaluator).
+	// Partition- and order-key expressions run once per row.
 	partEv := e.relEval(fc.Over.PartitionBy, rel, outer)
 	defer e.putScratch(partEv.x)
 	obEv := e.relEval(orderExprs(fc.Over.OrderBy), rel, outer)
@@ -564,58 +563,32 @@ func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []Valu
 		parts[key] = append(parts[key], i)
 	}
 
-	// orderKeysFor appends row i's order keys to dst.
-	orderKeysFor := func(dst []Value, i int) ([]Value, error) {
-		obEv.bind(rel.rows[i], nil, nil)
-		for k := range fc.Over.OrderBy {
-			v, err := obEv.eval(k, depth+1)
-			if err != nil {
-				return dst, err
-			}
-			dst = append(dst, v)
-		}
-		return dst, nil
-	}
 	var rsc scope // LEAD/LAG's argument scope, reused across partitions
 	name := strings.ToUpper(fc.Name)
+	w := len(fc.Over.OrderBy)
 	for _, key := range partOrder {
 		idxs := parts[key]
 		// Order within the partition.
-		if len(fc.Over.OrderBy) > 0 {
-			keys := make([][]Value, len(idxs))
-			for n, i := range idxs {
-				ks, err := orderKeysFor(keys[n], i)
-				if err != nil {
-					return err
+		if w > 0 {
+			s := keyedSort{idxs: idxs, keys: make([]Value, 0, len(idxs)*w), order: fc.Over.OrderBy}
+			for _, i := range idxs {
+				obEv.bind(rel.rows[i], nil, nil)
+				for k := range fc.Over.OrderBy {
+					v, err := obEv.eval(k, depth+1)
+					if err != nil {
+						return err
+					}
+					s.keys = append(s.keys, v)
 				}
-				keys[n] = ks
 			}
-			sort.SliceStable(idxs, func(a, b int) bool { return orderLess(fc.Over.OrderBy, keys[a], keys[b]) })
-			// keys moved with idxs only when we re-fetch; recompute keys
-			// after the sort for rank ties.
-			for n, i := range idxs {
-				ks, err := orderKeysFor(keys[n][:0], i)
-				if err != nil {
-					return err
-				}
-				keys[n] = ks
-			}
+			sort.Stable(s)
 			switch name {
 			case "RANK", "DENSE_RANK":
 				rank, dense := 1, 1
 				for n, i := range idxs {
-					if n > 0 {
-						same := true
-						for k := range keys[n] {
-							if Compare(keys[n][k], keys[n-1][k]) != 0 {
-								same = false
-								break
-							}
-						}
-						if !same {
-							rank = n + 1
-							dense++
-						}
+					if n > 0 && !s.tied(n-1, n) {
+						rank = n + 1
+						dense++
 					}
 					if name == "RANK" {
 						out[i*stride] = Int(int64(rank))
@@ -702,11 +675,12 @@ func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []Valu
 // output columns, ordinals, or — when srcRel is non-nil (output rows map
 // 1:1 to source rows) — source columns that were projected away.
 func (e *Engine) sortRows(q *sqlast.SelectStmt, rows [][]Value, cols []string, srcRel *relation, outer *scope, depth int) error {
-	keys := make([][]Value, len(rows))
+	s := keyedSort{idxs: make([]int, len(rows)), keys: make([]Value, 0, len(rows)*len(q.OrderBy)), order: q.OrderBy}
 	if len(rows) > 0 {
 		ev := e.outputEval(orderExprs(q.OrderBy), cols, srcRel, outer)
 		defer e.putScratch(ev.x)
 		for i, row := range rows {
+			s.idxs[i] = i
 			var src []Value
 			if srcRel != nil {
 				src = srcRel.rows[i]
@@ -715,7 +689,7 @@ func (e *Engine) sortRows(q *sqlast.SelectStmt, rows [][]Value, cols []string, s
 			for k, ob := range q.OrderBy {
 				if lit, ok := ob.X.(*sqlast.Literal); ok && lit.Kind == sqlast.LitInt &&
 					lit.Int >= 1 && int(lit.Int) <= len(row) {
-					keys[i] = append(keys[i], row[lit.Int-1])
+					s.keys = append(s.keys, row[lit.Int-1])
 					continue
 				}
 				v, err := ev.eval(k, depth+1)
@@ -725,17 +699,13 @@ func (e *Engine) sortRows(q *sqlast.SelectStmt, rows [][]Value, cols []string, s
 					// behaviour
 					v = Null()
 				}
-				keys[i] = append(keys[i], v)
+				s.keys = append(s.keys, v)
 			}
 		}
 	}
-	idx := make([]int, len(rows))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return orderLess(q.OrderBy, keys[idx[a]], keys[idx[b]]) })
+	sort.Stable(s)
 	sorted := make([][]Value, len(rows))
-	for n, i := range idx {
+	for n, i := range s.idxs {
 		sorted[n] = rows[i]
 	}
 	copy(rows, sorted)
@@ -753,6 +723,39 @@ func orderLess(order []sqlast.OrderItem, ka, kb []Value) bool {
 		}
 	}
 	return false
+}
+
+// keyedSort sorts row indexes stably by their ORDER BY keys, which sit
+// flat in keys (idxs[n]'s at keys[n*len(order):]) and move with them.
+type keyedSort struct {
+	idxs  []int
+	keys  []Value
+	order []sqlast.OrderItem
+}
+
+func (s keyedSort) Len() int { return len(s.idxs) }
+
+func (s keyedSort) Less(a, b int) bool {
+	w := len(s.order)
+	return orderLess(s.order, s.keys[a*w:], s.keys[b*w:])
+}
+
+func (s keyedSort) Swap(a, b int) {
+	s.idxs[a], s.idxs[b] = s.idxs[b], s.idxs[a]
+	for w, k := len(s.order), 0; k < w; k++ {
+		s.keys[a*w+k], s.keys[b*w+k] = s.keys[b*w+k], s.keys[a*w+k]
+	}
+}
+
+// tied reports whether positions a and b have equal keys (rank ties).
+func (s keyedSort) tied(a, b int) bool {
+	w := len(s.order)
+	for k := 0; k < w; k++ {
+		if Compare(s.keys[a*w+k], s.keys[b*w+k]) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func (e *Engine) evalInt(x sqlast.Expr, outer *scope, depth int) (int64, error) {

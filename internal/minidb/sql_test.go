@@ -1,6 +1,10 @@
 package minidb
 
 import (
+	"fmt"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"github.com/seqfuzz/lego/internal/sqlparse"
@@ -297,6 +301,102 @@ INSERT INTO w VALUES (1, 10), (1, 20), (2, 30);
 	if !rows[2][0].IsNull() {
 		t.Fatalf("lead rows = %v", rows)
 	}
+	windowsOverTiedKeys(t)
+}
+
+// windowsOverTiedKeys checks ranking and offset windows on a table large
+// enough that the sort reorders rows past its insertion-sort blocks, with
+// tied keys, against answers computed with Go's sort.
+func windowsOverTiedKeys(t *testing.T) {
+	type rec struct{ id, g, v int64 }
+	recs := []rec{{1, 1, 5}, {2, 2, 3}, {3, 1, 4}, {4, 2, 1}, {5, 1, 2}, {6, 2, 9},
+		{7, 1, 0}, {8, 2, 7}, {9, 1, 6}, {10, 2, 8}, {11, 1, 4}, {12, 2, 1}, {13, 1, 9}}
+	var sb strings.Builder
+	sb.WriteString("CREATE TABLE big (id INT, g INT, v INT);\nINSERT INTO big VALUES ")
+	for i, r := range recs {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "(%d, %d, %d)", r.id, r.g, r.v)
+	}
+	sb.WriteString(";")
+	rows := query(t, sb.String(), `SELECT id,
+  ROW_NUMBER() OVER (ORDER BY v DESC, id),
+  RANK() OVER (ORDER BY v),
+  DENSE_RANK() OVER (ORDER BY v DESC),
+  LAG(id) OVER (ORDER BY v, id),
+  NTILE(3) OVER (ORDER BY v, id),
+  ROW_NUMBER() OVER (PARTITION BY g ORDER BY v, id)
+FROM big ORDER BY id`)
+
+	// sorted returns the record indexes of part ordered by less.
+	sorted := func(part []int, less func(a, b rec) bool) []int {
+		idx := slices.Clone(part)
+		sort.SliceStable(idx, func(a, b int) bool { return less(recs[idx[a]], recs[idx[b]]) })
+		return idx
+	}
+	all := make([]int, len(recs))
+	for i := range all {
+		all[i] = i
+	}
+	want := make([][]int64, len(recs))
+	for i := range want {
+		want[i] = make([]int64, 7)
+		want[i][0] = recs[i].id
+	}
+	byVID := func(a, b rec) bool { return a.v < b.v || a.v == b.v && a.id < b.id }
+	for n, i := range sorted(all, func(a, b rec) bool { return a.v > b.v || a.v == b.v && a.id < b.id }) {
+		want[i][1] = int64(n + 1)
+	}
+	// RANK counts the smaller keys, DENSE_RANK the distinct larger ones.
+	for i, r := range recs {
+		larger := map[int64]bool{}
+		for _, o := range recs {
+			if o.v < r.v {
+				want[i][2]++
+			}
+			if o.v > r.v {
+				larger[o.v] = true
+			}
+		}
+		want[i][2]++
+		want[i][3] = int64(len(larger)) + 1
+	}
+	asc := sorted(all, byVID)
+	for n, i := range asc {
+		want[i][4] = -1 // NULL
+		if n > 0 {
+			want[i][4] = recs[asc[n-1]].id
+		}
+		want[i][5] = int64(n*3/len(recs) + 1)
+	}
+	for _, g := range []int64{1, 2} {
+		var part []int
+		for i, r := range recs {
+			if r.g == g {
+				part = append(part, i)
+			}
+		}
+		for n, i := range sorted(part, byVID) {
+			want[i][6] = int64(n + 1)
+		}
+	}
+
+	names := []string{"id", "ROW_NUMBER", "RANK", "DENSE_RANK", "LAG", "NTILE", "ROW_NUMBER PARTITION BY"}
+	if len(rows) != len(recs) {
+		t.Fatalf("got %d rows, want %d", len(rows), len(recs))
+	}
+	for i, row := range rows {
+		for c, w := range want[i] {
+			got := row[c].I
+			if row[c].IsNull() {
+				got = -1
+			}
+			if got != w {
+				t.Errorf("id %d: %s = %v, want %d", recs[i].id, names[c], row[c], w)
+			}
+		}
+	}
 }
 
 func TestDefaultsAndCoercion(t *testing.T) {
@@ -312,6 +412,11 @@ INSERT INTO d DEFAULT VALUES;
 	// NULL sorts lowest, so the all-defaults row comes first
 	if rows[0][0].I != 7 || rows[0][1].S != "dd" || !rows[0][2].IsNull() {
 		t.Fatalf("defaults row = %v", rows[0])
+	}
+	// a repeated target column keeps its last value; the others default
+	rows = query(t, setup, "INSERT INTO d (c, a, c) VALUES (1.5, 3, 2.5);\nSELECT a, b, c FROM d WHERE a = 3")
+	if len(rows) != 1 || rows[0][1].S != "dd" || rows[0][2].F != 2.5 {
+		t.Fatalf("repeated-target row = %v", rows)
 	}
 	// affinity coercion: text into INT column
 	rows = query(t, "CREATE TABLE c1 (a INT);\nINSERT INTO c1 VALUES ('12');", "SELECT a FROM c1")

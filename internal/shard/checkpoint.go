@@ -7,7 +7,6 @@ import (
 	"github.com/seqfuzz/lego/internal/checkpoint"
 	"github.com/seqfuzz/lego/internal/core"
 	"github.com/seqfuzz/lego/internal/corpus"
-	"github.com/seqfuzz/lego/internal/coverage"
 	"github.com/seqfuzz/lego/internal/minidb"
 	"github.com/seqfuzz/lego/internal/oracle"
 	"github.com/seqfuzz/lego/internal/sqlparse"
@@ -70,11 +69,7 @@ func (e *Executor) Snapshot() *checkpoint.State {
 		w.Retries = e.retries[i]
 		st.Shards[i] = w
 	}
-	edges := e.campaignCov().Export()
-	st.Coverage = make([]checkpoint.Edge, len(edges))
-	for i, e := range edges {
-		st.Coverage[i] = checkpoint.Edge{Idx: e.Idx, Mask: e.Mask}
-	}
+	st.Coverage = e.campaignCov().Export()
 	if e.opts.ChaosRate != 0 {
 		st.ChaosRate = e.opts.ChaosRate
 		st.ChaosSeed = e.opts.ChaosSeed
@@ -161,11 +156,7 @@ func Resume(opts Options, st *checkpoint.State) (*Executor, error) {
 // with the campaign's coverage, for Resume and the supervisor's restore.
 func (e *Executor) resumeShard(i int, st *checkpoint.State, pool []*corpus.Seed) {
 	f := core.ResumeShard(e.coreOpts(i), &st.Shards[i], pool)
-	edges := make([]coverage.EdgeState, len(st.Coverage))
-	for j, c := range st.Coverage {
-		edges[j] = coverage.EdgeState{Idx: c.Idx, Mask: c.Mask}
-	}
-	f.Runner().Cov.Import(edges)
+	f.Runner().Cov.Import(st.Coverage)
 	e.shards[i] = f
 	e.poolMark[i] = f.Pool().Len()
 }
