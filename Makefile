@@ -107,6 +107,8 @@ resume:
 # the fixer over a full clone, and never write a shared statement.
 # FuzzFrameLookupMatchesMapScope: every evaluation site's frame must resolve
 # every bare and qualified name as the scope map that site used to build.
+# FuzzEncodeMatchesMarshal: the checkpoint encoder must write json.Marshal's
+# bytes for any state.
 # Plain `go test` runs only the seeds; this searches.
 selffuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEngineReuseMatchesFresh -fuzztime 15s ./internal/minidb
@@ -115,6 +117,7 @@ selffuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCloneMatchesReparse -fuzztime 15s ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz FuzzFixCopyOnWriteMatchesClone -fuzztime 15s ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz FuzzFrameLookupMatchesMapScope -fuzztime 15s ./internal/minidb
+	$(GO) test -run '^$$' -fuzz FuzzEncodeMatchesMarshal -fuzztime 15s ./internal/checkpoint
 
 # The campaign benchmark is a module of its own, so the root module's
 # `go test ./...` never builds it; this vets it and runs its tests, which

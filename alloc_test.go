@@ -12,9 +12,13 @@ package lego_test
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
+	"github.com/seqfuzz/lego/internal/checkpoint"
 	"github.com/seqfuzz/lego/internal/core"
 	"github.com/seqfuzz/lego/internal/coverage"
 	"github.com/seqfuzz/lego/internal/instantiate"
@@ -192,33 +196,69 @@ SELECT c0 FROM t0 WHERE c0 > 1;
 
 	// Campaign snapshot of a one-worker executor after a fixed
 	// 3000-statement MariaDB campaign (136 pool seeds, 250 edges, 322
-	// synthesized sequences): one slice per section, one shared backing
-	// array for all synthesized sequences, and the seed store's
-	// deduplication map. Each affinity map is exported through one slice
-	// of packed pairs sorted once. Hazards are off, so there are no
-	// crashes to export. Pool scripts are rendered once per seed, on its
-	// first snapshot, not once per snapshot, so the measured runs reuse
-	// them. The structure library is rebuilt from the
-	// pool on resume, so it costs the snapshot nothing. Coverage is
-	// exported straight into the checkpoint's edge type (copying it into
-	// a second slice cost 1 more).
+	// synthesized sequences): one slice per section and the seed store's
+	// index of stored contents. Each affinity map is exported through one
+	// slice of pairs walked off its bit matrix. Hazards are off, so there
+	// are no crashes to export. Every pool seed's checkpoint entry is
+	// encoded on its first snapshot and every synthesized sequence
+	// converted on its first snapshot, so the measured runs reuse both;
+	// the seed store is deduplicated through content ids given to seed
+	// objects on their first snapshot. A map rebuilt per snapshot, every
+	// sequence converted per snapshot and a sort per affinity map cost 6
+	// more.
+	// The structure library is rebuilt from the pool on resume, so it
+	// costs the snapshot nothing. Coverage is exported straight into the
+	// checkpoint's edge type.
 	ex := shard.New(shard.Options{Core: core.Options{Dialect: sqlt.DialectMariaDB, Seed: 1}, Workers: 1})
 	if _, err := ex.Run(3000, shard.RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	check("Snapshot", 22, func() {
+	check("Snapshot", 16, func() {
 		_ = ex.Snapshot()
 	})
 
 	// The same campaign with hazards armed, as every benchmark workload
 	// runs: the snapshot also exports the campaign oracle's crashes, once,
-	// at the top level (stack, window and rendered reproducer per crash);
-	// the worker entry carries none.
+	// at the top level (stack and window per crash); reproducers are
+	// rendered once per reproducer, not once per snapshot (that cost 97
+	// more). The worker entry carries none.
 	hz := shard.New(shard.Options{Core: core.Options{Dialect: sqlt.DialectMariaDB, Seed: 1, Hazards: true}, Workers: 1})
 	if _, err := hz.Run(3000, shard.RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	check("Snapshot-hazards", 125, func() {
+	check("Snapshot-hazards", 28, func() {
 		_ = hz.Snapshot()
 	})
+
+	// Saving that snapshot: the state is encoded without reflection into
+	// the buffer the previous save used, so a save allocates only for the
+	// file protocol (temp name, file handles, paths), nothing per seed or
+	// crash, and never the payload's size: encoding through json.Marshal,
+	// or into a fresh buffer, costs at least the checkpoint's size in
+	// bytes.
+	path := filepath.Join(t.TempDir(), "alloc.ckpt")
+	st := hz.Snapshot()
+	save := func() {
+		if err := checkpoint.Save(path, st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	save()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const saveAllocs = 22
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := testing.AllocsPerRun(20, save)
+	runtime.ReadMemStats(&after)
+	perSave := float64(after.TotalAlloc-before.TotalAlloc) / 21
+	t.Logf("%-16s %5.1f allocs/op (budget %d), %.0f B/op for a %d B file", "Save", got, saveAllocs, perSave, fi.Size())
+	if got > saveAllocs {
+		t.Errorf("Save: %.1f allocs/op, budget %d", got, saveAllocs)
+	}
+	if perSave > float64(fi.Size())/4 {
+		t.Errorf("Save: %.0f bytes allocated per save of a %d-byte checkpoint: the payload is copied or encoded by reflection", perSave, fi.Size())
+	}
 }

@@ -216,7 +216,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 
 // BenchmarkCheckpointSave measures one checkpoint save of a two-shard
 // MariaDB campaign at 75k statements, the mid-point of a campaignbench
-// `sharded` campaign: Executor.Snapshot plus checkpoint.Save (marshal,
+// `sharded` campaign: Executor.Snapshot plus checkpoint.Save (encode,
 // envelope, write, fsync, rotation, rename, directory sync) per op.
 func BenchmarkCheckpointSave(b *testing.B) {
 	ex := shard.New(shard.Options{

@@ -7,7 +7,7 @@
 package affinity
 
 import (
-	"slices"
+	"math/bits"
 
 	"github.com/seqfuzz/lego/internal/sqlt"
 )
@@ -21,17 +21,23 @@ type Pair struct {
 // String renders the affinity in arrow notation.
 func (p Pair) String() string { return p.From.String() + " -> " + p.To.String() }
 
+// words is the number of 64-bit words in one row of a Map: one bit per
+// statement type, Invalid included.
+const words = (sqlt.NumTypes + 64) / 64
+
 // Map is the type-affinity map T of Algorithm 2: key statement type ->
-// set of statement types that may follow it.
+// set of statement types that may follow it. It is a fixed bit matrix over
+// the statement types, row t1 holding t2's bit when t1 -> t2 is recorded,
+// so every walk over it (Pairs, Successors, Merge) visits pairs in
+// canonical order, by From and then by To, without sorting. The zero value
+// is an empty map.
 type Map struct {
-	m     map[sqlt.Type]map[sqlt.Type]bool
+	rows  [sqlt.NumTypes + 1][words]uint64
 	count int
 }
 
 // NewMap returns an empty affinity map.
-func NewMap() *Map {
-	return &Map{m: map[sqlt.Type]map[sqlt.Type]bool{}}
-}
+func NewMap() *Map { return &Map{} }
 
 // Add records the affinity t1 -> t2, returning true when it is new.
 // Self-affinities (t1 == t2) are rejected, as in Algorithm 2 lines 5-7:
@@ -40,79 +46,83 @@ func (m *Map) Add(t1, t2 sqlt.Type) bool {
 	if t1 == t2 || !t1.Valid() || !t2.Valid() {
 		return false
 	}
-	set, ok := m.m[t1]
-	if !ok {
-		set = map[sqlt.Type]bool{}
-		m.m[t1] = set
-	}
-	if set[t2] {
+	w, bit := &m.rows[t1][t2/64], uint64(1)<<(t2%64)
+	if *w&bit != 0 {
 		return false
 	}
-	set[t2] = true
+	*w |= bit
 	m.count++
 	return true
 }
 
 // Has reports whether the affinity t1 -> t2 is recorded.
-func (m *Map) Has(t1, t2 sqlt.Type) bool { return m.m[t1][t2] }
+func (m *Map) Has(t1, t2 sqlt.Type) bool {
+	return t1.Valid() && t2.Valid() && m.rows[t1][t2/64]&(uint64(1)<<(t2%64)) != 0
+}
 
 // Count returns the number of distinct affinities (the Table II metric).
 func (m *Map) Count() int { return m.count }
 
-// sortedKeys returns the map's keys in canonical (ascending) order, so
-// every iteration over an affinity set walks it identically in every run —
-// the invariant legolint's detrange analyzer enforces.
-func sortedKeys[V any](m map[sqlt.Type]V) []sqlt.Type {
-	out := make([]sqlt.Type, 0, len(m))
-	for t := range m {
-		out = append(out, t)
+// appendRow appends the pairs from -> t for every t set in row, ascending.
+func appendRow(out []Pair, from sqlt.Type, row *[words]uint64) []Pair {
+	for w, bitsLeft := range row {
+		for ; bitsLeft != 0; bitsLeft &= bitsLeft - 1 {
+			out = append(out, Pair{From: from, To: sqlt.Type(w*64 + bits.TrailingZeros64(bitsLeft))})
+		}
 	}
-	slices.Sort(out)
 	return out
 }
 
-// Successors returns the recorded follow-set of t in sorted order.
+// Successors returns the recorded follow-set of t in ascending order, nil
+// when it is empty.
 func (m *Map) Successors(t sqlt.Type) []sqlt.Type {
-	set := m.m[t]
-	if len(set) == 0 {
+	if !t.Valid() {
 		return nil
 	}
-	return sortedKeys(set)
+	row := &m.rows[t]
+	n := 0
+	for _, w := range row {
+		n += bits.OnesCount64(w)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]sqlt.Type, 0, n)
+	for w, bitsLeft := range row {
+		for ; bitsLeft != 0; bitsLeft &= bitsLeft - 1 {
+			out = append(out, sqlt.Type(w*64+bits.TrailingZeros64(bitsLeft)))
+		}
+	}
+	return out
 }
 
 // Pairs returns every recorded affinity in canonical order: by From, then
-// by To. Each pair is packed into one integer, From in the high half, so a
-// single sort of plain integers orders them, faster than sorting the pairs
-// through a comparison function.
+// by To.
 func (m *Map) Pairs() []Pair {
 	if m.count == 0 {
 		return nil
 	}
-	keys := make([]uint32, 0, m.count)
-	for t1, set := range m.m {
-		for t2 := range set {
-			keys = append(keys, uint32(t1)<<16|uint32(t2))
-		}
-	}
-	slices.Sort(keys)
-	out := make([]Pair, len(keys))
-	for i, k := range keys {
-		out[i] = Pair{From: sqlt.Type(k >> 16), To: sqlt.Type(k)}
+	out := make([]Pair, 0, m.count)
+	for t := range m.rows {
+		out = appendRow(out, sqlt.Type(t), &m.rows[t])
 	}
 	return out
 }
 
 // Merge folds every affinity of other into m, returning the pairs that were
-// new to m in canonical (sorted) order — the cross-pollination primitive of
-// the sharded executor's epoch barrier. Merging is commutative in the final
-// pair set; the returned fresh list is deterministic because Pairs returns
-// sorted pairs.
+// new to m in canonical order — the cross-pollination primitive of the
+// sharded executor's epoch barrier. It ORs other's rows into m's; merging
+// is commutative in the final pair set.
 func (m *Map) Merge(other *Map) []Pair {
 	var fresh []Pair
-	for _, p := range other.Pairs() {
-		if m.Add(p.From, p.To) {
-			fresh = append(fresh, p)
+	for t := range m.rows {
+		var add [words]uint64
+		for w := range add {
+			add[w] = other.rows[t][w] &^ m.rows[t][w]
+			m.rows[t][w] |= add[w]
+			m.count += bits.OnesCount64(add[w])
 		}
+		fresh = appendRow(fresh, sqlt.Type(t), &add)
 	}
 	return fresh
 }

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 )
 
 // Version is the checkpoint format version. Load reads this version only:
@@ -45,10 +46,40 @@ const BackupSuffix = ".bak"
 // Seed is one retained corpus entry. Split marks a half that seed
 // splitting added next to its long parent; every other entry's statements
 // were harvested into the structure library when it joined a pool.
+//
+// Entry, when set, is the seed's JSON object as AppendSeed writes the
+// fields, and stands in for SQL: a campaign snapshot fills Entry,
+// NewEdges and Split from the seed's cached entry and leaves SQL empty, so
+// a seed's script is rendered and encoded once per campaign, not once per
+// save. Load fills the fields only.
 type Seed struct {
 	SQL      string `json:"sql"`
 	NewEdges int    `json:"new_edges"`
 	Split    bool   `json:"split,omitempty"`
+	Entry    string `json:"-"`
+}
+
+// MarshalJSON writes Entry when the seed carries one, and the fields
+// otherwise, so json.Marshal of a snapshot writes what Save does.
+func (s Seed) MarshalJSON() ([]byte, error) {
+	if s.Entry != "" {
+		return []byte(s.Entry), nil
+	}
+	type fields Seed
+	return json.Marshal(fields(s))
+}
+
+// Script returns the seed's script: SQL, or the script inside Entry when
+// the seed carries one.
+func (s Seed) Script() (string, error) {
+	if s.Entry == "" {
+		return s.SQL, nil
+	}
+	var f struct {
+		SQL string `json:"sql"`
+	}
+	err := json.Unmarshal([]byte(s.Entry), &f)
+	return f.SQL, err
 }
 
 // Edge is one accumulated coverage-map slot (index + seen-bucket mask).
@@ -196,15 +227,45 @@ type envelope struct {
 	State    json.RawMessage `json:"state"`
 }
 
-// The fixed text around the checksum and the payload of a saved envelope.
+// The fixed text around the checksum and the payload of a saved envelope,
+// and the checksum's length: "sha256:" and 64 hex digits.
 const (
-	envPrefix = `{"checksum":"`
-	envMiddle = `","state":`
+	envPrefix   = `{"checksum":"`
+	envMiddle   = `","state":`
+	checksumLen = len("sha256:") + 2*sha256.Size
 )
 
 func sum(b []byte) string {
 	h := sha256.Sum256(b)
 	return "sha256:" + hex.EncodeToString(h[:])
+}
+
+// spare holds the buffer of the last save for the next one. A checkpoint
+// runs to hundreds of KiB, and growing and faulting in a fresh buffer that
+// size costs a save more than encoding into it; a campaign saves one
+// checkpoint at a time, so one spare serves it, and only its first save
+// grows a buffer. A save that finds none starts an empty one.
+var spare struct {
+	sync.Mutex
+	buf []byte
+}
+
+// takeBuffer returns the spare, emptied, or nil when there is none.
+func takeBuffer() []byte {
+	spare.Lock()
+	defer spare.Unlock()
+	b := spare.buf
+	spare.buf = nil
+	return b[:0]
+}
+
+// putBuffer keeps b as the spare unless a larger one is kept already.
+func putBuffer(b []byte) {
+	spare.Lock()
+	defer spare.Unlock()
+	if cap(b) > cap(spare.buf) {
+		spare.buf = b
+	}
 }
 
 // Save writes the state to path atomically on the real filesystem; see
@@ -224,20 +285,23 @@ func Save(path string, st *State) error {
 // fault-injecting filesystem (internal/chaos).
 func SaveFS(fsys FS, path string, st *State) error {
 	st.Version = Version
-	payload, err := json.Marshal(st)
-	if err != nil {
-		return fmt.Errorf("checkpoint: marshal: %w", err)
-	}
-	// The envelope is {"checksum":"sha256:…","state":<payload>}: exactly
-	// what json.Marshal(envelope{…}) produces, assembled around the payload
-	// in one pre-sized buffer instead of re-encoding (and re-validating) the
-	// already-marshalled state.
-	checksum := sum(payload)
-	data := make([]byte, 0, len(envPrefix)+len(checksum)+len(envMiddle)+len(payload)+1)
+	// The envelope is {"checksum":"sha256:…","state":<payload>}, exactly
+	// what json.Marshal(envelope{…}) produces, built in one buffer: the
+	// checksum's fixed-length slot is reserved, the payload encoded after
+	// it, and the slot filled from the payload.
+	data := takeBuffer()
 	data = append(data, envPrefix...)
-	data = append(data, checksum...)
+	slot := len(data)
+	data = append(data, make([]byte, checksumLen)...)
 	data = append(data, envMiddle...)
-	data = append(data, payload...)
+	start := len(data)
+	data, err := AppendState(data, st)
+	if err != nil {
+		return fmt.Errorf("checkpoint: encode: %w", err)
+	}
+	h := sha256.Sum256(data[start:])
+	copy(data[slot:], "sha256:")
+	hex.Encode(data[slot+len("sha256:"):], h[:])
 	data = append(data, '}')
 	dir := filepath.Dir(path)
 	tmp, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp-*")
@@ -245,7 +309,9 @@ func SaveFS(fsys FS, path string, st *State) error {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
+	_, err = tmp.Write(data)
+	putBuffer(data)
+	if err != nil {
 		tmp.Close()
 		fsys.Remove(tmpName)
 		return fmt.Errorf("checkpoint: write: %w", err)

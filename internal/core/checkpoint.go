@@ -22,9 +22,11 @@ import (
 // empty at every snapshot, and a resumed worker starts with an empty one.
 
 // SnapshotShard serializes the fuzzer's worker state but its pool. It
-// builds the wire form in one pass: every slice is sized up front, and
-// synthesized sequences are converted straight from the synthesizer's own
-// vector into one shared []uint16 backing array.
+// builds the wire form in one pass, every slice sized up front. The
+// synthesizer's vector only grows and its sequences never change, so each
+// sequence is converted to wire form once, by the first snapshot that sees
+// it: the snapshot shares the converted prefix, which later snapshots only
+// append to.
 func (f *Fuzzer) SnapshotShard() checkpoint.Shard {
 	st := checkpoint.Shard{
 		Execs:        f.runner.Execs,
@@ -36,19 +38,22 @@ func (f *Fuzzer) SnapshotShard() checkpoint.Shard {
 	st.GenAffinity = exportPairs(f.runner.GenAff)
 
 	synth := f.synth.Export()
+	fresh := synth.Seqs[len(f.synthWire):]
 	n := 0
-	for _, seq := range synth.Seqs {
+	for _, seq := range fresh {
 		n += len(seq)
 	}
 	flat := make([]uint16, n)
-	st.SynthSeqs = makeN[[]uint16](len(synth.Seqs))
-	for i, seq := range synth.Seqs {
+	for _, seq := range fresh {
 		out := flat[:len(seq):len(seq)]
 		flat = flat[len(seq):]
 		for j, t := range seq {
 			out[j] = uint16(t)
 		}
-		st.SynthSeqs[i] = out
+		f.synthWire = append(f.synthWire, out)
+	}
+	if len(f.synthWire) > 0 {
+		st.SynthSeqs = f.synthWire[:len(f.synthWire):len(f.synthWire)]
 	}
 	st.SynthStarts = makeN[uint16](len(synth.Starts))
 	for i, t := range synth.Starts {

@@ -112,6 +112,10 @@ type Fuzzer struct {
 
 	// pairs discovered in the current iteration, awaiting synthesis
 	pending []affinity.Pair
+
+	// synthWire holds the synthesized sequences already converted to
+	// checkpoint form, a prefix of the synthesizer's vector (SnapshotShard)
+	synthWire [][]uint16
 }
 
 // newFuzzer wires up an empty fuzzer; the caller either ingests the initial

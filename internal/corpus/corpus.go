@@ -6,6 +6,7 @@ package corpus
 import (
 	"math/rand"
 
+	"github.com/seqfuzz/lego/internal/checkpoint"
 	"github.com/seqfuzz/lego/internal/sqlast"
 	"github.com/seqfuzz/lego/internal/sqlt"
 )
@@ -18,20 +19,24 @@ type Seed struct {
 	NewEdges int  // edges this seed contributed when added
 	Split    bool // a half cut from a long seed, not harvested into the library
 
-	sql string // TC rendered by SQL, "" until first use
+	entry string // the checkpoint entry, "" until first use
 }
 
 // Types returns the seed's SQL Type Sequence.
 func (s *Seed) Types() sqlt.Sequence { return s.TC.Types() }
 
-// SQL returns the seed's script text, rendering TC on first use, so the
-// text is rendered once per seed rather than once per checkpoint snapshot.
-// A campaign calls it only while its shards are parked.
-func (s *Seed) SQL() string {
-	if s.sql == "" {
-		s.sql = s.TC.SQL()
+// Entry returns the seed's checkpoint entry, its JSON object in the saved
+// store (checkpoint.AppendSeed over the rendered script and the fields),
+// building it on first use: a seed is rendered and encoded once per
+// campaign, not once per snapshot. A campaign calls it only while its
+// shards are parked.
+func (s *Seed) Entry() string {
+	if s.entry == "" {
+		sql := s.TC.SQL()
+		b := make([]byte, 0, len(sql)+64) // room for the fields and a few escapes
+		s.entry = string(checkpoint.AppendSeed(b, checkpoint.Seed{SQL: sql, NewEdges: s.NewEdges, Split: s.Split}))
 	}
-	return s.sql
+	return s.entry
 }
 
 // Pool is the seed pool. Selection is weighted toward seeds that brought

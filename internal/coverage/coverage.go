@@ -10,6 +10,7 @@
 package coverage
 
 import (
+	"encoding/binary"
 	"sync/atomic"
 
 	"github.com/seqfuzz/lego/internal/checkpoint"
@@ -157,9 +158,14 @@ type EdgeState = checkpoint.Edge
 // checkpointing.
 func (m *Map) Export() []EdgeState {
 	out := make([]EdgeState, 0, m.edges)
-	for idx, mask := range m.virgin {
-		if mask != 0 {
-			out = append(out, EdgeState{Idx: uint32(idx), Mask: mask})
+	for base := 0; base < len(m.virgin); base += 8 {
+		if binary.LittleEndian.Uint64(m.virgin[base:]) == 0 {
+			continue // the map is sparse: skip eight empty slots at once
+		}
+		for idx, mask := range m.virgin[base : base+8] {
+			if mask != 0 {
+				out = append(out, EdgeState{Idx: uint32(base + idx), Mask: mask})
+			}
 		}
 	}
 	return out
@@ -188,13 +194,19 @@ func (m *Map) Import(edges []EdgeState) {
 // virgin state.
 // Merge is commutative and idempotent in its effect on the final mask set.
 func (m *Map) Merge(other *Map) {
-	for idx, mask := range other.virgin {
-		if mask == 0 {
-			continue
+	for base := 0; base < len(other.virgin); base += 8 {
+		if binary.LittleEndian.Uint64(other.virgin[base:]) == 0 {
+			continue // as in Export
 		}
-		if m.virgin[idx] == 0 {
-			m.edges++
+		for idx := base; idx < base+8; idx++ {
+			mask := other.virgin[idx]
+			if mask == 0 {
+				continue
+			}
+			if m.virgin[idx] == 0 {
+				m.edges++
+			}
+			m.virgin[idx] |= mask
 		}
-		m.virgin[idx] |= mask
 	}
 }

@@ -569,8 +569,9 @@ func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []Valu
 	for _, key := range partOrder {
 		idxs := parts[key]
 		// Order within the partition.
+		var s keyedSort
 		if w > 0 {
-			s := keyedSort{idxs: idxs, keys: make([]Value, 0, len(idxs)*w), order: fc.Over.OrderBy}
+			s = keyedSort{idxs: idxs, keys: make([]Value, 0, len(idxs)*w), order: fc.Over.OrderBy}
 			for _, i := range idxs {
 				obEv.bind(rel.rows[i], nil, nil)
 				for k := range fc.Over.OrderBy {
@@ -611,21 +612,42 @@ func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []Valu
 				out[i*stride] = Int(1)
 			}
 		case "LEAD", "LAG":
+			// LAG(x, offset, default) reads x offset rows back (LEAD:
+			// ahead); the offset, 1 when absent, and the default, NULL when
+			// absent, are evaluated on the current row. A NULL offset gives
+			// NULL.
 			if len(fc.Args) < 1 {
 				return errValue("%s expects an argument", name)
 			}
-			off := 1
 			for n, i := range idxs {
-				src := n + off
-				if name == "LAG" {
-					src = n - off
+				off := int64(1)
+				if len(fc.Args) > 1 {
+					ov, err := e.eval(fc.Args[1], rel.scopeRowInto(rel.rows[i], outer, &rsc), depth+1)
+					if err != nil {
+						return err
+					}
+					if ov.IsNull() {
+						out[i*stride] = Null()
+						continue
+					}
+					f, ok := ov.numeric()
+					if !ok {
+						return errValue("%s offset must be a number", name)
+					}
+					off = int64(f)
 				}
-				if src < 0 || src >= len(idxs) {
+				src := int64(n) + off
+				if name == "LAG" {
+					src = int64(n) - off
+				}
+				row, arg := i, 2 // out of range: the default, on the current row
+				if src >= 0 && src < int64(len(idxs)) {
+					row, arg = idxs[src], 0
+				} else if len(fc.Args) < 3 {
 					out[i*stride] = Null()
 					continue
 				}
-				sc := rel.scopeRowInto(rel.rows[idxs[src]], outer, &rsc)
-				v, err := e.eval(fc.Args[0], sc, depth+1)
+				v, err := e.eval(fc.Args[arg], rel.scopeRowInto(rel.rows[row], outer, &rsc), depth+1)
 				if err != nil {
 					return err
 				}
@@ -648,23 +670,35 @@ func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []Valu
 				out[i*stride] = Int(int64(pos*buckets/n) + 1)
 			}
 		default:
-			// aggregate OVER partition: whole-partition value
+			// An aggregate over the window frame. With ORDER BY the frame is
+			// SQL's default, RANGE BETWEEN UNBOUNDED PRECEDING AND CURRENT
+			// ROW: a running value, equal across each group of tied rows
+			// (peers). Without ORDER BY every row is a peer, so the frame is
+			// the whole partition.
 			if !IsAggregate(name) {
 				return errValue("unsupported window function %s", name)
 			}
-			var group [][]Value
-			for _, i := range idxs {
-				group = append(group, rel.scopeRow(i))
-			}
-			gsc := &scope{group: group, groupKeys: rel.keys(), parent: outer}
 			plain := *fc
 			plain.Over = nil
-			v, err := e.evalAggregate(&plain, gsc, depth+1)
-			if err != nil {
-				return err
-			}
-			for _, i := range idxs {
-				out[i*stride] = v
+			group := make([][]Value, 0, len(idxs))
+			for n := 0; n < len(idxs); {
+				m := len(idxs)
+				if w > 0 {
+					for m = n + 1; m < len(idxs) && s.tied(m-1, m); m++ {
+					}
+				}
+				for _, i := range idxs[n:m] {
+					group = append(group, rel.scopeRow(i))
+				}
+				gsc := &scope{group: group, groupKeys: rel.keys(), parent: outer}
+				v, err := e.evalAggregate(&plain, gsc, depth+1)
+				if err != nil {
+					return err
+				}
+				for _, i := range idxs[n:m] {
+					out[i*stride] = v
+				}
+				n = m
 			}
 		}
 	}

@@ -301,7 +301,59 @@ INSERT INTO w VALUES (1, 10), (1, 20), (2, 30);
 	if !rows[2][0].IsNull() {
 		t.Fatalf("lead rows = %v", rows)
 	}
+	offsetAndFrameWindows(t)
 	windowsOverTiedKeys(t)
+}
+
+// offsetAndFrameWindows checks LAG and LEAD with an offset and a default,
+// and aggregate windows with and without ORDER BY, against answers computed
+// in Go.
+func offsetAndFrameWindows(t *testing.T) {
+	vs := []int64{10, 20, 30, 40}
+	var sb strings.Builder
+	sb.WriteString("CREATE TABLE t (id INT, v INT);\nINSERT INTO t VALUES ")
+	for i, v := range vs {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "(%d, %d)", i+1, v)
+	}
+	sb.WriteString(";")
+	rows := query(t, sb.String(), `SELECT id,
+  LAG(v, 2) OVER (ORDER BY id),
+  LEAD(v, 2, 99) OVER (ORDER BY id),
+  SUM(v) OVER (ORDER BY id),
+  SUM(v) OVER (),
+  LAG(v, 0) OVER (ORDER BY id)
+FROM t ORDER BY id`)
+	names := []string{"id", "LAG(v, 2)", "LEAD(v, 2, 99)", "SUM ORDER BY", "SUM", "LAG(v, 0)"}
+	if len(rows) != len(vs) {
+		t.Fatalf("got %d rows, want %d", len(rows), len(vs))
+	}
+	var total int64
+	for _, v := range vs {
+		total += v
+	}
+	var running int64
+	for n, row := range rows {
+		running += vs[n]
+		want := []int64{int64(n + 1), -1, 99, running, total, vs[n]} // -1: NULL
+		if n >= 2 {
+			want[1] = vs[n-2]
+		}
+		if n+2 < len(vs) {
+			want[2] = vs[n+2]
+		}
+		for c, w := range want {
+			got := row[c].I
+			if row[c].IsNull() {
+				got = -1
+			}
+			if got != w {
+				t.Errorf("id %d: %s = %v, want %d", n+1, names[c], row[c], w)
+			}
+		}
+	}
 }
 
 // windowsOverTiedKeys checks ranking and offset windows on a table large
@@ -326,7 +378,11 @@ func windowsOverTiedKeys(t *testing.T) {
   DENSE_RANK() OVER (ORDER BY v DESC),
   LAG(id) OVER (ORDER BY v, id),
   NTILE(3) OVER (ORDER BY v, id),
-  ROW_NUMBER() OVER (PARTITION BY g ORDER BY v, id)
+  ROW_NUMBER() OVER (PARTITION BY g ORDER BY v, id),
+  SUM(v) OVER (ORDER BY v),
+  COUNT(*) OVER (PARTITION BY g ORDER BY v DESC),
+  LAG(id, 2, 0) OVER (ORDER BY v, id),
+  LEAD(id, 3) OVER (ORDER BY v, id)
 FROM big ORDER BY id`)
 
 	// sorted returns the record indexes of part ordered by less.
@@ -341,7 +397,7 @@ FROM big ORDER BY id`)
 	}
 	want := make([][]int64, len(recs))
 	for i := range want {
-		want[i] = make([]int64, 7)
+		want[i] = make([]int64, 11)
 		want[i][0] = recs[i].id
 	}
 	byVID := func(a, b rec) bool { return a.v < b.v || a.v == b.v && a.id < b.id }
@@ -369,6 +425,25 @@ FROM big ORDER BY id`)
 			want[i][4] = recs[asc[n-1]].id
 		}
 		want[i][5] = int64(n*3/len(recs) + 1)
+		want[i][9], want[i][10] = 0, -1 // LAG's default, LEAD's NULL
+		if n >= 2 {
+			want[i][9] = recs[asc[n-2]].id
+		}
+		if n+3 < len(asc) {
+			want[i][10] = recs[asc[n+3]].id
+		}
+	}
+	// The default frame of an ordered aggregate ends at the last peer of
+	// the current row: every row with a key not past its own.
+	for i, r := range recs {
+		for _, o := range recs {
+			if o.v <= r.v {
+				want[i][7] += o.v
+			}
+			if o.g == r.g && o.v >= r.v {
+				want[i][8]++
+			}
+		}
 	}
 	for _, g := range []int64{1, 2} {
 		var part []int
@@ -382,7 +457,8 @@ FROM big ORDER BY id`)
 		}
 	}
 
-	names := []string{"id", "ROW_NUMBER", "RANK", "DENSE_RANK", "LAG", "NTILE", "ROW_NUMBER PARTITION BY"}
+	names := []string{"id", "ROW_NUMBER", "RANK", "DENSE_RANK", "LAG", "NTILE", "ROW_NUMBER PARTITION BY",
+		"SUM ORDER BY", "COUNT PARTITION BY ORDER BY", "LAG(id, 2, 0)", "LEAD(id, 3)"}
 	if len(rows) != len(recs) {
 		t.Fatalf("got %d rows, want %d", len(rows), len(recs))
 	}

@@ -28,6 +28,21 @@ type Crash struct {
 	OriginalLen  int    // statements in the reproducer before minimization
 	MinimizedLen int    // statements after minimization
 	Replays      int    // verification replays that reproduced the stack
+
+	repro   string          // reproOf rendered
+	reproOf sqlast.TestCase // the Reproducer repro renders
+}
+
+// ReproducerSQL returns the reproducer's script, rendering it only when
+// Reproducer was replaced since the last call: a campaign exports every
+// crash at every checkpoint snapshot. Reproducers are never written in
+// place, only replaced by another test case.
+func (c *Crash) ReproducerSQL() string {
+	r := c.Reproducer
+	if len(r) != len(c.reproOf) || len(r) > 0 && &r[0] != &c.reproOf[0] {
+		c.repro, c.reproOf = r.SQL(), r
+	}
+	return c.repro
 }
 
 // Oracle deduplicates crashes by stack key.

@@ -19,7 +19,10 @@ import (
 // the coverage. Snapshots are only taken at epoch barriers, so the worker
 // entries are exactly the states an uninterrupted campaign passes through.
 // Seeds are stored by content, not object: each shard ingests its own copy
-// of the initial corpus, while a resumed campaign shares one.
+// of the initial corpus, while a resumed campaign shares one. A seed's
+// content is its cached checkpoint entry, which encodes its script and
+// fields one to one (scripts are valid UTF-8), so the store is what keying
+// on the script and fields would give.
 //
 // The chaos identity is written only when the chaos plane is armed, and the
 // retry budget only once it can shape the schedule, so Resume can insist on
@@ -49,20 +52,29 @@ func (e *Executor) Snapshot() *checkpoint.State {
 		Incidents: slices.Clone(e.incidents),
 		Shards:    make([]checkpoint.Shard, len(e.shards)),
 	}
-	index := make(map[checkpoint.Seed]int, n)
+	if e.seedIDs == nil {
+		e.seedIDs, e.contentIDs = map[*corpus.Seed]int{}, map[string]int{}
+	}
+	stored := make([]int, len(e.contentIDs)) // content id -> store index+1, 0 if not stored yet
 	for i, sh := range e.shards {
 		w := sh.SnapshotShard()
 		seeds := sh.Pool().All()
 		w.Pool = make([]int, len(seeds))
 		for j, s := range seeds {
-			key := checkpoint.Seed{SQL: s.SQL(), NewEdges: s.NewEdges, Split: s.Split}
-			k, ok := index[key]
+			id, ok := e.seedIDs[s]
 			if !ok {
-				k = len(st.Seeds)
-				index[key] = k
-				st.Seeds = append(st.Seeds, key)
+				if id, ok = e.contentIDs[s.Entry()]; !ok {
+					id = len(e.contentIDs)
+					e.contentIDs[s.Entry()] = id
+					stored = append(stored, 0)
+				}
+				e.seedIDs[s] = id
 			}
-			w.Pool[j] = k
+			if stored[id] == 0 {
+				st.Seeds = append(st.Seeds, checkpoint.Seed{NewEdges: s.NewEdges, Split: s.Split, Entry: s.Entry()})
+				stored[id] = len(st.Seeds)
+			}
+			w.Pool[j] = stored[id] - 1
 		}
 		w.Picked = slices.Clone(sh.Pool().Picks())
 		w.Quarantined = e.quarantined[i]
@@ -116,7 +128,11 @@ func Resume(opts Options, st *checkpoint.State) (*Executor, error) {
 	// Each stored seed is parsed once, and shards share the objects.
 	store := make([]*corpus.Seed, len(st.Seeds))
 	for k, s := range st.Seeds {
-		tc, err := sqlparse.ParseScript(s.SQL)
+		sql, err := s.Script()
+		if err != nil {
+			return nil, fmt.Errorf("shard: resume: seed %d: %w", k, err)
+		}
+		tc, err := sqlparse.ParseScript(sql)
 		if err != nil {
 			return nil, fmt.Errorf("shard: resume: seed %d: %w", k, err)
 		}
@@ -181,7 +197,7 @@ func exportCrashes(o *oracle.Oracle) []checkpoint.Crash {
 			Kind:        c.Report.Kind,
 			Stack:       append([]string(nil), c.Report.Stack...),
 			Window:      window,
-			Reproducer:  c.Reproducer.SQL(),
+			Reproducer:  c.ReproducerSQL(),
 			FoundAtExec: c.FoundAtExec,
 			Hits:        c.Hits,
 

@@ -164,6 +164,13 @@ type Executor struct {
 	chaos       *chaos.Injector
 	fs          checkpoint.FS
 	saveFaults  int
+	// seedIDs numbers seed contents for Snapshot's seed store, in the order
+	// snapshots first meet them: a seed object's content id, and through
+	// contentIDs each distinct checkpoint entry's. A snapshot thus
+	// deduplicates by object and hashes only the entries of seeds new
+	// since the last one.
+	seedIDs    map[*corpus.Seed]int
+	contentIDs map[string]int
 	// testFault, when set, runs on the worker goroutine at the start of each
 	// (epoch, shard, attempt) — a test hook for raising organic panics at a
 	// chosen coordinate.

@@ -112,7 +112,7 @@ func TestBarrierInvariants(t *testing.T) {
 			}
 			for _, s := range donated {
 				if !held[s] {
-					t.Fatalf("epoch %d: shard %d does not hold the donated seed object %q", e.epoch, i, s.SQL())
+					t.Fatalf("epoch %d: shard %d does not hold the donated seed object %q", e.epoch, i, s.TC.SQL())
 				}
 			}
 			if got := sh.Runner().Branches(); got != e.Branches() {
@@ -147,7 +147,7 @@ func TestBarrierInvariants(t *testing.T) {
 	seen := map[checkpoint.Seed]bool{}
 	for _, s := range e.Snapshot().Seeds {
 		if seen[s] {
-			t.Fatalf("seed store holds %q twice", s.SQL)
+			t.Fatalf("seed store holds %s twice", s.Entry)
 		}
 		seen[s] = true
 	}
@@ -235,7 +235,7 @@ func TestShardedSplitHalvesStayPoolOnly(t *testing.T) {
 		split[i] = map[string]int{}
 		for _, s := range sh.Pool().All() {
 			if s.Split {
-				split[i][s.SQL()]++
+				split[i][s.TC.SQL()]++
 			}
 		}
 	}
