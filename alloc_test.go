@@ -98,7 +98,10 @@ SELECT v1 FROM t1 WHERE (v2 = 2);
 	// statements. A new scope map per table row cost the UPDATE 1,421 and
 	// the DELETE 642; a reused scope map per site, the SELECT 37, the
 	// UPDATE 152 and the DELETE 8. The SELECT's sort keys sit in one flat
-	// slice (a key slice per row cost 1 more here).
+	// slice (a key slice per row cost 1 more here). Results come from an
+	// engine-owned slab and relation headers with their qualifier lists
+	// from per-statement scratch (a new Result, header and list each cost
+	// the SELECT 6 more, the UPDATE and DELETE 1).
 	eng := minidb.New(minidb.Config{Dialect: sqlt.DialectMySQL})
 	var sb strings.Builder
 	sb.WriteString("CREATE TABLE big (a INT, b INT);\n")
@@ -116,7 +119,7 @@ SELECT v1 FROM t1 WHERE (v2 = 2);
 	if _, err := eng.ExecStmt(sel); err != nil { // warm the tracer's counters
 		t.Fatal(err)
 	}
-	check("ExecStmt", 23, func() {
+	check("ExecStmt", 17, func() {
 		_, _ = eng.ExecStmt(sel)
 	})
 	for _, c := range []struct {
@@ -124,35 +127,43 @@ SELECT v1 FROM t1 WHERE (v2 = 2);
 		ceiling float64
 		sql     string
 	}{
-		{"ExecStmt-update", 140, "UPDATE big SET b = b + 1 WHERE a >= 0;"},
-		{"ExecStmt-delete", 2, "DELETE FROM big WHERE a < 0;"},
+		{"ExecStmt-update", 139, "UPDATE big SET b = b + 1 WHERE a >= 0;"},
+		{"ExecStmt-delete", 1, "DELETE FROM big WHERE a < 0;"},
+		// A SQL error keeps its format and arguments (the boxed table name
+		// and the error are the 2) and formats nothing until read:
+		// formatting at the error cost 1 more.
+		{"ExecStmt-error", 2, "SELECT a FROM missing;"},
 	} {
 		st := sqlparse.MustParseScript(c.sql)[0]
-		if _, err := eng.ExecStmt(st); err != nil {
-			t.Fatal(err)
+		if _, err := eng.ExecStmt(st); (err != nil) != (c.name == "ExecStmt-error") {
+			t.Fatalf("%s: error %v", c.name, err)
 		}
 		check(c.name, c.ceiling, func() {
 			_, _ = eng.ExecStmt(st)
 		})
 	}
 
-	// INSERT builds each VALUES row (evaluated row, full-width row with
-	// defaults) before its key check; every row here collides on the key
-	// and is ignored, so the table never fills. A per-row mask of the
-	// target columns cost 3 more.
+	// INSERT stages its target columns and every evaluated VALUES row in
+	// an engine-owned buffer, then builds each full-width row with defaults
+	// before its key check: one allocation per row. Every row here collides
+	// on the key and is ignored, so the table never fills. A per-row mask
+	// of the target columns cost 3 more, and a slice per evaluated row, the
+	// rows' list, the target list and the Result 8 more.
 	for _, s := range sqlparse.MustParseScript("CREATE TABLE u (a INT PRIMARY KEY, b INT DEFAULT 7, c INT);\nINSERT INTO u VALUES (1, 0, 0);") {
 		if _, err := eng.ExecStmt(s); err != nil {
 			t.Fatal(err)
 		}
 	}
 	ins := sqlparse.MustParseScript("INSERT IGNORE INTO u (c, a) VALUES (5, 1), (6, 1), (7, 1);")[0]
-	check("ExecStmt-insert", 11, func() {
+	check("ExecStmt-insert", 3, func() {
 		_, _ = eng.ExecStmt(ins)
 	})
 
 	// A whole test case on a warm engine: the per-case reset clears the
 	// catalog and session maps in place, so the cost is the statements'
-	// own work. Rebuilding those maps for every case cost 26 more.
+	// own work. Rebuilding those maps for every case cost 26 more, and new
+	// Results, relation headers and INSERT row slices 13 more (11 on the
+	// file's tc).
 	warm := minidb.New(minidb.Config{Dialect: sqlt.DialectMariaDB})
 	small := sqlparse.MustParseScript(`
 CREATE TABLE t0 (c0 INT, c1 TEXT);
@@ -160,8 +171,12 @@ INSERT INTO t0 VALUES (1, 'a'), (2, 'b');
 SELECT c0 FROM t0 WHERE c0 > 1;
 `)
 	warm.RunTestCase(small)
-	check("RunTestCase", 45, func() {
+	check("RunTestCase", 16, func() {
 		_ = warm.RunTestCase(small)
+	})
+	warm.RunTestCase(tc)
+	check("RunTestCase-tc", 14, func() {
+		_ = warm.RunTestCase(tc)
 	})
 
 	// Mutants share the seed's statements: sequence mutations copy only the

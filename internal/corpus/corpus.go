@@ -29,7 +29,8 @@ func (s *Seed) Types() sqlt.Sequence { return s.TC.Types() }
 // store (checkpoint.AppendSeed over the rendered script and the fields),
 // building it on first use: a seed is rendered and encoded once per
 // campaign, not once per snapshot. A campaign calls it only while its
-// shards are parked.
+// shards are parked, or on the goroutine of the shard that made the seed
+// before a barrier shares it.
 func (s *Seed) Entry() string {
 	if s.entry == "" {
 		sql := s.TC.SQL()

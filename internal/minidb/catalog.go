@@ -218,37 +218,52 @@ func (c *Catalog) tableNames() []string {
 // triggersFor returns the triggers on a table for a given time and event,
 // name-sorted for determinism.
 func (c *Catalog) triggersFor(table string, tm sqlast.TriggerTime, ev sqlast.TriggerEvent) []*Trigger {
+	if len(c.Triggers) == 0 {
+		return nil
+	}
 	var out []*Trigger
 	for _, tr := range c.Triggers {
 		if tr.Table == table && tr.Time == tm && tr.Event == ev {
 			out = append(out, tr)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	if len(out) > 1 {
+		sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	}
 	return out
 }
 
 // rulesFor returns rewrite rules on a table for an event, name-sorted.
 func (c *Catalog) rulesFor(table string, ev sqlast.TriggerEvent) []*Rule {
+	if len(c.Rules) == 0 {
+		return nil
+	}
 	var out []*Rule
 	for _, r := range c.Rules {
 		if r.Table == table && r.Event == ev {
 			out = append(out, r)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	if len(out) > 1 {
+		sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	}
 	return out
 }
 
 // indexesFor returns indexes on a table, name-sorted.
 func (c *Catalog) indexesFor(table string) []*Index {
+	if len(c.Indexes) == 0 {
+		return nil
+	}
 	var out []*Index
 	for _, ix := range c.Indexes {
 		if ix.Table == table {
 			out = append(out, ix)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	if len(out) > 1 {
+		sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	}
 	return out
 }
 

@@ -114,7 +114,7 @@ type Engine struct {
 	sess    *session
 	tracer  *coverage.Tracer
 	limits  Limits
-	hazards []*Bug
+	hazards *hazardIndex // nil when disarmed
 	faults  *faultInjector
 
 	// txnStack holds catalog snapshots: index 0 is the BEGIN snapshot,
@@ -145,8 +145,22 @@ type Engine struct {
 	resBuf []*Result
 	errBuf []error
 
-	// scratch holds the evaluation sites' free scratch scopes (rowEval).
+	// scratch holds the evaluation sites' free scratch scopes (rowEval),
+	// stages INSERT's free VALUES buffers (takeStage).
 	scratch []*evalScratch
+	stages  []*insertStage
+
+	// results is the slab statement Results are handed out from (result);
+	// RunTestCase reuses it from the start, under Outcome.Results'
+	// lifetime.
+	results slab[Result]
+
+	// rels and qualBuf hold the current top-level statement's relation
+	// headers and qualifier lists (newRelation, quals); ExecStmt reuses
+	// them from the start for the next statement.
+	rels     slab[relation]
+	qualBuf  []string
+	qualNext int
 }
 
 // New creates an engine for the given configuration.
@@ -162,7 +176,7 @@ func New(cfg Config) *Engine {
 		tracer: coverage.NewTracer(),
 	}
 	if cfg.EnableHazards {
-		e.hazards = bugsFor(cfg.Dialect)
+		e.hazards = hazardIndexes[cfg.Dialect]
 	}
 	if cfg.FaultRate > 0 {
 		e.faults = &faultInjector{plane: chaos.New(cfg.FaultRate, cfg.FaultSeed)}
@@ -203,12 +217,65 @@ func (e *Engine) reset() {
 //lego:hotpath
 func (e *Engine) hit(s coverage.Site) { e.tracer.Hit(s) }
 
-// Result is the output of one statement.
+// Result is the output of one statement. Results are engine-owned: one
+// returned by ExecStmt stays valid until the next RunTestCase on the same
+// engine.
 type Result struct {
 	Cols     []string
 	Rows     [][]Value
 	Affected int
 	Msg      string
+}
+
+// slab hands out engine-owned objects until its owner resets next to 0.
+// A full slab is replaced by a new one twice its length, at most slabMax:
+// objects handed out before stay valid in the old one, the next reset
+// reuses the larger one, and an engine that is never reset (the REPL)
+// still lets old slabs go.
+type slab[T any] struct {
+	items []T
+	next  int
+}
+
+const slabMax = 1024
+
+//lego:hotpath
+func (s *slab[T]) take() *T {
+	if s.next == len(s.items) {
+		s.items, s.next = make([]T, min(max(16, 2*len(s.items)), slabMax)), 0
+	}
+	s.next++
+	return &s.items[s.next-1]
+}
+
+// result hands out a copy of r from the engine's result slab.
+func (e *Engine) result(r Result) *Result {
+	p := e.results.take()
+	*p = r
+	return p
+}
+
+// newRelation hands out a relation header from the statement's scratch.
+func (e *Engine) newRelation(cols, qual []string, rows [][]Value) *relation {
+	r := e.rels.take()
+	*r = relation{cols: cols, qual: qual, rows: rows}
+	return r
+}
+
+// quals hands out a qualifier list of n entries, each q, from the
+// statement's scratch.
+//
+//lego:hotpath
+func (e *Engine) quals(n int, q string) []string {
+	if len(e.qualBuf)-e.qualNext < n {
+		e.qualBuf, e.qualNext = make([]string, max(64, 2*len(e.qualBuf), n)), 0
+	}
+	out := e.qualBuf[e.qualNext : e.qualNext+n : e.qualNext+n]
+	e.qualNext += n
+	for i := range out {
+		out[i] = q
+	}
+	return out
 }
 
 // Outcome summarizes one test-case execution.
@@ -220,9 +287,10 @@ type Outcome struct {
 	// Errors is the number of statements that returned a SQL error.
 	Errors int
 	// Results holds per-statement results (nil entry on error/crash).
-	// The slice aliases an engine-owned scratch buffer: it is valid only
+	// The slice aliases an engine-owned scratch buffer, and the *Result
+	// objects it points to are engine-owned too: both are valid only
 	// until the next RunTestCase call on the same engine. Callers that
-	// need results across runs must copy the slice first.
+	// need results across runs must copy the Results they keep.
 	//
 	//lego:borrowed valid until the next RunTestCase on the same engine
 	Results []*Result
@@ -250,6 +318,7 @@ func (e *Engine) RunTestCaseAt(tc sqlast.TestCase, exec int) Outcome {
 // keyed by the exec index of the last RunTestCaseAt (0 on a new engine).
 func (e *Engine) RunTestCase(tc sqlast.TestCase) (out Outcome) {
 	e.reset()
+	e.results.next = 0
 	if cap(e.resBuf) < len(tc) {
 		e.resBuf = make([]*Result, len(tc))
 		e.errBuf = make([]error, len(tc))
@@ -310,6 +379,7 @@ func (e *Engine) ExecStmt(s sqlast.Statement) (*Result, error) {
 
 	e.triggerFires = 0
 	e.stepsUsed = 0
+	e.rels.next, e.qualNext = 0, 0
 	if e.faults != nil {
 		e.faults.beforeDispatch(e.stmtIndex)
 	}

@@ -7,14 +7,15 @@ import (
 	"github.com/seqfuzz/lego/internal/sqlt"
 )
 
-func ok(msg string) (*Result, error) { return &Result{Msg: msg}, nil }
+// ok reports a statement's success with msg.
+func (e *Engine) ok(msg string) (*Result, error) { return e.result(Result{Msg: msg}), nil }
 
 func (e *Engine) execCreateTable(st *sqlast.CreateTableStmt) (*Result, error) {
 	e.hit(pCreateTable)
 	if _, exists := e.cat.Tables[st.Name]; exists {
 		if st.IfNotExists {
 			e.hit(pCreateTableIfNot)
-			return ok("CREATE TABLE (exists)")
+			return e.ok("CREATE TABLE (exists)")
 		}
 		return nil, errValue("relation %q already exists", st.Name)
 	}
@@ -108,7 +109,7 @@ func (e *Engine) execCreateTable(st *sqlast.CreateTableStmt) (*Result, error) {
 		t.Constraints = append(t.Constraints, tc)
 	}
 	e.cat.Tables[st.Name] = t
-	return ok("CREATE TABLE")
+	return e.ok("CREATE TABLE")
 }
 
 // lookupDomain finds a domain by case-insensitive name. When several stored
@@ -175,7 +176,7 @@ func (e *Engine) execCreateView(st *sqlast.CreateViewStmt) (*Result, error) {
 		v.refreshed = true
 	}
 	e.cat.Views[st.Name] = v
-	return ok("CREATE VIEW")
+	return e.ok("CREATE VIEW")
 }
 
 func (e *Engine) execCreateIndex(st *sqlast.CreateIndexStmt) (*Result, error) {
@@ -210,7 +211,7 @@ func (e *Engine) execCreateIndex(st *sqlast.CreateIndexStmt) (*Result, error) {
 		}
 	}
 	e.cat.Indexes[st.Name] = &Index{Name: st.Name, Table: st.Table, Cols: st.Cols, Unique: st.Unique}
-	return ok("CREATE INDEX")
+	return e.ok("CREATE INDEX")
 }
 
 func (e *Engine) execCreateTrigger(st *sqlast.CreateTriggerStmt) (*Result, error) {
@@ -227,7 +228,7 @@ func (e *Engine) execCreateTrigger(st *sqlast.CreateTriggerStmt) (*Result, error
 	e.cat.Triggers[st.Name] = &Trigger{
 		Name: st.Name, Table: st.Table, Time: st.Time, Event: st.Event, Body: st.Body,
 	}
-	return ok("CREATE TRIGGER")
+	return e.ok("CREATE TRIGGER")
 }
 
 func (e *Engine) execCreateSequence(st *sqlast.CreateSequenceStmt) (*Result, error) {
@@ -240,7 +241,7 @@ func (e *Engine) execCreateSequence(st *sqlast.CreateSequenceStmt) (*Result, err
 		inc = 1
 	}
 	e.cat.Sequences[st.Name] = &Sequence{Name: st.Name, Val: st.Start, Inc: inc}
-	return ok("CREATE SEQUENCE")
+	return e.ok("CREATE SEQUENCE")
 }
 
 func (e *Engine) execCreateSchema(st *sqlast.CreateSchemaStmt) (*Result, error) {
@@ -249,7 +250,7 @@ func (e *Engine) execCreateSchema(st *sqlast.CreateSchemaStmt) (*Result, error) 
 		return nil, errValue("schema %q already exists", st.Name)
 	}
 	e.cat.Schemas[st.Name] = true
-	return ok("CREATE SCHEMA")
+	return e.ok("CREATE SCHEMA")
 }
 
 func (e *Engine) execCreateFunction(st *sqlast.CreateFunctionStmt) (*Result, error) {
@@ -260,7 +261,7 @@ func (e *Engine) execCreateFunction(st *sqlast.CreateFunctionStmt) (*Result, err
 	e.cat.Functions[st.Name] = &Function{
 		Name: st.Name, Params: st.Params, Returns: st.Returns, Body: st.Body,
 	}
-	return ok("CREATE FUNCTION")
+	return e.ok("CREATE FUNCTION")
 }
 
 func (e *Engine) execCreateProcedure(st *sqlast.CreateProcedureStmt) (*Result, error) {
@@ -269,7 +270,7 @@ func (e *Engine) execCreateProcedure(st *sqlast.CreateProcedureStmt) (*Result, e
 		return nil, errValue("procedure %q already exists", st.Name)
 	}
 	e.cat.Procedures[st.Name] = &Procedure{Name: st.Name, Body: st.Body}
-	return ok("CREATE PROCEDURE")
+	return e.ok("CREATE PROCEDURE")
 }
 
 func (e *Engine) execCreateRule(st *sqlast.CreateRuleStmt) (*Result, error) {
@@ -286,7 +287,7 @@ func (e *Engine) execCreateRule(st *sqlast.CreateRuleStmt) (*Result, error) {
 	e.cat.Rules[st.Name] = &Rule{
 		Name: st.Name, Table: st.Table, Event: st.Event, Instead: st.Instead, Action: st.Action,
 	}
-	return ok("CREATE RULE")
+	return e.ok("CREATE RULE")
 }
 
 func (e *Engine) execCreateDomain(st *sqlast.CreateDomainStmt) (*Result, error) {
@@ -295,7 +296,7 @@ func (e *Engine) execCreateDomain(st *sqlast.CreateDomainStmt) (*Result, error) 
 		return nil, errValue("domain %q already exists", st.Name)
 	}
 	e.cat.Domains[st.Name] = &Domain{Name: st.Name, Base: st.Base, Check: st.Check}
-	return ok("CREATE DOMAIN")
+	return e.ok("CREATE DOMAIN")
 }
 
 func (e *Engine) execCreateType(st *sqlast.CreateTypeStmt) (*Result, error) {
@@ -304,7 +305,7 @@ func (e *Engine) execCreateType(st *sqlast.CreateTypeStmt) (*Result, error) {
 		return nil, errValue("type %q already exists", st.Name)
 	}
 	e.cat.Enums[st.Name] = &EnumType{Name: st.Name, Values: st.Values}
-	return ok("CREATE TYPE")
+	return e.ok("CREATE TYPE")
 }
 
 func (e *Engine) execCreateExtension(st *sqlast.CreateExtensionStmt) (*Result, error) {
@@ -313,7 +314,7 @@ func (e *Engine) execCreateExtension(st *sqlast.CreateExtensionStmt) (*Result, e
 		return nil, errValue("extension %q already installed", st.Name)
 	}
 	e.cat.Extensions[st.Name] = true
-	return ok("CREATE EXTENSION")
+	return e.ok("CREATE EXTENSION")
 }
 
 func (e *Engine) execCreateRole(st *sqlast.CreateRoleStmt) (*Result, error) {
@@ -325,7 +326,7 @@ func (e *Engine) execCreateRole(st *sqlast.CreateRoleStmt) (*Result, error) {
 		Name: st.Name, IsUser: st.IsUser, Option: st.Option,
 		Privs: map[string]map[string]bool{},
 	}
-	return ok("CREATE ROLE")
+	return e.ok("CREATE ROLE")
 }
 
 func (e *Engine) execCreateDatabase(st *sqlast.CreateDatabaseStmt) (*Result, error) {
@@ -334,7 +335,7 @@ func (e *Engine) execCreateDatabase(st *sqlast.CreateDatabaseStmt) (*Result, err
 		return nil, errValue("database %q already exists", st.Name)
 	}
 	e.cat.Databases[st.Name] = true
-	return ok("CREATE DATABASE")
+	return e.ok("CREATE DATABASE")
 }
 
 func (e *Engine) execAlterTable(st *sqlast.AlterTableStmt) (*Result, error) {
@@ -421,7 +422,7 @@ func (e *Engine) execAlterTable(st *sqlast.AlterTableStmt) (*Result, error) {
 		t.Cols[i].Default = st.Col.Default
 	}
 	t.analyzed = false
-	return ok("ALTER TABLE")
+	return e.ok("ALTER TABLE")
 }
 
 // invalidateIndexes marks indexes on a table stale until REINDEX.
@@ -455,7 +456,7 @@ func (e *Engine) renameTable(from, to string) (*Result, error) {
 			r.Table = to
 		}
 	}
-	return ok("RENAME")
+	return e.ok("RENAME")
 }
 
 func (e *Engine) execAlterSimple(st *sqlast.AlterSimpleStmt) (*Result, error) {
@@ -500,7 +501,7 @@ func (e *Engine) execAlterSimple(st *sqlast.AlterSimpleStmt) (*Result, error) {
 			return nil, errValue("database %q does not exist", st.Name)
 		}
 	}
-	return ok("ALTER")
+	return e.ok("ALTER")
 }
 
 func (e *Engine) execAlterSystem(st *sqlast.AlterSystemStmt) (*Result, error) {
@@ -510,7 +511,7 @@ func (e *Engine) execAlterSystem(st *sqlast.AlterSystemStmt) (*Result, error) {
 		return nil, err
 	}
 	e.sess.globals[st.Setting] = v
-	return ok("ALTER SYSTEM")
+	return e.ok("ALTER SYSTEM")
 }
 
 func (e *Engine) execDrop(st *sqlast.DropStmt) (*Result, error) {
@@ -521,7 +522,7 @@ func (e *Engine) execDrop(st *sqlast.DropStmt) (*Result, error) {
 	miss := func() (*Result, error) {
 		if st.IfExists {
 			e.hit(pDropIfExistsMiss)
-			return ok("DROP (skipped)")
+			return e.ok("DROP (skipped)")
 		}
 		return nil, errValue("object %q does not exist", st.Name)
 	}
@@ -632,7 +633,7 @@ func (e *Engine) execDrop(st *sqlast.DropStmt) (*Result, error) {
 		}
 		delete(e.cat.Databases, st.Name)
 	}
-	return ok("DROP")
+	return e.ok("DROP")
 }
 
 func (e *Engine) execRenameTable(st *sqlast.RenameTableStmt) (*Result, error) {
@@ -655,7 +656,7 @@ func (e *Engine) execTruncate(st *sqlast.TruncateStmt) (*Result, error) {
 	n := len(t.Rows)
 	t.Rows = nil
 	t.analyzed = false
-	return &Result{Affected: n, Msg: "TRUNCATE"}, nil
+	return e.result(Result{Affected: n, Msg: "TRUNCATE"}), nil
 }
 
 func (e *Engine) execCommentOn(st *sqlast.CommentOnStmt) (*Result, error) {
@@ -688,7 +689,7 @@ func (e *Engine) execCommentOn(st *sqlast.CommentOnStmt) (*Result, error) {
 		}
 	}
 	e.cat.Comments[key] = st.Comment
-	return ok("COMMENT")
+	return e.ok("COMMENT")
 }
 
 func (e *Engine) execReindex(st *sqlast.ReindexStmt) (*Result, error) {
@@ -714,7 +715,7 @@ func (e *Engine) execReindex(st *sqlast.ReindexStmt) (*Result, error) {
 			}
 		}
 	}
-	return ok("REINDEX")
+	return e.ok("REINDEX")
 }
 
 func (e *Engine) execRefreshMatView(st *sqlast.RefreshMatViewStmt) (*Result, error) {
@@ -730,5 +731,5 @@ func (e *Engine) execRefreshMatView(st *sqlast.RefreshMatViewStmt) (*Result, err
 	v.MatCols = cols
 	v.MatRows = rows
 	v.refreshed = true
-	return &Result{Affected: len(rows), Msg: "REFRESH"}, nil
+	return e.result(Result{Affected: len(rows), Msg: "REFRESH"}), nil
 }

@@ -26,20 +26,22 @@ func (e *Engine) execInsert(st *sqlast.InsertStmt) (*Result, error) {
 	}
 
 	// resolve target columns
-	targets := make([]int, 0, len(t.Cols))
+	stage := e.takeStage()
+	defer e.putStage(stage)
 	if len(st.Cols) > 0 {
 		for _, cn := range st.Cols {
 			i := t.colIndex(cn)
 			if i < 0 {
 				return nil, errValue("column %q does not exist in %q", cn, st.Table)
 			}
-			targets = append(targets, i)
+			stage.targets = append(stage.targets, i)
 		}
 	} else {
 		for i := range t.Cols {
-			targets = append(targets, i)
+			stage.targets = append(stage.targets, i)
 		}
 	}
+	targets := stage.targets
 
 	// source rows
 	var srcRows [][]Value
@@ -55,22 +57,10 @@ func (e *Engine) execInsert(st *sqlast.InsertStmt) (*Result, error) {
 		if len(st.Rows) > 1 {
 			e.hit(pInsertMultiRow)
 		}
-		for _, exprRow := range st.Rows {
-			if len(exprRow) == 0 {
-				e.hit(pInsertDefault)
-				srcRows = append(srcRows, nil) // all defaults
-				continue
-			}
-			row := make([]Value, len(exprRow))
-			for i, x := range exprRow {
-				v, err := e.eval(x, emptyScope, 0)
-				if err != nil {
-					return nil, err
-				}
-				row[i] = v
-			}
-			srcRows = append(srcRows, row)
+		if err := e.stageValues(stage, st.Rows); err != nil {
+			return nil, err
 		}
+		srcRows = stage.rows
 	}
 
 	inserted := 0
@@ -142,7 +132,57 @@ func (e *Engine) execInsert(st *sqlast.InsertStmt) (*Result, error) {
 			retRows = append(retRows, ret)
 		}
 	}
-	return &Result{Affected: inserted, Rows: retRows, Msg: "INSERT"}, nil
+	return e.result(Result{Affected: inserted, Rows: retRows, Msg: "INSERT"}), nil
+}
+
+// insertStage holds one INSERT's target columns and evaluated VALUES rows.
+// INSERTs take one from the engine's free list and put it back when they
+// finish, so a trigger's nested INSERT stages into its own.
+type insertStage struct {
+	targets []int
+	vals    []Value   // the VALUES rows' values, back to back
+	rows    [][]Value // each row a slice of vals; nil for an all-defaults row
+}
+
+//lego:hotpath
+func (e *Engine) takeStage() *insertStage {
+	if n := len(e.stages); n > 0 {
+		s := e.stages[n-1]
+		e.stages = e.stages[:n-1]
+		s.targets, s.vals, s.rows = s.targets[:0], s.vals[:0], s.rows[:0]
+		return s
+	}
+	return &insertStage{}
+}
+
+func (e *Engine) putStage(s *insertStage) { e.stages = append(e.stages, s) }
+
+// stageValues evaluates every VALUES row into s before any is stored, as
+// the rows of INSERT ... SELECT are. vals is grown once up front, so the
+// rows sliced from it stay in place.
+func (e *Engine) stageValues(s *insertStage, exprRows [][]sqlast.Expr) error {
+	n := 0
+	for _, exprRow := range exprRows {
+		n += len(exprRow)
+	}
+	s.vals = slices.Grow(s.vals, n)
+	for _, exprRow := range exprRows {
+		if len(exprRow) == 0 {
+			e.hit(pInsertDefault)
+			s.rows = append(s.rows, nil)
+			continue
+		}
+		start := len(s.vals)
+		for _, x := range exprRow {
+			v, err := e.eval(x, emptyScope, 0)
+			if err != nil {
+				return err
+			}
+			s.vals = append(s.vals, v)
+		}
+		s.rows = append(s.rows, s.vals[start:len(s.vals):len(s.vals)])
+	}
+	return nil
 }
 
 // buildRow assembles a full-width storage row from source values, applying
@@ -304,7 +344,7 @@ func (e *Engine) fireTriggers(table string, tm sqlast.TriggerTime, ev sqlast.Tri
 		}
 		// trigger body errors abort the statement
 		if _, err := e.dispatch(tr.Body); err != nil {
-			return errValue("trigger %q failed: %s", tr.Name, err.Error())
+			return errValue("trigger %q failed: %s", tr.Name, err)
 		}
 	}
 	return nil
@@ -384,7 +424,7 @@ func (e *Engine) execUpdate(st *sqlast.UpdateStmt) (*Result, error) {
 	}
 	if len(idxs) == 0 {
 		e.hit(pUpdateZeroRows)
-		return &Result{Affected: 0, Msg: "UPDATE"}, nil
+		return e.result(Result{Affected: 0, Msg: "UPDATE"}), nil
 	}
 	setIdx := make([]int, len(st.Sets))
 	for i, a := range st.Sets {
@@ -437,7 +477,7 @@ func (e *Engine) execUpdate(st *sqlast.UpdateStmt) (*Result, error) {
 		}
 	}
 	t.analyzed = false
-	return &Result{Affected: touched, Msg: "UPDATE"}, nil
+	return e.result(Result{Affected: touched, Msg: "UPDATE"}), nil
 }
 
 func (e *Engine) execDelete(st *sqlast.DeleteStmt) (*Result, error) {
@@ -461,7 +501,7 @@ func (e *Engine) execDelete(st *sqlast.DeleteStmt) (*Result, error) {
 	}
 	if len(idxs) == 0 {
 		e.hit(pDeleteZeroRows)
-		return &Result{Affected: 0, Msg: "DELETE"}, nil
+		return e.result(Result{Affected: 0, Msg: "DELETE"}), nil
 	}
 	var retRows [][]Value
 	rx := e.takeScratch() // RETURNING's scope
@@ -497,7 +537,7 @@ func (e *Engine) execDelete(st *sqlast.DeleteStmt) (*Result, error) {
 	}
 	t.Rows = keepUnmarked(t.Rows, del)
 	t.analyzed = false
-	return &Result{Affected: deleted, Rows: retRows, Msg: "DELETE"}, nil
+	return e.result(Result{Affected: deleted, Rows: retRows, Msg: "DELETE"}), nil
 }
 
 func (e *Engine) execMerge(st *sqlast.MergeStmt) (*Result, error) {
@@ -585,7 +625,7 @@ func (e *Engine) execMerge(st *sqlast.MergeStmt) (*Result, error) {
 		target.Rows = keepUnmarked(target.Rows, del)
 	}
 	target.analyzed = false
-	return &Result{Affected: affected, Msg: "MERGE"}, nil
+	return e.result(Result{Affected: affected, Msg: "MERGE"}), nil
 }
 
 // mergeKeys builds MERGE's keys, last column first: on binds the source's
@@ -648,7 +688,7 @@ func (e *Engine) execCopy(st *sqlast.CopyStmt) (*Result, error) {
 			t.Rows = append(t.Rows, row)
 			n++
 		}
-		return &Result{Affected: n, Msg: "COPY"}, nil
+		return e.result(Result{Affected: n, Msg: "COPY"}), nil
 	}
 	e.hit(pCopyOut)
 	var rows [][]Value
@@ -687,7 +727,7 @@ func (e *Engine) execCopy(st *sqlast.CopyStmt) (*Result, error) {
 		}
 		sb.WriteByte('\n')
 	}
-	return &Result{Cols: cols, Rows: rows, Msg: sb.String()}, nil
+	return e.result(Result{Cols: cols, Rows: rows, Msg: sb.String()}), nil
 }
 
 func (e *Engine) execLoadData(st *sqlast.LoadDataStmt) (*Result, error) {
@@ -725,7 +765,7 @@ func (e *Engine) execLoadData(st *sqlast.LoadDataStmt) (*Result, error) {
 		n++
 	}
 	t.analyzed = false
-	return &Result{Affected: n, Msg: "LOAD DATA"}, nil
+	return e.result(Result{Affected: n, Msg: "LOAD DATA"}), nil
 }
 
 func (e *Engine) execCall(st *sqlast.CallStmt) (*Result, error) {
@@ -736,7 +776,7 @@ func (e *Engine) execCall(st *sqlast.CallStmt) (*Result, error) {
 	}
 	if e.triggerDepth >= e.limits.MaxTriggerDepth {
 		e.hit(pTriggerDepthCap)
-		return ok("CALL (depth cap)")
+		return e.ok("CALL (depth cap)")
 	}
 	e.triggerDepth++
 	defer func() { e.triggerDepth-- }()
@@ -748,5 +788,5 @@ func (e *Engine) execDo(st *sqlast.DoStmt) (*Result, error) {
 	if _, err := e.eval(st.Body, emptyScope, 0); err != nil {
 		return nil, err
 	}
-	return ok("DO")
+	return e.ok("DO")
 }

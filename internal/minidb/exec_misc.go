@@ -16,7 +16,7 @@ func (e *Engine) execTableStmt(st *sqlast.TableStmtNode) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Cols: rel.cols, Rows: rel.rows}, nil
+	return e.result(Result{Cols: rel.cols, Rows: rel.rows}), nil
 }
 
 func (e *Engine) execValuesStmt(st *sqlast.ValuesStmtNode) (*Result, error) {
@@ -39,7 +39,7 @@ func (e *Engine) execValuesStmt(st *sqlast.ValuesStmtNode) (*Result, error) {
 			cols = append(cols, "column"+itoaSmall(i+1))
 		}
 	}
-	return &Result{Cols: cols, Rows: rows}, nil
+	return e.result(Result{Cols: cols, Rows: rows}), nil
 }
 
 func (e *Engine) execShow(st *sqlast.ShowStmt) (*Result, error) {
@@ -50,7 +50,7 @@ func (e *Engine) execShow(st *sqlast.ShowStmt) (*Result, error) {
 		for _, n := range e.cat.tableNames() {
 			rows = append(rows, []Value{Text(n)})
 		}
-		return &Result{Cols: []string{"table_name"}, Rows: rows}, nil
+		return e.result(Result{Cols: []string{"table_name"}, Rows: rows}), nil
 	case "DATABASES":
 		var names []string
 		for n := range e.cat.Databases {
@@ -61,16 +61,16 @@ func (e *Engine) execShow(st *sqlast.ShowStmt) (*Result, error) {
 		for _, n := range names {
 			rows = append(rows, []Value{Text(n)})
 		}
-		return &Result{Cols: []string{"database"}, Rows: rows}, nil
+		return e.result(Result{Cols: []string{"database"}, Rows: rows}), nil
 	default:
 		name := strings.ToLower(st.Name)
 		if v, okv := e.sess.vars[name]; okv {
-			return &Result{Cols: []string{name}, Rows: [][]Value{{v}}}, nil
+			return e.result(Result{Cols: []string{name}, Rows: [][]Value{{v}}}), nil
 		}
 		if v, okv := e.sess.globals[name]; okv {
-			return &Result{Cols: []string{name}, Rows: [][]Value{{v}}}, nil
+			return e.result(Result{Cols: []string{name}, Rows: [][]Value{{v}}}), nil
 		}
-		return &Result{Cols: []string{name}, Rows: [][]Value{{Null()}}}, nil
+		return e.result(Result{Cols: []string{name}, Rows: [][]Value{{Null()}}}), nil
 	}
 }
 
@@ -84,7 +84,7 @@ func (e *Engine) execDescribe(st *sqlast.DescribeStmt) (*Result, error) {
 	for _, c := range t.Cols {
 		rows = append(rows, []Value{Text(c.Name), Text(c.TypeName), Bool(!c.NotNull)})
 	}
-	return &Result{Cols: []string{"Field", "Type", "Null"}, Rows: rows}, nil
+	return e.result(Result{Cols: []string{"Field", "Type", "Null"}, Rows: rows}), nil
 }
 
 // --- DCL ----------------------------------------------------------------
@@ -114,20 +114,20 @@ func (e *Engine) execGrant(st *sqlast.GrantStmt) (*Result, error) {
 			r.Privs[st.Table][p] = true
 		}
 	}
-	return ok("GRANT")
+	return e.ok("GRANT")
 }
 
 func (e *Engine) execSetRole(st *sqlast.SetRoleStmt) (*Result, error) {
 	e.hit(pAuthSetRole)
 	if strings.EqualFold(st.Role, "NONE") {
 		e.sess.role = ""
-		return ok("SET ROLE NONE")
+		return e.ok("SET ROLE NONE")
 	}
 	if _, okr := e.cat.Roles[st.Role]; !okr {
 		return nil, errValue("role %q does not exist", st.Role)
 	}
 	e.sess.role = st.Role
-	return ok("SET ROLE")
+	return e.ok("SET ROLE")
 }
 
 // --- TCL ----------------------------------------------------------------
@@ -142,7 +142,7 @@ func (e *Engine) execTxn(st *sqlast.TxnStmt) (*Result, error) {
 		}
 		e.txnStack = []*Catalog{e.cat.snapshot()}
 		e.spNames = []string{""}
-		return ok("BEGIN")
+		return e.ok("BEGIN")
 	case sqlt.Commit:
 		e.hit(pTxnCommit)
 		if !e.inTxn() {
@@ -151,7 +151,7 @@ func (e *Engine) execTxn(st *sqlast.TxnStmt) (*Result, error) {
 		}
 		e.txnStack = nil
 		e.spNames = nil
-		return ok("COMMIT")
+		return e.ok("COMMIT")
 	case sqlt.Rollback:
 		e.hit(pTxnRollback)
 		if !e.inTxn() {
@@ -161,7 +161,7 @@ func (e *Engine) execTxn(st *sqlast.TxnStmt) (*Result, error) {
 		e.cat = e.txnStack[0]
 		e.txnStack = nil
 		e.spNames = nil
-		return ok("ROLLBACK")
+		return e.ok("ROLLBACK")
 	case sqlt.Savepoint:
 		e.hit(pTxnSavepoint)
 		if !e.inTxn() {
@@ -169,7 +169,7 @@ func (e *Engine) execTxn(st *sqlast.TxnStmt) (*Result, error) {
 		}
 		e.txnStack = append(e.txnStack, e.cat.snapshot())
 		e.spNames = append(e.spNames, st.Name)
-		return ok("SAVEPOINT")
+		return e.ok("SAVEPOINT")
 	case sqlt.ReleaseSavepoint:
 		e.hit(pTxnRelease)
 		i := e.findSavepoint(st.Name)
@@ -178,7 +178,7 @@ func (e *Engine) execTxn(st *sqlast.TxnStmt) (*Result, error) {
 		}
 		e.txnStack = e.txnStack[:i]
 		e.spNames = e.spNames[:i]
-		return ok("RELEASE")
+		return e.ok("RELEASE")
 	default: // RollbackToSavepoint
 		e.hit(pTxnRollbackTo)
 		i := e.findSavepoint(st.Name)
@@ -188,7 +188,7 @@ func (e *Engine) execTxn(st *sqlast.TxnStmt) (*Result, error) {
 		e.cat = e.txnStack[i].snapshot()
 		e.txnStack = e.txnStack[:i+1]
 		e.spNames = e.spNames[:i+1]
-		return ok("ROLLBACK TO")
+		return e.ok("ROLLBACK TO")
 	}
 }
 
@@ -206,7 +206,7 @@ func (e *Engine) execSetTransaction(st *sqlast.SetTransactionStmt) (*Result, err
 	switch st.Mode {
 	case "READ COMMITTED", "READ UNCOMMITTED", "REPEATABLE READ", "SERIALIZABLE":
 		e.sess.isolation = st.Mode
-		return ok("SET TRANSACTION")
+		return e.ok("SET TRANSACTION")
 	default:
 		return nil, errValue("unknown isolation level %q", st.Mode)
 	}
@@ -226,7 +226,7 @@ func (e *Engine) execLockTable(st *sqlast.LockTableStmt) (*Result, error) {
 		mode = "EXCLUSIVE"
 	}
 	t.locked = mode
-	return ok("LOCK")
+	return e.ok("LOCK")
 }
 
 // --- session -------------------------------------------------------------
@@ -244,13 +244,13 @@ func (e *Engine) execSetVar(st *sqlast.SetVarStmt) (*Result, error) {
 	} else {
 		e.sess.vars[name] = v
 	}
-	return ok("SET")
+	return e.ok("SET")
 }
 
 func (e *Engine) execResetVar(st *sqlast.ResetVarStmt) (*Result, error) {
 	e.hit(pResetVar)
 	delete(e.sess.vars, strings.ToLower(st.Name))
-	return ok("RESET")
+	return e.ok("RESET")
 }
 
 func (e *Engine) execPragma(st *sqlast.PragmaStmt) (*Result, error) {
@@ -261,14 +261,14 @@ func (e *Engine) execPragma(st *sqlast.PragmaStmt) (*Result, error) {
 		if !exists {
 			v = Null()
 		}
-		return &Result{Cols: []string{name}, Rows: [][]Value{{v}}}, nil
+		return e.result(Result{Cols: []string{name}, Rows: [][]Value{{v}}}), nil
 	}
 	v, err := e.eval(st.Value, emptyScope, 0)
 	if err != nil {
 		return nil, err
 	}
 	e.sess.vars["pragma."+name] = v
-	return ok("PRAGMA")
+	return e.ok("PRAGMA")
 }
 
 func (e *Engine) execUse(st *sqlast.UseStmt) (*Result, error) {
@@ -277,7 +277,7 @@ func (e *Engine) execUse(st *sqlast.UseStmt) (*Result, error) {
 		return nil, errValue("database %q does not exist", st.DB)
 	}
 	e.sess.curDB = st.DB
-	return ok("USE")
+	return e.ok("USE")
 }
 
 func (e *Engine) execAnalyze(st *sqlast.AnalyzeStmt) (*Result, error) {
@@ -288,12 +288,12 @@ func (e *Engine) execAnalyze(st *sqlast.AnalyzeStmt) (*Result, error) {
 			return nil, err
 		}
 		t.analyzed = true
-		return ok("ANALYZE")
+		return e.ok("ANALYZE")
 	}
 	for _, n := range e.cat.tableNames() {
 		e.cat.Tables[n].analyzed = true
 	}
-	return ok("ANALYZE")
+	return e.ok("ANALYZE")
 }
 
 func (e *Engine) execVacuum(st *sqlast.VacuumStmt) (*Result, error) {
@@ -316,12 +316,12 @@ func (e *Engine) execVacuum(st *sqlast.VacuumStmt) (*Result, error) {
 			return nil, err
 		}
 		compact(t)
-		return ok("VACUUM")
+		return e.ok("VACUUM")
 	}
 	for _, n := range e.cat.tableNames() {
 		compact(e.cat.Tables[n])
 	}
-	return ok("VACUUM")
+	return e.ok("VACUUM")
 }
 
 func (e *Engine) execMaintenance(st *sqlast.MaintenanceStmt) (*Result, error) {
@@ -335,7 +335,7 @@ func (e *Engine) execMaintenance(st *sqlast.MaintenanceStmt) (*Result, error) {
 		copy(packed, t.Rows)
 		t.Rows = packed
 		t.analyzed = true
-		return ok("OPTIMIZE")
+		return e.ok("OPTIMIZE")
 	}
 	e.hit(pStorageCheck)
 	// CHECK TABLE verifies unique invariants.
@@ -350,19 +350,19 @@ func (e *Engine) execMaintenance(st *sqlast.MaintenanceStmt) (*Result, error) {
 			}
 			k := row[ci].Key()
 			if seen[k] {
-				return &Result{Msg: "CHECK: corrupt"}, nil
+				return e.result(Result{Msg: "CHECK: corrupt"}), nil
 			}
 			seen[k] = true
 		}
 	}
-	return &Result{Msg: "CHECK: OK"}, nil
+	return e.result(Result{Msg: "CHECK: OK"}), nil
 }
 
 func (e *Engine) execFlush(st *sqlast.FlushStmt) (*Result, error) {
 	e.hit(pStorageFlush)
 	switch st.What {
 	case "TABLES", "LOGS", "PRIVILEGES", "STATUS":
-		return ok("FLUSH")
+		return e.ok("FLUSH")
 	default:
 		return nil, errValue("unknown FLUSH target %q", st.What)
 	}
@@ -370,7 +370,7 @@ func (e *Engine) execFlush(st *sqlast.FlushStmt) (*Result, error) {
 
 func (e *Engine) execCheckpoint(*sqlast.CheckpointStmt) (*Result, error) {
 	e.hit(pStorageCheckpoint)
-	return ok("CHECKPOINT")
+	return e.ok("CHECKPOINT")
 }
 
 func (e *Engine) execDiscard(st *sqlast.DiscardStmt) (*Result, error) {
@@ -400,7 +400,7 @@ func (e *Engine) execDiscard(st *sqlast.DiscardStmt) (*Result, error) {
 	default:
 		return nil, errValue("unknown DISCARD target %q", st.What)
 	}
-	return ok("DISCARD")
+	return e.ok("DISCARD")
 }
 
 func (e *Engine) execPrepare(st *sqlast.PrepareStmt) (*Result, error) {
@@ -409,7 +409,7 @@ func (e *Engine) execPrepare(st *sqlast.PrepareStmt) (*Result, error) {
 		return nil, errValue("prepared statement %q already exists", st.Name)
 	}
 	e.sess.prepared[st.Name] = st.Stmt
-	return ok("PREPARE")
+	return e.ok("PREPARE")
 }
 
 func (e *Engine) execExecute(st *sqlast.ExecuteStmt) (*Result, error) {
@@ -420,7 +420,7 @@ func (e *Engine) execExecute(st *sqlast.ExecuteStmt) (*Result, error) {
 	}
 	if e.triggerDepth >= e.limits.MaxTriggerDepth {
 		e.hit(pTriggerDepthCap)
-		return ok("EXECUTE (depth cap)")
+		return e.ok("EXECUTE (depth cap)")
 	}
 	e.triggerDepth++
 	defer func() { e.triggerDepth-- }()
@@ -433,7 +433,7 @@ func (e *Engine) execDeallocate(st *sqlast.DeallocateStmt) (*Result, error) {
 		return nil, errValue("prepared statement %q does not exist", st.Name)
 	}
 	delete(e.sess.prepared, st.Name)
-	return ok("DEALLOCATE")
+	return e.ok("DEALLOCATE")
 }
 
 func (e *Engine) execDeclareCursor(st *sqlast.DeclareCursorStmt) (*Result, error) {
@@ -446,7 +446,7 @@ func (e *Engine) execDeclareCursor(st *sqlast.DeclareCursorStmt) (*Result, error
 		return nil, err
 	}
 	e.sess.cursors[st.Name] = &cursor{name: st.Name, rows: rows}
-	return ok("DECLARE CURSOR")
+	return e.ok("DECLARE CURSOR")
 }
 
 func (e *Engine) execFetch(st *sqlast.FetchStmt) (*Result, error) {
@@ -467,7 +467,7 @@ func (e *Engine) execFetch(st *sqlast.FetchStmt) (*Result, error) {
 	if c.pos >= len(c.rows) {
 		e.hit(pFetchExhaust)
 	}
-	return &Result{Rows: rows, Msg: "FETCH"}, nil
+	return e.result(Result{Rows: rows, Msg: "FETCH"}), nil
 }
 
 func (e *Engine) execCloseCursor(st *sqlast.CloseCursorStmt) (*Result, error) {
@@ -476,13 +476,13 @@ func (e *Engine) execCloseCursor(st *sqlast.CloseCursorStmt) (*Result, error) {
 		return nil, errValue("cursor %q does not exist", st.Name)
 	}
 	delete(e.sess.cursors, st.Name)
-	return ok("CLOSE")
+	return e.ok("CLOSE")
 }
 
 func (e *Engine) execListen(st *sqlast.ListenStmt) (*Result, error) {
 	e.hit(pListen)
 	e.sess.listening[st.Channel] = true
-	return ok("LISTEN")
+	return e.ok("LISTEN")
 }
 
 func (e *Engine) execNotify(st *sqlast.NotifyStmt) (*Result, error) {
@@ -491,7 +491,7 @@ func (e *Engine) execNotify(st *sqlast.NotifyStmt) (*Result, error) {
 		e.hit(pNotifyDeliver)
 		e.sess.notices = append(e.sess.notices, st.Channel+":"+st.Payload)
 	}
-	return ok("NOTIFY")
+	return e.ok("NOTIFY")
 }
 
 func (e *Engine) execUnlisten(st *sqlast.UnlistenStmt) (*Result, error) {
@@ -501,7 +501,7 @@ func (e *Engine) execUnlisten(st *sqlast.UnlistenStmt) (*Result, error) {
 	} else {
 		delete(e.sess.listening, st.Channel)
 	}
-	return ok("UNLISTEN")
+	return e.ok("UNLISTEN")
 }
 
 func (e *Engine) execCluster(st *sqlast.ClusterStmt) (*Result, error) {
@@ -542,5 +542,5 @@ func (e *Engine) execCluster(st *sqlast.ClusterStmt) (*Result, error) {
 		}
 		return false
 	})
-	return ok("CLUSTER")
+	return e.ok("CLUSTER")
 }

@@ -77,7 +77,7 @@ func (e *Engine) execSelectTop(q *sqlast.SelectStmt) (*Result, error) {
 	} else {
 		e.hit(pExecRowsRes)
 	}
-	return &Result{Cols: cols, Rows: rows}, nil
+	return e.result(Result{Cols: cols, Rows: rows}), nil
 }
 
 // materializeInto creates a new table from a result set (SELECT INTO).
@@ -95,7 +95,7 @@ func (e *Engine) materializeInto(name string, cols []string, rows [][]Value) (*R
 	}
 	t.Rows = rows
 	e.cat.Tables[name] = t
-	return &Result{Affected: len(rows), Msg: "SELECT INTO"}, nil
+	return e.result(Result{Affected: len(rows), Msg: "SELECT INTO"}), nil
 }
 
 func itoaSmall(n int) string { return strconv.Itoa(n) }
@@ -124,7 +124,7 @@ func (e *Engine) execSelect(q *sqlast.SelectStmt, outer *scope, depth int) ([][]
 				return nil, nil, err
 			}
 			e.hit(pPlanJoinCross)
-			rel = crossProduct(rel, r2, e.limits.MaxResultRows)
+			rel = e.crossProduct(rel, r2)
 		}
 	}
 
@@ -147,7 +147,9 @@ func (e *Engine) execSelect(q *sqlast.SelectStmt, outer *scope, depth int) ([][]
 				filtered = append(filtered, row)
 			}
 		}
-		rel = &relation{cols: rel.cols, qual: rel.qual, rows: filtered, binds: rel.binds}
+		binds := rel.binds
+		rel = e.newRelation(rel.cols, rel.qual, filtered)
+		rel.binds = binds
 	}
 
 	// Grouping / aggregation
@@ -853,11 +855,17 @@ func applySetOp(op sqlast.SetOp, left, right [][]Value) [][]Value {
 	}
 }
 
-func crossProduct(a, b *relation, maxRows int) *relation {
-	out := &relation{
-		cols: append(append([]string{}, a.cols...), b.cols...),
-		qual: append(append([]string{}, a.qual...), b.qual...),
-	}
+// joinHeader returns the header of a's columns followed by b's, with no
+// rows.
+func (e *Engine) joinHeader(a, b *relation) *relation {
+	qual := e.quals(len(a.qual)+len(b.qual), "")
+	copy(qual[copy(qual, a.qual):], b.qual)
+	return e.newRelation(append(append([]string{}, a.cols...), b.cols...), qual, nil)
+}
+
+func (e *Engine) crossProduct(a, b *relation) *relation {
+	maxRows := e.limits.MaxResultRows
+	out := e.joinHeader(a, b)
 	if n := len(a.rows) * len(b.rows); n > 0 {
 		if n > maxRows {
 			n = maxRows
@@ -888,11 +896,7 @@ func (e *Engine) fromRelation(ref sqlast.TableRef, outer *scope, depth int) (*re
 		if r.Alias != "" {
 			q = r.Alias
 		}
-		qual := make([]string, len(rel.cols))
-		for i := range qual {
-			qual[i] = q
-		}
-		return &relation{cols: rel.cols, qual: qual, rows: rel.rows}, nil
+		return e.newRelation(rel.cols, e.quals(len(rel.cols), q), rel.rows), nil
 
 	case *sqlast.SubqueryRef:
 		e.hit(pPlanSubquery)
@@ -900,11 +904,7 @@ func (e *Engine) fromRelation(ref sqlast.TableRef, outer *scope, depth int) (*re
 		if err != nil {
 			return nil, err
 		}
-		qual := make([]string, len(cols))
-		for i := range qual {
-			qual[i] = r.Alias
-		}
-		return &relation{cols: cols, qual: qual, rows: rows}, nil
+		return e.newRelation(cols, e.quals(len(cols), r.Alias), rows), nil
 
 	case *sqlast.JoinRef:
 		left, err := e.fromRelation(r.L, outer, depth)
@@ -938,7 +938,7 @@ func (e *Engine) resolveNamedRelation(name string, outer *scope, depth int) (*re
 			if len(v.Cols) > 0 {
 				cols = v.Cols
 			}
-			return &relation{cols: cols, qual: make([]string, len(cols)), rows: v.MatRows}, nil
+			return e.newRelation(cols, e.quals(len(cols), ""), v.MatRows), nil
 		}
 		e.hit(pPlanView)
 		if depth > e.limits.MaxRewriteDepth {
@@ -955,7 +955,7 @@ func (e *Engine) resolveNamedRelation(name string, outer *scope, depth int) (*re
 				}
 			}
 		}
-		return &relation{cols: cols, qual: make([]string, len(cols)), rows: rows}, nil
+		return e.newRelation(cols, e.quals(len(cols), ""), rows), nil
 	}
 	t, err := e.lookTable(name)
 	if err != nil {
@@ -968,18 +968,16 @@ func (e *Engine) resolveNamedRelation(name string, outer *scope, depth int) (*re
 	for i := range t.Cols {
 		cols[i] = t.Cols[i].Name
 	}
-	return &relation{cols: cols, qual: make([]string, len(cols)), rows: t.Rows}, nil
+	return e.newRelation(cols, e.quals(len(cols), ""), t.Rows), nil
 }
 
 func (e *Engine) joinRelations(j *sqlast.JoinRef, left, right *relation, outer *scope, depth int) (*relation, error) {
-	out := &relation{
-		cols: append(append([]string{}, left.cols...), right.cols...),
-		qual: append(append([]string{}, left.qual...), right.qual...),
-	}
-	switch j.Kind {
-	case sqlast.JoinCross:
+	if j.Kind == sqlast.JoinCross {
 		e.hit(pPlanJoinCross)
-		return crossProduct(left, right, e.limits.MaxResultRows), nil
+		return e.crossProduct(left, right), nil
+	}
+	out := e.joinHeader(left, right)
+	switch j.Kind {
 	case sqlast.JoinLeft:
 		e.hit(pPlanJoinLeft)
 	case sqlast.JoinRight:

@@ -65,15 +65,39 @@ func (e *Engine) raiseBug(b *Bug) {
 	})
 }
 
-// checkHazards evaluates the bug matrix after each statement.
-func (e *Engine) checkHazards(_ sqlt.Type, lastErr error) {
+// hazardIndex buckets a dialect's window-matched hazards by the last type
+// of their pattern, each bucket in corpus order. Only a hazard whose
+// pattern ends with the type just executed can match, so checking that
+// statement's bucket raises the same first bug as scanning the corpus.
+type hazardIndex [sqlt.NumTypes + 1][]*Bug
+
+// hazardIndexes holds each dialect's index, built once: engines share them.
+var hazardIndexes = func() map[sqlt.Dialect]*hazardIndex {
+	out := map[sqlt.Dialect]*hazardIndex{}
+	for _, d := range sqlt.Dialects() {
+		ix := &hazardIndex{}
+		for _, b := range bugsFor(d) {
+			if len(b.Pattern) == 0 {
+				continue // manually raised
+			}
+			last := b.Pattern[len(b.Pattern)-1]
+			ix[last] = append(ix[last], b)
+		}
+		out[d] = ix
+	}
+	return out
+}()
+
+// checkHazards evaluates the hazards whose pattern ends with t, the type of
+// the statement just executed, in corpus order, and raises the first that
+// matches.
+//
+//lego:hotpath
+func (e *Engine) checkHazards(t sqlt.Type, lastErr error) {
 	if e.hazards == nil {
 		return
 	}
-	for _, b := range e.hazards {
-		if b.Pattern == nil {
-			continue // manually raised
-		}
+	for _, b := range e.hazards[t] {
 		if !e.windowEndsWith(b.Pattern) {
 			continue
 		}

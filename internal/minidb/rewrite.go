@@ -25,7 +25,7 @@ func (e *Engine) applyRules(table string, ev sqlast.TriggerEvent) (handled bool,
 	}
 	e.hit(pRewriteRule)
 	if e.rewriteDepth >= e.limits.MaxRewriteDepth {
-		return true, &Result{Msg: "rule depth cap"}, nil
+		return true, e.result(Result{Msg: "rule depth cap"}), nil
 	}
 	e.rewriteDepth++
 	defer func() { e.rewriteDepth-- }()
@@ -63,7 +63,7 @@ func (e *Engine) applyRules(table string, ev sqlast.TriggerEvent) (handled bool,
 	if !anyInstead {
 		return false, nil, nil
 	}
-	return true, &Result{Msg: "rewritten by rule"}, nil
+	return true, e.result(Result{Msg: "rewritten by rule"}), nil
 }
 
 // execWith implements WITH ... <body>: CTE relations are materialized into a
@@ -100,7 +100,7 @@ func (e *Engine) execWith(st *sqlast.WithStmt) (*Result, error) {
 					}
 				}
 			}
-			frame[cte.Name] = &relation{cols: cols, qual: make([]string, len(cols)), rows: rows}
+			frame[cte.Name] = e.newRelation(cols, e.quals(len(cols), ""), rows)
 		default:
 			// Writable CTE: recursively rewrite-and-execute the DML. This
 			// is the RewriteQuery path of the case study.
@@ -122,7 +122,7 @@ func (e *Engine) execWith(st *sqlast.WithStmt) (*Result, error) {
 			if res != nil && len(res.Rows) > 0 {
 				rows = res.Rows
 			}
-			frame[cte.Name] = &relation{cols: cols, qual: make([]string, len(cols)), rows: rows}
+			frame[cte.Name] = e.newRelation(cols, e.quals(len(cols), ""), rows)
 		}
 	}
 	res, err := e.dispatch(st.Body)
@@ -141,7 +141,7 @@ func (e *Engine) execWith(st *sqlast.WithStmt) (*Result, error) {
 // replaceEmptyJointree supplies the implicit one-row relation for queries
 // with no FROM clause, mirroring PostgreSQL's function of the same name.
 func (e *Engine) replaceEmptyJointree() *relation {
-	return &relation{cols: nil, qual: nil, rows: nil}
+	return e.newRelation(nil, nil, nil)
 }
 
 func (e *Engine) execExplain(st *sqlast.ExplainStmt) (*Result, error) {
@@ -158,7 +158,7 @@ func (e *Engine) execExplain(st *sqlast.ExplainStmt) (*Result, error) {
 	for i, line := range plan {
 		rows[i] = []Value{Text(line)}
 	}
-	return &Result{Cols: []string{"QUERY PLAN"}, Rows: rows}, nil
+	return e.result(Result{Cols: []string{"QUERY PLAN"}, Rows: rows}), nil
 }
 
 // planText renders a plan sketch for EXPLAIN, taking the same access-path

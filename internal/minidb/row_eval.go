@@ -50,6 +50,7 @@ type evalScratch struct {
 	cval [1]Value // checkScope's VALUE
 }
 
+//lego:hotpath
 func (e *Engine) takeScratch() *evalScratch {
 	if n := len(e.scratch); n > 0 {
 		x := e.scratch[n-1]

@@ -12,6 +12,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"github.com/seqfuzz/lego/internal/sqlt"
 )
 
 // Kind tags runtime values.
@@ -245,17 +247,49 @@ func affinity(typeName string) Kind {
 	}
 }
 
-// errValue builds a typed execution error.
+// errValue builds a typed execution error. The message is formatted on the
+// first Error() call, since the fuzzer itself never reads it: the error
+// keeps the format and its arguments. Strings, integers, dialects,
+// statement types and other execution errors read the same whenever they
+// are formatted; any other argument could name state that a later
+// statement changes, so a message with one is formatted here.
 func errValue(format string, args ...any) error {
-	return &ExecError{Msg: fmt.Sprintf(format, args...)}
+	x := &ExecError{format: format}
+	if len(args) > len(x.args) {
+		return x.formatNow(args)
+	}
+	for _, a := range args {
+		switch a.(type) {
+		case string, int, int64, sqlt.Dialect, sqlt.Type, *ExecError:
+		default:
+			return x.formatNow(args)
+		}
+	}
+	x.nargs = copy(x.args[:], args)
+	return x
 }
 
 // ExecError is a recoverable SQL execution error (semantic errors, constraint
 // violations). It corresponds to the server returning an error to the
 // client; fuzzing continues with the next statement.
 type ExecError struct {
-	Msg string
+	format string // "" once msg holds the formatted message
+	args   [3]any
+	nargs  int
+	msg    string
 }
 
-// Error implements error.
-func (e *ExecError) Error() string { return e.Msg }
+func (e *ExecError) formatNow(args []any) *ExecError {
+	e.msg, e.format = fmt.Sprintf(e.format, args...), ""
+	return e
+}
+
+// Error implements error. It caches the message, so an ExecError is read
+// only by the goroutine that runs its engine, as every engine result is.
+func (e *ExecError) Error() string {
+	if e.format != "" {
+		e.formatNow(e.args[:e.nargs])
+		e.args = [3]any{}
+	}
+	return e.msg
+}

@@ -291,7 +291,7 @@ func (e *Executor) Run(budgetStmts int, opts RunOptions) (interrupted bool, err 
 
 	lastSaved := e.Execs()
 	for !e.done(targets) && !stopped() {
-		e.runEpoch(targets)
+		e.runEpoch(targets, opts.Save != nil)
 		e.epoch++
 		e.mergeBarrier()
 		if opts.Save != nil && opts.EveryExecs > 0 && e.Execs()-lastSaved >= opts.EveryExecs {

@@ -92,7 +92,7 @@ func TestBarrierInvariants(t *testing.T) {
 	// the barrier drains them.
 	targets := e.targets(6000)
 	for !e.done(targets) {
-		e.runEpoch(targets)
+		e.runEpoch(targets, false)
 		for _, sh := range e.shards {
 			for _, c := range sh.Runner().Oracle.Crashes() {
 				sightings += c.Hits

@@ -70,7 +70,11 @@ type workerFailure struct {
 // each round synchronizes them with the coordinator; the only other
 // synchronization is Run's hand-off to its background save, which touches
 // nothing the shards do.
-func (e *Executor) runEpoch(targets []int) {
+//
+// With encode set (a leg that saves), each shard also builds the checkpoint
+// entries of the seeds it made this epoch on its own goroutine, so the next
+// snapshot does not build them while every shard is parked.
+func (e *Executor) runEpoch(targets []int, encode bool) {
 	// Barrier snapshots exist to re-run failed epochs, and epochs can only
 	// fail under supervision (the chaos plane or the test fault hook). Take
 	// them lazily here — the shards are exactly in their post-barrier states
@@ -110,7 +114,7 @@ func (e *Executor) runEpoch(targets []int) {
 			wg.Add(1)
 			go func(j job) {
 				defer wg.Done()
-				failures[j.shard] = e.runWorker(j.shard, j.leg, j.p)
+				failures[j.shard] = e.runWorker(j.shard, j.leg, j.p, encode)
 			}(j)
 		}
 		wg.Wait()
@@ -178,7 +182,7 @@ func (e *Executor) legs(targets []int) []leg {
 // stallFrac, modeling a worker that stops making progress, and reports the
 // stall the supervisor's step watchdog would raise at the barrier. Both
 // leave the shard mid-epoch — exactly the partial state a restore discards.
-func (e *Executor) runWorker(i int, l leg, p plan) (fail *workerFailure) {
+func (e *Executor) runWorker(i int, l leg, p plan, encode bool) (fail *workerFailure) {
 	sh := e.shards[i]
 	defer func() {
 		rec := recover()
@@ -222,6 +226,13 @@ func (e *Executor) runWorker(i int, l leg, p plan) (fail *workerFailure) {
 		}
 	default:
 		sh.RunTo(l.target, l.end)
+		if encode {
+			// Seeds made this epoch are the shard's own until the barrier
+			// shares them.
+			for _, s := range sh.Pool().Since(e.poolMark[i]) {
+				s.Entry()
+			}
+		}
 	}
 	return nil
 }
