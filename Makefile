@@ -93,9 +93,10 @@ resume:
 	diff "$$tmp/a.txt" "$$tmp/b.txt" || exit 1; \
 	echo "resume: resumed checkpoint and report match the uninterrupted run"
 
-# Self-fuzz, 15 s per target. FuzzEngineReuseMatchesFresh: a script run
-# after another on one minidb engine must match the same script on a new
-# engine, so the per-test-case reset leaves nothing behind.
+# Self-fuzz, 15 s per target. FuzzEngineReuseMatchesFresh: in any dialect,
+# a script run after another on one minidb engine, twice over, must match
+# the same script on a new engine, so the per-test-case reset leaves
+# nothing behind and recycled tables, snapshots and rows read as new ones.
 # FuzzCheckpointLoad: arbitrary file bytes must make checkpoint.Load return
 # an error or a state, never panic, and a loaded state must resume or fail
 # cleanly. FuzzRenderFixpoint:

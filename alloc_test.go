@@ -160,10 +160,12 @@ SELECT v1 FROM t1 WHERE (v2 = 2);
 	})
 
 	// A whole test case on a warm engine: the per-case reset clears the
-	// catalog and session maps in place, so the cost is the statements'
-	// own work. Rebuilding those maps for every case cost 26 more, and new
+	// catalog and session maps in place and takes back the tables and rows
+	// the last case took, so the cost is the statements' own work, less
+	// its storage. Rebuilding those maps for every case cost 26 more, new
 	// Results, relation headers and INSERT row slices 13 more (11 on the
-	// file's tc).
+	// file's tc), and a new table and column list per CREATE and a heap
+	// slice per stored or projected row 5 more (4 on the file's tc).
 	warm := minidb.New(minidb.Config{Dialect: sqlt.DialectMariaDB})
 	small := sqlparse.MustParseScript(`
 CREATE TABLE t0 (c0 INT, c1 TEXT);
@@ -171,12 +173,47 @@ INSERT INTO t0 VALUES (1, 'a'), (2, 'b');
 SELECT c0 FROM t0 WHERE c0 > 1;
 `)
 	warm.RunTestCase(small)
-	check("RunTestCase", 16, func() {
+	check("RunTestCase", 11, func() {
 		_ = warm.RunTestCase(small)
 	})
 	warm.RunTestCase(tc)
-	check("RunTestCase-tc", 14, func() {
+	check("RunTestCase-tc", 10, func() {
 		_ = warm.RunTestCase(tc)
+	})
+
+	// A transaction over a 64-row table: BEGIN and SAVEPOINT snapshot the
+	// catalog, ROLLBACK TO restores from one, and the UPDATE writes 32 new
+	// rows. Snapshots fill recycled catalogs with recycled tables, and
+	// every row copy comes from the engine's row arena: a new catalog,
+	// table and row slice per copy cost 355 more.
+	sb.Reset()
+	sb.WriteString("CREATE TABLE b64 (a INT, b INT);\nINSERT INTO b64 VALUES (0, 0)")
+	for i := 1; i < 64; i++ {
+		fmt.Fprintf(&sb, ", (%d, %d)", i, i*3)
+	}
+	sb.WriteString(";\nBEGIN;\nINSERT INTO b64 VALUES (64, 0);\nSAVEPOINT sp;\nUPDATE b64 SET b = b + 1 WHERE a < 32;\nROLLBACK TO SAVEPOINT sp;\nCOMMIT;")
+	txn := sqlparse.MustParseScript(sb.String())
+	warm.RunTestCase(txn)
+	check("RunTestCase-txn", 24, func() {
+		_ = warm.RunTestCase(txn)
+	})
+
+	// Joins and a MERGE, which only PostgreSQL accepts. Joined and
+	// NULL-padded rows, MERGE's updated and inserted rows and the
+	// projected rows come from the row arena: heap rows cost 34 more.
+	pg := minidb.New(minidb.Config{Dialect: sqlt.DialectPostgres})
+	join := sqlparse.MustParseScript(`
+CREATE TABLE j1 (id INT, v INT);
+CREATE TABLE j2 (id INT, w INT);
+INSERT INTO j1 VALUES (1, 10), (2, 20), (3, 30), (4, 40);
+INSERT INTO j2 VALUES (2, 200), (3, 300), (5, 500);
+SELECT j1.v, j2.w FROM j1 JOIN j2 ON j1.id = j2.id;
+SELECT j1.v, j2.w FROM j1 LEFT JOIN j2 ON j1.id = j2.id;
+MERGE INTO j1 USING j2 ON j1.id = j2.id WHEN MATCHED THEN UPDATE SET v = j2.w WHEN NOT MATCHED THEN INSERT VALUES (j2.id, j2.w);
+`)
+	pg.RunTestCase(join)
+	check("RunTestCase-join", 50, func() {
+		_ = pg.RunTestCase(join)
 	})
 
 	// Mutants share the seed's statements: sequence mutations copy only the

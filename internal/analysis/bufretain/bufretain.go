@@ -1,9 +1,10 @@
 // Package bufretain enforces the borrowed-buffer lifetime contract from
 // PR 6: the minidb engine hands out result/error slices that it re-slices
-// on the next RunTestCase, so callers may read them, copy them, or index
-// them — but must not store the slice (or a struct carrying it) into a
-// field or package-level variable, where it would silently mutate when the
-// engine runs again.
+// on the next RunTestCase, and the *Result objects and rows they reach are
+// engine-owned too, reused by the same call. So callers may read them,
+// render them, or deep-copy them — but must not store the slice, its
+// elements, or a struct carrying it into a field or package-level variable,
+// where they would silently change when the engine runs again.
 //
 // The owning package annotates the field:
 //
@@ -18,18 +19,20 @@
 //   - assignments whose right side reads a borrowed field — including a
 //     re-slice x.F[a:b], which shares the backing array — when the left
 //     side outlives the statement (a field, an element of a field, or a
-//     package-level variable); indexing x.F[i] is fine, the elements are
-//     freshly allocated per statement
+//     package-level variable)
+//   - on such assignments, an element x.F[i], or anything reached through
+//     one whose type can alias memory (x.F[i].Rows, but not x.F[i].Msg),
+//     and a spread append(dst, x.F...), which copies the engine's pointers
 //   - assignments storing a whole struct value whose type directly carries
 //     a borrowed field into such a location
 //   - borrowed values placed into composite literals or appended (without
 //     ...) onto another slice, both of which are how retained aggregates
-//     are built; append(dst, x.F...) copies the elements and is allowed
+//     are built
 //
-// Copy-out is the sanctioned pattern:
-//
-//	saved := make([]*minidb.Result, len(out.Results))
-//	copy(saved, out.Results)
+// Reading elements into locals is fine. The sanctioned way to keep a result
+// is to render it or deep-copy it, as lego.convertResult does: a call other
+// than append is taken to produce a value of its own, so an element passed
+// to one is not a retention.
 package bufretain
 
 import (
@@ -169,7 +172,98 @@ func (c *checker) checkAssign(as *ast.AssignStmt) {
 	for _, rhs := range as.Rhs {
 		if f, whole := c.borrowedIn(rhs); f != "" {
 			c.report(rhs.Pos(), f, whole, "stored to a field or package-level variable")
+		} else if f := c.spreadIn(rhs); f != "" {
+			c.pass.Reportf(rhs.Pos(), "borrowed buffer %s spread-appended to a field or package-level variable; its elements are engine-owned and valid only until the owner's next cycle — render or deep-copy them instead", f)
+		} else if f := c.elementIn(rhs); f != "" {
+			c.pass.Reportf(rhs.Pos(), "element of borrowed buffer %s stored to a field or package-level variable; it is engine-owned and valid only until the owner's next cycle — render or deep-copy it instead", f)
 		}
+	}
+}
+
+// spreadIn finds append(dst, x.F...) of a borrowed field in e.
+func (c *checker) spreadIn(e ast.Expr) string {
+	found := ""
+	ast.Inspect(e, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if found != "" || !ok || !analysis.IsBuiltin(c.pass.TypesInfo, call, "append") || !call.Ellipsis.IsValid() {
+			return found == ""
+		}
+		found = c.borrowedFieldIn(call.Args[len(call.Args)-1])
+		return found == ""
+	})
+	return found
+}
+
+// elementIn finds in e an element of a borrowed field, or a value reached
+// through one, whose type can alias memory. Arguments of calls other than
+// append are not searched: such a call renders or copies what it is given.
+func (c *checker) elementIn(e ast.Expr) string {
+	found := ""
+	ast.Inspect(e, func(n ast.Node) bool {
+		if found != "" {
+			return false
+		}
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			return analysis.IsBuiltin(c.pass.TypesInfo, n, "append")
+		case *ast.FuncLit:
+			return false
+		case ast.Expr:
+			f := c.elementRoot(n)
+			if f == "" {
+				return true
+			}
+			if aliases(c.pass.TypesInfo.TypeOf(n)) {
+				found = f
+			}
+			return false // the chain is judged by its outermost value
+		}
+		return true
+	})
+	return found
+}
+
+// elementRoot reports the borrowed field when e is x.F[i] or a selector,
+// index or dereference chain rooted at one.
+func (c *checker) elementRoot(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			if sel, ok := ast.Unparen(x.X).(*ast.SelectorExpr); ok {
+				if f := c.borrowedField(sel); f != "" {
+					return f
+				}
+			}
+			e = x.X
+		default:
+			return ""
+		}
+	}
+}
+
+// aliases reports whether a value of type t can reach memory shared with
+// its source: strings and plain scalars cannot.
+func aliases(t types.Type) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Basic:
+		return u.Kind() == types.UnsafePointer
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if aliases(u.Field(i).Type()) {
+				return true
+			}
+		}
+		return false
+	case *types.Array:
+		return aliases(u.Elem())
+	default:
+		return t != nil
 	}
 }
 
@@ -196,8 +290,8 @@ func (c *checker) escapes(lhs ast.Expr) bool {
 // borrowedIn reports whether evaluating e yields a borrowed value: the name
 // of the borrowed field ("Outcome.Results"), and whether it was reached as
 // a whole-struct value rather than a direct field read. Indexing a borrowed
-// slice is not a borrow (the elements are fresh per statement); re-slicing
-// shares the backing array and is. Whole-struct borrowing is checked only
+// slice reads an element (elementIn judges where it is stored); re-slicing
+// shares the backing array and is a borrow. Whole-struct borrowing is checked only
 // at the top level: a plain `out.Executed` int read must not trip on the
 // `out` sub-expression.
 func (c *checker) borrowedIn(e ast.Expr) (field string, whole bool) {

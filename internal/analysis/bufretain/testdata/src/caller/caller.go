@@ -5,8 +5,12 @@ package caller
 import "engine"
 
 type keeper struct {
-	res  []*engine.Result
-	outs []*engine.Outcome
+	res   []*engine.Result
+	outs  []*engine.Outcome
+	first *engine.Result
+	rows  [][]int
+	msgs  []string
+	n     int
 }
 
 var global []error
@@ -39,16 +43,40 @@ func Aggregate() [][]*engine.Result {
 	return append(acc, bad...)
 }
 
+// RetainElements keeps what the buffer's elements point to: the engine
+// reuses the Result objects and their rows too.
+func RetainElements(k *keeper) {
+	out := engine.Run()
+	k.first = out.Results[0]                           // want `element of borrowed buffer Outcome\.Results stored to a field or package-level variable`
+	k.res = append(k.res, out.Results[1])              // want `element of borrowed buffer Outcome\.Results stored to a field or package-level variable`
+	k.rows = out.Results[0].Rows                       // want `element of borrowed buffer Outcome\.Results stored to a field or package-level variable`
+	k.rows = append(k.rows, (*out.Results[0]).Rows...) // want `element of borrowed buffer Outcome\.Results stored to a field or package-level variable`
+	k.res = append(k.res, out.Results...)              // want `borrowed buffer Outcome\.Results spread-appended to a field or package-level variable`
+	k.res = []*engine.Result{out.Results[2]}           // want `element of borrowed buffer Outcome\.Results stored to a field or package-level variable`
+}
+
 // ReadOnly does everything the contract permits: clean.
 func ReadOnly(k *keeper) int {
 	out := engine.Run()
-	n := out.Executed                     // plain value field
-	first := out.Results[0]               // element reads are fresh per statement
-	local := out.Results                  // locals die with the statement scope
-	k.res = append(k.res, out.Results...) // spread copies the elements
-	saved := make([]*engine.Result, len(out.Results))
-	copy(saved, out.Results) // the sanctioned copy-out
-	return n + first.N + len(local) + len(saved)
+	n := out.Executed                                       // plain value field
+	first := out.Results[0]                                 // element reads into locals die with the statement
+	local := out.Results                                    // locals die with the statement scope
+	copied := append([]*engine.Result(nil), out.Results...) // a local copy of the pointers
+	k.msgs = append(k.msgs, out.Results[0].Msg)             // strings alias nothing
+	k.n = out.Results[0].N                                  // nor do scalars
+	k.msgs = append(k.msgs, render(out.Results[0]))         // the sanctioned pattern: render it
+	k.rows = deepCopy(out.Results[0].Rows)                  // or deep-copy it
+	return n + first.N + len(local) + len(copied)
+}
+
+func render(r *engine.Result) string { return r.Msg }
+
+func deepCopy(rows [][]int) [][]int {
+	out := make([][]int, len(rows))
+	for i, r := range rows {
+		out[i] = append([]int(nil), r...)
+	}
+	return out
 }
 
 // Allowed retains deliberately and says why; the runner drops the Allowed

@@ -2,8 +2,12 @@
 // out an Outcome whose slices are re-sliced on the next Run.
 package engine
 
-// Result is one statement's result.
-type Result struct{ N int }
+// Result is one statement's result; it and its rows are engine-owned too.
+type Result struct {
+	N    int
+	Msg  string
+	Rows [][]int
+}
 
 // Outcome is one run's outcome; its slices alias engine-owned buffers.
 type Outcome struct {

@@ -12,7 +12,9 @@ import (
 // saves them into the global library. In instantiation, for each entry in
 // the SQL Type Sequence, LEGO randomly selects a type-matched structure."
 type Library struct {
-	byType map[sqlt.Type][]entry
+	// byType[t] holds type t's structures, indexed by type since pick runs
+	// for every instantiated statement.
+	byType [][]entry
 	// MaxPerType bounds memory; older structures are evicted FIFO.
 	MaxPerType int
 }
@@ -26,7 +28,7 @@ type entry struct {
 
 // NewLibrary returns an empty structure library.
 func NewLibrary() *Library {
-	return &Library{byType: map[sqlt.Type][]entry{}, MaxPerType: 64}
+	return &Library{byType: make([][]entry, sqlt.NumTypes+1), MaxPerType: 64}
 }
 
 // Harvest stores every statement of the test case, keyed by type. Stored
@@ -72,10 +74,10 @@ func (l *Library) Pick(rng *rand.Rand, t sqlt.Type) sqlast.Statement {
 // which may be kept but is frozen: the caller must clone it before
 // changing it.
 func (l *Library) pick(rng *rand.Rand, t sqlt.Type) sqlast.Statement {
-	bucket := l.byType[t]
-	if len(bucket) == 0 {
+	if int(t) >= len(l.byType) || len(l.byType[t]) == 0 {
 		return nil
 	}
+	bucket := l.byType[t]
 	return bucket[rng.Intn(len(bucket))].stmt
 }
 

@@ -54,19 +54,6 @@ func (t *Table) colIndex(name string) int {
 	return -1
 }
 
-// clone deep-copies the table (rows share Value structs, which are
-// immutable by convention).
-func (t *Table) clone() *Table {
-	c := *t
-	c.Cols = append([]Column(nil), t.Cols...)
-	c.Rows = make([][]Value, len(t.Rows))
-	for i, r := range t.Rows {
-		c.Rows[i] = append([]Value(nil), r...)
-	}
-	c.Constraints = append([]sqlast.TableConstraint(nil), t.Constraints...)
-	return &c
-}
-
 // View is a stored (possibly materialized) view.
 type View struct {
 	Name         string
@@ -183,7 +170,8 @@ func NewCatalog() *Catalog {
 // reset empties the catalog in place, leaving it equal to NewCatalog()'s
 // result while its maps keep their storage for the next test case. Nothing
 // outside the engine holds these maps, and the engine drops its
-// transaction snapshots before a reset (Engine.reset).
+// transaction snapshots before a reset (Engine.reset), which recycles them
+// through the same method.
 func (c *Catalog) reset() {
 	clear(c.Tables)
 	clear(c.Views)
@@ -265,76 +253,4 @@ func (c *Catalog) indexesFor(table string) []*Index {
 		sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	}
 	return out
-}
-
-// snapshot deep-copies the catalog for transaction rollback.
-func (c *Catalog) snapshot() *Catalog {
-	s := NewCatalog()
-	for n, t := range c.Tables {
-		s.Tables[n] = t.clone()
-	}
-	for n, v := range c.Views {
-		vc := *v
-		vc.MatRows = append([][]Value(nil), v.MatRows...)
-		s.Views[n] = &vc
-	}
-	for n, ix := range c.Indexes {
-		ic := *ix
-		ic.Cols = append([]string(nil), ix.Cols...)
-		s.Indexes[n] = &ic
-	}
-	for n, tr := range c.Triggers {
-		tc := *tr
-		s.Triggers[n] = &tc
-	}
-	for n, r := range c.Rules {
-		rc := *r
-		s.Rules[n] = &rc
-	}
-	for n, sq := range c.Sequences {
-		sc := *sq
-		s.Sequences[n] = &sc
-	}
-	for n, f := range c.Functions {
-		fc := *f
-		s.Functions[n] = &fc
-	}
-	for n, p := range c.Procedures {
-		pc := *p
-		s.Procedures[n] = &pc
-	}
-	for n, d := range c.Domains {
-		dc := *d
-		s.Domains[n] = &dc
-	}
-	for n, e := range c.Enums {
-		ec := *e
-		ec.Values = append([]string(nil), e.Values...)
-		s.Enums[n] = &ec
-	}
-	for n, r := range c.Roles {
-		rc := *r
-		rc.Privs = map[string]map[string]bool{}
-		for t, ps := range r.Privs {
-			m := map[string]bool{}
-			for k, v := range ps {
-				m[k] = v
-			}
-			rc.Privs[t] = m
-		}
-		s.Roles[n] = &rc
-	}
-	for n := range c.Schemas {
-		s.Schemas[n] = true
-	}
-	for n := range c.Extensions {
-		s.Extensions[n] = true
-	}
-	for n := range c.Databases {
-		s.Databases[n] = true
-	}
-	for k, v := range c.Comments {
-		s.Comments[k] = v
-	}
-	return s
 }

@@ -161,6 +161,10 @@ type Engine struct {
 	rels     slab[relation]
 	qualBuf  []string
 	qualNext int
+
+	// pool holds the test case's tables, snapshot catalogs and rows, which
+	// reset takes back (pool.go).
+	pool pools
 }
 
 // New creates an engine for the given configuration.
@@ -194,13 +198,15 @@ func (e *Engine) Tracer() *coverage.Tracer { return e.tracer }
 // The catalog and session are cleared in place rather than rebuilt: after
 // ROLLBACK the current catalog is a former transaction snapshot, and the
 // snapshots still on the stack are dropped here, so no other reference to
-// the cleared maps survives. TestResetMatchesNewEngine pins the result to
-// a new engine's state.
+// the cleared maps survives. The pools then take back every table, catalog
+// and row the finished test case took. TestResetMatchesNewEngine pins the
+// result to a new engine's state.
 func (e *Engine) reset() {
 	e.cat.reset()
 	e.sess.reset()
 	e.txnStack = nil
 	e.spNames = nil
+	e.resetPools()
 	e.typeWindow = e.typeWindow[:0]
 	e.triggerDepth = 0
 	e.rewriteDepth = 0
@@ -217,9 +223,9 @@ func (e *Engine) reset() {
 //lego:hotpath
 func (e *Engine) hit(s coverage.Site) { e.tracer.Hit(s) }
 
-// Result is the output of one statement. Results are engine-owned: one
-// returned by ExecStmt stays valid until the next RunTestCase on the same
-// engine.
+// Result is the output of one statement. Results are engine-owned, and
+// inside RunTestCase so are their rows: one returned by ExecStmt stays
+// valid until the next RunTestCase on the same engine.
 type Result struct {
 	Cols     []string
 	Rows     [][]Value
@@ -288,9 +294,10 @@ type Outcome struct {
 	Errors int
 	// Results holds per-statement results (nil entry on error/crash).
 	// The slice aliases an engine-owned scratch buffer, and the *Result
-	// objects it points to are engine-owned too: both are valid only
-	// until the next RunTestCase call on the same engine. Callers that
-	// need results across runs must copy the Results they keep.
+	// objects it points to and their rows are engine-owned too: all are
+	// valid only until the next RunTestCase call on the same engine.
+	// Callers that need results across runs must render them or copy
+	// them deeply; a copy of the pointers keeps nothing.
 	//
 	//lego:borrowed valid until the next RunTestCase on the same engine
 	Results []*Result
@@ -329,7 +336,9 @@ func (e *Engine) RunTestCase(tc sqlast.TestCase) (out Outcome) {
 		out.Results[i] = nil
 		out.Errs[i] = nil
 	}
+	e.pool.on = true
 	defer func() {
+		e.pool.on = false
 		if r := recover(); r != nil {
 			if br, ok := r.(*BugReport); ok {
 				out.Crash = br

@@ -28,7 +28,11 @@ func (e *Engine) execCreateTable(st *sqlast.CreateTableStmt) (*Result, error) {
 	if st.Temp {
 		e.hit(pCreateTableTemp)
 	}
-	t := &Table{Name: st.Name, Temp: st.Temp, Cols: make([]Column, 0, len(st.Cols))}
+	t := e.takeTable()
+	t.Name, t.Temp, t.Rows = st.Name, st.Temp, nil
+	if cap(t.Cols) < len(st.Cols) {
+		t.Cols = make([]Column, 0, len(st.Cols))
+	}
 	seen := map[string]bool{}
 	for _, cd := range st.Cols {
 		if seen[cd.Name] {
@@ -107,6 +111,9 @@ func (e *Engine) execCreateTable(st *sqlast.CreateTableStmt) (*Result, error) {
 			e.hit(pCreateTableCheck)
 		}
 		t.Constraints = append(t.Constraints, tc)
+	}
+	if len(t.Constraints) == 0 {
+		t.Constraints = nil
 	}
 	e.cat.Tables[st.Name] = t
 	return e.ok("CREATE TABLE")

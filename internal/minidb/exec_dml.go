@@ -121,13 +121,13 @@ func (e *Engine) execInsert(st *sqlast.InsertStmt) (*Result, error) {
 		if len(st.Returning) > 0 {
 			e.hit(pInsertReturning)
 			sc := rx.tableScope(t, full)
-			var ret []Value
-			for _, x := range st.Returning {
+			ret := e.row(len(st.Returning))
+			for k, x := range st.Returning {
 				v, err := e.eval(x, sc, 0)
 				if err != nil {
 					return nil, err
 				}
-				ret = append(ret, v)
+				ret[k] = v
 			}
 			retRows = append(retRows, ret)
 		}
@@ -188,7 +188,7 @@ func (e *Engine) stageValues(s *insertStage, exprRows [][]sqlast.Expr) error {
 // buildRow assembles a full-width storage row from source values, applying
 // defaults and coercion.
 func (e *Engine) buildRow(t *Table, targets []int, src []Value) ([]Value, error) {
-	full := make([]Value, len(t.Cols))
+	full := e.row(len(t.Cols))
 	for n, ci := range targets {
 		if src == nil {
 			break
@@ -449,7 +449,7 @@ func (e *Engine) execUpdate(st *sqlast.UpdateStmt) (*Result, error) {
 		if ri >= len(t.Rows) {
 			continue
 		}
-		newRow := append([]Value(nil), t.Rows[ri]...)
+		newRow := e.copyRow(t.Rows[ri])
 		ev.bind(t.Rows[ri], nil, nil)
 		for i := range st.Sets {
 			v, err := ev.eval(i, 0)
@@ -517,13 +517,13 @@ func (e *Engine) execDelete(st *sqlast.DeleteStmt) (*Result, error) {
 		}
 		if len(st.Returning) > 0 {
 			sc := rx.tableScope(t, t.Rows[ri])
-			var ret []Value
-			for _, x := range st.Returning {
+			ret := e.row(len(st.Returning))
+			for k, x := range st.Returning {
 				v, err := e.eval(x, sc, 0)
 				if err != nil {
 					return nil, err
 				}
-				ret = append(ret, v)
+				ret[k] = v
 			}
 			retRows = append(retRows, ret)
 		}
@@ -576,7 +576,7 @@ func (e *Engine) execMerge(st *sqlast.MergeStmt) (*Result, error) {
 			matchedAny = true
 			if len(st.MatchedSet) > 0 {
 				e.hit(pMergeMatched)
-				newRow := append([]Value(nil), trow...)
+				newRow := e.copyRow(trow)
 				for _, a := range st.MatchedSet {
 					ci := target.colIndex(a.Col)
 					if ci < 0 {
@@ -599,7 +599,7 @@ func (e *Engine) execMerge(st *sqlast.MergeStmt) (*Result, error) {
 			if len(st.NotMatchedVals) != len(target.Cols) {
 				return nil, errValue("MERGE insert arity mismatch")
 			}
-			row := make([]Value, len(target.Cols))
+			row := e.row(len(target.Cols))
 			buf = append(buf[:0], slices.Clip(srow)[:ns]...)
 			sc.frame = frame{insKeys, buf}
 			for i, x := range st.NotMatchedVals {
@@ -677,7 +677,7 @@ func (e *Engine) execCopy(st *sqlast.CopyStmt) (*Result, error) {
 			if len(parts) != len(t.Cols) {
 				return nil, errValue("COPY row has %d fields, want %d", len(parts), len(t.Cols))
 			}
-			row := make([]Value, len(t.Cols))
+			row := e.row(len(t.Cols))
 			for i, p := range parts {
 				row[i] = CoerceToColumn(t.Cols[i].TypeName, Text(p))
 			}
@@ -741,7 +741,7 @@ func (e *Engine) execLoadData(st *sqlast.LoadDataStmt) (*Result, error) {
 	// load path without touching the filesystem.
 	n := 0
 	for k := 0; k < 3; k++ {
-		row := make([]Value, len(t.Cols))
+		row := e.row(len(t.Cols))
 		for ci, col := range t.Cols {
 			switch affinity(col.TypeName) {
 			case KInt:

@@ -23,7 +23,7 @@ func (e *Engine) execValuesStmt(st *sqlast.ValuesStmtNode) (*Result, error) {
 	e.hit(pExecValues)
 	var rows [][]Value
 	for _, exprRow := range st.Rows {
-		row := make([]Value, len(exprRow))
+		row := e.row(len(exprRow))
 		for i, x := range exprRow {
 			v, err := e.eval(x, emptyScope, 0)
 			if err != nil {
@@ -140,7 +140,7 @@ func (e *Engine) execTxn(st *sqlast.TxnStmt) (*Result, error) {
 			e.hit(pTxnBeginNested)
 			return nil, errValue("a transaction is already in progress")
 		}
-		e.txnStack = []*Catalog{e.cat.snapshot()}
+		e.txnStack = []*Catalog{e.snapshot(e.cat)}
 		e.spNames = []string{""}
 		return e.ok("BEGIN")
 	case sqlt.Commit:
@@ -167,7 +167,7 @@ func (e *Engine) execTxn(st *sqlast.TxnStmt) (*Result, error) {
 		if !e.inTxn() {
 			return nil, errValue("SAVEPOINT requires a transaction")
 		}
-		e.txnStack = append(e.txnStack, e.cat.snapshot())
+		e.txnStack = append(e.txnStack, e.snapshot(e.cat))
 		e.spNames = append(e.spNames, st.Name)
 		return e.ok("SAVEPOINT")
 	case sqlt.ReleaseSavepoint:
@@ -185,7 +185,7 @@ func (e *Engine) execTxn(st *sqlast.TxnStmt) (*Result, error) {
 		if i < 0 {
 			return nil, errValue("savepoint %q does not exist", st.Name)
 		}
-		e.cat = e.txnStack[i].snapshot()
+		e.cat = e.snapshot(e.txnStack[i])
 		e.txnStack = e.txnStack[:i+1]
 		e.spNames = e.spNames[:i+1]
 		return e.ok("ROLLBACK TO")

@@ -85,7 +85,8 @@ func (e *Engine) materializeInto(name string, cols []string, rows [][]Value) (*R
 	if _, exists := e.cat.Tables[name]; exists {
 		return nil, errValue("relation %q already exists", name)
 	}
-	t := &Table{Name: name}
+	t := e.takeTable()
+	t.Name, t.Rows, t.Constraints = name, rows, nil
 	for i, c := range cols {
 		cn := c
 		if cn == "" || cn == "*" {
@@ -93,7 +94,9 @@ func (e *Engine) materializeInto(name string, cols []string, rows [][]Value) (*R
 		}
 		t.Cols = append(t.Cols, Column{Name: cn, TypeName: "TEXT"})
 	}
-	t.Rows = rows
+	if len(t.Cols) == 0 {
+		t.Cols = nil
+	}
 	e.cat.Tables[name] = t
 	return e.result(Result{Affected: len(rows), Msg: "SELECT INTO"}), nil
 }
@@ -363,12 +366,14 @@ func (e *Engine) execProjection(q *sqlast.SelectStmt, rel *relation, outer *scop
 			}
 			w := len(winCalls)
 			ev.bind(src, nil, winVals[i*w:i*w+w])
-			row := make([]Value, 0, len(q.Items))
+			// A star expands to the columns outputColumns named for it.
+			row, j := e.row(len(cols)), 0
 			for k, it := range q.Items {
 				if st, ok := it.X.(*sqlast.Star); ok {
 					for c := range rel.cols {
 						if st.Table == "" || rel.qual[c] == st.Table {
-							row = append(row, src[c])
+							row[j] = src[c]
+							j++
 						}
 					}
 					continue
@@ -377,7 +382,8 @@ func (e *Engine) execProjection(q *sqlast.SelectStmt, rel *relation, outer *scop
 				if err != nil {
 					return nil, nil, err
 				}
-				row = append(row, v)
+				row[j] = v
+				j++
 			}
 			out = append(out, row)
 			if len(out) > e.limits.MaxResultRows {
@@ -388,7 +394,7 @@ func (e *Engine) execProjection(q *sqlast.SelectStmt, rel *relation, outer *scop
 	// SELECT with no FROM still yields one row; a star expands to nothing.
 	if len(rel.rows) == 0 && len(q.From) == 0 {
 		sc := &scope{parent: outer}
-		row := make([]Value, 0, len(q.Items))
+		row, j := e.row(len(cols)), 0
 		for _, it := range q.Items {
 			if _, ok := it.X.(*sqlast.Star); ok {
 				continue
@@ -397,7 +403,8 @@ func (e *Engine) execProjection(q *sqlast.SelectStmt, rel *relation, outer *scop
 			if err != nil {
 				return nil, nil, err
 			}
-			row = append(row, v)
+			row[j] = v
+			j++
 		}
 		out = append(out, row)
 	}
@@ -499,8 +506,8 @@ func (e *Engine) execGrouped(q *sqlast.SelectStmt, rel *relation, outer *scope, 
 				continue
 			}
 		}
-		var row []Value
-		for _, it := range q.Items {
+		row := e.row(len(q.Items))
+		for k, it := range q.Items {
 			if _, ok := it.X.(*sqlast.Star); ok {
 				return nil, nil, errValue("* is not valid with GROUP BY")
 			}
@@ -508,7 +515,7 @@ func (e *Engine) execGrouped(q *sqlast.SelectStmt, rel *relation, outer *scope, 
 			if err != nil {
 				return nil, nil, err
 			}
-			row = append(row, v)
+			row[k] = v
 		}
 		out = append(out, row)
 	}
@@ -874,8 +881,7 @@ func (e *Engine) crossProduct(a, b *relation) *relation {
 	}
 	for _, ra := range a.rows {
 		for _, rb := range b.rows {
-			row := append(append([]Value{}, ra...), rb...)
-			out.rows = append(out.rows, row)
+			out.rows = append(out.rows, e.joinRow(ra, rb))
 			if len(out.rows) >= maxRows {
 				return out
 			}
@@ -1008,14 +1014,6 @@ func (e *Engine) joinRelations(j *sqlast.JoinRef, left, right *relation, outer *
 		return v.Truthy(), nil
 	}
 
-	nullsFor := func(n int) []Value {
-		vs := make([]Value, n)
-		for i := range vs {
-			vs[i] = Null()
-		}
-		return vs
-	}
-
 	switch j.Kind {
 	case sqlast.JoinRight:
 		for _, rrow := range right.rows {
@@ -1027,14 +1025,16 @@ func (e *Engine) joinRelations(j *sqlast.JoinRef, left, right *relation, outer *
 				}
 				if ok {
 					matched = true
-					out.rows = append(out.rows, append(append([]Value{}, lrow...), rrow...))
+					out.rows = append(out.rows, e.joinRow(lrow, rrow))
 				}
 				if len(out.rows) >= e.limits.MaxResultRows || pairBudget <= 0 {
 					return out, nil
 				}
 			}
 			if !matched {
-				out.rows = append(out.rows, append(nullsFor(len(left.cols)), rrow...))
+				row := e.row(len(left.cols) + len(rrow)) // NULLs, then rrow
+				copy(row[len(left.cols):], rrow)
+				out.rows = append(out.rows, row)
 			}
 		}
 	default:
@@ -1047,14 +1047,16 @@ func (e *Engine) joinRelations(j *sqlast.JoinRef, left, right *relation, outer *
 				}
 				if ok {
 					matched = true
-					out.rows = append(out.rows, append(append([]Value{}, lrow...), rrow...))
+					out.rows = append(out.rows, e.joinRow(lrow, rrow))
 				}
 				if len(out.rows) >= e.limits.MaxResultRows || pairBudget <= 0 {
 					return out, nil
 				}
 			}
 			if !matched && j.Kind == sqlast.JoinLeft {
-				out.rows = append(out.rows, append(append([]Value{}, lrow...), nullsFor(len(right.cols))...))
+				row := e.row(len(lrow) + len(right.cols)) // lrow, then NULLs
+				copy(row, lrow)
+				out.rows = append(out.rows, row)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,8 +14,9 @@ import (
 	"github.com/seqfuzz/lego/internal/sqlt"
 )
 
-// dirtyScript puts at least one entry into every Catalog map and moves every
-// session field off its newSession value.
+// dirtyScript puts at least one entry into every Catalog map, moves every
+// session field off its newSession value and sets the table's unexported
+// planner and lock state.
 const dirtyScript = `CREATE TABLE t (a INT, b TEXT);
 INSERT INTO t VALUES (1, 'x');
 CREATE VIEW v AS SELECT a FROM t;
@@ -32,6 +34,9 @@ CREATE SCHEMA sc;
 CREATE EXTENSION pgcrypto;
 CREATE DATABASE db;
 COMMENT ON TABLE t IS 'dirty';
+ANALYZE t;
+LOCK TABLE t IN SHARE MODE;
+CLUSTER t USING i;
 SET v1 = 1;
 SET GLOBAL g1 = 2;
 LISTEN ch;
@@ -48,7 +53,10 @@ SET ROLE ro;`
 // map that a future change forgets to clear fails the DeepEqual below. One
 // run ends in a full ROLLBACK, so the current catalog is the former BEGIN
 // snapshot; the other ends inside the transaction after ROLLBACK TO
-// SAVEPOINT, with snapshots still on the stack.
+// SAVEPOINT, with snapshots still on the stack. Both take their tables,
+// catalogs and rows from the engine's pools, and a last script built
+// wholly from what they left there must leave the catalog DeepEqual to a
+// new engine's after the same script.
 //
 // The statements are dispatched directly, past the dialect gate, so that
 // every dialect's engine fills every map.
@@ -59,21 +67,19 @@ DROP TABLE t;
 ROLLBACK;`},
 		{"rollback-to-savepoint", `BEGIN;
 CREATE TABLE u (a INT);
+GRANT ALL ON u TO ro;
+INSERT INTO u VALUES (1), (2), (3), (4);
 SAVEPOINT sp;
 DROP TABLE u;
 ROLLBACK TO SAVEPOINT sp;`},
 	}
 	for _, d := range sqlt.Dialects() {
 		e := New(Config{Dialect: d})
+		e.pool.on = true // take from the pools, as inside RunTestCase
 		for _, end := range endings {
 			label := d.String() + "/" + end.name
 			e.reset()
-			for i, s := range sqlparse.MustParseScript(dirtyScript + "\n" + end.script) {
-				e.stmtIndex = i
-				if _, err := e.dispatch(s); err != nil {
-					t.Fatalf("%s: statement %d (%s): %v", label, i, s.SQL(), err)
-				}
-			}
+			dispatchAll(t, label, e, dirtyScript+"\n"+end.script)
 			assertDirty(t, label, e)
 			e.reset()
 			if !reflect.DeepEqual(e.cat, NewCatalog()) {
@@ -85,6 +91,112 @@ ROLLBACK TO SAVEPOINT sp;`},
 			if e.txnStack != nil || e.spNames != nil {
 				t.Errorf("%s: transaction state survived reset", label)
 			}
+		}
+
+		// What the pools keep is empty but for its arrays' capacity.
+		for _, tb := range e.pool.freeTables {
+			if !reflect.DeepEqual(*tb, Table{Cols: tb.Cols, Rows: tb.Rows, Constraints: tb.Constraints}) ||
+				len(tb.Cols)+len(tb.Rows)+len(tb.Constraints) > 0 ||
+				slices.ContainsFunc(tb.Rows[:cap(tb.Rows)], func(r []Value) bool { return r != nil }) {
+				t.Errorf("%s: a recycled table keeps state: %+v", d, *tb)
+			}
+		}
+
+		// Rebuild from what the dirty runs left in the pools, statement by
+		// statement beside a new engine: every table and catalog the script
+		// takes must be a recycled one, its rows must come from the
+		// arena's existing chunks, and after every statement the catalog
+		// and the snapshots must equal the new engine's.
+		label := d.String() + "/rebuild"
+		freeTables, freeCats, chunks := map[*Table]bool{}, map[*Catalog]bool{}, len(e.pool.chunks)
+		for _, tb := range e.pool.freeTables {
+			freeTables[tb] = true
+		}
+		for _, c := range e.pool.freeCats {
+			freeCats[c] = true
+		}
+		fresh := New(Config{Dialect: d})
+		fresh.pool.on = true
+		for i, s := range sqlparse.MustParseScript(rebuildScript) {
+			for _, x := range []*Engine{e, fresh} {
+				x.stmtIndex = i
+				if _, err := x.dispatch(s); err != nil {
+					t.Fatalf("%s: statement %d (%s): %v", label, i, s.SQL(), err)
+				}
+			}
+			if len(e.txnStack) != len(fresh.txnStack) {
+				t.Fatalf("%s: statement %d: transaction depth differs", label, i)
+			}
+			assertSameStorage(t, fmt.Sprintf("%s: statement %d: catalog", label, i), e.cat, fresh.cat)
+			for k := range e.txnStack {
+				assertSameStorage(t, fmt.Sprintf("%s: statement %d: snapshot %d", label, i, k), e.txnStack[k], fresh.txnStack[k])
+			}
+		}
+		for _, tb := range e.pool.tables {
+			if !freeTables[tb] {
+				t.Errorf("%s: the script took a table that was not recycled", label)
+			}
+		}
+		for _, c := range e.pool.cats[1:] {
+			if !freeCats[c] {
+				t.Errorf("%s: the script took a catalog that was not recycled", label)
+			}
+		}
+		if len(e.pool.tables) != 5 || len(e.pool.cats) != 4 || len(e.pool.chunks) != chunks {
+			t.Errorf("%s: took %d tables, %d catalogs and %d new chunks; want 5, 3 and none", label, len(e.pool.tables), len(e.pool.cats)-1, len(e.pool.chunks)-chunks)
+		}
+	}
+}
+
+// assertSameStorage fails unless catalog a, built from recycled storage,
+// is DeepEqual to b, built by a new engine, and its tables' Rows arrays
+// and rows have b's capacity too. DeepEqual ignores capacity, which
+// decides whether a later append reallocates: a result or MERGE's source
+// loop may still read the old array, so storage must grow as new storage
+// does.
+func assertSameStorage(t *testing.T, label string, a, b *Catalog) {
+	t.Helper()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("%s differs from a new engine's:\n%+v\n%+v", label, *a, *b)
+	}
+	for n, ta := range a.Tables {
+		tb := b.Tables[n]
+		if cap(ta.Rows) != cap(tb.Rows) {
+			t.Fatalf("%s: table %s's Rows capacity is %d, a new engine's %d", label, n, cap(ta.Rows), cap(tb.Rows))
+		}
+		for i := range ta.Rows {
+			if cap(ta.Rows[i]) != cap(tb.Rows[i]) {
+				t.Fatalf("%s: table %s's row %d has capacity %d, a new engine's %d", label, n, i, cap(ta.Rows[i]), cap(tb.Rows[i]))
+			}
+		}
+	}
+}
+
+// rebuildScript builds a catalog wholly from the tables and catalogs that
+// TestResetMatchesNewEngine's dirty runs leave in the pools: five tables
+// (two created, three snapshot copies) and three catalogs. It ends inside
+// the transaction after ROLLBACK TO SAVEPOINT, so the live catalog is a
+// snapshot.
+const rebuildScript = `CREATE TABLE r1 (a INT PRIMARY KEY, b TEXT, CHECK (a > 0));
+INSERT INTO r1 VALUES (1, 'a'), (2, 'b');
+ALTER TABLE r1 ADD COLUMN c INT DEFAULT 3;
+BEGIN;
+INSERT INTO r1 VALUES (3, 'c', 4);
+SAVEPOINT sp;
+DELETE FROM r1 WHERE a = 1;
+ROLLBACK TO SAVEPOINT sp;
+SELECT a, b INTO r2 FROM r1;
+ALTER TABLE r2 DROP COLUMN a;
+INSERT INTO r2 VALUES ('d');`
+
+// dispatchAll runs script on e statement by statement, past the dialect
+// gate, so that every dialect's engine runs every statement.
+func dispatchAll(t *testing.T, label string, e *Engine, script string) {
+	t.Helper()
+	for i, s := range sqlparse.MustParseScript(script) {
+		e.stmtIndex = i
+		if _, err := e.dispatch(s); err != nil {
+			t.Fatalf("%s: statement %d (%s): %v", label, i, s.SQL(), err)
 		}
 	}
 }
@@ -306,20 +418,96 @@ func concatScripts() []string {
 	return []string{concatTriggerScript, sb.String()}
 }
 
+// Scripts that drive the per-test-case pools (pool.go): as a, they leave
+// recycled tables, catalogs and rows behind; as b, they are built from them.
+const (
+	// txnPoolScript ends in ROLLBACK, so the live catalog the next reset
+	// clears is a former BEGIN snapshot and the root catalog is recycled.
+	txnPoolScript = `CREATE TABLE t (a INT PRIMARY KEY, b TEXT);
+INSERT INTO t VALUES (1, 'x'), (2, 'y');
+BEGIN;
+INSERT INTO t VALUES (3, 'z');
+CREATE TABLE u (c INT);
+INSERT INTO u VALUES (7);
+SAVEPOINT s1;
+UPDATE t SET b = 'w' WHERE a = 1;
+INSERT INTO u VALUES (8);
+SAVEPOINT s2;
+DELETE FROM t WHERE a = 2;
+ROLLBACK TO SAVEPOINT s1;
+SELECT * FROM t ORDER BY a;
+TABLE u;
+ROLLBACK;
+SELECT * FROM t;
+TABLE t;`
+	// txnCommitScript keeps its snapshots until COMMIT.
+	txnCommitScript = `BEGIN;
+CREATE TABLE t (a INT, b INT);
+INSERT INTO t VALUES (1, 2);
+SAVEPOINT sp;
+INSERT INTO t VALUES (3, 4);
+ALTER TABLE t ADD COLUMN c INT DEFAULT 9;
+ROLLBACK TO SAVEPOINT sp;
+INSERT INTO t VALUES (5, 6);
+RELEASE SAVEPOINT sp;
+COMMIT;
+SELECT * FROM t;`
+	// joinMergeScript joins and MERGEs (PostgreSQL only), including outer
+	// joins' NULL-padded rows.
+	joinMergeScript = `CREATE TABLE tg (id INT, v INT);
+CREATE TABLE src (id INT, v INT);
+INSERT INTO tg VALUES (1, 10), (2, 20);
+INSERT INTO src VALUES (2, 200), (3, 300);
+MERGE INTO tg USING src ON tg.id = src.id WHEN MATCHED THEN UPDATE SET v = src.v WHEN NOT MATCHED THEN INSERT VALUES (src.id, src.v);
+SELECT tg.id, src.v FROM tg LEFT JOIN src ON tg.id = src.id ORDER BY tg.id;
+SELECT * FROM tg RIGHT JOIN src ON tg.id = src.id;
+SELECT * FROM tg, src WHERE tg.v > 15;
+MERGE INTO tg USING tg ON tg.id = tg.id + 1 WHEN NOT MATCHED THEN INSERT VALUES (9, 9);
+TABLE tg;`
+	// reshapePoolScript stores SELECT INTO rows and reshapes tables in
+	// place with ALTER ADD and DROP COLUMN.
+	reshapePoolScript = `CREATE TABLE t (a INT, b INT);
+INSERT INTO t VALUES (1, 2), (3, 4);
+SELECT a, b INTO t2 FROM t;
+TABLE t2;
+ALTER TABLE t2 ADD COLUMN c INT DEFAULT 5;
+ALTER TABLE t2 DROP COLUMN a;
+ALTER TABLE t DROP COLUMN a;
+ALTER TABLE t ADD COLUMN d TEXT;
+INSERT INTO t2 VALUES (8, 9);
+SELECT * FROM t2;
+SELECT * FROM t;`
+)
+
+// pastArenaScript takes more rows than one test case may take from the
+// arena, so its last rows come from the heap.
+func pastArenaScript() string {
+	var sb strings.Builder
+	sb.WriteString("CREATE TABLE w (c0 INT, c1 INT, c2 INT, c3 INT, c4 INT, c5 INT, c6 INT, c7 INT);\nINSERT INTO w VALUES (0, 0, 0, 0, 0, 0, 0, 0)")
+	for i := 1; i < 128; i++ {
+		fmt.Fprintf(&sb, ", (%d, 1, 2, 3, 4, 5, 6, %d)", i, i%3)
+	}
+	sb.WriteString(";\nSELECT * FROM w AS x, w AS y WHERE x.c7 = 1;\nSELECT * FROM w AS x, w AS y;\nUPDATE w SET c1 = c0 + 1;\nSELECT COUNT(*), SUM(c1) FROM w;")
+	return sb.String()
+}
+
 // FuzzEngineReuseMatchesFresh checks the engine's reset: running script a
 // and then script b on one engine must give b the same results, errors and
-// coverage as running b on a new engine. That is what a campaign relies on
-// when it reuses one engine for every test case. Seeded bugs are armed, so a
-// crash inside a leaves its half-done state to the reset as well. An
-// organic panic in a is skipped: a campaign discards that engine
-// (harness quarantine) instead of reusing it.
+// coverage as running b on a new engine of the same dialect. That is what
+// a campaign relies on when it reuses one engine for every test case. The
+// reused engine runs a and b twice, so its pooled tables, catalogs and rows
+// are recycled more than once, after a ROLLBACK too. Seeded bugs are armed,
+// so a crash inside a leaves its half-done state to the reset as well. An
+// organic panic in a is skipped: a campaign discards that engine (harness
+// quarantine) instead of reusing it.
 func FuzzEngineReuseMatchesFresh(f *testing.F) {
+	const pg, my = uint8(sqlt.DialectPostgres), uint8(sqlt.DialectMySQL)
 	for i, a := range equivalenceScripts {
-		f.Add(a, equivalenceScripts[(i+1)%len(equivalenceScripts)])
+		f.Add(my, a, equivalenceScripts[(i+1)%len(equivalenceScripts)])
 	}
 	// a leaves an open transaction, a sequence, a database, USE and a
 	// variable behind; b fails or answers differently on each if it leaks.
-	f.Add(`CREATE TABLE t (a INT);
+	f.Add(my, `CREATE TABLE t (a INT);
 CREATE SEQUENCE s START WITH 5;
 CREATE DATABASE db;
 USE db;
@@ -335,24 +523,34 @@ SHOW DATABASES;
 SELECT * FROM t;
 SELECT NEXTVAL('s');
 COMMIT;`)
-	cfg := Config{Dialect: sqlt.DialectMySQL, EnableHazards: true}
-	f.Fuzz(func(t *testing.T, a, b string) {
+	f.Add(pg, txnPoolScript, txnCommitScript)
+	f.Add(uint8(sqlt.DialectMariaDB), txnCommitScript, txnPoolScript)
+	f.Add(pg, joinMergeScript, txnPoolScript)
+	f.Add(pg, txnPoolScript, joinMergeScript)
+	f.Add(pg, reshapePoolScript, reshapePoolScript)
+	f.Add(uint8(sqlt.DialectComdb2), pastArenaScript(), reshapePoolScript)
+	f.Add(pg, pastArenaScript(), joinMergeScript)
+	f.Fuzz(func(t *testing.T, d uint8, a, b string) {
 		tcA, errA := sqlparse.ParseScript(a)
 		tcB, errB := sqlparse.ParseScript(b)
 		if errA != nil || errB != nil {
 			t.Skip()
 		}
-		reused := New(cfg)
-		if first, _, _ := strings.Cut(renderRun(reused, tcA), "\n"); strings.Contains(first, " panic=") {
-			t.Skip()
-		}
-		outR, covR := runEquivCase(reused, tcB, true)
+		dialects := sqlt.Dialects()
+		cfg := Config{Dialect: dialects[int(d)%len(dialects)], EnableHazards: true}
 		outF, covF := runEquivCase(New(cfg), sqlparse.MustParseScript(b), true)
-		if outR != outF {
-			t.Fatalf("outcomes diverged\nreused:\n%s\nfresh:\n%s", outR, outF)
-		}
-		if !reflect.DeepEqual(covR, covF) {
-			t.Fatalf("coverage diverged: %d vs %d edges", len(covR), len(covF))
+		reused := New(cfg)
+		for round := 1; round <= 2; round++ {
+			if first, _, _ := strings.Cut(renderRun(reused, tcA), "\n"); strings.Contains(first, " panic=") {
+				t.Skip()
+			}
+			outR, covR := runEquivCase(reused, tcB, true)
+			if outR != outF {
+				t.Fatalf("%s, round %d: outcomes diverged\nreused:\n%s\nfresh:\n%s", cfg.Dialect, round, outR, outF)
+			}
+			if !reflect.DeepEqual(covR, covF) {
+				t.Fatalf("%s, round %d: coverage diverged: %d vs %d edges", cfg.Dialect, round, len(covR), len(covF))
+			}
 		}
 	})
 }

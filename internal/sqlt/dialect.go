@@ -112,10 +112,13 @@ var dialectTypes = func() [numDialects][]Type {
 	return out
 }()
 
-var dialectTypeSet = func() [numDialects]map[Type]bool {
-	var out [numDialects]map[Type]bool
+// dialectSupports[d][t] reports whether dialect d accepts type t: a table
+// lookup, since the engine asks once per executed statement.
+var dialectSupports = func() (out [numDialects][numTypes]bool) {
 	for d := Dialect(0); d < numDialects; d++ {
-		out[d] = toSet(dialectTypes[d])
+		for _, t := range dialectTypes[d] {
+			out[d][t] = true
+		}
 	}
 	return out
 }()
@@ -148,10 +151,10 @@ func (d Dialect) Types() []Type {
 
 // Supports reports whether the dialect accepts statement type t.
 func (d Dialect) Supports(t Type) bool {
-	if d >= numDialects {
+	if d >= numDialects || t >= numTypes {
 		return false
 	}
-	return dialectTypeSet[d][t]
+	return dialectSupports[d][t]
 }
 
 // NumStatementTypes is the size of the dialect's type profile (the "Types"
