@@ -80,18 +80,23 @@ chaos:
 # Cross-process resume gate: a two-worker campaign that stops at half its
 # budget and is resumed by a second process must end with the checkpoint,
 # byte for byte, and the report of one uninterrupted process (apart from
-# the resume notice and the timing).
+# the resume notice and the timing). Before that, resuming the half-budget
+# checkpoint as LEGO- (-minus) must fail with a `resume:` error: the
+# campaign options are part of its identity.
 resume:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/legofuzz" ./cmd/legofuzz || exit 1; \
 	run() { "$$tmp/legofuzz" -target mariadb -workers 2 -epoch-stmts 500 -seed 5 "$$@"; }; \
 	norm() { sed -e '/^resumed campaign from /d' -e 's/ in [0-9.]*s ([0-9]* stmts\/s)//'; }; \
 	run -checkpoint "$$tmp/A" -budget 40000 | norm >"$$tmp/a.txt" && \
-	run -checkpoint "$$tmp/B" -budget 20000 >/dev/null && \
+	run -checkpoint "$$tmp/B" -budget 20000 >/dev/null || exit 1; \
+	if run -checkpoint "$$tmp/B" -budget 40000 -resume -minus >/dev/null 2>"$$tmp/minus.txt"; then \
+		echo "resume: a LEGO checkpoint resumed as LEGO- was not rejected"; exit 1; fi; \
+	grep -q '^resume: ' "$$tmp/minus.txt" || { cat "$$tmp/minus.txt"; exit 1; }; \
 	run -checkpoint "$$tmp/B" -budget 40000 -resume | norm >"$$tmp/b.txt" || exit 1; \
 	cmp "$$tmp/A" "$$tmp/B" || exit 1; \
 	diff "$$tmp/a.txt" "$$tmp/b.txt" || exit 1; \
-	echo "resume: resumed checkpoint and report match the uninterrupted run"
+	echo "resume: LEGO- resume rejected; resumed checkpoint and report match the uninterrupted run"
 
 # Self-fuzz, 15 s per target. FuzzEngineReuseMatchesFresh: in any dialect,
 # a script run after another on one minidb engine, twice over, must match

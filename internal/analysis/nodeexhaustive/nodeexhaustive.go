@@ -1,25 +1,23 @@
 // Package nodeexhaustive enforces that the hand-maintained type switches
 // over sqlast node interfaces stay exhaustive as the grammar grows.
 //
-// PR 6 replaced render+reparse cloning with hand-written structural walkers
-// (Clone, StatementTables, RewriteExpr, the minidb dispatch). Clone and SQL
-// are interface methods, so a new node type without them fails to compile —
-// but the type *switches* fail silently: a statement kind the table
-// extractor skips breaks dependency fixing, and one the minidb dispatch
-// misses is never executed. This analyzer turns a missing case into a
-// vet-time diagnostic.
+// The AST is walked by hand-written structural walkers (Clone,
+// SelectTables, RewriteExpr, the minidb dispatch). Clone and SQL are
+// interface methods, so a new node type without them fails to compile —
+// but the type *switches* fail silently: an expression kind the table
+// extractor skips hides a view's dependency from DROP ... CASCADE, and a
+// statement the minidb dispatch misses is never executed. This analyzer
+// turns a missing case into a vet-time diagnostic.
 //
 // Usage: the comment directly above a type switch declares the contract:
 //
-//	//lego:exhaustive Statement children
-//	switch v := s.(type) {
+//	//lego:exhaustive Expr statements
+//	switch v := x.(type) {
 //
 // The interface is one of Statement, Expr, or TableRef; the optional mode
 // narrows the required case set:
 //
 //   - (none)     every implementor must be handled
-//   - children   implementors whose struct reaches another node through its
-//     fields (there is something to descend into)
 //   - statements implementors that directly carry a nested statement without
 //     an intervening Expr/TableRef boundary (the set a WalkExpr
 //     callback must re-enter the statement walker for)
@@ -42,12 +40,11 @@ import (
 )
 
 // NodeFact records, for one concrete type in sqlast, which node interfaces
-// it implements and whether its fields reach further nodes.
+// it implements and whether it directly carries a nested statement.
 type NodeFact struct {
 	Statement  bool `json:"statement,omitempty"`
 	Expr       bool `json:"expr,omitempty"`
 	TableRef   bool `json:"tableref,omitempty"`
-	Children   bool `json:"children,omitempty"`
 	Statements bool `json:"statements,omitempty"`
 }
 
@@ -164,7 +161,7 @@ func implementsNode(t types.Type, iface *types.Interface) bool {
 }
 
 // computeNodeFacts inventories the sqlast package: every package-level
-// concrete type implementing a node interface, with its reachability flags.
+// concrete type implementing a node interface, with its Statements flag.
 func computeNodeFacts(astPkg *types.Package) map[string]*NodeFact {
 	ifaces := lookupIfaces(astPkg)
 	nodes := map[string]*NodeFact{}
@@ -188,10 +185,9 @@ func computeNodeFacts(astPkg *types.Package) map[string]*NodeFact {
 			nodes[name] = nf
 		}
 	}
-	// Reachability: walk each node's fields. Interface-typed fields count as
-	// child boundaries; only a *direct* path to a Statement (not through an
-	// Expr/TableRef interface, which a walker recurses through generically)
-	// sets Statements.
+	// Reachability: walk each node's fields. Only a *direct* path to a
+	// Statement (not through an Expr/TableRef interface, which a walker
+	// recurses through generically) sets Statements.
 	for name, nf := range nodes {
 		tn := scope.Lookup(name).(*types.TypeName)
 		st, ok := tn.Type().Underlying().(*types.Struct)
@@ -202,18 +198,16 @@ func computeNodeFacts(astPkg *types.Package) map[string]*NodeFact {
 		for i := 0; i < st.NumFields(); i++ {
 			r.walk(st.Field(i).Type())
 		}
-		nf.Children = r.children
 		nf.Statements = r.statements
 	}
 	return nodes
 }
 
-// reach accumulates node reachability over a field-type walk.
+// reach accumulates statement reachability over a field-type walk.
 type reach struct {
 	ifaces     map[string]*types.Interface
 	nodes      map[string]*NodeFact
 	seen       map[types.Type]bool
-	children   bool
 	statements bool
 }
 
@@ -232,19 +226,12 @@ func (r *reach) walk(t types.Type) {
 	case *types.Named, *types.Alias:
 		if types.IsInterface(t) {
 			if i := r.ifaces["Statement"]; i != nil && types.Identical(t.Underlying(), i) {
-				r.children, r.statements = true, true
-			}
-			if i := r.ifaces["Expr"]; i != nil && types.Identical(t.Underlying(), i) {
-				r.children = true
-			}
-			if i := r.ifaces["TableRef"]; i != nil && types.Identical(t.Underlying(), i) {
-				r.children = true
+				r.statements = true
 			}
 			return
 		}
 		name := analysis.NamedType(t)
 		if nf, ok := r.nodes[name]; ok {
-			r.children = true
 			if nf.Statement {
 				r.statements = true
 			}
@@ -267,7 +254,7 @@ func (r *reach) walk(t types.Type) {
 // directive is one parsed //lego:exhaustive comment.
 type directive struct {
 	iface string
-	mode  string // "", "children", "statements"
+	mode  string // "" or "statements"
 	pos   token.Pos
 }
 
@@ -295,13 +282,13 @@ func collectDirectives(pass *analysis.Pass, file *ast.File) map[int]*directive {
 					bad = true
 				}
 				switch d.mode {
-				case "", "children", "statements":
+				case "", "statements":
 				default:
 					bad = true
 				}
 			}
 			if bad {
-				pass.Reportf(c.Pos(), "malformed //lego:exhaustive: want \"//lego:exhaustive <Statement|Expr|TableRef> [children|statements]\"")
+				pass.Reportf(c.Pos(), "malformed //lego:exhaustive: want \"//lego:exhaustive <Statement|Expr|TableRef> [statements]\"")
 				continue
 			}
 			out[pass.Fset.Position(c.Pos()).Line] = d
@@ -359,10 +346,7 @@ func checkSwitch(pass *analysis.Pass, sw *ast.TypeSwitchStmt, d *directive, astP
 		if !impl {
 			continue
 		}
-		switch d.mode {
-		case "children":
-			impl = nf.Children
-		case "statements":
+		if d.mode == "statements" {
 			impl = nf.Statements
 		}
 		if impl {

@@ -10,7 +10,7 @@ import (
 
 func TestSquirrelSmoke(t *testing.T) {
 	s := NewSquirrel(sqlt.DialectMariaDB, 1, false)
-	r := s.Run(5000)
+	r := harness.Run(s, 5000, 5000)
 	if r.Stmts < 5000 {
 		t.Fatalf("stmts = %d", r.Stmts)
 	}
@@ -20,9 +20,6 @@ func TestSquirrelSmoke(t *testing.T) {
 	if s.Pool().Len() == 0 {
 		t.Fatal("pool must retain seeds")
 	}
-	if s.Name() != "SQUIRREL" {
-		t.Fatal("name")
-	}
 }
 
 // TestSquirrelPreservesSequences is the paper's central observation about
@@ -31,7 +28,7 @@ func TestSquirrelSmoke(t *testing.T) {
 // change it.
 func TestSquirrelPreservesSequences(t *testing.T) {
 	s := NewSquirrel(sqlt.DialectMySQL, 2, false)
-	s.Run(8000)
+	harness.Run(s, 8000, 8000)
 
 	initial := map[string]bool{}
 	for _, tc := range harness.InitialSeeds(sqlt.DialectMySQL) {
@@ -46,12 +43,9 @@ func TestSquirrelPreservesSequences(t *testing.T) {
 
 func TestSQLancerSmoke(t *testing.T) {
 	s := NewSQLancer(sqlt.DialectPostgres, 1, false)
-	r := s.Run(5000)
+	r := harness.Run(s, 5000, 5000)
 	if r.Stmts < 5000 || r.Branches() == 0 {
 		t.Fatalf("stmts=%d branches=%d", r.Stmts, r.Branches())
-	}
-	if s.Name() != "SQLancer" {
-		t.Fatal("name")
 	}
 }
 
@@ -76,9 +70,9 @@ func TestSQLancerEmbedsManyAffinities(t *testing.T) {
 	// Table II's inversion: SQLancer's corpora contain more distinct
 	// affinities than SQUIRREL's (which are frozen to the seed corpus).
 	lancer := NewSQLancer(sqlt.DialectMySQL, 4, false)
-	lancer.Run(20000)
+	harness.Run(lancer, 20000, 20000)
 	squirrel := NewSquirrel(sqlt.DialectMySQL, 4, false)
-	squirrel.Run(20000)
+	harness.Run(squirrel, 20000, 20000)
 	if lancer.Runner().GenAff.Count() <= squirrel.Runner().GenAff.Count() {
 		t.Fatalf("SQLancer affinities (%d) must exceed SQUIRREL's (%d)",
 			lancer.Runner().GenAff.Count(), squirrel.Runner().GenAff.Count())
@@ -87,12 +81,9 @@ func TestSQLancerEmbedsManyAffinities(t *testing.T) {
 
 func TestSQLsmithSmoke(t *testing.T) {
 	s := NewSQLsmith(sqlt.DialectPostgres, 1, false)
-	r := s.Run(5000)
+	r := harness.Run(s, 5000, 5000)
 	if r.Stmts < 5000 || r.Branches() == 0 {
 		t.Fatalf("stmts=%d branches=%d", r.Stmts, r.Branches())
-	}
-	if s.Name() != "SQLsmith" {
-		t.Fatal("name")
 	}
 }
 
@@ -116,13 +107,13 @@ func TestSQLsmithSequenceIsConstant(t *testing.T) {
 }
 
 func TestBaselinesDeterministic(t *testing.T) {
-	a := NewSQLancer(sqlt.DialectComdb2, 9, true).Run(4000)
-	b := NewSQLancer(sqlt.DialectComdb2, 9, true).Run(4000)
+	a := harness.Run(NewSQLancer(sqlt.DialectComdb2, 9, true), 4000, 4000)
+	b := harness.Run(NewSQLancer(sqlt.DialectComdb2, 9, true), 4000, 4000)
 	if a.Branches() != b.Branches() || a.Oracle.Count() != b.Oracle.Count() {
 		t.Fatal("SQLancer must be deterministic per seed")
 	}
-	c := NewSquirrel(sqlt.DialectComdb2, 9, true).Run(4000)
-	d := NewSquirrel(sqlt.DialectComdb2, 9, true).Run(4000)
+	c := harness.Run(NewSquirrel(sqlt.DialectComdb2, 9, true), 4000, 4000)
+	d := harness.Run(NewSquirrel(sqlt.DialectComdb2, 9, true), 4000, 4000)
 	if c.Branches() != d.Branches() {
 		t.Fatal("SQUIRREL must be deterministic per seed")
 	}

@@ -28,9 +28,6 @@ func NewSQLancer(d sqlt.Dialect, seed int64, hazards bool) *SQLancer {
 	}
 }
 
-// Name implements harness.Fuzzer.
-func (s *SQLancer) Name() string { return "SQLancer" }
-
 // Runner implements harness.Fuzzer.
 func (s *SQLancer) Runner() *harness.Runner { return s.runner }
 
@@ -41,15 +38,6 @@ func (s *SQLancer) Step(exhausted func() bool) {
 		return
 	}
 	s.runner.Execute(s.generate())
-}
-
-// Run drives the baseline until the budget is consumed.
-func (s *SQLancer) Run(budgetStmts int) *harness.Runner {
-	exhausted := func() bool { return s.runner.Stmts >= budgetStmts }
-	for !exhausted() {
-		s.Step(exhausted)
-	}
-	return s.runner
 }
 
 func (s *SQLancer) generate() sqlast.TestCase {

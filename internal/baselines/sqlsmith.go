@@ -40,9 +40,6 @@ func NewSQLsmith(d sqlt.Dialect, seed int64, hazards bool) *SQLsmith {
 	}
 }
 
-// Name implements harness.Fuzzer.
-func (s *SQLsmith) Name() string { return "SQLsmith" }
-
 // Runner implements harness.Fuzzer.
 func (s *SQLsmith) Runner() *harness.Runner { return s.runner }
 
@@ -54,15 +51,6 @@ func (s *SQLsmith) Step(exhausted func() bool) {
 	}
 	tc := append(s.preamble.Clone(), s.genSelect(3))
 	s.runner.Execute(tc)
-}
-
-// Run drives the baseline until the budget is consumed.
-func (s *SQLsmith) Run(budgetStmts int) *harness.Runner {
-	exhausted := func() bool { return s.runner.Stmts >= budgetStmts }
-	for !exhausted() {
-		s.Step(exhausted)
-	}
-	return s.runner
 }
 
 var smithTables = []struct {

@@ -55,9 +55,6 @@ func NewSquirrel(d sqlt.Dialect, seed int64, hazards bool) *Squirrel {
 	return s
 }
 
-// Name implements harness.Fuzzer.
-func (s *Squirrel) Name() string { return "SQUIRREL" }
-
 // Runner implements harness.Fuzzer.
 func (s *Squirrel) Runner() *harness.Runner { return s.runner }
 
@@ -83,13 +80,4 @@ func (s *Squirrel) Step(exhausted func() bool) {
 			s.pool.Add(tc, newEdges)
 		}
 	}
-}
-
-// Run drives the baseline until the budget is consumed.
-func (s *Squirrel) Run(budgetStmts int) *harness.Runner {
-	exhausted := func() bool { return s.runner.Stmts >= budgetStmts }
-	for !exhausted() {
-		s.Step(exhausted)
-	}
-	return s.runner
 }

@@ -37,7 +37,9 @@ import (
 //	v6 — crashes stored once, at the top level: worker entries carry none.
 //	v7 — seeds and coverage stored once, at the top level: worker pools are
 //	     store indexes plus pick counts.
-const Version = 7
+//	v8 — no coverage curve and no top-level panic count; the identity holds
+//	     the LEGO- ablation, hazards, seed splitting and the fault rate.
+const Version = 8
 
 // BackupSuffix is appended to the checkpoint path for the rotated last-good
 // copy that Save leaves behind and LoadWithFallback falls back to.
@@ -106,12 +108,6 @@ type Crash struct {
 	Replays      int    `json:"replays,omitempty"`
 }
 
-// CurvePoint is one sample of the coverage-over-time curve.
-type CurvePoint struct {
-	Execs int `json:"execs"`
-	Edges int `json:"edges"`
-}
-
 // Incident is one entry of a supervised campaign's incident journal: a
 // worker failure and how the supervisor resolved it. The journal is part of
 // the campaign's deterministic output — same seed, same incidents.
@@ -143,10 +139,16 @@ type State struct {
 
 	// Campaign identity: a resume under different options would silently
 	// diverge, so Resume compares these. Worker i runs the RNG stream
-	// Seed+i.
-	Dialect uint8 `json:"dialect"`
-	Seed    int64 `json:"seed"`
-	MaxLen  int   `json:"max_len"`
+	// Seed+i. The options after MaxLen are written only when they differ
+	// from the facade's defaults (LEGO, not LEGO-; hazards armed; no seed
+	// splitting; no fault injection).
+	Dialect                   uint8   `json:"dialect"`
+	Seed                      int64   `json:"seed"`
+	MaxLen                    int     `json:"max_len"`
+	DisableSequenceAlgorithms bool    `json:"disable_sequence_algorithms,omitempty"`
+	DisableHazards            bool    `json:"disable_hazards,omitempty"`
+	SplitLongSeeds            bool    `json:"split_long_seeds,omitempty"`
+	FaultRate                 float64 `json:"fault_rate,omitempty"`
 
 	// Topology. Workers and EpochStmts identify the campaign like Seed
 	// does: resuming under a different topology would move every epoch
@@ -156,16 +158,13 @@ type State struct {
 	Epoch      int `json:"epoch,omitempty"`
 
 	// Totals across workers.
-	Execs        int `json:"execs"`
-	Stmts        int `json:"stmts"`
-	EnginePanics int `json:"engine_panics"`
+	Execs int `json:"execs"`
+	Stmts int `json:"stmts"`
 
-	// Curve is the campaign's coverage curve, one sample per barrier.
 	// Crashes is the campaign's crash oracle, the only copy of the crashes:
 	// worker entries carry none, since a barrier drains every worker's
 	// sightings into it.
-	Curve   []CurvePoint `json:"curve"`
-	Crashes []Crash      `json:"crashes"`
+	Crashes []Crash `json:"crashes"`
 
 	// Seeds holds every worker's seeds once, in first-appearance order
 	// walking workers by index; Coverage is the OR of the workers' maps.

@@ -47,20 +47,18 @@ func sampleCrashes() []Crash {
 
 func sample() *State {
 	return &State{
-		Dialect:      2,
-		Seed:         7,
-		MaxLen:       5,
-		Workers:      1,
-		EpochStmts:   2000,
-		Epoch:        3,
-		Execs:        1234,
-		Stmts:        5678,
-		EnginePanics: 3,
-		Curve:        []CurvePoint{{Execs: 50, Edges: 120}},
-		Crashes:      sampleCrashes(),
-		Seeds:        sampleSeeds(),
-		Coverage:     []Edge{{Idx: 10, Mask: 3}, {Idx: 99, Mask: 128}},
-		Shards:       []Shard{sampleShard()},
+		Dialect:    2,
+		Seed:       7,
+		MaxLen:     5,
+		Workers:    1,
+		EpochStmts: 2000,
+		Epoch:      3,
+		Execs:      1234,
+		Stmts:      5678,
+		Crashes:    sampleCrashes(),
+		Seeds:      sampleSeeds(),
+		Coverage:   []Edge{{Idx: 10, Mask: 3}, {Idx: 99, Mask: 128}},
+		Shards:     []Shard{sampleShard()},
 	}
 }
 
@@ -226,7 +224,6 @@ func TestShardedRoundTrip(t *testing.T) {
 		Execs: s0.Execs + s1.Execs, Stmts: s0.Stmts + s1.Stmts,
 		Workers: 2, EpochStmts: 500, Epoch: 12,
 		Shards:  []Shard{s0, s1},
-		Curve:   []CurvePoint{{Execs: 100, Edges: 240}},
 		Crashes: sampleCrashes(),
 		Seeds:   sampleSeeds(),
 	}

@@ -110,14 +110,14 @@ func TestLoadCorruptionMatrix(t *testing.T) {
 			write: func(t *testing.T, path string) {
 				writeEnvelope(t, path, validPayload(2), "")
 			},
-			wantErr: "format version 2, this build reads only version 7",
+			wantErr: "format version 2, this build reads only version 8",
 		},
 		{
 			name: "checksum-valid but v3 version",
 			write: func(t *testing.T, path string) {
 				writeEnvelope(t, path, validPayload(3), "")
 			},
-			wantErr: "format version 3, this build reads only version 7",
+			wantErr: "format version 3, this build reads only version 8",
 		},
 		{
 			// Earlier builds indented the envelope and hashed the compacted
@@ -134,7 +134,7 @@ func TestLoadCorruptionMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 			},
-			wantErr: "format version 4, this build reads only version 7",
+			wantErr: "format version 4, this build reads only version 8",
 		},
 		{
 			// v5 stored every crash once per worker as well as at the top.
@@ -142,7 +142,7 @@ func TestLoadCorruptionMatrix(t *testing.T) {
 			write: func(t *testing.T, path string) {
 				writeEnvelope(t, path, validPayload(5), "")
 			},
-			wantErr: "format version 5, this build reads only version 7",
+			wantErr: "format version 5, this build reads only version 8",
 		},
 		{
 			// v6 stored every seed and the coverage once per worker.
@@ -150,7 +150,15 @@ func TestLoadCorruptionMatrix(t *testing.T) {
 			write: func(t *testing.T, path string) {
 				writeEnvelope(t, path, validPayload(6), "")
 			},
-			wantErr: "format version 6, this build reads only version 7",
+			wantErr: "format version 6, this build reads only version 8",
+		},
+		{
+			// v7 stored a coverage curve and a top-level panic count.
+			name: "checksum-valid but v7 version",
+			write: func(t *testing.T, path string) {
+				writeEnvelope(t, path, validPayload(7), "")
+			},
+			wantErr: "format version 7, this build reads only version 8",
 		},
 		{
 			name: "negative store index",

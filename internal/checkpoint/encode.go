@@ -14,13 +14,28 @@ import (
 // TestEncodeMatchesMarshalOnCampaigns hold the encoder to json.Marshal.
 
 // AppendState appends st's JSON encoding to dst. The only error is
-// json.Marshal's for a value it cannot encode (a NaN or infinite chaos
-// rate); dst is then returned as it was.
+// json.Marshal's for a value it cannot encode (a NaN or infinite fault or
+// chaos rate); dst is then returned as it was.
 func AppendState(dst []byte, st *State) ([]byte, error) {
 	b := appendInt(append(dst, `{"version":`...), int64(st.Version))
 	b = appendInt(append(b, `,"dialect":`...), int64(st.Dialect))
 	b = appendInt(append(b, `,"seed":`...), st.Seed)
 	b = appendInt(append(b, `,"max_len":`...), int64(st.MaxLen))
+	if st.DisableSequenceAlgorithms {
+		b = append(b, `,"disable_sequence_algorithms":true`...)
+	}
+	if st.DisableHazards {
+		b = append(b, `,"disable_hazards":true`...)
+	}
+	if st.SplitLongSeeds {
+		b = append(b, `,"split_long_seeds":true`...)
+	}
+	if st.FaultRate != 0 {
+		var err error
+		if b, err = appendFloat(append(b, `,"fault_rate":`...), st.FaultRate); err != nil {
+			return dst, err
+		}
+	}
 	b = appendInt(append(b, `,"workers":`...), int64(st.Workers))
 	if st.EpochStmts != 0 {
 		b = appendInt(append(b, `,"epoch_stmts":`...), int64(st.EpochStmts))
@@ -30,11 +45,6 @@ func AppendState(dst []byte, st *State) ([]byte, error) {
 	}
 	b = appendInt(append(b, `,"execs":`...), int64(st.Execs))
 	b = appendInt(append(b, `,"stmts":`...), int64(st.Stmts))
-	b = appendInt(append(b, `,"engine_panics":`...), int64(st.EnginePanics))
-	b = appendArray(append(b, `,"curve":`...), st.Curve, func(b []byte, p *CurvePoint) []byte {
-		b = appendInt(append(b, `{"execs":`...), int64(p.Execs))
-		return append(appendInt(append(b, `,"edges":`...), int64(p.Edges)), '}')
-	})
 	b = appendArray(append(b, `,"crashes":`...), st.Crashes, appendCrash)
 	b = appendArray(append(b, `,"seeds":`...), st.Seeds, func(b []byte, s *Seed) []byte { return AppendSeed(b, *s) })
 	b = appendArray(append(b, `,"coverage":`...), st.Coverage, func(b []byte, e *Edge) []byte {

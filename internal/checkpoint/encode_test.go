@@ -68,25 +68,32 @@ func (s *stream) u16() uint16 { return uint16(s.int()) }
 func (s *stream) pair() [2]uint16 { return [2]uint16{s.u16(), s.u16()} }
 
 // buildState draws a State covering every field, with zero and non-zero
-// omitempty fields, seeds with and without a cached Entry, and chaos rate
-// rate. It fails t if a seed's Entry differs from json.Marshal of its
-// fields.
+// omitempty fields, seeds with and without a cached Entry, and rate as its
+// chaos rate, its fault rate, both or neither. It fails t if a seed's Entry
+// differs from json.Marshal of its fields.
 func buildState(t *testing.T, s *stream, rate float64) *State {
+	flags := s.byte()
 	st := &State{
-		Version:         int(s.int()),
-		Dialect:         s.byte(),
-		Seed:            s.int(),
-		MaxLen:          int(s.int()),
-		Workers:         int(s.int()),
-		EpochStmts:      int(s.int()),
-		Epoch:           int(s.int()),
-		Execs:           int(s.int()),
-		Stmts:           int(s.int()),
-		EnginePanics:    int(s.int()),
-		Curve:           slice(s, func() CurvePoint { return CurvePoint{int(s.int()), int(s.int())} }),
-		ChaosRate:       rate,
-		ChaosSeed:       s.int(),
-		MaxEpochRetries: int(s.int()),
+		Version:                   int(s.int()),
+		Dialect:                   s.byte(),
+		Seed:                      s.int(),
+		MaxLen:                    int(s.int()),
+		DisableSequenceAlgorithms: flags&1 != 0,
+		DisableHazards:            flags&2 != 0,
+		SplitLongSeeds:            flags&4 != 0,
+		Workers:                   int(s.int()),
+		EpochStmts:                int(s.int()),
+		Epoch:                     int(s.int()),
+		Execs:                     int(s.int()),
+		Stmts:                     int(s.int()),
+		ChaosSeed:                 s.int(),
+		MaxEpochRetries:           int(s.int()),
+	}
+	if flags&8 == 0 {
+		st.ChaosRate = rate
+	}
+	if flags&16 != 0 {
+		st.FaultRate = rate
 	}
 	st.Crashes = slice(s, func() Crash {
 		return Crash{
@@ -174,7 +181,7 @@ func checkEncoding(t *testing.T, st *State) {
 // write json.Marshal's bytes: null for nil slices, omitted zero omitempty
 // fields, HTML-escaped strings with U+2028, U+2029, control bytes and
 // invalid UTF-8 escaped as json.Marshal does, and json.Marshal's float
-// formatting and error for the chaos rate. A seed's cached entry is built
+// formatting and error for the fault and chaos rates. A seed's cached entry is built
 // by AppendSeed from the same fields, the way corpus.Seed builds it, so
 // its bytes are held to json.Marshal too.
 //
@@ -224,10 +231,12 @@ func TestEncodeSample(t *testing.T) {
 	st.Incidents = []Incident{{Epoch: 1, Shard: 0, Kind: "WORKER_PANIC", Retries: 1, Outcome: "RETRIED"}}
 	st.Shards[0].Quarantined, st.Shards[0].Retries = true, 2
 	checkEncoding(t, st)
-	st.Crashes, st.Seeds, st.Curve, st.Shards = nil, []Seed{}, []CurvePoint{}, nil
+	st.DisableSequenceAlgorithms, st.DisableHazards, st.SplitLongSeeds, st.FaultRate = true, true, true, 0.002
+	checkEncoding(t, st)
+	st.Crashes, st.Seeds, st.Shards = nil, []Seed{}, nil
 	checkEncoding(t, st)
 	// Every section empty but not nil, and a worker entry all nil.
-	st.Crashes, st.Seeds, st.Curve, st.Coverage = []Crash{}, nil, nil, []Edge{}
+	st.Crashes, st.Seeds, st.Coverage = []Crash{}, nil, []Edge{}
 	st.Shards = []Shard{{Pool: []int{}, Picked: []int{}, Affinity: [][2]uint16{}, GenAffinity: [][2]uint16{},
 		SynthSeqs: [][]uint16{nil, {}}, SynthStarts: []uint16{}, Pending: [][2]uint16{}}, {}}
 	checkEncoding(t, st)

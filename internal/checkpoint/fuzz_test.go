@@ -66,14 +66,18 @@ func FuzzCheckpointLoad(f *testing.F) {
 				return
 			}
 			cfg := lego.Config{
-				Target:            lego.Target(st.Dialect),
-				Seed:              st.Seed,
-				MaxSequenceLength: st.MaxLen,
-				Workers:           st.Workers,
-				EpochStmts:        st.EpochStmts,
-				ChaosRate:         st.ChaosRate,
-				ChaosSeed:         st.ChaosSeed,
-				MaxEpochRetries:   st.MaxEpochRetries,
+				Target:                    lego.Target(st.Dialect),
+				Seed:                      st.Seed,
+				MaxSequenceLength:         st.MaxLen,
+				DisableSequenceAlgorithms: st.DisableSequenceAlgorithms,
+				DisableHazards:            st.DisableHazards,
+				SplitLongSeeds:            st.SplitLongSeeds,
+				FaultRate:                 st.FaultRate,
+				Workers:                   st.Workers,
+				EpochStmts:                st.EpochStmts,
+				ChaosRate:                 st.ChaosRate,
+				ChaosSeed:                 st.ChaosSeed,
+				MaxEpochRetries:           st.MaxEpochRetries,
 			}
 			fz, err := lego.ResumeFuzzer(cfg, path)
 			if (fz == nil) == (err == nil) {

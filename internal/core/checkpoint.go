@@ -68,8 +68,9 @@ func (f *Fuzzer) SnapshotShard() checkpoint.Shard {
 }
 
 // CheckIdentity reports whether opts describe the campaign the checkpoint
-// was taken from (dialect, seed, MaxLen); a mismatch is an error, since the
-// restored schedule would silently diverge from the original.
+// was taken from: dialect, seed, MaxLen, the LEGO- ablation, hazards, seed
+// splitting and the fault rate. A mismatch is an error naming the option,
+// since the restored schedule would silently diverge from the original.
 func CheckIdentity(opts Options, st *checkpoint.State) error {
 	opts.fill()
 	if sqlt.Dialect(st.Dialect) != opts.Dialect {
@@ -79,6 +80,22 @@ func CheckIdentity(opts Options, st *checkpoint.State) error {
 	if st.Seed != opts.Seed || st.MaxLen != opts.MaxLen {
 		return fmt.Errorf("resume: checkpoint campaign (seed %d, len %d) does not match options (seed %d, len %d)",
 			st.Seed, st.MaxLen, opts.Seed, opts.MaxLen)
+	}
+	flags := []struct {
+		name       string
+		ckpt, opts bool
+	}{
+		{"DisableSequenceAlgorithms", st.DisableSequenceAlgorithms, opts.DisableSequenceAlgorithms},
+		{"Hazards", !st.DisableHazards, opts.Hazards},
+		{"SplitLongSeeds", st.SplitLongSeeds, opts.SplitLongSeeds},
+	}
+	for _, f := range flags {
+		if f.ckpt != f.opts {
+			return fmt.Errorf("resume: checkpoint campaign has %s %v, options say %v", f.name, f.ckpt, f.opts)
+		}
+	}
+	if st.FaultRate != opts.FaultRate {
+		return fmt.Errorf("resume: checkpoint campaign has FaultRate %v, options say %v", st.FaultRate, opts.FaultRate)
 	}
 	return nil
 }

@@ -158,14 +158,6 @@ func New(opts Options) *Fuzzer {
 	return f
 }
 
-// Name implements harness.Fuzzer.
-func (f *Fuzzer) Name() string {
-	if f.opts.DisableSequenceAlgorithms {
-		return "LEGO-"
-	}
-	return "LEGO"
-}
-
 // Options returns the fuzzer's options, defaults filled in.
 func (f *Fuzzer) Options() Options { return f.opts }
 
@@ -300,25 +292,4 @@ func (f *Fuzzer) randomSequences(n int) []sqlt.Sequence {
 		out = append(out, seq)
 	}
 	return out
-}
-
-// Run drives the fuzzer until the statement budget is consumed and returns
-// the campaign's runner for metric collection.
-func (f *Fuzzer) Run(budgetStmts int) *harness.Runner {
-	f.RunTo(budgetStmts, budgetStmts)
-	return f.runner
-}
-
-// RunTo runs fuzzing iterations until the runner has executed end
-// statements, cutting the iteration in flight short once it reaches target.
-// The target is hard: the budget may run out mid-iteration, where the
-// campaign ends. An end below the target is soft: the loop stops at the
-// first iteration boundary at or past it, a state the uninterrupted loop
-// also passes through, so a run split into RunTo calls at soft ends makes
-// the same draws and executions as one Run.
-func (f *Fuzzer) RunTo(target, end int) {
-	exhausted := func() bool { return f.runner.Stmts >= target }
-	for f.runner.Stmts < end && !exhausted() {
-		f.Step(exhausted)
-	}
 }

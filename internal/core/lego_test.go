@@ -3,12 +3,13 @@ package core
 import (
 	"testing"
 
+	"github.com/seqfuzz/lego/internal/harness"
 	"github.com/seqfuzz/lego/internal/sqlt"
 )
 
 func TestLegoSmoke(t *testing.T) {
 	f := New(Options{Dialect: sqlt.DialectMySQL, Seed: 1, Hazards: true})
-	r := f.Run(12000)
+	r := harness.Run(f, 12000, 12000)
 	if r.Stmts < 12000 {
 		t.Fatalf("stmts = %d", r.Stmts)
 	}
@@ -27,10 +28,7 @@ func TestLegoSmoke(t *testing.T) {
 
 func TestLegoMinusDisablesSequenceWork(t *testing.T) {
 	minus := New(Options{Dialect: sqlt.DialectMySQL, Seed: 1, DisableSequenceAlgorithms: true})
-	r := minus.Run(500)
-	if minus.Name() != "LEGO-" {
-		t.Fatalf("name = %s", minus.Name())
-	}
+	r := harness.Run(minus, 500, 500)
 	if minus.Affinities() != 0 {
 		t.Fatalf("LEGO- must not analyze affinities, got %d", minus.Affinities())
 	}
@@ -40,8 +38,8 @@ func TestLegoMinusDisablesSequenceWork(t *testing.T) {
 }
 
 func TestLegoDeterministic(t *testing.T) {
-	a := New(Options{Dialect: sqlt.DialectComdb2, Seed: 42, Hazards: true}).Run(800)
-	b := New(Options{Dialect: sqlt.DialectComdb2, Seed: 42, Hazards: true}).Run(800)
+	a := harness.Run(New(Options{Dialect: sqlt.DialectComdb2, Seed: 42, Hazards: true}), 800, 800)
+	b := harness.Run(New(Options{Dialect: sqlt.DialectComdb2, Seed: 42, Hazards: true}), 800, 800)
 	if a.Branches() != b.Branches() || a.Oracle.Count() != b.Oracle.Count() {
 		t.Fatalf("non-deterministic: (%d,%d) vs (%d,%d)",
 			a.Branches(), a.Oracle.Count(), b.Branches(), b.Oracle.Count())

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"github.com/seqfuzz/lego/internal/harness"
 	"github.com/seqfuzz/lego/internal/sqlt"
 )
 
@@ -20,7 +21,7 @@ func TestAffinityPipeline(t *testing.T) {
 		t.Fatal("seed corpus must teach INSERT -> SELECT")
 	}
 	before := f.Affinities()
-	f.Run(30000)
+	harness.Run(f, 30000, 30000)
 	if f.Affinities() <= before {
 		t.Fatal("fuzzing must discover new affinities")
 	}
@@ -48,7 +49,7 @@ func TestLegoFindsSequenceBugsThatMinusCannot(t *testing.T) {
 	budget := 150000
 	minus := New(Options{Dialect: sqlt.DialectMySQL, Seed: 5, Hazards: true,
 		DisableSequenceAlgorithms: true})
-	rMinus := minus.Run(budget)
+	rMinus := harness.Run(minus, budget, budget)
 	for _, c := range rMinus.Oracle.Crashes() {
 		if c.Report.ID == "CVE-2021-35643" {
 			t.Fatal("LEGO- found the trigger-sequence bug: it should be unreachable")
@@ -58,7 +59,7 @@ func TestLegoFindsSequenceBugsThatMinusCannot(t *testing.T) {
 	found := false
 	for seed := int64(5); seed < 9 && !found; seed++ {
 		full := New(Options{Dialect: sqlt.DialectMySQL, Seed: seed, Hazards: true})
-		r := full.Run(budget)
+		r := harness.Run(full, budget, budget)
 		for _, c := range r.Oracle.Crashes() {
 			if c.Report.ID == "CVE-2021-35643" {
 				found = true
@@ -72,7 +73,7 @@ func TestLegoFindsSequenceBugsThatMinusCannot(t *testing.T) {
 
 func TestRandomSequenceAblationStillRuns(t *testing.T) {
 	f := New(Options{Dialect: sqlt.DialectComdb2, Seed: 2, RandomSequences: true})
-	r := f.Run(10000)
+	r := harness.Run(f, 10000, 10000)
 	if r.Branches() == 0 {
 		t.Fatal("random-sequence ablation must still cover branches")
 	}
@@ -83,9 +84,9 @@ func TestNoCoverageGateGathersMoreAffinities(t *testing.T) {
 	// to dominate schedule noise: below ~40k statements the comparison
 	// flips depending on the RNG stream, at 60k it holds for every seed.
 	gated := New(Options{Dialect: sqlt.DialectMySQL, Seed: 6})
-	gated.Run(60000)
+	harness.Run(gated, 60000, 60000)
 	open := New(Options{Dialect: sqlt.DialectMySQL, Seed: 6, NoCoverageGate: true})
-	open.Run(60000)
+	harness.Run(open, 60000, 60000)
 	if open.Affinities() < gated.Affinities() {
 		t.Fatalf("ungated analysis (%d) must find at least as many affinities as gated (%d)",
 			open.Affinities(), gated.Affinities())
@@ -114,11 +115,8 @@ func TestStepHonoursBudgetCallback(t *testing.T) {
 	}
 }
 
-func TestNameAndAccessors(t *testing.T) {
+func TestAccessors(t *testing.T) {
 	f := New(Options{Dialect: sqlt.DialectMariaDB, Seed: 1})
-	if f.Name() != "LEGO" {
-		t.Fatal("name")
-	}
 	if f.Runner() == nil || f.Pool() == nil || f.Library() == nil || f.AffinityMap() == nil {
 		t.Fatal("accessors")
 	}
@@ -129,7 +127,7 @@ func TestNameAndAccessors(t *testing.T) {
 // pool as independent seeds.
 func TestSplitLongSeeds(t *testing.T) {
 	f := New(Options{Dialect: sqlt.DialectMariaDB, Seed: 4, SplitLongSeeds: true, MaxLen: 3})
-	f.Run(30000)
+	harness.Run(f, 30000, 30000)
 	// With MaxLen 3, any retained seed longer than 6 statements must have
 	// produced shorter companions; verify the pool contains seeds that are
 	// strict prefixes/suffixes in type-sequence terms.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/seqfuzz/lego/internal/checkpoint"
+	"github.com/seqfuzz/lego/internal/harness"
 	"github.com/seqfuzz/lego/internal/sqlt"
 )
 
@@ -14,20 +15,38 @@ import (
 func TestResumeRejectsMismatchedCampaign(t *testing.T) {
 	f := New(Options{Dialect: sqlt.DialectPostgres, Seed: 2})
 	o := f.Options()
-	st := &checkpoint.State{Dialect: uint8(o.Dialect), Seed: o.Seed, MaxLen: o.MaxLen}
+	st := &checkpoint.State{Dialect: uint8(o.Dialect), Seed: o.Seed, MaxLen: o.MaxLen, DisableHazards: !o.Hazards}
 	if err := CheckIdentity(Options{Dialect: sqlt.DialectPostgres, Seed: 2}, st); err != nil {
 		t.Fatalf("matching options rejected: %v", err)
 	}
 
-	cases := []Options{
-		{Dialect: sqlt.DialectMySQL, Seed: 2},               // wrong dialect
-		{Dialect: sqlt.DialectPostgres, Seed: 3},            // wrong seed
-		{Dialect: sqlt.DialectPostgres, Seed: 2, MaxLen: 8}, // wrong length cap
+	cases := []struct {
+		opts Options
+		want string
+	}{
+		{Options{Dialect: sqlt.DialectMySQL, Seed: 2}, "dialect"},
+		{Options{Dialect: sqlt.DialectPostgres, Seed: 3}, "seed"},
+		{Options{Dialect: sqlt.DialectPostgres, Seed: 2, MaxLen: 8}, "len"},
+		{Options{Dialect: sqlt.DialectPostgres, Seed: 2, DisableSequenceAlgorithms: true}, "DisableSequenceAlgorithms"},
+		{Options{Dialect: sqlt.DialectPostgres, Seed: 2, Hazards: true}, "Hazards"},
+		{Options{Dialect: sqlt.DialectPostgres, Seed: 2, SplitLongSeeds: true}, "SplitLongSeeds"},
+		{Options{Dialect: sqlt.DialectPostgres, Seed: 2, FaultRate: 0.01}, "FaultRate"},
 	}
-	for i, o := range cases {
-		if err := CheckIdentity(o, st); err == nil {
-			t.Fatalf("case %d: mismatched resume must fail", i)
+	for i, c := range cases {
+		if err := CheckIdentity(c.opts, st); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("case %d: mismatched resume must fail naming %s, got %v", i, c.want, err)
 		}
+	}
+
+	// The options are identity in both directions: a campaign that ran
+	// with them rejects options without them.
+	st.DisableSequenceAlgorithms, st.SplitLongSeeds, st.FaultRate = true, true, 0.01
+	if err := CheckIdentity(Options{Dialect: sqlt.DialectPostgres, Seed: 2}, st); err == nil {
+		t.Fatal("a LEGO- campaign resumed as LEGO must fail")
+	}
+	if err := CheckIdentity(Options{Dialect: sqlt.DialectPostgres, Seed: 2,
+		DisableSequenceAlgorithms: true, SplitLongSeeds: true, FaultRate: 0.01}, st); err != nil {
+		t.Fatalf("matching options rejected: %v", err)
 	}
 }
 
@@ -37,7 +56,7 @@ func TestResumeRejectsMismatchedCampaign(t *testing.T) {
 // them as deduplicated PANIC bugs with reproducers.
 func TestFaultInjectedCampaignSurvives(t *testing.T) {
 	f := New(Options{Dialect: sqlt.DialectMySQL, Seed: 9, Hazards: true, FaultRate: 0.001})
-	runner := f.Run(30000) // would panic the test process if containment leaked
+	runner := harness.Run(f, 30000, 30000) // would panic the test process if containment leaked
 
 	if runner.Stmts < 30000 {
 		t.Fatalf("campaign died early: %d statements", runner.Stmts)
@@ -87,7 +106,7 @@ func TestMaxLenClampPreventsPanic(t *testing.T) {
 	// End to end: the RandomSequences ablation exercises the Intn that
 	// panicked before the clamp.
 	f := New(Options{Dialect: sqlt.DialectPostgres, Seed: 1, MaxLen: 1, RandomSequences: true})
-	f.Run(3000)
+	harness.Run(f, 3000, 3000)
 	if f.opts.MaxLen != 2 {
 		t.Fatalf("fuzzer MaxLen = %d", f.opts.MaxLen)
 	}

@@ -83,17 +83,13 @@ type CampaignResult struct {
 	DiscoveredAffinities int
 	// Crashes are the deduplicated bugs.
 	Crashes []*oracle.Crash
-	// Curve samples branch coverage over executions.
+	// Curve samples branch coverage over executions, every 50 test cases
+	// (RunCampaign only).
 	Curve []harness.CurvePoint
 }
 
 // Bugs returns the number of unique bugs found.
 func (c *CampaignResult) Bugs() int { return len(c.Crashes) }
-
-// runnable abstracts the per-fuzzer Run entry point.
-type runnable interface {
-	Run(budgetStmts int) *harness.Runner
-}
 
 // campaignSeed derives a per-campaign RNG seed so fuzzers don't share
 // random streams.
@@ -109,28 +105,18 @@ func campaignSeed(base int64, f FuzzerName, d sqlt.Dialect) int64 {
 // RunCampaign executes one fuzzing campaign with hazards armed.
 func RunCampaign(f FuzzerName, d sqlt.Dialect, execs int, seed int64, maxLen int) CampaignResult {
 	s := campaignSeed(seed, f, d)
-	var r runnable
-	var lego *core.Fuzzer
+	opts := core.Options{Dialect: d, Seed: s, Hazards: true, MaxLen: maxLen}
+	var r harness.Fuzzer
 	switch f {
 	case FuzzerLEGO:
-		lego = core.New(core.Options{Dialect: d, Seed: s, Hazards: true, MaxLen: maxLen})
-		r = lego
 	case FuzzerLEGOMinus:
-		lego = core.New(core.Options{Dialect: d, Seed: s, Hazards: true, MaxLen: maxLen,
-			DisableSequenceAlgorithms: true})
-		r = lego
+		opts.DisableSequenceAlgorithms = true
 	case FuzzerLEGORandomSeq:
-		lego = core.New(core.Options{Dialect: d, Seed: s, Hazards: true, MaxLen: maxLen,
-			RandomSequences: true})
-		r = lego
+		opts.RandomSequences = true
 	case FuzzerLEGONoCovGate:
-		lego = core.New(core.Options{Dialect: d, Seed: s, Hazards: true, MaxLen: maxLen,
-			NoCoverageGate: true})
-		r = lego
+		opts.NoCoverageGate = true
 	case FuzzerLEGOSplit:
-		lego = core.New(core.Options{Dialect: d, Seed: s, Hazards: true, MaxLen: maxLen,
-			SplitLongSeeds: true})
-		r = lego
+		opts.SplitLongSeeds = true
 	case FuzzerSquirrel:
 		r = baselines.NewSquirrel(d, s, true)
 	case FuzzerSQLancer:
@@ -140,7 +126,12 @@ func RunCampaign(f FuzzerName, d sqlt.Dialect, execs int, seed int64, maxLen int
 	default:
 		panic("unknown fuzzer " + string(f))
 	}
-	runner := r.Run(execs)
+	var lego *core.Fuzzer
+	if r == nil {
+		lego = core.New(opts)
+		r = lego
+	}
+	runner := harness.Run(r, execs, execs)
 	res := CampaignResult{
 		Fuzzer:        f,
 		Dialect:       d,
@@ -203,7 +194,6 @@ func RunChaoticCampaign(d sqlt.Dialect, stmts int, seed int64, maxLen, workers, 
 		GenAffinities:        e.GenAffinities(),
 		DiscoveredAffinities: e.Affinities(),
 		Crashes:              e.Oracle().Crashes(),
-		Curve:                e.Curve(),
 	}
 	return res, ChaosStats{
 		Stmts:       e.Stmts(),

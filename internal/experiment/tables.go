@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"github.com/seqfuzz/lego/internal/harness"
 	"github.com/seqfuzz/lego/internal/minidb"
 	"github.com/seqfuzz/lego/internal/sqlt"
 )
@@ -109,13 +110,7 @@ type Figure9Result struct {
 	// fuzzer does not support the dialect, as SQLsmith outside PostgreSQL).
 	Branches map[sqlt.Dialect]map[FuzzerName]int
 	// Curves keeps the coverage-over-executions series for plotting.
-	Curves map[sqlt.Dialect]map[FuzzerName][]CurvePointAlias
-}
-
-// CurvePointAlias re-exports the harness curve point for callers.
-type CurvePointAlias struct {
-	Execs int
-	Edges int
+	Curves map[sqlt.Dialect]map[FuzzerName][]harness.CurvePoint
 }
 
 // figure9Fuzzers lists the comparison set in the paper's legend order.
@@ -125,11 +120,11 @@ var figure9Fuzzers = []FuzzerName{FuzzerLEGO, FuzzerSquirrel, FuzzerSQLancer, Fu
 func Figure9(b Budgets) Figure9Result {
 	res := Figure9Result{
 		Branches: map[sqlt.Dialect]map[FuzzerName]int{},
-		Curves:   map[sqlt.Dialect]map[FuzzerName][]CurvePointAlias{},
+		Curves:   map[sqlt.Dialect]map[FuzzerName][]harness.CurvePoint{},
 	}
 	for _, d := range sqlt.Dialects() {
 		res.Branches[d] = map[FuzzerName]int{}
-		res.Curves[d] = map[FuzzerName][]CurvePointAlias{}
+		res.Curves[d] = map[FuzzerName][]harness.CurvePoint{}
 		for _, f := range figure9Fuzzers {
 			if f == FuzzerSQLsmith && d != sqlt.DialectPostgres {
 				res.Branches[d][f] = -1 // unsupported, as in the paper
@@ -137,9 +132,7 @@ func Figure9(b Budgets) Figure9Result {
 			}
 			cr := RunCampaign(f, d, b.DayStmts, b.Seed, 0)
 			res.Branches[d][f] = cr.Branches
-			for _, p := range cr.Curve {
-				res.Curves[d][f] = append(res.Curves[d][f], CurvePointAlias{p.Execs, p.Edges})
-			}
+			res.Curves[d][f] = cr.Curve
 		}
 	}
 	return res

@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"github.com/seqfuzz/lego/internal/affinity"
-	"github.com/seqfuzz/lego/internal/checkpoint"
 	"github.com/seqfuzz/lego/internal/coverage"
 	"github.com/seqfuzz/lego/internal/minidb"
 	"github.com/seqfuzz/lego/internal/oracle"
@@ -18,9 +17,11 @@ import (
 	"github.com/seqfuzz/lego/internal/sqlt"
 )
 
-// CurvePoint is one sample of the branch-coverage curve (Figure 9), in the
-// form checkpoints carry it.
-type CurvePoint = checkpoint.CurvePoint
+// CurvePoint is one sample of the branch-coverage curve (Figure 9).
+type CurvePoint struct {
+	Execs int
+	Edges int
+}
 
 // Runner executes test cases and accumulates campaign state.
 type Runner struct {
@@ -140,13 +141,28 @@ func (r *Runner) Branches() int { return r.Cov.EdgeCount() }
 
 // Fuzzer is one fuzzing strategy driving a Runner.
 type Fuzzer interface {
-	// Name is the display name used in tables and figures.
-	Name() string
 	// Step performs one fuzzing iteration; the budget callback reports
 	// whether the campaign budget is exhausted and Step should bail early.
 	Step(exhausted func() bool)
 	// Runner exposes the campaign state for metric collection.
 	Runner() *Runner
+}
+
+// Run runs f's fuzzing iterations until its runner has executed end
+// statements, cutting the iteration in flight short once it reaches target,
+// and returns the runner. The target is hard: the budget may run out
+// mid-iteration, where the campaign ends. An end below the target is soft:
+// the loop stops at the first iteration boundary at or past it, a state the
+// uninterrupted loop also passes through, so a campaign split into Run calls
+// at soft ends makes the same draws and executions as one call with
+// end == target.
+func Run(f Fuzzer, target, end int) *Runner {
+	r := f.Runner()
+	exhausted := func() bool { return r.Stmts >= target }
+	for r.Stmts < end && !exhausted() {
+		f.Step(exhausted)
+	}
+	return r
 }
 
 // initialSeedSQL is the shared seed corpus. Every statement uses types in

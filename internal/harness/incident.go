@@ -1,9 +1,6 @@
 package harness
 
-import (
-	"github.com/seqfuzz/lego/internal/checkpoint"
-	"github.com/seqfuzz/lego/internal/minidb"
-)
+import "github.com/seqfuzz/lego/internal/checkpoint"
 
 // Incident kinds: what felled the worker.
 const (
@@ -34,11 +31,3 @@ const (
 // journal — which is what makes the supervision machinery testable at all.
 // The live journal is the checkpointed one.
 type Incident = checkpoint.Incident
-
-// NormalizeStack reduces a runtime.Stack capture to deterministic bare frame
-// names — no addresses, offsets, or line numbers — so panics recovered at
-// the campaign layer journal and deduplicate the same way the engine's
-// organic crash reports do.
-func NormalizeStack(rawStack []byte) []string {
-	return minidb.NormalizeStack(rawStack)
-}

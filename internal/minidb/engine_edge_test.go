@@ -1,6 +1,7 @@
 package minidb
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/seqfuzz/lego/internal/sqlparse"
@@ -76,6 +77,22 @@ ROLLBACK;
 	}
 	if _, exists := e.cat.Tables["tmp"]; exists {
 		t.Fatal("transactional DDL must roll back")
+	}
+
+	// A rollback restores the catalog as it was at BEGIN or SAVEPOINT, which
+	// need not hold the default schema or database any more.
+	for _, c := range []struct {
+		d      sqlt.Dialect
+		script string
+	}{
+		{sqlt.DialectPostgres, `DROP SCHEMA public; BEGIN; ROLLBACK; DROP SCHEMA public;`},
+		{sqlt.DialectPostgres, `BEGIN; DROP SCHEMA public; SAVEPOINT s; ROLLBACK TO SAVEPOINT s; COMMIT; DROP SCHEMA public;`},
+		{sqlt.DialectMySQL, `CREATE DATABASE d; USE d; DROP DATABASE main; BEGIN; ROLLBACK; DROP DATABASE main;`},
+	} {
+		out := run(t, New(Config{Dialect: c.d}), c.script)
+		if out.Errors != 1 || out.Errs[len(out.Errs)-1] == nil || !strings.Contains(out.Errs[len(out.Errs)-1].Error(), "does not exist") {
+			t.Errorf("%s: %s\nerrors %d %v, want only the last DROP to fail: the object does not exist", c.d, c.script, out.Errors, out.Errs)
+		}
 	}
 }
 
@@ -339,18 +356,33 @@ DROP DATABASE d2;
 	}
 }
 
+// TestDropCascadeRemovesDependentViews: CASCADE drops every view that
+// reads the table, wherever in its query the table appears, and no other.
 func TestDropCascadeRemovesDependentViews(t *testing.T) {
 	e := newPG(t)
 	out := run(t, e, `
 CREATE TABLE t (a INT);
+CREATE TABLE u (b INT);
 CREATE VIEW v AS SELECT a FROM t;
+CREATE VIEW vjoin AS SELECT b FROM u JOIN t ON u.b = t.a;
+CREATE VIEW vderived AS SELECT a FROM (SELECT a FROM t) AS s;
+CREATE VIEW vscalar AS SELECT b FROM u WHERE b = (SELECT MAX(a) FROM t);
+CREATE VIEW vin AS SELECT b FROM u WHERE b IN (SELECT a FROM t);
+CREATE VIEW vexists AS SELECT b FROM u WHERE EXISTS (SELECT a FROM t);
+CREATE VIEW vunion AS SELECT b FROM u UNION SELECT a FROM t;
+CREATE VIEW other AS SELECT b FROM u;
 DROP TABLE t CASCADE;
 `)
 	if out.Errors != 0 {
 		t.Fatalf("errors: %v", out.Errs)
 	}
-	if _, exists := e.cat.Views["v"]; exists {
-		t.Fatal("CASCADE must drop dependent views")
+	for _, v := range []string{"v", "vjoin", "vderived", "vscalar", "vin", "vexists", "vunion"} {
+		if _, exists := e.cat.Views[v]; exists {
+			t.Errorf("CASCADE must drop the dependent view %s", v)
+		}
+	}
+	if _, exists := e.cat.Views["other"]; !exists {
+		t.Error("CASCADE dropped a view on another table")
 	}
 }
 

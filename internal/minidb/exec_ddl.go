@@ -556,7 +556,7 @@ func (e *Engine) execDrop(st *sqlast.DropStmt) (*Result, error) {
 		if st.Cascade {
 			e.hit(pDropDependentViews)
 			for n, v := range e.cat.Views {
-				for _, dep := range sqlast.StatementTables(v.Query) {
+				for _, dep := range sqlast.SelectTables(v.Query) {
 					if dep == st.Name {
 						delete(e.cat.Views, n)
 						break

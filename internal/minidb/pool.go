@@ -222,6 +222,10 @@ func (e *Engine) snapshot(c *Catalog) *Catalog {
 		}
 		s.Roles[n] = &rc
 	}
+	// A fresh catalog holds the default schema and database; the snapshot
+	// holds exactly the source's, which may have dropped them.
+	clear(s.Schemas)
+	clear(s.Databases)
 	for n := range c.Schemas {
 		s.Schemas[n] = true
 	}

@@ -24,30 +24,33 @@ import (
 // fields one to one (scripts are valid UTF-8), so the store is what keying
 // on the script and fields would give.
 //
-// The chaos identity is written only when the chaos plane is armed, and the
-// retry budget only once it can shape the schedule, so Resume can insist on
-// exactly the values that matter.
+// The campaign options past MaxLen are written only when they differ from
+// the facade's defaults, the chaos identity only when the chaos plane is
+// armed, and the retry budget only once it can shape the schedule, so
+// Resume can insist on exactly the values that matter.
 func (e *Executor) Snapshot() *checkpoint.State {
 	// Campaign identity comes from shard 0, which runs the base seed.
 	co := e.shards[0].Options()
 	n := e.shards[0].Pool().Len()
 	st := &checkpoint.State{
-		Dialect: uint8(co.Dialect),
-		Seed:    co.Seed,
-		MaxLen:  co.MaxLen,
+		Dialect:                   uint8(co.Dialect),
+		Seed:                      co.Seed,
+		MaxLen:                    co.MaxLen,
+		DisableSequenceAlgorithms: co.DisableSequenceAlgorithms,
+		DisableHazards:            !co.Hazards,
+		SplitLongSeeds:            co.SplitLongSeeds,
+		FaultRate:                 co.FaultRate,
 
 		Workers:    len(e.shards),
 		EpochStmts: e.opts.EpochStmts,
 		Epoch:      e.epoch,
 
-		// Campaign aggregates: counters are totals, the curve is sampled
-		// once per barrier, and the crashes are the campaign oracle.
-		Execs:        e.Execs(),
-		Stmts:        e.Stmts(),
-		EnginePanics: e.EnginePanics(),
-		Curve:        slices.Clone(e.curve),
-		Crashes:      exportCrashes(e.oracle),
-		Seeds:        make([]checkpoint.Seed, 0, n),
+		// Campaign aggregates: counters are totals, and the crashes are the
+		// campaign oracle.
+		Execs:   e.Execs(),
+		Stmts:   e.Stmts(),
+		Crashes: exportCrashes(e.oracle),
+		Seeds:   make([]checkpoint.Seed, 0, n),
 
 		Incidents: slices.Clone(e.incidents),
 		Shards:    make([]checkpoint.Shard, len(e.shards)),
@@ -97,7 +100,7 @@ func (e *Executor) Snapshot() *checkpoint.State {
 // Resume rebuilds a campaign from a checkpoint. The topology
 // (Workers, EpochStmts) is part of the campaign's identity — resuming under
 // a different one would move every epoch barrier — so mismatches fail
-// loudly, like core.CheckIdentity does for seed and dialect.
+// loudly, as core.CheckIdentity makes them for the fuzzer's options.
 func Resume(opts Options, st *checkpoint.State) (*Executor, error) {
 	opts.fill()
 	if err := core.CheckIdentity(opts.Core, st); err != nil {
@@ -107,7 +110,7 @@ func Resume(opts Options, st *checkpoint.State) (*Executor, error) {
 		return nil, fmt.Errorf("shard: resume: checkpoint has %d workers (%d shard entries), options request %d", st.Workers, len(st.Shards), opts.Workers)
 	}
 	if st.EpochStmts < 1 {
-		return nil, fmt.Errorf("shard: resume: checkpoint has no epoch budget (%d statements): an older build wrote it for a one-worker campaign", st.EpochStmts)
+		return nil, fmt.Errorf("shard: resume: checkpoint is malformed: it has no epoch budget (%d statements)", st.EpochStmts)
 	}
 	if st.EpochStmts != opts.EpochStmts {
 		return nil, fmt.Errorf("shard: resume: checkpoint epoch budget is %d statements, options request %d", st.EpochStmts, opts.EpochStmts)
@@ -162,7 +165,6 @@ func Resume(opts Options, st *checkpoint.State) (*Executor, error) {
 		return nil, fmt.Errorf("shard: resume: %w", err)
 	}
 	e.oracle.Import(crashes)
-	e.curve = slices.Clone(st.Curve)
 	// The restored states are barrier states; if supervision is armed, the
 	// first runEpoch re-snapshots them lazily before any worker runs.
 	return e, nil

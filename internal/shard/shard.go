@@ -29,8 +29,7 @@
 //     progressive synthesis;
 //   - every shard's crash sightings of the epoch drain into the campaign's
 //     one crash oracle, under its shortest-reproducer invariant, and the
-//     shard oracles start the next epoch empty;
-//   - one campaign coverage-curve point is sampled.
+//     shard oracles start the next epoch empty.
 //
 // A lone shard has nothing to merge, so its epoch end is soft: it runs
 // whole fuzzing iterations until it has executed EpochStmts more
@@ -133,10 +132,8 @@ type Executor struct {
 	shards []*core.Fuzzer
 
 	// oracle is the campaign's crash oracle, which every barrier drains the
-	// shards' epoch sightings into; curve samples (total execs, Branches)
-	// once per barrier.
+	// shards' epoch sightings into.
 	oracle *oracle.Oracle
-	curve  []harness.CurvePoint
 
 	// epoch counts the barriers passed. With several shards, shard i's
 	// next barrier sits at min(target_i, (epoch+1)*EpochStmts) statements;
@@ -441,11 +438,6 @@ func (e *Executor) mergeBarrier() {
 		o.Reset()
 	}
 
-	// One curve point per barrier that made progress.
-	if ex := e.Execs(); len(e.curve) == 0 || e.curve[len(e.curve)-1].Execs != ex {
-		e.curve = append(e.curve, harness.CurvePoint{Execs: ex, Edges: e.Branches()})
-	}
-
 	// The post-merge states are what a failed next epoch re-runs from, but
 	// they are snapshotted lazily (runEpoch, when supervision is armed)
 	// rather than here: an unsupervised campaign never needs them, and
@@ -509,9 +501,6 @@ func (e *Executor) Branches() int { return e.campaignCov().EdgeCount() }
 // Oracle returns the campaign's crash oracle: every crash sighted up to the
 // last barrier.
 func (e *Executor) Oracle() *oracle.Oracle { return e.oracle }
-
-// Curve returns the campaign's coverage curve, one sample per barrier.
-func (e *Executor) Curve() []harness.CurvePoint { return e.curve }
 
 // Affinities returns the number of distinct type-affinities discovered by
 // any shard. After a barrier all shards hold the union, but merging keeps

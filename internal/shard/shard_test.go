@@ -14,6 +14,7 @@ import (
 	"github.com/seqfuzz/lego/internal/core"
 	"github.com/seqfuzz/lego/internal/corpus"
 	"github.com/seqfuzz/lego/internal/coverage"
+	"github.com/seqfuzz/lego/internal/harness"
 	"github.com/seqfuzz/lego/internal/sqlt"
 )
 
@@ -313,7 +314,7 @@ func TestShardedStopResumeEquivalence(t *testing.T) {
 // flushed checkpoint leave the campaign in exactly the state core.New + Run
 // reaches on the same seed: the two snapshot to the same bytes — worker
 // entry, seeds, coverage, counters, and a campaign oracle equal to the
-// loop's own, crash for crash — apart from the barrier count and curve.
+// loop's own, crash for crash — apart from the barrier count.
 func TestShardedOneWorkerMatchesUninterruptedLoop(t *testing.T) {
 	// Single iterations run up to a few thousand statements, so a soft
 	// epoch is often several EpochStmts long; this budget still crosses
@@ -321,7 +322,7 @@ func TestShardedOneWorkerMatchesUninterruptedLoop(t *testing.T) {
 	const budget = 30000
 	opts := testOptions(1)
 	ref := core.New(opts.Core)
-	ref.Run(budget)
+	harness.Run(ref, budget, budget)
 
 	e := New(opts)
 	stop := make(chan struct{})
@@ -367,7 +368,7 @@ func TestShardedOneWorkerMatchesUninterruptedLoop(t *testing.T) {
 	loop := &Executor{opts: e.opts, shards: []*core.Fuzzer{ref}, oracle: ref.Runner().Oracle,
 		quarantined: []bool{false}, retries: []int{0}}
 	got, want := resumed.Snapshot(), loop.Snapshot()
-	got.Epoch, got.Curve = 0, nil
+	got.Epoch = 0
 	if len(want.Crashes) == 0 {
 		t.Fatal("the uninterrupted loop found no crashes; the campaign oracle is untested")
 	}
@@ -533,28 +534,5 @@ func TestResumeRejectsMismatchedTopology(t *testing.T) {
 	wrongEpoch.EpochStmts = 999
 	if _, err := Resume(wrongEpoch, st); err == nil || !strings.Contains(err.Error(), "epoch") {
 		t.Fatalf("resume with wrong epoch budget: got %v, want epoch mismatch error", err)
-	}
-}
-
-// TestCurveIsBarrierSampled: the global curve carries one point per
-// progressing barrier, with strictly increasing exec counts and a final
-// point matching the campaign totals.
-func TestCurveIsBarrierSampled(t *testing.T) {
-	e := New(testOptions(2))
-	if _, err := e.Run(4000, RunOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	curve := e.Curve()
-	if len(curve) < 2 {
-		t.Fatalf("curve has %d points, want at least the initial and a barrier sample", len(curve))
-	}
-	for i := 1; i < len(curve); i++ {
-		if curve[i].Execs <= curve[i-1].Execs {
-			t.Fatalf("curve execs not strictly increasing at %d: %+v", i, curve)
-		}
-	}
-	last := curve[len(curve)-1]
-	if last.Execs != e.Execs() || last.Edges != e.Branches() {
-		t.Fatalf("final curve point %+v, want execs=%d edges=%d", last, e.Execs(), e.Branches())
 	}
 }

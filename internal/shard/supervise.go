@@ -8,6 +8,7 @@ import (
 
 	"github.com/seqfuzz/lego/internal/chaos"
 	"github.com/seqfuzz/lego/internal/harness"
+	"github.com/seqfuzz/lego/internal/minidb"
 )
 
 // This file is the executor's supervision plane: workers run under recover,
@@ -143,8 +144,8 @@ func (e *Executor) runEpoch(targets []int, encode bool) {
 	}
 }
 
-// leg is one shard's run to the next barrier: core.Fuzzer.RunTo's hard
-// target and soft end.
+// leg is one shard's run to the next barrier: harness.Run's hard target
+// and soft end.
 type leg struct{ target, end int }
 
 // stop is the statement count the leg reaches at the latest.
@@ -198,7 +199,7 @@ func (e *Executor) runWorker(i int, l leg, p plan, encode bool) (fail *workerFai
 		// incident is a deterministic, deduplicable record.
 		buf := make([]byte, 64<<10)
 		buf = buf[:runtime.Stack(buf, false)]
-		detail := strings.Join(harness.NormalizeStack(buf), " < ")
+		detail := strings.Join(minidb.NormalizeStack(buf), " < ")
 		if detail == "" {
 			detail = fmt.Sprintf("panic: %v", rec)
 		}
@@ -214,18 +215,18 @@ func (e *Executor) runWorker(i int, l leg, p plan, encode bool) (fail *workerFai
 	switch {
 	case p.panicFire:
 		at := start + int(p.panicFrac*float64(span))
-		sh.RunTo(at, at)
+		harness.Run(sh, at, at)
 		panic(chaos.InjectedPanic{Epoch: e.epoch, Shard: i, Attempt: p.attempt})
 	case p.stallFire:
 		at := start + int(p.stallFrac*float64(span))
-		sh.RunTo(at, at)
+		harness.Run(sh, at, at)
 		return &workerFailure{
 			kind: harness.IncidentEpochStall,
 			detail: fmt.Sprintf("chaos: injected epoch stall (epoch %d, shard %d, attempt %d)",
 				e.epoch, i, p.attempt),
 		}
 	default:
-		sh.RunTo(l.target, l.end)
+		harness.Run(sh, l.target, l.end)
 		if encode {
 			// Seeds made this epoch are the shard's own until the barrier
 			// shares them.

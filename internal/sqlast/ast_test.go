@@ -134,31 +134,31 @@ func TestTestCaseTypesAndSQL(t *testing.T) {
 	}
 }
 
+// TestStatementTables pins SelectTables: tables in FROM and joins, derived
+// tables, subqueries in expressions and a set operation's right arm, each
+// named once.
 func TestStatementTables(t *testing.T) {
+	from := func(name string) *SelectStmt { return &SelectStmt{From: []TableRef{&BaseTable{Name: name}}} }
 	cases := []struct {
-		s    Statement
+		q    *SelectStmt
 		want []string
 	}{
-		{&InsertStmt{Table: "t1"}, []string{"t1"}},
 		{&SelectStmt{From: []TableRef{&BaseTable{Name: "a"}, &BaseTable{Name: "b"}}}, []string{"a", "b"}},
 		{&SelectStmt{From: []TableRef{&JoinRef{
 			L: &BaseTable{Name: "x"}, R: &BaseTable{Name: "y"},
 			On: &Binary{Op: "=", L: &ColRef{Name: "c"}, R: &ColRef{Name: "c"}},
 		}}}, []string{"x", "y"}},
-		{&UpdateStmt{Table: "u", Where: &ExistsExpr{Query: &SelectStmt{
-			From: []TableRef{&BaseTable{Name: "sub"}},
-		}}}, []string{"u", "sub"}},
-		{&CreateTriggerStmt{Table: "t", Body: &InsertStmt{Table: "log"}}, []string{"t", "log"}},
-		{&WithStmt{
-			CTEs: []CTE{{Name: "c", Body: &InsertStmt{Table: "w"}}},
-			Body: &DeleteStmt{Table: "d"},
-		}, []string{"w", "d"}},
-		{&ExplainStmt{Stmt: &SelectStmt{From: []TableRef{&BaseTable{Name: "e"}}}}, []string{"e"}},
+		{&SelectStmt{From: []TableRef{&SubqueryRef{Query: from("d"), Alias: "s"}}}, []string{"d"}},
+		{&SelectStmt{From: []TableRef{&BaseTable{Name: "u"}}, Where: &ExistsExpr{Query: from("sub")}}, []string{"u", "sub"}},
+		{&SelectStmt{Items: []SelectItem{{X: &Subquery{Query: from("s")}}}, Where: &InExpr{X: &ColRef{Name: "c"}, Query: from("i")}}, []string{"s", "i"}},
+		{&SelectStmt{From: []TableRef{&BaseTable{Name: "l"}}, Op: SetUnion, Right: from("r")}, []string{"l", "r"}},
+		{&SelectStmt{From: []TableRef{&BaseTable{Name: "t"}}, Op: SetUnion, Right: from("t")}, []string{"t"}},
+		{&SelectStmt{Items: []SelectItem{{X: IntLit(1)}}}, nil},
 	}
 	for _, c := range cases {
-		got := StatementTables(c.s)
+		got := SelectTables(c.q)
 		if strings.Join(got, ",") != strings.Join(c.want, ",") {
-			t.Errorf("%T tables = %v, want %v", c.s, got, c.want)
+			t.Errorf("%s: tables = %v, want %v", c.q.SQL(), got, c.want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package sqlast
 
 import (
+	"slices"
 	"strings"
 
 	"github.com/seqfuzz/lego/internal/sqlt"
@@ -41,23 +42,13 @@ func (tc TestCase) Types() sqlt.Sequence {
 	return seq
 }
 
-// StatementTables extracts the table/view names a statement reads or
-// writes. It is a conservative over-approximation used by the dependency
-// fixer and by seed-structure harvesting; expressions' scalar subqueries are
-// included.
-func StatementTables(s Statement) []string {
+// SelectTables returns the tables and views a query reads, each once, in
+// the order met: those in FROM and its joins, in derived tables, in the
+// right arm of a set operation, and in subqueries anywhere in its
+// expressions. DROP TABLE ... CASCADE uses it to find the views that depend
+// on a table.
+func SelectTables(q *SelectStmt) []string {
 	var out []string
-	add := func(name string) {
-		if name == "" {
-			return
-		}
-		for _, n := range out {
-			if n == name {
-				return
-			}
-		}
-		out = append(out, name)
-	}
 	var fromRef func(r TableRef)
 	var fromSelect func(q *SelectStmt)
 	fromExpr := func(e Expr) {
@@ -69,9 +60,7 @@ func StatementTables(s Statement) []string {
 			case *ExistsExpr:
 				fromSelect(v.Query)
 			case *InExpr:
-				if v.Query != nil {
-					fromSelect(v.Query)
-				}
+				fromSelect(v.Query)
 			}
 		})
 	}
@@ -79,7 +68,9 @@ func StatementTables(s Statement) []string {
 		//lego:exhaustive TableRef
 		switch v := r.(type) {
 		case *BaseTable:
-			add(v.Name)
+			if v.Name != "" && !slices.Contains(out, v.Name) {
+				out = append(out, v.Name)
+			}
 		case *JoinRef:
 			fromRef(v.L)
 			fromRef(v.R)
@@ -108,135 +99,6 @@ func StatementTables(s Statement) []string {
 		}
 		fromSelect(q.Right)
 	}
-
-	//lego:exhaustive Statement children
-	switch v := s.(type) {
-	case *CreateTableStmt:
-		add(v.Name)
-	case *CreateViewStmt:
-		add(v.Name)
-		fromSelect(v.Query)
-	case *CreateIndexStmt:
-		add(v.Table)
-	case *CreateTriggerStmt:
-		add(v.Table)
-		for _, t := range StatementTables(v.Body) {
-			add(t)
-		}
-	case *CreateRuleStmt:
-		add(v.Table)
-		if v.Action != nil {
-			for _, t := range StatementTables(v.Action) {
-				add(t)
-			}
-		}
-	case *AlterTableStmt:
-		add(v.Table)
-	case *DropStmt:
-		switch v.What {
-		case sqlt.DropTable, sqlt.DropView, sqlt.DropMaterializedView:
-			add(v.Name)
-		}
-		add(v.OnTable)
-	case *RenameTableStmt:
-		add(v.From)
-	case *TruncateStmt:
-		add(v.Table)
-	case *RefreshMatViewStmt:
-		add(v.Name)
-	case *InsertStmt:
-		add(v.Table)
-		for _, row := range v.Rows {
-			for _, e := range row {
-				fromExpr(e)
-			}
-		}
-		fromSelect(v.Query)
-	case *UpdateStmt:
-		add(v.Table)
-		for _, a := range v.Sets {
-			fromExpr(a.Value)
-		}
-		fromExpr(v.Where)
-	case *DeleteStmt:
-		add(v.Table)
-		fromExpr(v.Where)
-	case *MergeStmt:
-		add(v.Target)
-		add(v.Source)
-		fromExpr(v.On)
-	case *CopyStmt:
-		add(v.Table)
-		fromSelect(v.Query)
-	case *LoadDataStmt:
-		add(v.Table)
-	case *SelectStmt:
-		fromSelect(v)
-	case *TableStmtNode:
-		add(v.Name)
-	case *WithStmt:
-		for _, c := range v.CTEs {
-			for _, t := range StatementTables(c.Body) {
-				add(t)
-			}
-		}
-		for _, t := range StatementTables(v.Body) {
-			add(t)
-		}
-	case *ExplainStmt:
-		for _, t := range StatementTables(v.Stmt) {
-			add(t)
-		}
-	case *DescribeStmt:
-		add(v.Table)
-	case *GrantStmt:
-		add(v.Table)
-	case *LockTableStmt:
-		add(v.Table)
-	case *AnalyzeStmt:
-		add(v.Table)
-	case *VacuumStmt:
-		add(v.Table)
-	case *MaintenanceStmt:
-		add(v.Table)
-	case *DeclareCursorStmt:
-		fromSelect(v.Query)
-	case *ClusterStmt:
-		add(v.Table)
-	case *PrepareStmt:
-		for _, t := range StatementTables(v.Stmt) {
-			add(t)
-		}
-	case *CreateFunctionStmt:
-		fromExpr(v.Body)
-	case *CreateProcedureStmt:
-		for _, t := range StatementTables(v.Body) {
-			add(t)
-		}
-	case *CreateDomainStmt:
-		fromExpr(v.Check)
-	case *AlterSystemStmt:
-		fromExpr(v.Value)
-	case *SetVarStmt:
-		fromExpr(v.Value)
-	case *PragmaStmt:
-		fromExpr(v.Value)
-	case *CallStmt:
-		for _, a := range v.Args {
-			fromExpr(a)
-		}
-	case *DoStmt:
-		fromExpr(v.Body)
-	case *ExecuteStmt:
-		for _, a := range v.Args {
-			fromExpr(a)
-		}
-	case *ValuesStmtNode:
-		for _, row := range v.Rows {
-			for _, e := range row {
-				fromExpr(e)
-			}
-		}
-	}
+	fromSelect(q)
 	return out
 }

@@ -79,7 +79,7 @@ func TestStableClassificationAndMinimization(t *testing.T) {
 // triager, over all crashes of a real campaign.
 func TestDdminNeverReturnsNonReproducing(t *testing.T) {
 	f := core.New(core.Options{Dialect: sqlt.DialectMariaDB, Seed: 5, Hazards: true})
-	runner := f.Run(30000)
+	runner := harness.Run(f, 30000, 30000)
 	if runner.Oracle.Count() == 0 {
 		t.Fatal("campaign found no bugs to triage")
 	}
@@ -110,7 +110,7 @@ func TestTriageDeterminism(t *testing.T) {
 	run := func() []*oracle.Crash {
 		opts := core.Options{Dialect: sqlt.DialectMariaDB, Seed: 7, Hazards: true, FaultRate: 0.002}
 		f := core.New(opts)
-		runner := f.Run(25000)
+		runner := harness.Run(f, 25000, 25000)
 		triage.New(runner.Config(), triage.Config{Replays: 4, Budget: 128}).Run(runner.Oracle)
 		return runner.Oracle.Crashes()
 	}

@@ -241,7 +241,9 @@ func NewFuzzer(cfg Config) *Fuzzer {
 
 // ResumeFuzzer rebuilds a fuzzing session from a checkpoint file written by
 // FuzzWithCheckpoint. cfg must describe the same campaign (target, seed,
-// sequence length, topology, chaos schedule); the restored session
+// sequence length, LEGO- ablation, hazards, seed splitting, fault rate,
+// topology, chaos schedule), or resuming fails naming the difference; the
+// restored session
 // continues exactly where the checkpoint left off, with the same schedule
 // and discoveries as an uninterrupted run. When the primary checkpoint is
 // corrupt or truncated, the rotated last-good <path>.bak generation is used

@@ -361,11 +361,11 @@ func TestFacadeResumeErrors(t *testing.T) {
 }
 
 // TestFacadeResumeRejectsMalformedTopology: a checkpoint whose topology
-// disagrees with itself or with the Config must fail to resume with an
-// error that names the problem, never run on a topology nobody asked for.
-// A one-worker file with no epoch budget is the layout builds wrote before
-// one-worker campaigns ran on the executor. The files are re-saved after
-// each edit, so their checksums are valid.
+// disagrees with itself or with the Config, or whose campaign ran under
+// other options (LEGO-, hazards, seed splitting, fault rate), must fail to
+// resume with an error that names the problem, never run a campaign nobody
+// asked for. The files are re-saved after each edit, so their checksums
+// are valid.
 func TestFacadeResumeRejectsMalformedTopology(t *testing.T) {
 	dir := t.TempDir()
 	save := func(name string, cfg lego.Config) string {
@@ -377,7 +377,11 @@ func TestFacadeResumeRejectsMalformedTopology(t *testing.T) {
 	}
 	oneCfg := lego.Config{Target: lego.MariaDB, Seed: 3}
 	twoCfg := lego.Config{Target: lego.MariaDB, Seed: 3, Workers: 2}
+	minusCfg := lego.Config{Target: lego.MariaDB, Seed: 3, DisableSequenceAlgorithms: true}
+	faultCfg := lego.Config{Target: lego.MariaDB, Seed: 3, FaultRate: 0.01}
 	one, two := save("one.ckpt", oneCfg), save("two.ckpt", twoCfg)
+	minus, fault := save("minus.ckpt", minusCfg), save("fault.ckpt", faultCfg)
+	noEdit := func(*checkpoint.State) {}
 
 	cases := []struct {
 		name string
@@ -390,8 +394,14 @@ func TestFacadeResumeRejectsMalformedTopology(t *testing.T) {
 		{"no workers", two, func(st *checkpoint.State) { st.Workers = 0 }, twoCfg, "0 workers"},
 		{"no epoch budget", two, func(st *checkpoint.State) { st.EpochStmts = 0 }, twoCfg, "no epoch budget"},
 		{"one-worker checkpoint with no epoch budget", one, func(st *checkpoint.State) { st.EpochStmts = 0 }, oneCfg, "no epoch budget"},
-		{"single-threaded checkpoint as two workers", one, func(*checkpoint.State) {}, twoCfg, "1 workers"},
-		{"two-worker checkpoint as one", two, func(*checkpoint.State) {}, oneCfg, "2 workers"},
+		{"single-threaded checkpoint as two workers", one, noEdit, twoCfg, "1 workers"},
+		{"two-worker checkpoint as one", two, noEdit, oneCfg, "2 workers"},
+		{"LEGO- checkpoint as LEGO", minus, noEdit, oneCfg, "DisableSequenceAlgorithms true"},
+		{"LEGO checkpoint as LEGO-", one, noEdit, minusCfg, "DisableSequenceAlgorithms false"},
+		{"fault-injected checkpoint without faults", fault, noEdit, oneCfg, "FaultRate 0.01"},
+		{"checkpoint at another fault rate", fault, func(st *checkpoint.State) { st.FaultRate = 0.02 }, faultCfg, "FaultRate 0.02"},
+		{"hazard-free checkpoint with hazards", one, func(st *checkpoint.State) { st.DisableHazards = true }, oneCfg, "Hazards false"},
+		{"split-seed checkpoint without splitting", one, func(st *checkpoint.State) { st.SplitLongSeeds = true }, oneCfg, "SplitLongSeeds true"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
