@@ -252,12 +252,12 @@ MERGE INTO j1 USING j2 ON j1.id = j2.id WHEN MATCHED THEN UPDATE SET v = j2.w WH
 	// index of stored contents. Each affinity map is exported through one
 	// slice of pairs walked off its bit matrix. Hazards are off, so there
 	// are no crashes to export. Every pool seed's checkpoint entry is
-	// encoded on its first snapshot and every synthesized sequence
-	// converted on its first snapshot, so the measured runs reuse both;
-	// the seed store is deduplicated through content ids given to seed
-	// objects on their first snapshot. A map rebuilt per snapshot, every
-	// sequence converted per snapshot and a sort per affinity map cost 6
-	// more.
+	// encoded on its first snapshot, so the measured runs reuse it, and the
+	// synthesizer's vector of sequences is shared, not copied; the seed
+	// store is deduplicated through content ids given to seed objects on
+	// their first snapshot. A map rebuilt per snapshot, every sequence
+	// converted per snapshot and a sort per affinity map cost 6 more, and a
+	// second copy of the start types and a reflective sort of them 3 more.
 	// The structure library is rebuilt from the pool on resume, so it
 	// costs the snapshot nothing. Coverage is exported straight into the
 	// checkpoint's edge type.
@@ -265,20 +265,21 @@ MERGE INTO j1 USING j2 ON j1.id = j2.id WHEN MATCHED THEN UPDATE SET v = j2.w WH
 	if _, err := ex.Run(3000, shard.RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	check("Snapshot", 16, func() {
+	check("Snapshot", 12, func() {
 		_ = ex.Snapshot()
 	})
 
 	// The same campaign with hazards armed, as every benchmark workload
 	// runs: the snapshot also exports the campaign oracle's crashes, once,
-	// at the top level (stack and window per crash); reproducers are
-	// rendered once per reproducer, not once per snapshot (that cost 97
-	// more). The worker entry carries none.
+	// at the top level (a stack per crash; the type windows are shared,
+	// since a crash report never changes, and a copy of each cost 5 more);
+	// reproducers are rendered once per reproducer, not once per snapshot
+	// (that cost 97 more). The worker entry carries none.
 	hz := shard.New(shard.Options{Core: core.Options{Dialect: sqlt.DialectMariaDB, Seed: 1, Hazards: true}, Workers: 1})
 	if _, err := hz.Run(3000, shard.RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	check("Snapshot-hazards", 28, func() {
+	check("Snapshot-hazards", 19, func() {
 		_ = hz.Snapshot()
 	})
 

@@ -31,6 +31,7 @@ import (
 
 	"github.com/seqfuzz/lego"
 	"github.com/seqfuzz/lego/internal/profiling"
+	"github.com/seqfuzz/lego/internal/triage"
 )
 
 var targets = map[string]lego.Target{
@@ -59,8 +60,6 @@ func main() {
 	ckptEvery := flag.Int("checkpoint-every", 1000, "executions between checkpoint writes")
 	resume := flag.Bool("resume", false, "resume the campaign from -checkpoint instead of starting fresh")
 	triageOn := flag.Bool("triage", false, "triage crashes at campaign end: re-verify on a fresh engine and minimize reproducers")
-	triageReplays := flag.Int("triage-replays", 3, "verification replays per crash")
-	triageBudget := flag.Int("triage-budget", 256, "max minimization replays per crash")
 	triageAssert := flag.Bool("triage-assert", false, "exit 1 unless every bug is STABLE with MinimizedLen <= OriginalLen (CI smoke)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole campaign to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at campaign end to this file")
@@ -96,8 +95,6 @@ func main() {
 		DisableHazards:            *noHazards,
 		FaultRate:                 *faultRate,
 		Triage:                    *triageOn,
-		TriageReplays:             *triageReplays,
-		TriageBudget:              *triageBudget,
 		Workers:                   *workers,
 		EpochStmts:                *epochStmts,
 		ChaosRate:                 *chaosRate,
@@ -194,7 +191,7 @@ func main() {
 	fmt.Printf("bugs       : %d unique\n", len(rep.Bugs))
 	for i, b := range rep.Bugs {
 		fmt.Printf("  %2d. %-18s %-10s %-5s (exec %d)%s\n",
-			i+1, b.ID, b.Component, b.Kind, b.FoundAtExec, triageColumns(b, *triageReplays))
+			i+1, b.ID, b.Component, b.Kind, b.FoundAtExec, triageColumns(b))
 		if *repros {
 			fmt.Println("      --- reproducer ---")
 			for _, line := range strings.Split(strings.TrimSpace(b.Reproducer), "\n") {
@@ -217,10 +214,10 @@ func main() {
 
 // triageColumns renders the per-bug triage columns, e.g.
 // " STABLE 3/3 12->2 stmts"; empty when the bug was not triaged.
-func triageColumns(b lego.Bug, replays int) string {
+func triageColumns(b lego.Bug) string {
 	if b.Status == "" {
 		return ""
 	}
 	return fmt.Sprintf("  %-6s %d/%d  %d->%d stmts",
-		b.Status, b.Replays, replays, b.OriginalLen, b.MinimizedLen)
+		b.Status, b.Replays, triage.DefaultReplays, b.OriginalLen, b.MinimizedLen)
 }

@@ -57,7 +57,7 @@ func TestEncodeMatchesMarshalOnCampaigns(t *testing.T) {
 				t.Fatal(err)
 			}
 			if c.cfg.Triage {
-				ex.Triage(triage.Config{Replays: c.cfg.TriageReplays, Budget: c.cfg.TriageBudget})
+				ex.Triage(triage.Config{})
 			}
 			st := ex.Snapshot()
 			if err := compareEncodings(st); err != nil {

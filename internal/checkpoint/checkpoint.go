@@ -8,8 +8,10 @@
 //
 // The package is deliberately passive: it defines the wire format and the
 // file protocol (atomic temp-file+rename writes, checksummed reads) and
-// knows nothing about the fuzzer. Packages core (one worker) and shard (the
-// campaign) convert live state to and from this form.
+// knows nothing about the fuzzer. Of the project it imports only sqlt, so
+// statement types, type sequences and the dialect are stored as the fuzzer
+// holds them. Packages core (one worker) and shard (the campaign) convert
+// live state to and from this form.
 package checkpoint
 
 import (
@@ -20,6 +22,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"github.com/seqfuzz/lego/internal/sqlt"
 )
 
 // Version is the checkpoint format version. Load reads this version only:
@@ -92,14 +96,14 @@ type Edge struct {
 
 // Crash is one deduplicated oracle entry.
 type Crash struct {
-	ID          string   `json:"id"`
-	Component   string   `json:"component"`
-	Kind        string   `json:"kind"`
-	Stack       []string `json:"stack"`
-	Window      []uint16 `json:"window,omitempty"`
-	Reproducer  string   `json:"reproducer"`
-	FoundAtExec int      `json:"found_at_exec"`
-	Hits        int      `json:"hits"`
+	ID          string        `json:"id"`
+	Component   string        `json:"component"`
+	Kind        string        `json:"kind"`
+	Stack       []string      `json:"stack"`
+	Window      sqlt.Sequence `json:"window,omitempty"`
+	Reproducer  string        `json:"reproducer"`
+	FoundAtExec int           `json:"found_at_exec"`
+	Hits        int           `json:"hits"`
 
 	// Triage results: empty/zero when the crash was never triaged.
 	Status       string `json:"status,omitempty"`
@@ -131,9 +135,8 @@ type Incident struct {
 // State is the complete serializable campaign state: the campaign-wide view
 // at the top level and one Shard entry per worker. Every campaign, one
 // worker included, runs on the epoch-barrier executor, so EpochStmts is at
-// least 1; resume rejects a state without one. Statement types and dialects
-// travel as their raw integer codes to keep this package free of fuzzer
-// dependencies.
+// least 1; Resume rejects a state without one. Statement types and the
+// dialect are sqlt's own, which encode as their JSON numbers.
 type State struct {
 	Version int `json:"version"`
 
@@ -142,13 +145,13 @@ type State struct {
 	// Seed+i. The options after MaxLen are written only when they differ
 	// from the facade's defaults (LEGO, not LEGO-; hazards armed; no seed
 	// splitting; no fault injection).
-	Dialect                   uint8   `json:"dialect"`
-	Seed                      int64   `json:"seed"`
-	MaxLen                    int     `json:"max_len"`
-	DisableSequenceAlgorithms bool    `json:"disable_sequence_algorithms,omitempty"`
-	DisableHazards            bool    `json:"disable_hazards,omitempty"`
-	SplitLongSeeds            bool    `json:"split_long_seeds,omitempty"`
-	FaultRate                 float64 `json:"fault_rate,omitempty"`
+	Dialect                   sqlt.Dialect `json:"dialect"`
+	Seed                      int64        `json:"seed"`
+	MaxLen                    int          `json:"max_len"`
+	DisableSequenceAlgorithms bool         `json:"disable_sequence_algorithms,omitempty"`
+	DisableHazards            bool         `json:"disable_hazards,omitempty"`
+	SplitLongSeeds            bool         `json:"split_long_seeds,omitempty"`
+	FaultRate                 float64      `json:"fault_rate,omitempty"`
 
 	// Topology. Workers and EpochStmts identify the campaign like Seed
 	// does: resuming under a different topology would move every epoch
@@ -197,18 +200,18 @@ type Shard struct {
 	// RNG stream position (xrand.Source state).
 	RNG uint64 `json:"rng"`
 
-	Pool        []int       `json:"pool"`
-	Picked      []int       `json:"picked"`
-	Affinity    [][2]uint16 `json:"affinity"`
-	GenAffinity [][2]uint16 `json:"gen_affinity"`
+	Pool        []int          `json:"pool"`
+	Picked      []int          `json:"picked"`
+	Affinity    [][2]sqlt.Type `json:"affinity"`
+	GenAffinity [][2]sqlt.Type `json:"gen_affinity"`
 
 	// Sequence-synthesis state: the generated-sequence vector (the Prefix
 	// Sequence index is rebuilt from it), start types, rotation counter,
 	// and the affinity pairs discovered but not yet synthesized.
-	SynthSeqs   [][]uint16  `json:"synth_seqs"`
-	SynthStarts []uint16    `json:"synth_starts"`
-	SynthRot    int         `json:"synth_rot"`
-	Pending     [][2]uint16 `json:"pending"`
+	SynthSeqs   []sqlt.Sequence `json:"synth_seqs"`
+	SynthStarts sqlt.Sequence   `json:"synth_starts"`
+	SynthRot    int             `json:"synth_rot"`
+	Pending     [][2]sqlt.Type  `json:"pending"`
 
 	// Quarantined marks a worker whose retry budget is exhausted: it holds
 	// its last-good state and no longer runs epochs. Retries is its

@@ -8,6 +8,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"github.com/seqfuzz/lego/internal/sqlt"
 )
 
 // sampleShard is one worker's state over sampleSeeds; sample wraps it as a
@@ -20,12 +22,12 @@ func sampleShard() Shard {
 		RNG:          0xdeadbeefcafef00d,
 		Pool:         []int{0, 1},
 		Picked:       []int{2, 0},
-		Affinity:     [][2]uint16{{1, 2}, {2, 3}},
-		GenAffinity:  [][2]uint16{{1, 2}},
-		SynthSeqs:    [][]uint16{{1, 4, 6}},
-		SynthStarts:  []uint16{1},
+		Affinity:     [][2]sqlt.Type{{1, 2}, {2, 3}},
+		GenAffinity:  [][2]sqlt.Type{{1, 2}},
+		SynthSeqs:    []sqlt.Sequence{{1, 4, 6}},
+		SynthStarts:  sqlt.Sequence{1},
 		SynthRot:     5,
-		Pending:      [][2]uint16{{4, 6}},
+		Pending:      [][2]sqlt.Type{{4, 6}},
 	}
 }
 
@@ -39,7 +41,7 @@ func sampleSeeds() []Seed {
 func sampleCrashes() []Crash {
 	return []Crash{{
 		ID: "ORGANIC-0badf00d", Component: "Engine", Kind: "PANIC",
-		Stack: []string{"minidb.(*Engine).dispatch"}, Window: []uint16{1, 4},
+		Stack: []string{"minidb.(*Engine).dispatch"}, Window: sqlt.Sequence{1, 4},
 		Reproducer: "SELECT 1;", FoundAtExec: 77, Hits: 4,
 		Status: "STABLE", OriginalLen: 9, MinimizedLen: 1, Replays: 3,
 	}}

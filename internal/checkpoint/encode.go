@@ -5,6 +5,8 @@ import (
 	"math"
 	"strconv"
 	"unicode/utf8"
+
+	"github.com/seqfuzz/lego/internal/sqlt"
 )
 
 // This file is the checkpoint's encoder: it appends a State's JSON form to
@@ -131,7 +133,7 @@ func appendShard(b []byte, sh *Shard) []byte {
 	b = appendInts(append(b, `,"picked":`...), sh.Picked)
 	b = appendArray(append(b, `,"affinity":`...), sh.Affinity, appendPair)
 	b = appendArray(append(b, `,"gen_affinity":`...), sh.GenAffinity, appendPair)
-	b = appendArray(append(b, `,"synth_seqs":`...), sh.SynthSeqs, func(b []byte, seq *[]uint16) []byte { return appendInts(b, *seq) })
+	b = appendArray(append(b, `,"synth_seqs":`...), sh.SynthSeqs, func(b []byte, seq *sqlt.Sequence) []byte { return appendInts(b, *seq) })
 	b = appendInts(append(b, `,"synth_starts":`...), sh.SynthStarts)
 	b = appendInt(append(b, `,"synth_rot":`...), int64(sh.SynthRot))
 	b = appendArray(append(b, `,"pending":`...), sh.Pending, appendPair)
@@ -144,7 +146,7 @@ func appendShard(b []byte, sh *Shard) []byte {
 	return append(b, '}')
 }
 
-func appendPair(b []byte, p *[2]uint16) []byte {
+func appendPair(b []byte, p *[2]sqlt.Type) []byte {
 	b = appendInt(append(b, '['), int64(p[0]))
 	return append(appendInt(append(b, ','), int64(p[1])), ']')
 }
@@ -167,7 +169,7 @@ func appendArray[T any](b []byte, xs []T, elem func([]byte, *T) []byte) []byte {
 
 // appendInts appends a JSON array of integers, or null for a nil slice: an
 // appendArray for the longest sections, without a call per element.
-func appendInts[T int | uint16](b []byte, xs []T) []byte {
+func appendInts[T int | sqlt.Type](b []byte, xs []T) []byte {
 	if xs == nil {
 		return append(b, "null"...)
 	}

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
+
+	"github.com/seqfuzz/lego/internal/sqlt"
 )
 
 // stream draws a State's values from fuzz bytes; an exhausted stream
@@ -63,9 +65,9 @@ func slice[T any](s *stream, draw func() T) []T {
 	return out
 }
 
-func (s *stream) u16() uint16 { return uint16(s.int()) }
+func (s *stream) typ() sqlt.Type { return sqlt.Type(s.int()) }
 
-func (s *stream) pair() [2]uint16 { return [2]uint16{s.u16(), s.u16()} }
+func (s *stream) pair() [2]sqlt.Type { return [2]sqlt.Type{s.typ(), s.typ()} }
 
 // buildState draws a State covering every field, with zero and non-zero
 // omitempty fields, seeds with and without a cached Entry, and rate as its
@@ -75,7 +77,7 @@ func buildState(t *testing.T, s *stream, rate float64) *State {
 	flags := s.byte()
 	st := &State{
 		Version:                   int(s.int()),
-		Dialect:                   s.byte(),
+		Dialect:                   sqlt.Dialect(s.byte()),
 		Seed:                      s.int(),
 		MaxLen:                    int(s.int()),
 		DisableSequenceAlgorithms: flags&1 != 0,
@@ -99,7 +101,7 @@ func buildState(t *testing.T, s *stream, rate float64) *State {
 		return Crash{
 			ID: s.str(), Component: s.str(), Kind: s.str(),
 			Stack:      slice(s, s.str),
-			Window:     slice(s, s.u16),
+			Window:     slice(s, s.typ),
 			Reproducer: s.str(), FoundAtExec: int(s.int()), Hits: int(s.int()),
 			Status: s.str(), OriginalLen: int(s.int()), MinimizedLen: int(s.int()), Replays: int(s.int()),
 		}
@@ -132,8 +134,8 @@ func buildState(t *testing.T, s *stream, rate float64) *State {
 			Picked:      slice(s, func() int { return int(s.int()) }),
 			Affinity:    slice(s, s.pair),
 			GenAffinity: slice(s, s.pair),
-			SynthSeqs:   slice(s, func() []uint16 { return slice(s, s.u16) }),
-			SynthStarts: slice(s, s.u16),
+			SynthSeqs:   slice(s, func() sqlt.Sequence { return slice(s, s.typ) }),
+			SynthStarts: slice(s, s.typ),
 			SynthRot:    int(s.int()),
 			Pending:     slice(s, s.pair),
 			Quarantined: s.byte()&1 == 1,
@@ -216,7 +218,7 @@ func TestEncodeSample(t *testing.T) {
 	st := sample()
 	st.Seeds[0].SQL = hostile
 	st.Crashes[0].Reproducer, st.Crashes[0].Stack[0] = hostile, hostile
-	st.Crashes = append(st.Crashes, Crash{ID: "x", Window: []uint16{}, Status: "s", OriginalLen: 1, MinimizedLen: 1, Replays: 1})
+	st.Crashes = append(st.Crashes, Crash{ID: "x", Window: sqlt.Sequence{}, Status: "s", OriginalLen: 1, MinimizedLen: 1, Replays: 1})
 	checkEncoding(t, st)
 	want, err := json.Marshal(st.Seeds[1])
 	if err != nil {
@@ -237,8 +239,8 @@ func TestEncodeSample(t *testing.T) {
 	checkEncoding(t, st)
 	// Every section empty but not nil, and a worker entry all nil.
 	st.Crashes, st.Seeds, st.Coverage = []Crash{}, nil, []Edge{}
-	st.Shards = []Shard{{Pool: []int{}, Picked: []int{}, Affinity: [][2]uint16{}, GenAffinity: [][2]uint16{},
-		SynthSeqs: [][]uint16{nil, {}}, SynthStarts: []uint16{}, Pending: [][2]uint16{}}, {}}
+	st.Shards = []Shard{{Pool: []int{}, Picked: []int{}, Affinity: [][2]sqlt.Type{}, GenAffinity: [][2]sqlt.Type{},
+		SynthSeqs: []sqlt.Sequence{nil, {}}, SynthStarts: sqlt.Sequence{}, Pending: [][2]sqlt.Type{}}, {}}
 	checkEncoding(t, st)
 	st.Shards = []Shard{}
 	checkEncoding(t, st)

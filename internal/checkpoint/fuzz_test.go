@@ -66,7 +66,7 @@ func FuzzCheckpointLoad(f *testing.F) {
 				return
 			}
 			cfg := lego.Config{
-				Target:                    lego.Target(st.Dialect),
+				Target:                    st.Dialect,
 				Seed:                      st.Seed,
 				MaxSequenceLength:         st.MaxLen,
 				DisableSequenceAlgorithms: st.DisableSequenceAlgorithms,

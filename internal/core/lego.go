@@ -84,7 +84,9 @@ type Options struct {
 	SplitLongSeeds bool
 }
 
-func (o *Options) fill() {
+// Fill sets the defaults of unset options, as every fuzzer built from o
+// runs with them.
+func (o *Options) Fill() {
 	if o.MaxLen == 0 {
 		o.MaxLen = 5
 	}
@@ -112,16 +114,12 @@ type Fuzzer struct {
 
 	// pairs discovered in the current iteration, awaiting synthesis
 	pending []affinity.Pair
-
-	// synthWire holds the synthesized sequences already converted to
-	// checkpoint form, a prefix of the synthesizer's vector (SnapshotShard)
-	synthWire [][]uint16
 }
 
 // newFuzzer wires up an empty fuzzer; the caller either ingests the initial
 // seed corpus (New) or restores a checkpoint (ResumeShard).
 func newFuzzer(opts Options) *Fuzzer {
-	opts.fill()
+	opts.Fill()
 	src := xrand.New(opts.Seed)
 	rng := rand.New(src)
 	lib := instantiate.NewLibrary()

@@ -95,7 +95,7 @@ func TestNoCoverageGateGathersMoreAffinities(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}
-	o.fill()
+	o.Fill()
 	if o.MaxLen != 5 {
 		t.Fatalf("defaults not applied: %+v", o)
 	}

@@ -4,51 +4,9 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/seqfuzz/lego/internal/checkpoint"
 	"github.com/seqfuzz/lego/internal/harness"
 	"github.com/seqfuzz/lego/internal/sqlt"
 )
-
-// TestResumeRejectsMismatchedCampaign: resuming under different options
-// would silently produce a diverged schedule; CheckIdentity must fail
-// instead, and accept the options the campaign ran under.
-func TestResumeRejectsMismatchedCampaign(t *testing.T) {
-	f := New(Options{Dialect: sqlt.DialectPostgres, Seed: 2})
-	o := f.Options()
-	st := &checkpoint.State{Dialect: uint8(o.Dialect), Seed: o.Seed, MaxLen: o.MaxLen, DisableHazards: !o.Hazards}
-	if err := CheckIdentity(Options{Dialect: sqlt.DialectPostgres, Seed: 2}, st); err != nil {
-		t.Fatalf("matching options rejected: %v", err)
-	}
-
-	cases := []struct {
-		opts Options
-		want string
-	}{
-		{Options{Dialect: sqlt.DialectMySQL, Seed: 2}, "dialect"},
-		{Options{Dialect: sqlt.DialectPostgres, Seed: 3}, "seed"},
-		{Options{Dialect: sqlt.DialectPostgres, Seed: 2, MaxLen: 8}, "len"},
-		{Options{Dialect: sqlt.DialectPostgres, Seed: 2, DisableSequenceAlgorithms: true}, "DisableSequenceAlgorithms"},
-		{Options{Dialect: sqlt.DialectPostgres, Seed: 2, Hazards: true}, "Hazards"},
-		{Options{Dialect: sqlt.DialectPostgres, Seed: 2, SplitLongSeeds: true}, "SplitLongSeeds"},
-		{Options{Dialect: sqlt.DialectPostgres, Seed: 2, FaultRate: 0.01}, "FaultRate"},
-	}
-	for i, c := range cases {
-		if err := CheckIdentity(c.opts, st); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Fatalf("case %d: mismatched resume must fail naming %s, got %v", i, c.want, err)
-		}
-	}
-
-	// The options are identity in both directions: a campaign that ran
-	// with them rejects options without them.
-	st.DisableSequenceAlgorithms, st.SplitLongSeeds, st.FaultRate = true, true, 0.01
-	if err := CheckIdentity(Options{Dialect: sqlt.DialectPostgres, Seed: 2}, st); err == nil {
-		t.Fatal("a LEGO- campaign resumed as LEGO must fail")
-	}
-	if err := CheckIdentity(Options{Dialect: sqlt.DialectPostgres, Seed: 2,
-		DisableSequenceAlgorithms: true, SplitLongSeeds: true, FaultRate: 0.01}, st); err != nil {
-		t.Fatalf("matching options rejected: %v", err)
-	}
-}
 
 // TestFaultInjectedCampaignSurvives is the acceptance test for containment:
 // a full-budget campaign against an engine that keeps panicking organically
@@ -95,11 +53,11 @@ func TestFaultInjectedCampaignSurvives(t *testing.T) {
 }
 
 // TestMaxLenClampPreventsPanic: MaxLen 1 used to panic randomSequences
-// (Intn(0)); Options.fill clamps it to the smallest affinity-carrying
+// (Intn(0)); Options.Fill clamps it to the smallest affinity-carrying
 // length.
 func TestMaxLenClampPreventsPanic(t *testing.T) {
 	o := Options{MaxLen: 1}
-	o.fill()
+	o.Fill()
 	if o.MaxLen != 2 {
 		t.Fatalf("MaxLen clamped to %d, want 2", o.MaxLen)
 	}

@@ -39,9 +39,9 @@ func DefaultBudgets() Budgets {
 }
 
 // QuickBudgets returns a scaled-down variant for tests and `go test -bench`.
-// 40k statements is just past the point where LEGO's coverage curve has
-// separated from SQLsmith's on PostgreSQL (the curves cross early, as in
-// the paper's Figure 9).
+// 40k statements is past the point where LEGO's coverage curve has
+// separated from SQLsmith's on PostgreSQL (the curves cross at about 26k
+// statements, early, as in the paper's Figure 9).
 func QuickBudgets() Budgets {
 	return Budgets{DayStmts: 40000, ContinuousStmts: 120000, Seed: 1}
 }
@@ -83,10 +83,19 @@ type CampaignResult struct {
 	DiscoveredAffinities int
 	// Crashes are the deduplicated bugs.
 	Crashes []*oracle.Crash
-	// Curve samples branch coverage over executions, every 50 test cases
-	// (RunCampaign only).
-	Curve []harness.CurvePoint
+	// Curve samples branch coverage over the campaign (RunCampaign only).
+	Curve []CurvePoint
 }
+
+// CurvePoint is one sample of the branch-coverage curve (Figure 9): the
+// executions and branches after a leg of the campaign.
+type CurvePoint struct {
+	Execs    int
+	Branches int
+}
+
+// curveStmts is the statement spacing of RunCampaign's curve samples.
+const curveStmts = 1000
 
 // Bugs returns the number of unique bugs found.
 func (c *CampaignResult) Bugs() int { return len(c.Crashes) }
@@ -131,7 +140,16 @@ func RunCampaign(f FuzzerName, d sqlt.Dialect, execs int, seed int64, maxLen int
 		lego = core.New(opts)
 		r = lego
 	}
-	runner := harness.Run(r, execs, execs)
+	// The campaign runs in legs with soft ends every curveStmts statements,
+	// which make the same draws and executions as one run, and samples
+	// the curve after each.
+	var curve []CurvePoint
+	runner := r.Runner()
+	for runner.Stmts < execs {
+		end := min(execs, (runner.Stmts/curveStmts+1)*curveStmts)
+		harness.Run(r, execs, end)
+		curve = append(curve, CurvePoint{Execs: runner.Execs, Branches: runner.Branches()})
+	}
 	res := CampaignResult{
 		Fuzzer:        f,
 		Dialect:       d,
@@ -139,7 +157,7 @@ func RunCampaign(f FuzzerName, d sqlt.Dialect, execs int, seed int64, maxLen int
 		Branches:      runner.Branches(),
 		GenAffinities: runner.GenAff.Count(),
 		Crashes:       runner.Oracle.Crashes(),
-		Curve:         runner.Curve,
+		Curve:         curve,
 	}
 	if lego != nil {
 		res.DiscoveredAffinities = lego.Affinities()

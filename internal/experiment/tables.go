@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/seqfuzz/lego/internal/harness"
 	"github.com/seqfuzz/lego/internal/minidb"
 	"github.com/seqfuzz/lego/internal/sqlt"
 )
@@ -110,7 +109,7 @@ type Figure9Result struct {
 	// fuzzer does not support the dialect, as SQLsmith outside PostgreSQL).
 	Branches map[sqlt.Dialect]map[FuzzerName]int
 	// Curves keeps the coverage-over-executions series for plotting.
-	Curves map[sqlt.Dialect]map[FuzzerName][]harness.CurvePoint
+	Curves map[sqlt.Dialect]map[FuzzerName][]CurvePoint
 }
 
 // figure9Fuzzers lists the comparison set in the paper's legend order.
@@ -120,11 +119,11 @@ var figure9Fuzzers = []FuzzerName{FuzzerLEGO, FuzzerSquirrel, FuzzerSQLancer, Fu
 func Figure9(b Budgets) Figure9Result {
 	res := Figure9Result{
 		Branches: map[sqlt.Dialect]map[FuzzerName]int{},
-		Curves:   map[sqlt.Dialect]map[FuzzerName][]harness.CurvePoint{},
+		Curves:   map[sqlt.Dialect]map[FuzzerName][]CurvePoint{},
 	}
 	for _, d := range sqlt.Dialects() {
 		res.Branches[d] = map[FuzzerName]int{}
-		res.Curves[d] = map[FuzzerName][]harness.CurvePoint{}
+		res.Curves[d] = map[FuzzerName][]CurvePoint{}
 		for _, f := range figure9Fuzzers {
 			if f == FuzzerSQLsmith && d != sqlt.DialectPostgres {
 				res.Branches[d][f] = -1 // unsupported, as in the paper
@@ -186,7 +185,7 @@ func (f Figure9Result) Format() string {
 }
 
 // WriteCurvesCSV renders the coverage-over-executions series of every
-// campaign as CSV (dialect,fuzzer,execs,edges), the data behind the paper's
+// campaign as CSV (dialect,fuzzer,execs,branches), the data behind the paper's
 // Figure 9 line plot.
 func (f Figure9Result) WriteCurvesCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "dialect,fuzzer,execs,branches"); err != nil {
@@ -195,7 +194,7 @@ func (f Figure9Result) WriteCurvesCSV(w io.Writer) error {
 	for _, d := range sqlt.Dialects() {
 		for _, fz := range figure9Fuzzers {
 			for _, p := range f.Curves[d][fz] {
-				if _, err := fmt.Fprintf(w, "%s,%s,%d,%d\n", d, fz, p.Execs, p.Edges); err != nil {
+				if _, err := fmt.Fprintf(w, "%s,%s,%d,%d\n", d, fz, p.Execs, p.Branches); err != nil {
 					return err
 				}
 			}

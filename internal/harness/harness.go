@@ -1,7 +1,8 @@
 // Package harness provides the execution substrate shared by LEGO and the
 // baseline fuzzers: a Runner that executes test cases against a fresh engine
-// with coverage accounting, crash deduplication, affinity tallying, and a
-// coverage-over-time curve; plus the initial seed corpus.
+// with coverage accounting, crash deduplication and affinity tallying; the
+// loop that drives a fuzzer through a statement budget; and the initial seed
+// corpus.
 package harness
 
 import (
@@ -16,12 +17,6 @@ import (
 	"github.com/seqfuzz/lego/internal/sqlparse"
 	"github.com/seqfuzz/lego/internal/sqlt"
 )
-
-// CurvePoint is one sample of the branch-coverage curve (Figure 9).
-type CurvePoint struct {
-	Execs int
-	Edges int
-}
 
 // Runner executes test cases and accumulates campaign state.
 type Runner struct {
@@ -43,8 +38,6 @@ type Runner struct {
 	// that escaped the engine and were converted into synthetic PANIC
 	// reports instead of killing the campaign.
 	EnginePanics int
-	Curve        []CurvePoint
-	curveEvery   int
 
 	// cfg rebuilds the engine after a contained panic (quarantine).
 	cfg minidb.Config
@@ -59,12 +52,11 @@ func NewRunner(d sqlt.Dialect, hazards bool) *Runner {
 // (fault injection, custom limits).
 func NewRunnerWithConfig(cfg minidb.Config) *Runner {
 	return &Runner{
-		Eng:        minidb.New(cfg),
-		Cov:        coverage.NewMap(),
-		Oracle:     oracle.New(),
-		GenAff:     affinity.NewMap(),
-		curveEvery: 50,
-		cfg:        cfg,
+		Eng:    minidb.New(cfg),
+		Cov:    coverage.NewMap(),
+		Oracle: oracle.New(),
+		GenAff: affinity.NewMap(),
+		cfg:    cfg,
 	}
 }
 
@@ -96,9 +88,6 @@ func (r *Runner) Execute(tc sqlast.TestCase) (novel bool, newEdges int, crash *m
 	if out.Crash != nil {
 		r.Oracle.Record(out.Crash, tc, r.Execs)
 		crash = out.Crash
-	}
-	if r.Execs%r.curveEvery == 0 || r.Execs == 1 {
-		r.Curve = append(r.Curve, CurvePoint{Execs: r.Execs, Edges: r.Cov.EdgeCount()})
 	}
 	return novel, newEdges, crash
 }

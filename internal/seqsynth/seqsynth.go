@@ -6,7 +6,7 @@
 package seqsynth
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/seqfuzz/lego/internal/affinity"
 	"github.com/seqfuzz/lego/internal/sqlt"
@@ -81,17 +81,17 @@ type State struct {
 // stays valid as synthesis continues, but callers must not write through
 // it. Starts are sorted so identical campaigns produce byte-identical
 // snapshots (the set's order never influences synthesis, only its
-// serialization).
+// serialization). No sequences or no starts export as nil, which
+// checkpoints encode as JSON null.
 func (sy *Synthesizer) Export() State {
-	st := State{
-		Seqs:   sy.s[:len(sy.s):len(sy.s)],
-		Starts: make([]sqlt.Type, 0, len(sy.starts)),
-		Rot:    sy.rot,
+	st := State{Seqs: sy.s[:len(sy.s):len(sy.s)], Rot: sy.rot}
+	if len(sy.starts) > 0 {
+		st.Starts = make([]sqlt.Type, 0, len(sy.starts))
 	}
 	for t := range sy.starts {
 		st.Starts = append(st.Starts, t)
 	}
-	sort.Slice(st.Starts, func(i, j int) bool { return st.Starts[i] < st.Starts[j] })
+	slices.Sort(st.Starts)
 	return st
 }
 

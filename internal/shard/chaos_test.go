@@ -242,32 +242,6 @@ func TestChaosOffIsByteIdenticalToUnsupervised(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsMismatchedChaos: the chaos identity is campaign identity;
-// resuming a chaotic checkpoint under a different (or absent) schedule must
-// fail loudly, like a wrong seed or topology does.
-func TestResumeRejectsMismatchedChaos(t *testing.T) {
-	opts := chaosOptions(2, 0.08)
-	e := New(opts)
-	if _, err := e.Run(3000, RunOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	st := e.Snapshot()
-
-	if _, err := Resume(testOptions(2), st); err == nil || !strings.Contains(err.Error(), "chaos rate") {
-		t.Fatalf("resume without chaos: got %v, want chaos rate mismatch", err)
-	}
-	wrongSeed := opts
-	wrongSeed.ChaosSeed = 8
-	if _, err := Resume(wrongSeed, st); err == nil || !strings.Contains(err.Error(), "chaos seed") {
-		t.Fatalf("resume with wrong chaos seed: got %v, want chaos seed mismatch", err)
-	}
-	wrongBudget := opts
-	wrongBudget.MaxEpochRetries = 9
-	if _, err := Resume(wrongBudget, st); err == nil || !strings.Contains(err.Error(), "retry budget") {
-		t.Fatalf("resume with wrong retry budget: got %v, want retry budget mismatch", err)
-	}
-}
-
 // TestInjectedSaveFaultsDoNotChangeTheCampaign: routing checkpoint saves
 // through a rate-1 chaotic filesystem eats every save, yet the campaign's
 // computed state is byte-identical to one that never saved at all — a

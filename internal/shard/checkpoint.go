@@ -24,26 +24,11 @@ import (
 // fields one to one (scripts are valid UTF-8), so the store is what keying
 // on the script and fields would give.
 //
-// The campaign options past MaxLen are written only when they differ from
-// the facade's defaults, the chaos identity only when the chaos plane is
-// armed, and the retry budget only once it can shape the schedule, so
-// Resume can insist on exactly the values that matter.
+// The campaign identity is written by Options.stamp.
 func (e *Executor) Snapshot() *checkpoint.State {
-	// Campaign identity comes from shard 0, which runs the base seed.
-	co := e.shards[0].Options()
 	n := e.shards[0].Pool().Len()
 	st := &checkpoint.State{
-		Dialect:                   uint8(co.Dialect),
-		Seed:                      co.Seed,
-		MaxLen:                    co.MaxLen,
-		DisableSequenceAlgorithms: co.DisableSequenceAlgorithms,
-		DisableHazards:            !co.Hazards,
-		SplitLongSeeds:            co.SplitLongSeeds,
-		FaultRate:                 co.FaultRate,
-
-		Workers:    len(e.shards),
-		EpochStmts: e.opts.EpochStmts,
-		Epoch:      e.epoch,
+		Epoch: e.epoch,
 
 		// Campaign aggregates: counters are totals, and the crashes are the
 		// campaign oracle.
@@ -55,6 +40,7 @@ func (e *Executor) Snapshot() *checkpoint.State {
 		Incidents: slices.Clone(e.incidents),
 		Shards:    make([]checkpoint.Shard, len(e.shards)),
 	}
+	e.opts.stamp(st)
 	if e.seedIDs == nil {
 		e.seedIDs, e.contentIDs = map[*corpus.Seed]int{}, map[string]int{}
 	}
@@ -85,47 +71,63 @@ func (e *Executor) Snapshot() *checkpoint.State {
 		st.Shards[i] = w
 	}
 	st.Coverage = e.campaignCov().Export()
-	if e.opts.ChaosRate != 0 {
-		st.ChaosRate = e.opts.ChaosRate
-		st.ChaosSeed = e.opts.ChaosSeed
-	}
-	if e.opts.ChaosRate != 0 || len(e.incidents) > 0 {
-		// The retry budget shapes the schedule only once failures exist (or
-		// can exist); record it exactly then, so Resume can insist on it.
-		st.MaxEpochRetries = e.opts.MaxEpochRetries
-	}
 	return st
 }
 
-// Resume rebuilds a campaign from a checkpoint. The topology
-// (Workers, EpochStmts) is part of the campaign's identity — resuming under
-// a different one would move every epoch barrier — so mismatches fail
-// loudly, as core.CheckIdentity makes them for the fuzzer's options.
+// stamp writes the campaign identity o describes into st, which must
+// already hold its incident journal. The core options past MaxLen are
+// written only when they differ from the facade's defaults, the chaos
+// identity only when the chaos plane is armed, and the retry budget only
+// once it can shape the schedule: under chaos, or once incidents exist.
+// o must be filled.
+func (o *Options) stamp(st *checkpoint.State) {
+	st.Dialect = o.Core.Dialect
+	st.Seed = o.Core.Seed
+	st.MaxLen = o.Core.MaxLen
+	st.DisableSequenceAlgorithms = o.Core.DisableSequenceAlgorithms
+	st.DisableHazards = !o.Core.Hazards
+	st.SplitLongSeeds = o.Core.SplitLongSeeds
+	st.FaultRate = o.Core.FaultRate
+	st.Workers = o.Workers
+	st.EpochStmts = o.EpochStmts
+	if o.ChaosRate != 0 {
+		st.ChaosRate = o.ChaosRate
+		st.ChaosSeed = o.ChaosSeed
+	}
+	if o.ChaosRate != 0 || len(st.Incidents) > 0 {
+		st.MaxEpochRetries = o.MaxEpochRetries
+	}
+}
+
+// Resume rebuilds a campaign from a checkpoint, which must be well formed,
+// as Load and Snapshot make it. It must carry the identity opts stamp, field
+// for field: resuming under other options, topology or chaos schedule would
+// silently diverge from the original campaign, so a mismatch fails naming
+// the field.
 func Resume(opts Options, st *checkpoint.State) (*Executor, error) {
 	opts.fill()
-	if err := core.CheckIdentity(opts.Core, st); err != nil {
-		return nil, err
-	}
-	if st.Workers != opts.Workers || len(st.Shards) != opts.Workers {
-		return nil, fmt.Errorf("shard: resume: checkpoint has %d workers (%d shard entries), options request %d", st.Workers, len(st.Shards), opts.Workers)
-	}
-	if st.EpochStmts < 1 {
-		return nil, fmt.Errorf("shard: resume: checkpoint is malformed: it has no epoch budget (%d statements)", st.EpochStmts)
-	}
-	if st.EpochStmts != opts.EpochStmts {
-		return nil, fmt.Errorf("shard: resume: checkpoint epoch budget is %d statements, options request %d", st.EpochStmts, opts.EpochStmts)
-	}
-	// The chaos identity is campaign identity: the fault schedule shapes the
-	// incident journal and, through retries, every shard's RNG consumption,
-	// so resuming under a different schedule would silently diverge.
-	if st.ChaosRate != opts.ChaosRate {
-		return nil, fmt.Errorf("shard: resume: checkpoint chaos rate is %v, options request %v", st.ChaosRate, opts.ChaosRate)
-	}
-	if st.ChaosRate != 0 && st.ChaosSeed != opts.ChaosSeed {
-		return nil, fmt.Errorf("shard: resume: checkpoint chaos seed is %d, options request %d", st.ChaosSeed, opts.ChaosSeed)
-	}
-	if st.MaxEpochRetries != 0 && st.MaxEpochRetries != opts.MaxEpochRetries {
-		return nil, fmt.Errorf("shard: resume: checkpoint retry budget is %d epochs, options request %d", st.MaxEpochRetries, opts.MaxEpochRetries)
+	want := checkpoint.State{Incidents: st.Incidents}
+	opts.stamp(&want)
+	for _, f := range []struct {
+		name       string
+		ckpt, opts any
+	}{
+		{"Dialect", st.Dialect, want.Dialect},
+		{"Seed", st.Seed, want.Seed},
+		{"MaxLen", st.MaxLen, want.MaxLen},
+		{"DisableSequenceAlgorithms", st.DisableSequenceAlgorithms, want.DisableSequenceAlgorithms},
+		{"Hazards", !st.DisableHazards, !want.DisableHazards},
+		{"SplitLongSeeds", st.SplitLongSeeds, want.SplitLongSeeds},
+		{"FaultRate", st.FaultRate, want.FaultRate},
+		{"Workers", st.Workers, want.Workers},
+		{"EpochStmts", st.EpochStmts, want.EpochStmts},
+		{"ChaosRate", st.ChaosRate, want.ChaosRate},
+		{"ChaosSeed", st.ChaosSeed, want.ChaosSeed},
+		{"MaxEpochRetries", st.MaxEpochRetries, want.MaxEpochRetries},
+	} {
+		if f.ckpt != f.opts {
+			return nil, fmt.Errorf("resume: checkpoint campaign has %s %v, options say %v", f.name, f.ckpt, f.opts)
+		}
 	}
 
 	// Each stored seed is parsed once, and shards share the objects.
@@ -189,16 +191,12 @@ func exportCrashes(o *oracle.Oracle) []checkpoint.Crash {
 	}
 	out := make([]checkpoint.Crash, len(crashes))
 	for i, c := range crashes {
-		window := make([]uint16, len(c.Report.Window))
-		for j, t := range c.Report.Window {
-			window[j] = uint16(t)
-		}
 		out[i] = checkpoint.Crash{
 			ID:          c.Report.ID,
 			Component:   c.Report.Component,
 			Kind:        c.Report.Kind,
 			Stack:       append([]string(nil), c.Report.Stack...),
-			Window:      window,
+			Window:      c.Report.Window,
 			Reproducer:  c.ReproducerSQL(),
 			FoundAtExec: c.FoundAtExec,
 			Hits:        c.Hits,
@@ -221,10 +219,6 @@ func importCrashes(d sqlt.Dialect, crashes []checkpoint.Crash) ([]*oracle.Crash,
 		if err != nil {
 			return nil, fmt.Errorf("crash %d reproducer: %w", i, err)
 		}
-		var window sqlt.Sequence
-		for _, t := range c.Window {
-			window = append(window, sqlt.Type(t))
-		}
 		out = append(out, &oracle.Crash{
 			Report: &minidb.BugReport{
 				ID:        c.ID,
@@ -232,7 +226,7 @@ func importCrashes(d sqlt.Dialect, crashes []checkpoint.Crash) ([]*oracle.Crash,
 				Component: c.Component,
 				Kind:      c.Kind,
 				Stack:     append([]string(nil), c.Stack...),
-				Window:    window,
+				Window:    c.Window,
 			},
 			Reproducer:  tc,
 			FoundAtExec: c.FoundAtExec,

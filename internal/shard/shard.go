@@ -104,6 +104,7 @@ type Options struct {
 }
 
 func (o *Options) fill() {
+	o.Core.Fill()
 	if o.Workers < 1 {
 		o.Workers = 1
 	}

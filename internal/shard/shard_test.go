@@ -516,23 +516,54 @@ func TestShardedSaveErrorAbortsRun(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsMismatchedTopology: Workers and EpochStmts identify the
-// campaign the way Seed does — resuming under a different topology would
-// silently move every barrier, so it must fail loudly instead.
-func TestResumeRejectsMismatchedTopology(t *testing.T) {
-	e := New(testOptions(2))
-	if _, err := e.Run(2000, RunOptions{}); err != nil {
+// TestResumeRejectsMismatchedCampaign: every field Options.stamp writes is
+// campaign identity. A real snapshot resumes under the options it ran with,
+// and one identity field changed, in the snapshot or in the options, must
+// make Resume fail naming that field: resuming under another option,
+// topology or chaos schedule would silently diverge.
+func TestResumeRejectsMismatchedCampaign(t *testing.T) {
+	opts := chaosOptions(2, 0.08)
+	e := New(opts)
+	if _, err := e.Run(3000, RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	st := e.Snapshot()
-
-	wrongWorkers := testOptions(3)
-	if _, err := Resume(wrongWorkers, st); err == nil || !strings.Contains(err.Error(), "workers") {
-		t.Fatalf("resume with wrong worker count: got %v, want workers mismatch error", err)
+	if _, err := Resume(opts, st); err != nil {
+		t.Fatalf("an unchanged snapshot must resume: %v", err)
 	}
-	wrongEpoch := testOptions(2)
-	wrongEpoch.EpochStmts = 999
-	if _, err := Resume(wrongEpoch, st); err == nil || !strings.Contains(err.Error(), "epoch") {
-		t.Fatalf("resume with wrong epoch budget: got %v, want epoch mismatch error", err)
+
+	cases := []struct {
+		field string
+		st    func(*checkpoint.State)
+		opts  func(*Options)
+	}{
+		{"Dialect", func(s *checkpoint.State) { s.Dialect = sqlt.DialectPostgres }, func(o *Options) { o.Core.Dialect = sqlt.DialectMySQL }},
+		{"Seed", func(s *checkpoint.State) { s.Seed++ }, func(o *Options) { o.Core.Seed++ }},
+		{"MaxLen", func(s *checkpoint.State) { s.MaxLen = 3 }, func(o *Options) { o.Core.MaxLen = 8 }},
+		{"DisableSequenceAlgorithms", func(s *checkpoint.State) { s.DisableSequenceAlgorithms = true }, func(o *Options) { o.Core.DisableSequenceAlgorithms = true }},
+		{"Hazards", func(s *checkpoint.State) { s.DisableHazards = true }, func(o *Options) { o.Core.Hazards = false }},
+		{"SplitLongSeeds", func(s *checkpoint.State) { s.SplitLongSeeds = true }, func(o *Options) { o.Core.SplitLongSeeds = true }},
+		{"FaultRate", func(s *checkpoint.State) { s.FaultRate = 0 }, func(o *Options) { o.Core.FaultRate = 0.01 }},
+		{"Workers", func(s *checkpoint.State) { s.Workers = 3 }, func(o *Options) { o.Workers = 1 }},
+		{"EpochStmts", func(s *checkpoint.State) { s.EpochStmts = 0 }, func(o *Options) { o.EpochStmts = 999 }},
+		{"ChaosRate", func(s *checkpoint.State) { s.ChaosRate = 0.5 }, func(o *Options) { o.ChaosRate = 0 }},
+		{"ChaosSeed", func(s *checkpoint.State) { s.ChaosSeed = 8 }, func(o *Options) { o.ChaosSeed = 8 }},
+		{"MaxEpochRetries", func(s *checkpoint.State) { s.MaxEpochRetries = 0 }, func(o *Options) { o.MaxEpochRetries = 9 }},
+	}
+	for _, c := range cases {
+		changed := *st
+		c.st(&changed)
+		o := opts
+		c.opts(&o)
+		for _, side := range []struct {
+			name string
+			opts Options
+			st   *checkpoint.State
+		}{{"snapshot", opts, &changed}, {"options", o, st}} {
+			_, err := Resume(side.opts, side.st)
+			if err == nil || !strings.HasPrefix(err.Error(), "resume: checkpoint campaign has "+c.field+" ") {
+				t.Errorf("%s changed in the %s: got %v, want a mismatch naming it", c.field, side.name, err)
+			}
+		}
 	}
 }

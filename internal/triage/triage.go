@@ -49,20 +49,28 @@ const (
 
 // Config bounds the triage pass.
 type Config struct {
-	// Replays is the number of verification replays per crash (default 3).
+	// Replays is the number of verification replays per crash (default
+	// DefaultReplays).
 	Replays int
 	// Budget is the maximum number of ddmin candidate replays spent
-	// minimizing one crash (default 256). Verification replays are not
-	// charged against it: they are already bounded by Replays × crashes.
+	// minimizing one crash (default DefaultBudget). Verification replays
+	// are not charged against it: they are already bounded by Replays ×
+	// crashes.
 	Budget int
 }
 
+// The defaults of Config's fields.
+const (
+	DefaultReplays = 3
+	DefaultBudget  = 256
+)
+
 func (c *Config) fill() {
 	if c.Replays <= 0 {
-		c.Replays = 3
+		c.Replays = DefaultReplays
 	}
 	if c.Budget <= 0 {
-		c.Budget = 256
+		c.Budget = DefaultBudget
 	}
 }
 

@@ -24,6 +24,7 @@ package lego
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/seqfuzz/lego/internal/checkpoint"
 	"github.com/seqfuzz/lego/internal/core"
@@ -73,19 +74,12 @@ type Config struct {
 	// PANIC bugs. Zero disables injection.
 	FaultRate float64
 	// Triage runs the crash triage pipeline when a Fuzz call ends: every
-	// unique crash is re-verified on a fresh quarantined engine and
+	// unique crash is replayed 3 times on a fresh quarantined engine and
 	// classified STABLE/FLAKY/LOST, and its reproducer is minimized with
 	// ddmin (accepting only candidates that crash with the same call
-	// stack). Results land in Bug.Status, Bug.OriginalLen,
+	// stack, in at most 256 replays). Results land in Bug.Status, Bug.OriginalLen,
 	// Bug.MinimizedLen, and Bug.Replays, and persist in checkpoints.
 	Triage bool
-	// TriageReplays is the number of verification replays per crash
-	// (default 3).
-	TriageReplays int
-	// TriageBudget caps the ddmin candidate replays spent minimizing one
-	// crash (default 256), so triage is bounded even on pathological
-	// reproducers.
-	TriageBudget int
 	// Workers runs the campaign as N parallel shards — each a complete
 	// private fuzzer seeded Seed+shardID — that merge deterministically at
 	// epoch barriers: coverage OR-folds, seeds and affinities and crashes
@@ -142,8 +136,8 @@ type Bug struct {
 	// before and after minimization (zero when triage did not run).
 	OriginalLen  int
 	MinimizedLen int
-	// Replays is how many of Config.TriageReplays verification replays
-	// reproduced the crash.
+	// Replays is how many of the triage's verification replays reproduced
+	// the crash.
 	Replays int
 }
 
@@ -188,22 +182,14 @@ type Report struct {
 	SaveFaults int
 }
 
-// Incident is one entry of a supervised campaign's failure journal.
-type Incident struct {
-	// Epoch is the barrier interval the failure struck in; Shard the failed
-	// worker.
-	Epoch, Shard int
-	// Kind classifies the failure: WORKER_PANIC or EPOCH_STALL (injected by
-	// the chaos plane), or ORGANIC_PANIC (a real panic the supervisor
-	// contained).
-	Kind string
-	// Retries is the shard's cumulative retry tally after this incident;
-	// Outcome is RETRIED or QUARANTINED.
-	Retries int
-	Outcome string
-	// Detail carries the fault's coordinates or the normalized panic stack.
-	Detail string
-}
+// Incident is one entry of a supervised campaign's failure journal: the
+// barrier interval (Epoch) and worker (Shard) a failure struck, its Kind
+// (WORKER_PANIC or EPOCH_STALL, injected by the chaos plane, or
+// ORGANIC_PANIC, a real panic the supervisor contained), the shard's
+// cumulative Retries after it, the Outcome (RETRIED or QUARANTINED), and
+// the fault's coordinates or normalized panic stack as Detail. It is the
+// checkpointed journal entry itself.
+type Incident = checkpoint.Incident
 
 // Fuzzer is a LEGO fuzzing session against one target. Every session runs
 // on the campaign executor, a one-worker session as one shard.
@@ -325,7 +311,7 @@ func (f *Fuzzer) FuzzWithOptions(budgetStmts int, opts FuzzOptions) (Report, err
 		Stop:       opts.Stop,
 	})
 	if err == nil && f.cfg.Triage {
-		f.ex.Triage(triage.Config{Replays: f.cfg.TriageReplays, Budget: f.cfg.TriageBudget})
+		f.ex.Triage(triage.Config{})
 		if save != nil {
 			err = f.ex.AbsorbSaveFault(save(f.ex.Snapshot()))
 		}
@@ -339,17 +325,6 @@ func (f *Fuzzer) FuzzWithOptions(budgetStmts int, opts FuzzOptions) (Report, err
 // shards, the OR-folded coverage, the merged oracle, and the supervision
 // plane's journal and degradation record.
 func (f *Fuzzer) report() Report {
-	var incidents []Incident
-	for _, in := range f.ex.Incidents() {
-		incidents = append(incidents, Incident{
-			Epoch:   in.Epoch,
-			Shard:   in.Shard,
-			Kind:    in.Kind,
-			Retries: in.Retries,
-			Outcome: in.Outcome,
-			Detail:  in.Detail,
-		})
-	}
 	return Report{
 		Executions:   f.ex.Execs(),
 		Statements:   f.ex.Stmts(),
@@ -360,7 +335,7 @@ func (f *Fuzzer) report() Report {
 		Bugs:         bugsFrom(f.ex.Oracle().Crashes()),
 		Workers:      f.ex.Workers(),
 		Quarantined:  f.ex.QuarantinedShards(),
-		Incidents:    incidents,
+		Incidents:    slices.Clone(f.ex.Incidents()),
 		SaveFaults:   f.ex.SaveFaults(),
 	}
 }

@@ -82,7 +82,7 @@ func TestFacadeFaultCampaignReportsPanics(t *testing.T) {
 // STABLE with a minimized reproducer no longer than the original, strictly
 // shorter for at least the long multi-statement discoveries.
 func TestFacadeTriageMariaDB(t *testing.T) {
-	f := lego.NewFuzzer(lego.Config{Target: lego.MariaDB, Triage: true, TriageReplays: 3})
+	f := lego.NewFuzzer(lego.Config{Target: lego.MariaDB, Triage: true})
 	rep := f.Fuzz(60000)
 	if len(rep.Bugs) == 0 {
 		t.Fatal("campaign found no bugs")
@@ -392,10 +392,10 @@ func TestFacadeResumeRejectsMalformedTopology(t *testing.T) {
 	}{
 		{"shard list cut to one entry", two, func(st *checkpoint.State) { st.Shards = st.Shards[:1] }, twoCfg, "1 shard entries"},
 		{"no workers", two, func(st *checkpoint.State) { st.Workers = 0 }, twoCfg, "0 workers"},
-		{"no epoch budget", two, func(st *checkpoint.State) { st.EpochStmts = 0 }, twoCfg, "no epoch budget"},
-		{"one-worker checkpoint with no epoch budget", one, func(st *checkpoint.State) { st.EpochStmts = 0 }, oneCfg, "no epoch budget"},
-		{"single-threaded checkpoint as two workers", one, noEdit, twoCfg, "1 workers"},
-		{"two-worker checkpoint as one", two, noEdit, oneCfg, "2 workers"},
+		{"no epoch budget", two, func(st *checkpoint.State) { st.EpochStmts = 0 }, twoCfg, "EpochStmts 0"},
+		{"one-worker checkpoint with no epoch budget", one, func(st *checkpoint.State) { st.EpochStmts = 0 }, oneCfg, "EpochStmts 0"},
+		{"single-threaded checkpoint as two workers", one, noEdit, twoCfg, "Workers 1"},
+		{"two-worker checkpoint as one", two, noEdit, oneCfg, "Workers 2"},
 		{"LEGO- checkpoint as LEGO", minus, noEdit, oneCfg, "DisableSequenceAlgorithms true"},
 		{"LEGO checkpoint as LEGO-", one, noEdit, minusCfg, "DisableSequenceAlgorithms false"},
 		{"fault-injected checkpoint without faults", fault, noEdit, oneCfg, "FaultRate 0.01"},
