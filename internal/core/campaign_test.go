@@ -9,6 +9,7 @@ package core_test
 import (
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 
 	"github.com/seqfuzz/lego/internal/checkpoint"
@@ -57,6 +58,51 @@ func roundTrip(t *testing.T, opts shard.Options, st *checkpoint.State) *shard.Ex
 		t.Fatal(err)
 	}
 	return resumed
+}
+
+// TestResumeRejectsMismatchedCampaign: every core option a checkpoint
+// records is campaign identity. A real snapshot resumes under the options
+// it ran with, and one option changed, in the snapshot or in the options,
+// must make resume fail naming it: resuming under another option would
+// silently produce a diverged schedule.
+func TestResumeRejectsMismatchedCampaign(t *testing.T) {
+	opts := oneShard(core.Options{Dialect: sqlt.DialectMariaDB, Seed: 2, Hazards: true, FaultRate: 0.002})
+	e := shard.New(opts)
+	run(t, e, 3000)
+	st := e.Snapshot()
+	if _, err := shard.Resume(opts, st); err != nil {
+		t.Fatalf("an unchanged snapshot must resume: %v", err)
+	}
+
+	cases := []struct {
+		field string
+		st    func(*checkpoint.State)
+		opts  func(*core.Options)
+	}{
+		{"Dialect", func(s *checkpoint.State) { s.Dialect = sqlt.DialectPostgres }, func(o *core.Options) { o.Dialect = sqlt.DialectMySQL }},
+		{"Seed", func(s *checkpoint.State) { s.Seed++ }, func(o *core.Options) { o.Seed++ }},
+		{"MaxLen", func(s *checkpoint.State) { s.MaxLen = 3 }, func(o *core.Options) { o.MaxLen = 8 }},
+		{"DisableSequenceAlgorithms", func(s *checkpoint.State) { s.DisableSequenceAlgorithms = true }, func(o *core.Options) { o.DisableSequenceAlgorithms = true }},
+		{"Hazards", func(s *checkpoint.State) { s.DisableHazards = true }, func(o *core.Options) { o.Hazards = false }},
+		{"SplitLongSeeds", func(s *checkpoint.State) { s.SplitLongSeeds = true }, func(o *core.Options) { o.SplitLongSeeds = true }},
+		{"FaultRate", func(s *checkpoint.State) { s.FaultRate = 0 }, func(o *core.Options) { o.FaultRate = 0.01 }},
+	}
+	for _, c := range cases {
+		changed := *st
+		c.st(&changed)
+		o := opts
+		c.opts(&o.Core)
+		for _, side := range []struct {
+			name string
+			opts shard.Options
+			st   *checkpoint.State
+		}{{"snapshot", opts, &changed}, {"options", o, st}} {
+			_, err := shard.Resume(side.opts, side.st)
+			if err == nil || !strings.HasPrefix(err.Error(), "resume: checkpoint campaign has "+c.field+" ") {
+				t.Errorf("%s changed in the %s: got %v, want a mismatch naming it", c.field, side.name, err)
+			}
+		}
+	}
 }
 
 // TestDeterministicResume is the acceptance test for checkpoint/resume:

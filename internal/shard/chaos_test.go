@@ -242,6 +242,17 @@ func TestChaosOffIsByteIdenticalToUnsupervised(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsMismatchedChaos: the chaos identity is campaign identity;
+// resuming a chaotic checkpoint under a different (or absent) schedule must
+// fail loudly, like a wrong seed or topology does.
+func TestResumeRejectsMismatchedChaos(t *testing.T) {
+	rejectsEachMismatch(t, chaosOptions(2, 0.08), []identityCase{
+		{"ChaosRate", func(s *checkpoint.State) { s.ChaosRate = 0.5 }, func(o *Options) { o.ChaosRate = 0 }},
+		{"ChaosSeed", func(s *checkpoint.State) { s.ChaosSeed = 8 }, func(o *Options) { o.ChaosSeed = 8 }},
+		{"MaxEpochRetries", func(s *checkpoint.State) { s.MaxEpochRetries = 0 }, func(o *Options) { o.MaxEpochRetries = 9 }},
+	})
+}
+
 // TestInjectedSaveFaultsDoNotChangeTheCampaign: routing checkpoint saves
 // through a rate-1 chaotic filesystem eats every save, yet the campaign's
 // computed state is byte-identical to one that never saved at all — a

@@ -516,13 +516,19 @@ func TestShardedSaveErrorAbortsRun(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsMismatchedCampaign: every field Options.stamp writes is
-// campaign identity. A real snapshot resumes under the options it ran with,
-// and one identity field changed, in the snapshot or in the options, must
-// make Resume fail naming that field: resuming under another option,
-// topology or chaos schedule would silently diverge.
-func TestResumeRejectsMismatchedCampaign(t *testing.T) {
-	opts := chaosOptions(2, 0.08)
+// identityCase changes one campaign identity field, once in a snapshot
+// (st) and once in the options (opts).
+type identityCase struct {
+	field string
+	st    func(*checkpoint.State)
+	opts  func(*Options)
+}
+
+// rejectsEachMismatch runs a campaign under opts and checks that its real
+// snapshot resumes under opts, and that each case's field, changed in the
+// snapshot or in the options, makes Resume fail naming that field.
+func rejectsEachMismatch(t *testing.T, opts Options, cases []identityCase) {
+	t.Helper()
 	e := New(opts)
 	if _, err := e.Run(3000, RunOptions{}); err != nil {
 		t.Fatal(err)
@@ -530,25 +536,6 @@ func TestResumeRejectsMismatchedCampaign(t *testing.T) {
 	st := e.Snapshot()
 	if _, err := Resume(opts, st); err != nil {
 		t.Fatalf("an unchanged snapshot must resume: %v", err)
-	}
-
-	cases := []struct {
-		field string
-		st    func(*checkpoint.State)
-		opts  func(*Options)
-	}{
-		{"Dialect", func(s *checkpoint.State) { s.Dialect = sqlt.DialectPostgres }, func(o *Options) { o.Core.Dialect = sqlt.DialectMySQL }},
-		{"Seed", func(s *checkpoint.State) { s.Seed++ }, func(o *Options) { o.Core.Seed++ }},
-		{"MaxLen", func(s *checkpoint.State) { s.MaxLen = 3 }, func(o *Options) { o.Core.MaxLen = 8 }},
-		{"DisableSequenceAlgorithms", func(s *checkpoint.State) { s.DisableSequenceAlgorithms = true }, func(o *Options) { o.Core.DisableSequenceAlgorithms = true }},
-		{"Hazards", func(s *checkpoint.State) { s.DisableHazards = true }, func(o *Options) { o.Core.Hazards = false }},
-		{"SplitLongSeeds", func(s *checkpoint.State) { s.SplitLongSeeds = true }, func(o *Options) { o.Core.SplitLongSeeds = true }},
-		{"FaultRate", func(s *checkpoint.State) { s.FaultRate = 0 }, func(o *Options) { o.Core.FaultRate = 0.01 }},
-		{"Workers", func(s *checkpoint.State) { s.Workers = 3 }, func(o *Options) { o.Workers = 1 }},
-		{"EpochStmts", func(s *checkpoint.State) { s.EpochStmts = 0 }, func(o *Options) { o.EpochStmts = 999 }},
-		{"ChaosRate", func(s *checkpoint.State) { s.ChaosRate = 0.5 }, func(o *Options) { o.ChaosRate = 0 }},
-		{"ChaosSeed", func(s *checkpoint.State) { s.ChaosSeed = 8 }, func(o *Options) { o.ChaosSeed = 8 }},
-		{"MaxEpochRetries", func(s *checkpoint.State) { s.MaxEpochRetries = 0 }, func(o *Options) { o.MaxEpochRetries = 9 }},
 	}
 	for _, c := range cases {
 		changed := *st
@@ -566,4 +553,14 @@ func TestResumeRejectsMismatchedCampaign(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestResumeRejectsMismatchedTopology: Workers and EpochStmts identify the
+// campaign the way Seed does — resuming under a different topology would
+// silently move every barrier, so it must fail loudly instead.
+func TestResumeRejectsMismatchedTopology(t *testing.T) {
+	rejectsEachMismatch(t, testOptions(2), []identityCase{
+		{"Workers", func(s *checkpoint.State) { s.Workers = 3 }, func(o *Options) { o.Workers = 1 }},
+		{"EpochStmts", func(s *checkpoint.State) { s.EpochStmts = 0 }, func(o *Options) { o.EpochStmts = 999 }},
+	})
 }
