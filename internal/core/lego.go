@@ -190,7 +190,7 @@ func (f *Fuzzer) ingest(tc sqlast.TestCase, newEdges int) {
 // splitSeed cuts a long test case into two overlapping halves and
 // re-validates each, so later mutation works on short, fast seeds that
 // still carry the long seed's local orderings. The halves are new slices
-// sharing tc's statements; the fixer clones those it repairs.
+// sharing tc's statements; the fixer copies the nodes it repairs.
 func (f *Fuzzer) splitSeed(tc sqlast.TestCase) []sqlast.TestCase {
 	mid := len(tc) / 2
 	overlap := f.opts.MaxLen / 2

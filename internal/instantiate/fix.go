@@ -22,17 +22,18 @@ import (
 // to fuzzing (error-handling paths are code too), so unresolvable
 // references are left in place rather than deleted.
 //
-// Fix never writes a statement its caller does not own. Every repair calls
-// own before it draws from Rng, takes a fresh name or writes a field; on a
-// shared statement own abandons the pass, and Fix repeats it on a clone.
-// The abandoned pass drew nothing and recorded nothing in the simulated
-// schema, so the repeat makes exactly the draws and repairs the first pass
-// would have made.
+// Fix never writes a statement its caller does not own, and fixes it in
+// one pass all the same. A repair to a shared statement copies each node
+// from the statement's root down to the field it writes (sqlast.Own), once
+// per node, and links each copy into its parent's copy; subtrees the pass
+// does not write, such as VALUES rows and unrepaired expressions, stay
+// shared with the frozen original. The pass makes the same draws, repairs
+// and schema records as fixing a full clone of the statement would.
 type Fixer struct {
 	Rng *rand.Rand
 
 	sch    simSchema // reset by every Fix
-	shared bool      // the statement being fixed is not the caller's to write
+	shared bool      // the statement being fixed is frozen: copy, don't write
 }
 
 // NewFixer returns a fixer.
@@ -127,47 +128,16 @@ func dropStr(ss []string, v string) []string {
 
 // Fix repairs the test case. owned lists the indexes of the statements the
 // caller owns, which Fix repairs in place. Every other statement is shared
-// (a pool seed's or a library entry's) and frozen: when one needs a repair,
-// Fix puts a clone in its slot of tc and repairs the clone.
+// (a pool seed's or a library entry's) and frozen: a repair to one copies
+// the nodes from the statement's root down to the field it writes, and Fix
+// puts the copied root in the statement's slot of tc. The copy shares every
+// subtree the pass did not write with the frozen original.
 func (f *Fixer) Fix(tc sqlast.TestCase, owned ...int) {
 	f.sch.reset()
 	for i, s := range tc {
-		if slices.Contains(owned, i) {
-			f.shared = false
-			f.fixStmt(s)
-		} else if !f.fixShared(s) {
-			tc[i] = s.Clone()
-			f.shared = false
-			f.fixStmt(tc[i])
-		}
+		f.shared = !slices.Contains(owned, i)
+		tc[i] = f.fixStmt(s)
 	}
-}
-
-// abandon is the panic value by which own stops a pass over a shared
-// statement; fixShared recovers it.
-type abandon struct{}
-
-// own must precede every RNG draw, fresh name and field write of a repair.
-// On a shared statement it abandons the pass before any of them happens.
-func (f *Fixer) own() {
-	if f.shared {
-		panic(abandon{})
-	}
-}
-
-// fixShared runs the pass over a shared statement and reports whether it
-// finished, which it does only when the statement needs no repair.
-func (f *Fixer) fixShared(s sqlast.Statement) (finished bool) {
-	f.shared = true
-	defer func() {
-		if !finished {
-			if r := recover(); r != (abandon{}) {
-				panic(r)
-			}
-		}
-	}()
-	f.fixStmt(s)
-	return true
 }
 
 // pick draws one of ss, or returns "" without drawing when ss is empty.
@@ -175,13 +145,11 @@ func (f *Fixer) pick(ss []string) string {
 	if len(ss) == 0 {
 		return ""
 	}
-	f.own()
 	return ss[f.Rng.Intn(len(ss))]
 }
 
 // freshName returns a name no earlier fresh name has.
 func (f *Fixer) freshName(prefix string) string {
-	f.own()
 	f.sch.fresh++
 	return prefix + "_" + strconv.Itoa(f.sch.fresh)
 }
@@ -195,264 +163,377 @@ func (f *Fixer) pickTable() string {
 	return f.pick(f.sch.views)
 }
 
-// fixTableRef repairs a table name reference that names no table, view or
-// extra (CTE) name, leaving it when no table exists to repair to.
-func (f *Fixer) fixTableRef(name *string, extra []string) {
-	if _, ok := f.sch.tables[*name]; ok || hasStr(f.sch.views, *name) || hasStr(extra, *name) {
-		return
+// tableRef returns the repair of a table name reference: name itself when
+// it names a table, view or extra (CTE) name, or when no table exists to
+// repair to, else an existing table.
+func (f *Fixer) tableRef(name string, extra []string) string {
+	if _, ok := f.sch.tables[name]; ok || hasStr(f.sch.views, name) || hasStr(extra, name) {
+		return name
 	}
 	if t := f.pickTable(); t != "" {
-		*name = t
+		return t
 	}
+	return name
 }
 
-// fixCols rewrites column references in *x that are not in allowed to
-// random allowed columns, recursing into scalar subqueries.
-func (f *Fixer) fixCols(x *sqlast.Expr, allowed, ctes []string) {
-	n := sqlast.RewriteExpr(*x, func(n sqlast.Expr) sqlast.Expr {
-		switch v := n.(type) {
-		case *sqlast.ColRef:
-			if v.Name == "VALUE" { // domain pseudo-column
-				return v
-			}
-			if hasStr(allowed, v.Name) {
-				return v
-			}
-			if len(allowed) > 0 {
-				return &sqlast.ColRef{Name: f.pick(allowed)}
-			}
-			return v
-		case *sqlast.Subquery:
-			f.fixSelect(v.Query, ctes)
-		case *sqlast.ExistsExpr:
-			f.fixSelect(v.Query, ctes)
-		case *sqlast.InExpr:
-			if v.Query != nil {
-				f.fixSelect(v.Query, ctes)
-			}
+// fixCols returns x with the column references that are not in allowed
+// rewritten to random allowed columns, recursing into subqueries.
+func (f *Fixer) fixCols(x sqlast.Expr, allowed, ctes []string) sqlast.Expr {
+	if x == nil {
+		return nil
+	}
+	query := func(q *sqlast.SelectStmt) *sqlast.SelectStmt {
+		q, _ = f.fixSelect(q, ctes)
+		return q
+	}
+	return sqlast.RewriteExprCopy(x, f.shared, query, func(n sqlast.Expr) sqlast.Expr {
+		if v, ok := n.(*sqlast.ColRef); ok && v.Name != "VALUE" && // VALUE: the domain pseudo-column
+			!hasStr(allowed, v.Name) && len(allowed) > 0 {
+			return &sqlast.ColRef{Name: f.pick(allowed)}
 		}
 		return n
 	})
-	if n != *x { // a new root passed own
-		*x = n
+}
+
+// fixExprs applies fixCols to each expression of xs. On a shared
+// statement the first repair copies xs, and fixExprs returns the copy and
+// true; otherwise it repairs xs in place and returns false.
+func (f *Fixer) fixExprs(xs []sqlast.Expr, allowed, ctes []string) ([]sqlast.Expr, bool) {
+	fz := f.shared
+	for i, x := range xs {
+		if n := f.fixCols(x, allowed, ctes); n != x {
+			sqlast.OwnSlice(&xs, &fz)[i] = n
+		}
 	}
+	return xs, f.shared && !fz
+}
+
+// fixOrder is fixExprs for ORDER BY items.
+func (f *Fixer) fixOrder(os []sqlast.OrderItem, allowed, ctes []string) ([]sqlast.OrderItem, bool) {
+	fz := f.shared
+	for i := range os {
+		if n := f.fixCols(os[i].X, allowed, ctes); n != os[i].X {
+			sqlast.OwnSlice(&os, &fz)[i].X = n
+		}
+	}
+	return os, f.shared && !fz
+}
+
+// fixSets is fixExprs for SET assignments: a column that targets has not
+// is repaired to one of them (when there are any), and each value is
+// fixed against allowed.
+func (f *Fixer) fixSets(as []sqlast.Assignment, targets, allowed []string) ([]sqlast.Assignment, bool) {
+	fz := f.shared
+	for i := range as {
+		a := as[i]
+		if len(targets) > 0 && !hasStr(targets, a.Col) {
+			a.Col = f.pick(targets)
+		}
+		a.Value = f.fixCols(a.Value, allowed, nil)
+		if a != as[i] {
+			sqlast.OwnSlice(&as, &fz)[i] = a
+		}
+	}
+	return as, f.shared && !fz
 }
 
 // fixSelect repairs a query: FROM references first, then column references
-// against the union of referenced tables' columns.
-func (f *Fixer) fixSelect(q *sqlast.SelectStmt, ctes []string) []string {
+// against the union of referenced tables' columns. It returns the query,
+// or the copy it wrote of a shared one, and the columns it allowed.
+func (f *Fixer) fixSelect(q *sqlast.SelectStmt, ctes []string) (*sqlast.SelectStmt, []string) {
 	if q == nil {
-		return nil
+		return nil, nil
 	}
+	fz, fromFz := f.shared, f.shared
 	var allowed []string
-	var fixRef func(r sqlast.TableRef)
-	fixRef = func(r sqlast.TableRef) {
-		switch v := r.(type) {
-		case *sqlast.BaseTable:
-			f.fixTableRef(&v.Name, ctes)
-			allowed = append(allowed, f.sch.colsOf(v.Name)...)
-		case *sqlast.JoinRef:
-			fixRef(v.L)
-			fixRef(v.R)
-		case *sqlast.SubqueryRef:
-			inner := f.fixSelect(v.Query, ctes)
-			allowed = append(allowed, inner...)
+	from := q.From // the references before any repair, for fixOn
+	for i, r := range from {
+		if n := f.fixRef(r, ctes, &allowed); n != r {
+			sqlast.Own(&q, &fz)
+			sqlast.OwnSlice(&q.From, &fromFz)[i] = n
 		}
-	}
-	for _, r := range q.From {
-		fixRef(r)
 	}
 	// join ON conditions may reference alias-qualified columns; fix after
 	// collecting allowed columns
-	var fixOn func(r sqlast.TableRef)
-	fixOn = func(r sqlast.TableRef) {
-		if j, ok := r.(*sqlast.JoinRef); ok {
-			fixOn(j.L)
-			fixOn(j.R)
-			if j.On != nil {
-				f.fixQualifiedCols(&j.On, allowed)
-			}
+	for i, r := range q.From {
+		if n := f.fixOn(r, from[i], allowed); n != r {
+			sqlast.Own(&q, &fz)
+			sqlast.OwnSlice(&q.From, &fromFz)[i] = n
 		}
 	}
-	for _, r := range q.From {
-		fixOn(r)
-	}
 
+	itemsFz := f.shared
 	for i := range q.Items {
-		if _, isStar := q.Items[i].X.(*sqlast.Star); isStar {
+		x := q.Items[i].X
+		if _, isStar := x.(*sqlast.Star); isStar {
 			continue
 		}
-		f.fixCols(&q.Items[i].X, allowed, ctes)
+		if n := f.fixCols(x, allowed, ctes); n != x {
+			sqlast.Own(&q, &fz)
+			sqlast.OwnSlice(&q.Items, &itemsFz)[i].X = n
+		}
 	}
-	f.fixCols(&q.Where, allowed, ctes)
-	for i := range q.GroupBy {
-		f.fixCols(&q.GroupBy[i], allowed, ctes)
+	if n := f.fixCols(q.Where, allowed, ctes); n != q.Where {
+		sqlast.Own(&q, &fz).Where = n
 	}
-	f.fixCols(&q.Having, allowed, ctes)
-	for i := range q.OrderBy {
-		f.fixCols(&q.OrderBy[i].X, allowed, ctes)
+	if xs, copied := f.fixExprs(q.GroupBy, allowed, ctes); copied {
+		sqlast.Own(&q, &fz).GroupBy = xs
 	}
-	if q.Right != nil {
-		f.fixSelect(q.Right, ctes)
+	if n := f.fixCols(q.Having, allowed, ctes); n != q.Having {
+		sqlast.Own(&q, &fz).Having = n
+	}
+	if os, copied := f.fixOrder(q.OrderBy, allowed, ctes); copied {
+		sqlast.Own(&q, &fz).OrderBy = os
+	}
+	if r, _ := f.fixSelect(q.Right, ctes); r != q.Right {
+		sqlast.Own(&q, &fz).Right = r
 	}
 	// result columns: projection names (approximate: allowed columns)
-	return allowed
+	return q, allowed
 }
 
-// fixQualifiedCols keeps valid alias-qualified refs in *x and repairs the
-// rest.
-func (f *Fixer) fixQualifiedCols(x *sqlast.Expr, allowed []string) {
-	n := sqlast.RewriteExpr(*x, func(n sqlast.Expr) sqlast.Expr {
-		if v, ok := n.(*sqlast.ColRef); ok {
-			if hasStr(allowed, v.Name) {
-				return v
-			}
-			if len(allowed) > 0 {
-				return &sqlast.ColRef{Table: v.Table, Name: f.pick(allowed)}
-			}
+// fixRef repairs a FROM reference and adds the columns it brings to
+// *allowed. It returns r, or the copy it wrote of a shared one.
+func (f *Fixer) fixRef(r sqlast.TableRef, ctes []string, allowed *[]string) sqlast.TableRef {
+	fz := f.shared
+	//lego:exhaustive TableRef
+	switch v := r.(type) {
+	case *sqlast.BaseTable:
+		if t := f.tableRef(v.Name, ctes); t != v.Name {
+			sqlast.Own(&v, &fz).Name = t
+		}
+		if cols := f.sch.colsOf(v.Name); len(*allowed) == 0 {
+			*allowed = slices.Clip(cols) // read-only; an append copies it
+		} else {
+			*allowed = append(*allowed, cols...)
+		}
+		return v
+	case *sqlast.JoinRef:
+		if n := f.fixRef(v.L, ctes, allowed); n != v.L {
+			sqlast.Own(&v, &fz).L = n
+		}
+		if n := f.fixRef(v.R, ctes, allowed); n != v.R {
+			sqlast.Own(&v, &fz).R = n
+		}
+		return v
+	case *sqlast.SubqueryRef:
+		q, inner := f.fixSelect(v.Query, ctes)
+		*allowed = append(*allowed, inner...)
+		if q != v.Query {
+			sqlast.Own(&v, &fz).Query = q
+		}
+		return v
+	}
+	return r
+}
+
+// fixOn repairs the ON conditions of the joins in r, which fixRef returned
+// for orig. A join node of a shared statement is the pass's own copy when
+// fixRef replaced it, and frozen when it is still orig's node.
+func (f *Fixer) fixOn(r, orig sqlast.TableRef, allowed []string) sqlast.TableRef {
+	j, ok := r.(*sqlast.JoinRef)
+	if !ok {
+		return r
+	}
+	o := orig.(*sqlast.JoinRef) // fixRef replaces a node only by its copy
+	fz := f.shared && j == o
+	if n := f.fixOn(j.L, o.L, allowed); n != j.L {
+		sqlast.Own(&j, &fz).L = n
+	}
+	if n := f.fixOn(j.R, o.R, allowed); n != j.R {
+		sqlast.Own(&j, &fz).R = n
+	}
+	if n := f.fixQualifiedCols(j.On, allowed); n != j.On {
+		sqlast.Own(&j, &fz).On = n
+	}
+	return j
+}
+
+// fixQualifiedCols returns x with valid alias-qualified refs kept and the
+// rest repaired.
+func (f *Fixer) fixQualifiedCols(x sqlast.Expr, allowed []string) sqlast.Expr {
+	return sqlast.RewriteExprCopy(x, f.shared, nil, func(n sqlast.Expr) sqlast.Expr {
+		if v, ok := n.(*sqlast.ColRef); ok && !hasStr(allowed, v.Name) && len(allowed) > 0 {
+			return &sqlast.ColRef{Table: v.Table, Name: f.pick(allowed)}
 		}
 		return n
 	})
-	if n != *x { // a new root passed own
-		*x = n
-	}
 }
 
 // fixStmt repairs one statement against the schema the statements before
-// it built, then records what the statement creates, drops or renames.
-// Within a pass, nothing is recorded before a step that may still call own
-// (WITH owns up front when a CTE body may record).
-func (f *Fixer) fixStmt(stmt sqlast.Statement) {
+// it built, then records what the statement creates, drops or renames. It
+// returns stmt, or the copy it wrote of a shared one. Each case starts with
+// its node frozen when the statement is shared (fz), and writes it only
+// through sqlast.Own, so the records after a write read the copy.
+func (f *Fixer) fixStmt(stmt sqlast.Statement) sqlast.Statement {
 	sch := &f.sch
+	fz := f.shared
 	switch st := stmt.(type) {
 	case *sqlast.CreateTableStmt:
-		if hasForeignKey(st) {
-			f.own() // every REFERENCES and FOREIGN KEY is rewritten
-		}
 		if _, exists := sch.tables[st.Name]; exists && !st.IfNotExists {
-			st.Name = f.freshName("t")
+			sqlast.Own(&st, &fz).Name = f.freshName("t")
 		}
+		colsFz, consFz := f.shared, f.shared
 		cols := make([]string, 0, len(st.Cols))
 		for i := range st.Cols {
-			c := &st.Cols[i]
+			c := st.Cols[i]
 			cols = append(cols, c.Name)
 			if c.References != nil {
 				if ref := f.pickTable(); ref == "" {
 					c.References = nil
-				} else {
-					c.References.Table = ref
-					c.References.Column = ""
-					if refCols := sch.colsOf(ref); len(refCols) > 0 {
-						c.References.Column = refCols[0]
+				} else if fk := f.foreignKey(ref); fk != *c.References {
+					if f.shared {
+						c.References = &sqlast.FKRef{Table: fk.Table, Column: fk.Column}
+					} else {
+						*c.References = fk
 					}
 				}
 			}
-			if c.Check != nil {
-				f.fixCols(&c.Check, cols, nil)
+			c.Check = f.fixCols(c.Check, cols, nil)
+			if c != st.Cols[i] {
+				sqlast.Own(&st, &fz)
+				sqlast.OwnSlice(&st.Cols, &colsFz)[i] = c
 			}
 		}
 		for i := range st.Constraints {
-			c := &st.Constraints[i]
+			c := st.Constraints[i]
+			changed := false
 			if len(cols) > 0 { // a table without columns leaves them be
+				cfz := f.shared
 				for j := range c.Columns {
 					if !hasStr(cols, c.Columns[j]) {
-						c.Columns[j] = f.pick(cols)
+						sqlast.OwnSlice(&c.Columns, &cfz)[j] = f.pick(cols)
+						changed = true
 					}
 				}
 			}
-			if c.Check != nil {
-				f.fixCols(&c.Check, cols, nil)
+			if n := f.fixCols(c.Check, cols, nil); n != c.Check {
+				c.Check, changed = n, true
 			}
 			if c.Kind == "FOREIGN KEY" {
-				c.RefTab = st.Name
-				if ref := f.pickTable(); ref != "" {
-					c.RefTab = ref
+				ref := st.Name
+				if t := f.pickTable(); t != "" {
+					ref = t
 				}
-				c.RefCols = nil
+				if ref != c.RefTab || c.RefCols != nil {
+					c.RefTab, c.RefCols, changed = ref, nil, true
+				}
+			}
+			if changed {
+				sqlast.Own(&st, &fz)
+				sqlast.OwnSlice(&st.Constraints, &consFz)[i] = c
 			}
 		}
 		sch.setTable(st.Name, cols)
+		return st
 
 	case *sqlast.CreateViewStmt:
 		if hasStr(sch.views, st.Name) && !st.OrReplace {
-			st.Name = f.freshName("w")
+			sqlast.Own(&st, &fz).Name = f.freshName("w")
 		}
-		f.fixSelect(st.Query, nil)
+		if q, _ := f.fixSelect(st.Query, nil); q != st.Query {
+			sqlast.Own(&st, &fz).Query = q
+		}
 		if !hasStr(sch.views, st.Name) {
 			sch.views = append(sch.views, st.Name)
 		}
+		return st
 
 	case *sqlast.CreateIndexStmt:
 		if hasStr(sch.indexes, st.Name) {
-			st.Name = f.freshName("i")
+			sqlast.Own(&st, &fz).Name = f.freshName("i")
 		}
-		f.fixTableRef(&st.Table, nil)
+		if t := f.tableRef(st.Table, nil); t != st.Table {
+			sqlast.Own(&st, &fz).Table = t
+		}
 		if cols := sch.colsOf(st.Table); len(cols) > 0 {
+			cfz := f.shared
 			for i := range st.Cols {
 				if !hasStr(cols, st.Cols[i]) {
-					st.Cols[i] = f.pick(cols)
+					sqlast.Own(&st, &fz)
+					sqlast.OwnSlice(&st.Cols, &cfz)[i] = f.pick(cols)
 				}
 			}
 		}
 		sch.indexes = append(sch.indexes, st.Name)
+		return st
 
 	case *sqlast.CreateTriggerStmt:
 		if hasStr(sch.trigs, st.Name) {
-			st.Name = f.freshName("tg")
+			sqlast.Own(&st, &fz).Name = f.freshName("tg")
 		}
-		f.fixTableRef(&st.Table, nil)
-		f.fixStmt(st.Body)
+		if t := f.tableRef(st.Table, nil); t != st.Table {
+			sqlast.Own(&st, &fz).Table = t
+		}
+		if b := f.fixStmt(st.Body); b != st.Body {
+			sqlast.Own(&st, &fz).Body = b
+		}
 		sch.trigs = append(sch.trigs, st.Name)
+		return st
 
 	case *sqlast.CreateSequenceStmt:
 		if hasStr(sch.seqs, st.Name) {
-			st.Name = f.freshName("s")
+			sqlast.Own(&st, &fz).Name = f.freshName("s")
 		}
 		sch.seqs = append(sch.seqs, st.Name)
+		return st
 
 	case *sqlast.CreateFunctionStmt:
 		if hasStr(sch.funcs, st.Name) {
-			st.Name = f.freshName("f")
+			sqlast.Own(&st, &fz).Name = f.freshName("f")
 		}
-		f.fixCols(&st.Body, st.Params, nil)
+		if b := f.fixCols(st.Body, st.Params, nil); b != st.Body {
+			sqlast.Own(&st, &fz).Body = b
+		}
 		sch.funcs = append(sch.funcs, st.Name)
+		return st
 
 	case *sqlast.CreateProcedureStmt:
 		if hasStr(sch.procs, st.Name) {
-			st.Name = f.freshName("pr")
+			sqlast.Own(&st, &fz).Name = f.freshName("pr")
 		}
-		f.fixStmt(st.Body)
+		if b := f.fixStmt(st.Body); b != st.Body {
+			sqlast.Own(&st, &fz).Body = b
+		}
 		sch.procs = append(sch.procs, st.Name)
+		return st
 
 	case *sqlast.CreateRuleStmt:
 		if hasStr(sch.rules, st.Name) && !st.OrReplace {
-			st.Name = f.freshName("r")
+			sqlast.Own(&st, &fz).Name = f.freshName("r")
 		}
-		f.fixTableRef(&st.Table, nil)
+		if t := f.tableRef(st.Table, nil); t != st.Table {
+			sqlast.Own(&st, &fz).Table = t
+		}
 		if st.Action != nil {
-			f.fixStmt(st.Action)
+			if a := f.fixStmt(st.Action); a != st.Action {
+				sqlast.Own(&st, &fz).Action = a
+			}
 		}
 		if !hasStr(sch.rules, st.Name) {
 			sch.rules = append(sch.rules, st.Name)
 		}
+		return st
 
 	case *sqlast.CreateRoleStmt:
 		if hasStr(sch.roles, st.Name) {
-			st.Name = f.freshName("u")
+			sqlast.Own(&st, &fz).Name = f.freshName("u")
 		}
 		sch.roles = append(sch.roles, st.Name)
+		return st
 
 	case *sqlast.AlterTableStmt:
-		f.fixTableRef(&st.Table, nil)
+		if t := f.tableRef(st.Table, nil); t != st.Table {
+			sqlast.Own(&st, &fz).Table = t
+		}
 		cols := sch.colsOf(st.Table)
 		switch st.Action {
 		case sqlast.AlterAddColumn:
 			if hasStr(cols, st.Col.Name) {
-				st.Col.Name = f.freshName("c")
+				sqlast.Own(&st, &fz).Col.Name = f.freshName("c")
 			}
 			if st.Col.NotNull { // avoid guaranteed failure on non-empty tables
-				f.own()
-				st.Col.NotNull = false
+				sqlast.Own(&st, &fz).Col.NotNull = false
 			}
 			if _, exists := sch.tables[st.Table]; exists {
 				sch.tables[st.Table] = append(cols, st.Col.Name)
@@ -460,17 +541,17 @@ func (f *Fixer) fixStmt(stmt sqlast.Statement) {
 		case sqlast.AlterDropColumn:
 			if len(cols) > 1 {
 				if !hasStr(cols, st.OldName) {
-					st.OldName = f.pick(cols)
+					sqlast.Own(&st, &fz).OldName = f.pick(cols)
 				}
 				sch.tables[st.Table] = dropStr(append([]string{}, cols...), st.OldName)
 			}
 		case sqlast.AlterRenameColumn:
 			if len(cols) > 0 {
 				if !hasStr(cols, st.OldName) {
-					st.OldName = f.pick(cols)
+					sqlast.Own(&st, &fz).OldName = f.pick(cols)
 				}
 				if hasStr(cols, st.NewName) {
-					st.NewName = f.freshName("c")
+					sqlast.Own(&st, &fz).NewName = f.freshName("c")
 				}
 				nc := append([]string{}, cols...)
 				for i := range nc {
@@ -482,343 +563,415 @@ func (f *Fixer) fixStmt(stmt sqlast.Statement) {
 			}
 		case sqlast.AlterRenameTable:
 			if _, exists := sch.tables[st.NewName]; exists {
-				st.NewName = f.freshName("t")
+				sqlast.Own(&st, &fz).NewName = f.freshName("t")
 			}
 			sch.renameTable(st.Table, st.NewName)
 		case sqlast.AlterColumnType, sqlast.AlterColumnDefault:
 			if len(cols) > 0 && !hasStr(cols, st.Col.Name) {
-				st.Col.Name = f.pick(cols)
+				sqlast.Own(&st, &fz).Col.Name = f.pick(cols)
 			}
 		}
+		return st
 
 	case *sqlast.AlterSimpleStmt:
+		var live []string
+		var prefix string
 		switch st.What {
 		case sqlt.AlterView:
-			if n := f.pick(sch.views); n != "" {
-				st.Name = n
-			}
-			if hasStr(sch.views, st.NewName) {
-				st.NewName = f.freshName("w")
-			}
+			live, prefix = sch.views, "w"
 		case sqlt.AlterIndex:
-			if n := f.pick(sch.indexes); n != "" {
-				st.Name = n
-			}
-			if hasStr(sch.indexes, st.NewName) {
-				st.NewName = f.freshName("i")
-			}
+			live, prefix = sch.indexes, "i"
 		case sqlt.AlterSequence:
-			if n := f.pick(sch.seqs); n != "" {
-				st.Name = n
-			}
+			live = sch.seqs
 		case sqlt.AlterRole:
-			if n := f.pick(sch.roles); n != "" {
-				st.Name = n
-			}
+			live = sch.roles
+		default:
+			return st
 		}
+		if n := f.pick(live); n != "" && n != st.Name {
+			sqlast.Own(&st, &fz).Name = n
+		}
+		if prefix != "" && hasStr(live, st.NewName) {
+			sqlast.Own(&st, &fz).NewName = f.freshName(prefix)
+		}
+		return st
 
 	case *sqlast.DropStmt:
+		var live *[]string
 		switch st.What {
 		case sqlt.DropTable:
 			if len(sch.names) > 0 {
 				if _, exists := sch.tables[st.Name]; !exists {
-					st.Name = f.pick(sch.names)
+					sqlast.Own(&st, &fz).Name = f.pick(sch.names)
 				}
 				sch.dropTable(st.Name)
 			}
+			return st
 		case sqlt.DropView, sqlt.DropMaterializedView:
-			f.fixDropName(&st.Name, sch.views)
-			sch.views = dropStr(sch.views, st.Name)
+			live = &sch.views
 		case sqlt.DropIndex:
-			f.fixDropName(&st.Name, sch.indexes)
-			sch.indexes = dropStr(sch.indexes, st.Name)
+			live = &sch.indexes
 		case sqlt.DropTrigger:
-			f.fixDropName(&st.Name, sch.trigs)
-			sch.trigs = dropStr(sch.trigs, st.Name)
+			live = &sch.trigs
 		case sqlt.DropSequence:
-			f.fixDropName(&st.Name, sch.seqs)
-			sch.seqs = dropStr(sch.seqs, st.Name)
+			live = &sch.seqs
 		case sqlt.DropFunction:
-			f.fixDropName(&st.Name, sch.funcs)
-			sch.funcs = dropStr(sch.funcs, st.Name)
+			live = &sch.funcs
 		case sqlt.DropProcedure:
-			f.fixDropName(&st.Name, sch.procs)
-			sch.procs = dropStr(sch.procs, st.Name)
+			live = &sch.procs
 		case sqlt.DropRule:
-			f.fixDropName(&st.Name, sch.rules)
-			sch.rules = dropStr(sch.rules, st.Name)
+			live = &sch.rules
 		case sqlt.DropRole, sqlt.DropUser:
-			f.fixDropName(&st.Name, sch.roles)
-			sch.roles = dropStr(sch.roles, st.Name)
+			live = &sch.roles
+		default:
+			return st
 		}
+		// the draw from live always happens when live has names, and the
+		// name changes only when it names none of them
+		if n := f.pick(*live); n != "" && !hasStr(*live, st.Name) {
+			sqlast.Own(&st, &fz).Name = n
+		}
+		*live = dropStr(*live, st.Name)
+		return st
 
 	case *sqlast.RenameTableStmt:
-		f.fixTableRef(&st.From, nil)
+		if t := f.tableRef(st.From, nil); t != st.From {
+			sqlast.Own(&st, &fz).From = t
+		}
 		if _, exists := sch.tables[st.To]; exists {
-			st.To = f.freshName("t")
+			sqlast.Own(&st, &fz).To = f.freshName("t")
 		}
 		sch.renameTable(st.From, st.To)
+		return st
 
 	case *sqlast.TruncateStmt:
-		f.fixTableRef(&st.Table, nil)
+		if t := f.tableRef(st.Table, nil); t != st.Table {
+			sqlast.Own(&st, &fz).Table = t
+		}
+		return st
 
 	case *sqlast.CommentOnStmt:
 		if st.ObjectKind == "TABLE" {
-			f.fixTableRef(&st.Name, nil)
+			if t := f.tableRef(st.Name, nil); t != st.Name {
+				sqlast.Own(&st, &fz).Name = t
+			}
 		}
+		return st
 
 	case *sqlast.ReindexStmt:
+		n := st.Name
 		if st.Kind == "INDEX" {
-			if n := f.pick(sch.indexes); n != "" {
-				st.Name = n
+			if i := f.pick(sch.indexes); i != "" {
+				n = i
 			}
 		} else {
-			f.fixTableRef(&st.Name, nil)
+			n = f.tableRef(n, nil)
 		}
+		if n != st.Name {
+			sqlast.Own(&st, &fz).Name = n
+		}
+		return st
 
 	case *sqlast.RefreshMatViewStmt:
-		if n := f.pick(sch.views); n != "" {
-			st.Name = n
+		if n := f.pick(sch.views); n != "" && n != st.Name {
+			sqlast.Own(&st, &fz).Name = n
 		}
+		return st
 
 	case *sqlast.InsertStmt:
-		f.fixTableRef(&st.Table, nil)
+		if t := f.tableRef(st.Table, nil); t != st.Table {
+			sqlast.Own(&st, &fz).Table = t
+		}
 		cols := sch.colsOf(st.Table)
 		if len(cols) > 0 {
 			// drop the explicit column list and repair row arity
 			if st.Cols != nil {
-				f.own()
-				st.Cols = nil
+				sqlast.Own(&st, &fz).Cols = nil
 			}
+			rowsFz := f.shared
 			for i, row := range st.Rows {
 				if len(row) == len(cols) {
 					continue
 				}
-				f.own()
+				if f.shared { // a shared row's spare capacity is not ours
+					row = slices.Clip(row)
+				}
 				for len(row) < len(cols) {
 					row = append(row, sqlast.NullLit())
 				}
-				st.Rows[i] = row[:len(cols)]
+				sqlast.Own(&st, &fz)
+				sqlast.OwnSlice(&st.Rows, &rowsFz)[i] = row[:len(cols)]
 			}
 		}
-		if st.Query != nil {
-			f.fixSelect(st.Query, nil)
+		if q, _ := f.fixSelect(st.Query, nil); q != st.Query {
+			sqlast.Own(&st, &fz).Query = q
 		}
-		for i := range st.Returning {
-			f.fixCols(&st.Returning[i], cols, nil)
+		if xs, copied := f.fixExprs(st.Returning, cols, nil); copied {
+			sqlast.Own(&st, &fz).Returning = xs
 		}
+		return st
 
 	case *sqlast.UpdateStmt:
-		f.fixTableRef(&st.Table, nil)
+		if t := f.tableRef(st.Table, nil); t != st.Table {
+			sqlast.Own(&st, &fz).Table = t
+		}
 		cols := sch.colsOf(st.Table)
 		if len(cols) > 0 {
-			for i := range st.Sets {
-				if !hasStr(cols, st.Sets[i].Col) {
-					st.Sets[i].Col = f.pick(cols)
-				}
-				f.fixCols(&st.Sets[i].Value, cols, nil)
+			if as, copied := f.fixSets(st.Sets, cols, cols); copied {
+				sqlast.Own(&st, &fz).Sets = as
 			}
 		}
-		f.fixCols(&st.Where, cols, nil)
-		for i := range st.OrderBy {
-			f.fixCols(&st.OrderBy[i].X, cols, nil)
+		if n := f.fixCols(st.Where, cols, nil); n != st.Where {
+			sqlast.Own(&st, &fz).Where = n
 		}
+		if os, copied := f.fixOrder(st.OrderBy, cols, nil); copied {
+			sqlast.Own(&st, &fz).OrderBy = os
+		}
+		return st
 
 	case *sqlast.DeleteStmt:
-		f.fixTableRef(&st.Table, nil)
+		if t := f.tableRef(st.Table, nil); t != st.Table {
+			sqlast.Own(&st, &fz).Table = t
+		}
 		cols := sch.colsOf(st.Table)
-		f.fixCols(&st.Where, cols, nil)
-		for i := range st.OrderBy {
-			f.fixCols(&st.OrderBy[i].X, cols, nil)
+		if n := f.fixCols(st.Where, cols, nil); n != st.Where {
+			sqlast.Own(&st, &fz).Where = n
 		}
-		for i := range st.Returning {
-			f.fixCols(&st.Returning[i], cols, nil)
+		if os, copied := f.fixOrder(st.OrderBy, cols, nil); copied {
+			sqlast.Own(&st, &fz).OrderBy = os
 		}
+		if xs, copied := f.fixExprs(st.Returning, cols, nil); copied {
+			sqlast.Own(&st, &fz).Returning = xs
+		}
+		return st
 
 	case *sqlast.MergeStmt:
-		f.fixTableRef(&st.Target, nil)
-		f.fixTableRef(&st.Source, nil)
+		if t := f.tableRef(st.Target, nil); t != st.Target {
+			sqlast.Own(&st, &fz).Target = t
+		}
+		if t := f.tableRef(st.Source, nil); t != st.Source {
+			sqlast.Own(&st, &fz).Source = t
+		}
 		tcols := sch.colsOf(st.Target)
 		allowed := append(append([]string{}, tcols...), sch.colsOf(st.Source)...)
-		f.fixCols(&st.On, allowed, nil)
-		for i := range st.MatchedSet {
-			if len(tcols) > 0 && !hasStr(tcols, st.MatchedSet[i].Col) {
-				st.MatchedSet[i].Col = f.pick(tcols)
-			}
-			f.fixCols(&st.MatchedSet[i].Value, allowed, nil)
+		if n := f.fixCols(st.On, allowed, nil); n != st.On {
+			sqlast.Own(&st, &fz).On = n
 		}
-		if st.NotMatchedVals != nil && len(tcols) > 0 && len(st.NotMatchedVals) != len(tcols) {
-			f.own()
-			for len(st.NotMatchedVals) < len(tcols) {
-				st.NotMatchedVals = append(st.NotMatchedVals, sqlast.NullLit())
-			}
-			st.NotMatchedVals = st.NotMatchedVals[:len(tcols)]
+		if as, copied := f.fixSets(st.MatchedSet, tcols, allowed); copied {
+			sqlast.Own(&st, &fz).MatchedSet = as
 		}
+		if vals := st.NotMatchedVals; vals != nil && len(tcols) > 0 && len(vals) != len(tcols) {
+			if f.shared { // a shared list's spare capacity is not ours
+				vals = slices.Clip(vals)
+			}
+			for len(vals) < len(tcols) {
+				vals = append(vals, sqlast.NullLit())
+			}
+			sqlast.Own(&st, &fz).NotMatchedVals = vals[:len(tcols)]
+		}
+		return st
 
 	case *sqlast.CopyStmt:
 		if st.Query != nil {
-			f.fixSelect(st.Query, nil)
-		} else {
-			f.fixTableRef(&st.Table, nil)
+			if q, _ := f.fixSelect(st.Query, nil); q != st.Query {
+				sqlast.Own(&st, &fz).Query = q
+			}
+		} else if t := f.tableRef(st.Table, nil); t != st.Table {
+			sqlast.Own(&st, &fz).Table = t
 		}
+		return st
 
 	case *sqlast.LoadDataStmt:
-		f.fixTableRef(&st.Table, nil)
+		if t := f.tableRef(st.Table, nil); t != st.Table {
+			sqlast.Own(&st, &fz).Table = t
+		}
+		return st
 
 	case *sqlast.CallStmt:
-		if n := f.pick(sch.procs); n != "" {
-			st.Name = n
+		if n := f.pick(sch.procs); n != "" && n != st.Name {
+			sqlast.Own(&st, &fz).Name = n
 		}
+		return st
 
 	case *sqlast.SelectStmt:
-		f.fixSelect(st, nil)
+		st, _ = f.fixSelect(st, nil)
 		if st.Into != "" {
 			if _, exists := sch.tables[st.Into]; exists {
-				st.Into = f.freshName("t")
+				// fixSelect left a copy only if it wrote one
+				fz = f.shared && st == stmt
+				sqlast.Own(&st, &fz).Into = f.freshName("t")
 			}
 			sch.setTable(st.Into, nil)
 		}
+		return st
 
 	case *sqlast.TableStmtNode:
-		f.fixTableRef(&st.Name, nil)
+		if t := f.tableRef(st.Name, nil); t != st.Name {
+			sqlast.Own(&st, &fz).Name = t
+		}
+		return st
 
 	case *sqlast.WithStmt:
 		var ctes []string
+		ctesFz := f.shared
 		for i := range st.CTEs {
-			if _, isSel := st.CTEs[i].Body.(*sqlast.SelectStmt); !isSel {
-				f.own() // a writable CTE's fix may record before a later repair
-				break
-			}
-		}
-		for i := range st.CTEs {
-			if sel, isSel := st.CTEs[i].Body.(*sqlast.SelectStmt); isSel {
-				f.fixSelect(sel, ctes)
-			} else {
-				f.fixStmt(st.CTEs[i].Body)
+			if b := f.fixBody(st.CTEs[i].Body, ctes); b != st.CTEs[i].Body {
+				sqlast.Own(&st, &fz)
+				sqlast.OwnSlice(&st.CTEs, &ctesFz)[i].Body = b
 			}
 			ctes = append(ctes, st.CTEs[i].Name)
 		}
-		if sel, isSel := st.Body.(*sqlast.SelectStmt); isSel {
-			f.fixSelect(sel, ctes)
-		} else {
-			f.fixStmt(st.Body)
+		if b := f.fixBody(st.Body, ctes); b != st.Body {
+			sqlast.Own(&st, &fz).Body = b
 		}
+		return st
 
 	case *sqlast.ExplainStmt:
-		f.fixStmt(st.Stmt)
+		if s := f.fixStmt(st.Stmt); s != st.Stmt {
+			sqlast.Own(&st, &fz).Stmt = s
+		}
+		return st
 
 	case *sqlast.DescribeStmt:
-		f.fixTableRef(&st.Table, nil)
+		if t := f.tableRef(st.Table, nil); t != st.Table {
+			sqlast.Own(&st, &fz).Table = t
+		}
+		return st
 
 	case *sqlast.GrantStmt:
-		f.fixTableRef(&st.Table, nil)
-		if n := f.pick(sch.roles); n != "" {
-			st.Role = n
+		if t := f.tableRef(st.Table, nil); t != st.Table {
+			sqlast.Own(&st, &fz).Table = t
 		}
+		if n := f.pick(sch.roles); n != "" && n != st.Role {
+			sqlast.Own(&st, &fz).Role = n
+		}
+		return st
 
 	case *sqlast.SetRoleStmt:
 		if st.Role != "NONE" {
-			f.own() // the role is always rewritten
-			st.Role = "NONE"
+			role := "NONE"
 			if n := f.pick(sch.roles); n != "" {
-				st.Role = n
+				role = n
+			}
+			if role != st.Role {
+				sqlast.Own(&st, &fz).Role = role
 			}
 		}
+		return st
 
 	case *sqlast.TxnStmt:
 		switch st.What {
 		case sqlt.Savepoint:
 			sch.saves = append(sch.saves, st.Name)
 		case sqlt.ReleaseSavepoint, sqlt.RollbackToSavepoint:
-			if n := f.pick(sch.saves); n != "" {
-				st.Name = n
+			if n := f.pick(sch.saves); n != "" && n != st.Name {
+				sqlast.Own(&st, &fz).Name = n
 			}
 		}
+		return st
 
 	case *sqlast.LockTableStmt:
-		f.fixTableRef(&st.Table, nil)
+		if t := f.tableRef(st.Table, nil); t != st.Table {
+			sqlast.Own(&st, &fz).Table = t
+		}
+		return st
 
 	case *sqlast.AnalyzeStmt:
 		if st.Table != "" {
-			f.fixTableRef(&st.Table, nil)
+			if t := f.tableRef(st.Table, nil); t != st.Table {
+				sqlast.Own(&st, &fz).Table = t
+			}
 		}
+		return st
 
 	case *sqlast.VacuumStmt:
 		if st.Table != "" {
-			f.fixTableRef(&st.Table, nil)
+			if t := f.tableRef(st.Table, nil); t != st.Table {
+				sqlast.Own(&st, &fz).Table = t
+			}
 		}
+		return st
 
 	case *sqlast.MaintenanceStmt:
-		f.fixTableRef(&st.Table, nil)
+		if t := f.tableRef(st.Table, nil); t != st.Table {
+			sqlast.Own(&st, &fz).Table = t
+		}
+		return st
 
 	case *sqlast.PrepareStmt:
 		if hasStr(sch.preps, st.Name) {
-			st.Name = f.freshName("q")
+			sqlast.Own(&st, &fz).Name = f.freshName("q")
 		}
-		f.fixStmt(st.Stmt)
+		if s := f.fixStmt(st.Stmt); s != st.Stmt {
+			sqlast.Own(&st, &fz).Stmt = s
+		}
 		sch.preps = append(sch.preps, st.Name)
+		return st
 
 	case *sqlast.ExecuteStmt:
-		if n := f.pick(sch.preps); n != "" {
-			st.Name = n
+		if n := f.pick(sch.preps); n != "" && n != st.Name {
+			sqlast.Own(&st, &fz).Name = n
 		}
+		return st
 
 	case *sqlast.DeallocateStmt:
-		if n := f.pick(sch.preps); n != "" {
-			st.Name = n
+		if n := f.pick(sch.preps); n != "" && n != st.Name {
+			sqlast.Own(&st, &fz).Name = n
 		}
 		sch.preps = dropStr(sch.preps, st.Name)
+		return st
 
 	case *sqlast.DeclareCursorStmt:
 		if hasStr(sch.cursors, st.Name) {
-			st.Name = f.freshName("cur")
+			sqlast.Own(&st, &fz).Name = f.freshName("cur")
 		}
-		f.fixSelect(st.Query, nil)
+		if q, _ := f.fixSelect(st.Query, nil); q != st.Query {
+			sqlast.Own(&st, &fz).Query = q
+		}
 		sch.cursors = append(sch.cursors, st.Name)
+		return st
 
 	case *sqlast.FetchStmt:
-		if n := f.pick(sch.cursors); n != "" {
-			st.Cursor = n
+		if n := f.pick(sch.cursors); n != "" && n != st.Cursor {
+			sqlast.Own(&st, &fz).Cursor = n
 		}
+		return st
 
 	case *sqlast.CloseCursorStmt:
-		if n := f.pick(sch.cursors); n != "" {
-			st.Name = n
+		if n := f.pick(sch.cursors); n != "" && n != st.Name {
+			sqlast.Own(&st, &fz).Name = n
 		}
 		sch.cursors = dropStr(sch.cursors, st.Name)
+		return st
 
 	case *sqlast.ClusterStmt:
-		f.fixTableRef(&st.Table, nil)
-		if n := f.pick(sch.indexes); n != "" {
-			st.Index = n
-		} else if st.Index != "" {
-			f.own()
-			st.Index = ""
+		if t := f.tableRef(st.Table, nil); t != st.Table {
+			sqlast.Own(&st, &fz).Table = t
 		}
+		if n := f.pick(sch.indexes); n != st.Index {
+			sqlast.Own(&st, &fz).Index = n
+		}
+		return st
 	}
+	return stmt
 }
 
-// hasForeignKey reports whether a CREATE TABLE names another table, by a
-// column's REFERENCES or a FOREIGN KEY constraint.
-func hasForeignKey(st *sqlast.CreateTableStmt) bool {
-	for i := range st.Cols {
-		if st.Cols[i].References != nil {
-			return true
-		}
+// fixBody repairs a WITH's CTE body or main body: a query sees the CTE
+// names before it, and any other statement is fixed as a statement.
+func (f *Fixer) fixBody(s sqlast.Statement, ctes []string) sqlast.Statement {
+	if sel, isSel := s.(*sqlast.SelectStmt); isSel {
+		q, _ := f.fixSelect(sel, ctes)
+		return q
 	}
-	for i := range st.Constraints {
-		if st.Constraints[i].Kind == "FOREIGN KEY" {
-			return true
-		}
-	}
-	return false
+	return f.fixStmt(s)
 }
 
-// fixDropName repairs the name a DROP names: the draw from live always
-// happens when live has names, and the name changes only when it names
-// none of them.
-func (f *Fixer) fixDropName(name *string, live []string) {
-	if n := f.pick(live); n != "" && !hasStr(live, *name) {
-		*name = n
+// foreignKey returns a REFERENCES clause naming ref and its first column,
+// if it has any.
+func (f *Fixer) foreignKey(ref string) sqlast.FKRef {
+	fk := sqlast.FKRef{Table: ref}
+	if refCols := f.sch.colsOf(ref); len(refCols) > 0 {
+		fk.Column = refCols[0]
 	}
+	return fk
 }

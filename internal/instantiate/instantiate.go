@@ -31,9 +31,9 @@ func New(rng *rand.Rand, lib *Library, dialect sqlt.Dialect) *Instantiator {
 // Statement produces one statement of the requested type: a library
 // structure when available (biased toward reuse, as the paper's library
 // does), else a generated one. A library structure is returned itself, not
-// a copy: it is shared with the library and frozen, and only a clone of it
-// may be changed. fresh reports a generated statement, which is the
-// caller's own.
+// a copy: it is shared with the library and frozen, so only a copy may be
+// changed, and the fixer copies just the nodes it repairs (Fixer). fresh
+// reports a generated statement, which is the caller's own.
 func (in *Instantiator) Statement(t sqlt.Type) (s sqlast.Statement, fresh bool) {
 	if s := in.Lib.pick(in.Rng, t); s != nil && in.Rng.Intn(4) != 0 {
 		return s, false
@@ -44,8 +44,8 @@ func (in *Instantiator) Statement(t sqlt.Type) (s sqlast.Statement, fresh bool) 
 // TestCase instantiates a SQL Type Sequence into an executable test case.
 // Because structure selection is random, calling it repeatedly on the same
 // sequence yields diverse test cases (the paper instantiates each sequence
-// multiple times). The case shares the library structures it uses; the
-// fixer clones those it repairs.
+// multiple times). The case shares the library structures it uses, and
+// the fixer copies only the nodes of those it repairs.
 func (in *Instantiator) TestCase(seq sqlt.Sequence) sqlast.TestCase {
 	tc := make(sqlast.TestCase, 0, len(seq))
 	var buf [8]int

@@ -34,9 +34,10 @@ func NewLibrary() *Library {
 // Harvest stores every statement of the test case, keyed by type. Stored
 // statements are the harvested case's own, not copies, and are frozen from
 // then on: nothing writes a pool seed's or library entry's statement (the
-// mutator and the fixer clone a statement before they change it), so an
-// entry's text stays its statement's rendering, and the entries can be
-// handed out as they are (Instantiator.Statement).
+// mutator clones a statement before it changes it, and the fixer copies
+// the nodes it repairs), so an entry's text stays its statement's
+// rendering, and the entries can be handed out as they are
+// (Instantiator.Statement).
 func (l *Library) Harvest(tc sqlast.TestCase) {
 	for _, s := range tc {
 		t := s.Type()
@@ -71,8 +72,7 @@ func (l *Library) Pick(rng *rand.Rand, t sqlt.Type) sqlast.Statement {
 }
 
 // pick is Pick without the clone: it returns the stored structure itself,
-// which may be kept but is frozen: the caller must clone it before
-// changing it.
+// which may be kept but is frozen: the caller changes only a copy.
 func (l *Library) pick(rng *rand.Rand, t sqlt.Type) sqlast.Statement {
 	if int(t) >= len(l.byType) || len(l.byType[t]) == 0 {
 		return nil

@@ -10,6 +10,7 @@ import (
 type Column struct {
 	Name       string
 	TypeName   string
+	Kind       Kind // TypeName's storage affinity, resolved with TypeName
 	NotNull    bool
 	PrimaryKey bool
 	Unique     bool

@@ -150,6 +150,10 @@ type Engine struct {
 	scratch []*evalScratch
 	stages  []*insertStage
 
+	// inVals is evalIn's candidate stack: an IN pushes its candidates
+	// above those of the INs it is nested in and pops them on return.
+	inVals []Value
+
 	// results is the slab statement Results are handed out from (result);
 	// RunTestCase reuses it from the start, under Outcome.Results'
 	// lifetime.

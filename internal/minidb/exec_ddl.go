@@ -77,6 +77,7 @@ func (e *Engine) execCreateTable(st *sqlast.CreateTableStmt) (*Result, error) {
 			e.hit(pCreateTableEnum)
 			col.TypeName = "TEXT"
 		}
+		col.Kind = affinity(col.TypeName)
 		t.Cols = append(t.Cols, col)
 	}
 	for _, tc := range st.Constraints {
@@ -357,7 +358,7 @@ func (e *Engine) execAlterTable(st *sqlast.AlterTableStmt) (*Result, error) {
 			return nil, errValue("column %q already exists", st.Col.Name)
 		}
 		col := Column{
-			Name: st.Col.Name, TypeName: st.Col.TypeName,
+			Name: st.Col.Name, TypeName: st.Col.TypeName, Kind: affinity(st.Col.TypeName),
 			NotNull: st.Col.NotNull, Unique: st.Col.Unique, Default: st.Col.Default,
 			Check: st.Col.Check,
 		}
@@ -370,7 +371,7 @@ func (e *Engine) execAlterTable(st *sqlast.AlterTableStmt) (*Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				v = CoerceToColumn(col.TypeName, dv)
+				v = CoerceToColumn(col.Kind, dv)
 			} else {
 				if col.NotNull {
 					return nil, errValue("cannot add NOT NULL column without default to non-empty table")
@@ -413,11 +414,11 @@ func (e *Engine) execAlterTable(st *sqlast.AlterTableStmt) (*Result, error) {
 		if i < 0 {
 			return nil, errValue("column %q does not exist", st.Col.Name)
 		}
-		t.Cols[i].TypeName = st.Col.TypeName
+		t.Cols[i].TypeName, t.Cols[i].Kind = st.Col.TypeName, affinity(st.Col.TypeName)
 		if len(t.Rows) > 0 {
 			e.hit(pAlterTableTypeRewrite)
 			for r := range t.Rows {
-				t.Rows[r][i] = CoerceToColumn(st.Col.TypeName, t.Rows[r][i])
+				t.Rows[r][i] = CoerceToColumn(t.Cols[i].Kind, t.Rows[r][i])
 			}
 		}
 	case sqlast.AlterColumnDefault:

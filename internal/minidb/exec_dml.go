@@ -193,7 +193,7 @@ func (e *Engine) buildRow(t *Table, targets []int, src []Value) ([]Value, error)
 		if src == nil {
 			break
 		}
-		full[ci] = CoerceToColumn(t.Cols[ci].TypeName, src[n])
+		full[ci] = CoerceToColumn(t.Cols[ci].Kind, src[n])
 	}
 	for ci := range t.Cols {
 		if src != nil && slices.Contains(targets, ci) {
@@ -204,7 +204,7 @@ func (e *Engine) buildRow(t *Table, targets []int, src []Value) ([]Value, error)
 			if err != nil {
 				return nil, err
 			}
-			full[ci] = CoerceToColumn(t.Cols[ci].TypeName, dv)
+			full[ci] = CoerceToColumn(t.Cols[ci].Kind, dv)
 		} else {
 			full[ci] = Null()
 		}
@@ -459,7 +459,7 @@ func (e *Engine) execUpdate(st *sqlast.UpdateStmt) (*Result, error) {
 			if setIdx[i] >= len(newRow) {
 				continue
 			}
-			newRow[setIdx[i]] = CoerceToColumn(t.Cols[setIdx[i]].TypeName, v)
+			newRow[setIdx[i]] = CoerceToColumn(t.Cols[setIdx[i]].Kind, v)
 		}
 		if err := e.checkRowConstraints(t, newRow); err != nil {
 			return nil, err
@@ -586,7 +586,7 @@ func (e *Engine) execMerge(st *sqlast.MergeStmt) (*Result, error) {
 					if err != nil {
 						return nil, err
 					}
-					newRow[ci] = CoerceToColumn(target.Cols[ci].TypeName, av)
+					newRow[ci] = CoerceToColumn(target.Cols[ci].Kind, av)
 				}
 				target.Rows[ri] = newRow
 			} else {
@@ -607,7 +607,7 @@ func (e *Engine) execMerge(st *sqlast.MergeStmt) (*Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				row[i] = CoerceToColumn(target.Cols[i].TypeName, v)
+				row[i] = CoerceToColumn(target.Cols[i].Kind, v)
 			}
 			if len(target.Rows) >= e.limits.MaxRowsPerTable {
 				e.hit(pStorageFull)
@@ -679,7 +679,7 @@ func (e *Engine) execCopy(st *sqlast.CopyStmt) (*Result, error) {
 			}
 			row := e.row(len(t.Cols))
 			for i, p := range parts {
-				row[i] = CoerceToColumn(t.Cols[i].TypeName, Text(p))
+				row[i] = CoerceToColumn(t.Cols[i].Kind, Text(p))
 			}
 			if len(t.Rows) >= e.limits.MaxRowsPerTable {
 				e.hit(pStorageFull)
@@ -743,7 +743,7 @@ func (e *Engine) execLoadData(st *sqlast.LoadDataStmt) (*Result, error) {
 	for k := 0; k < 3; k++ {
 		row := e.row(len(t.Cols))
 		for ci, col := range t.Cols {
-			switch affinity(col.TypeName) {
+			switch col.Kind {
 			case KInt:
 				row[ci] = Int(int64(len(st.File) + k + ci))
 			case KFloat:

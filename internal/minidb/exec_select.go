@@ -92,7 +92,7 @@ func (e *Engine) materializeInto(name string, cols []string, rows [][]Value) (*R
 		if cn == "" || cn == "*" {
 			cn = "column" + itoaSmall(i+1)
 		}
-		t.Cols = append(t.Cols, Column{Name: cn, TypeName: "TEXT"})
+		t.Cols = append(t.Cols, Column{Name: cn, TypeName: "TEXT", Kind: KText})
 	}
 	if len(t.Cols) == 0 {
 		t.Cols = nil

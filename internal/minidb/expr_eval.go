@@ -245,7 +245,7 @@ func (e *Engine) eval(x sqlast.Expr, sc *scope, depth int) (Value, error) {
 		if err != nil {
 			return Null(), err
 		}
-		return CoerceToColumn(v.TypeName, val), nil
+		return CoerceToColumn(affinity(v.TypeName), val), nil
 
 	case *sqlast.Subquery:
 		e.hit(pEvalSubquery)
@@ -430,7 +430,10 @@ func (e *Engine) evalIn(v *sqlast.InExpr, sc *scope, depth int) (Value, error) {
 	if err != nil {
 		return Null(), err
 	}
-	var candidates []Value
+	// The candidates go on the engine's IN stack above base; an IN nested
+	// in a list element or the subquery pushes and pops above them.
+	base := len(e.inVals)
+	defer func() { e.inVals = e.inVals[:base] }()
 	if v.Query != nil {
 		e.hit(pEvalInSubq)
 		rows, _, err := e.execSelect(v.Query, sc, depth+1)
@@ -439,7 +442,7 @@ func (e *Engine) evalIn(v *sqlast.InExpr, sc *scope, depth int) (Value, error) {
 		}
 		for _, r := range rows {
 			if len(r) > 0 {
-				candidates = append(candidates, r[0])
+				e.inVals = append(e.inVals, r[0])
 			}
 		}
 	} else {
@@ -448,14 +451,14 @@ func (e *Engine) evalIn(v *sqlast.InExpr, sc *scope, depth int) (Value, error) {
 			if err != nil {
 				return Null(), err
 			}
-			candidates = append(candidates, cv)
+			e.inVals = append(e.inVals, cv)
 		}
 	}
 	if val.IsNull() {
 		return Null(), nil
 	}
 	sawNull := false
-	for _, c := range candidates {
+	for _, c := range e.inVals[base:] {
 		if c.IsNull() {
 			sawNull = true
 			continue

@@ -292,7 +292,7 @@ func (e *Engine) evalFunc(fc *sqlast.FuncCall, sc *scope, depth int) (Value, err
 		if err != nil {
 			return Null(), err
 		}
-		return CoerceToColumn(fn.Returns, v), nil
+		return CoerceToColumn(affinity(fn.Returns), v), nil
 	}
 	return Null(), errValue("unknown function %s", name)
 }

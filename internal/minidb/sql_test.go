@@ -50,6 +50,12 @@ func TestWhereSemantics(t *testing.T) {
 		{"SELECT a FROM t WHERE a NOT BETWEEN 1 AND 2", 1},
 		{"SELECT a FROM t WHERE a IN (1, 3)", 2},
 		{"SELECT a FROM t WHERE a NOT IN (1, 3)", 1},
+		// INs nested in a list element and in a subquery share the
+		// engine's candidate stack with the IN around them.
+		{"SELECT a FROM t WHERE a IN (1, (SELECT a FROM t WHERE a IN (3, 4) AND b = 'x'), 2)", 3},
+		{"SELECT a FROM t WHERE a IN (SELECT a FROM t WHERE a IN (1, 2))", 2},
+		{"SELECT a FROM t WHERE a NOT IN (2, (SELECT a FROM t WHERE a IN (3)))", 1},
+		{"SELECT a FROM t WHERE a IN (9, (SELECT 8 FROM t WHERE a IN (1)))", 0},
 		{"SELECT a FROM t WHERE b LIKE 'x'", 2},
 		{"SELECT a FROM t WHERE b LIKE '%'", 4},
 		{"SELECT a FROM t WHERE b NOT LIKE 'x'", 2},

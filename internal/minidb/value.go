@@ -188,16 +188,18 @@ func RowKey(vals []Value) string {
 	return sb.String()
 }
 
-// CoerceToColumn converts v to the storage representation of a column type,
-// applying SQLite-style type affinity: INT columns store integral values,
-// FLOAT columns store doubles, TEXT columns store strings, BOOLEAN columns
-// store bools. Unconvertible values are stored as-is (dynamic typing), which
-// mirrors the forgiving behaviour fuzzers exploit.
-func CoerceToColumn(typeName string, v Value) Value {
+// CoerceToColumn converts v to the storage representation of a column type
+// whose affinity is k (affinity's result for the type name, which a column
+// resolves once, in Column.Kind), applying SQLite-style type affinity: INT
+// columns store integral values, FLOAT columns store doubles, TEXT columns
+// store strings, BOOLEAN columns store bools. Unconvertible values are
+// stored as-is (dynamic typing), which mirrors the forgiving behaviour
+// fuzzers exploit.
+func CoerceToColumn(k Kind, v Value) Value {
 	if v.IsNull() {
 		return v
 	}
-	switch affinity(typeName) {
+	switch k {
 	case KInt:
 		switch v.K {
 		case KInt:
@@ -213,8 +215,12 @@ func CoerceToColumn(typeName string, v Value) Value {
 			}
 			return Int(0)
 		case KText:
-			if n, err := strconv.ParseInt(strings.TrimSpace(v.S), 10, 64); err == nil {
-				return Int(n)
+			// checking the syntax first spares the error value of every
+			// failed parse; only an out-of-range integer still fails it
+			if s := strings.TrimSpace(v.S); isInteger(s) {
+				if n, err := strconv.ParseInt(s, 10, 64); err == nil {
+					return Int(n)
+				}
 			}
 			return v
 		}
@@ -228,6 +234,23 @@ func CoerceToColumn(typeName string, v Value) Value {
 		return Bool(v.Truthy())
 	}
 	return v
+}
+
+// isInteger reports whether s has ParseInt's base-10 syntax: an optional
+// sign and one or more digits.
+func isInteger(s string) bool {
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		s = s[1:]
+	}
+	if s == "" {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 // affinity maps a SQL type name to a storage kind.

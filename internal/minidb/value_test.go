@@ -77,8 +77,8 @@ func TestCoerceIdempotent(t *testing.T) {
 	types := []string{"INT", "FLOAT", "TEXT", "BOOLEAN", "VARCHAR(100)"}
 	if err := quick.Check(func(a valueGen, ti uint8) bool {
 		tn := types[int(ti)%len(types)]
-		once := CoerceToColumn(tn, Value(a))
-		twice := CoerceToColumn(tn, once)
+		once := CoerceToColumn(affinity(tn), Value(a))
+		twice := CoerceToColumn(affinity(tn), once)
 		return once.K == twice.K && (once.IsNull() || Equal(once, twice))
 	}, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Error(err)
@@ -96,6 +96,14 @@ func TestCoerceExamples(t *testing.T) {
 		{"INT", Float(3.5), Float(3.5)}, // non-integral floats stay
 		{"INT", Bool(true), Int(1)},
 		{"INT", Text("abc"), Text("abc")}, // unconvertible stays
+		// text converts exactly where strconv.ParseInt(TrimSpace(s)) does
+		{"INT", Text(" +7 "), Int(7)},
+		{"INT", Text("-3"), Int(-3)},
+		{"INT", Text("-"), Text("-")},
+		{"INT", Text(""), Text("")},
+		{"INT", Text("1_000"), Text("1_000")},
+		{"INT", Text("4.0"), Text("4.0")},
+		{"INT", Text("99999999999999999999"), Text("99999999999999999999")},
 		{"FLOAT", Int(2), Float(2)},
 		{"TEXT", Int(7), Text("7")},
 		{"BOOLEAN", Int(0), Bool(false)},
@@ -103,7 +111,7 @@ func TestCoerceExamples(t *testing.T) {
 		{"INT", Null(), Null()},
 	}
 	for _, c := range cases {
-		got := CoerceToColumn(c.tn, c.in)
+		got := CoerceToColumn(affinity(c.tn), c.in)
 		if got.K != c.want.K || (!got.IsNull() && !Equal(got, c.want)) {
 			t.Errorf("Coerce(%s, %v) = %v, want %v", c.tn, c.in, got, c.want)
 		}

@@ -1,6 +1,7 @@
 package mutate
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -12,12 +13,14 @@ import (
 )
 
 // TestMutantsNeverWriteSeedOrLibrary: mutants share the seed's and the
-// library's statements by design, so the invariant is that nothing writes
-// them. For every harness seed of every dialect, after each of the five
-// operators every seed and library statement must be reflect.DeepEqual to a
-// clone taken beforehand. An output statement that is not one of those is
-// one the operator made or changed, and it must be fresh: changing it in
-// place must leave every seed and library statement as it was.
+// library's statements by design, and an operator's output shares the
+// frozen subtrees the fixer did not copy, so the invariant is that nothing
+// writes a held statement. For every harness seed of every dialect, after
+// each of the five operators every seed and library statement must be
+// reflect.DeepEqual to a clone taken beforehand. The outputs then join the
+// held statements and the library, as an ingested test case does, and a
+// second round of all five operators over every output must leave every
+// held statement, old and new, equal to its clone.
 func TestMutantsNeverWriteSeedOrLibrary(t *testing.T) {
 	for _, d := range sqlt.Dialects() {
 		seeds := harness.InitialSeeds(d)
@@ -31,11 +34,16 @@ func TestMutantsNeverWriteSeedOrLibrary(t *testing.T) {
 		// Harvest stores the seeds' statements themselves, not copies, so
 		// these are also every structure the library holds.
 		held := map[sqlast.Statement]sqlast.Statement{}
-		for _, tc := range seeds {
-			for _, s := range tc {
-				held[s] = s.Clone()
+		hold := func(tcs []sqlast.TestCase) {
+			for _, tc := range tcs {
+				for _, s := range tc {
+					if _, ok := held[s]; !ok {
+						held[s] = s.Clone()
+					}
+				}
 			}
 		}
+		hold(seeds)
 		ops := []struct {
 			name string
 			run  func(tc sqlast.TestCase, i int) sqlast.TestCase
@@ -46,21 +54,41 @@ func TestMutantsNeverWriteSeedOrLibrary(t *testing.T) {
 			{"MutateValues", func(tc sqlast.TestCase, _ int) sqlast.TestCase { return m.MutateValues(tc) }},
 			{"Instantiator.TestCase", func(tc sqlast.TestCase, _ int) sqlast.TestCase { return m.Inst.TestCase(tc.Types()) }},
 		}
-		for _, tc := range seeds {
-			for i := range tc {
-				for _, op := range ops {
-					for _, s := range op.run(tc, i) {
-						if _, shared := held[s]; !shared {
-							m.mutateStatement(s)
-						}
-					}
-					for s, before := range held {
-						if !reflect.DeepEqual(s, before) {
-							t.Fatalf("%s: %s(seed, %d) wrote a seed or library statement:\nwas: %s\nnow: %s", d, op.name, i, before.SQL(), s.SQL())
-						}
-					}
+		// check fails the test if anything wrote a held statement.
+		check := func(what string) {
+			for s, before := range held {
+				if !reflect.DeepEqual(s, before) {
+					t.Fatalf("%s: %s wrote a held statement:\nwas: %s\nnow: %s", d, what, before.SQL(), s.SQL())
 				}
 			}
 		}
+		// round runs every operator at every index of every case in in. It
+		// checks the held statements after each operator in the first
+		// round, and after each case in the second, whose cases and held
+		// statements are many more.
+		round := func(n int, in []sqlast.TestCase) (out []sqlast.TestCase) {
+			for _, tc := range in {
+				for i := range tc {
+					for _, op := range ops {
+						if mutant := op.run(tc, i); len(mutant) > 0 {
+							out = append(out, mutant)
+						}
+						if n == 1 {
+							check(fmt.Sprintf("round 1: %s(%q, %d)", op.name, tc.SQL(), i))
+						}
+					}
+				}
+				if n == 2 {
+					check(fmt.Sprintf("round 2: an operator on %q", tc.SQL()))
+				}
+			}
+			return out
+		}
+		outs := round(1, seeds)
+		hold(outs)
+		for _, tc := range outs {
+			lib.Harvest(tc)
+		}
+		round(2, outs)
 	}
 }

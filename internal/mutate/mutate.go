@@ -19,7 +19,10 @@ import (
 // Mutator produces mutated test cases. A mutant shares the seed's
 // statements it keeps unchanged and the library structures it picks, all of
 // which are frozen: the mutator clones only the statements it perturbs, and
-// the fixer clones only those it repairs. The seed is never modified.
+// the fixer copies only the nodes it repairs, from a statement's root down
+// to the field it writes, so a repaired statement still shares its other
+// subtrees with the frozen original. The seed is never modified, and a
+// mutant is as frozen as the statements it shares.
 type Mutator struct {
 	Rng  *rand.Rand
 	Inst *instantiate.Instantiator

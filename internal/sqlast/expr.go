@@ -9,6 +9,7 @@ package sqlast
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -392,66 +393,195 @@ func maybeParen(e Expr) string {
 // the child, so a rewrite that changes nothing only reads the tree: shared,
 // frozen statements can be walked by several goroutines at once.
 func RewriteExpr(e Expr, f func(Expr) Expr) Expr {
+	return (&rewriter{f: f}).expr(e)
+}
+
+// RewriteExprCopy is RewriteExpr for a tree that may be shared. With shared
+// set, e is frozen and the rewrite writes none of its nodes: where a child's
+// rewrite differs, it links the new child into a shallow copy of the
+// parent, made at most once per node, and so on up to the root. The result
+// shares every unchanged subtree with e. f must not write the nodes it is
+// given either; it returns a replacement instead. Without shared, e is the
+// caller's own and is written in place, as RewriteExpr writes it.
+//
+// query, when not nil, is called on the query of each scalar subquery,
+// EXISTS and IN subquery, after the node's children and before f; a query
+// it returns that differs is linked in like a rewritten child.
+func RewriteExprCopy(e Expr, shared bool, query func(*SelectStmt) *SelectStmt, f func(Expr) Expr) Expr {
+	return (&rewriter{shared: shared, query: query, f: f}).expr(e)
+}
+
+// rewriter is one RewriteExprCopy call's settings.
+type rewriter struct {
+	shared bool
+	query  func(*SelectStmt) *SelectStmt
+	f      func(Expr) Expr
+}
+
+// expr rewrites e's children, then e. Each case starts with e's node frozen
+// when the tree is shared (fz), and writes it only through Own.
+func (r *rewriter) expr(e Expr) Expr {
 	if e == nil {
 		return nil
 	}
+	fz := r.shared
 	//lego:exhaustive Expr
 	switch x := e.(type) {
 	case *Literal, *ColRef, *Star:
 		// leaves
 	case *Unary:
-		rewriteChild(&x.X, f)
+		if c := r.expr(x.X); c != x.X {
+			Own(&x, &fz).X = c
+		}
+		e = x
 	case *Binary:
-		rewriteChild(&x.L, f)
-		rewriteChild(&x.R, f)
+		if c := r.expr(x.L); c != x.L {
+			Own(&x, &fz).L = c
+		}
+		if c := r.expr(x.R); c != x.R {
+			Own(&x, &fz).R = c
+		}
+		e = x
 	case *FuncCall:
-		for i := range x.Args {
-			rewriteChild(&x.Args[i], f)
+		if xs, copied := r.exprs(x.Args); copied {
+			Own(&x, &fz).Args = xs
 		}
 		if x.Over != nil {
-			for i := range x.Over.PartitionBy {
-				rewriteChild(&x.Over.PartitionBy[i], f)
+			w, wfz, ofz := x.Over, r.shared, r.shared
+			if xs, copied := r.exprs(w.PartitionBy); copied {
+				Own(&w, &wfz).PartitionBy = xs
 			}
-			for i := range x.Over.OrderBy {
-				rewriteChild(&x.Over.OrderBy[i].X, f)
+			for i := range w.OrderBy {
+				if c := r.expr(w.OrderBy[i].X); c != w.OrderBy[i].X {
+					Own(&w, &wfz)
+					OwnSlice(&w.OrderBy, &ofz)[i].X = c
+				}
+			}
+			if w != x.Over {
+				Own(&x, &fz).Over = w
 			}
 		}
+		e = x
 	case *CaseExpr:
-		rewriteChild(&x.Operand, f)
+		if c := r.expr(x.Operand); c != x.Operand {
+			Own(&x, &fz).Operand = c
+		}
+		wfz := r.shared
 		for i := range x.Whens {
-			rewriteChild(&x.Whens[i].Cond, f)
-			rewriteChild(&x.Whens[i].Result, f)
+			w := x.Whens[i]
+			w.Cond = r.expr(w.Cond)
+			w.Result = r.expr(w.Result)
+			if w != x.Whens[i] {
+				Own(&x, &fz)
+				OwnSlice(&x.Whens, &wfz)[i] = w
+			}
 		}
-		rewriteChild(&x.Else, f)
+		if c := r.expr(x.Else); c != x.Else {
+			Own(&x, &fz).Else = c
+		}
+		e = x
 	case *InExpr:
-		rewriteChild(&x.X, f)
-		for i := range x.List {
-			rewriteChild(&x.List[i], f)
+		if c := r.expr(x.X); c != x.X {
+			Own(&x, &fz).X = c
 		}
+		if xs, copied := r.exprs(x.List); copied {
+			Own(&x, &fz).List = xs
+		}
+		if q := r.subquery(x.Query); q != x.Query {
+			Own(&x, &fz).Query = q
+		}
+		e = x
 	case *BetweenExpr:
-		rewriteChild(&x.X, f)
-		rewriteChild(&x.Lo, f)
-		rewriteChild(&x.Hi, f)
+		if c := r.expr(x.X); c != x.X {
+			Own(&x, &fz).X = c
+		}
+		if c := r.expr(x.Lo); c != x.Lo {
+			Own(&x, &fz).Lo = c
+		}
+		if c := r.expr(x.Hi); c != x.Hi {
+			Own(&x, &fz).Hi = c
+		}
+		e = x
 	case *LikeExpr:
-		rewriteChild(&x.X, f)
-		rewriteChild(&x.Pattern, f)
+		if c := r.expr(x.X); c != x.X {
+			Own(&x, &fz).X = c
+		}
+		if c := r.expr(x.Pattern); c != x.Pattern {
+			Own(&x, &fz).Pattern = c
+		}
+		e = x
 	case *IsNullExpr:
-		rewriteChild(&x.X, f)
+		if c := r.expr(x.X); c != x.X {
+			Own(&x, &fz).X = c
+		}
+		e = x
 	case *CastExpr:
-		rewriteChild(&x.X, f)
-	case *ExistsExpr, *Subquery:
-		// subquery internals are handled by statement-level walkers
+		if c := r.expr(x.X); c != x.X {
+			Own(&x, &fz).X = c
+		}
+		e = x
+	case *Subquery:
+		if q := r.subquery(x.Query); q != x.Query {
+			Own(&x, &fz).Query = q
+		}
+		e = x
+	case *ExistsExpr:
+		if q := r.subquery(x.Query); q != x.Query {
+			Own(&x, &fz).Query = q
+		}
+		e = x
 	default:
 		panic(fmt.Sprintf("sqlast: RewriteExpr: unknown node %T", e))
 	}
-	return f(e)
+	return r.f(e)
 }
 
-// rewriteChild replaces *p with its rewrite when that differs.
-func rewriteChild(p *Expr, f func(Expr) Expr) {
-	if n := RewriteExpr(*p, f); n != *p {
-		*p = n
+// exprs rewrites each expression of xs. On a shared tree, the first change
+// copies xs, and exprs returns the copy and true; otherwise it writes the
+// changes into xs and returns false.
+func (r *rewriter) exprs(xs []Expr) ([]Expr, bool) {
+	fz := r.shared
+	for i, x := range xs {
+		if c := r.expr(x); c != x {
+			OwnSlice(&xs, &fz)[i] = c
+		}
 	}
+	return xs, r.shared && !fz
+}
+
+// subquery hands a subquery expression's query to the query callback, if
+// there is one; the statement-level walker that set it owns the query's
+// internals.
+func (r *rewriter) subquery(q *SelectStmt) *SelectStmt {
+	if q == nil || r.query == nil {
+		return q
+	}
+	return r.query(q)
+}
+
+// Own readies the node *n for a write and returns it. While *frozen, *n is
+// a node of a shared, frozen tree: Own points *n at a shallow copy and
+// clears *frozen, so each node is copied at most once; the caller then
+// links *n into the node's parent in place of the original. A node's
+// slices and pointed-to parts stay shared with the original until OwnSlice
+// or Own copies them in turn.
+func Own[T any](n **T, frozen *bool) *T {
+	if *frozen {
+		c := **n
+		*n = &c
+		*frozen = false
+	}
+	return *n
+}
+
+// OwnSlice is Own for the elements of a slice: while *frozen, it points *s
+// at a copy of the slice and clears *frozen.
+func OwnSlice[E any](s *[]E, frozen *bool) []E {
+	if *frozen {
+		*s = slices.Clone(*s)
+		*frozen = false
+	}
+	return *s
 }
 
 // WalkExpr calls f on every node of e in depth-first order, descending into

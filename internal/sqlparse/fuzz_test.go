@@ -78,7 +78,10 @@ func FuzzCloneMatchesReparse(f *testing.F) {
 // sharing the rest, must render the same SQL as Fix over a full clone that
 // owns every statement, and leave the RNG in the same state. Every parsed
 // statement must stay reflect.DeepEqual to a clone taken before the fix.
-// It is seeded like FuzzRenderFixpoint, with two masks.
+// It is seeded like FuzzRenderFixpoint, with two masks, and by the
+// committed seeds in testdata, whose shared statements need repairs deep
+// inside a WITH, a trigger body, nested subqueries, a join's ON, every kind
+// of expression, and a multi-row INSERT and a MERGE.
 //
 // Plain `go test` runs the seeds; `make selffuzz` searches for 15 s.
 func FuzzFixCopyOnWriteMatchesClone(f *testing.F) {
