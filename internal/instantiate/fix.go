@@ -376,8 +376,11 @@ func (f *Fixer) fixStmt(stmt sqlast.Statement) sqlast.Statement {
 		colsFz, consFz := f.shared, f.shared
 		cols := make([]string, 0, len(st.Cols))
 		for i := range st.Cols {
+			cols = append(cols, st.Cols[i].Name)
+			if st.Cols[i].References == nil && st.Cols[i].Check == nil {
+				continue // nothing to repair
+			}
 			c := st.Cols[i]
-			cols = append(cols, c.Name)
 			if c.References != nil {
 				if ref := f.pickTable(); ref == "" {
 					c.References = nil
