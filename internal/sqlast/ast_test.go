@@ -1,6 +1,7 @@
 package sqlast
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -196,6 +197,58 @@ func TestWalkExprVisitsAll(t *testing.T) {
 	})
 	if len(cols) != 4 {
 		t.Fatalf("visited cols = %v, want 4 refs", cols)
+	}
+}
+
+// TestRewriteExprCopySharesUntouched: on a shared tree the copying rewrite
+// writes no node, copies only the path from the root to a changed node
+// (once per node, even when two of its children change), and shares every
+// other subtree; a changed subquery is linked the same way. Without
+// sharing it writes in place, as RewriteExpr does.
+func TestRewriteExprCopySharesUntouched(t *testing.T) {
+	build := func() (*Binary, *Binary, *Binary, *Subquery) {
+		left := &Binary{Op: "=", L: &ColRef{Name: "a"}, R: IntLit(1)}
+		right := &Binary{Op: ">", L: &ColRef{Name: "b"}, R: &ColRef{Name: "c"}}
+		sub := &Subquery{Query: &SelectStmt{Items: []SelectItem{{X: &Star{}}}}}
+		return &Binary{Op: "AND", L: left, R: &Binary{Op: "OR", L: right, R: sub}}, left, right, sub
+	}
+	renamed := &SelectStmt{Items: []SelectItem{{X: &ColRef{Name: "q"}}}}
+	query := func(*SelectStmt) *SelectStmt { return renamed }
+	renames := map[string]string{"b": "b2", "c": "c2"}
+	rename := func(x Expr) Expr {
+		if c, ok := x.(*ColRef); ok && renames[c.Name] != "" {
+			return &ColRef{Name: renames[c.Name]}
+		}
+		return x
+	}
+
+	e, left, right, sub := build()
+	before, _, _, _ := build()
+	got := RewriteExprCopy(e, true, query, rename).(*Binary)
+	if !reflect.DeepEqual(e, before) {
+		t.Fatalf("the shared tree was written: %s", e.SQL())
+	}
+	if want := "((a = 1) AND ((b2 > c2) OR (SELECT q)))"; got.SQL() != want {
+		t.Fatalf("rewrite rendered %q, want %q", got.SQL(), want)
+	}
+	or := got.R.(*Binary)
+	switch {
+	case got == e || or == e.R:
+		t.Fatal("a node on a changed path was not copied")
+	case got.L != left:
+		t.Fatal("an unchanged subtree was copied")
+	case or.L == right || or.R == sub:
+		t.Fatal("a changed child was not copied")
+	}
+	// Two new column references and one copy each of right, the
+	// subquery, OR and AND.
+	if n := testing.AllocsPerRun(10, func() { RewriteExprCopy(e, true, query, rename) }); n != 6 {
+		t.Fatalf("the rewrite allocated %v times, want 6", n)
+	}
+
+	e, _, right, _ = build()
+	if got := RewriteExprCopy(e, false, nil, rename); got != e || e.R.(*Binary).L != right || right.L.(*ColRef).Name != "b2" {
+		t.Fatalf("an owned tree was not rewritten in place: %s", e.SQL())
 	}
 }
 
