@@ -49,7 +49,7 @@ func TestEncodeMatchesMarshalOnCampaigns(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			ex := shard.New(c.cfg.options())
 			saves := 0
-			_, err := ex.Run(30000, shard.RunOptions{EveryExecs: 1, Save: func(st *checkpoint.State) error {
+			_, err := ex.Run(20000, shard.RunOptions{EveryExecs: 1, Save: func(st *checkpoint.State) error {
 				saves++
 				return compareEncodings(st)
 			}})

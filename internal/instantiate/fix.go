@@ -199,42 +199,30 @@ func (f *Fixer) fixCols(x sqlast.Expr, allowed, ctes []string) sqlast.Expr {
 // statement the first repair copies xs, and fixExprs returns the copy and
 // true; otherwise it repairs xs in place and returns false.
 func (f *Fixer) fixExprs(xs []sqlast.Expr, allowed, ctes []string) ([]sqlast.Expr, bool) {
-	fz := f.shared
-	for i, x := range xs {
-		if n := f.fixCols(x, allowed, ctes); n != x {
-			sqlast.OwnSlice(&xs, &fz)[i] = n
-		}
-	}
-	return xs, f.shared && !fz
+	return sqlast.OwnEach(xs, f.shared, func(x sqlast.Expr) sqlast.Expr {
+		return f.fixCols(x, allowed, ctes)
+	})
 }
 
 // fixOrder is fixExprs for ORDER BY items.
 func (f *Fixer) fixOrder(os []sqlast.OrderItem, allowed, ctes []string) ([]sqlast.OrderItem, bool) {
-	fz := f.shared
-	for i := range os {
-		if n := f.fixCols(os[i].X, allowed, ctes); n != os[i].X {
-			sqlast.OwnSlice(&os, &fz)[i].X = n
-		}
-	}
-	return os, f.shared && !fz
+	return sqlast.OwnEach(os, f.shared, func(o sqlast.OrderItem) sqlast.OrderItem {
+		o.X = f.fixCols(o.X, allowed, ctes)
+		return o
+	})
 }
 
 // fixSets is fixExprs for SET assignments: a column that targets has not
 // is repaired to one of them (when there are any), and each value is
 // fixed against allowed.
 func (f *Fixer) fixSets(as []sqlast.Assignment, targets, allowed []string) ([]sqlast.Assignment, bool) {
-	fz := f.shared
-	for i := range as {
-		a := as[i]
+	return sqlast.OwnEach(as, f.shared, func(a sqlast.Assignment) sqlast.Assignment {
 		if len(targets) > 0 && !hasStr(targets, a.Col) {
 			a.Col = f.pick(targets)
 		}
 		a.Value = f.fixCols(a.Value, allowed, nil)
-		if a != as[i] {
-			sqlast.OwnSlice(&as, &fz)[i] = a
-		}
-	}
-	return as, f.shared && !fz
+		return a
+	})
 }
 
 // fixSelect repairs a query: FROM references first, then column references
@@ -244,34 +232,30 @@ func (f *Fixer) fixSelect(q *sqlast.SelectStmt, ctes []string) (*sqlast.SelectSt
 	if q == nil {
 		return nil, nil
 	}
-	fz, fromFz := f.shared, f.shared
+	fz := f.shared
 	var allowed []string
 	from := q.From // the references before any repair, for fixOn
-	for i, r := range from {
-		if n := f.fixRef(r, ctes, &allowed); n != r {
-			sqlast.Own(&q, &fz)
-			sqlast.OwnSlice(&q.From, &fromFz)[i] = n
-		}
-	}
+	rs, fromCopied := sqlast.OwnEach(from, f.shared, func(r sqlast.TableRef) sqlast.TableRef {
+		return f.fixRef(r, ctes, &allowed)
+	})
 	// join ON conditions may reference alias-qualified columns; fix after
 	// collecting allowed columns
-	for i, r := range q.From {
-		if n := f.fixOn(r, from[i], allowed); n != r {
-			sqlast.Own(&q, &fz)
-			sqlast.OwnSlice(&q.From, &fromFz)[i] = n
-		}
+	i := -1
+	rs, onCopied := sqlast.OwnEach(rs, f.shared && !fromCopied, func(r sqlast.TableRef) sqlast.TableRef {
+		i++
+		return f.fixOn(r, from[i], allowed)
+	})
+	if fromCopied || onCopied {
+		sqlast.Own(&q, &fz).From = rs
 	}
 
-	itemsFz := f.shared
-	for i := range q.Items {
-		x := q.Items[i].X
-		if _, isStar := x.(*sqlast.Star); isStar {
-			continue
+	if items, copied := sqlast.OwnEach(q.Items, f.shared, func(it sqlast.SelectItem) sqlast.SelectItem {
+		if _, isStar := it.X.(*sqlast.Star); !isStar {
+			it.X = f.fixCols(it.X, allowed, ctes)
 		}
-		if n := f.fixCols(x, allowed, ctes); n != x {
-			sqlast.Own(&q, &fz)
-			sqlast.OwnSlice(&q.Items, &itemsFz)[i].X = n
-		}
+		return it
+	}); copied {
+		sqlast.Own(&q, &fz).Items = items
 	}
 	if n := f.fixCols(q.Where, allowed, ctes); n != q.Where {
 		sqlast.Own(&q, &fz).Where = n
@@ -378,18 +362,14 @@ func (f *Fixer) fixStmt(stmt sqlast.Statement) sqlast.Statement {
 		for i := range st.Cols {
 			cols = append(cols, st.Cols[i].Name)
 			if st.Cols[i].References == nil && st.Cols[i].Check == nil {
-				continue // nothing to repair
+				continue // nothing to repair, and a ColumnDef is large to copy
 			}
 			c := st.Cols[i]
 			if c.References != nil {
 				if ref := f.pickTable(); ref == "" {
 					c.References = nil
 				} else if fk := f.foreignKey(ref); fk != *c.References {
-					if f.shared {
-						c.References = &sqlast.FKRef{Table: fk.Table, Column: fk.Column}
-					} else {
-						*c.References = fk
-					}
+					c.References = &fk
 				}
 			}
 			c.Check = f.fixCols(c.Check, cols, nil)
@@ -450,12 +430,13 @@ func (f *Fixer) fixStmt(stmt sqlast.Statement) sqlast.Statement {
 			sqlast.Own(&st, &fz).Table = t
 		}
 		if cols := sch.colsOf(st.Table); len(cols) > 0 {
-			cfz := f.shared
-			for i := range st.Cols {
-				if !hasStr(cols, st.Cols[i]) {
-					sqlast.Own(&st, &fz)
-					sqlast.OwnSlice(&st.Cols, &cfz)[i] = f.pick(cols)
+			if cs, copied := sqlast.OwnEach(st.Cols, f.shared, func(c string) string {
+				if !hasStr(cols, c) {
+					return f.pick(cols)
 				}
+				return c
+			}); copied {
+				sqlast.Own(&st, &fz).Cols = cs
 			}
 		}
 		sch.indexes = append(sch.indexes, st.Name)
@@ -696,9 +677,7 @@ func (f *Fixer) fixStmt(stmt sqlast.Statement) sqlast.Statement {
 				if len(row) == len(cols) {
 					continue
 				}
-				if f.shared { // a shared row's spare capacity is not ours
-					row = slices.Clip(row)
-				}
+				row = slices.Clip(row) // the row may be shared: its spare capacity is not ours
 				for len(row) < len(cols) {
 					row = append(row, sqlast.NullLit())
 				}
@@ -764,9 +743,7 @@ func (f *Fixer) fixStmt(stmt sqlast.Statement) sqlast.Statement {
 			sqlast.Own(&st, &fz).MatchedSet = as
 		}
 		if vals := st.NotMatchedVals; vals != nil && len(tcols) > 0 && len(vals) != len(tcols) {
-			if f.shared { // a shared list's spare capacity is not ours
-				vals = slices.Clip(vals)
-			}
+			vals = slices.Clip(vals) // the list may be shared: its spare capacity is not ours
 			for len(vals) < len(tcols) {
 				vals = append(vals, sqlast.NullLit())
 			}

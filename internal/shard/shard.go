@@ -220,8 +220,7 @@ func (e *Executor) coreOpts(i int) core.Options {
 // RunOptions configures one Run leg.
 type RunOptions struct {
 	// EveryExecs is the checkpoint cadence in total (cross-shard) test-case
-	// executions; Save also runs once when the leg ends, unless the leg's
-	// last barrier saved the final state already. Checkpoints are
+	// executions; Save also runs once when the leg ends. Checkpoints are
 	// only taken at epoch barriers, the states a resumed campaign can
 	// deterministically continue from.
 	EveryExecs int
@@ -289,37 +288,22 @@ func (e *Executor) Run(budgetStmts int, opts RunOptions) (interrupted bool, err 
 	}
 
 	lastSaved := e.Execs()
-	savedLast := false // the last barrier's save holds the current state
 	for !e.done(targets) && !stopped() {
 		e.runEpoch(targets, opts.Save != nil)
 		e.epoch++
 		e.mergeBarrier()
-		savedLast = false
 		if opts.Save != nil && opts.EveryExecs > 0 && e.Execs()-lastSaved >= opts.EveryExecs {
 			if err := save(); err != nil {
 				return false, err
 			}
 			lastSaved = e.Execs()
-			savedLast = true
 		}
 	}
 	interrupted = !e.done(targets) && stopped()
-	if opts.Save == nil {
-		return interrupted, nil
-	}
-	// The closing save writes the final state, unless the last barrier's
-	// save already wrote it: saving it again would only rotate an
-	// identical file into the backup. A save eaten by a chaos fault wrote
-	// nothing, so the closing save follows it.
-	faults := e.saveFaults
-	if err := collect(); err != nil {
-		return interrupted, err
-	}
-	if savedLast && e.saveFaults == faults {
-		return interrupted, nil
-	}
-	if err := save(); err != nil {
-		return interrupted, err
+	if opts.Save != nil {
+		if err := save(); err != nil {
+			return interrupted, err
+		}
 	}
 	return interrupted, collect()
 }

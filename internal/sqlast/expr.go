@@ -443,19 +443,19 @@ func (r *rewriter) expr(e Expr) Expr {
 		}
 		e = x
 	case *FuncCall:
-		if xs, copied := r.exprs(x.Args); copied {
+		if xs, copied := OwnEach(x.Args, r.shared, r.expr); copied {
 			Own(&x, &fz).Args = xs
 		}
 		if x.Over != nil {
-			w, wfz, ofz := x.Over, r.shared, r.shared
-			if xs, copied := r.exprs(w.PartitionBy); copied {
+			w, wfz := x.Over, r.shared
+			if xs, copied := OwnEach(w.PartitionBy, r.shared, r.expr); copied {
 				Own(&w, &wfz).PartitionBy = xs
 			}
-			for i := range w.OrderBy {
-				if c := r.expr(w.OrderBy[i].X); c != w.OrderBy[i].X {
-					Own(&w, &wfz)
-					OwnSlice(&w.OrderBy, &ofz)[i].X = c
-				}
+			if os, copied := OwnEach(w.OrderBy, r.shared, func(o OrderItem) OrderItem {
+				o.X = r.expr(o.X)
+				return o
+			}); copied {
+				Own(&w, &wfz).OrderBy = os
 			}
 			if w != x.Over {
 				Own(&x, &fz).Over = w
@@ -466,15 +466,12 @@ func (r *rewriter) expr(e Expr) Expr {
 		if c := r.expr(x.Operand); c != x.Operand {
 			Own(&x, &fz).Operand = c
 		}
-		wfz := r.shared
-		for i := range x.Whens {
-			w := x.Whens[i]
+		if ws, copied := OwnEach(x.Whens, r.shared, func(w CaseWhen) CaseWhen {
 			w.Cond = r.expr(w.Cond)
 			w.Result = r.expr(w.Result)
-			if w != x.Whens[i] {
-				Own(&x, &fz)
-				OwnSlice(&x.Whens, &wfz)[i] = w
-			}
+			return w
+		}); copied {
+			Own(&x, &fz).Whens = ws
 		}
 		if c := r.expr(x.Else); c != x.Else {
 			Own(&x, &fz).Else = c
@@ -484,7 +481,7 @@ func (r *rewriter) expr(e Expr) Expr {
 		if c := r.expr(x.X); c != x.X {
 			Own(&x, &fz).X = c
 		}
-		if xs, copied := r.exprs(x.List); copied {
+		if xs, copied := OwnEach(x.List, r.shared, r.expr); copied {
 			Own(&x, &fz).List = xs
 		}
 		if q := r.subquery(x.Query); q != x.Query {
@@ -536,19 +533,6 @@ func (r *rewriter) expr(e Expr) Expr {
 	return r.f(e)
 }
 
-// exprs rewrites each expression of xs. On a shared tree, the first change
-// copies xs, and exprs returns the copy and true; otherwise it writes the
-// changes into xs and returns false.
-func (r *rewriter) exprs(xs []Expr) ([]Expr, bool) {
-	fz := r.shared
-	for i, x := range xs {
-		if c := r.expr(x); c != x {
-			OwnSlice(&xs, &fz)[i] = c
-		}
-	}
-	return xs, r.shared && !fz
-}
-
 // subquery hands a subquery expression's query to the query callback, if
 // there is one; the statement-level walker that set it owns the query's
 // internals.
@@ -582,6 +566,23 @@ func OwnSlice[E any](s *[]E, frozen *bool) []E {
 		*frozen = false
 	}
 	return *s
+}
+
+// OwnEach replaces each element of s with fix's result, calling fix on the
+// elements in order. With shared set, s is frozen: the first element fix
+// changes copies s, and OwnEach returns the copy, with every change in it,
+// and true. Otherwise it writes the changes into s and returns s and false.
+func OwnEach[E comparable](s []E, shared bool, fix func(E) E) ([]E, bool) {
+	copied := false
+	for i, x := range s {
+		if n := fix(x); n != x {
+			if shared && !copied {
+				s, copied = slices.Clone(s), true
+			}
+			s[i] = n
+		}
+	}
+	return s, copied
 }
 
 // WalkExpr calls f on every node of e in depth-first order, descending into
