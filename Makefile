@@ -117,7 +117,9 @@ resume:
 # FuzzFrameLookupMatchesMapScope: every evaluation site's frame must resolve
 # every bare and qualified name as the scope map that site used to build.
 # FuzzEncodeMatchesMarshal: the checkpoint encoder must write json.Marshal's
-# bytes for any state.
+# bytes for any state. FuzzNumericMatchesParseFloat: a text value's numeric
+# reading must be ParseFloat's, so the first-byte check in front of it only
+# turns away text ParseFloat rejects.
 # Plain `go test` runs only the seeds; this searches.
 selffuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEngineReuseMatchesFresh -fuzztime 15s ./internal/minidb
@@ -127,6 +129,7 @@ selffuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFixCopyOnWriteMatchesClone -fuzztime 15s ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz FuzzFrameLookupMatchesMapScope -fuzztime 15s ./internal/minidb
 	$(GO) test -run '^$$' -fuzz FuzzEncodeMatchesMarshal -fuzztime 15s ./internal/checkpoint
+	$(GO) test -run '^$$' -fuzz FuzzNumericMatchesParseFloat -fuzztime 15s ./internal/minidb
 
 # The campaign benchmark is a module of its own, so the root module's
 # `go test ./...` never builds it; this vets it and runs its tests, which

@@ -101,7 +101,10 @@ SELECT v1 FROM t1 WHERE (v2 = 2);
 	// slice (a key slice per row cost 1 more here). Results come from an
 	// engine-owned slab and relation headers with their qualifier lists
 	// from per-statement scratch (a new Result, header and list each cost
-	// the SELECT 6 more, the UPDATE and DELETE 1).
+	// the SELECT 6 more, the UPDATE and DELETE 1). UPDATE and DELETE scan
+	// the rows they match into an engine-owned index buffer (a new slice
+	// grown per scan cost the UPDATE 8 more and the 64-row scan of the
+	// DELETE, whose LIMIT 0 keeps the table as it is, 7).
 	eng := minidb.New(minidb.Config{Dialect: sqlt.DialectMySQL})
 	var sb strings.Builder
 	sb.WriteString("CREATE TABLE big (a INT, b INT);\n")
@@ -127,8 +130,9 @@ SELECT v1 FROM t1 WHERE (v2 = 2);
 		ceiling float64
 		sql     string
 	}{
-		{"ExecStmt-update", 139, "UPDATE big SET b = b + 1 WHERE a >= 0;"},
+		{"ExecStmt-update", 131, "UPDATE big SET b = b + 1 WHERE a >= 0;"},
 		{"ExecStmt-delete", 1, "DELETE FROM big WHERE a < 0;"},
+		{"ExecStmt-delete-scan", 2, "DELETE FROM big WHERE a >= 64 LIMIT 0;"},
 		// A SQL error keeps its format and arguments (the boxed table name
 		// and the error are the 2) and formats nothing until read:
 		// formatting at the error cost 1 more.

@@ -19,9 +19,9 @@ import (
 // The save ordinal is process-local state, not campaign state: faults
 // change what lands on disk, never what the campaign computes, so the
 // ordinal needs no checkpointing. FS is not safe for concurrent use. A
-// sharded campaign saves on a background goroutine, but one save at a
-// time: the coordinator collects each save before it starts the next, so
-// the ordinal still counts saves in snapshot order.
+// campaign saves off its coordinator, on the leg's one saver goroutine,
+// which runs one save at a time in snapshot order, so the ordinal still
+// counts saves in that order.
 type FS struct {
 	inj   *Injector
 	inner checkpoint.FS

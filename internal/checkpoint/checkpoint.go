@@ -218,6 +218,13 @@ type Shard struct {
 	// cumulative retry tally.
 	Quarantined bool `json:"quarantined,omitempty"`
 	Retries     int  `json:"retries,omitempty"`
+
+	// SynthSeqsJSON, when set, is SynthSeqs's JSON array as AppendState
+	// writes it, less the closing bracket, and AppendState copies it in: a
+	// campaign snapshot fills it from the worker's SeqsEncoder, so each
+	// sequence is encoded once per campaign, not once per save. Load
+	// leaves it empty.
+	SynthSeqsJSON []byte `json:"-"`
 }
 
 // envelope wraps the state with an integrity checksum so a torn or

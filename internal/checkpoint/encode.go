@@ -133,7 +133,11 @@ func appendShard(b []byte, sh *Shard) []byte {
 	b = appendInts(append(b, `,"picked":`...), sh.Picked)
 	b = appendArray(append(b, `,"affinity":`...), sh.Affinity, appendPair)
 	b = appendArray(append(b, `,"gen_affinity":`...), sh.GenAffinity, appendPair)
-	b = appendArray(append(b, `,"synth_seqs":`...), sh.SynthSeqs, func(b []byte, seq *sqlt.Sequence) []byte { return appendInts(b, *seq) })
+	if sh.SynthSeqsJSON != nil {
+		b = append(append(append(b, `,"synth_seqs":`...), sh.SynthSeqsJSON...), ']')
+	} else {
+		b = appendArray(append(b, `,"synth_seqs":`...), sh.SynthSeqs, appendSeq)
+	}
 	b = appendInts(append(b, `,"synth_starts":`...), sh.SynthStarts)
 	b = appendInt(append(b, `,"synth_rot":`...), int64(sh.SynthRot))
 	b = appendArray(append(b, `,"pending":`...), sh.Pending, appendPair)
@@ -145,6 +149,37 @@ func appendShard(b []byte, sh *Shard) []byte {
 	}
 	return append(b, '}')
 }
+
+// SeqsEncoder encodes a sequence vector that only grows, as a
+// synthesizer's does, for Shard.SynthSeqsJSON: each call encodes only the
+// sequences appended since the last one.
+type SeqsEncoder struct {
+	buf []byte // '[' and the first n sequences, comma-separated
+	n   int
+}
+
+// Encode returns seqs's JSON array less its closing bracket, or nil for a
+// nil vector; seqs must extend the vector of the previous call. The result
+// shares the encoder's buffer, and later calls only append past its end,
+// so it stays valid, but it must not be written.
+func (c *SeqsEncoder) Encode(seqs []sqlt.Sequence) []byte {
+	if seqs == nil {
+		return nil
+	}
+	if c.buf == nil {
+		c.buf = append(c.buf, '[')
+	}
+	for i := c.n; i < len(seqs); i++ {
+		if i > 0 {
+			c.buf = append(c.buf, ',')
+		}
+		c.buf = appendSeq(c.buf, &seqs[i])
+	}
+	c.n = len(seqs)
+	return c.buf[:len(c.buf):len(c.buf)]
+}
+
+func appendSeq(b []byte, seq *sqlt.Sequence) []byte { return appendInts(b, *seq) }
 
 func appendPair(b []byte, p *[2]sqlt.Type) []byte {
 	b = appendInt(append(b, '['), int64(p[0]))

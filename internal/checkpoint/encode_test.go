@@ -245,3 +245,37 @@ func TestEncodeSample(t *testing.T) {
 	st.Shards = []Shard{}
 	checkEncoding(t, st)
 }
+
+// TestSeqsEncoderMatchesMarshal: fed a vector that grows, nil and empty
+// sequences included, a SeqsEncoder returns json.Marshal's array less its
+// closing bracket at every length, later calls leave earlier results as
+// they were, and AppendState copies the result in for SynthSeqs.
+func TestSeqsEncoderMatchesMarshal(t *testing.T) {
+	var enc SeqsEncoder
+	if got := enc.Encode(nil); got != nil {
+		t.Fatalf("a nil vector encodes as %q, want nil (AppendState writes null)", got)
+	}
+	seqs := []sqlt.Sequence{}
+	var got, want [][]byte
+	for i := range 40 {
+		w, err := json.Marshal(seqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want = append(got, enc.Encode(seqs)), append(want, w)
+		switch i % 4 {
+		case 0:
+			seqs = append(seqs, sqlt.Sequence{sqlt.Type(i), sqlt.Type(100 + i)})
+		case 1:
+			seqs = append(seqs, nil, sqlt.Sequence{})
+		case 2:
+			seqs = append(seqs, sqlt.Sequence{sqlt.Type(i)}, sqlt.Sequence{1, 2, 3}, sqlt.Sequence{sqlt.Type(1000 * i)})
+		}
+	}
+	for i := range got {
+		if g := append(bytes.Clone(got[i]), ']'); !bytes.Equal(g, want[i]) {
+			t.Fatalf("length %d: encoded %q, json.Marshal %q", i, g, want[i])
+		}
+	}
+	checkEncoding(t, &State{Shards: []Shard{{SynthSeqs: seqs, SynthSeqsJSON: enc.Encode(seqs)}}})
+}

@@ -21,7 +21,8 @@ import (
 
 // SnapshotShard serializes the fuzzer's worker state but its pool. The
 // synthesizer's vector is shared, not copied: it only grows, and its
-// sequences never change.
+// sequences never change; so is its encoding, which the fuzzer's encoder
+// extends by the sequences synthesized since the last snapshot.
 func (f *Fuzzer) SnapshotShard() checkpoint.Shard {
 	synth := f.synth.Export()
 	return checkpoint.Shard{
@@ -35,8 +36,15 @@ func (f *Fuzzer) SnapshotShard() checkpoint.Shard {
 		SynthStarts:  synth.Starts,
 		SynthRot:     synth.Rot,
 		Pending:      exportPairs(f.pending),
+
+		SynthSeqsJSON: f.synthJSON.Encode(synth.Seqs),
 	}
 }
+
+// EncodeSynth encodes the sequences synthesized since the last snapshot,
+// so that the next SnapshotShard, taken while every shard is parked, finds
+// them encoded.
+func (f *Fuzzer) EncodeSynth() { f.synthJSON.Encode(f.synth.Export().Seqs) }
 
 // ResumeShard rebuilds one worker from its checkpoint entry; opts carry the
 // worker's own seed, and pool the seeds sh.Pool indexes. The structure

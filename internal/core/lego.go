@@ -22,6 +22,7 @@ import (
 	"slices"
 
 	"github.com/seqfuzz/lego/internal/affinity"
+	"github.com/seqfuzz/lego/internal/checkpoint"
 	"github.com/seqfuzz/lego/internal/corpus"
 	"github.com/seqfuzz/lego/internal/harness"
 	"github.com/seqfuzz/lego/internal/instantiate"
@@ -111,6 +112,8 @@ type Fuzzer struct {
 	// sequence-oriented state
 	aff   *affinity.Map
 	synth *seqsynth.Synthesizer
+	// synthJSON encodes synth's vector for snapshots (SnapshotShard).
+	synthJSON checkpoint.SeqsEncoder
 
 	// pairs discovered in the current iteration, awaiting synthesis
 	pending []affinity.Pair

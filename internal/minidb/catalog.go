@@ -185,12 +185,21 @@ func (c *Catalog) reset() {
 	clear(c.Domains)
 	clear(c.Enums)
 	clear(c.Roles)
-	clear(c.Schemas)
 	clear(c.Extensions)
-	clear(c.Databases)
 	clear(c.Comments)
-	c.Schemas["public"] = true
-	c.Databases["main"] = true
+	resetToDefault(c.Schemas, "public")
+	resetToDefault(c.Databases, "main")
+}
+
+// resetToDefault leaves m holding only name. It almost always holds just
+// that already, and is then left alone: clearing a map reseeds its hash,
+// and the insert after it hashes again.
+func resetToDefault(m map[string]bool, name string) {
+	if len(m) == 1 && m[name] {
+		return
+	}
+	clear(m)
+	m[name] = true
 }
 
 // tableNames returns table names in sorted order for deterministic

@@ -146,9 +146,11 @@ type Engine struct {
 	errBuf []error
 
 	// scratch holds the evaluation sites' free scratch scopes (rowEval),
-	// stages INSERT's free VALUES buffers (takeStage).
+	// stages INSERT's free VALUES buffers (takeStage), idxBufs UPDATE's
+	// and DELETE's free row index buffers (takeIdxs).
 	scratch []*evalScratch
 	stages  []*insertStage
+	idxBufs [][]int
 
 	// inVals is evalIn's candidate stack: an IN pushes its candidates
 	// above those of the INs it is nested in and pops them on return.

@@ -352,8 +352,13 @@ func (e *Engine) fireTriggers(table string, tm sqlast.TriggerTime, ev sqlast.Tri
 
 // matchingRowIdxs returns indexes of rows satisfying where, in ORDER BY
 // order, truncated by limit (MySQL-style UPDATE/DELETE ... ORDER BY LIMIT).
-func (e *Engine) matchingRowIdxs(t *Table, where sqlast.Expr, orderBy []sqlast.OrderItem, limit sqlast.Expr) ([]int, error) {
-	var idxs []int
+func (e *Engine) matchingRowIdxs(t *Table, where sqlast.Expr, orderBy []sqlast.OrderItem, limit sqlast.Expr) (idxs []int, err error) {
+	idxs = e.takeIdxs()
+	defer func() {
+		if err != nil {
+			e.putIdxs(idxs)
+		}
+	}()
 	var wEv rowEval
 	if where != nil {
 		wEv = e.tableEval([]sqlast.Expr{where}, t)
@@ -400,6 +405,20 @@ func (e *Engine) matchingRowIdxs(t *Table, where sqlast.Expr, orderBy []sqlast.O
 	return idxs, nil
 }
 
+// takeIdxs returns an empty row index buffer from the engine's free list.
+// UPDATE and DELETE scan into one (matchingRowIdxs) and put it back when
+// they finish, so a trigger's nested scan gets its own.
+func (e *Engine) takeIdxs() []int {
+	if n := len(e.idxBufs); n > 0 {
+		b := e.idxBufs[n-1]
+		e.idxBufs = e.idxBufs[:n-1]
+		return b[:0]
+	}
+	return nil
+}
+
+func (e *Engine) putIdxs(b []int) { e.idxBufs = append(e.idxBufs, b) }
+
 func (e *Engine) execUpdate(st *sqlast.UpdateStmt) (*Result, error) {
 	e.hit(pUpdate)
 	if st.Where == nil {
@@ -422,6 +441,7 @@ func (e *Engine) execUpdate(st *sqlast.UpdateStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer e.putIdxs(idxs)
 	if len(idxs) == 0 {
 		e.hit(pUpdateZeroRows)
 		return e.result(Result{Affected: 0, Msg: "UPDATE"}), nil
@@ -499,6 +519,7 @@ func (e *Engine) execDelete(st *sqlast.DeleteStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer e.putIdxs(idxs)
 	if len(idxs) == 0 {
 		e.hit(pDeleteZeroRows)
 		return e.result(Result{Affected: 0, Msg: "DELETE"}), nil

@@ -145,6 +145,23 @@ ROLLBACK TO SAVEPOINT sp;`},
 		if len(e.pool.tables) != 5 || len(e.pool.cats) != 4 || len(e.pool.chunks) != chunks {
 			t.Errorf("%s: took %d tables, %d catalogs and %d new chunks; want 5, 3 and none", label, len(e.pool.tables), len(e.pool.cats)-1, len(e.pool.chunks)-chunks)
 		}
+
+		// The reset leaves Schemas and Databases alone while each holds
+		// just its default entry; any other contents, one other entry
+		// included, must still be reset.
+		for _, sd := range []struct{ name, script string }{
+			{"schema-database-added", "CREATE SCHEMA sc;\nCREATE DATABASE db;"},
+			{"schema-database-replaced", "CREATE SCHEMA sc;\nDROP SCHEMA public;\nCREATE DATABASE db;\nUSE db;\nDROP DATABASE main;"},
+			{"schema-dropped", "DROP SCHEMA public;"},
+		} {
+			label := d.String() + "/" + sd.name
+			e.reset()
+			dispatchAll(t, label, e, sd.script)
+			e.reset()
+			if !reflect.DeepEqual(e.cat, NewCatalog()) {
+				t.Errorf("%s: catalog after reset differs from NewCatalog():\n%+v", label, *e.cat)
+			}
+		}
 	}
 }
 

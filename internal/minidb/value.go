@@ -82,11 +82,31 @@ func (v Value) numeric() (float64, bool) {
 		}
 		return 0, true
 	case KText:
-		f, err := strconv.ParseFloat(strings.TrimSpace(v.S), 64)
+		// checking the first byte spares the error value of most text
+		// ParseFloat would reject
+		s := strings.TrimSpace(v.S)
+		if !mayBeFloat(s) {
+			return 0, false
+		}
+		f, err := strconv.ParseFloat(s, 64)
 		return f, err == nil
 	default:
 		return 0, false
 	}
+}
+
+// mayBeFloat reports whether s can have ParseFloat's syntax by its first
+// byte: a sign, a digit, a point, or the start of "inf", "infinity" or
+// "nan" in any case. A false answer means ParseFloat rejects s.
+func mayBeFloat(s string) bool {
+	if s == "" {
+		return false
+	}
+	switch s[0] {
+	case '+', '-', '.', '0', '1', '2', '3', '4', '5', '6', '7', '8', '9', 'i', 'I', 'n', 'N':
+		return true
+	}
+	return false
 }
 
 // Truthy evaluates the value in boolean context; NULL is not truthy.

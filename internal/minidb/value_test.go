@@ -1,8 +1,11 @@
 package minidb
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -217,4 +220,30 @@ func TestLikeMatch(t *testing.T) {
 			t.Errorf("likeMatch(%q, %q) = %v, want %v", c.pat, c.s, got, c.want)
 		}
 	}
+}
+
+// FuzzNumericMatchesParseFloat: a text value's numeric reading is
+// ParseFloat's on the trimmed text, whatever the text, so the first-byte
+// check in front of ParseFloat only ever turns away text it rejects. Text
+// it turns away costs no allocation.
+func FuzzNumericMatchesParseFloat(f *testing.F) {
+	for _, s := range []string{"", " ", "12", " -3.5e2 ", "+.5", ".", "inf", "-Infinity", "NaN", "nan(", "0x1p-2",
+		"1_000", "0x_1p0", "abc", "'1'", " 12 ", "\t\n7", "e5", "1e", "--1", "Ⅻ", "\xff1"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+		got, ok := Text(s).numeric()
+		if ok != (err == nil) || ok && math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Text(%q).numeric() = %v, %v; ParseFloat gives %v, %v", s, got, ok, want, err)
+		}
+		if !mayBeFloat(strings.TrimSpace(s)) {
+			if err == nil {
+				t.Fatalf("%q was turned away, but ParseFloat reads it as %v", s, want)
+			}
+			if n := testing.AllocsPerRun(1, func() { Text(s).numeric() }); n != 0 {
+				t.Fatalf("numeric allocated %v times on %q, which it turns away", n, s)
+			}
+		}
+	})
 }

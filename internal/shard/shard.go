@@ -41,13 +41,13 @@
 // shards in index order on the coordinator goroutine, the merged report and
 // checkpoint depend only on (core.Options, Workers, EpochStmts) — never on
 // goroutine scheduling or GOMAXPROCS. Synchronization is confined to two
-// points: the barrier (a WaitGroup), and the checkpoint hand-off, where the
-// coordinator passes a barrier snapshot to one background save goroutine
-// and collects its result over a channel before the next snapshot. The
-// snapshot is taken while the shards are parked and shares nothing with
-// them, so the save overlapping the next epoch cannot change what it holds.
-// sync/atomic must not appear between barriers, where workers are required
-// to be plain sequential code.
+// points: the barrier, where the coordinator receives every worker's
+// result over a channel, and the checkpoint hand-off, where it queues a
+// barrier snapshot for the leg's saver goroutine (see saver). The snapshot
+// is taken while the shards are parked and shares nothing with them, so a
+// save overlapping later epochs cannot change what it holds. sync/atomic
+// must not appear between barriers, where workers are required to be plain
+// sequential code.
 package shard
 
 import (
@@ -225,12 +225,12 @@ type RunOptions struct {
 	// deterministically continue from.
 	EveryExecs int
 	// Save persists a snapshot; a non-nil error aborts the leg. It runs
-	// off the coordinator goroutine, on a background goroutine that
-	// overlaps the next epoch, but one call at a time and in snapshot
-	// order, and the last call returns before Run does. The state it is
-	// handed is its own (freshly allocated, sharing nothing mutable with
-	// the campaign); Save must not touch the Executor, whose shards are
-	// running while it does.
+	// off the coordinator goroutine, on the leg's saver goroutine, while
+	// later epochs run; but one call at a time and in snapshot order, no
+	// call after one that failed, and the last call returns before Run
+	// does. The state it is handed is its own (freshly allocated, sharing
+	// nothing mutable with the campaign); Save must not touch the Executor,
+	// whose shards are running while it does.
 	Save func(*checkpoint.State) error
 	// Stop requests graceful shutdown. It is polled only at epoch barriers:
 	// a barrier is a state every uninterrupted campaign also passes
@@ -245,12 +245,13 @@ type RunOptions struct {
 // budgetStmts (total statements, split as evenly as the worker count
 // allows) or Stop is closed at a barrier. interrupted reports the latter.
 //
-// A checkpoint is snapshotted at the barrier, on the coordinator, and saved
-// in the background while the shards run the next epoch. At most one save
-// is in flight: the coordinator collects it before the next snapshot and
-// before Run returns, so saves land in snapshot order and Run never returns
-// with one still running. A real save error aborts the leg at the first
-// collection point after the failed save.
+// A checkpoint is snapshotted at the barrier, on the coordinator, and
+// queued for the leg's saver, which saves it while the shards run on (see
+// saver). The coordinator never waits for a save to finish: it blocks only
+// to queue a snapshot while an earlier one still waits in the queue, and
+// when the leg ends, for the last save. A real save error ends the leg at
+// the first barrier that finds it, or at the leg's end, and Run returns
+// it.
 func (e *Executor) Run(budgetStmts int, opts RunOptions) (interrupted bool, err error) {
 	targets := e.targets(budgetStmts)
 	stopped := func() bool {
@@ -264,48 +265,138 @@ func (e *Executor) Run(budgetStmts int, opts RunOptions) (interrupted bool, err 
 			return false
 		}
 	}
-	var inflight chan error // the save in flight, nil when none is
-	collect := func() error {
-		if inflight == nil {
-			return nil
-		}
-		err := e.AbsorbSaveFault(<-inflight)
-		inflight = nil
-		return err
-	}
-	save := func() error {
-		if err := collect(); err != nil {
-			return err
-		}
+	snapshot := func() *checkpoint.State {
 		st := e.Snapshot()
 		if e.supervised() {
 			e.snap = st // read-only from here on: the next epoch's restore point
 		}
-		done := make(chan error, 1)
-		go func() { done <- opts.Save(st) }()
-		inflight = done
-		return nil
+		return st
+	}
+	var sv *saver // nil when the leg does not save
+	if opts.Save != nil {
+		sv = startSaver(opts.Save)
 	}
 
 	lastSaved := e.Execs()
-	for !e.done(targets) && !stopped() {
-		e.runEpoch(targets, opts.Save != nil)
+	for !e.done(targets) && !stopped() && !sv.failed() {
+		e.runEpoch(targets, sv)
 		e.epoch++
 		e.mergeBarrier()
-		if opts.Save != nil && opts.EveryExecs > 0 && e.Execs()-lastSaved >= opts.EveryExecs {
-			if err := save(); err != nil {
-				return false, err
-			}
+		if sv != nil && opts.EveryExecs > 0 && e.Execs()-lastSaved >= opts.EveryExecs {
+			sv.push(snapshot())
 			lastSaved = e.Execs()
 		}
 	}
 	interrupted = !e.done(targets) && stopped()
-	if opts.Save != nil {
-		if err := save(); err != nil {
-			return interrupted, err
-		}
+	if sv != nil {
+		sv.push(snapshot())
+		err = e.finishSaves(sv)
 	}
-	return interrupted, collect()
+	return interrupted, err
+}
+
+// finishSaves lets the leg's queued saves start, waits until the last has
+// returned, and settles them: their injected faults join SaveFaults, and
+// the real error that stopped them, if any, is returned.
+func (e *Executor) finishSaves(sv *saver) error {
+	sv.coreIdle()
+	close(sv.queue)
+	<-sv.done
+	e.saveFaults += sv.faults
+	return sv.err
+}
+
+// saver runs one Run leg's checkpoint saves on a goroutine of its own, one
+// at a time and in snapshot order. Its queue has one slot. The
+// coordinator's push puts a barrier snapshot there without waiting for
+// any save in flight, and blocks only while the slot still holds the
+// previous snapshot.
+//
+// A save starts only when a core is idle, so that it does not take one
+// from a shard: each queued snapshot waits behind a gate that the
+// coordinator opens (coreIdle) when runEpoch's running shards drop below
+// GOMAXPROCS, when it is about to block on the queue, and when the leg
+// ends. With as many shards as cores that is the moment the first shard
+// reaches the barrier, whose core would otherwise idle until the last one
+// does; with fewer shards it is as soon as the epoch starts.
+//
+// Only the coordinator touches gate; the saver goroutine owns err and
+// faults until done is closed (finishSaves).
+type saver struct {
+	queue chan saveJob
+	// gate is the start gate of the snapshots queued since the last idle
+	// core, nil when there are none.
+	gate chan struct{}
+	// fail is closed when a save fails for real; no save starts after it.
+	fail chan struct{}
+	done chan struct{}
+
+	err    error
+	faults int // saves eaten by injected I/O faults
+}
+
+type saveJob struct {
+	st   *checkpoint.State
+	gate <-chan struct{}
+}
+
+func startSaver(save func(*checkpoint.State) error) *saver {
+	s := &saver{
+		queue: make(chan saveJob, 1),
+		fail:  make(chan struct{}),
+		done:  make(chan struct{}),
+	}
+	go func() {
+		defer close(s.done)
+		for j := range s.queue {
+			<-j.gate
+			if s.err != nil {
+				continue
+			}
+			switch err := save(j.st); {
+			case errors.Is(err, chaos.ErrInjected):
+				s.faults++
+			case err != nil:
+				s.err = err
+				close(s.fail)
+			}
+		}
+	}()
+	return s
+}
+
+// push queues st for saving. It blocks only while the queue still holds an
+// earlier snapshot, after letting that one start.
+func (s *saver) push(st *checkpoint.State) {
+	if len(s.queue) == cap(s.queue) { // only push sends, so it stays full until the saver takes it
+		s.coreIdle()
+	}
+	if s.gate == nil {
+		s.gate = make(chan struct{})
+	}
+	s.queue <- saveJob{st, s.gate}
+}
+
+// coreIdle lets every queued save start. A nil saver has none.
+func (s *saver) coreIdle() {
+	if s != nil && s.gate != nil {
+		close(s.gate)
+		s.gate = nil
+	}
+}
+
+// failed reports, without blocking, whether a save has failed for real. A
+// nil saver has none.
+func (s *saver) failed() bool {
+	if s == nil {
+		return false
+	}
+	select {
+	case <-s.fail:
+		return true
+	default:
+		return false
+	}
 }
 
 // AbsorbSaveFault settles one checkpoint save's result. A chaos-injected

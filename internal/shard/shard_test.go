@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/seqfuzz/lego/internal/checkpoint"
 	"github.com/seqfuzz/lego/internal/core"
@@ -93,7 +94,7 @@ func TestBarrierInvariants(t *testing.T) {
 	// the barrier drains them.
 	targets := e.targets(6000)
 	for !e.done(targets) {
-		e.runEpoch(targets, false)
+		e.runEpoch(targets, nil)
 		for _, sh := range e.shards {
 			for _, c := range sh.Runner().Oracle.Crashes() {
 				sightings += c.Hits
@@ -471,6 +472,84 @@ func TestShardedRunWaitsForLastSave(t *testing.T) {
 	}
 	if got, want := int(finished.Load()), e.Epoch()+1; got != want {
 		t.Fatalf("Run returned with %d of its %d saves finished", got, want)
+	}
+}
+
+// TestShardedSaverPipelinesPastABlockedSave: the coordinator never waits
+// for a save in flight. With every barrier a save point, the leg's first
+// Save, of barrier 1, blocks; meanwhile the coordinator passes barrier 2,
+// queues its snapshot and starts epoch 2. There the queue is full, so
+// epoch 3 does not start until the save returns. Saves still run one at a
+// time, in snapshot order, and Run returns only after the last one has.
+func TestShardedSaverPipelinesPastABlockedSave(t *testing.T) {
+	e := New(testOptions(2))
+	first, reached, release := make(chan int), make(chan struct{}), make(chan struct{})
+	e.testFault = func(epoch, shard, _ int) {
+		if shard != 0 {
+			return
+		}
+		switch epoch {
+		case 2:
+			close(reached)
+		case 3:
+			select {
+			case <-release:
+			default:
+				t.Error("epoch 3 started while the save of barrier 1 was blocked and barrier 2's waited in the queue")
+			}
+		}
+	}
+	var saved []int // each save's epoch, in call order
+	var calls, returned, running atomic.Int32
+	ran := make(chan error, 1)
+	go func() {
+		_, err := e.Run(6000, RunOptions{
+			EveryExecs: 1,
+			Save: func(st *checkpoint.State) error {
+				defer returned.Add(1)
+				calls.Add(1)
+				if running.Add(1) != 1 {
+					t.Error("two saves ran at once")
+				}
+				defer running.Add(-1)
+				if len(saved) == 0 {
+					first <- st.Epoch
+					<-release
+				}
+				saved = append(saved, st.Epoch)
+				return nil
+			},
+		})
+		if c, r := calls.Load(), returned.Load(); c != r {
+			t.Errorf("Run returned with %d of its %d saves finished", r, c)
+		}
+		ran <- err
+	}()
+
+	if blocked := <-first; blocked != 1 {
+		close(release)
+		t.Fatalf("the first save is of barrier %d, want 1", blocked)
+	}
+	select {
+	case <-reached:
+	case <-time.After(time.Minute):
+		close(release)
+		t.Fatal("the coordinator waited at barrier 2 for the blocked save of barrier 1")
+	}
+	time.Sleep(50 * time.Millisecond) // time for a coordinator that does not block to start epoch 3
+	close(release)
+	if err := <-ran; err != nil {
+		t.Fatal(err)
+	}
+
+	// The leg's closing save repeats the last barrier's.
+	var want []int
+	for ep := 1; ep <= e.Epoch(); ep++ {
+		want = append(want, ep)
+	}
+	want = append(want, e.Epoch())
+	if !slices.Equal(saved, want) {
+		t.Fatalf("saves ran for epochs %v, want %v in snapshot order", saved, want)
 	}
 }
 

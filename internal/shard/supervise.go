@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 
 	"github.com/seqfuzz/lego/internal/chaos"
 	"github.com/seqfuzz/lego/internal/harness"
@@ -67,15 +66,17 @@ type workerFailure struct {
 // runEpoch drives every unfinished shard to the next epoch boundary under
 // supervision, retrying failed shards from their barrier snapshots until
 // each one has either finished the epoch or been quarantined. This is the
-// only place the executor spawns shard goroutines. The WaitGroup barrier in
-// each round synchronizes them with the coordinator; the only other
-// synchronization is Run's hand-off to its background save, which touches
-// nothing the shards do.
+// only place the executor spawns shard goroutines. In each round the
+// coordinator receives every worker's result over a channel, which is the
+// barrier; the only other synchronization is Run's hand-off to its saver,
+// which touches nothing the shards do. Whenever fewer shards run than
+// there are cores, it lets sv's queued saves start (saver.coreIdle).
 //
-// With encode set (a leg that saves), each shard also builds the checkpoint
-// entries of the seeds it made this epoch on its own goroutine, so the next
-// snapshot does not build them while every shard is parked.
-func (e *Executor) runEpoch(targets []int, encode bool) {
+// With a saver (a leg that saves), each shard also builds the checkpoint
+// entries of the seeds it made this epoch, and encodes the sequences it
+// synthesized, on its own goroutine, so the next snapshot does not encode
+// them while every shard is parked.
+func (e *Executor) runEpoch(targets []int, sv *saver) {
 	// Barrier snapshots exist to re-run failed epochs, and epochs can only
 	// fail under supervision (the chaos plane or the test fault hook). Take
 	// them lazily here — the shards are exactly in their post-barrier states
@@ -106,19 +107,28 @@ func (e *Executor) runEpoch(targets []int, encode bool) {
 			return
 		}
 
-		// failures[i] is written only by shard i's goroutine and read only
-		// after the barrier: per-slot ownership plus the WaitGroup is the
-		// whole synchronization story.
-		failures := make([]*workerFailure, len(e.shards))
-		var wg sync.WaitGroup
+		type result struct {
+			shard int
+			fail  *workerFailure
+		}
+		results := make(chan result, len(jobs))
 		for _, j := range jobs {
-			wg.Add(1)
 			go func(j job) {
-				defer wg.Done()
-				failures[j.shard] = e.runWorker(j.shard, j.leg, j.p, encode)
+				results <- result{j.shard, e.runWorker(j.shard, j.leg, j.p, sv != nil)}
 			}(j)
 		}
-		wg.Wait()
+		failures := make([]*workerFailure, len(e.shards))
+		cores := runtime.GOMAXPROCS(0)
+		for running := len(jobs); ; running-- {
+			if running < cores {
+				sv.coreIdle()
+			}
+			if running == 0 {
+				break
+			}
+			r := <-results
+			failures[r.shard] = r.fail
+		}
 
 		// Resolve failures in shard-index order on the coordinator, so the
 		// incident journal and the retry bookkeeping are schedule-independent.
@@ -233,6 +243,7 @@ func (e *Executor) runWorker(i int, l leg, p plan, encode bool) (fail *workerFai
 			for _, s := range sh.Pool().Since(e.poolMark[i]) {
 				s.Entry()
 			}
+			sh.EncodeSynth()
 		}
 	}
 	return nil

@@ -258,7 +258,7 @@ type FuzzOptions struct {
 	// barrier after every CheckpointEvery test-case executions and once
 	// when the run ends — including a run ended by Stop, so an interrupted
 	// campaign loses no work. Periodic saves are written in the background
-	// while the next epoch runs.
+	// while later epochs run, each starting once a shard leaves a core idle.
 	CheckpointPath  string
 	CheckpointEvery int
 	// Stop requests graceful shutdown: when the channel is closed the
