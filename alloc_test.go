@@ -21,6 +21,7 @@ import (
 	"github.com/seqfuzz/lego/internal/checkpoint"
 	"github.com/seqfuzz/lego/internal/core"
 	"github.com/seqfuzz/lego/internal/coverage"
+	"github.com/seqfuzz/lego/internal/harness"
 	"github.com/seqfuzz/lego/internal/instantiate"
 	"github.com/seqfuzz/lego/internal/minidb"
 	"github.com/seqfuzz/lego/internal/mutate"
@@ -104,7 +105,13 @@ SELECT v1 FROM t1 WHERE (v2 = 2);
 	// the SELECT 6 more, the UPDATE and DELETE 1). UPDATE and DELETE scan
 	// the rows they match into an engine-owned index buffer (a new slice
 	// grown per scan cost the UPDATE 8 more and the 64-row scan of the
-	// DELETE, whose LIMIT 0 keeps the table as it is, 7).
+	// DELETE, whose LIMIT 0 keeps the table as it is, 7). The WHERE's
+	// filtered rows, the sort's buffers and the output columns' keys sit
+	// in the site's scratch, and a table keeps its column names and keys
+	// until its columns change (building them per statement cost the
+	// SELECT 14 more, the UPDATE, DELETE and DELETE scan 1 or 2). So do
+	// UPDATE's SET columns and expressions (a new list of each cost 2
+	// more).
 	eng := minidb.New(minidb.Config{Dialect: sqlt.DialectMySQL})
 	var sb strings.Builder
 	sb.WriteString("CREATE TABLE big (a INT, b INT);\n")
@@ -122,7 +129,7 @@ SELECT v1 FROM t1 WHERE (v2 = 2);
 	if _, err := eng.ExecStmt(sel); err != nil { // warm the tracer's counters
 		t.Fatal(err)
 	}
-	check("ExecStmt", 17, func() {
+	check("ExecStmt", 3, func() {
 		_, _ = eng.ExecStmt(sel)
 	})
 	for _, c := range []struct {
@@ -130,13 +137,14 @@ SELECT v1 FROM t1 WHERE (v2 = 2);
 		ceiling float64
 		sql     string
 	}{
-		{"ExecStmt-update", 131, "UPDATE big SET b = b + 1 WHERE a >= 0;"},
-		{"ExecStmt-delete", 1, "DELETE FROM big WHERE a < 0;"},
-		{"ExecStmt-delete-scan", 2, "DELETE FROM big WHERE a >= 64 LIMIT 0;"},
-		// A SQL error keeps its format and arguments (the boxed table name
-		// and the error are the 2) and formats nothing until read:
-		// formatting at the error cost 1 more.
-		{"ExecStmt-error", 2, "SELECT a FROM missing;"},
+		{"ExecStmt-update", 128, "UPDATE big SET b = b + 1 WHERE a >= 0;"},
+		{"ExecStmt-delete", 0, "DELETE FROM big WHERE a < 0;"},
+		{"ExecStmt-delete-scan", 0, "DELETE FROM big WHERE a >= 64 LIMIT 0;"},
+		// A SQL error keeps its format and arguments in typed slots and
+		// formats nothing until read; outside a test case the error itself
+		// is the 1. Boxing the table name cost 1 more, and formatting at
+		// the error 1 more again.
+		{"ExecStmt-error", 1, "SELECT a FROM missing;"},
 	} {
 		st := sqlparse.MustParseScript(c.sql)[0]
 		if _, err := eng.ExecStmt(st); (err != nil) != (c.name == "ExecStmt-error") {
@@ -163,13 +171,55 @@ SELECT v1 FROM t1 WHERE (v2 = 2);
 		_, _ = eng.ExecStmt(ins)
 	})
 
+	// INSERT into a table with two AFTER INSERT triggers, whose bodies
+	// empty the table again and scan another without a match: the 3 are
+	// the DELETE's. Each firing lists its triggers in a buffer from the
+	// engine's stack and sorts them in place, and UPDATE's WHERE is held
+	// in its scratch; a new sorted list per firing and a new WHERE list
+	// cost 5 more.
+	for _, s := range sqlparse.MustParseScript(`
+CREATE TABLE tt (a INT);
+CREATE TABLE tlog (n INT);
+CREATE TRIGGER tg1 AFTER INSERT ON tt FOR EACH ROW DELETE FROM tt;
+CREATE TRIGGER tg2 AFTER INSERT ON tt FOR EACH ROW UPDATE tlog SET n = 0 WHERE n < 0;
+`) {
+		if _, err := eng.ExecStmt(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	trig := sqlparse.MustParseScript("INSERT INTO tt VALUES (1);")[0]
+	check("ExecStmt-trigger", 3, func() {
+		_, _ = eng.ExecStmt(trig)
+	})
+
+	// A query with a WITH, a join, GROUP BY and a scalar function over the
+	// full table; outside a test case its rows and result columns come from
+	// the heap. The WITH scope is a list on the engine, the join composes
+	// its halves' keys once, GROUP BY numbers its groups in a key set that
+	// builds no string and lays their rows out in the scratch, each
+	// aggregate and the sort work in scratch too, and a call's arguments go
+	// on the engine's value stack: a CTE map, a key string, bucket and rows
+	// slice per group, a scope per group and aggregate, the join's key
+	// strings, the sort's buffers, an argument list per call and the
+	// function's lower-cased column name cost 98 more.
+	sel2 := sqlparse.MustParseScript("WITH w AS (SELECT a, b FROM big WHERE a < 8) SELECT w.a, COUNT(*), ABS(w.a - 9) FROM w JOIN big ON w.a = big.a GROUP BY w.a ORDER BY w.a;")[0]
+	if res, err := eng.ExecStmt(sel2); err != nil || len(res.Rows) != 8 {
+		t.Fatalf("ExecStmt-select: %v, %v", res, err)
+	}
+	check("ExecStmt-select", 55, func() {
+		_, _ = eng.ExecStmt(sel2)
+	})
+
 	// A whole test case on a warm engine: the per-case reset clears the
 	// catalog and session maps in place and takes back the tables and rows
 	// the last case took, so the cost is the statements' own work, less
 	// its storage. Rebuilding those maps for every case cost 26 more, new
 	// Results, relation headers and INSERT row slices 13 more (11 on the
 	// file's tc), and a new table and column list per CREATE and a heap
-	// slice per stored or projected row 5 more (4 on the file's tc).
+	// slice per stored or projected row 5 more (4 on the file's tc). A
+	// result's column list comes from the case's storage too, and a
+	// table's column names and keys are built once per case: a new list
+	// per SELECT and new names and keys per reference cost 4 more.
 	warm := minidb.New(minidb.Config{Dialect: sqlt.DialectMariaDB})
 	small := sqlparse.MustParseScript(`
 CREATE TABLE t0 (c0 INT, c1 TEXT);
@@ -177,19 +227,37 @@ INSERT INTO t0 VALUES (1, 'a'), (2, 'b');
 SELECT c0 FROM t0 WHERE c0 > 1;
 `)
 	warm.RunTestCase(small)
-	check("RunTestCase", 11, func() {
+	check("RunTestCase", 7, func() {
 		_ = warm.RunTestCase(small)
 	})
 	warm.RunTestCase(tc)
-	check("RunTestCase-tc", 10, func() {
+	check("RunTestCase-tc", 6, func() {
 		_ = warm.RunTestCase(tc)
+	})
+
+	// A case whose statements fail on missing relations pays nothing per
+	// error: each comes from the engine's error slab, with the relation's
+	// name in a typed slot. A heap error with the name boxed cost 2 per
+	// failed statement.
+	missing := sqlparse.MustParseScript(`
+CREATE TABLE t0 (c0 INT);
+SELECT c0 FROM m1;
+INSERT INTO m2 VALUES (1);
+UPDATE m3 SET c0 = 1;
+DELETE FROM m4;
+SELECT c0 FROM m5 WHERE c0 > 1;
+`)
+	warm.RunTestCase(missing)
+	check("RunTestCase-errors", 0, func() {
+		_ = warm.RunTestCase(missing)
 	})
 
 	// A transaction over a 64-row table: BEGIN and SAVEPOINT snapshot the
 	// catalog, ROLLBACK TO restores from one, and the UPDATE writes 32 new
 	// rows. Snapshots fill recycled catalogs with recycled tables, and
 	// every row copy comes from the engine's row arena: a new catalog,
-	// table and row slice per copy cost 355 more.
+	// table and row slice per copy cost 355 more, a new column list per
+	// reference 1, and the UPDATE's new SET lists 2.
 	sb.Reset()
 	sb.WriteString("CREATE TABLE b64 (a INT, b INT);\nINSERT INTO b64 VALUES (0, 0)")
 	for i := 1; i < 64; i++ {
@@ -198,13 +266,15 @@ SELECT c0 FROM t0 WHERE c0 > 1;
 	sb.WriteString(";\nBEGIN;\nINSERT INTO b64 VALUES (64, 0);\nSAVEPOINT sp;\nUPDATE b64 SET b = b + 1 WHERE a < 32;\nROLLBACK TO SAVEPOINT sp;\nCOMMIT;")
 	txn := sqlparse.MustParseScript(sb.String())
 	warm.RunTestCase(txn)
-	check("RunTestCase-txn", 24, func() {
+	check("RunTestCase-txn", 15, func() {
 		_ = warm.RunTestCase(txn)
 	})
 
 	// Joins and a MERGE, which only PostgreSQL accepts. Joined and
 	// NULL-padded rows, MERGE's updated and inserted rows and the
-	// projected rows come from the row arena: heap rows cost 34 more.
+	// projected rows come from the row arena: heap rows cost 34 more. The
+	// join's pair row and ON list sit in its scratch, and its keys are its
+	// tables', composed once: building them per join cost 18 more.
 	pg := minidb.New(minidb.Config{Dialect: sqlt.DialectPostgres})
 	join := sqlparse.MustParseScript(`
 CREATE TABLE j1 (id INT, v INT);
@@ -216,8 +286,18 @@ SELECT j1.v, j2.w FROM j1 LEFT JOIN j2 ON j1.id = j2.id;
 MERGE INTO j1 USING j2 ON j1.id = j2.id WHEN MATCHED THEN UPDATE SET v = j2.w WHEN NOT MATCHED THEN INSERT VALUES (j2.id, j2.w);
 `)
 	pg.RunTestCase(join)
-	check("RunTestCase-join", 50, func() {
+	check("RunTestCase-join", 32, func() {
 		_ = pg.RunTestCase(join)
+	})
+
+	// Runner.Execute on a warm runner: the case runs, its coverage is
+	// accumulated and its type sequence is tallied into the affinity map
+	// from a buffer the runner keeps (a new sequence per execution cost 1
+	// more, and the case's own statements 4 more, as RunTestCase).
+	runner := harness.NewRunner(sqlt.DialectMariaDB, true)
+	runner.Execute(small)
+	check("Runner.Execute", 7, func() {
+		runner.Execute(small)
 	})
 
 	// Mutants share the seed's statements: sequence mutations copy only the

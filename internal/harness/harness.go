@@ -41,6 +41,9 @@ type Runner struct {
 
 	// cfg rebuilds the engine after a contained panic (quarantine).
 	cfg minidb.Config
+	// types holds the executed case's type sequence for GenAff, reused
+	// across executions.
+	types sqlt.Sequence
 }
 
 // NewRunner builds a runner for one campaign.
@@ -82,7 +85,8 @@ func (r *Runner) Execute(tc sqlast.TestCase) (novel bool, newEdges int, crash *m
 	tr.Reset()
 	out := r.runContained(tc)
 	novel, newEdges = r.Cov.Accumulate(tr)
-	r.GenAff.Analyze(tc.Types())
+	r.types = tc.AppendTypes(r.types[:0])
+	r.GenAff.Analyze(r.types)
 	r.Execs++
 	r.Stmts += out.Executed
 	if out.Crash != nil {

@@ -1,7 +1,9 @@
 package minidb
 
 import (
+	"slices"
 	"sort"
+	"strings"
 
 	"github.com/seqfuzz/lego/internal/sqlast"
 )
@@ -43,6 +45,44 @@ type Table struct {
 	analyzed    bool // set by ANALYZE, cleared by writes; gates planner stats paths
 	locked      string
 	clusteredBy string
+
+	// names and keys are the column names and the frame keys of a
+	// relation over the table qualified by keysQual (colNames, keysFor).
+	// They are replaced when the columns change, never written, so a
+	// relation or a result may keep them.
+	names    []string
+	keys     []binding
+	keysQual string
+}
+
+// colNames returns the table's column names.
+func (t *Table) colNames() []string {
+	same := t.names != nil && len(t.names) == len(t.Cols)
+	for i := 0; same && i < len(t.Cols); i++ {
+		same = t.names[i] == t.Cols[i].Name
+	}
+	if !same {
+		t.names = make([]string, len(t.Cols))
+		for i := range t.Cols {
+			t.names[i] = t.Cols[i].Name
+		}
+		t.keys = nil
+	}
+	return t.names
+}
+
+// keysFor returns the frame keys of a relation over the table whose
+// columns are qualified by qual, as relation.keys builds them.
+func (t *Table) keysFor(qual string) []binding {
+	names := t.colNames()
+	if t.keys == nil || t.keysQual != qual {
+		keys := make([]binding, 0, 2*len(names))
+		for c, n := range names {
+			keys = appendKeys(keys, qual, n, c)
+		}
+		t.keys, t.keysQual = keys, qual
+	}
+	return t.keys
 }
 
 // colIndex returns the position of the named column, or -1.
@@ -213,21 +253,15 @@ func (c *Catalog) tableNames() []string {
 	return names
 }
 
-// triggersFor returns the triggers on a table for a given time and event,
-// name-sorted for determinism.
-func (c *Catalog) triggersFor(table string, tm sqlast.TriggerTime, ev sqlast.TriggerEvent) []*Trigger {
-	if len(c.Triggers) == 0 {
-		return nil
-	}
-	var out []*Trigger
+// triggersFor appends to out the triggers on a table for a given time and
+// event, name-sorted for determinism.
+func (c *Catalog) triggersFor(out []*Trigger, table string, tm sqlast.TriggerTime, ev sqlast.TriggerEvent) []*Trigger {
 	for _, tr := range c.Triggers {
 		if tr.Table == table && tr.Time == tm && tr.Event == ev {
 			out = append(out, tr)
 		}
 	}
-	if len(out) > 1 {
-		sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	}
+	slices.SortFunc(out, func(a, b *Trigger) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 
@@ -248,19 +282,23 @@ func (c *Catalog) rulesFor(table string, ev sqlast.TriggerEvent) []*Rule {
 	return out
 }
 
-// indexesFor returns indexes on a table, name-sorted.
-func (c *Catalog) indexesFor(table string) []*Index {
-	if len(c.Indexes) == 0 {
-		return nil
-	}
-	var out []*Index
+// indexesFor appends to out the indexes on a table, name-sorted.
+func (c *Catalog) indexesFor(out []*Index, table string) []*Index {
 	for _, ix := range c.Indexes {
 		if ix.Table == table {
 			out = append(out, ix)
 		}
 	}
-	if len(out) > 1 {
-		sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	}
+	slices.SortFunc(out, func(a, b *Index) int { return strings.Compare(a.Name, b.Name) })
 	return out
+}
+
+// hasIndexes reports whether a table has an index.
+func (c *Catalog) hasIndexes(table string) bool {
+	for _, ix := range c.Indexes {
+		if ix.Table == table {
+			return true
+		}
+	}
+	return false
 }

@@ -129,7 +129,7 @@ type Engine struct {
 	rewriteDepth int
 	stepsUsed    int // watchdog charge within the current top-level statement
 	stmtIndex    int
-	cteFrames    []map[string]*relation
+	ctes         []cte // the WITH queries in scope, innermost last
 
 	// rewrite-component flags for the case-study bug path
 	inWCTERewrite     bool
@@ -147,26 +147,41 @@ type Engine struct {
 
 	// scratch holds the evaluation sites' free scratch scopes (rowEval),
 	// stages INSERT's free VALUES buffers (takeStage), idxBufs UPDATE's
-	// and DELETE's free row index buffers (takeIdxs).
-	scratch []*evalScratch
-	stages  []*insertStage
-	idxBufs [][]int
+	// and DELETE's free row index buffers (matchingRowIdxs), and trigBufs
+	// the trigger lists of fireTriggers' levels.
+	scratch  []*evalScratch
+	stages   []*insertStage
+	idxBufs  bufStack[int]
+	trigBufs bufStack[*Trigger]
 
-	// inVals is evalIn's candidate stack: an IN pushes its candidates
-	// above those of the INs it is nested in and pops them on return.
-	inVals []Value
+	// ixBuf lists a table's indexes for the sites that read the list
+	// without running a statement (planFilterPath, findUniqueConflict).
+	ixBuf []*Index
+	// keyBuf and exKeyBuf hold findUniqueConflict's index keys.
+	keyBuf, exKeyBuf []byte
+
+	// lowerNames remembers lower's answers.
+	lowerNames map[string]string
+
+	// vals is the stack of evalIn's candidates and evalFunc's arguments:
+	// an IN or a call pushes its values above those of the INs and calls
+	// it is nested in and pops them on return.
+	vals []Value
 
 	// results is the slab statement Results are handed out from (result);
 	// RunTestCase reuses it from the start, under Outcome.Results'
 	// lifetime.
 	results slab[Result]
 
-	// rels and qualBuf hold the current top-level statement's relation
-	// headers and qualifier lists (newRelation, quals); ExecStmt reuses
-	// them from the start for the next statement.
+	// errs is the slab SQL errors are handed out from inside RunTestCase
+	// (errValue), reused from the start under Outcome.Errs' lifetime.
+	errs slab[ExecError]
+
+	// rels and stmtStrs hold the current top-level statement's relation
+	// headers and their column and qualifier lists (newRelation, quals);
+	// ExecStmt reuses them from the start for the next statement.
 	rels     slab[relation]
-	qualBuf  []string
-	qualNext int
+	stmtStrs arena[string]
 
 	// pool holds the test case's tables, snapshot catalogs and rows, which
 	// reset takes back (pool.go).
@@ -217,7 +232,7 @@ func (e *Engine) reset() {
 	e.triggerDepth = 0
 	e.rewriteDepth = 0
 	e.stmtIndex = 0
-	e.cteFrames = nil
+	e.ctes = e.ctes[:0]
 	e.inWCTERewrite = false
 	e.wcteNotifyRewrite = false
 	e.rowsInserted = 0
@@ -260,6 +275,27 @@ func (s *slab[T]) take() *T {
 	return &s.items[s.next-1]
 }
 
+// bufStack holds free buffers for a site that may run again before it
+// finishes (a trigger's nested statement reaches the same site): each take
+// gets a buffer of its own, and put gives it back emptied.
+type bufStack[T any] struct{ free [][]T }
+
+//lego:hotpath
+func (s *bufStack[T]) take() []T {
+	n := len(s.free)
+	if n == 0 {
+		return nil
+	}
+	b := s.free[n-1]
+	s.free = s.free[:n-1]
+	return b
+}
+
+func (s *bufStack[T]) put(b []T) {
+	clear(b)
+	s.free = append(s.free, b[:0])
+}
+
 // result hands out a copy of r from the engine's result slab.
 func (e *Engine) result(r Result) *Result {
 	p := e.results.take()
@@ -279,11 +315,7 @@ func (e *Engine) newRelation(cols, qual []string, rows [][]Value) *relation {
 //
 //lego:hotpath
 func (e *Engine) quals(n int, q string) []string {
-	if len(e.qualBuf)-e.qualNext < n {
-		e.qualBuf, e.qualNext = make([]string, max(64, 2*len(e.qualBuf), n)), 0
-	}
-	out := e.qualBuf[e.qualNext : e.qualNext+n : e.qualNext+n]
-	e.qualNext += n
+	out := e.stmtStrs.take(n, true)
 	for i := range out {
 		out[i] = q
 	}
@@ -308,7 +340,10 @@ type Outcome struct {
 	//lego:borrowed valid until the next RunTestCase on the same engine
 	Results []*Result
 	// Errs holds per-statement errors (nil entry on success). Same
-	// lifetime as Results: valid until the next RunTestCase call.
+	// lifetime as Results: the slice and the errors in it, which come from
+	// an engine-owned slab (errValue), are valid only until the next
+	// RunTestCase call on the same engine. Callers that need a message
+	// across runs must read it (Error) before then.
 	//
 	//lego:borrowed valid until the next RunTestCase on the same engine
 	Errs []error
@@ -331,7 +366,7 @@ func (e *Engine) RunTestCaseAt(tc sqlast.TestCase, exec int) Outcome {
 // keyed by the exec index of the last RunTestCaseAt (0 on a new engine).
 func (e *Engine) RunTestCase(tc sqlast.TestCase) (out Outcome) {
 	e.reset()
-	e.results.next = 0
+	e.results.next, e.errs.next = 0, 0
 	if cap(e.resBuf) < len(tc) {
 		e.resBuf = make([]*Result, len(tc))
 		e.errBuf = make([]error, len(tc))
@@ -375,7 +410,7 @@ func (e *Engine) ExecStmt(s sqlast.Statement) (*Result, error) {
 	t := s.Type()
 	if !e.cfg.Dialect.Supports(t) {
 		e.hit(pDialectReject)
-		return nil, errValue("%s: unsupported statement type %s", e.cfg.Dialect, t)
+		return nil, e.errValue("%s: unsupported statement type %s", e.cfg.Dialect.String(), t.String())
 	}
 	switch t.Category() {
 	case sqlt.CatDDL:
@@ -394,7 +429,8 @@ func (e *Engine) ExecStmt(s sqlast.Statement) (*Result, error) {
 
 	e.triggerFires = 0
 	e.stepsUsed = 0
-	e.rels.next, e.qualNext = 0, 0
+	e.rels.next = 0
+	e.stmtStrs.reset()
 	if e.faults != nil {
 		e.faults.beforeDispatch(e.stmtIndex)
 	}
@@ -560,7 +596,7 @@ func (e *Engine) dispatch(s sqlast.Statement) (*Result, error) {
 		return e.execCluster(st)
 
 	default:
-		return nil, errValue("unimplemented statement %T", s)
+		return nil, e.errValue("unimplemented statement %s", typeName(s))
 	}
 }
 
@@ -576,7 +612,7 @@ func (e *Engine) chargeStep() error {
 	e.stepsUsed++
 	if e.stepsUsed > e.limits.MaxStepsPerStmt {
 		e.hit(pWatchdogTrip)
-		return errValue("statement exceeded %d evaluation steps (watchdog)", e.limits.MaxStepsPerStmt)
+		return e.errValueArgs("statement exceeded %d evaluation steps (watchdog)", argInt(e.limits.MaxStepsPerStmt))
 	}
 	return nil
 }
@@ -592,7 +628,7 @@ func (e *Engine) lookTable(name string) (*Table, error) {
 	if t, ok := e.cat.Tables[name]; ok {
 		return t, nil
 	}
-	return nil, errValue("relation %q does not exist", name)
+	return nil, e.errValue("relation %q does not exist", name)
 }
 
 // checkPriv verifies the current role may perform priv on table. The default
@@ -605,13 +641,13 @@ func (e *Engine) checkPriv(table, priv string) error {
 	r, ok := e.cat.Roles[e.sess.role]
 	if !ok {
 		e.hit(pAuthDenied)
-		return errValue("role %q does not exist", e.sess.role)
+		return e.errValue("role %q does not exist", e.sess.role)
 	}
 	if r.Privs[table]["ALL"] || r.Privs[table][priv] {
 		return nil
 	}
 	e.hit(pAuthDenied)
-	return errValue("permission denied for %q on %q", priv, table)
+	return e.errValue("permission denied for %q on %q", priv, table)
 }
 
 // inTxn reports whether an explicit transaction is open.

@@ -17,13 +17,13 @@ func (e *Engine) execCreateTable(st *sqlast.CreateTableStmt) (*Result, error) {
 			e.hit(pCreateTableIfNot)
 			return e.ok("CREATE TABLE (exists)")
 		}
-		return nil, errValue("relation %q already exists", st.Name)
+		return nil, e.errValue("relation %q already exists", st.Name)
 	}
 	if _, exists := e.cat.Views[st.Name]; exists {
-		return nil, errValue("%q is a view", st.Name)
+		return nil, e.errValue("%q is a view", st.Name)
 	}
 	if len(st.Cols) == 0 {
-		return nil, errValue("table must have at least one column")
+		return nil, e.errValue("table must have at least one column")
 	}
 	if st.Temp {
 		e.hit(pCreateTableTemp)
@@ -36,7 +36,7 @@ func (e *Engine) execCreateTable(st *sqlast.CreateTableStmt) (*Result, error) {
 	seen := map[string]bool{}
 	for _, cd := range st.Cols {
 		if seen[cd.Name] {
-			return nil, errValue("duplicate column %q", cd.Name)
+			return nil, e.errValue("duplicate column %q", cd.Name)
 		}
 		seen[cd.Name] = true
 		col := Column{
@@ -60,7 +60,7 @@ func (e *Engine) execCreateTable(st *sqlast.CreateTableStmt) (*Result, error) {
 		if cd.References != nil {
 			e.hit(pCreateTableFK)
 			if _, ok := e.cat.Tables[cd.References.Table]; !ok && cd.References.Table != st.Name {
-				return nil, errValue("referenced table %q does not exist", cd.References.Table)
+				return nil, e.errValue("referenced table %q does not exist", cd.References.Table)
 			}
 			col.RefTable = cd.References.Table
 		}
@@ -92,7 +92,7 @@ func (e *Engine) execCreateTable(st *sqlast.CreateTableStmt) (*Result, error) {
 					}
 				}
 				if i < 0 {
-					return nil, errValue("constraint column %q not found", cn)
+					return nil, e.errValue("constraint column %q not found", cn)
 				}
 				if len(tc.Columns) == 1 {
 					t.Cols[i].Unique = true
@@ -106,7 +106,7 @@ func (e *Engine) execCreateTable(st *sqlast.CreateTableStmt) (*Result, error) {
 		case "FOREIGN KEY":
 			e.hit(pCreateTableFK)
 			if _, ok := e.cat.Tables[tc.RefTab]; !ok && tc.RefTab != st.Name {
-				return nil, errValue("referenced table %q does not exist", tc.RefTab)
+				return nil, e.errValue("referenced table %q does not exist", tc.RefTab)
 			}
 		case "CHECK":
 			e.hit(pCreateTableCheck)
@@ -164,13 +164,13 @@ func (e *Engine) execCreateView(st *sqlast.CreateViewStmt) (*Result, error) {
 		e.hit(pCreateView)
 	}
 	if _, exists := e.cat.Views[st.Name]; exists && !st.OrReplace {
-		return nil, errValue("view %q already exists", st.Name)
+		return nil, e.errValue("view %q already exists", st.Name)
 	}
 	if st.OrReplace {
 		e.hit(pCreateViewReplace)
 	}
 	if _, exists := e.cat.Tables[st.Name]; exists {
-		return nil, errValue("%q is a table", st.Name)
+		return nil, e.errValue("%q is a table", st.Name)
 	}
 	// validate the query against current schema
 	rows, cols, err := e.execSelect(st.Query, nil, 0)
@@ -190,7 +190,7 @@ func (e *Engine) execCreateView(st *sqlast.CreateViewStmt) (*Result, error) {
 func (e *Engine) execCreateIndex(st *sqlast.CreateIndexStmt) (*Result, error) {
 	e.hit(pCreateIndex)
 	if _, exists := e.cat.Indexes[st.Name]; exists {
-		return nil, errValue("index %q already exists", st.Name)
+		return nil, e.errValue("index %q already exists", st.Name)
 	}
 	t, err := e.lookTable(st.Table)
 	if err != nil {
@@ -198,7 +198,7 @@ func (e *Engine) execCreateIndex(st *sqlast.CreateIndexStmt) (*Result, error) {
 	}
 	for _, c := range st.Cols {
 		if t.colIndex(c) < 0 {
-			return nil, errValue("column %q does not exist in %q", c, st.Table)
+			return nil, e.errValue("column %q does not exist in %q", c, st.Table)
 		}
 	}
 	if st.Unique {
@@ -213,7 +213,7 @@ func (e *Engine) execCreateIndex(st *sqlast.CreateIndexStmt) (*Result, error) {
 			}
 			k := RowKey(key)
 			if seen[k] {
-				return nil, errValue("cannot create unique index: duplicate key")
+				return nil, e.errValue("cannot create unique index: duplicate key")
 			}
 			seen[k] = true
 		}
@@ -228,7 +228,7 @@ func (e *Engine) execCreateTrigger(st *sqlast.CreateTriggerStmt) (*Result, error
 		e.hit(pCreateTriggerBefore)
 	}
 	if _, exists := e.cat.Triggers[st.Name]; exists {
-		return nil, errValue("trigger %q already exists", st.Name)
+		return nil, e.errValue("trigger %q already exists", st.Name)
 	}
 	if _, err := e.lookTable(st.Table); err != nil {
 		return nil, err
@@ -242,7 +242,7 @@ func (e *Engine) execCreateTrigger(st *sqlast.CreateTriggerStmt) (*Result, error
 func (e *Engine) execCreateSequence(st *sqlast.CreateSequenceStmt) (*Result, error) {
 	e.hit(pCreateSequence)
 	if _, exists := e.cat.Sequences[st.Name]; exists {
-		return nil, errValue("sequence %q already exists", st.Name)
+		return nil, e.errValue("sequence %q already exists", st.Name)
 	}
 	inc := st.Inc
 	if inc == 0 {
@@ -255,7 +255,7 @@ func (e *Engine) execCreateSequence(st *sqlast.CreateSequenceStmt) (*Result, err
 func (e *Engine) execCreateSchema(st *sqlast.CreateSchemaStmt) (*Result, error) {
 	e.hit(pCreateSchema)
 	if e.cat.Schemas[st.Name] {
-		return nil, errValue("schema %q already exists", st.Name)
+		return nil, e.errValue("schema %q already exists", st.Name)
 	}
 	e.cat.Schemas[st.Name] = true
 	return e.ok("CREATE SCHEMA")
@@ -264,7 +264,7 @@ func (e *Engine) execCreateSchema(st *sqlast.CreateSchemaStmt) (*Result, error) 
 func (e *Engine) execCreateFunction(st *sqlast.CreateFunctionStmt) (*Result, error) {
 	e.hit(pCreateFunction)
 	if _, exists := e.cat.Functions[st.Name]; exists {
-		return nil, errValue("function %q already exists", st.Name)
+		return nil, e.errValue("function %q already exists", st.Name)
 	}
 	e.cat.Functions[st.Name] = &Function{
 		Name: st.Name, Params: st.Params, Returns: st.Returns, Body: st.Body,
@@ -275,7 +275,7 @@ func (e *Engine) execCreateFunction(st *sqlast.CreateFunctionStmt) (*Result, err
 func (e *Engine) execCreateProcedure(st *sqlast.CreateProcedureStmt) (*Result, error) {
 	e.hit(pCreateProcedure)
 	if _, exists := e.cat.Procedures[st.Name]; exists {
-		return nil, errValue("procedure %q already exists", st.Name)
+		return nil, e.errValue("procedure %q already exists", st.Name)
 	}
 	e.cat.Procedures[st.Name] = &Procedure{Name: st.Name, Body: st.Body}
 	return e.ok("CREATE PROCEDURE")
@@ -284,7 +284,7 @@ func (e *Engine) execCreateProcedure(st *sqlast.CreateProcedureStmt) (*Result, e
 func (e *Engine) execCreateRule(st *sqlast.CreateRuleStmt) (*Result, error) {
 	e.hit(pCreateRule)
 	if _, exists := e.cat.Rules[st.Name]; exists && !st.OrReplace {
-		return nil, errValue("rule %q already exists", st.Name)
+		return nil, e.errValue("rule %q already exists", st.Name)
 	}
 	if _, err := e.lookTable(st.Table); err != nil {
 		return nil, err
@@ -301,7 +301,7 @@ func (e *Engine) execCreateRule(st *sqlast.CreateRuleStmt) (*Result, error) {
 func (e *Engine) execCreateDomain(st *sqlast.CreateDomainStmt) (*Result, error) {
 	e.hit(pCreateDomain)
 	if _, exists := e.cat.Domains[st.Name]; exists {
-		return nil, errValue("domain %q already exists", st.Name)
+		return nil, e.errValue("domain %q already exists", st.Name)
 	}
 	e.cat.Domains[st.Name] = &Domain{Name: st.Name, Base: st.Base, Check: st.Check}
 	return e.ok("CREATE DOMAIN")
@@ -310,7 +310,7 @@ func (e *Engine) execCreateDomain(st *sqlast.CreateDomainStmt) (*Result, error) 
 func (e *Engine) execCreateType(st *sqlast.CreateTypeStmt) (*Result, error) {
 	e.hit(pCreateType)
 	if _, exists := e.cat.Enums[st.Name]; exists {
-		return nil, errValue("type %q already exists", st.Name)
+		return nil, e.errValue("type %q already exists", st.Name)
 	}
 	e.cat.Enums[st.Name] = &EnumType{Name: st.Name, Values: st.Values}
 	return e.ok("CREATE TYPE")
@@ -319,7 +319,7 @@ func (e *Engine) execCreateType(st *sqlast.CreateTypeStmt) (*Result, error) {
 func (e *Engine) execCreateExtension(st *sqlast.CreateExtensionStmt) (*Result, error) {
 	e.hit(pCreateExtension)
 	if e.cat.Extensions[st.Name] {
-		return nil, errValue("extension %q already installed", st.Name)
+		return nil, e.errValue("extension %q already installed", st.Name)
 	}
 	e.cat.Extensions[st.Name] = true
 	return e.ok("CREATE EXTENSION")
@@ -328,7 +328,7 @@ func (e *Engine) execCreateExtension(st *sqlast.CreateExtensionStmt) (*Result, e
 func (e *Engine) execCreateRole(st *sqlast.CreateRoleStmt) (*Result, error) {
 	e.hit(pCreateRole)
 	if _, exists := e.cat.Roles[st.Name]; exists {
-		return nil, errValue("role %q already exists", st.Name)
+		return nil, e.errValue("role %q already exists", st.Name)
 	}
 	e.cat.Roles[st.Name] = &Role{
 		Name: st.Name, IsUser: st.IsUser, Option: st.Option,
@@ -340,7 +340,7 @@ func (e *Engine) execCreateRole(st *sqlast.CreateRoleStmt) (*Result, error) {
 func (e *Engine) execCreateDatabase(st *sqlast.CreateDatabaseStmt) (*Result, error) {
 	e.hit(pCreateDatabase)
 	if e.cat.Databases[st.Name] {
-		return nil, errValue("database %q already exists", st.Name)
+		return nil, e.errValue("database %q already exists", st.Name)
 	}
 	e.cat.Databases[st.Name] = true
 	return e.ok("CREATE DATABASE")
@@ -355,7 +355,7 @@ func (e *Engine) execAlterTable(st *sqlast.AlterTableStmt) (*Result, error) {
 	case sqlast.AlterAddColumn:
 		e.hit(pAlterTableAdd)
 		if t.colIndex(st.Col.Name) >= 0 {
-			return nil, errValue("column %q already exists", st.Col.Name)
+			return nil, e.errValue("column %q already exists", st.Col.Name)
 		}
 		col := Column{
 			Name: st.Col.Name, TypeName: st.Col.TypeName, Kind: affinity(st.Col.TypeName),
@@ -374,7 +374,7 @@ func (e *Engine) execAlterTable(st *sqlast.AlterTableStmt) (*Result, error) {
 				v = CoerceToColumn(col.Kind, dv)
 			} else {
 				if col.NotNull {
-					return nil, errValue("cannot add NOT NULL column without default to non-empty table")
+					return nil, e.errValue("cannot add NOT NULL column without default to non-empty table")
 				}
 				v = Null()
 			}
@@ -384,10 +384,10 @@ func (e *Engine) execAlterTable(st *sqlast.AlterTableStmt) (*Result, error) {
 		e.hit(pAlterTableDrop)
 		i := t.colIndex(st.OldName)
 		if i < 0 {
-			return nil, errValue("column %q does not exist", st.OldName)
+			return nil, e.errValue("column %q does not exist", st.OldName)
 		}
 		if len(t.Cols) == 1 {
-			return nil, errValue("cannot drop the last column")
+			return nil, e.errValue("cannot drop the last column")
 		}
 		t.Cols = append(t.Cols[:i], t.Cols[i+1:]...)
 		for r := range t.Rows {
@@ -398,10 +398,10 @@ func (e *Engine) execAlterTable(st *sqlast.AlterTableStmt) (*Result, error) {
 		e.hit(pAlterTableRenameCol)
 		i := t.colIndex(st.OldName)
 		if i < 0 {
-			return nil, errValue("column %q does not exist", st.OldName)
+			return nil, e.errValue("column %q does not exist", st.OldName)
 		}
 		if t.colIndex(st.NewName) >= 0 {
-			return nil, errValue("column %q already exists", st.NewName)
+			return nil, e.errValue("column %q already exists", st.NewName)
 		}
 		t.Cols[i].Name = st.NewName
 		e.invalidateIndexes(st.Table)
@@ -412,7 +412,7 @@ func (e *Engine) execAlterTable(st *sqlast.AlterTableStmt) (*Result, error) {
 		e.hit(pAlterTableType)
 		i := t.colIndex(st.Col.Name)
 		if i < 0 {
-			return nil, errValue("column %q does not exist", st.Col.Name)
+			return nil, e.errValue("column %q does not exist", st.Col.Name)
 		}
 		t.Cols[i].TypeName, t.Cols[i].Kind = st.Col.TypeName, affinity(st.Col.TypeName)
 		if len(t.Rows) > 0 {
@@ -425,7 +425,7 @@ func (e *Engine) execAlterTable(st *sqlast.AlterTableStmt) (*Result, error) {
 		e.hit(pAlterTableDefault)
 		i := t.colIndex(st.Col.Name)
 		if i < 0 {
-			return nil, errValue("column %q does not exist", st.Col.Name)
+			return nil, e.errValue("column %q does not exist", st.Col.Name)
 		}
 		t.Cols[i].Default = st.Col.Default
 	}
@@ -435,7 +435,7 @@ func (e *Engine) execAlterTable(st *sqlast.AlterTableStmt) (*Result, error) {
 
 // invalidateIndexes marks indexes on a table stale until REINDEX.
 func (e *Engine) invalidateIndexes(table string) {
-	for _, ix := range e.cat.indexesFor(table) {
+	for _, ix := range e.cat.indexesFor(nil, table) {
 		ix.stale = true
 	}
 }
@@ -446,12 +446,12 @@ func (e *Engine) renameTable(from, to string) (*Result, error) {
 		return nil, err
 	}
 	if _, exists := e.cat.Tables[to]; exists {
-		return nil, errValue("relation %q already exists", to)
+		return nil, e.errValue("relation %q already exists", to)
 	}
 	delete(e.cat.Tables, from)
 	t.Name = to
 	e.cat.Tables[to] = t
-	for _, ix := range e.cat.indexesFor(from) {
+	for _, ix := range e.cat.indexesFor(nil, from) {
 		ix.Table = to
 	}
 	for _, tr := range e.cat.Triggers {
@@ -473,10 +473,10 @@ func (e *Engine) execAlterSimple(st *sqlast.AlterSimpleStmt) (*Result, error) {
 	case sqlt.AlterView:
 		v, ok2 := e.cat.Views[st.Name]
 		if !ok2 {
-			return nil, errValue("view %q does not exist", st.Name)
+			return nil, e.errValue("view %q does not exist", st.Name)
 		}
 		if _, exists := e.cat.Views[st.NewName]; exists {
-			return nil, errValue("view %q already exists", st.NewName)
+			return nil, e.errValue("view %q already exists", st.NewName)
 		}
 		delete(e.cat.Views, st.Name)
 		v.Name = st.NewName
@@ -484,10 +484,10 @@ func (e *Engine) execAlterSimple(st *sqlast.AlterSimpleStmt) (*Result, error) {
 	case sqlt.AlterIndex:
 		ix, ok2 := e.cat.Indexes[st.Name]
 		if !ok2 {
-			return nil, errValue("index %q does not exist", st.Name)
+			return nil, e.errValue("index %q does not exist", st.Name)
 		}
 		if _, exists := e.cat.Indexes[st.NewName]; exists {
-			return nil, errValue("index %q already exists", st.NewName)
+			return nil, e.errValue("index %q already exists", st.NewName)
 		}
 		delete(e.cat.Indexes, st.Name)
 		ix.Name = st.NewName
@@ -495,18 +495,18 @@ func (e *Engine) execAlterSimple(st *sqlast.AlterSimpleStmt) (*Result, error) {
 	case sqlt.AlterSequence:
 		sq, ok2 := e.cat.Sequences[st.Name]
 		if !ok2 {
-			return nil, errValue("sequence %q does not exist", st.Name)
+			return nil, e.errValue("sequence %q does not exist", st.Name)
 		}
 		sq.Val = st.Restart
 	case sqlt.AlterRole:
 		r, ok2 := e.cat.Roles[st.Name]
 		if !ok2 {
-			return nil, errValue("role %q does not exist", st.Name)
+			return nil, e.errValue("role %q does not exist", st.Name)
 		}
 		r.Option = st.Option
 	case sqlt.AlterDatabase:
 		if !e.cat.Databases[st.Name] {
-			return nil, errValue("database %q does not exist", st.Name)
+			return nil, e.errValue("database %q does not exist", st.Name)
 		}
 	}
 	return e.ok("ALTER")
@@ -532,7 +532,7 @@ func (e *Engine) execDrop(st *sqlast.DropStmt) (*Result, error) {
 			e.hit(pDropIfExistsMiss)
 			return e.ok("DROP (skipped)")
 		}
-		return nil, errValue("object %q does not exist", st.Name)
+		return nil, e.errValue("object %q does not exist", st.Name)
 	}
 	switch st.What {
 	case sqlt.DropTable:
@@ -541,7 +541,7 @@ func (e *Engine) execDrop(st *sqlast.DropStmt) (*Result, error) {
 		}
 		// drop dependents
 		delete(e.cat.Tables, st.Name)
-		for _, ix := range e.cat.indexesFor(st.Name) {
+		for _, ix := range e.cat.indexesFor(nil, st.Name) {
 			delete(e.cat.Indexes, ix.Name)
 		}
 		for n, tr := range e.cat.Triggers {
@@ -571,7 +571,7 @@ func (e *Engine) execDrop(st *sqlast.DropStmt) (*Result, error) {
 			return miss()
 		}
 		if (st.What == sqlt.DropMaterializedView) != v.Materialized {
-			return nil, errValue("%q is not the right kind of view", st.Name)
+			return nil, e.errValue("%q is not the right kind of view", st.Name)
 		}
 		delete(e.cat.Views, st.Name)
 	case sqlt.DropIndex:
@@ -629,7 +629,7 @@ func (e *Engine) execDrop(st *sqlast.DropStmt) (*Result, error) {
 			return miss()
 		}
 		if e.sess.role == st.Name {
-			return nil, errValue("cannot drop the current role")
+			return nil, e.errValue("cannot drop the current role")
 		}
 		delete(e.cat.Roles, st.Name)
 	case sqlt.DropDatabase:
@@ -637,7 +637,7 @@ func (e *Engine) execDrop(st *sqlast.DropStmt) (*Result, error) {
 			return miss()
 		}
 		if st.Name == e.sess.curDB {
-			return nil, errValue("cannot drop the current database")
+			return nil, e.errValue("cannot drop the current database")
 		}
 		delete(e.cat.Databases, st.Name)
 	}
@@ -677,23 +677,23 @@ func (e *Engine) execCommentOn(st *sqlast.CommentOnStmt) (*Result, error) {
 		}
 	case "VIEW":
 		if _, exists := e.cat.Views[st.Name]; !exists {
-			return nil, errValue("view %q does not exist", st.Name)
+			return nil, e.errValue("view %q does not exist", st.Name)
 		}
 	case "COLUMN":
 		parts := strings.SplitN(st.Name, ".", 2)
 		if len(parts) != 2 {
-			return nil, errValue("COMMENT ON COLUMN needs table.column")
+			return nil, e.errValue("COMMENT ON COLUMN needs table.column")
 		}
 		t, err := e.lookTable(parts[0])
 		if err != nil {
 			return nil, err
 		}
 		if t.colIndex(parts[1]) < 0 {
-			return nil, errValue("column %q does not exist", parts[1])
+			return nil, e.errValue("column %q does not exist", parts[1])
 		}
 	case "INDEX":
 		if _, exists := e.cat.Indexes[st.Name]; !exists {
-			return nil, errValue("index %q does not exist", st.Name)
+			return nil, e.errValue("index %q does not exist", st.Name)
 		}
 	}
 	e.cat.Comments[key] = st.Comment
@@ -706,7 +706,7 @@ func (e *Engine) execReindex(st *sqlast.ReindexStmt) (*Result, error) {
 	case "INDEX":
 		ix, exists := e.cat.Indexes[st.Name]
 		if !exists {
-			return nil, errValue("index %q does not exist", st.Name)
+			return nil, e.errValue("index %q does not exist", st.Name)
 		}
 		if ix.stale {
 			e.hit(pReindexStale)
@@ -716,7 +716,7 @@ func (e *Engine) execReindex(st *sqlast.ReindexStmt) (*Result, error) {
 		if _, err := e.lookTable(st.Name); err != nil {
 			return nil, err
 		}
-		for _, ix := range e.cat.indexesFor(st.Name) {
+		for _, ix := range e.cat.indexesFor(nil, st.Name) {
 			if ix.stale {
 				e.hit(pReindexStale)
 				ix.stale = false
@@ -730,7 +730,7 @@ func (e *Engine) execRefreshMatView(st *sqlast.RefreshMatViewStmt) (*Result, err
 	e.hit(pRefreshMatView)
 	v, exists := e.cat.Views[st.Name]
 	if !exists || !v.Materialized {
-		return nil, errValue("materialized view %q does not exist", st.Name)
+		return nil, e.errValue("materialized view %q does not exist", st.Name)
 	}
 	rows, cols, err := e.execSelect(v.Query, nil, 0)
 	if err != nil {

@@ -1,8 +1,8 @@
 package minidb
 
 import (
+	"bytes"
 	"slices"
-	"sort"
 	"strings"
 
 	"github.com/seqfuzz/lego/internal/sqlast"
@@ -32,7 +32,7 @@ func (e *Engine) execInsert(st *sqlast.InsertStmt) (*Result, error) {
 		for _, cn := range st.Cols {
 			i := t.colIndex(cn)
 			if i < 0 {
-				return nil, errValue("column %q does not exist in %q", cn, st.Table)
+				return nil, e.errValue("column %q does not exist in %q", cn, st.Table)
 			}
 			stage.targets = append(stage.targets, i)
 		}
@@ -69,7 +69,7 @@ func (e *Engine) execInsert(st *sqlast.InsertStmt) (*Result, error) {
 	defer e.putScratch(rx)
 	for _, src := range srcRows {
 		if src != nil && len(src) != len(targets) {
-			return nil, errValue("INSERT has %d values but %d target columns", len(src), len(targets))
+			return nil, e.errValueArgs("INSERT has %d values but %d target columns", argInt(len(src)), argInt(len(targets)))
 		}
 		full, err := e.buildRow(t, targets, src)
 		if err != nil {
@@ -90,7 +90,7 @@ func (e *Engine) execInsert(st *sqlast.InsertStmt) (*Result, error) {
 				e.hit(pInsertConflict)
 				continue
 			default:
-				return nil, errValue("duplicate key value violates unique constraint")
+				return nil, e.errValue("duplicate key value violates unique constraint")
 			}
 		}
 		if err := e.checkRowConstraints(t, full); err != nil {
@@ -101,7 +101,7 @@ func (e *Engine) execInsert(st *sqlast.InsertStmt) (*Result, error) {
 		}
 		if len(t.Rows) >= e.limits.MaxRowsPerTable {
 			e.hit(pStorageFull)
-			return nil, errValue("table %q is full", t.Name)
+			return nil, e.errValue("table %q is full", t.Name)
 		}
 		e.hit(pStorageAppend)
 		if len(t.Rows) == 0 {
@@ -214,7 +214,10 @@ func (e *Engine) buildRow(t *Table, targets []int, src []Value) ([]Value, error)
 
 // findUniqueConflict returns the index of a row conflicting on a PK/UNIQUE
 // column or unique index, or -1. skip is a row index to ignore (for
-// updates).
+// updates). Index keys are compared as RowKey's bytes, built into the
+// engine's key buffers.
+//
+//lego:hotpath
 func (e *Engine) findUniqueConflict(t *Table, row []Value, skip int) int {
 	for ci := range t.Cols {
 		if !t.Cols[ci].Unique || row[ci].IsNull() {
@@ -229,38 +232,43 @@ func (e *Engine) findUniqueConflict(t *Table, row []Value, skip int) int {
 			}
 		}
 	}
-	for _, ix := range e.cat.indexesFor(t.Name) {
+	if len(e.cat.Indexes) == 0 {
+		return -1
+	}
+	e.ixBuf = e.cat.indexesFor(e.ixBuf[:0], t.Name)
+	for _, ix := range e.ixBuf {
 		if !ix.Unique || ix.stale {
 			continue
 		}
-		var key []Value
-		valid := true
-		for _, cn := range ix.Cols {
-			ci := t.colIndex(cn)
-			if ci < 0 {
-				valid = false
-				break
-			}
-			key = append(key, row[ci])
-		}
+		k, valid := appendIndexKey(e.keyBuf[:0], t, ix.Cols, row)
+		e.keyBuf = k
 		if !valid {
 			continue
 		}
-		k := RowKey(key)
 		for ri, ex := range t.Rows {
 			if ri == skip {
 				continue
 			}
-			var exKey []Value
-			for _, cn := range ix.Cols {
-				exKey = append(exKey, ex[t.colIndex(cn)])
-			}
-			if RowKey(exKey) == k {
+			e.exKeyBuf, _ = appendIndexKey(e.exKeyBuf[:0], t, ix.Cols, ex)
+			if bytes.Equal(e.exKeyBuf, k) {
 				return ri
 			}
 		}
 	}
 	return -1
+}
+
+// appendIndexKey appends to b the RowKey of row's values in t's columns
+// cols; valid is false when t has no column of one of the names.
+func appendIndexKey(b []byte, t *Table, cols []string, row []Value) (_ []byte, valid bool) {
+	for _, cn := range cols {
+		ci := t.colIndex(cn)
+		if ci < 0 {
+			return b, false
+		}
+		b = append(row[ci].appendKey(b), 0x1f)
+	}
+	return b, true
 }
 
 // checkRowConstraints enforces NOT NULL, CHECK, and FK constraints.
@@ -270,7 +278,7 @@ func (e *Engine) checkRowConstraints(t *Table, row []Value) error {
 	for ci, col := range t.Cols {
 		if col.NotNull && row[ci].IsNull() {
 			e.hit(pInsertNotNull)
-			return errValue("null value in column %q violates not-null constraint", col.Name)
+			return e.errValue("null value in column %q violates not-null constraint", col.Name)
 		}
 		if col.Check != nil {
 			v, err := e.eval(col.Check, x.checkScope(t, row, row[ci]), 0)
@@ -279,14 +287,14 @@ func (e *Engine) checkRowConstraints(t *Table, row []Value) error {
 			}
 			if !v.IsNull() && !v.Truthy() {
 				e.hit(pInsertCheckFail)
-				return errValue("check constraint on %q failed", col.Name)
+				return e.errValue("check constraint on %q failed", col.Name)
 			}
 		}
 		if col.RefTable != "" && !row[ci].IsNull() {
 			e.hit(pInsertFKCheck)
 			ref, ok := e.cat.Tables[col.RefTable]
 			if !ok {
-				return errValue("referenced table %q is gone", col.RefTable)
+				return e.errValue("referenced table %q is gone", col.RefTable)
 			}
 			found := false
 			for _, rr := range ref.Rows {
@@ -301,7 +309,7 @@ func (e *Engine) checkRowConstraints(t *Table, row []Value) error {
 				}
 			}
 			if !found && ref != t {
-				return errValue("foreign key violation on column %q", col.Name)
+				return e.errValue("foreign key violation on column %q", col.Name)
 			}
 		}
 	}
@@ -313,7 +321,7 @@ func (e *Engine) checkRowConstraints(t *Table, row []Value) error {
 			}
 			if !v.IsNull() && !v.Truthy() {
 				e.hit(pInsertCheckFail)
-				return errValue("table check constraint failed")
+				return e.errValue("table check constraint failed")
 			}
 		}
 	}
@@ -321,8 +329,16 @@ func (e *Engine) checkRowConstraints(t *Table, row []Value) error {
 }
 
 // fireTriggers runs the trigger bodies registered for (table, time, event).
+// A body may fire triggers in turn, so each level lists its triggers in a
+// buffer of its own from the engine's stack.
+//
+//lego:hotpath
 func (e *Engine) fireTriggers(table string, tm sqlast.TriggerTime, ev sqlast.TriggerEvent) error {
-	trs := e.cat.triggersFor(table, tm, ev)
+	if len(e.cat.Triggers) == 0 {
+		return nil
+	}
+	trs := e.cat.triggersFor(e.trigBufs.take(), table, tm, ev)
+	defer e.trigBufs.put(trs)
 	if len(trs) == 0 {
 		return nil
 	}
@@ -344,7 +360,7 @@ func (e *Engine) fireTriggers(table string, tm sqlast.TriggerTime, ev sqlast.Tri
 		}
 		// trigger body errors abort the statement
 		if _, err := e.dispatch(tr.Body); err != nil {
-			return errValue("trigger %q failed: %s", tr.Name, err)
+			return e.errValueArgs("trigger %q failed: %s", argS(tr.Name), argErr(err))
 		}
 	}
 	return nil
@@ -353,15 +369,16 @@ func (e *Engine) fireTriggers(table string, tm sqlast.TriggerTime, ev sqlast.Tri
 // matchingRowIdxs returns indexes of rows satisfying where, in ORDER BY
 // order, truncated by limit (MySQL-style UPDATE/DELETE ... ORDER BY LIMIT).
 func (e *Engine) matchingRowIdxs(t *Table, where sqlast.Expr, orderBy []sqlast.OrderItem, limit sqlast.Expr) (idxs []int, err error) {
-	idxs = e.takeIdxs()
+	idxs = e.idxBufs.take()
 	defer func() {
 		if err != nil {
-			e.putIdxs(idxs)
+			e.idxBufs.put(idxs)
 		}
 	}()
 	var wEv rowEval
 	if where != nil {
-		wEv = e.tableEval([]sqlast.Expr{where}, t)
+		wEv = e.tableEval(nil, t)
+		wEv.exprs = wEv.x.list(where)
 		defer e.putScratch(wEv.x)
 	}
 	for ri, row := range t.Rows {
@@ -378,9 +395,10 @@ func (e *Engine) matchingRowIdxs(t *Table, where sqlast.Expr, orderBy []sqlast.O
 		idxs = append(idxs, ri)
 	}
 	if len(orderBy) > 0 {
-		ev := e.tableEval(orderExprs(orderBy), t)
+		ev := e.tableEval(nil, t)
+		ev.exprs = ev.x.orderList(orderBy)
 		defer e.putScratch(ev.x)
-		s := keyedSort{idxs: idxs, keys: make([]Value, 0, len(idxs)*len(orderBy)), order: orderBy}
+		keys := ev.x.vals[:0]
 		for _, ri := range idxs {
 			ev.bind(t.Rows[ri], nil, nil)
 			for k := range orderBy {
@@ -388,10 +406,10 @@ func (e *Engine) matchingRowIdxs(t *Table, where sqlast.Expr, orderBy []sqlast.O
 				if err != nil {
 					return nil, err
 				}
-				s.keys = append(s.keys, v)
+				keys = append(keys, v)
 			}
 		}
-		sort.Stable(s)
+		ev.x.sort(idxs, keys, orderBy)
 	}
 	if limit != nil {
 		n, err := e.evalInt(limit, nil, 0)
@@ -404,20 +422,6 @@ func (e *Engine) matchingRowIdxs(t *Table, where sqlast.Expr, orderBy []sqlast.O
 	}
 	return idxs, nil
 }
-
-// takeIdxs returns an empty row index buffer from the engine's free list.
-// UPDATE and DELETE scan into one (matchingRowIdxs) and put it back when
-// they finish, so a trigger's nested scan gets its own.
-func (e *Engine) takeIdxs() []int {
-	if n := len(e.idxBufs); n > 0 {
-		b := e.idxBufs[n-1]
-		e.idxBufs = e.idxBufs[:n-1]
-		return b[:0]
-	}
-	return nil
-}
-
-func (e *Engine) putIdxs(b []int) { e.idxBufs = append(e.idxBufs, b) }
 
 func (e *Engine) execUpdate(st *sqlast.UpdateStmt) (*Result, error) {
 	e.hit(pUpdate)
@@ -441,25 +445,22 @@ func (e *Engine) execUpdate(st *sqlast.UpdateStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer e.putIdxs(idxs)
+	defer e.idxBufs.put(idxs)
 	if len(idxs) == 0 {
 		e.hit(pUpdateZeroRows)
 		return e.result(Result{Affected: 0, Msg: "UPDATE"}), nil
 	}
-	setIdx := make([]int, len(st.Sets))
-	for i, a := range st.Sets {
+	ev := e.tableEval(nil, t)
+	defer e.putScratch(ev.x)
+	setIdx, xs := ev.x.ints[:0], ev.x.xs[:0]
+	for _, a := range st.Sets {
 		ci := t.colIndex(a.Col)
 		if ci < 0 {
-			return nil, errValue("column %q does not exist in %q", a.Col, st.Table)
+			return nil, e.errValue("column %q does not exist in %q", a.Col, st.Table)
 		}
-		setIdx[i] = ci
+		setIdx, xs = append(setIdx, ci), append(xs, a.Value)
 	}
-	xs := make([]sqlast.Expr, len(st.Sets))
-	for i, a := range st.Sets {
-		xs[i] = a.Value
-	}
-	ev := e.tableEval(xs, t)
-	defer e.putScratch(ev.x)
+	ev.x.ints, ev.x.xs, ev.exprs = setIdx, xs, xs
 	touched := 0
 	for _, ri := range idxs {
 		if err := e.fireTriggers(t.Name, sqlast.TriggerBefore, sqlast.TriggerUpdate); err != nil {
@@ -485,9 +486,9 @@ func (e *Engine) execUpdate(st *sqlast.UpdateStmt) (*Result, error) {
 			return nil, err
 		}
 		if c := e.findUniqueConflict(t, newRow, ri); c >= 0 {
-			return nil, errValue("duplicate key value violates unique constraint")
+			return nil, e.errValue("duplicate key value violates unique constraint")
 		}
-		if len(e.cat.indexesFor(t.Name)) > 0 {
+		if e.cat.hasIndexes(t.Name) {
 			e.hit(pUpdateIndexMaint)
 		}
 		t.Rows[ri] = newRow
@@ -519,7 +520,7 @@ func (e *Engine) execDelete(st *sqlast.DeleteStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer e.putIdxs(idxs)
+	defer e.idxBufs.put(idxs)
 	if len(idxs) == 0 {
 		e.hit(pDeleteZeroRows)
 		return e.result(Result{Affected: 0, Msg: "DELETE"}), nil
@@ -601,7 +602,7 @@ func (e *Engine) execMerge(st *sqlast.MergeStmt) (*Result, error) {
 				for _, a := range st.MatchedSet {
 					ci := target.colIndex(a.Col)
 					if ci < 0 {
-						return nil, errValue("column %q does not exist", a.Col)
+						return nil, e.errValue("column %q does not exist", a.Col)
 					}
 					av, err := e.eval(a.Value, sc, 0)
 					if err != nil {
@@ -618,7 +619,7 @@ func (e *Engine) execMerge(st *sqlast.MergeStmt) (*Result, error) {
 		if !matchedAny && st.NotMatchedVals != nil {
 			e.hit(pMergeNotMatched)
 			if len(st.NotMatchedVals) != len(target.Cols) {
-				return nil, errValue("MERGE insert arity mismatch")
+				return nil, e.errValue("MERGE insert arity mismatch")
 			}
 			row := e.row(len(target.Cols))
 			buf = append(buf[:0], slices.Clip(srow)[:ns]...)
@@ -632,7 +633,7 @@ func (e *Engine) execMerge(st *sqlast.MergeStmt) (*Result, error) {
 			}
 			if len(target.Rows) >= e.limits.MaxRowsPerTable {
 				e.hit(pStorageFull)
-				return nil, errValue("table %q is full", target.Name)
+				return nil, e.errValue("table %q is full", target.Name)
 			}
 			target.Rows = append(target.Rows, row)
 			affected++
@@ -696,7 +697,7 @@ func (e *Engine) execCopy(st *sqlast.CopyStmt) (*Result, error) {
 			}
 			parts := strings.Split(line, ",")
 			if len(parts) != len(t.Cols) {
-				return nil, errValue("COPY row has %d fields, want %d", len(parts), len(t.Cols))
+				return nil, e.errValueArgs("COPY row has %d fields, want %d", argInt(len(parts)), argInt(len(t.Cols)))
 			}
 			row := e.row(len(t.Cols))
 			for i, p := range parts {
@@ -793,7 +794,7 @@ func (e *Engine) execCall(st *sqlast.CallStmt) (*Result, error) {
 	e.hit(pCall)
 	p, found := e.cat.Procedures[st.Name]
 	if !found {
-		return nil, errValue("procedure %q does not exist", st.Name)
+		return nil, e.errValue("procedure %q does not exist", st.Name)
 	}
 	if e.triggerDepth >= e.limits.MaxTriggerDepth {
 		e.hit(pTriggerDepthCap)

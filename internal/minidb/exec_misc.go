@@ -12,7 +12,7 @@ import (
 
 func (e *Engine) execTableStmt(st *sqlast.TableStmtNode) (*Result, error) {
 	e.hit(pExecTableStmt)
-	rel, err := e.resolveNamedRelation(st.Name, nil, 0)
+	rel, err := e.resolveNamedRelation(st.Name, "", nil, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -36,7 +36,7 @@ func (e *Engine) execValuesStmt(st *sqlast.ValuesStmtNode) (*Result, error) {
 	var cols []string
 	if len(rows) > 0 {
 		for i := range rows[0] {
-			cols = append(cols, "column"+itoaSmall(i+1))
+			cols = append(cols, columnName(i))
 		}
 	}
 	return e.result(Result{Cols: cols, Rows: rows}), nil
@@ -97,7 +97,7 @@ func (e *Engine) execGrant(st *sqlast.GrantStmt) (*Result, error) {
 	}
 	r, okr := e.cat.Roles[st.Role]
 	if !okr {
-		return nil, errValue("role %q does not exist", st.Role)
+		return nil, e.errValue("role %q does not exist", st.Role)
 	}
 	if _, err := e.lookTable(st.Table); err != nil {
 		if _, isView := e.cat.Views[st.Table]; !isView {
@@ -124,7 +124,7 @@ func (e *Engine) execSetRole(st *sqlast.SetRoleStmt) (*Result, error) {
 		return e.ok("SET ROLE NONE")
 	}
 	if _, okr := e.cat.Roles[st.Role]; !okr {
-		return nil, errValue("role %q does not exist", st.Role)
+		return nil, e.errValue("role %q does not exist", st.Role)
 	}
 	e.sess.role = st.Role
 	return e.ok("SET ROLE")
@@ -138,7 +138,7 @@ func (e *Engine) execTxn(st *sqlast.TxnStmt) (*Result, error) {
 		e.hit(pTxnBegin)
 		if e.inTxn() {
 			e.hit(pTxnBeginNested)
-			return nil, errValue("a transaction is already in progress")
+			return nil, e.errValue("a transaction is already in progress")
 		}
 		e.txnStack = []*Catalog{e.snapshot(e.cat)}
 		e.spNames = []string{""}
@@ -147,7 +147,7 @@ func (e *Engine) execTxn(st *sqlast.TxnStmt) (*Result, error) {
 		e.hit(pTxnCommit)
 		if !e.inTxn() {
 			e.hit(pTxnCommitNoTxn)
-			return nil, errValue("no transaction in progress")
+			return nil, e.errValue("no transaction in progress")
 		}
 		e.txnStack = nil
 		e.spNames = nil
@@ -156,7 +156,7 @@ func (e *Engine) execTxn(st *sqlast.TxnStmt) (*Result, error) {
 		e.hit(pTxnRollback)
 		if !e.inTxn() {
 			e.hit(pTxnRollbackNoTxn)
-			return nil, errValue("no transaction in progress")
+			return nil, e.errValue("no transaction in progress")
 		}
 		e.cat = e.txnStack[0]
 		e.txnStack = nil
@@ -165,7 +165,7 @@ func (e *Engine) execTxn(st *sqlast.TxnStmt) (*Result, error) {
 	case sqlt.Savepoint:
 		e.hit(pTxnSavepoint)
 		if !e.inTxn() {
-			return nil, errValue("SAVEPOINT requires a transaction")
+			return nil, e.errValue("SAVEPOINT requires a transaction")
 		}
 		e.txnStack = append(e.txnStack, e.snapshot(e.cat))
 		e.spNames = append(e.spNames, st.Name)
@@ -174,7 +174,7 @@ func (e *Engine) execTxn(st *sqlast.TxnStmt) (*Result, error) {
 		e.hit(pTxnRelease)
 		i := e.findSavepoint(st.Name)
 		if i < 0 {
-			return nil, errValue("savepoint %q does not exist", st.Name)
+			return nil, e.errValue("savepoint %q does not exist", st.Name)
 		}
 		e.txnStack = e.txnStack[:i]
 		e.spNames = e.spNames[:i]
@@ -183,7 +183,7 @@ func (e *Engine) execTxn(st *sqlast.TxnStmt) (*Result, error) {
 		e.hit(pTxnRollbackTo)
 		i := e.findSavepoint(st.Name)
 		if i < 0 {
-			return nil, errValue("savepoint %q does not exist", st.Name)
+			return nil, e.errValue("savepoint %q does not exist", st.Name)
 		}
 		e.cat = e.snapshot(e.txnStack[i])
 		e.txnStack = e.txnStack[:i+1]
@@ -208,7 +208,7 @@ func (e *Engine) execSetTransaction(st *sqlast.SetTransactionStmt) (*Result, err
 		e.sess.isolation = st.Mode
 		return e.ok("SET TRANSACTION")
 	default:
-		return nil, errValue("unknown isolation level %q", st.Mode)
+		return nil, e.errValue("unknown isolation level %q", st.Mode)
 	}
 }
 
@@ -274,7 +274,7 @@ func (e *Engine) execPragma(st *sqlast.PragmaStmt) (*Result, error) {
 func (e *Engine) execUse(st *sqlast.UseStmt) (*Result, error) {
 	e.hit(pUseDB)
 	if !e.cat.Databases[st.DB] {
-		return nil, errValue("database %q does not exist", st.DB)
+		return nil, e.errValue("database %q does not exist", st.DB)
 	}
 	e.sess.curDB = st.DB
 	return e.ok("USE")
@@ -364,7 +364,7 @@ func (e *Engine) execFlush(st *sqlast.FlushStmt) (*Result, error) {
 	case "TABLES", "LOGS", "PRIVILEGES", "STATUS":
 		return e.ok("FLUSH")
 	default:
-		return nil, errValue("unknown FLUSH target %q", st.What)
+		return nil, e.errValue("unknown FLUSH target %q", st.What)
 	}
 }
 
@@ -398,7 +398,7 @@ func (e *Engine) execDiscard(st *sqlast.DiscardStmt) (*Result, error) {
 			s.Val = 0
 		}
 	default:
-		return nil, errValue("unknown DISCARD target %q", st.What)
+		return nil, e.errValue("unknown DISCARD target %q", st.What)
 	}
 	return e.ok("DISCARD")
 }
@@ -406,7 +406,7 @@ func (e *Engine) execDiscard(st *sqlast.DiscardStmt) (*Result, error) {
 func (e *Engine) execPrepare(st *sqlast.PrepareStmt) (*Result, error) {
 	e.hit(pPrepare)
 	if _, exists := e.sess.prepared[st.Name]; exists {
-		return nil, errValue("prepared statement %q already exists", st.Name)
+		return nil, e.errValue("prepared statement %q already exists", st.Name)
 	}
 	e.sess.prepared[st.Name] = st.Stmt
 	return e.ok("PREPARE")
@@ -416,7 +416,7 @@ func (e *Engine) execExecute(st *sqlast.ExecuteStmt) (*Result, error) {
 	e.hit(pExecPrepared)
 	s, exists := e.sess.prepared[st.Name]
 	if !exists {
-		return nil, errValue("prepared statement %q does not exist", st.Name)
+		return nil, e.errValue("prepared statement %q does not exist", st.Name)
 	}
 	if e.triggerDepth >= e.limits.MaxTriggerDepth {
 		e.hit(pTriggerDepthCap)
@@ -430,7 +430,7 @@ func (e *Engine) execExecute(st *sqlast.ExecuteStmt) (*Result, error) {
 func (e *Engine) execDeallocate(st *sqlast.DeallocateStmt) (*Result, error) {
 	e.hit(pDeallocate)
 	if _, exists := e.sess.prepared[st.Name]; !exists {
-		return nil, errValue("prepared statement %q does not exist", st.Name)
+		return nil, e.errValue("prepared statement %q does not exist", st.Name)
 	}
 	delete(e.sess.prepared, st.Name)
 	return e.ok("DEALLOCATE")
@@ -439,7 +439,7 @@ func (e *Engine) execDeallocate(st *sqlast.DeallocateStmt) (*Result, error) {
 func (e *Engine) execDeclareCursor(st *sqlast.DeclareCursorStmt) (*Result, error) {
 	e.hit(pDeclareCursor)
 	if _, exists := e.sess.cursors[st.Name]; exists {
-		return nil, errValue("cursor %q already exists", st.Name)
+		return nil, e.errValue("cursor %q already exists", st.Name)
 	}
 	rows, _, err := e.execSelect(st.Query, nil, 0)
 	if err != nil {
@@ -453,7 +453,7 @@ func (e *Engine) execFetch(st *sqlast.FetchStmt) (*Result, error) {
 	e.hit(pFetch)
 	c, exists := e.sess.cursors[st.Cursor]
 	if !exists {
-		return nil, errValue("cursor %q does not exist", st.Cursor)
+		return nil, e.errValue("cursor %q does not exist", st.Cursor)
 	}
 	n := int(st.Count)
 	if n <= 0 {
@@ -473,7 +473,7 @@ func (e *Engine) execFetch(st *sqlast.FetchStmt) (*Result, error) {
 func (e *Engine) execCloseCursor(st *sqlast.CloseCursorStmt) (*Result, error) {
 	e.hit(pCloseCursor)
 	if _, exists := e.sess.cursors[st.Name]; !exists {
-		return nil, errValue("cursor %q does not exist", st.Name)
+		return nil, e.errValue("cursor %q does not exist", st.Name)
 	}
 	delete(e.sess.cursors, st.Name)
 	return e.ok("CLOSE")
@@ -514,7 +514,7 @@ func (e *Engine) execCluster(st *sqlast.ClusterStmt) (*Result, error) {
 	if st.Index != "" {
 		ix, exists := e.cat.Indexes[st.Index]
 		if !exists || ix.Table != st.Table {
-			return nil, errValue("index %q does not exist on %q", st.Index, st.Table)
+			return nil, e.errValue("index %q does not exist on %q", st.Index, st.Table)
 		}
 		cols = ix.Cols
 		t.clusteredBy = st.Index
@@ -523,7 +523,7 @@ func (e *Engine) execCluster(st *sqlast.ClusterStmt) (*Result, error) {
 			cols = ix.Cols
 		}
 	} else {
-		return nil, errValue("table %q has no clustering index", st.Table)
+		return nil, e.errValue("table %q has no clustering index", st.Table)
 	}
 	// physically sort rows by the index columns
 	cidx := make([]int, 0, len(cols))

@@ -1,7 +1,7 @@
 package minidb
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -17,22 +17,47 @@ type relation struct {
 	// binds caches the frame keys every row of the relation binds under;
 	// building them per row dominates scan cost otherwise.
 	binds []binding
+
+	// A relation over a base table takes its keys from the table, and a
+	// join composes its halves' keys.
+	table *Table
+	join  [2]*relation
 }
 
-// keys returns the relation's frame keys, built once per relation: each
-// column under "qualifier.column" (unless unqualified) and then its bare
-// name, leftmost column first, so the leftmost duplicate wins.
+// keys returns the relation's frame keys, built once per relation, when a
+// row is first bound: each column under "qualifier.column" (unless
+// unqualified) and then its bare name, leftmost column first, so the
+// leftmost duplicate wins. A table keeps the keys of its last qualifier
+// (Table.keysFor), and a join's are its left half's followed by its right
+// half's, moved past the left half's columns.
 func (r *relation) keys() []binding {
-	if r.binds == nil {
+	switch {
+	case r.binds != nil:
+	case r.table != nil && len(r.qual) > 0:
+		r.binds = r.table.keysFor(r.qual[0])
+	case r.join[0] != nil:
+		a, b := r.join[0].keys(), r.join[1].keys()
+		r.binds = make([]binding, len(a)+len(b))
+		copy(r.binds, a)
+		for i, k := range b {
+			r.binds[len(a)+i] = binding{k.key, k.slot + len(r.join[0].cols)}
+		}
+	default:
 		r.binds = make([]binding, 0, 2*len(r.cols))
 		for c := range r.cols {
-			if r.qual[c] != "" {
-				r.binds = append(r.binds, binding{r.qual[c] + "." + r.cols[c], c})
-			}
-			r.binds = append(r.binds, binding{r.cols[c], c})
+			r.binds = appendKeys(r.binds, r.qual[c], r.cols[c], c)
 		}
 	}
 	return r.binds
+}
+
+// appendKeys appends column col's keys at slot: "qual.col" unless qual is
+// empty, then col.
+func appendKeys(b []binding, qual, col string, slot int) []binding {
+	if qual != "" {
+		b = append(b, binding{qual + "." + col, slot})
+	}
+	return append(b, binding{col, slot})
 }
 
 // scopeRow returns row i for binding under r's keys. A row shorter than
@@ -83,14 +108,14 @@ func (e *Engine) execSelectTop(q *sqlast.SelectStmt) (*Result, error) {
 // materializeInto creates a new table from a result set (SELECT INTO).
 func (e *Engine) materializeInto(name string, cols []string, rows [][]Value) (*Result, error) {
 	if _, exists := e.cat.Tables[name]; exists {
-		return nil, errValue("relation %q already exists", name)
+		return nil, e.errValue("relation %q already exists", name)
 	}
 	t := e.takeTable()
 	t.Name, t.Rows, t.Constraints = name, rows, nil
 	for i, c := range cols {
 		cn := c
 		if cn == "" || cn == "*" {
-			cn = "column" + itoaSmall(i+1)
+			cn = columnName(i)
 		}
 		t.Cols = append(t.Cols, Column{Name: cn, TypeName: "TEXT", Kind: KText})
 	}
@@ -101,13 +126,48 @@ func (e *Engine) materializeInto(name string, cols []string, rows [][]Value) (*R
 	return e.result(Result{Affected: len(rows), Msg: "SELECT INTO"}), nil
 }
 
-func itoaSmall(n int) string { return strconv.Itoa(n) }
+// columnNames holds the names of unnamed result columns 1 to 16.
+var columnNames = func() (names [16]string) {
+	for i := range names {
+		names[i] = "column" + strconv.Itoa(i+1)
+	}
+	return names
+}()
+
+// columnName names the unnamed result column at position i (from 0):
+// "column1" for 0.
+func columnName(i int) string {
+	if i < len(columnNames) {
+		return columnNames[i]
+	}
+	return "column" + strconv.Itoa(i+1)
+}
+
+// maxLowerNames bounds the function names lower remembers.
+const maxLowerNames = 256
+
+// lower returns strings.ToLower(name), remembering the answer for up to
+// maxLowerNames names: result columns name the same few functions
+// statement after statement.
+func (e *Engine) lower(name string) string {
+	if l, ok := e.lowerNames[name]; ok {
+		return l
+	}
+	l := strings.ToLower(name)
+	if len(e.lowerNames) < maxLowerNames {
+		if e.lowerNames == nil {
+			e.lowerNames = map[string]string{}
+		}
+		e.lowerNames[name] = l
+	}
+	return l
+}
 
 // execSelect runs a query and returns its rows and column names. outer is
 // the enclosing scope for correlated subqueries.
 func (e *Engine) execSelect(q *sqlast.SelectStmt, outer *scope, depth int) ([][]Value, []string, error) {
 	if depth > e.limits.MaxRewriteDepth+maxEvalDepth {
-		return nil, nil, errValue("query nesting too deep")
+		return nil, nil, e.errValue("query nesting too deep")
 	}
 
 	// FROM
@@ -134,9 +194,12 @@ func (e *Engine) execSelect(q *sqlast.SelectStmt, outer *scope, depth int) ([][]
 	// WHERE (with a token index-path decision for the planner component)
 	if q.Where != nil {
 		e.planFilterPath(q, rel)
-		var filtered [][]Value
-		ev := e.relEval([]sqlast.Expr{q.Where}, rel, outer)
+		ev := e.relEval(nil, rel, outer)
+		ev.exprs = ev.x.list(q.Where)
 		defer e.putScratch(ev.x)
+		// the filtered list lives in the scratch until this query returns
+		filtered := ev.x.rows[:0]
+		defer func() { ev.x.rows = filtered[:0] }()
 		for _, row := range rel.rows {
 			if err := e.chargeStep(); err != nil {
 				return nil, nil, err
@@ -150,9 +213,9 @@ func (e *Engine) execSelect(q *sqlast.SelectStmt, outer *scope, depth int) ([][]
 				filtered = append(filtered, row)
 			}
 		}
-		binds := rel.binds
-		rel = e.newRelation(rel.cols, rel.qual, filtered)
-		rel.binds = binds
+		f := e.rels.take()
+		*f = *rel
+		f.rows, rel = filtered, f
 	}
 
 	// Grouping / aggregation
@@ -189,7 +252,7 @@ func (e *Engine) execSelect(q *sqlast.SelectStmt, outer *scope, depth int) ([][]
 
 	if q.Distinct {
 		e.hit(pPlanDistinct)
-		outRows = dedupRows(outRows)
+		outRows = e.dedupRows(outRows)
 	}
 
 	// Set operation
@@ -199,7 +262,7 @@ func (e *Engine) execSelect(q *sqlast.SelectStmt, outer *scope, depth int) ([][]
 		if err != nil {
 			return nil, nil, err
 		}
-		outRows = applySetOp(q.Op, outRows, rRows)
+		outRows = e.applySetOp(q.Op, outRows, rRows)
 	}
 
 	// ORDER BY over the output rows. When output rows still correspond 1:1
@@ -279,7 +342,8 @@ func (e *Engine) planFilterPath(q *sqlast.SelectStmt, rel *relation) {
 		e.hit(pPlanScan)
 		return
 	}
-	for _, ix := range e.cat.indexesFor(bt) {
+	e.ixBuf = e.cat.indexesFor(e.ixBuf[:0], bt)
+	for _, ix := range e.ixBuf {
 		for _, c := range ix.Cols {
 			if c == col {
 				if ix.stale {
@@ -351,13 +415,16 @@ func (e *Engine) execProjection(q *sqlast.SelectStmt, rel *relation, outer *scop
 	out := make([][]Value, 0, len(rel.rows))
 	if len(rel.rows) > 0 {
 		// Star items are copied here, not evaluated, so they get no program.
-		xs := make([]sqlast.Expr, len(q.Items))
-		for k, it := range q.Items {
-			if _, ok := it.X.(*sqlast.Star); !ok {
-				xs[k] = it.X
+		ev := e.relEval(nil, rel, outer)
+		xs := ev.x.xs[:0]
+		for _, it := range q.Items {
+			x := it.X
+			if _, ok := x.(*sqlast.Star); ok {
+				x = nil
 			}
+			xs = append(xs, x)
 		}
-		ev := e.relEval(xs, rel, outer)
+		ev.x.xs, ev.exprs = xs, xs
 		ev.winCalls = winCalls
 		defer e.putScratch(ev.x)
 		for i, src := range rel.rows {
@@ -393,7 +460,10 @@ func (e *Engine) execProjection(q *sqlast.SelectStmt, rel *relation, outer *scop
 	}
 	// SELECT with no FROM still yields one row; a star expands to nothing.
 	if len(rel.rows) == 0 && len(q.From) == 0 {
-		sc := &scope{parent: outer}
+		x := e.takeScratch()
+		defer e.putScratch(x)
+		x.sc = scope{parent: outer}
+		sc := &x.sc
 		row, j := e.row(len(cols)), 0
 		for _, it := range q.Items {
 			if _, ok := it.X.(*sqlast.Star); ok {
@@ -411,9 +481,26 @@ func (e *Engine) execProjection(q *sqlast.SelectStmt, rel *relation, outer *scop
 	return out, cols, nil
 }
 
-// outputColumns derives result column names.
+// outputColumns derives result column names, into a list from the test
+// case's storage (names).
 func (e *Engine) outputColumns(items []sqlast.SelectItem, rel *relation) []string {
-	var cols []string
+	n := 0
+	for _, it := range items {
+		st, ok := it.X.(*sqlast.Star)
+		if !ok {
+			n++
+			continue
+		}
+		for c := range rel.cols {
+			if st.Table == "" || rel.qual[c] == st.Table {
+				n++
+			}
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	cols := e.names(n)[:0]
 	for i, it := range items {
 		if st, ok := it.X.(*sqlast.Star); ok {
 			for c := range rel.cols {
@@ -431,33 +518,33 @@ func (e *Engine) outputColumns(items []sqlast.SelectItem, rel *relation) []strin
 			if cr, ok := it.X.(*sqlast.ColRef); ok {
 				cols = append(cols, cr.Name)
 			} else if fc, ok := it.X.(*sqlast.FuncCall); ok {
-				cols = append(cols, strings.ToLower(fc.Name))
+				cols = append(cols, e.lower(fc.Name))
 			} else {
-				cols = append(cols, "column"+itoaSmall(i+1))
+				cols = append(cols, columnName(i))
 			}
 		}
 	}
 	return cols
 }
 
-// execGrouped evaluates a grouped/aggregated query.
+// execGrouped evaluates a grouped/aggregated query. Rows are numbered by
+// group in order of first appearance, and each group's rows are then laid
+// out together, in row order, in the scratch.
 func (e *Engine) execGrouped(q *sqlast.SelectStmt, rel *relation, outer *scope, depth int) ([][]Value, []string, error) {
 	cols := e.outputColumns(q.Items, rel)
 
-	type groupBucket struct {
-		firstRow []Value
-		rows     [][]Value
-	}
-	var order []string
-	buckets := map[string]*groupBucket{}
-
+	x := e.takeScratch()
+	defer e.putScratch(x)
 	rkeys := rel.keys()
-	sc := &scope{frame: frame{binds: rkeys}, parent: outer}
+	x.set.reset()
+	x.sc = scope{frame: frame{binds: rkeys}, parent: outer}
+	sc := &x.sc
+	gid, groups := x.ints[:0], 0 // row i's group, and the group count
 	for i := range rel.rows {
 		sc.vals = rel.scopeRow(i)
-		key := ""
+		g := 0
 		if len(q.GroupBy) > 0 {
-			var keys []Value
+			keys := x.vals[:0]
 			for _, g := range q.GroupBy {
 				// GROUP BY <ordinal> refers to a select item
 				gx := g
@@ -471,34 +558,38 @@ func (e *Engine) execGrouped(q *sqlast.SelectStmt, rel *relation, outer *scope, 
 				}
 				keys = append(keys, v)
 			}
-			key = RowKey(keys)
+			x.vals = keys
+			g, _ = x.set.add(keys...)
 		}
-		b, ok := buckets[key]
-		if !ok {
-			b = &groupBucket{firstRow: sc.vals}
-			buckets[key] = b
-			order = append(order, key)
-		}
-		b.rows = append(b.rows, sc.vals)
+		gid = append(gid, g)
+		groups = max(groups, g+1)
 	}
-	// An aggregate over zero rows with no GROUP BY still yields one row
-	// that binds no column; rows must be non-nil so aggregates see an
-	// empty group rather than the absence of a grouping context.
-	if len(buckets) == 0 && len(q.GroupBy) == 0 {
-		buckets[""] = &groupBucket{rows: [][]Value{}}
-		order = append(order, "")
+	x.ints = gid
+	if groups == 0 && len(q.GroupBy) == 0 {
+		// An aggregate over zero rows with no GROUP BY still yields one
+		// row that binds no column.
+		groups = 1
 	}
-
+	order, start := x.groups(groups)
+	x.rows = slices.Grow(x.rows[:0], len(order))[:len(order)]
+	for k, i := range order {
+		x.rows[k] = rel.rows[i]
+	}
 	var out [][]Value
-	for _, key := range order {
-		b := buckets[key]
-		gsc := &scope{group: b.rows, groupKeys: rkeys, parent: outer}
-		if len(b.rows) > 0 {
-			gsc.frame = frame{rkeys, b.firstRow}
+	for g := range groups {
+		group := x.rows[start[g]:start[g+1]]
+		if group == nil {
+			// aggregates must see an empty group, not the absence of a
+			// grouping context
+			group = [][]Value{}
+		}
+		*sc = scope{group: group, groupKeys: rkeys, parent: outer}
+		if len(group) > 0 {
+			sc.frame = frame{rkeys, group[0]}
 		}
 		if q.Having != nil {
 			e.hit(pPlanHaving)
-			hv, err := e.eval(q.Having, gsc, depth+1)
+			hv, err := e.eval(q.Having, sc, depth+1)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -509,9 +600,9 @@ func (e *Engine) execGrouped(q *sqlast.SelectStmt, rel *relation, outer *scope, 
 		row := e.row(len(q.Items))
 		for k, it := range q.Items {
 			if _, ok := it.X.(*sqlast.Star); ok {
-				return nil, nil, errValue("* is not valid with GROUP BY")
+				return nil, nil, e.errValue("* is not valid with GROUP BY")
 			}
-			v, err := e.eval(it.X, gsc, depth+1)
+			v, err := e.eval(it.X, sc, depth+1)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -546,17 +637,20 @@ func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []Valu
 	// Partition- and order-key expressions run once per row.
 	partEv := e.relEval(fc.Over.PartitionBy, rel, outer)
 	defer e.putScratch(partEv.x)
-	obEv := e.relEval(orderExprs(fc.Over.OrderBy), rel, outer)
+	obEv := e.relEval(nil, rel, outer)
+	obEv.exprs = obEv.x.orderList(fc.Over.OrderBy)
 	defer e.putScratch(obEv.x)
 
-	// Partition rows.
-	parts := map[string][]int{}
-	var partOrder []string
-	for i, row := range rel.rows {
+	// Partition rows, numbered in order of first appearance.
+	px := partEv.x
+	px.set.reset()
+	part := px.ints[:0] // row i's partition
+	parts := 0
+	for _, row := range rel.rows {
 		partEv.bind(row, nil, nil)
-		key := ""
+		p := 0
 		if len(fc.Over.PartitionBy) > 0 {
-			var keys []Value
+			keys := px.vals[:0]
 			for k := range fc.Over.PartitionBy {
 				v, err := partEv.eval(k, depth+1)
 				if err != nil {
@@ -564,23 +658,24 @@ func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []Valu
 				}
 				keys = append(keys, v)
 			}
-			key = RowKey(keys)
+			px.vals = keys
+			p, _ = px.set.add(keys...)
 		}
-		if _, ok := parts[key]; !ok {
-			partOrder = append(partOrder, key)
-		}
-		parts[key] = append(parts[key], i)
+		part = append(part, p)
+		parts = max(parts, p+1)
 	}
+	px.ints = part
+	members, start := px.groups(parts)
 
-	var rsc scope // LEAD/LAG's argument scope, reused across partitions
+	rsc := &px.sc // LEAD/LAG's argument scope, reused across partitions
 	name := strings.ToUpper(fc.Name)
 	w := len(fc.Over.OrderBy)
-	for _, key := range partOrder {
-		idxs := parts[key]
+	for p := range parts {
+		idxs := members[start[p]:start[p+1]]
 		// Order within the partition.
-		var s keyedSort
+		var s *keyedSort
 		if w > 0 {
-			s = keyedSort{idxs: idxs, keys: make([]Value, 0, len(idxs)*w), order: fc.Over.OrderBy}
+			keys := obEv.x.vals[:0]
 			for _, i := range idxs {
 				obEv.bind(rel.rows[i], nil, nil)
 				for k := range fc.Over.OrderBy {
@@ -588,10 +683,10 @@ func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []Valu
 					if err != nil {
 						return err
 					}
-					s.keys = append(s.keys, v)
+					keys = append(keys, v)
 				}
 			}
-			sort.Stable(s)
+			s = obEv.x.sort(idxs, keys, fc.Over.OrderBy)
 			switch name {
 			case "RANK", "DENSE_RANK":
 				rank, dense := 1, 1
@@ -626,12 +721,12 @@ func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []Valu
 			// absent, are evaluated on the current row. A NULL offset gives
 			// NULL.
 			if len(fc.Args) < 1 {
-				return errValue("%s expects an argument", name)
+				return e.errValue("%s expects an argument", name)
 			}
 			for n, i := range idxs {
 				off := int64(1)
 				if len(fc.Args) > 1 {
-					ov, err := e.eval(fc.Args[1], rel.scopeRowInto(rel.rows[i], outer, &rsc), depth+1)
+					ov, err := e.eval(fc.Args[1], rel.scopeRowInto(rel.rows[i], outer, rsc), depth+1)
 					if err != nil {
 						return err
 					}
@@ -641,7 +736,7 @@ func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []Valu
 					}
 					f, ok := ov.numeric()
 					if !ok {
-						return errValue("%s offset must be a number", name)
+						return e.errValue("%s offset must be a number", name)
 					}
 					off = int64(f)
 				}
@@ -656,7 +751,7 @@ func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []Valu
 					out[i*stride] = Null()
 					continue
 				}
-				v, err := e.eval(fc.Args[arg], rel.scopeRowInto(rel.rows[row], outer, &rsc), depth+1)
+				v, err := e.eval(fc.Args[arg], rel.scopeRowInto(rel.rows[row], outer, rsc), depth+1)
 				if err != nil {
 					return err
 				}
@@ -666,8 +761,7 @@ func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []Valu
 			n := len(idxs)
 			buckets := 4
 			if len(fc.Args) == 1 {
-				sc := &scope{frame: frame{rel.keys(), rel.scopeRow(idxs[0])}, parent: outer}
-				bv, err := e.eval(fc.Args[0], sc, depth+1)
+				bv, err := e.eval(fc.Args[0], rel.scopeRowInto(rel.scopeRow(idxs[0]), outer, rsc), depth+1)
 				if err != nil {
 					return err
 				}
@@ -685,11 +779,12 @@ func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []Valu
 			// (peers). Without ORDER BY every row is a peer, so the frame is
 			// the whole partition.
 			if !IsAggregate(name) {
-				return errValue("unsupported window function %s", name)
+				return e.errValue("unsupported window function %s", name)
 			}
 			plain := *fc
 			plain.Over = nil
-			group := make([][]Value, 0, len(idxs))
+			group := px.rows[:0]
+			gsc := &px.src
 			for n := 0; n < len(idxs); {
 				m := len(idxs)
 				if w > 0 {
@@ -699,7 +794,8 @@ func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []Valu
 				for _, i := range idxs[n:m] {
 					group = append(group, rel.scopeRow(i))
 				}
-				gsc := &scope{group: group, groupKeys: rel.keys(), parent: outer}
+				px.rows = group
+				*gsc = scope{group: group, groupKeys: rel.keys(), parent: outer}
 				v, err := e.evalAggregate(&plain, gsc, depth+1)
 				if err != nil {
 					return err
@@ -718,39 +814,44 @@ func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []Valu
 // output columns, ordinals, or — when srcRel is non-nil (output rows map
 // 1:1 to source rows) — source columns that were projected away.
 func (e *Engine) sortRows(q *sqlast.SelectStmt, rows [][]Value, cols []string, srcRel *relation, outer *scope, depth int) error {
-	s := keyedSort{idxs: make([]int, len(rows)), keys: make([]Value, 0, len(rows)*len(q.OrderBy)), order: q.OrderBy}
-	if len(rows) > 0 {
-		ev := e.outputEval(orderExprs(q.OrderBy), cols, srcRel, outer)
-		defer e.putScratch(ev.x)
-		for i, row := range rows {
-			s.idxs[i] = i
-			var src []Value
-			if srcRel != nil {
-				src = srcRel.rows[i]
+	if len(rows) == 0 {
+		return nil
+	}
+	ev := e.outputEval(nil, cols, srcRel, outer)
+	x := ev.x
+	ev.exprs = x.orderList(q.OrderBy)
+	defer e.putScratch(x)
+	idxs, keys := x.ints[:0], x.vals[:0]
+	for i, row := range rows {
+		idxs = append(idxs, i)
+		var src []Value
+		if srcRel != nil {
+			src = srcRel.rows[i]
+		}
+		ev.bind(row, src, nil)
+		for k, ob := range q.OrderBy {
+			if lit, ok := ob.X.(*sqlast.Literal); ok && lit.Kind == sqlast.LitInt &&
+				lit.Int >= 1 && int(lit.Int) <= len(row) {
+				keys = append(keys, row[lit.Int-1])
+				continue
 			}
-			ev.bind(row, src, nil)
-			for k, ob := range q.OrderBy {
-				if lit, ok := ob.X.(*sqlast.Literal); ok && lit.Kind == sqlast.LitInt &&
-					lit.Int >= 1 && int(lit.Int) <= len(row) {
-					s.keys = append(s.keys, row[lit.Int-1])
-					continue
-				}
-				v, err := ev.eval(k, depth+1)
-				if err != nil {
-					// fall back to NULL key: ORDER BY on a source column that
-					// was projected away sorts as NULL, a common lenient
-					// behaviour
-					v = Null()
-				}
-				s.keys = append(s.keys, v)
+			v, err := ev.eval(k, depth+1)
+			if err != nil {
+				// fall back to NULL key: ORDER BY on a source column that
+				// was projected away sorts as NULL, a common lenient
+				// behaviour
+				v = Null()
 			}
+			keys = append(keys, v)
 		}
 	}
-	sort.Stable(s)
-	sorted := make([][]Value, len(rows))
-	for n, i := range s.idxs {
-		sorted[n] = rows[i]
+	x.ints = idxs
+	x.sort(idxs, keys, q.OrderBy)
+	sorted := x.rows[:0]
+	for _, i := range idxs {
+		sorted = append(sorted, rows[i])
 	}
+	x.rows = sorted
 	copy(rows, sorted)
 	return nil
 }
@@ -801,73 +902,87 @@ func (s keyedSort) tied(a, b int) bool {
 	return true
 }
 
-func (e *Engine) evalInt(x sqlast.Expr, outer *scope, depth int) (int64, error) {
-	v, err := e.eval(x, &scope{parent: outer}, depth+1)
+func (e *Engine) evalInt(ix sqlast.Expr, outer *scope, depth int) (int64, error) {
+	x := e.takeScratch()
+	defer e.putScratch(x)
+	x.sc = scope{parent: outer}
+	v, err := e.eval(ix, &x.sc, depth+1)
 	if err != nil {
 		return 0, err
 	}
 	f, ok := v.numeric()
 	if !ok {
-		return 0, errValue("expected integer expression")
+		return 0, e.errValue("expected integer expression")
 	}
 	return int64(f), nil
 }
 
-func dedupRows(rows [][]Value) [][]Value {
-	seen := map[string]bool{}
-	var out [][]Value
+// dedupRows drops each row whose RowKey an earlier one has, in place; it
+// returns nil when no row is left.
+//
+//lego:hotpath
+func (e *Engine) dedupRows(rows [][]Value) [][]Value {
+	x := e.takeScratch()
+	defer e.putScratch(x)
+	x.set.reset()
+	n := 0
 	for _, r := range rows {
-		k := RowKey(r)
-		if seen[k] {
-			continue
+		if _, added := x.set.add(r...); added {
+			rows[n] = r
+			n++
 		}
-		seen[k] = true
-		out = append(out, r)
 	}
-	return out
+	if n == 0 {
+		return nil
+	}
+	return rows[:n]
 }
 
-func applySetOp(op sqlast.SetOp, left, right [][]Value) [][]Value {
+// applySetOp combines a set operation's arms; it may reuse left's array.
+//
+//lego:hotpath
+func (e *Engine) applySetOp(op sqlast.SetOp, left, right [][]Value) [][]Value {
 	switch op {
 	case sqlast.SetUnionAll:
 		return append(left, right...)
 	case sqlast.SetUnion:
-		return dedupRows(append(left, right...))
-	case sqlast.SetExcept:
-		rset := map[string]bool{}
+		return e.dedupRows(append(left, right...))
+	case sqlast.SetExcept, sqlast.SetIntersect:
+		x := e.takeScratch()
+		defer e.putScratch(x)
+		x.set.reset()
 		for _, r := range right {
-			rset[RowKey(r)] = true
+			x.set.add(r...)
 		}
-		var out [][]Value
-		for _, l := range dedupRows(left) {
-			if !rset[RowKey(l)] {
-				out = append(out, l)
+		// EXCEPT keeps the left rows right lacks, INTERSECT those it has
+		keep := op == sqlast.SetIntersect
+		left = e.dedupRows(left)
+		n := 0
+		for _, l := range left {
+			if x.set.has(l...) == keep {
+				left[n] = l
+				n++
 			}
 		}
-		return out
-	case sqlast.SetIntersect:
-		rset := map[string]bool{}
-		for _, r := range right {
-			rset[RowKey(r)] = true
+		if n == 0 {
+			return nil
 		}
-		var out [][]Value
-		for _, l := range dedupRows(left) {
-			if rset[RowKey(l)] {
-				out = append(out, l)
-			}
-		}
-		return out
+		return left[:n]
 	default:
 		return left
 	}
 }
 
 // joinHeader returns the header of a's columns followed by b's, with no
-// rows.
+// rows, from the statement's scratch.
 func (e *Engine) joinHeader(a, b *relation) *relation {
-	qual := e.quals(len(a.qual)+len(b.qual), "")
+	n := len(a.cols) + len(b.cols)
+	qual, cols := e.quals(n, ""), e.quals(n, "")
 	copy(qual[copy(qual, a.qual):], b.qual)
-	return e.newRelation(append(append([]string{}, a.cols...), b.cols...), qual, nil)
+	copy(cols[copy(cols, a.cols):], b.cols)
+	out := e.newRelation(cols, qual, nil)
+	out.join = [2]*relation{a, b}
+	return out
 }
 
 func (e *Engine) crossProduct(a, b *relation) *relation {
@@ -894,15 +1009,11 @@ func (e *Engine) crossProduct(a, b *relation) *relation {
 func (e *Engine) fromRelation(ref sqlast.TableRef, outer *scope, depth int) (*relation, error) {
 	switch r := ref.(type) {
 	case *sqlast.BaseTable:
-		rel, err := e.resolveNamedRelation(r.Name, outer, depth)
-		if err != nil {
-			return nil, err
-		}
 		q := r.Name
 		if r.Alias != "" {
 			q = r.Alias
 		}
-		return e.newRelation(rel.cols, e.quals(len(rel.cols), q), rel.rows), nil
+		return e.resolveNamedRelation(r.Name, q, outer, depth)
 
 	case *sqlast.SubqueryRef:
 		e.hit(pPlanSubquery)
@@ -924,17 +1035,19 @@ func (e *Engine) fromRelation(ref sqlast.TableRef, outer *scope, depth int) (*re
 		return e.joinRelations(r, left, right, outer, depth)
 
 	default:
-		return nil, errValue("unsupported FROM element %T", ref)
+		return nil, e.errValue("unsupported FROM element %s", typeName(ref))
 	}
 }
 
-// resolveNamedRelation resolves a name against CTEs, views, then tables.
-func (e *Engine) resolveNamedRelation(name string, outer *scope, depth int) (*relation, error) {
-	// CTE scope (innermost wins)
-	for i := len(e.cteFrames) - 1; i >= 0; i-- {
-		if rel, ok := e.cteFrames[i][name]; ok {
+// resolveNamedRelation resolves a name against CTEs, views, then tables,
+// into a relation whose columns are qualified by qual. A table's column
+// names and keys are its own lists, which change only with its columns.
+func (e *Engine) resolveNamedRelation(name, qual string, outer *scope, depth int) (*relation, error) {
+	// CTE scope (innermost, then latest, wins)
+	for i := len(e.ctes) - 1; i >= 0; i-- {
+		if c := e.ctes[i]; c.name == name {
 			e.hit(pRewriteCTE)
-			return rel, nil
+			return e.newRelation(c.rel.cols, e.quals(len(c.rel.cols), qual), c.rel.rows), nil
 		}
 	}
 	if v, ok := e.cat.Views[name]; ok {
@@ -944,11 +1057,11 @@ func (e *Engine) resolveNamedRelation(name string, outer *scope, depth int) (*re
 			if len(v.Cols) > 0 {
 				cols = v.Cols
 			}
-			return e.newRelation(cols, e.quals(len(cols), ""), v.MatRows), nil
+			return e.newRelation(cols, e.quals(len(cols), qual), v.MatRows), nil
 		}
 		e.hit(pPlanView)
 		if depth > e.limits.MaxRewriteDepth {
-			return nil, errValue("view nesting too deep")
+			return nil, e.errValue("view nesting too deep")
 		}
 		rows, cols, err := e.execSelect(v.Query, outer, depth+1)
 		if err != nil {
@@ -961,7 +1074,7 @@ func (e *Engine) resolveNamedRelation(name string, outer *scope, depth int) (*re
 				}
 			}
 		}
-		return e.newRelation(cols, e.quals(len(cols), ""), rows), nil
+		return e.newRelation(cols, e.quals(len(cols), qual), rows), nil
 	}
 	t, err := e.lookTable(name)
 	if err != nil {
@@ -970,11 +1083,10 @@ func (e *Engine) resolveNamedRelation(name string, outer *scope, depth int) (*re
 	if err := e.checkPriv(name, "SELECT"); err != nil {
 		return nil, err
 	}
-	cols := make([]string, len(t.Cols))
-	for i := range t.Cols {
-		cols[i] = t.Cols[i].Name
-	}
-	return e.newRelation(cols, e.quals(len(cols), ""), t.Rows), nil
+	cols := t.colNames()
+	rel := e.newRelation(cols, e.quals(len(cols), qual), t.Rows)
+	rel.table = t
+	return rel, nil
 }
 
 func (e *Engine) joinRelations(j *sqlast.JoinRef, left, right *relation, outer *scope, depth int) (*relation, error) {
@@ -1000,9 +1112,11 @@ func (e *Engine) joinRelations(j *sqlast.JoinRef, left, right *relation, outer *
 	// pair: only matched pairs materialize a fresh row into
 	// out.rows, so the ON evaluation runs allocation-free across the up to
 	// 20000 probed pairs.
-	pairRow := make([]Value, 0, len(out.cols))
-	ev := e.relEval([]sqlast.Expr{j.On}, out, outer)
+	ev := e.relEval(nil, out, outer)
+	ev.exprs = ev.x.list(j.On)
 	defer e.putScratch(ev.x)
+	pairRow := ev.x.vals[:0]
+	defer func() { ev.x.vals = pairRow[:0] }()
 	matchRow := func(lrow, rrow []Value) (bool, error) {
 		pairBudget--
 		pairRow = append(append(pairRow[:0], lrow...), rrow...)

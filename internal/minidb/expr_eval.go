@@ -79,7 +79,7 @@ const maxConcatBytes = 1 << 20
 // eval evaluates e in scope sc.
 func (e *Engine) eval(x sqlast.Expr, sc *scope, depth int) (Value, error) {
 	if depth > maxEvalDepth {
-		return Null(), errValue("expression nesting too deep")
+		return Null(), e.errValue("expression nesting too deep")
 	}
 	if err := e.chargeStep(); err != nil {
 		return Null(), err
@@ -111,12 +111,12 @@ func (e *Engine) eval(x sqlast.Expr, sc *scope, depth int) (Value, error) {
 			}
 		}
 		if v.Table != "" {
-			return Null(), errValue("column %q does not exist", v.Table+"."+v.Name)
+			return Null(), e.errValue("column %q does not exist", v.Table+"."+v.Name)
 		}
-		return Null(), errValue("column %q does not exist", v.Name)
+		return Null(), e.errValue("column %q does not exist", v.Name)
 
 	case *sqlast.Star:
-		return Null(), errValue("* is not valid in this context")
+		return Null(), e.errValue("* is not valid in this context")
 
 	case *sqlast.Unary:
 		val, err := e.eval(v.X, sc, depth+1)
@@ -136,7 +136,7 @@ func (e *Engine) eval(x sqlast.Expr, sc *scope, depth int) (Value, error) {
 				if f, ok := val.numeric(); ok {
 					return Float(-f), nil
 				}
-				return Null(), errValue("cannot negate %s", val.String())
+				return Null(), e.errValue("cannot negate %s", val.String())
 			}
 		case "NOT":
 			if val.IsNull() {
@@ -277,7 +277,7 @@ func (e *Engine) eval(x sqlast.Expr, sc *scope, depth int) (Value, error) {
 		return e.evalFunc(v, sc, depth)
 
 	default:
-		return Null(), errValue("unsupported expression %T", x)
+		return Null(), e.errValue("unsupported expression %s", typeName(x))
 	}
 }
 
@@ -360,7 +360,7 @@ func (e *Engine) evalBinary(v *sqlast.Binary, sc *scope, depth int) (Value, erro
 		}
 		ls, rs := l.String(), r.String()
 		if len(ls)+len(rs) > maxConcatBytes {
-			return Null(), errValue("string concatenation exceeds %d bytes", maxConcatBytes)
+			return Null(), e.errValueArgs("string concatenation exceeds %d bytes", argInt(maxConcatBytes))
 		}
 		return Text(ls + rs), nil
 
@@ -382,13 +382,13 @@ func (e *Engine) evalBinary(v *sqlast.Binary, sc *scope, depth int) (Value, erro
 			case "/":
 				if r.I == 0 {
 					e.hit(pEvalDivZero)
-					return Null(), errValue("division by zero")
+					return Null(), e.errValue("division by zero")
 				}
 				return Int(l.I / r.I), nil
 			default:
 				if r.I == 0 {
 					e.hit(pEvalDivZero)
-					return Null(), errValue("division by zero")
+					return Null(), e.errValue("division by zero")
 				}
 				return Int(l.I % r.I), nil
 			}
@@ -397,7 +397,7 @@ func (e *Engine) evalBinary(v *sqlast.Binary, sc *scope, depth int) (Value, erro
 		fl, okL := l.numeric()
 		fr, okR := r.numeric()
 		if !okL || !okR {
-			return Null(), errValue("non-numeric operand for %s", v.Op)
+			return Null(), e.errValue("non-numeric operand for %s", v.Op)
 		}
 		switch v.Op {
 		case "+":
@@ -409,18 +409,18 @@ func (e *Engine) evalBinary(v *sqlast.Binary, sc *scope, depth int) (Value, erro
 		case "/":
 			if fr == 0 {
 				e.hit(pEvalDivZero)
-				return Null(), errValue("division by zero")
+				return Null(), e.errValue("division by zero")
 			}
 			return Float(fl / fr), nil
 		default:
 			if fr == 0 {
 				e.hit(pEvalDivZero)
-				return Null(), errValue("division by zero")
+				return Null(), e.errValue("division by zero")
 			}
 			return Float(math.Mod(fl, fr)), nil
 		}
 	default:
-		return Null(), errValue("unknown operator %q", v.Op)
+		return Null(), e.errValue("unknown operator %q", v.Op)
 	}
 }
 
@@ -430,10 +430,11 @@ func (e *Engine) evalIn(v *sqlast.InExpr, sc *scope, depth int) (Value, error) {
 	if err != nil {
 		return Null(), err
 	}
-	// The candidates go on the engine's IN stack above base; an IN nested
-	// in a list element or the subquery pushes and pops above them.
-	base := len(e.inVals)
-	defer func() { e.inVals = e.inVals[:base] }()
+	// The candidates go on the engine's value stack above base; an IN or a
+	// call nested in a list element or the subquery pushes and pops above
+	// them.
+	base := len(e.vals)
+	defer func() { e.vals = e.vals[:base] }()
 	if v.Query != nil {
 		e.hit(pEvalInSubq)
 		rows, _, err := e.execSelect(v.Query, sc, depth+1)
@@ -442,7 +443,7 @@ func (e *Engine) evalIn(v *sqlast.InExpr, sc *scope, depth int) (Value, error) {
 		}
 		for _, r := range rows {
 			if len(r) > 0 {
-				e.inVals = append(e.inVals, r[0])
+				e.vals = append(e.vals, r[0])
 			}
 		}
 	} else {
@@ -451,14 +452,14 @@ func (e *Engine) evalIn(v *sqlast.InExpr, sc *scope, depth int) (Value, error) {
 			if err != nil {
 				return Null(), err
 			}
-			e.inVals = append(e.inVals, cv)
+			e.vals = append(e.vals, cv)
 		}
 	}
 	if val.IsNull() {
 		return Null(), nil
 	}
 	sawNull := false
-	for _, c := range e.inVals[base:] {
+	for _, c := range e.vals[base:] {
 		if c.IsNull() {
 			sawNull = true
 			continue

@@ -87,7 +87,7 @@ BEGIN;
 					copy(w[n-k:], b.Pattern[len(b.Pattern)-k:])
 				}
 				e.typeWindow = w
-				for _, lastErr := range []error{nil, errValue("boom")} {
+				for _, lastErr := range []error{nil, e.errValue("boom")} {
 					want := ""
 					if b := scanHazards(e, bugs, lastErr); b != nil {
 						want = b.ID
@@ -146,27 +146,26 @@ CREATE TABLE gone (a INT);
 		}
 	}
 
-	// Every kept argument kind, and the kinds formatted at the call.
-	inner := errValue("inner %d", 7)
-	cols := []string{"a", "b"}
-	row := &Value{K: KInt, I: 1}
+	// Every typed slot, more arguments than slots, and a wrapped error of
+	// another type, which is formatted at the call.
+	inner := e.errValue("inner %s", "x")
+	other := &changing{"before"}
 	cases := []struct {
 		err  error
 		want string
 	}{
-		{errValue("%s: unsupported statement type %s", sqlt.DialectMariaDB, sqlt.Merge),
+		{e.errValue("%s: unsupported statement type %s", sqlt.DialectMariaDB.String(), sqlt.Merge.String()),
 			fmt.Sprintf("%s: unsupported statement type %s", sqlt.DialectMariaDB, sqlt.Merge)},
-		{errValue("INSERT has %d values but %d target columns", 3, int64(2)), "INSERT has 3 values but 2 target columns"},
-		{errValue("%s expects %d argument(s), got %d", "ABS", 1, 2), "ABS expects 1 argument(s), got 2"},
-		{errValue("trigger %q failed: %s", "tg", inner), `trigger "tg" failed: inner 7`},
-		{errValue("no arguments, 100%% literal"), "no arguments, 100% literal"},
-		{errValue("%v %v %v %v", 1, 2, 3, 4), "1 2 3 4"},
-		{errValue("columns %v", cols), "columns [a b]"},
-		{errValue("row %v", row), fmt.Sprintf("row %v", row)},
-		{errValue("unsupported expression %T", row), "unsupported expression *minidb.Value"},
+		{e.errValueArgs("INSERT has %d values but %d target columns", argInt(3), argInt(2)), "INSERT has 3 values but 2 target columns"},
+		{e.errValueArgs("%s expects %d argument(s), got %d", argS("ABS"), argInt(1), argInt(2)), "ABS expects 1 argument(s), got 2"},
+		{e.errValueArgs("trigger %q failed: %s", argS("tg"), argErr(inner)), `trigger "tg" failed: inner x`},
+		{e.errValueArgs("wrapped: %s", argErr(other)), "wrapped: before"},
+		{e.errValue("no arguments, 100%% literal"), "no arguments, 100% literal"},
+		{e.errValue("%s %s %s %s", "1", "2", "3", "4"), "1 2 3 4"},
+		{e.errValueArgs("%d %d %d %d", argInt(1), argInt(2), argInt(3), argInt(4)), "1 2 3 4"},
+		{e.errValue("unsupported expression %s", typeName(&Value{})), "unsupported expression *minidb.Value"},
 	}
-	cols[0] = "changed"
-	row.I = 99
+	other.msg = "after"
 	for _, c := range cases {
 		if got := c.err.Error(); got != c.want {
 			t.Errorf("Error() = %q, want %q", got, c.want)
@@ -237,5 +236,51 @@ SELECT x, y, z FROM log;
 				t.Fatalf("log row %d = %v", i, r)
 			}
 		}
+	}
+}
+
+// changing is an error whose message a later write changes.
+type changing struct{ msg string }
+
+func (c *changing) Error() string { return c.msg }
+
+// TestEngineOwnedErrorLifetime: inside RunTestCase, errors come from the
+// engine's slab, and each reads its own message after the case has ended,
+// past the slab's growth too; a trigger failure reads with the error it
+// wraps; an error ExecStmt returns outside a test case is the caller's and
+// reads the same after later statements.
+func TestEngineOwnedErrorLifetime(t *testing.T) {
+	e := newPG(t)
+	var sb strings.Builder
+	sb.WriteString("CREATE TABLE t (a INT);\nCREATE TABLE log (v INT NOT NULL);\n")
+	sb.WriteString("CREATE TRIGGER tg AFTER INSERT ON t FOR EACH ROW INSERT INTO log VALUES (NULL);\n")
+	sb.WriteString("INSERT INTO t VALUES (1);\n")
+	for i := range 40 {
+		fmt.Fprintf(&sb, "SELECT a FROM missing%d;\n", i)
+	}
+	tc := sqlparse.MustParseScript(sb.String())
+	for range 2 {
+		out := e.RunTestCase(tc)
+		if got, want := out.Errs[3].Error(), `trigger "tg" failed: null value in column "v" violates not-null constraint`; got != want {
+			t.Errorf("trigger failure reads %q, want %q", got, want)
+		}
+		for i := range 40 {
+			want := fmt.Sprintf(`relation "missing%d" does not exist`, i)
+			if err := out.Errs[4+i]; err == nil || err.Error() != want {
+				t.Fatalf("statement %d: error %v, want %q", 4+i, err, want)
+			}
+		}
+	}
+
+	_, err := e.ExecStmt(sqlparse.MustParse("SELECT a FROM gone"))
+	if err == nil {
+		t.Fatal("no error outside a test case")
+	}
+	for _, s := range tc {
+		_, _ = e.ExecStmt(s)
+	}
+	e.RunTestCase(tc)
+	if got, want := err.Error(), `relation "gone" does not exist`; got != want {
+		t.Errorf("an error returned outside a test case reads %q after later statements, want %q", got, want)
 	}
 }

@@ -2,6 +2,7 @@ package minidb
 
 import (
 	"math"
+	"slices"
 	"strings"
 
 	"github.com/seqfuzz/lego/internal/sqlast"
@@ -56,29 +57,33 @@ func (e *Engine) evalFunc(fc *sqlast.FuncCall, sc *scope, depth int) (Value, err
 				return sc.winVals[k], nil
 			}
 		}
-		return Null(), errValue("window function %s requires a query context", name)
+		return Null(), e.errValue("window function %s requires a query context", name)
 	}
 
 	if IsAggregate(name) {
 		return e.evalAggregate(fc, sc, depth)
 	}
 	if windowNames[name] {
-		return Null(), errValue("window function %s requires OVER", name)
+		return Null(), e.errValue("window function %s requires OVER", name)
 	}
 
 	e.hit(pEvalFunc)
-	args := make([]Value, len(fc.Args))
-	for i, a := range fc.Args {
+	// The arguments go on the engine's value stack above base, as evalIn's
+	// candidates do.
+	base := len(e.vals)
+	defer func() { e.vals = e.vals[:base] }()
+	for _, a := range fc.Args {
 		v, err := e.eval(a, sc, depth+1)
 		if err != nil {
 			return Null(), err
 		}
-		args[i] = v
+		e.vals = append(e.vals, v)
 	}
+	args := slices.Clip(e.vals[base:])
 
 	need := func(n int) error {
 		if len(args) != n {
-			return errValue("%s expects %d argument(s), got %d", name, n, len(args))
+			return e.errValueArgs("%s expects %d argument(s), got %d", argS(name), argInt(n), argInt(len(args)))
 		}
 		return nil
 	}
@@ -103,7 +108,7 @@ func (e *Engine) evalFunc(fc *sqlast.FuncCall, sc *scope, depth int) (Value, err
 		if f, ok := v.numeric(); ok {
 			return Float(math.Abs(f)), nil
 		}
-		return Null(), errValue("ABS of non-numeric value")
+		return Null(), e.errValue("ABS of non-numeric value")
 	case "LENGTH", "CHAR_LENGTH":
 		if err := need(1); err != nil {
 			return Null(), err
@@ -138,7 +143,7 @@ func (e *Engine) evalFunc(fc *sqlast.FuncCall, sc *scope, depth int) (Value, err
 		return Text(strings.TrimSpace(args[0].String())), nil
 	case "SUBSTR", "SUBSTRING":
 		if len(args) < 2 || len(args) > 3 {
-			return Null(), errValue("SUBSTR expects 2 or 3 arguments")
+			return Null(), e.errValue("SUBSTR expects 2 or 3 arguments")
 		}
 		if args[0].IsNull() || args[1].IsNull() {
 			return Null(), nil
@@ -187,14 +192,14 @@ func (e *Engine) evalFunc(fc *sqlast.FuncCall, sc *scope, depth int) (Value, err
 		return args[0], nil
 	case "ROUND":
 		if len(args) < 1 || len(args) > 2 {
-			return Null(), errValue("ROUND expects 1 or 2 arguments")
+			return Null(), e.errValue("ROUND expects 1 or 2 arguments")
 		}
 		if args[0].IsNull() {
 			return Null(), nil
 		}
 		f, ok := args[0].numeric()
 		if !ok {
-			return Null(), errValue("ROUND of non-numeric value")
+			return Null(), e.errValue("ROUND of non-numeric value")
 		}
 		digits := 0.0
 		if len(args) == 2 {
@@ -229,7 +234,7 @@ func (e *Engine) evalFunc(fc *sqlast.FuncCall, sc *scope, depth int) (Value, err
 		b, _ := args[1].numeric()
 		if b == 0 {
 			e.hit(pEvalDivZero)
-			return Null(), errValue("division by zero")
+			return Null(), e.errValue("division by zero")
 		}
 		return Float(math.Mod(a, b)), nil
 	case "TYPEOF":
@@ -255,7 +260,7 @@ func (e *Engine) evalFunc(fc *sqlast.FuncCall, sc *scope, depth int) (Value, err
 		e.hit(pEvalSeqNext)
 		sq, ok := e.cat.Sequences[args[0].String()]
 		if !ok {
-			return Null(), errValue("sequence %q does not exist", args[0].String())
+			return Null(), e.errValue("sequence %q does not exist", args[0].String())
 		}
 		sq.Val += sq.Inc
 		return Int(sq.Val), nil
@@ -265,13 +270,13 @@ func (e *Engine) evalFunc(fc *sqlast.FuncCall, sc *scope, depth int) (Value, err
 		}
 		sq, ok := e.cat.Sequences[args[0].String()]
 		if !ok {
-			return Null(), errValue("sequence %q does not exist", args[0].String())
+			return Null(), e.errValue("sequence %q does not exist", args[0].String())
 		}
 		return Int(sq.Val), nil
 	case "GREATEST":
-		return foldCompare(args, func(c int) bool { return c > 0 })
+		return e.foldCompare(args, func(c int) bool { return c > 0 })
 	case "LEAST":
-		return foldCompare(args, func(c int) bool { return c < 0 })
+		return e.foldCompare(args, func(c int) bool { return c < 0 })
 	}
 
 	// user-defined scalar function, its parameters bound last duplicate first
@@ -282,7 +287,7 @@ func (e *Engine) evalFunc(fc *sqlast.FuncCall, sc *scope, depth int) (Value, err
 	if ok {
 		e.hit(pEvalFuncUser)
 		if len(args) != len(fn.Params) {
-			return Null(), errValue("function %s expects %d argument(s)", fn.Name, len(fn.Params))
+			return Null(), e.errValueArgs("function %s expects %d argument(s)", argS(fn.Name), argInt(len(fn.Params)))
 		}
 		keys := make([]binding, len(args))
 		for i, p := range fn.Params {
@@ -294,12 +299,12 @@ func (e *Engine) evalFunc(fc *sqlast.FuncCall, sc *scope, depth int) (Value, err
 		}
 		return CoerceToColumn(affinity(fn.Returns), v), nil
 	}
-	return Null(), errValue("unknown function %s", name)
+	return Null(), e.errValue("unknown function %s", name)
 }
 
-func foldCompare(args []Value, take func(int) bool) (Value, error) {
+func (e *Engine) foldCompare(args []Value, take func(int) bool) (Value, error) {
 	if len(args) == 0 {
-		return Null(), errValue("GREATEST/LEAST need at least one argument")
+		return Null(), e.errValue("GREATEST/LEAST need at least one argument")
 	}
 	best := args[0]
 	for _, a := range args[1:] {
@@ -318,7 +323,7 @@ func (e *Engine) evalAggregate(fc *sqlast.FuncCall, sc *scope, depth int) (Value
 	name := strings.ToUpper(fc.Name)
 	group := sc.group
 	if group == nil {
-		return Null(), errValue("aggregate %s used outside grouping context", name)
+		return Null(), e.errValue("aggregate %s used outside grouping context", name)
 	}
 	e.hit(pExecAggregate)
 	if len(group) == 0 {
@@ -328,20 +333,22 @@ func (e *Engine) evalAggregate(fc *sqlast.FuncCall, sc *scope, depth int) (Value
 	// COUNT(*)
 	if fc.Star {
 		if name != "COUNT" {
-			return Null(), errValue("%s(*) is not valid", name)
+			return Null(), e.errValue("%s(*) is not valid", name)
 		}
 		return Int(int64(len(group))), nil
 	}
 	if len(fc.Args) != 1 {
-		return Null(), errValue("aggregate %s expects one argument", name)
+		return Null(), e.errValue("aggregate %s expects one argument", name)
 	}
 
-	var vals []Value
-	seen := map[string]bool{}
-	rsc := &scope{frame: frame{binds: sc.groupKeys}, parent: sc.parent}
+	x := e.takeScratch()
+	defer e.putScratch(x)
+	x.sc = scope{frame: frame{binds: sc.groupKeys}, parent: sc.parent}
+	x.set.reset()
+	vals := x.vals[:0]
 	for _, row := range group {
-		rsc.vals = row
-		v, err := e.eval(fc.Args[0], rsc, depth+1)
+		x.sc.vals = row
+		v, err := e.eval(fc.Args[0], &x.sc, depth+1)
 		if err != nil {
 			return Null(), err
 		}
@@ -349,14 +356,13 @@ func (e *Engine) evalAggregate(fc *sqlast.FuncCall, sc *scope, depth int) (Value
 			continue
 		}
 		if fc.Distinct {
-			k := v.Key()
-			if seen[k] {
+			if _, added := x.set.add(v); !added {
 				continue
 			}
-			seen[k] = true
 		}
 		vals = append(vals, v)
 	}
+	x.vals = vals
 
 	switch name {
 	case "COUNT":
@@ -374,7 +380,7 @@ func (e *Engine) evalAggregate(fc *sqlast.FuncCall, sc *scope, depth int) (Value
 		for _, v := range vals {
 			f, ok := v.numeric()
 			if !ok {
-				return Null(), errValue("SUM of non-numeric value")
+				return Null(), e.errValue("SUM of non-numeric value")
 			}
 			fs += f
 			if v.K == KInt {
@@ -395,7 +401,7 @@ func (e *Engine) evalAggregate(fc *sqlast.FuncCall, sc *scope, depth int) (Value
 		for _, v := range vals {
 			f, ok := v.numeric()
 			if !ok {
-				return Null(), errValue("AVG of non-numeric value")
+				return Null(), e.errValue("AVG of non-numeric value")
 			}
 			fs += f
 		}
@@ -432,6 +438,6 @@ func (e *Engine) evalAggregate(fc *sqlast.FuncCall, sc *scope, depth int) (Value
 		}
 		return Text(strings.Join(parts, ",")), nil
 	default:
-		return Null(), errValue("unknown aggregate %s", name)
+		return Null(), e.errValue("unknown aggregate %s", name)
 	}
 }

@@ -65,10 +65,10 @@ SET ROLE who;
 	}
 
 	// cErr with a real error; cInTxn inside a transaction.
-	if !cErr(e, errValue("boom")) {
+	if !cErr(e, e.errValue("boom")) {
 		t.Error("cErr with error")
 	}
-	if cOK(e, errValue("boom")) {
+	if cOK(e, e.errValue("boom")) {
 		t.Error("cOK with error")
 	}
 	if _, err := e.ExecStmt(sqlparse.MustParse("BEGIN")); err != nil {

@@ -23,11 +23,18 @@ type pools struct {
 	tables, freeTables []*Table
 	cats, freeCats     []*Catalog
 
-	// This test case's rows come from chunks[:used]; free is the unused
-	// tail of chunks[used-1].
-	chunks [][]Value
+	// rows holds this test case's rows, and names its result column lists.
+	rows  arena[Value]
+	names arena[string]
+}
+
+// arena hands out slices from chunks that reset takes back whole: this
+// test case's slices come from chunks[:used], and free is the unused tail
+// of chunks[used-1].
+type arena[T any] struct {
+	chunks [][]T
 	used   int
-	free   []Value
+	free   []T
 }
 
 const (
@@ -38,11 +45,12 @@ const (
 	maxPooledCatalogs = 16
 	// maxPooledRows is the largest Rows array a recycled table keeps.
 	maxPooledRows = 256
-	// rowChunk values make one arena chunk; a test case takes rows from at
-	// most maxRowChunks of them, and rows past that come from the heap, so
-	// a trigger cascade cannot pin every row version it writes.
-	rowChunk     = 512
-	maxRowChunks = 16
+	// arenaChunk elements make one arena chunk; a test case takes slices
+	// from at most maxArenaChunks of them, and slices past that come from
+	// the heap, so a trigger cascade cannot pin every row version it
+	// writes.
+	arenaChunk     = 512
+	maxArenaChunks = 16
 )
 
 // takeTable returns an empty table.
@@ -81,25 +89,45 @@ func (e *Engine) takeCatalog() *Catalog {
 	return c
 }
 
+// take returns n zero elements capped at n: from the arena when on, else
+// from the heap.
+//
+//lego:hotpath
+func (a *arena[T]) take(n int, on bool) []T {
+	if n == 0 || n > len(a.free) {
+		if n == 0 || !on || n > arenaChunk || a.used == maxArenaChunks {
+			return make([]T, n)
+		}
+		if a.used == len(a.chunks) {
+			a.chunks = append(a.chunks, make([]T, arenaChunk))
+		}
+		a.free = a.chunks[a.used]
+		a.used++
+	}
+	r := a.free[:n:n]
+	a.free = a.free[n:]
+	return r
+}
+
+// reset takes back every slice the arena handed out, zeroing them.
+func (a *arena[T]) reset() {
+	for i := range a.used {
+		c := a.chunks[i]
+		if i == a.used-1 {
+			c = c[:len(c)-len(a.free)]
+		}
+		clear(c)
+	}
+	a.used, a.free = 0, nil
+}
+
 // row returns a zeroed (all-NULL) row of n values, capped at n.
 //
 //lego:hotpath
-func (e *Engine) row(n int) []Value {
-	p := &e.pool
-	if n == 0 || n > len(p.free) {
-		if n == 0 || !p.on || n > rowChunk || p.used == maxRowChunks {
-			return make([]Value, n)
-		}
-		if p.used == len(p.chunks) {
-			p.chunks = append(p.chunks, make([]Value, rowChunk))
-		}
-		p.free = p.chunks[p.used]
-		p.used++
-	}
-	r := p.free[:n:n]
-	p.free = p.free[n:]
-	return r
-}
+func (e *Engine) row(n int) []Value { return e.pool.rows.take(n, e.pool.on) }
+
+// names returns n empty strings, capped at n, for a result's column list.
+func (e *Engine) names(n int) []string { return e.pool.names.take(n, e.pool.on) }
 
 // copyRow returns a copy of r.
 //
@@ -139,14 +167,8 @@ func (e *Engine) resetPools() {
 	}
 	clear(p.tables)
 	p.tables = p.tables[:0]
-	for i := range p.used {
-		c := p.chunks[i]
-		if i == p.used-1 {
-			c = c[:len(c)-len(p.free)]
-		}
-		clear(c)
-	}
-	p.used, p.free = 0, nil
+	p.rows.reset()
+	p.names.reset()
 }
 
 // recycle empties t for takeTable, keeping its arrays' capacity (a Rows

@@ -36,17 +36,17 @@ func TestPoolsBounded(t *testing.T) {
 		t.Fatalf("the script must run cleanly:\n%s", first)
 	}
 	p := &e.pool
-	if len(p.tables) != maxPooledTables || len(p.cats) != maxPooledCatalogs || p.used != maxRowChunks {
+	if len(p.tables) != maxPooledTables || len(p.cats) != maxPooledCatalogs || p.rows.used != maxArenaChunks {
 		t.Fatalf("the script took %d tables, %d catalogs and %d chunks; want the caps %d, %d and %d",
-			len(p.tables), len(p.cats), p.used, maxPooledTables, maxPooledCatalogs, maxRowChunks)
+			len(p.tables), len(p.cats), p.rows.used, maxPooledTables, maxPooledCatalogs, maxArenaChunks)
 	}
 	if again := renderOutcome(e.RunTestCase(tc)); again != first {
 		t.Fatalf("a second run on recycled storage answers differently:\n%s\nfirst:\n%s", again, first)
 	}
 	e.RunTestCase(nil)
-	if len(p.freeTables) > maxPooledTables || len(p.freeCats) > maxPooledCatalogs || len(p.chunks) > maxRowChunks {
+	if len(p.freeTables) > maxPooledTables || len(p.freeCats) > maxPooledCatalogs || len(p.rows.chunks) > maxArenaChunks {
 		t.Errorf("the pools keep %d tables, %d catalogs and %d chunks; caps %d, %d and %d",
-			len(p.freeTables), len(p.freeCats), len(p.chunks), maxPooledTables, maxPooledCatalogs, maxRowChunks)
+			len(p.freeTables), len(p.freeCats), len(p.rows.chunks), maxPooledTables, maxPooledCatalogs, maxArenaChunks)
 	}
 	for _, tb := range p.freeTables {
 		if cap(tb.Rows) > maxPooledRows {
@@ -56,7 +56,7 @@ func TestPoolsBounded(t *testing.T) {
 
 	// Outside RunTestCase every statement allocates as it did before the
 	// pools: nothing is taken, and the rows it stores are its own.
-	tables, cats, used := len(p.freeTables), len(p.freeCats), p.used
+	tables, cats, used, names := len(p.freeTables), len(p.freeCats), p.rows.used, p.names.used
 	for _, s := range sqlparse.MustParseScript("CREATE TABLE o (a INT);\nINSERT INTO o VALUES (1), (2);\nBEGIN;\nSAVEPOINT s;\nUPDATE o SET a = a + 10;\nROLLBACK TO SAVEPOINT s;\nSELECT * INTO o2 FROM o;") {
 		if _, err := e.ExecStmt(s); err != nil {
 			t.Fatal(err)
@@ -66,14 +66,14 @@ func TestPoolsBounded(t *testing.T) {
 	if err != nil || len(res.Rows) != 2 || res.Rows[0][0] != Int(1) || res.Rows[1][0] != Int(2) {
 		t.Fatalf("outside a test case: %v, %v", res, err)
 	}
-	if len(p.tables) != 0 || len(p.cats) != 1 || len(p.freeTables) != tables || len(p.freeCats) != cats || p.used != used {
+	if len(p.tables) != 0 || len(p.cats) != 1 || len(p.freeTables) != tables || len(p.freeCats) != cats || p.rows.used != used || p.names.used != names {
 		t.Errorf("ExecStmt outside RunTestCase took from the pools")
 	}
 	repl := New(Config{Dialect: sqlt.DialectPostgres})
 	for _, s := range tc {
 		_, _ = repl.ExecStmt(s)
 	}
-	if rp := &repl.pool; rp.chunks != nil || rp.tables != nil || rp.cats != nil || rp.freeTables != nil || rp.freeCats != nil {
+	if rp := &repl.pool; rp.rows.chunks != nil || rp.names.chunks != nil || rp.tables != nil || rp.cats != nil || rp.freeTables != nil || rp.freeCats != nil {
 		t.Errorf("an engine that never runs a test case holds pooled storage")
 	}
 }

@@ -108,7 +108,7 @@ ROLLBACK TO SAVEPOINT sp;`},
 		// arena's existing chunks, and after every statement the catalog
 		// and the snapshots must equal the new engine's.
 		label := d.String() + "/rebuild"
-		freeTables, freeCats, chunks := map[*Table]bool{}, map[*Catalog]bool{}, len(e.pool.chunks)
+		freeTables, freeCats, chunks := map[*Table]bool{}, map[*Catalog]bool{}, len(e.pool.rows.chunks)
 		for _, tb := range e.pool.freeTables {
 			freeTables[tb] = true
 		}
@@ -142,8 +142,8 @@ ROLLBACK TO SAVEPOINT sp;`},
 				t.Errorf("%s: the script took a catalog that was not recycled", label)
 			}
 		}
-		if len(e.pool.tables) != 5 || len(e.pool.cats) != 4 || len(e.pool.chunks) != chunks {
-			t.Errorf("%s: took %d tables, %d catalogs and %d new chunks; want 5, 3 and none", label, len(e.pool.tables), len(e.pool.cats)-1, len(e.pool.chunks)-chunks)
+		if len(e.pool.tables) != 5 || len(e.pool.cats) != 4 || len(e.pool.rows.chunks) != chunks {
+			t.Errorf("%s: took %d tables, %d catalogs and %d new chunks; want 5, 3 and none", label, len(e.pool.tables), len(e.pool.cats)-1, len(e.pool.rows.chunks)-chunks)
 		}
 
 		// The reset leaves Schemas and Databases alone while each holds
@@ -494,6 +494,40 @@ ALTER TABLE t ADD COLUMN d TEXT;
 INSERT INTO t2 VALUES (8, 9);
 SELECT * FROM t2;
 SELECT * FROM t;`
+	// listScript changes what the per-statement trigger and index lists
+	// and a table's column names and keys hold inside BEGIN ... ROLLBACK
+	// (CREATE and DROP TRIGGER, CREATE INDEX, RENAME TO and RENAME
+	// COLUMN), fires nested triggers, and fails on unique keys and
+	// missing relations.
+	listScript = `CREATE TABLE t (a INT PRIMARY KEY, b INT);
+CREATE TABLE u (a INT, b INT);
+CREATE TABLE log (n INT);
+CREATE UNIQUE INDEX ib ON t (b);
+CREATE TRIGGER t1 AFTER INSERT ON t FOR EACH ROW INSERT INTO u VALUES (1, 2);
+CREATE TRIGGER t2 AFTER INSERT ON u FOR EACH ROW INSERT INTO log VALUES (3);
+INSERT INTO t VALUES (1, 1);
+SELECT t.a, u.b FROM t JOIN u ON t.a = u.a;
+BEGIN;
+CREATE TRIGGER t0 AFTER INSERT ON t FOR EACH ROW DELETE FROM log;
+DROP TRIGGER t2;
+CREATE UNIQUE INDEX ia ON u (a);
+ALTER TABLE t RENAME TO t9;
+ALTER TABLE u RENAME COLUMN b TO z;
+INSERT INTO t9 VALUES (2, 2);
+INSERT INTO t9 VALUES (3, 2);
+SELECT t9.a, u.z FROM t9 JOIN u ON t9.a = u.a;
+SELECT * FROM log;
+ROLLBACK;
+INSERT INTO t VALUES (4, 4);
+INSERT INTO t VALUES (5, 4);
+SELECT t.a, u.b FROM t JOIN u ON t.a = u.a;
+SELECT * FROM t9;
+SELECT u.z FROM u;
+SELECT a, COUNT(*) FROM u GROUP BY a;
+SELECT DISTINCT n FROM log UNION SELECT b FROM u;
+SELECT b FROM t EXCEPT SELECT b FROM u;
+INSERT INTO missing VALUES (1);
+SELECT a FROM missing2;`
 )
 
 // pastArenaScript takes more rows than one test case may take from the
@@ -547,6 +581,10 @@ COMMIT;`)
 	f.Add(pg, reshapePoolScript, reshapePoolScript)
 	f.Add(uint8(sqlt.DialectComdb2), pastArenaScript(), reshapePoolScript)
 	f.Add(pg, pastArenaScript(), joinMergeScript)
+	f.Add(pg, listScript, joinMergeScript)
+	f.Add(pg, joinMergeScript, listScript)
+	f.Add(my, listScript, listScript)
+	f.Add(uint8(sqlt.DialectMariaDB), txnPoolScript, listScript)
 	f.Fuzz(func(t *testing.T, d uint8, a, b string) {
 		tcA, errA := sqlparse.ParseScript(a)
 		tcB, errB := sqlparse.ParseScript(b)

@@ -66,8 +66,15 @@ func (e *Engine) applyRules(table string, ev sqlast.TriggerEvent) (handled bool,
 	return true, e.result(Result{Msg: "rewritten by rule"}), nil
 }
 
-// execWith implements WITH ... <body>: CTE relations are materialized into a
-// frame visible to name resolution, and writable CTEs (DML bodies) execute
+// cte is a WITH query in scope, by name.
+type cte struct {
+	name string
+	rel  *relation
+}
+
+// execWith implements WITH ... <body>: CTE relations are materialized onto
+// the engine's list of those in scope (ctes), which name resolution reads
+// until the body returns, and writable CTEs (DML bodies) execute
 // in order, mirroring RewriteQuery's recursive processing of
 // insert/update/delete statements in WITH.
 func (e *Engine) execWith(st *sqlast.WithStmt) (*Result, error) {
@@ -77,36 +84,34 @@ func (e *Engine) execWith(st *sqlast.WithStmt) (*Result, error) {
 		e.hit(pRewriteCTE)
 	}
 	if e.rewriteDepth >= e.limits.MaxRewriteDepth {
-		return nil, errValue("WITH nesting too deep")
+		return nil, e.errValue("WITH nesting too deep")
 	}
 	e.rewriteDepth++
 	defer func() { e.rewriteDepth-- }()
 
-	frame := map[string]*relation{}
-	e.cteFrames = append(e.cteFrames, frame)
-	defer func() { e.cteFrames = e.cteFrames[:len(e.cteFrames)-1] }()
+	defer func(n int) { clear(e.ctes[n:]); e.ctes = e.ctes[:n] }(len(e.ctes))
 
-	for _, cte := range st.CTEs {
-		switch body := cte.Body.(type) {
+	for _, c := range st.CTEs {
+		switch body := c.Body.(type) {
 		case *sqlast.SelectStmt:
 			rows, cols, err := e.execSelect(body, nil, 0)
 			if err != nil {
 				return nil, err
 			}
-			if len(cte.Cols) > 0 {
+			if len(c.Cols) > 0 {
 				for i := range cols {
-					if i < len(cte.Cols) {
-						cols[i] = cte.Cols[i]
+					if i < len(c.Cols) {
+						cols[i] = c.Cols[i]
 					}
 				}
 			}
-			frame[cte.Name] = e.newRelation(cols, e.quals(len(cols), ""), rows)
+			e.ctes = append(e.ctes, cte{c.Name, e.newRelation(cols, e.quals(len(cols), ""), rows)})
 		default:
 			// Writable CTE: recursively rewrite-and-execute the DML. This
 			// is the RewriteQuery path of the case study.
 			e.hit(pRewriteQuery)
 			e.inWCTERewrite = true
-			res, err := e.dispatch(cte.Body)
+			res, err := e.dispatch(c.Body)
 			e.inWCTERewrite = false
 			if err != nil {
 				return nil, err
@@ -114,15 +119,16 @@ func (e *Engine) execWith(st *sqlast.WithStmt) (*Result, error) {
 			// A DO INSTEAD NOTIFY rule swallowed the DML: the CTE's query
 			// node now has no jointree. PostgreSQL misses this case and the
 			// planner crashes later in replace_empty_jointree (seeded bug).
-			cols := cte.Cols
+			cols := c.Cols
 			if len(cols) == 0 {
-				cols = []string{"ctid"}
+				cols = e.names(1)
+				cols[0] = "ctid"
 			}
 			rows := [][]Value{}
 			if res != nil && len(res.Rows) > 0 {
 				rows = res.Rows
 			}
-			frame[cte.Name] = e.newRelation(cols, e.quals(len(cols), ""), rows)
+			e.ctes = append(e.ctes, cte{c.Name, e.newRelation(cols, e.quals(len(cols), ""), rows)})
 		}
 	}
 	res, err := e.dispatch(st.Body)
@@ -172,7 +178,7 @@ func (e *Engine) planText(s sqlast.Statement) []string {
 		} else if name, isBase := baseTableOf(st); isBase {
 			if col, isEq := eqPredicateColumn(st.Where); isEq {
 				useIdx := false
-				for _, ix := range e.cat.indexesFor(name) {
+				for _, ix := range e.cat.indexesFor(nil, name) {
 					for _, c := range ix.Cols {
 						if c == col && !ix.stale {
 							useIdx = true

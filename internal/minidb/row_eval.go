@@ -1,6 +1,11 @@
 package minidb
 
-import "github.com/seqfuzz/lego/internal/sqlast"
+import (
+	"slices"
+	"sort"
+
+	"github.com/seqfuzz/lego/internal/sqlast"
+)
 
 // rowEval evaluates one site's expression list row by row: the SELECT
 // WHERE, projection items, window partition and order keys, sort keys, join
@@ -48,6 +53,17 @@ type evalScratch struct {
 	tvals []Value
 
 	cval [1]Value // checkScope's VALUE
+
+	// Per-statement buffers of the site that holds the scratch: xs its
+	// expression list (list, orderList), vals, ints and rows its keys, row
+	// numbers and rows, set its key set, and ks its sort.
+	okeys []binding // outputEval's keys
+	xs    []sqlast.Expr
+	vals  []Value
+	ints  []int
+	rows  [][]Value
+	set   keySet
+	ks    keyedSort
 }
 
 //lego:hotpath
@@ -117,7 +133,8 @@ func (ev *rowEval) interpScope(row, src, win []Value) {
 		parent = ev.rel.scopeRowInto(src, ev.outer, &x.src)
 	}
 	if n := min(len(row), len(ev.cols)); ev.outKeys == nil || n != ev.outWidth {
-		ev.outKeys, ev.outWidth = make([]binding, n), n
+		x.okeys = slices.Grow(x.okeys[:0], n)[:n]
+		ev.outKeys, ev.outWidth = x.okeys, n
 		for c := range n {
 			ev.outKeys[n-1-c] = binding{ev.cols[c], c}
 		}
@@ -171,11 +188,53 @@ func (x *evalScratch) checkScope(t *Table, row []Value, v Value) *scope {
 	return &x.src
 }
 
-// orderExprs lists the expressions of an ORDER BY clause.
-func orderExprs(obs []sqlast.OrderItem) []sqlast.Expr {
-	xs := make([]sqlast.Expr, len(obs))
-	for k := range obs {
-		xs[k] = obs[k].X
+// sort sorts idxs stably by keys, laid out as keyedSort's, which it keeps
+// as the scratch's vals; the sort sits in the scratch, so handing it to
+// sort.Stable allocates nothing.
+func (x *evalScratch) sort(idxs []int, keys []Value, order []sqlast.OrderItem) *keyedSort {
+	x.vals = keys
+	x.ks = keyedSort{idxs: idxs, keys: keys, order: order}
+	sort.Stable(&x.ks)
+	return &x.ks
+}
+
+// groups lists rows group by group, when x.ints holds each row's group (row
+// i's is x.ints[i], below n): the groups in number order and each group's
+// rows in row order, so group g's rows are order[start[g]:start[g+1]].
+// Both lists follow the groups in x.ints.
+func (x *evalScratch) groups(n int) (order, start []int) {
+	rows := len(x.ints)
+	x.ints = slices.Grow(x.ints, rows+n+2)[:2*rows+n+2]
+	ids, order, c := x.ints[:rows], x.ints[rows:2*rows], x.ints[2*rows:]
+	// c[g+2] counts group g's rows, then c[g+1] is where group g starts;
+	// placing each row moves its group's c[g+1] on to where group g+1
+	// starts.
+	clear(c)
+	for _, g := range ids {
+		c[g+2]++
 	}
-	return xs
+	for g := 2; g < len(c); g++ {
+		c[g] += c[g-1]
+	}
+	for i, g := range ids {
+		order[c[g+1]] = i
+		c[g+1]++
+	}
+	return order, c[:n+1]
+}
+
+// list returns xs in the scratch's expression list.
+func (x *evalScratch) list(xs ...sqlast.Expr) []sqlast.Expr {
+	x.xs = append(x.xs[:0], xs...)
+	return x.xs
+}
+
+// orderList returns the expressions of an ORDER BY clause in the scratch's
+// expression list.
+func (x *evalScratch) orderList(obs []sqlast.OrderItem) []sqlast.Expr {
+	x.xs = x.xs[:0]
+	for k := range obs {
+		x.xs = append(x.xs, obs[k].X)
+	}
+	return x.xs
 }

@@ -12,8 +12,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-
-	"github.com/seqfuzz/lego/internal/sqlt"
 )
 
 // Kind tags runtime values.
@@ -175,37 +173,44 @@ func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 // Key returns a string usable as a uniqueness key for index lookups and
 // DISTINCT/GROUP BY hashing.
 func (v Value) Key() string {
+	var buf [32]byte
+	return string(v.appendKey(buf[:0]))
+}
+
+// appendKey appends v's Key to b.
+func (v Value) appendKey(b []byte) []byte {
 	switch v.K {
 	case KNull:
-		return "\x00N"
+		return append(b, "\x00N"...)
 	case KInt:
-		return "\x01" + strconv.FormatInt(v.I, 10)
+		return strconv.AppendInt(append(b, 1), v.I, 10)
 	case KFloat:
 		if v.F == math.Trunc(v.F) && math.Abs(v.F) < 1e15 {
 			// integral floats collide with ints, as SQL equality does
-			return "\x01" + strconv.FormatInt(int64(v.F), 10)
+			return strconv.AppendInt(append(b, 1), int64(v.F), 10)
 		}
-		return "\x02" + strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.AppendFloat(append(b, 2), v.F, 'g', -1, 64)
 	case KText:
-		return "\x03" + v.S
+		return append(append(b, 3), v.S...)
 	case KBool:
 		if v.B {
-			return "\x011"
+			return append(b, "\x011"...)
 		}
-		return "\x010"
+		return append(b, "\x010"...)
 	default:
-		return "\x04"
+		return append(b, 4)
 	}
 }
 
 // RowKey concatenates value keys for multi-column uniqueness.
-func RowKey(vals []Value) string {
-	var sb strings.Builder
+func RowKey(vals []Value) string { return string(appendRowKey(nil, vals)) }
+
+// appendRowKey appends vals' RowKey to b.
+func appendRowKey(b []byte, vals []Value) []byte {
 	for _, v := range vals {
-		sb.WriteString(v.Key())
-		sb.WriteByte(0x1f)
+		b = append(v.appendKey(b), 0x1f)
 	}
-	return sb.String()
+	return b
 }
 
 // CoerceToColumn converts v to the storage representation of a column type
@@ -290,34 +295,113 @@ func affinity(typeName string) Kind {
 	}
 }
 
-// errValue builds a typed execution error. The message is formatted on the
-// first Error() call, since the fuzzer itself never reads it: the error
-// keeps the format and its arguments. Strings, integers, dialects,
-// statement types and other execution errors read the same whenever they
-// are formatted; any other argument could name state that a later
-// statement changes, so a message with one is formatted here.
-func errValue(format string, args ...any) error {
-	x := &ExecError{format: format}
+// errValue builds a typed execution error whose arguments are strings, and
+// errValueArgs one with integer or wrapped-error arguments (argInt,
+// argErr). The message is formatted on the first Error() call, since the
+// fuzzer itself never reads it: the error keeps the format and its
+// arguments in typed slots, so building it boxes nothing. Strings,
+// integers and execution errors read the same whenever they are
+// formatted; a caller formats anything else (a value, a type name) into a
+// string first, and an error of another type is formatted here.
+//
+// Inside RunTestCase the error comes from an engine slab that the next
+// RunTestCase reuses, the lifetime Outcome.Errs documents; outside it (the
+// REPL, lego.DB) it is allocated and lives as long as it is referenced.
+func (e *Engine) errValue(format string, args ...string) error {
+	x := e.newError(format)
 	if len(args) > len(x.args) {
-		return x.formatNow(args)
+		a := make([]any, len(args))
+		for i, s := range args {
+			a[i] = s
+		}
+		return x.formatNow(a)
+	}
+	for i, s := range args {
+		x.args[i] = errArg{kind: slotStr, s: s}
+	}
+	x.nargs = len(args)
+	return x
+}
+
+func (e *Engine) errValueArgs(format string, args ...errArg) error {
+	x := e.newError(format)
+	if len(args) > len(x.args) {
+		return x.formatNow(boxArgs(args))
 	}
 	for _, a := range args {
-		switch a.(type) {
-		case string, int, int64, sqlt.Dialect, sqlt.Type, *ExecError:
-		default:
-			return x.formatNow(args)
+		if _, ok := a.cause.(*ExecError); a.kind == slotErr && !ok {
+			return x.formatNow(boxArgs(args))
 		}
 	}
 	x.nargs = copy(x.args[:], args)
 	return x
 }
 
+// newError returns an ExecError holding only format: from the engine's
+// error slab inside RunTestCase, else from the heap.
+func (e *Engine) newError(format string) *ExecError {
+	if !e.pool.on {
+		return &ExecError{format: format}
+	}
+	x := e.errs.take()
+	*x = ExecError{format: format}
+	return x
+}
+
+// argKind tags the typed slot an errArg fills.
+type argKind uint8
+
+const (
+	slotStr argKind = iota
+	slotInt
+	slotErr
+)
+
+// errArg is one argument of an ExecError's message.
+type errArg struct {
+	kind  argKind
+	s     string
+	n     int
+	cause error
+}
+
+// argInt and argErr wrap errValueArgs' integer and wrapped-error
+// arguments; argS its string ones.
+func argS(s string) errArg    { return errArg{kind: slotStr, s: s} }
+func argInt(n int) errArg     { return errArg{kind: slotInt, n: n} }
+func argErr(err error) errArg { return errArg{kind: slotErr, cause: err} }
+
+func (a errArg) value() any {
+	switch a.kind {
+	case slotInt:
+		return a.n
+	case slotErr:
+		return a.cause
+	default:
+		return a.s
+	}
+}
+
+// typeName formats x's dynamic type as %T does, for messages about
+// unsupported nodes.
+func typeName(x any) string { return fmt.Sprintf("%T", x) }
+
+func boxArgs(args []errArg) []any {
+	out := make([]any, len(args))
+	for i, a := range args {
+		out[i] = a.value()
+	}
+	return out
+}
+
 // ExecError is a recoverable SQL execution error (semantic errors, constraint
 // violations). It corresponds to the server returning an error to the
-// client; fuzzing continues with the next statement.
+// client; fuzzing continues with the next statement. One returned inside
+// RunTestCase is engine-owned and valid until the next RunTestCase on the
+// same engine (see errValue).
 type ExecError struct {
 	format string // "" once msg holds the formatted message
-	args   [3]any
+	args   [3]errArg
 	nargs  int
 	msg    string
 }
@@ -331,8 +415,12 @@ func (e *ExecError) formatNow(args []any) *ExecError {
 // only by the goroutine that runs its engine, as every engine result is.
 func (e *ExecError) Error() string {
 	if e.format != "" {
-		e.formatNow(e.args[:e.nargs])
-		e.args = [3]any{}
+		var boxed [3]any
+		for i, a := range e.args[:e.nargs] {
+			boxed[i] = a.value()
+		}
+		e.formatNow(boxed[:e.nargs])
+		e.args = [3]errArg{}
 	}
 	return e.msg
 }

@@ -76,13 +76,12 @@ type State struct {
 }
 
 // Export snapshots the synthesizer for checkpointing. Seqs shares the
-// generated sequences with the synthesizer instead of cloning them: record
-// stores private copies that are never modified afterwards, so the view
-// stays valid as synthesis continues, but callers must not write through
-// it. Starts are sorted so identical campaigns produce byte-identical
-// snapshots (the set's order never influences synthesis, only its
-// serialization). No sequences or no starts export as nil, which
-// checkpoints encode as JSON null.
+// generated sequences with the synthesizer instead of cloning them: every
+// sequence is immutable once built, so the view stays valid as synthesis
+// continues, but callers must not write through it. Starts are sorted so
+// identical campaigns produce byte-identical snapshots (the set's order
+// never influences synthesis, only its serialization). No sequences or no
+// starts export as nil, which checkpoints encode as JSON null.
 func (sy *Synthesizer) Export() State {
 	st := State{Seqs: sy.s[:len(sy.s):len(sy.s)], Rot: sy.rot}
 	if len(sy.starts) > 0 {
@@ -108,15 +107,16 @@ func (sy *Synthesizer) Import(st State) {
 	}
 	for _, seq := range st.Seqs {
 		if len(seq) > 0 {
-			sy.record(seq)
+			sy.record(seq.Clone())
 		}
 	}
 }
 
-// record appends a sequence to S and indexes it in PS.
+// record appends a sequence to S and indexes it in PS. S keeps seq itself,
+// which nothing writes afterwards.
 func (sy *Synthesizer) record(seq sqlt.Sequence) int {
 	idx := len(sy.s)
-	sy.s = append(sy.s, seq.Clone())
+	sy.s = append(sy.s, seq)
 	k := psKey{end: seq[len(seq)-1], len: len(seq)}
 	sy.ps[k] = append(sy.ps[k], idx)
 	return idx
@@ -125,26 +125,23 @@ func (sy *Synthesizer) record(seq sqlt.Sequence) int {
 // OnNewAffinity implements Algorithm 3. Given the newly discovered affinity
 // t1 -> t2, it synthesizes every new sequence of length <= LEN containing
 // the affinity and returns them. Because t1 -> t2 is new, all sequences
-// generated through it are new.
+// generated through it are new. The returned sequences are the ones S
+// holds: sequences are immutable, and callers must not write them.
 func (sy *Synthesizer) OnNewAffinity(t1, t2 sqlt.Type) []sqlt.Sequence {
 	var out []sqlt.Sequence
 	emit := func(seq sqlt.Sequence) bool {
 		if len(out) >= sy.MaxPerAffinity {
 			return false
 		}
-		out = append(out, seq.Clone())
+		out = append(out, seq)
 		return true
 	}
 
 	for level := 1; level <= sy.LEN-1; level++ {
-		prefixSeqIndex := sy.ps[psKey{end: t1, len: level}]
-		if len(prefixSeqIndex) == 0 {
-			continue
-		}
-		// iterate over a snapshot: record() grows the index as we go
-		snapshot := append([]int(nil), prefixSeqIndex...)
-		for _, seqIndex := range snapshot {
-			seq := append(sy.s[seqIndex].Clone(), t2)
+		// record() only indexes sequences longer than level, so this list
+		// does not change while it is walked
+		for _, seqIndex := range sy.ps[psKey{end: t1, len: level}] {
+			seq := extend(sy.s[seqIndex], t2)
 			sy.record(seq)
 			if !emit(seq) {
 				return out
@@ -168,7 +165,7 @@ func (sy *Synthesizer) listSeq(level int, nodeType sqlt.Type, seq sqlt.Sequence,
 	sy.rot++
 	for i := range succ {
 		nextType := succ[(i+sy.rot)%len(succ)]
-		ext := append(seq.Clone(), nextType)
+		ext := extend(seq, nextType)
 		if !sy.listSeq(level+1, nextType, ext, emit) {
 			return false
 		}
@@ -178,4 +175,11 @@ func (sy *Synthesizer) listSeq(level int, nodeType sqlt.Type, seq sqlt.Sequence,
 		}
 	}
 	return true
+}
+
+// extend returns a new sequence, seq followed by t, of capacity len(seq)+1.
+func extend(seq sqlt.Sequence, t sqlt.Type) sqlt.Sequence {
+	ext := make(sqlt.Sequence, len(seq)+1)
+	ext[copy(ext, seq)] = t
+	return ext
 }

@@ -35,9 +35,13 @@ func (tc TestCase) SQL() string {
 
 // Types returns the test case's SQL Type Sequence.
 func (tc TestCase) Types() sqlt.Sequence {
-	seq := make(sqlt.Sequence, len(tc))
-	for i, s := range tc {
-		seq[i] = s.Type()
+	return tc.AppendTypes(make(sqlt.Sequence, 0, len(tc)))
+}
+
+// AppendTypes appends the test case's SQL Type Sequence to seq.
+func (tc TestCase) AppendTypes(seq sqlt.Sequence) sqlt.Sequence {
+	for _, s := range tc {
+		seq = append(seq, s.Type())
 	}
 	return seq
 }
